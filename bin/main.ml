@@ -899,8 +899,8 @@ let loadgen_cmd =
 
 let gateway_cmd =
   let run soak tenants lineages dist duration churn versions push_at deadline
-      admit_rate admit_burst max_plans quota budget window mode parity lazy_
-      loss dup reorder jitter seed samples scrape_every scrape_out prom_out
+      admit_rate admit_burst max_plans quota budget window mode parity loss
+      dup reorder jitter seed samples scrape_every scrape_out prom_out
       flight_dir ndjson json =
     match soak with
     | Some cases ->
@@ -990,8 +990,7 @@ let gateway_cmd =
               Gateway.Governor.budget;
               window_s = window };
           mode_override;
-          parity;
-          lazy_ingress = lazy_ }
+          parity }
       in
       let cfg =
         { Loadgen.g_tenants = tenants;
@@ -1118,14 +1117,6 @@ let gateway_cmd =
              ~doc:"Cross-check every delivery against the interpretive \
                    reference decoder")
   in
-  let lazy_ =
-    Arg.(value & flag
-         & info [ "lazy" ]
-             ~doc:"Run fused-rung deliveries through the zero-copy \
-                   lazy-materialisation wire plans (arena-pooled record \
-                   skeletons); summaries are byte-identical to the eager \
-                   fused path")
-  in
   let loss =
     Arg.(value & opt float 0. & info [ "loss" ] ~docv:"P" ~doc:"Per-frame loss probability")
   in
@@ -1188,7 +1179,7 @@ let gateway_cmd =
              campaign (--soak)")
     Term.(const run $ soak $ tenants $ lineages $ dist $ duration $ churn
           $ versions $ push_at $ deadline $ admit_rate $ admit_burst $ max_plans
-          $ quota $ budget $ window $ mode $ parity $ lazy_ $ loss $ dup
+          $ quota $ budget $ window $ mode $ parity $ loss $ dup
           $ reorder $ jitter $ seed $ samples $ scrape_every $ scrape_out
           $ prom_out $ flight_dir $ ndjson $ json)
 

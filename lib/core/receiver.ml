@@ -140,10 +140,6 @@ type rmetrics = {
   rm_chain_depth : Obs.Histogram.h;
   rm_fused_ns : Obs.Histogram.h;
   rm_staged_ns : Obs.Histogram.h;
-  rm_lazy_ns : Obs.Histogram.h;
-  rm_lazy_materialized : Obs.Counter.h;
-  rm_lazy_skipped : Obs.Counter.h;
-  rm_arena_bytes : Obs.Gauge.h;
 }
 
 let make_rmetrics reg =
@@ -170,18 +166,14 @@ let make_rmetrics reg =
        in [stats] next to the staged decode-then-convert baseline *)
     rm_fused_ns = Obs.Histogram.make reg ~unit_:"ns" "codec.fused_ns";
     rm_staged_ns = Obs.Histogram.make reg ~unit_:"ns" "codec.staged_ns";
-    rm_lazy_ns = Obs.Histogram.make reg ~unit_:"ns" "codec.lazy_ns";
-    (* the lazy path's ledger: cells the plan actually built vs wire
-       field sites it skipped past, and the cumulative bytes the arena
-       served from its pools instead of the allocator *)
-    rm_lazy_materialized = Obs.Counter.make reg "codec.lazy_fields_materialized";
-    rm_lazy_skipped = Obs.Counter.make reg "codec.lazy_fields_skipped";
-    rm_arena_bytes = Obs.Gauge.make reg ~unit_:"bytes" "arena.bytes_recycled";
   }
 
 type t = {
   config : Config.t;
   m : rmetrics;
+  codecs : Codec.cache;
+  (* where fused morph plans come from: the configured context's plan
+     cache, else the process default *)
   mutable registered : registered list; (* registration order *)
   mutable default_handler : (Meta.format_meta -> Value.t -> unit) option;
   mutable probe : (Value.t option -> outcome -> unit) option;
@@ -199,6 +191,7 @@ let create ?(config = Config.default) () =
   {
     config;
     m = make_rmetrics config.Config.metrics;
+    codecs = Ctx.codecs (Option.value config.Config.ctx ~default:Ctx.default);
     registered = [];
     default_handler = None;
     probe = None;
@@ -603,7 +596,9 @@ let deliver t (meta : Meta.format_meta) (v : Value.t) : outcome =
 let reject_wire t e : outcome =
   t.stats.rejected <- t.stats.rejected + 1;
   Obs.Counter.incr t.m.rm_rejected;
-  Rejected (Fmt.str "wire decode failed: %s" (Err.to_string e))
+  let o = Rejected (Fmt.str "wire decode failed: %s" (Err.to_string e)) in
+  probe t None o;
+  o
 
 (* Successful fused delivery: the value is already in the target layout, so
    only the bookkeeping of [run_pipeline]'s Accept branch remains.  Handler
@@ -641,12 +636,7 @@ let deliver_wire t (meta : Meta.format_meta) (message : string) : outcome =
     let t0 = if t.m.rm_on then Obs.now t.m.rm_reg else 0. in
     (match
        let h = Codec.read_header message in
-       let mor =
-         match t.config.Config.ctx with
-         | Some ctx ->
-           Codec.morpher_in (Ctx.codecs ctx) ~endian:h.Codec.endian ~from_ ~into
-         | None -> Codec.morpher_for ~endian:h.Codec.endian ~from_ ~into
-       in
+       let mor = Codec.morpher_in t.codecs ~endian:h.Codec.endian ~from_ ~into in
        Codec.morph_payload mor ~pos:Codec.header_size message
      with
      | v' ->
@@ -656,77 +646,6 @@ let deliver_wire t (meta : Meta.format_meta) (message : string) : outcome =
      | exception Codec.Decode_error msg -> reject_wire t (`Decode msg)
      | exception Value.Type_error msg -> reject_wire t (`Type msg))
   | Accept _ | Reject _ ->
-    let t0 = if t.m.rm_on then Obs.now t.m.rm_reg else 0. in
-    (match Wire.decode ?ctx:t.config.Config.ctx meta.Meta.body message with
-     | Ok v ->
-       let o = deliver_entry t ~hit entry meta v in
-       (match entry.pipeline, o with
-        | Accept _, Delivered _ when t.m.rm_on ->
-          Obs.Histogram.observe t.m.rm_staged_ns (Obs.now t.m.rm_reg -. t0)
-        | _ -> ());
-       o
-     | Error e -> reject_wire t e)
-
-(* Zero-copy delivery: the message arrives as a [Slice.t] straight off
-   the transport buffer and — when the cached pipeline fuses — runs the
-   lazy slice plan: dropped source fields are never materialised, and
-   the target record's skeletons come from this domain's arena
-   ([Ctx.arena] of the configured context), recycled when the delivery
-   returns.  The handler and probe run before the recycle, so they see
-   live cells; a handler that retains the value past delivery must
-   [Value.copy] (docs/PERFORMANCE.md).  Non-fusable pipelines cross back
-   to the staged string path — that [Slice.to_string] is the copying
-   shim at the API boundary.
-
-   Outcomes, stats and trace spans are identical to [deliver_wire] on
-   every input, malformed ones included: the lazy plans accept and
-   reject exactly the same messages (the fuzz-lazy oracle's invariant),
-   which is what lets the `lazy` ingress mode reproduce `fused` golden
-   summaries byte-for-byte.  Error *text* may differ on truncated
-   input — the lazy scan blames a whole coalesced fixed span where the
-   eager decoder blames its first missing field — but summaries count
-   rejects, they never quote them. *)
-let deliver_wire_lazy t (meta : Meta.format_meta) (s : Slice.t) : outcome =
-  let hit, entry = lookup t meta in
-  match entry.pipeline with
-  | Accept { fused = Some (from_, into); format_name; via; handler; provenance; _ } ->
-    let ctx = Option.value t.config.Config.ctx ~default:Ctx.default in
-    let arena = Ctx.arena ctx in
-    let bytes0 = Arena.bytes_recycled arena in
-    let t0 = if t.m.rm_on then Obs.now t.m.rm_reg else 0. in
-    (match
-       let h = Codec.read_header_s s in
-       let lmor =
-         Codec.lmorpher_in (Ctx.codecs ctx) ~endian:h.Codec.endian ~from_ ~into
-       in
-       (lmor, Codec.lmorph_payload lmor ~arena ~pos:Codec.header_size s)
-     with
-     | lmor, v' ->
-       if t.m.rm_on then begin
-         Obs.Histogram.observe t.m.rm_lazy_ns (Obs.now t.m.rm_reg -. t0);
-         let mat, skip = Codec.lmorpher_stats lmor in
-         Obs.Counter.add t.m.rm_lazy_materialized mat;
-         Obs.Counter.add t.m.rm_lazy_skipped skip
-       end;
-       let o =
-         deliver_fused t ~hit entry ~format_name ~via ~handler ~provenance v'
-       in
-       (* end of delivery: pooled skeletons become reusable (a handler
-          exception skips this — the arena then allocates fresh until
-          the next successful delivery recycles, which is safe) *)
-       Arena.recycle arena;
-       (* a per-receiver delta, not the arena total: the arena is shared
-          by every receiver on this domain, so the total depends on how
-          deliveries shard across a pool — the delta is a pure function
-          of this delivery, and merged registries sum correctly *)
-       if t.m.rm_on then
-         Obs.Gauge.add t.m.rm_arena_bytes
-           (float_of_int (Arena.bytes_recycled arena - bytes0));
-       o
-     | exception Codec.Decode_error msg -> reject_wire t (`Decode msg)
-     | exception Value.Type_error msg -> reject_wire t (`Type msg))
-  | Accept _ | Reject _ ->
-    let message = Slice.to_string s in
     let t0 = if t.m.rm_on then Obs.now t.m.rm_reg else 0. in
     (match Wire.decode ?ctx:t.config.Config.ctx meta.Meta.body message with
      | Ok v ->

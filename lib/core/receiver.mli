@@ -136,20 +136,6 @@ val deliver : t -> Meta.format_meta -> Value.t -> outcome
     hostile input. *)
 val deliver_wire : t -> Meta.format_meta -> string -> outcome
 
-(** Zero-copy variant of {!deliver_wire}: the message arrives as a
-    {!Pbio.Slice.t} straight off the transport buffer.  When the cached
-    pipeline fuses, the lazy slice plan runs — dropped source fields are
-    never materialised and record skeletons come from the calling
-    domain's arena ([Ctx.arena] of the configured context, or of
-    [Ctx.default]), which is recycled when the delivery returns: a
-    handler that retains the delivered value must [Value.copy] it
-    (docs/PERFORMANCE.md).  Non-fusable pipelines fall back to the
-    staged string path via one boundary copy.  Outcomes, stats, metrics
-    names and trace spans match {!deliver_wire} on every input,
-    malformed ones included.  Ticks [codec.lazy_fields_materialized] /
-    [codec.lazy_fields_skipped] and the [arena.bytes_recycled] gauge. *)
-val deliver_wire_lazy : t -> Meta.format_meta -> Slice.t -> outcome
-
 (** Describe, without delivering or caching, what Algorithm 2 would do
     with messages of this format — for diagnostics and operator tooling. *)
 val explain : t -> Meta.format_meta -> string

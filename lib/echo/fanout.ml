@@ -30,23 +30,6 @@ let deliver_batch ?pool ~(sinks : sink array) (meta : Meta.format_meta)
   | None -> Array.map (fun s -> deliver_sink s meta messages) sinks
   | Some p -> Morph.Pool.map p (fun s -> deliver_sink s meta messages) sinks
 
-(* Zero-copy batch: messages arrive as slices and each sink runs the
-   lazy delivery path.  The slices are read-only and every worker domain
-   draws pooled record skeletons from its own arena (the receiver ctx's
-   [Ctx.arena] is Domain.DLS-backed), so sharing the message array
-   across the pool is safe and allocation stays domain-local. *)
-let deliver_sink_lazy (s : sink) (meta : Meta.format_meta)
-    (messages : Slice.t array) : Morph.Receiver.outcome array =
-  Array.map
-    (fun msg -> Morph.Receiver.deliver_wire_lazy s.receiver meta msg)
-    messages
-
-let deliver_batch_lazy ?pool ~(sinks : sink array) (meta : Meta.format_meta)
-    (messages : Slice.t array) : Morph.Receiver.outcome array array =
-  match pool with
-  | None -> Array.map (fun s -> deliver_sink_lazy s meta messages) sinks
-  | Some p -> Morph.Pool.map p (fun s -> deliver_sink_lazy s meta messages) sinks
-
 let delivered_count (outcomes : Morph.Receiver.outcome array array) : int =
   Array.fold_left
     (fun acc row ->

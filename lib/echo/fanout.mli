@@ -29,17 +29,5 @@ val deliver_batch :
   string array ->
   Morph.Receiver.outcome array array
 
-(** Zero-copy variant of {!deliver_batch}: each sink delivers through
-    [Morph.Receiver.deliver_wire_lazy].  The slices are shared read-only
-    across the pool; each worker domain draws record skeletons from its
-    own ([Domain.DLS]-backed) arena, so outcomes remain a pure function
-    of (sinks, messages) at any pool width. *)
-val deliver_batch_lazy :
-  ?pool:Morph.Pool.t ->
-  sinks:sink array ->
-  Meta.format_meta ->
-  Slice.t array ->
-  Morph.Receiver.outcome array array
-
 (** Number of [Delivered] outcomes in a matrix. *)
 val delivered_count : Morph.Receiver.outcome array array -> int

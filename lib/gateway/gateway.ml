@@ -51,7 +51,6 @@ type config = {
   pending_cap : int;
   mode_override : rung option;
   parity : bool;
-  lazy_ingress : bool;
 }
 
 let default_config =
@@ -69,7 +68,6 @@ let default_config =
     pending_cap = 256;
     mode_override = None;
     parity = false;
-    lazy_ingress = false;
   }
 
 (* --- outcomes ------------------------------------------------------------ *)
@@ -248,17 +246,10 @@ type shape = {
   s_fusable : bool;  (* no Ecode step: eligible for a fused wire plan *)
 }
 
-(* Fused artifacts carry both the eager and the lazy-materialisation
-   wire plans (LE, BE each); only the pair the config selects is ever
-   forced, so a gateway without [lazy_ingress] never compiles lazy
-   plans and vice versa. *)
+(* Compiled wire plans per rung, one per endian (LE, BE), each forced on
+   the first message of that endian. *)
 type arts =
-  | Fused_plans of {
-      f_le : Codec.morpher Lazy.t;
-      f_be : Codec.morpher Lazy.t;
-      l_le : Codec.lmorpher Lazy.t;
-      l_be : Codec.lmorpher Lazy.t;
-    }
+  | Fused_plans of Codec.morpher Lazy.t * Codec.morpher Lazy.t
   | Staged_plans of Codec.decoder Lazy.t * Codec.decoder Lazy.t
   | Interp_only
 
@@ -327,10 +318,6 @@ type t = {
   cache : cached Plan_cache.t;
   gov : Governor.t;
   inflight : (int * int, pending Queue.t) Hashtbl.t;
-  g_ctx : Ctx.t option;
-  (* the creating context, kept for its per-domain arena: lazy-ingress
-     deliveries draw pooled record skeletons from [Ctx.arena] and
-     recycle them after the delivery handler returns *)
   g_cache : Codec.cache option;
   (* codec plan cache from the creating [Ctx.t]: fused/staged wire plans
      come from (and are shared through) it instead of being compiled
@@ -410,7 +397,6 @@ let create ?(config = default_config) ?(metrics = Obs.null) ?ctx ?flight ~net
       cache;
       gov;
       inflight = Hashtbl.create 64;
-      g_ctx = ctx;
       g_cache = Option.map Ctx.codecs ctx;
       pending_depth = 0;
       on_delivery;
@@ -599,20 +585,12 @@ let build_arts ?cache ~(shape : shape) ~(source : Ptype.record)
     (match cache with
      | Some c ->
        Fused_plans
-         {
-           f_le = lazy (Codec.morpher_in c ~endian:Codec.Little ~from_:source ~into:target);
-           f_be = lazy (Codec.morpher_in c ~endian:Codec.Big ~from_:source ~into:target);
-           l_le = lazy (Codec.lmorpher_in c ~endian:Codec.Little ~from_:source ~into:target);
-           l_be = lazy (Codec.lmorpher_in c ~endian:Codec.Big ~from_:source ~into:target);
-         }
+         ( lazy (Codec.morpher_in c ~endian:Codec.Little ~from_:source ~into:target),
+           lazy (Codec.morpher_in c ~endian:Codec.Big ~from_:source ~into:target) )
      | None ->
        Fused_plans
-         {
-           f_le = lazy (Codec.compile_morph ~endian:Codec.Little ~from_:source ~into:target);
-           f_be = lazy (Codec.compile_morph ~endian:Codec.Big ~from_:source ~into:target);
-           l_le = lazy (Codec.compile_morph_lazy ~endian:Codec.Little ~from_:source ~into:target);
-           l_be = lazy (Codec.compile_morph_lazy ~endian:Codec.Big ~from_:source ~into:target);
-         })
+         ( lazy (Codec.compile_morph ~endian:Codec.Little ~from_:source ~into:target),
+           lazy (Codec.compile_morph ~endian:Codec.Big ~from_:source ~into:target) ))
   else if level <= 1 then
     (match cache with
      | Some c ->
@@ -643,35 +621,12 @@ let apply_shape (shape : shape) v =
 
 let pick (le, be) = function Codec.Little -> Lazy.force le | Codec.Big -> Lazy.force be
 
-(* The arena lazy-ingress deliveries draw pooled record skeletons from:
-   the creating context's per-domain arena (the gateway runs on one
-   domain, so this is effectively gateway-private). *)
-let gateway_arena t =
-  Ctx.arena (Option.value t.g_ctx ~default:Ctx.default)
-
 (* Decode + transform one message under the plan's compiled artifacts.
-   Returns the target-format value and the rung this delivery ran at.
-   With [lazy_ingress] the fused rung runs the lazy-materialisation plan
-   over a slice view of the message, drawing record skeletons from the
-   gateway arena; the caller recycles the arena once the delivery
-   handler has returned (the value's pooled cells must not be read after
-   the next lazy delivery begins). *)
-let run_plan t (plan : plan) ~endian (message : string) : Value.t * rung =
+   Returns the target-format value and the rung this delivery ran at. *)
+let run_plan (plan : plan) ~endian (message : string) : Value.t * rung =
   match plan.p_arts with
-  | Fused_plans f ->
-    if t.config.lazy_ingress then
-      let lm =
-        match endian with
-        | Codec.Little -> Lazy.force f.l_le
-        | Codec.Big -> Lazy.force f.l_be
-      in
-      ( Codec.lmorph_payload lm ~arena:(gateway_arena t)
-          ~pos:Codec.header_size (Slice.of_string message),
-        Fused )
-    else
-      ( Codec.morph_payload (pick (f.f_le, f.f_be) endian)
-          ~pos:Codec.header_size message,
-        Fused )
+  | Fused_plans (le, be) ->
+    (Codec.morph_payload (pick (le, be) endian) ~pos:Codec.header_size message, Fused)
   | Staged_plans (le, be) ->
     let v = Codec.decode_payload (pick (le, be) endian) ~pos:Codec.header_size message in
     (apply_shape plan.p_shape v, Staged)
@@ -739,7 +694,7 @@ let deliver_now t (ts : tstate) (plan : plan) ~fingerprint:fp ~deadline_ns
   match
     let hdr = Codec.read_header message in
     let endian = hdr.Codec.endian in
-    let v, rung = run_plan t plan ~endian message in
+    let v, rung = run_plan plan ~endian message in
     (v, rung, endian)
   with
   | v, rung, endian ->
@@ -793,12 +748,6 @@ let deliver_now t (ts : tstate) (plan : plan) ~fingerprint:fp ~deadline_ns
         t.m.gm_reg "gateway.deliver"
         (fun () -> t.on_delivery d)
     else t.on_delivery d;
-    (* lazy fused deliveries drew pooled skeletons from the arena; the
-       handler has returned, so the cells are dead — recycle them for
-       the next delivery.  (Rejections skip this: an un-recycled arena
-       just allocates fresh on its next use.) *)
-    if t.config.lazy_ingress && rung = Fused then
-      Arena.recycle (gateway_arena t);
     maybe_upgrade t plan;
     Delivered rung
   | exception Codec.Decode_error msg ->

@@ -44,16 +44,6 @@ type config = {
   parity : bool;
       (** cross-check every delivery against the interpretive reference
           decoder and count [gateway.parity_mismatches] *)
-  lazy_ingress : bool;
-      (** run fused-rung deliveries through the lazy-materialisation
-          wire plans ({!Pbio.Codec.compile_morph_lazy}): the message is
-          viewed as a {!Pbio.Slice.t}, only the fields the morph keeps
-          are materialised, and record skeletons come from the creating
-          context's arena (recycled after each delivery handler
-          returns).  Outcomes and summaries are byte-identical to the
-          eager fused path; only the allocation profile changes.
-          Handlers must not retain [delivery.value] past their return
-          when this is on (docs/PERFORMANCE.md). *)
 }
 
 val default_config : config

@@ -16,7 +16,6 @@ type mode =
   | Fused
   | Staged
   | Interp
-  | Lazy
 
 let scenario_to_string = function Echo -> "echo" | B2b -> "b2b"
 
@@ -30,18 +29,14 @@ let mode_to_string = function
   | Fused -> "fused"
   | Staged -> "staged"
   | Interp -> "interp"
-  | Lazy -> "lazy"
 
 let mode_of_string s =
   match String.lowercase_ascii (String.trim s) with
   | "fused" -> Ok Fused
   | "staged" -> Ok Staged
   | "interp" -> Ok Interp
-  | "lazy" -> Ok Lazy
   | other ->
-    Error
-      (Printf.sprintf "unknown mode %S (want fused, staged, interp or lazy)"
-         other)
+    Error (Printf.sprintf "unknown mode %S (want fused, staged or interp)" other)
 
 type config = {
   scenario : scenario;
@@ -277,7 +272,7 @@ let run (cfg : config) : report =
   let engine =
     match cfg.mode with
     | Interp -> Morph.Xform.Interpreted
-    | Fused | Staged | Lazy -> Morph.Xform.Compiled
+    | Fused | Staged -> Morph.Xform.Compiled
   in
   let flight = Obs.Flight.create reg in
   let recv =
@@ -358,12 +353,6 @@ let run (cfg : config) : report =
   let deliver_one (pv : Population.version) (body : string) =
     match cfg.mode with
     | Fused -> Receiver.deliver_wire recv pv.meta body
-    | Lazy ->
-      (* the zero-copy ingress: same outcomes as Fused byte-for-byte
-         (the parity gate diffs the summaries verbatim), but dropped
-         fields never materialise and record spines come from the
-         receiver's arena *)
-      Receiver.deliver_wire_lazy recv pv.meta (Slice.of_string body)
     | Staged | Interp -> (
       match Wire.decode pv.format body with
       | Ok v -> Receiver.deliver recv pv.meta v

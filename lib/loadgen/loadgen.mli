@@ -17,16 +17,12 @@ type scenario =
   | B2b  (** clients -> ingress morph -> retailer order -> broker -> supplier -> status *)
 
 (** How the ingress receiver processes each message; virtual time is
-    oblivious to real compute cost, so all four must yield identical
+    oblivious to real compute cost, so all three must yield identical
     delivery outcomes for the same seed (the parity gate). *)
 type mode =
   | Fused  (** [Receiver.deliver_wire], compiled engine *)
   | Staged  (** [Wire.decode] then [Receiver.deliver], compiled engine *)
   | Interp  (** staged delivery on the interpreted engine (A1 ablation) *)
-  | Lazy
-      (** [Receiver.deliver_wire_lazy] over zero-copy slices: compiled
-          engine, lazy field materialisation, arena-pooled record
-          skeletons — byte-identical summaries to [Fused] *)
 
 val scenario_to_string : scenario -> string
 val scenario_of_string : string -> (scenario, string) result

@@ -53,16 +53,15 @@ let mutate (s : string) : string t =
   let rec go k acc = if k = 0 then return acc else let* acc = mutate_once acc in go (k - 1) acc in
   go rounds s
 
-(* --- slice-boundary hostility ---------------------------------------------
+(* --- extent hostility ------------------------------------------------------
 
-   The lazy decode path reads through a bounds-checked sub-slice window
-   and an extent index built by a single scan; these mutators aim at
-   exactly those seams rather than the byte content. *)
+   Compiled plans skip dropped fields by extent, merging runs of
+   fixed-width fields into one bounds check; these mutators aim at those
+   seams rather than the byte content. *)
 
 (* A hostile (pos, len) window over an [n]-byte buffer, always in
-   bounds (out-of-bounds extents are [Slice.sub]'s own job to reject):
-   the exact buffer, off-by-one at either end, truncation that lands
-   inside a trailing — typically lazily-skipped — span, or an empty
+   bounds: the exact buffer, off-by-one at either end, truncation that
+   lands inside a trailing (typically skipped) span, or an empty
    window. *)
 let sub_extent (n : int) : (int * int) t =
   let* g =

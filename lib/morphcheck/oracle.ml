@@ -254,7 +254,10 @@ let codec_case st =
         fail "staged convert failed on conforming value: %a@ %s -> %s" Err.pp e
           (Ptype.record_to_string r) (Ptype.record_to_string tgt)
     in
-    let fused = Codec.morph_payload (Codec.morpher_for ~endian ~from_:r ~into:tgt) ip in
+    let fused =
+      Codec.morph_payload
+        (Codec.morpher_in Codec.default_cache ~endian ~from_:r ~into:tgt) ip
+    in
     if not (Value.equal staged fused) then
       fail "fused morph differs from decode-then-convert:@ %s -> %s@ staged %s@ fused %s"
         (Ptype.record_to_string r) (Ptype.record_to_string tgt)
@@ -284,48 +287,6 @@ let codec_case st =
     fail "delivered values differ:@ wire %s@ value %s"
       (match !got_wire with Some x -> Value.to_string x | None -> "<none>")
       (match !got_val with Some x -> Value.to_string x | None -> "<none>")
-
-(* Eager vs lazy codec plans: a lazy decode (slice view + deferred field
-   materialisation) must equal the eager decode value-for-value, field
-   reads must be memoised, and a lazy fused morph drawing record
-   skeletons from an arena must equal the eager fused morph — including
-   on a recycled arena, where the skeletons are pool reuses. *)
-let lazy_case st =
-  let r, v = Gen.format_and_value st in
-  let endian = if Rgen.bool st then Codec.Little else Codec.Big in
-  let payload = Codec.Interp.encode_payload ~endian r v in
-  let s = Slice.of_string payload in
-  let eager = Codec.decode_payload (Codec.decoder_for ~endian r) payload in
-  let ld = Codec.compile_decode_lazy ~endian r in
-  let lv = Codec.decode_lazy ld s in
-  let lazy_v = Codec.lview_value lv in
-  if not (Value.equal eager lazy_v) then
-    fail "lazy decode differs from eager:@ format %s@ eager %s@ lazy %s"
-      (Ptype.record_to_string r) (Value.to_string eager) (Value.to_string lazy_v);
-  (* memoisation: re-reading any field must return an equal value *)
-  for i = 0 to Codec.lview_fields lv - 1 do
-    let a = Codec.lview_field lv i in
-    let b = Codec.lview_field lv i in
-    if not (Value.equal a b) then
-      fail "lview field %d not memoised on format %s" i (Ptype.record_to_string r)
-  done;
-  let tgt = structural_variant r st in
-  let fused = Codec.morph_payload (Codec.morpher_for ~endian ~from_:r ~into:tgt) payload in
-  let lm = Codec.compile_morph_lazy ~endian ~from_:r ~into:tgt in
-  let mat, skip = Codec.lmorpher_stats lm in
-  if mat < 0 || skip < 0 then fail "negative lmorpher stats (%d, %d)" mat skip;
-  let arena = Arena.create () in
-  let got = Codec.lmorph_payload lm ~arena s in
-  if not (Value.equal fused got) then
-    fail "lazy morph differs from eager fused:@ %s -> %s@ fused %s@ lazy %s"
-      (Ptype.record_to_string r) (Ptype.record_to_string tgt)
-      (Value.to_string fused) (Value.to_string got);
-  Arena.recycle arena;
-  let got2 = Codec.lmorph_payload lm ~arena s in
-  if not (Value.equal fused got2) then
-    fail "lazy morph differs from eager fused on a recycled arena:@ %s -> %s@ fused %s@ lazy %s"
-      (Ptype.record_to_string r) (Ptype.record_to_string tgt)
-      (Value.to_string fused) (Value.to_string got2)
 
 (* --- fuzz targets --------------------------------------------------------- *)
 
@@ -364,23 +325,47 @@ let fuzz_framing_case st =
 (* Corrupted payloads: interpretive and compiled decoders must agree on
    acceptance (with equal values) or rejection, and the fused plan must
    agree with staged decode-then-convert — same discipline the codec_case
-   oracle checks on well-formed input, under mutation. *)
+   oracle checks on well-formed input, under mutation.  Besides byte
+   mutations, length slots are inflated and the payload is cut to a
+   hostile window, so truncation lands inside skipped spans (including
+   the coalesced fixed-width runs of dropped fields).  Error *text* may
+   differ: a coalesced skip blames its whole span where a decoder blames
+   the first missing field. *)
 let fuzz_codec_case st =
   let r, v = Gen.format_and_value st in
   let endian = if Rgen.bool st then Codec.Little else Codec.Big in
   let payload = Codec.Interp.encode_payload ~endian r v in
-  let bad = Fuzz.mutate payload st in
+  let mutated =
+    Rgen.frequencyl
+      [ (3, Fuzz.mutate payload); (2, Fuzz.inflate_slot payload);
+        (1, Rgen.bind (Fuzz.mutate payload) Fuzz.inflate_slot) ]
+      st st
+  in
+  let pos, len = Fuzz.sub_extent (String.length mutated) st in
+  let bad = String.sub mutated pos len in
   let catch f =
     match f () with
     | x -> Ok x
     | exception Codec.Decode_error m -> Error m
     | exception Value.Type_error m -> Error m
   in
+  (* bit-level agreement via re-encoding: [Value.equal] is IEEE on
+     floats, so a mutation that manufactures a NaN would fail it even
+     when both sides decoded identical bits *)
+  let same fmt a b =
+    Value.equal a b
+    || (match
+          ( Codec.Interp.encode_payload ~endian:Codec.Little fmt a,
+            Codec.Interp.encode_payload ~endian:Codec.Little fmt b )
+        with
+        | x, y -> String.equal x y
+        | exception _ -> false)
+  in
   let interp = catch (fun () -> Codec.Interp.decode_payload ~endian r bad) in
   let compiled = catch (fun () -> Codec.decode_payload (Codec.decoder_for ~endian r) bad) in
   (match interp, compiled with
    | Ok a, Ok b ->
-     if not (Value.equal a b) then
+     if not (same r a b) then
        fail "decoders accept mutated payload with different values:@ interp %s@ compiled %s"
          (Value.to_string a) (Value.to_string b)
    | Error _, Error _ -> ()
@@ -397,86 +382,17 @@ let fuzz_codec_case st =
   in
   let fused =
     catch (fun () ->
-        Codec.morph_payload (Codec.morpher_for ~endian ~from_:r ~into:tgt) bad)
+        Codec.morph_payload
+          (Codec.morpher_in Codec.default_cache ~endian ~from_:r ~into:tgt) bad)
   in
   match staged, fused with
   | Ok a, Ok b ->
-    if not (Value.equal a b) then
+    if not (same tgt a b) then
       fail "staged and fused accept mutated payload with different values:@ staged %s@ fused %s"
         (Value.to_string a) (Value.to_string b)
   | Error _, Error _ -> ()
   | Ok _, Error m -> fail "fused rejects what the staged path accepts: %s" m
   | Error m, Ok _ -> fail "fused accepts what the staged path rejects (staged: %s)" m
-
-(* Hostile slices: byte mutations plus the slice-boundary mutators
-   (inflated length slots, off-by-one sub-slice extents, truncation
-   landing inside a lazily-skipped span).  The eager and lazy plans must
-   agree on the verdict — both accept with equal values, or both reject —
-   on the decode and on the fused morph, and nothing may escape as an
-   exception other than the structured codec errors.  Error *text* is
-   allowed to differ: the lazy scan coalesces fixed spans, so a
-   truncation inside one is blamed on the whole span (and a fixed-array
-   overrun is subsumed by it) where the eager decoder blames the first
-   missing field. *)
-let fuzz_lazy_case st =
-  let r, v = Gen.format_and_value st in
-  let endian = if Rgen.bool st then Codec.Little else Codec.Big in
-  let payload = Codec.Interp.encode_payload ~endian r v in
-  let bad_gen =
-    Rgen.frequencyl
-      [ (3, Fuzz.mutate payload); (2, Fuzz.inflate_slot payload);
-        (1, Rgen.bind (Fuzz.mutate payload) Fuzz.inflate_slot) ]
-      st
-  in
-  let bad = bad_gen st in
-  let pos, len = Fuzz.sub_extent (String.length bad) st in
-  let window = String.sub bad pos len in
-  let s = Slice.sub (Slice.of_string bad) ~pos ~len in
-  let catch f =
-    match f () with
-    | x -> Ok x
-    | exception Codec.Decode_error m -> Error m
-    | exception Value.Type_error m -> Error m
-  in
-  (* bit-level agreement via re-encoding: [Value.equal] is IEEE on
-     floats, so a mutation that manufactures a NaN would fail it even
-     when both plans decoded identical bits *)
-  let same fmt a b =
-    Value.equal a b
-    || (match
-          ( Codec.Interp.encode_payload ~endian:Codec.Little fmt a,
-            Codec.Interp.encode_payload ~endian:Codec.Little fmt b )
-        with
-        | x, y -> String.equal x y
-        | exception _ -> false)
-  in
-  let eager = catch (fun () -> Codec.decode_payload (Codec.decoder_for ~endian r) window) in
-  let ld = Codec.compile_decode_lazy ~endian r in
-  let lazy_ = catch (fun () -> Codec.lview_value (Codec.decode_lazy ld s)) in
-  (match eager, lazy_ with
-   | Ok a, Ok b ->
-     if not (same r a b) then
-       fail "eager and lazy accept a hostile slice with different values:@ eager %s@ lazy %s"
-         (Value.to_string a) (Value.to_string b)
-   | Error _, Error _ -> ()
-   | Ok _, Error m -> fail "lazy rejects a slice the eager decoder accepts: %s" m
-   | Error m, Ok _ -> fail "lazy accepts a slice the eager decoder rejects (eager: %s)" m);
-  let tgt = structural_variant r st in
-  let fused =
-    catch (fun () ->
-        Codec.morph_payload (Codec.morpher_for ~endian ~from_:r ~into:tgt) window)
-  in
-  let arena = Arena.create () in
-  let lm = Codec.compile_morph_lazy ~endian ~from_:r ~into:tgt in
-  let lazy_m = catch (fun () -> Codec.lmorph_payload lm ~arena s) in
-  match fused, lazy_m with
-  | Ok a, Ok b ->
-    if not (same tgt a b) then
-      fail "eager and lazy morphs accept a hostile slice with different values:@ eager %s@ lazy %s"
-        (Value.to_string a) (Value.to_string b)
-  | Error _, Error _ -> ()
-  | Ok _, Error m -> fail "lazy morph rejects a slice the eager morph accepts: %s" m
-  | Error m, Ok _ -> fail "lazy morph accepts a slice the eager morph rejects (eager: %s)" m
 
 let fuzz_receiver_case st =
   let base = Gen.record st in
@@ -500,10 +416,8 @@ let oracles : (string * (Random.State.t -> unit)) list =
     ("chain", chain_case);
     ("weighted", weighted_case);
     ("codec", codec_case);
-    ("lazy", lazy_case);
     ("fuzz-wire", fuzz_wire_case);
     ("fuzz-codec", fuzz_codec_case);
-    ("fuzz-lazy", fuzz_lazy_case);
     ("fuzz-meta", fuzz_meta_case);
     ("fuzz-framing", fuzz_framing_case);
     ("fuzz-receiver", fuzz_receiver_case);

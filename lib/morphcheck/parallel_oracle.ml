@@ -83,56 +83,6 @@ let fanout_case ~(pool : Morph.Pool.t option) st =
       "echo fan-out diverges across domains:@ --- single ---@ %s@ --- sharded ---@ %s"
       base_run par_run
 
-(* --- scenario: zero-copy lazy fan-out -------------------------------------- *)
-
-(* The fan-out shape again, but over the lazy slice path: one shared
-   read-only slice array, every sink delivering through
-   [deliver_wire_lazy], each worker domain drawing record skeletons from
-   its own Domain.DLS-backed arena ([Ctx.arena]).  Handlers stringify
-   the delivered value before returning — the pooled cells are recycled
-   right after — and the digest must match the single-domain run
-   exactly. *)
-let lazy_fanout_case ~(pool : Morph.Pool.t option) st =
-  let base = Gen.record st in
-  let target = Oracle.structural_variant base st in
-  let meta = Meta.plain base in
-  let messages =
-    Array.init nmessages (fun i ->
-        Slice.of_string (Wire.encode ~format_id:i base (Gen.value_for base st)))
-  in
-  let run (pool : Morph.Pool.t option) : string =
-    let ctx = Ctx.create () in
-    let regs = ref [] in
-    let seen = Array.make nshards [] in
-    let sinks =
-      Array.init nshards (fun i ->
-          let reg = make_registry (Fmt.str "sink%d" i) in
-          regs := reg :: !regs;
-          let recv =
-            Morph.Receiver.create
-              ~config:(Morph.Receiver.Config.v ~metrics:reg ~ctx ()) ()
-          in
-          Morph.Receiver.register recv target (fun v ->
-              seen.(i) <- Value.to_string v :: seen.(i));
-          Echo.Fanout.sink ~name:(Fmt.str "sink%d" i) recv)
-    in
-    let outcomes = Echo.Fanout.deliver_batch_lazy ?pool ~sinks meta messages in
-    let per_shard =
-      List.init nshards (fun i ->
-          Fmt.str "sink%d: [%s] saw [%s]" i
-            (String.concat "; "
-               (Array.to_list (Array.map show_outcome outcomes.(i))))
-            (String.concat "; " (List.rev seen.(i))))
-    in
-    digest_lines per_shard (List.rev !regs)
-  in
-  let base_run = run None in
-  let par_run = run pool in
-  if not (String.equal base_run par_run) then
-    Oracle.fail
-      "lazy fan-out diverges across domains:@ --- single ---@ %s@ --- sharded ---@ %s"
-      base_run par_run
-
 (* --- scenario: B2B-style shard delivery ----------------------------------- *)
 
 (* A chain-morphing receiver per shard (the Morph_at_receiver half of the
@@ -241,7 +191,6 @@ let gateway_case ~(pool : Morph.Pool.t option) st =
 let scenarios : (string * (pool:Morph.Pool.t option -> Random.State.t -> unit)) list =
   [
     ("par-echo", fanout_case);
-    ("par-lazy", lazy_fanout_case);
     ("par-b2b", b2b_case);
     ("par-gateway", gateway_case);
   ]

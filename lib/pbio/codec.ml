@@ -829,6 +829,16 @@ and comp_decode_record endian (r : Ptype.record) : cursor -> Value.t =
   if nslots = 0 then fun cur -> build cur no_lens
   else fun cur -> build cur (Array.make nslots (Value.Int 0))
 
+(* Plan steps are either a closure or an [`Fskip n]: a field whose [n]
+   bytes are dropped unread.  Adjacent spans merge, so each run becomes
+   one step (a single bounds check and cursor bump).  Callers build that
+   step as a fresh closure over [n]: a partial application of a shared
+   skip function would cost an extra indirect call on every element. *)
+let rec coalesce = function
+  | `Fskip a :: `Fskip b :: rest -> coalesce (`Fskip (a + b) :: rest)
+  | s :: rest -> s :: coalesce rest
+  | [] -> []
+
 (* Skip a value on the wire without materialising it, enforcing the same
    guards as decoding (bounds, enum validity), so a fused plan accepts and
    rejects exactly the messages the staged path does. *)
@@ -893,18 +903,37 @@ let rec comp_skip_type endian (lf : string -> Value.t array -> int) (ty : Ptype.
 and comp_skip_record endian (r : Ptype.record) : cursor -> unit =
   let fields, nf, nslots, slot_for_field, slot_for_name, _ = record_layout r in
   let lf = lf_of r slot_for_name in
-  let steps =
-    Array.init nf (fun i ->
+  (* adjacent fixed-width fields collapse into one span: this runs per
+     array element on drop-heavy morphs, so a run of scalars (ints,
+     bools) costs one bounds check, not one closure call each *)
+  let raw =
+    List.init nf (fun i ->
+        let ty = fields.(i).Ptype.ftype in
         match slot_for_field i with
         | Some k ->
           (* a skipped field other arrays size from must still be read *)
-          let dec = comp_decode_type endian lf fields.(i).Ptype.ftype in
-          fun cur lens -> lens.(k) <- dec cur lens
-        | None -> comp_skip_type endian lf fields.(i).Ptype.ftype)
+          let dec = comp_decode_type endian lf ty in
+          `Step (fun cur lens -> lens.(k) <- dec cur lens)
+        | None ->
+          (match fixed_span ty with
+           | Some n -> `Fskip n
+           | None -> `Step (comp_skip_type endian lf ty)))
   in
+  let steps =
+    Array.of_list
+      (List.map
+         (function
+           | `Fskip n ->
+             fun cur _ ->
+               need cur n;
+               cur.pos <- cur.pos + n
+           | `Step f -> f)
+         (coalesce raw))
+  in
+  let ns = Array.length steps in
   fun cur ->
-    let lens = Array.make nslots (Value.Int 0) in
-    for i = 0 to nf - 1 do
+    let lens = if nslots = 0 then no_lens else Array.make nslots (Value.Int 0) in
+    for i = 0 to ns - 1 do
       steps.(i) cur lens
     done
 
@@ -1081,17 +1110,17 @@ and comp_morph_record endian (src : Ptype.record) (dst : Ptype.record) :
                let sk = comp_skip_type endian lf sty in
                `Step (fun cur lens _ -> sk cur lens)))
   in
-  let rec coalesce = function
-    | `Fskip a :: `Fskip b :: rest -> coalesce (`Fskip (a + b) :: rest)
-    | `Fskip n :: rest ->
-      (fun cur _ _ ->
-         need cur n;
-         cur.pos <- cur.pos + n)
-      :: coalesce rest
-    | `Step f :: rest -> f :: coalesce rest
-    | [] -> []
+  let steps =
+    Array.of_list
+      (List.map
+         (function
+           | `Fskip n ->
+             fun cur _ _ ->
+               need cur n;
+               cur.pos <- cur.pos + n
+           | `Step f -> f)
+         (coalesce raw))
   in
-  let steps = Array.of_list (coalesce raw) in
   let ns = Array.length steps in
   (* assembly closures resolved now: pull from [tmp] or build the default *)
   let g =
@@ -1149,640 +1178,6 @@ let morph_payload (m : morpher) ?(pos = 0) (data : string) : Value.t =
   v
 
 let morpher_formats m = (m.mfrom, m.minto)
-
-(* --- lazy plans over zero-copy slices ---------------------------------------
-
-   The allocation-floor half of the fused story: the plans below read
-   from a [Slice.t] (a Bigarray window the transport never copied into a
-   string) and materialise [Value] cells only where the plan actually
-   needs one.  Three layers:
-
-   - slice cursor + primitive readers: the [cursor] machinery retargeted
-     at [Slice], same bounds discipline, same error strings;
-   - [ldecoder]/[lview]: {!compile_decode_lazy} compiles a one-pass scan
-     that indexes each top-level field's wire extent (reusing the
-     coalesced fixed-span skip logic) and decodes only the length slots;
-     {!lview_field} then materialises individual fields on demand,
-     memoised — a reader that touches 2 of 40 fields decodes 2 fields;
-   - [lmorpher]: {!compile_morph_lazy} is the fused decode->morph plan
-     over slices, with record skeletons drawn from an {!Arena} so the
-     steady state allocates neither dropped fields nor record spines.
-
-   Error behaviour is bit-compatible with the eager plans (identical
-   [decode_error] strings); the morphcheck "lazy" oracles enforce both
-   value equality and Ok/Error agreement differentially. *)
-
-type scursor = {
-  sdata : Slice.t;
-  mutable spos : int;
-  slimit : int;
-}
-
-let sneed cur n =
-  if cur.spos + n > cur.slimit then
-    decode_error "truncated message: need %d bytes at offset %d (limit %d)" n
-      cur.spos cur.slimit
-
-let sreader_i32 = function
-  | Little ->
-    fun cur ->
-      sneed cur 4;
-      let x = Slice.i32_le cur.sdata cur.spos in
-      cur.spos <- cur.spos + 4;
-      x
-  | Big ->
-    fun cur ->
-      sneed cur 4;
-      let x = Slice.i32_be cur.sdata cur.spos in
-      cur.spos <- cur.spos + 4;
-      x
-
-let sreader_u32 endian =
-  let rd = sreader_i32 endian in
-  fun cur ->
-    let n = rd cur in
-    if n < 0 then n + uint32_max + 1 else n
-
-let read_header_s (s : Slice.t) : header =
-  if Slice.length s < header_size then decode_error "message shorter than header";
-  if Slice.sub_string s ~pos:0 ~len:4 <> magic then decode_error "bad magic";
-  let endian =
-    match Slice.get s 4 with
-    | '\x00' -> Little
-    | '\x01' -> Big
-    | c -> decode_error "bad endian flag %C" c
-  in
-  let v = Char.code (Slice.get s 5) in
-  if v <> wire_version then decode_error "unsupported wire version %d" v;
-  let cur = { sdata = s; spos = 8; slimit = Slice.length s } in
-  let rd = sreader_u32 endian in
-  let format_id = rd cur in
-  let payload_len = rd cur in
-  if header_size + payload_len <> Slice.length s then
-    decode_error "payload length %d does not match message size %d" payload_len
-      (Slice.length s - header_size);
-  { endian; format_id; payload_len }
-
-(* Slice analogue of [comp_decode_type]: same step-closure shape, same
-   guards, reading through [Slice] instead of [String].  Strings are
-   copied out ([Value.String] owns its bytes; nothing in a materialised
-   value borrows the slice). *)
-let rec comp_sdecode_type endian (lf : string -> Value.t array -> int)
-    (ty : Ptype.t) : scursor -> Value.t array -> Value.t =
-  match ty with
-  | Ptype.Basic Int ->
-    (match endian with
-     | Little ->
-       fun cur _ ->
-         sneed cur 4;
-         let x = Slice.i32_le cur.sdata cur.spos in
-         cur.spos <- cur.spos + 4;
-         Value.Int x
-     | Big ->
-       fun cur _ ->
-         sneed cur 4;
-         let x = Slice.i32_be cur.sdata cur.spos in
-         cur.spos <- cur.spos + 4;
-         Value.Int x)
-  | Basic Uint ->
-    (match endian with
-     | Little ->
-       fun cur _ ->
-         sneed cur 4;
-         let x = Slice.i32_le cur.sdata cur.spos in
-         cur.spos <- cur.spos + 4;
-         Value.Uint (if x < 0 then x + uint32_max + 1 else x)
-     | Big ->
-       fun cur _ ->
-         sneed cur 4;
-         let x = Slice.i32_be cur.sdata cur.spos in
-         cur.spos <- cur.spos + 4;
-         Value.Uint (if x < 0 then x + uint32_max + 1 else x))
-  | Basic Float ->
-    (match endian with
-     | Little ->
-       fun cur _ ->
-         sneed cur 8;
-         let bits = Slice.i64_le cur.sdata cur.spos in
-         cur.spos <- cur.spos + 8;
-         Value.Float (Int64.float_of_bits bits)
-     | Big ->
-       fun cur _ ->
-         sneed cur 8;
-         let bits = Slice.i64_be cur.sdata cur.spos in
-         cur.spos <- cur.spos + 8;
-         Value.Float (Int64.float_of_bits bits))
-  | Basic Char ->
-    fun cur _ ->
-      sneed cur 1;
-      let c = Slice.unsafe_get cur.sdata cur.spos in
-      cur.spos <- cur.spos + 1;
-      Value.Char c
-  | Basic Bool ->
-    fun cur _ ->
-      sneed cur 1;
-      let c = Slice.unsafe_get cur.sdata cur.spos in
-      cur.spos <- cur.spos + 1;
-      if c <> '\x00' then vtrue else vfalse
-  | Basic (Enum e) ->
-    let rd = sreader_i32 endian in
-    let tbl = enum_table e in
-    let ename = e.ename in
-    fun cur _ ->
-      let n = rd cur in
-      (match Hashtbl.find_opt tbl n with
-       | Some case -> Value.Enum (case, n)
-       | None -> decode_error "enum %s: unknown value %d" ename n)
-  | Basic String ->
-    let rd = sreader_u32 endian in
-    fun cur _ ->
-      let n = rd cur in
-      if n > cur.slimit - cur.spos then
-        decode_error "string length %d exceeds message" n;
-      let s = Slice.sub_string cur.sdata ~pos:cur.spos ~len:n in
-      cur.spos <- cur.spos + n;
-      Value.String s
-  | Record r ->
-    let sub = comp_sdecode_record endian r in
-    fun cur _ -> sub cur
-  | Array { elem; size } ->
-    let m = min_wire_size elem in
-    let edec = comp_sdecode_type endian lf elem in
-    let model = Some (Value.default elem) in
-    let getn, what =
-      match size with
-      | Ptype.Fixed k -> (fun _ -> k), "fixed-size array"
-      | Length_field nm -> lf nm, Printf.sprintf "%S" nm
-    in
-    fun cur lens ->
-      let n = getn lens in
-      if n < 0 then decode_error "negative array length %d for %s" n what;
-      let remaining = cur.slimit - cur.spos in
-      if (m > 0 && n > remaining / m) || (m = 0 && n > cur.slimit) then
-        decode_error "array length %d for %s exceeds message size" n what;
-      let items = Array.init n (fun _ -> edec cur lens) in
-      Value.Array { items; len = n; model }
-
-and comp_sdecode_record endian (r : Ptype.record) : scursor -> Value.t =
-  let fields, nf, nslots, slot_for_field, slot_for_name, _ = record_layout r in
-  let lf = lf_of r slot_for_name in
-  let names = Array.map (fun (f : Ptype.field) -> f.fname) fields in
-  let steps =
-    Array.init nf (fun i ->
-        let base = comp_sdecode_type endian lf fields.(i).Ptype.ftype in
-        match slot_for_field i with
-        | None -> base
-        | Some k ->
-          fun cur lens ->
-            let v = base cur lens in
-            lens.(k) <- v;
-            v)
-  in
-  fun cur ->
-    let lens = if nslots = 0 then no_lens else Array.make nslots (Value.Int 0) in
-    let es = Array.init nf (fun i -> { Value.name = names.(i); v = Value.Int 0 }) in
-    for i = 0 to nf - 1 do
-      es.(i).Value.v <- steps.(i) cur lens
-    done;
-    Value.Record es
-
-(* Slice analogue of [comp_skip_type]: consume and validate, materialise
-   nothing. *)
-let rec comp_sskip_type endian (lf : string -> Value.t array -> int)
-    (ty : Ptype.t) : scursor -> Value.t array -> unit =
-  match fixed_span ty with
-  | Some k ->
-    fun cur _ ->
-      sneed cur k;
-      cur.spos <- cur.spos + k
-  | None ->
-    (match ty with
-     | Ptype.Basic (Int | Uint) ->
-       fun cur _ ->
-         sneed cur 4;
-         cur.spos <- cur.spos + 4
-     | Basic Float ->
-       fun cur _ ->
-         sneed cur 8;
-         cur.spos <- cur.spos + 8
-     | Basic (Char | Bool) ->
-       fun cur _ ->
-         sneed cur 1;
-         cur.spos <- cur.spos + 1
-     | Basic (Enum e) ->
-       let rd = sreader_i32 endian in
-       let tbl = enum_table e in
-       let ename = e.ename in
-       fun cur _ ->
-         let n = rd cur in
-         if not (Hashtbl.mem tbl n) then
-           decode_error "enum %s: unknown value %d" ename n
-     | Basic String ->
-       let rd = sreader_u32 endian in
-       fun cur _ ->
-         let n = rd cur in
-         if n > cur.slimit - cur.spos then
-           decode_error "string length %d exceeds message" n;
-         cur.spos <- cur.spos + n
-     | Record r ->
-       let sub = comp_sskip_record endian r in
-       fun cur _ -> sub cur
-     | Array { elem; size } ->
-       let m = min_wire_size elem in
-       let espan = fixed_span elem in
-       let eskip = comp_sskip_type endian lf elem in
-       let getn, what =
-         match size with
-         | Ptype.Fixed k -> (fun _ -> k), "fixed-size array"
-         | Length_field nm -> lf nm, Printf.sprintf "%S" nm
-       in
-       fun cur lens ->
-         let n = getn lens in
-         if n < 0 then decode_error "negative array length %d for %s" n what;
-         let remaining = cur.slimit - cur.spos in
-         if (m > 0 && n > remaining / m) || (m = 0 && n > cur.slimit) then
-           decode_error "array length %d for %s exceeds message size" n what;
-         (match espan with
-          | Some k ->
-            sneed cur (n * k);
-            cur.spos <- cur.spos + (n * k)
-          | None -> for _ = 1 to n do eskip cur lens done))
-
-and comp_sskip_record endian (r : Ptype.record) : scursor -> unit =
-  let fields, nf, nslots, slot_for_field, slot_for_name, _ = record_layout r in
-  let lf = lf_of r slot_for_name in
-  (* adjacent fixed-width skipped fields collapse into one span: this
-     loop runs per array element on the drop-heavy morphs, so trailing
-     scalar runs (ints, bools) must cost one bounds check, not one
-     closure call each *)
-  let raw =
-    List.init nf (fun i ->
-        match slot_for_field i with
-        | Some k ->
-          let dec = comp_sdecode_type endian lf fields.(i).Ptype.ftype in
-          `Step (fun cur lens -> lens.(k) <- dec cur lens)
-        | None ->
-          (match fixed_span fields.(i).Ptype.ftype with
-           | Some n -> `Fskip n
-           | None -> `Step (comp_sskip_type endian lf fields.(i).Ptype.ftype)))
-  in
-  let rec coalesce = function
-    | `Fskip a :: `Fskip b :: rest -> coalesce (`Fskip (a + b) :: rest)
-    | `Fskip n :: rest ->
-      (fun cur _ ->
-         sneed cur n;
-         cur.spos <- cur.spos + n)
-      :: coalesce rest
-    | `Step f :: rest -> f :: coalesce rest
-    | [] -> []
-  in
-  let steps = Array.of_list (coalesce raw) in
-  let ns = Array.length steps in
-  fun cur ->
-    let lens = if nslots = 0 then no_lens else Array.make nslots (Value.Int 0) in
-    for i = 0 to ns - 1 do
-      steps.(i) cur lens
-    done
-
-(* --- lazy decoders: extent index + on-demand field cells -------------------- *)
-
-type ldecoder = {
-  lfmt : Ptype.record;
-  lnf : int;
-  lnames : string array;
-  (* one scan pass: record each field's start offset into [offs]
-     (length nf + 1; the last slot is the record's end) and fill the
-     length-slot array, validating exactly what a skip validates *)
-  lscan : scursor -> int array -> Value.t array -> unit;
-  lnslots : int;
-  (* per-field materialiser over the field's recorded extent *)
-  lfield : (scursor -> Value.t array -> Value.t) array;
-}
-
-type lview = {
-  lv : ldecoder;
-  lsrc : Slice.t;
-  loffs : int array;
-  llens : Value.t array;
-  lcells : Value.t option array;
-}
-
-let compile_decode_lazy ~endian (r : Ptype.record) : ldecoder =
-  timed_compile (fun () ->
-      let fields, nf, nslots, slot_for_field, slot_for_name, _ =
-        record_layout r
-      in
-      let lf = lf_of r slot_for_name in
-      let lnames = Array.map (fun (f : Ptype.field) -> f.fname) fields in
-      (* scan steps: length-referenced fields decode into their slot (the
-         integer-slot decode dropped fields keep), everything else skips
-         with full validation; adjacent fixed spans could coalesce here
-         but the per-field extents are the product, so each field ends
-         with its own offset stamp *)
-      let steps =
-        Array.init nf (fun i ->
-            match slot_for_field i with
-            | Some k ->
-              let dec = comp_sdecode_type endian lf fields.(i).Ptype.ftype in
-              fun cur lens -> lens.(k) <- dec cur lens
-            | None -> comp_sskip_type endian lf fields.(i).Ptype.ftype)
-      in
-      let lscan cur offs lens =
-        for i = 0 to nf - 1 do
-          offs.(i) <- cur.spos;
-          steps.(i) cur lens
-        done;
-        offs.(nf) <- cur.spos
-      in
-      let lfield =
-        Array.init nf (fun i -> comp_sdecode_type endian lf fields.(i).Ptype.ftype)
-      in
-      { lfmt = r; lnf = nf; lnames; lscan; lnslots = nslots; lfield })
-
-let decode_lazy (d : ldecoder) ?(pos = 0) (s : Slice.t) : lview =
-  let cur = { sdata = s; spos = pos; slimit = Slice.length s } in
-  let offs = Array.make (d.lnf + 1) pos in
-  let lens =
-    if d.lnslots = 0 then no_lens else Array.make d.lnslots (Value.Int 0)
-  in
-  d.lscan cur offs lens;
-  if cur.spos <> cur.slimit then
-    decode_error "trailing garbage: %d bytes left after record %s"
-      (cur.slimit - cur.spos) d.lfmt.Ptype.rname;
-  { lv = d; lsrc = s; loffs = offs; llens = lens; lcells = Array.make d.lnf None }
-
-let lview_fields (v : lview) = v.lv.lnf
-let lview_format (v : lview) = v.lv.lfmt
-
-let lview_field (v : lview) (i : int) : Value.t =
-  if i < 0 || i >= v.lv.lnf then
-    invalid_arg
-      (Printf.sprintf "Codec.lview_field: index %d outside record of %d" i
-         v.lv.lnf);
-  match v.lcells.(i) with
-  | Some x -> x
-  | None ->
-    let cur = { sdata = v.lsrc; spos = v.loffs.(i); slimit = v.loffs.(i + 1) } in
-    let x = v.lv.lfield.(i) cur v.llens in
-    v.lcells.(i) <- Some x;
-    x
-
-let lview_value (v : lview) : Value.t =
-  Value.Record
-    (Array.init v.lv.lnf (fun i ->
-         { Value.name = v.lv.lnames.(i); v = lview_field v i }))
-
-(* --- fused lazy morph plans: slices in, arena-pooled target out ------------- *)
-
-(* Process-unique arena site ids, one per record-assembly point of a
-   compiled lazy plan: an (arena, site) pair always means one shape, so
-   the pooled skeleton can be reused blind. *)
-let site_counter = Atomic.make 0
-let fresh_site () = Atomic.fetch_and_add site_counter 1
-
-type lmorpher = {
-  lmfrom : Ptype.record;
-  lminto : Ptype.record;
-  lmrun : Arena.t -> scursor -> Value.t;
-  lmat : int; (* field sites materialised per message (array elems count once) *)
-  lmskip : int; (* field sites skipped per message *)
-}
-
-(* Static per-message field-site accounting for the
-   codec.lazy_fields_materialized / _skipped counters: one count per
-   declared field site, arrays contributing one element's worth —
-   compile-time constants, so the hot path ticks two counters and
-   threads nothing. *)
-let count_lazy_fields (src : Ptype.record) (dst : Ptype.record) : int * int =
-  let rec skipped_of (ty : Ptype.t) : int =
-    match ty with
-    | Ptype.Basic _ -> 1
-    | Record r ->
-      List.fold_left (fun a (f : Ptype.field) -> a + skipped_of f.ftype) 0 r.fields
-    | Array { elem; _ } -> skipped_of elem
-  in
-  let rec record_counts (src : Ptype.record) (dst : Ptype.record) : int * int =
-    let first_dst nm =
-      List.find_opt (fun (f : Ptype.field) -> f.fname = nm) dst.fields
-    in
-    List.fold_left
-      (fun (m, s) (f : Ptype.field) ->
-         match first_dst f.fname with
-         | None -> (m, s + skipped_of f.ftype)
-         | Some d ->
-           (match f.ftype, d.Ptype.ftype with
-            | Ptype.Record r1, Ptype.Record r2 ->
-              let m', s' = record_counts r1 r2 in
-              (m + m', s + s')
-            | Array { elem = Record r1; _ }, Array { elem = Record r2; _ } ->
-              let m', s' = record_counts r1 r2 in
-              (m + m', s + s')
-            | _ -> (m + 1, s)))
-      (0, 0) src.fields
-  in
-  record_counts src dst
-
-let rec comp_smorph_type endian (lf : string -> Value.t array -> int)
-    ~(poolable : bool) (src : Ptype.t) (dst : Ptype.t) :
-  (Arena.t -> scursor -> Value.t array -> Value.t) option =
-  if Ptype.equal_type src dst then begin
-    match src with
-    | Ptype.Record r when poolable ->
-      (* an identical nested record still pools its skeleton *)
-      let sub = comp_smorph_record endian ~poolable r r in
-      Some (fun arena cur _ -> sub arena cur)
-    | _ ->
-      let dec = comp_sdecode_type endian lf src in
-      Some (fun _ cur lens -> dec cur lens)
-  end
-  else
-    match src, dst with
-    | Ptype.Basic _, Ptype.Basic _ ->
-      (match Convert.compile_type src dst with
-       | None -> None
-       | Some co ->
-         let dec = comp_sdecode_type endian lf src in
-         Some (fun _ cur lens -> co (dec cur lens)))
-    | Record r1, Record r2 ->
-      let sub = comp_smorph_record endian ~poolable r1 r2 in
-      Some (fun arena cur _ -> sub arena cur)
-    | Array a1, Array a2 ->
-      let m = min_wire_size a1.elem in
-      (* elements repeat, so their record skeletons cannot pool *)
-      let elem =
-        match comp_smorph_type endian lf ~poolable:false a1.elem a2.elem with
-        | Some f -> f
-        | None ->
-          let sk = comp_sskip_type endian lf a1.elem in
-          let d = Value.default a2.elem in
-          fun _ cur lens ->
-            sk cur lens;
-            Value.copy d
-      in
-      let dmodel = Value.default a2.elem in
-      let getn, what =
-        match a1.size with
-        | Ptype.Fixed k -> (fun _ -> k), "fixed-size array"
-        | Length_field nm -> lf nm, Printf.sprintf "%S" nm
-      in
-      let check cur lens =
-        let n = getn lens in
-        if n < 0 then decode_error "negative array length %d for %s" n what;
-        let remaining = cur.slimit - cur.spos in
-        if (m > 0 && n > remaining / m) || (m = 0 && n > cur.slimit) then
-          decode_error "array length %d for %s exceeds message size" n what;
-        n
-      in
-      (match a2.size with
-       | Ptype.Length_field _ ->
-         Some
-           (fun arena cur lens ->
-              let n = check cur lens in
-              let items = Array.init n (fun _ -> elem arena cur lens) in
-              Value.Array { items; len = n; model = Some dmodel })
-       | Fixed k ->
-         let eskip = comp_sskip_type endian lf a1.elem in
-         Some
-           (fun arena cur lens ->
-              let n = check cur lens in
-              let take = if k < n then k else n in
-              let items =
-                Array.init k (fun i ->
-                    if i < take then elem arena cur lens else Value.copy dmodel)
-              in
-              for _ = take + 1 to n do
-                eskip cur lens
-              done;
-              Value.Array { items; len = k; model = Some dmodel }))
-    | (Basic _ | Record _ | Array _), _ -> None
-
-and comp_smorph_record endian ~(poolable : bool) (src : Ptype.record)
-    (dst : Ptype.record) : Arena.t -> scursor -> Value.t =
-  let fields, nf, nslots, slot_for_field, slot_for_name, first_index =
-    record_layout src
-  in
-  let lf = lf_of src slot_for_name in
-  let dst_fields = Array.of_list dst.fields in
-  let nt = Array.length dst_fields in
-  let tnames = Array.map (fun (f : Ptype.field) -> f.fname) dst_fields in
-  let target_of = Array.make (max nf 1) (-1) in
-  Array.iteri
-    (fun j (f : Ptype.field) ->
-       match first_index f.fname with
-       | Some i -> target_of.(i) <- j
-       | None -> ())
-    dst_fields;
-  let finals =
-    Array.init (max nt 1) (fun j ->
-        if j < nt then `Default (Convert.field_default dst_fields.(j))
-        else `Default (fun () -> Value.Int 0))
-  in
-  let raw =
-    List.init nf (fun i ->
-        let sty = fields.(i).Ptype.ftype in
-        let j = target_of.(i) in
-        if j >= 0 then begin
-          let dty = dst_fields.(j).Ptype.ftype in
-          match slot_for_field i with
-          | Some k ->
-            let dec = comp_sdecode_type endian lf sty in
-            let co =
-              if Ptype.equal_type sty dty then Some (fun v -> v)
-              else Convert.compile_type sty dty
-            in
-            (match co with
-             | Some co ->
-               finals.(j) <- `Tmp;
-               `Step
-                 (fun _ cur lens tmp ->
-                    let v = dec cur lens in
-                    lens.(k) <- v;
-                    tmp.(j) <- co v)
-             | None -> `Step (fun _ cur lens _ -> lens.(k) <- dec cur lens))
-          | None ->
-            (match comp_smorph_type endian lf ~poolable sty dty with
-             | Some dec ->
-               finals.(j) <- `Tmp;
-               `Step (fun arena cur lens tmp -> tmp.(j) <- dec arena cur lens)
-             | None ->
-               (match fixed_span sty with
-                | Some n -> `Fskip n
-                | None ->
-                  let sk = comp_sskip_type endian lf sty in
-                  `Step (fun _ cur lens _ -> sk cur lens)))
-        end
-        else
-          match slot_for_field i with
-          | Some k ->
-            let dec = comp_sdecode_type endian lf sty in
-            `Step (fun _ cur lens _ -> lens.(k) <- dec cur lens)
-          | None ->
-            (match fixed_span sty with
-             | Some n -> `Fskip n
-             | None ->
-               let sk = comp_sskip_type endian lf sty in
-               `Step (fun _ cur lens _ -> sk cur lens)))
-  in
-  let rec coalesce = function
-    | `Fskip a :: `Fskip b :: rest -> coalesce (`Fskip (a + b) :: rest)
-    | `Fskip n :: rest ->
-      (fun _ cur _ _ ->
-         sneed cur n;
-         cur.spos <- cur.spos + n)
-      :: coalesce rest
-    | `Step f :: rest -> f :: coalesce rest
-    | [] -> []
-  in
-  let steps = Array.of_list (coalesce raw) in
-  let ns = Array.length steps in
-  let g =
-    Array.init (max nt 1) (fun j ->
-        match finals.(j) with
-        | `Tmp -> fun tmp -> tmp.(j)
-        | `Default d -> fun _ -> d ())
-  in
-  (* assembly: one arena site per (plan, record position); pooled cells
-     keep their names from first use, only [v] is rewritten *)
-  let site = fresh_site () in
-  let cells arena =
-    if poolable then Arena.entries arena ~site tnames
-    else Array.map (fun name -> { Value.name; v = Value.Int 0 }) tnames
-  in
-  fun arena cur ->
-    let lens = if nslots = 0 then no_lens else Array.make nslots (Value.Int 0) in
-    let tmp = Array.make (max nt 1) (Value.Int 0) in
-    for i = 0 to ns - 1 do
-      steps.(i) arena cur lens tmp
-    done;
-    let es = cells arena in
-    for j = 0 to nt - 1 do
-      es.(j).Value.v <- g.(j) tmp
-    done;
-    Value.Record es
-
-let compile_morph_lazy ~endian ~(from_ : Ptype.record) ~(into : Ptype.record) :
-  lmorpher =
-  timed_compile (fun () ->
-      let body = comp_smorph_record endian ~poolable:true from_ into in
-      let lmrun arena cur =
-        let res = body arena cur in
-        Value.sync_lengths into res;
-        res
-      in
-      let lmat, lmskip = count_lazy_fields from_ into in
-      { lmfrom = from_; lminto = into; lmrun; lmat; lmskip })
-
-let lmorph_payload (m : lmorpher) ?(arena = Arena.null) ?(pos = 0)
-    (s : Slice.t) : Value.t =
-  let cur = { sdata = s; spos = pos; slimit = Slice.length s } in
-  let v = m.lmrun arena cur in
-  if cur.spos <> cur.slimit then
-    decode_error "trailing garbage: %d bytes left after record %s"
-      (cur.slimit - cur.spos) m.lmfrom.Ptype.rname;
-  v
-
-let lmorpher_formats m = (m.lmfrom, m.lminto)
-let lmorpher_stats m = (m.lmat, m.lmskip)
 
 (* --- plan caches ------------------------------------------------------------------- *)
 
@@ -1899,15 +1294,11 @@ type plans = {
   mutable enc_be : encoder option;
   mutable dec_le : decoder option;
   mutable dec_be : decoder option;
-  mutable ldec_le : ldecoder option;
-  mutable ldec_be : ldecoder option;
 }
 
 type mplans = {
   mutable mor_le : morpher option;
   mutable mor_be : morpher option;
-  mutable lmor_le : lmorpher option;
-  mutable lmor_be : lmorpher option;
 }
 
 (* One lock stripe of a {!cache}: an LRU of format plans plus an LRU of
@@ -2043,10 +1434,7 @@ let plans_for (c : cache) (r : Ptype.record) : stripe * plans =
             hit c;
             p
           | None ->
-            let p =
-              { enc_le = None; enc_be = None; dec_le = None; dec_be = None;
-                ldec_le = None; ldec_be = None }
-            in
+            let p = { enc_le = None; enc_be = None; dec_le = None; dec_be = None } in
             note_evictions c (Lru.add s.ptbl ~hash:h ~max:(stripe_cap c) r p);
             p)
     in
@@ -2104,7 +1492,7 @@ let mplans_for (c : cache) ~(from_ : Ptype.record) ~(into : Ptype.record) :
             hit c;
             p
           | None ->
-            let p = { mor_le = None; mor_be = None; lmor_le = None; lmor_be = None } in
+            let p = { mor_le = None; mor_be = None } in
             note_evictions c
               (Lru.add s.mtbl ~hash:h ~max:(stripe_cap c) (from_, into) p);
             p)
@@ -2128,41 +1516,4 @@ let morpher_in (cache : cache) ~endian ~(from_ : Ptype.record)
         | Big, _, None ->
           let m = compile_morph ~endian ~from_ ~into in
           p.mor_be <- Some m;
-          m)
-
-let morpher_for ~endian ~from_ ~into = morpher_in default_cache ~endian ~from_ ~into
-
-let ldecoder_for ?(cache = default_cache) ~endian (r : Ptype.record) : ldecoder =
-  let s, p = plans_for cache r in
-  match (endian, p.ldec_le, p.ldec_be) with
-  | Little, Some d, _ | Big, _, Some d -> d
-  | _ ->
-    with_stripe s (fun () ->
-        match (endian, p.ldec_le, p.ldec_be) with
-        | Little, Some d, _ | Big, _, Some d -> d
-        | Little, None, _ ->
-          let d = compile_decode_lazy ~endian r in
-          p.ldec_le <- Some d;
-          d
-        | Big, _, None ->
-          let d = compile_decode_lazy ~endian r in
-          p.ldec_be <- Some d;
-          d)
-
-let lmorpher_in (cache : cache) ~endian ~(from_ : Ptype.record)
-    ~(into : Ptype.record) : lmorpher =
-  let s, p = mplans_for cache ~from_ ~into in
-  match (endian, p.lmor_le, p.lmor_be) with
-  | Little, Some m, _ | Big, _, Some m -> m
-  | _ ->
-    with_stripe s (fun () ->
-        match (endian, p.lmor_le, p.lmor_be) with
-        | Little, Some m, _ | Big, _, Some m -> m
-        | Little, None, _ ->
-          let m = compile_morph_lazy ~endian ~from_ ~into in
-          p.lmor_le <- Some m;
-          m
-        | Big, _, None ->
-          let m = compile_morph_lazy ~endian ~from_ ~into in
-          p.lmor_be <- Some m;
           m)

@@ -19,7 +19,7 @@
 
     [Wire] re-exports the message-level API as thin wrappers over the
     {!encoder_for}/{!decoder_for} plan cache; [Morph.Receiver] caches
-    {!morpher_for} plans alongside its match pipelines.  The interpretive
+    {!morpher_in} plans alongside its match pipelines.  The interpretive
     cores live in {!Interp} as the reference implementation. *)
 
 type endian = Little | Big
@@ -85,85 +85,6 @@ val encoder_endian : encoder -> endian
 val decoder_format : decoder -> Ptype.record
 val morpher_formats : morpher -> Ptype.record * Ptype.record
 
-(** {1 Lazy plans over zero-copy slices}
-
-    The allocation-floor counterpart of the fused plans: input arrives as
-    a {!Slice.t} (a Bigarray window the transport never copied into a
-    string) and [Value] cells materialise only where a plan actually
-    needs one.  Error behaviour is bit-compatible with the eager plans —
-    identical [Decode_error] strings at identical malformations; the
-    morphcheck "lazy" oracles enforce both value equality and Ok/Error
-    agreement differentially.  See docs/PERFORMANCE.md for when lazy
-    wins (dropped-field-heavy morphs, partial reads) and when it loses
-    (dense matched payloads read in full). *)
-
-(** Parse and validate the message header from a slice; same checks and
-    error strings as {!read_header}. *)
-val read_header_s : Slice.t -> header
-
-(** {2 Lazy decode: extent index + on-demand fields}
-
-    {!compile_decode_lazy} compiles a one-pass scan that indexes each
-    top-level field's wire extent — reusing the coalesced fixed-span
-    skip logic, so the scan validates exactly what a full decode
-    validates (bounds, enum membership, length sanity) — and decodes
-    only the length-referenced integer slots.  {!lview_field} then
-    materialises single fields on demand, memoised per view. *)
-
-type ldecoder
-type lview
-
-val compile_decode_lazy : endian:endian -> Ptype.record -> ldecoder
-
-(** Scan [s] from [pos] (default 0); trailing bytes are an error, as in
-    {!decode_payload}.  The returned view borrows [s].
-    @raise Decode_error on malformed or truncated input. *)
-val decode_lazy : ldecoder -> ?pos:int -> Slice.t -> lview
-
-val lview_fields : lview -> int
-val lview_format : lview -> Ptype.record
-
-(** Materialise field [i] (declaration order), memoised.  Strings are
-    copied out of the slice; the result does not borrow the buffer.
-    Raises [Invalid_argument] when [i] is out of range.
-    @raise Decode_error if the field's bytes are malformed in a way the
-    scan pass does not check (it checks everything, so in practice this
-    only re-raises on adversarial aliasing). *)
-val lview_field : lview -> int -> Value.t
-
-(** Force every field: equals the eager {!decode_payload} result. *)
-val lview_value : lview -> Value.t
-
-(** {2 Fused lazy morph: slices in, arena-pooled values out} *)
-
-type lmorpher
-
-(** Compile a fused decode->morph plan over slices: dropped source
-    fields are skipped on the wire (never materialised), matched fields
-    decode straight into the target slot, and record skeletons come from
-    the {!Arena} passed at run time. *)
-val compile_morph_lazy :
-  endian:endian -> from_:Ptype.record -> into:Ptype.record -> lmorpher
-
-(** Run a lazy morph plan.  [arena] (default {!Arena.null}, which pools
-    nothing) supplies the record skeletons; a value built over a real
-    arena is valid until that arena's next [Arena.recycle].  Same
-    trailing-bytes contract as {!morph_payload}.
-    @raise Decode_error on malformed or truncated input. *)
-val lmorph_payload : lmorpher -> ?arena:Arena.t -> ?pos:int -> Slice.t -> Value.t
-
-val lmorpher_formats : lmorpher -> Ptype.record * Ptype.record
-
-(** Static per-message (materialised, skipped) field-site counts for the
-    [codec.lazy_fields_materialized] / [codec.lazy_fields_skipped]
-    counters — compile-time constants (array elements count once), so
-    receivers tick counters without threading state through the plan. *)
-val lmorpher_stats : lmorpher -> int * int
-
-(** Process-unique arena site ids; one per record-assembly point of a
-    compiled lazy plan.  Exposed for tests and external plan builders. *)
-val fresh_site : unit -> int
-
 (** {1 Plan caches}
 
     A {!cache} is the codec component of a [Pbio.Ctx.t] capability:
@@ -202,17 +123,6 @@ val decoder_for : ?cache:cache -> endian:endian -> Ptype.record -> decoder
     unerasable here — every other argument is labelled). *)
 val morpher_in :
   cache -> endian:endian -> from_:Ptype.record -> into:Ptype.record -> morpher
-
-(** = [morpher_in default_cache]. *)
-val morpher_for :
-  endian:endian -> from_:Ptype.record -> into:Ptype.record -> morpher
-
-(** Lazy-plan variants, cached in the same striped tables (each format
-    slot carries eager and lazy plans side by side). *)
-val ldecoder_for : ?cache:cache -> endian:endian -> Ptype.record -> ldecoder
-
-val lmorpher_in :
-  cache -> endian:endian -> from_:Ptype.record -> into:Ptype.record -> lmorpher
 
 (** Drop every cached plan (tests and long-lived fuzz drivers) and
     invalidate every domain's 1-slot memo over [cache]. *)

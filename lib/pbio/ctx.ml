@@ -14,35 +14,24 @@ type t = {
   obs : Obs.t;
   codecs : Codec.cache;
   convs : Convert.memo;
-  (* Arenas are the one per-DOMAIN component: an arena has no lock, so a
-     ctx shared across domains hands each domain its own instance
-     through DLS — [--domains N] sharding gets domain-local arenas with
-     zero sharing by construction, and a single-domain ctx sees one
-     stable arena. *)
-  arenas : Arena.t Domain.DLS.key;
 }
-
-let fresh_arenas () = Domain.DLS.new_key (fun () -> Arena.create ())
 
 let create ?(metrics = Obs.null) ?max_plans ?stripes () =
   {
     obs = metrics;
     codecs = Codec.create_cache ~metrics ?max_plans ?stripes ();
     convs = Convert.create_memo ();
-    arenas = fresh_arenas ();
   }
 
 let v ?(metrics = Obs.null) ~codecs ~convs () =
-  { obs = metrics; codecs; convs; arenas = fresh_arenas () }
+  { obs = metrics; codecs; convs }
 
 (* The compatibility shim: the ctx the no-argument code paths run in.
    Its caches are the pre-context process globals, so legacy calls and
    ctx-threaded calls over [default] observe the same cache state. *)
 let default =
-  { obs = Obs.null; codecs = Codec.default_cache; convs = Convert.default_memo;
-    arenas = fresh_arenas () }
+  { obs = Obs.null; codecs = Codec.default_cache; convs = Convert.default_memo }
 
 let obs t = t.obs
 let codecs t = t.codecs
 let convs t = t.convs
-let arena t = Domain.DLS.get t.arenas

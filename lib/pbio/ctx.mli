@@ -35,10 +35,3 @@ val obs : t -> Obs.t
 val codecs : t -> Codec.cache
 val convs : t -> Convert.memo
 
-(** The calling domain's decode arena for this context.  Arenas are
-    lock-free and single-domain, so the ctx keeps one per domain in
-    [Domain.DLS]: under [--domains N] sharding each worker gets its own
-    arena with zero sharing, by construction.  Receivers draw pooled
-    record skeletons from it during lazy delivery and recycle it when
-    the delivery returns; see [Pbio.Arena] for the lifetime rules. *)
-val arena : t -> Arena.t

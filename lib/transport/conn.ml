@@ -29,7 +29,6 @@ open Pbio
 
 type message_handler = src:Contact.t -> Meta.format_meta -> Value.t -> unit
 type wire_handler = src:Contact.t -> Meta.format_meta -> string -> unit
-type slice_handler = src:Contact.t -> Meta.format_meta -> Slice.t -> unit
 
 type peer_key = {
   peer : Contact.t;
@@ -149,13 +148,6 @@ type endpoint = {
   (* raw-bytes delivery: when set, the endpoint hands the undecoded wire
      message (plus its format meta) to the handler and skips the eager
      [Wire.decode] — the receiver can then run a fused decode->morph plan *)
-  mutable on_slice : slice_handler option;
-  (* zero-copy delivery: like [on_wire] but the handler receives a
-     [Slice.t], so a lazy plan can materialise only the fields it keeps.
-     The simulated network still traffics in strings, so this endpoint
-     performs the one [Slice.of_string] boundary copy; a real transport
-     would hand out a view of its receive buffer.  Takes precedence over
-     [on_wire]. *)
   endian : Wire.endian;
   pctx : Ctx.t option;
   (* capability context for wire codec plans; [None] = process-global
@@ -387,19 +379,13 @@ let park_message ep (key : peer_key) ~src (message : string) : unit =
 (* --- receiving -------------------------------------------------------------- *)
 
 let deliver ep ~src (fm : Meta.format_meta) (message : string) : unit =
-  match ep.on_slice, ep.on_wire with
-  | Some f, _ ->
-    (* zero-copy path: the handler owns decoding; the copy below is the
-       string-API boundary shim (see [on_slice]) *)
-    ep.stats.records_delivered <- ep.stats.records_delivered + 1;
-    Obs.Counter.incr ep.m.m_delivered;
-    f ~src fm (Slice.of_string message)
-  | None, Some f ->
+  match ep.on_wire with
+  | Some f ->
     (* raw path: decoding (and its failure handling) is the handler's job *)
     ep.stats.records_delivered <- ep.stats.records_delivered + 1;
     Obs.Counter.incr ep.m.m_delivered;
     f ~src fm message
-  | None, None ->
+  | None ->
     (match Wire.decode ?ctx:ep.pctx fm.Meta.body message with
      | Ok v ->
        ep.stats.records_delivered <- ep.stats.records_delivered + 1;
@@ -523,7 +509,6 @@ let create ?(endian = Wire.Little) ?(reliable = false)
       on_peer_failure = None;
       on_message = default_handler;
       on_wire = None;
-      on_slice = None;
       endian;
       pctx = ctx;
       stats =
@@ -546,14 +531,9 @@ let create ?(endian = Wire.Little) ?(reliable = false)
 
 let set_handler ep f =
   ep.on_message <- f;
-  ep.on_wire <- None;
-  ep.on_slice <- None
+  ep.on_wire <- None
 
-let set_wire_handler ep f =
-  ep.on_wire <- Some f;
-  ep.on_slice <- None
-
-let set_slice_handler ep f = ep.on_slice <- Some f
+let set_wire_handler ep f = ep.on_wire <- Some f
 
 (* Register a format for sending; idempotent. *)
 let register ep (meta : Meta.format_meta) : Registry.fmt =

@@ -25,12 +25,6 @@ type message_handler = src:Contact.t -> Meta.format_meta -> Value.t -> unit
     decoding into the sender's layout first. *)
 type wire_handler = src:Contact.t -> Meta.format_meta -> string -> unit
 
-(** Zero-copy delivery: like {!wire_handler} but the message arrives as
-    a {!Pbio.Slice.t}, so the receiver can run a lazy plan that
-    materialises only the fields it keeps
-    (typically [Morph.Receiver.deliver_wire_lazy]). *)
-type slice_handler = src:Contact.t -> Meta.format_meta -> Slice.t -> unit
-
 type peer_key = {
   peer : Contact.t;
   id : int;
@@ -99,13 +93,6 @@ val set_handler : endpoint -> message_handler -> unit
     until {!set_handler} is called again.  The handler owns decoding and
     decode-failure handling (typically {!Morph.Receiver.deliver_wire}). *)
 val set_wire_handler : endpoint -> wire_handler -> unit
-
-(** Install a zero-copy handler; it supersedes both other handlers until
-    {!set_handler} or {!set_wire_handler} is called again.  The
-    simulated network traffics in strings, so this endpoint performs the
-    one boundary copy into a fresh slice buffer per delivery — a real
-    transport would hand out a view of its receive buffer instead. *)
-val set_slice_handler : endpoint -> slice_handler -> unit
 
 (** Called when a reliable peer exhausts its retransmit budget (missed
     acks): the peer is presumed dead.  A later fresh send to that peer

@@ -160,28 +160,4 @@ let decode (s : string) : (frame, Pbio.Err.t) result =
   | f -> Ok f
   | exception Frame_error msg -> Error (`Frame msg)
 
-(* Zero-copy view of a received frame.  The hot path — a top-level Data
-   frame, i.e. every payload byte of a steady-state exchange — carves
-   the message out of the receive buffer as a sub-slice; everything else
-   (meta, control, envelopes) is cold and falls back to the copying
-   string decoder.  Validation of the header fields matches [decode_exn]
-   exactly, error strings included. *)
-type slice_view =
-  | Sdata of { format_id : int; message : Pbio.Slice.t }
-  | Sframe of frame
-
-let decode_slice (s : Pbio.Slice.t) : (slice_view, Pbio.Err.t) result =
-  let n = Pbio.Slice.length s in
-  if n >= 9 && Pbio.Slice.get s 0 = '\x02' then begin
-    let format_id = Pbio.Slice.i32_le s 1 in
-    let len = Pbio.Slice.i32_le s 5 in
-    if len < 0 || 9 + len <> n then
-      Error (`Frame (Printf.sprintf "frame length %d does not match size %d" len n))
-    else Ok (Sdata { format_id; message = Pbio.Slice.sub s ~pos:9 ~len })
-  end
-  else
-    match decode (Pbio.Slice.to_string s) with
-    | Ok f -> Ok (Sframe f)
-    | Error _ as e -> e
-
 let overhead = 9

@@ -61,19 +61,5 @@ val encode : frame -> string
 (** Total on untrusted input: malformed frames are [Error (`Frame _)]. *)
 val decode : string -> (frame, Pbio.Err.t) result
 
-(** Zero-copy view of a received frame: {!Sdata} aliases the receive
-    buffer (a sub-slice, no copy) for the hot top-level [Data] case;
-    every other frame kind decodes through the copying {!decode} and
-    comes back as {!Sframe}. *)
-type slice_view =
-  | Sdata of {
-      format_id : int;
-      message : Pbio.Slice.t;  (** borrows the buffer behind the input slice *)
-    }
-  | Sframe of frame
-
-(** Same validation and error strings as {!decode}. *)
-val decode_slice : Pbio.Slice.t -> (slice_view, Pbio.Err.t) result
-
 (** Per-frame byte overhead. *)
 val overhead : int

@@ -175,6 +175,45 @@ let test_hostile_length_rejected_cheaply () =
       expect_decode_error (fun () ->
           Codec.Interp.decode_payload ~endian nested badn))
 
+(* --- coalesced skips under truncation ------------------------------------- *)
+
+let response_v2_header =
+  Ptype.record "ChannelOpenResponse"
+    [ Ptype.field "channel" Ptype.string_; Ptype.field "member_count" Ptype.int_ ]
+
+let test_truncated_coalesced_skip_rejected () =
+  (* the header-only target drops every member, so the fused plan skips
+     each one's ID/is_source/is_sink as a single 6-byte span; a cut inside
+     that span, or inside the member's info.port, must reject on the fused
+     and the staged path alike *)
+  let v = Helpers.sample_v2 3 in
+  let members = Value.get_field v "member_list" in
+  let last = Value.array_get members (Value.array_len members - 1) in
+  let host = Value.to_string_exn (Value.get_field (Value.get_field last "info") "host") in
+  both_endians (fun endian ->
+      let payload = Codec.Interp.encode_payload ~endian Helpers.response_v2 v in
+      let member_len =
+        String.length (Codec.Interp.encode_payload ~endian Helpers.member_v2 last)
+      in
+      let port = String.length payload - member_len + 4 + String.length host in
+      let fused p =
+        Codec.morph_payload
+          (Codec.compile_morph ~endian ~from_:Helpers.response_v2 ~into:response_v2_header)
+          p
+      in
+      let staged p =
+        Convert.convert ~from_:Helpers.response_v2 ~into:response_v2_header
+          (Codec.decode_payload (Codec.compile_decode ~endian Helpers.response_v2) p)
+      in
+      Alcotest.check Helpers.value "whole payload: fused = staged"
+        (Helpers.check_ok_err (staged payload)) (fused payload);
+      List.iter
+        (fun cut ->
+           let trunc = String.sub payload 0 cut in
+           expect_decode_error (fun () -> fused trunc);
+           expect_decode_error (fun () -> staged trunc))
+        [ port + 2; port + 4 + 3 ])
+
 (* --- plan cache metrics --------------------------------------------------- *)
 
 (* Exercises the deprecated global [set_metrics] shim on purpose: the
@@ -219,7 +258,7 @@ let test_morph_plan_cached () =
       for _ = 1 to 5 do
         ignore
           (Codec.morph_payload
-             (Codec.morpher_for ~endian:Codec.Little ~from_ ~into)
+             (Codec.morpher_in Codec.default_cache ~endian:Codec.Little ~from_ ~into)
              payload)
       done;
       Alcotest.(check int) "one fused compile" (before + 1)
@@ -279,6 +318,8 @@ let suite =
       test_fused_skipped_length_field_still_sizes;
     Alcotest.test_case "hostile lengths rejected cheaply" `Quick
       test_hostile_length_rejected_cheaply;
+    Alcotest.test_case "truncated coalesced skips rejected" `Quick
+      test_truncated_coalesced_skip_rejected;
     Alcotest.test_case "plan cache compiles once" `Quick test_plan_cache_compiles_once;
     Alcotest.test_case "fused plans cached" `Quick test_morph_plan_cached;
     Alcotest.test_case "lru keeps the hot format under churn" `Quick

@@ -162,8 +162,7 @@ let parity name cfg () =
   let s mode = L.summary (L.run { cfg with L.mode = mode }) in
   let fused = s L.Fused in
   Alcotest.(check string) (name ^ ": staged == fused") fused (s L.Staged);
-  Alcotest.(check string) (name ^ ": interp == fused") fused (s L.Interp);
-  Alcotest.(check string) (name ^ ": lazy == fused") fused (s L.Lazy)
+  Alcotest.(check string) (name ^ ": interp == fused") fused (s L.Interp)
 
 let small_echo =
   { echo_cfg with L.clients = 200; dist = D.Poisson 1000.; duration_s = 0.2 }
@@ -399,11 +398,11 @@ let suite =
       test_golden_twice;
     Alcotest.test_case "golden: perturbations fail the gate" `Quick
       test_golden_perturbation;
-    Alcotest.test_case "parity: echo fused/staged/interp/lazy" `Quick
+    Alcotest.test_case "parity: echo fused/staged/interp" `Quick
       (parity "echo" small_echo);
-    Alcotest.test_case "parity: b2b fused/staged/interp/lazy" `Quick
+    Alcotest.test_case "parity: b2b fused/staged/interp" `Quick
       (parity "b2b" small_b2b);
-    Alcotest.test_case "parity: faulted echo fused/staged/interp/lazy" `Slow
+    Alcotest.test_case "parity: faulted echo fused/staged/interp" `Slow
       (parity "faulty" faulty_cfg);
     Alcotest.test_case "trajectory: ndjson shape" `Quick test_trajectory_shape;
     Alcotest.test_case "scrape: neutral and well-shaped" `Quick

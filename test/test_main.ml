@@ -10,7 +10,6 @@ let () =
       ("value", Test_value.suite);
       ("wire", Test_wire.suite);
       ("codec", Test_codec.suite);
-      ("lazy", Test_lazy.suite);
       ("meta+registry", Test_meta_registry.suite);
       ("convert", Test_convert.suite);
       ("ecode syntax", Test_ecode_syntax.suite);

@@ -412,13 +412,17 @@ let test_delivery_probe_observes_outcomes () =
     (Some (fun v o -> seen := (Option.is_some v, o) :: !seen));
   ignore (Receiver.deliver r meta (sample ~num:6 ~den:3));
   ignore (Receiver.deliver r meta (sample ~num:1 ~den:0));
+  (* a message that fails wire decoding is a processed message too *)
+  let wire = Wire.encode ~format_id:1 meta.Meta.body (sample ~num:6 ~den:3) in
+  ignore (Receiver.deliver_wire r meta (String.sub wire 0 (String.length wire - 2)));
   (match List.rev !seen with
-   | [ (true, Receiver.Delivered _); (false, Receiver.Rejected _) ] -> ()
+   | [ (true, Receiver.Delivered _); (false, Receiver.Rejected _);
+       (false, Receiver.Rejected _) ] -> ()
    | l -> Alcotest.failf "unexpected probe trace (%d entries)" (List.length l));
   (* clearing the probe stops observation *)
   Receiver.set_delivery_probe r None;
   ignore (Receiver.deliver r meta (sample ~num:6 ~den:3));
-  Alcotest.(check int) "no further entries" 2 (List.length !seen)
+  Alcotest.(check int) "no further entries" 3 (List.length !seen)
 
 let test_metrics_counters () =
   (* a receiver built over a live registry reports the same cache
