@@ -173,23 +173,24 @@ let fig10 points =
       let out = Xslt.Engine.apply_to_element sheet doc in
       Xmlkit.Pbio_xml.of_xml WF.channel_open_response_v1 out
   in
-  H.row "   %-8s %16s %16s %10s\n" "size" "PBIO morphing" "XML/XSLT" "XSLT/PBIO";
+  H.row "   %-8s %16s %16s %10s %12s %12s\n" "size" "PBIO morphing" "XML/XSLT"
+    "XSLT/PBIO" "PBIO B/op" "XSLT B/op";
   List.iter
     (fun p ->
        let wire = Lazy.force p.v2_wire in
        let xml = Lazy.force p.v2_xml in
        (* the two pipelines must agree before we time them *)
        assert (Value.equal (morph_pipeline wire) (xslt_pipeline xml));
-       let pbio_ns =
-         H.measure ~name:("fig10/pbio/" ^ p.label) (fun () ->
+       let pbio_ns, pbio_bytes, _ =
+         H.measure_alloc ~name:("fig10/pbio/" ^ p.label) (fun () ->
              ignore (morph_pipeline wire))
        in
-       let xslt_ns =
-         H.measure ~name:("fig10/xslt/" ^ p.label) (fun () ->
+       let xslt_ns, xslt_bytes, _ =
+         H.measure_alloc ~name:("fig10/xslt/" ^ p.label) (fun () ->
              ignore (xslt_pipeline xml))
        in
-       H.row "   %-8s %16s %16s %9.1fx\n" p.label (ns pbio_ns) (ns xslt_ns)
-         (xslt_ns /. pbio_ns))
+       H.row "   %-8s %16s %16s %9.1fx %12.0f %12.0f\n" p.label (ns pbio_ns) (ns xslt_ns)
+         (xslt_ns /. pbio_ns) pbio_bytes xslt_bytes)
     points
 
 (* --- Ablation 1: code generation vs interpretation -------------------------------- *)
@@ -211,12 +212,14 @@ let abl1 () =
          ~dst:WF.channel_open_response_v1 WF.response_v2_to_v1_code)
   in
   assert (Value.equal (compiled p.v2_value) (interpreted p.v2_value));
-  let c = H.measure ~name:"abl1/compiled" (fun () -> ignore (compiled p.v2_value)) in
-  let i =
-    H.measure ~name:"abl1/interpreted" (fun () -> ignore (interpreted p.v2_value))
+  let c, c_bytes, _ =
+    H.measure_alloc ~name:"abl1/compiled" (fun () -> ignore (compiled p.v2_value))
   in
-  H.row "   compiled closures:   %s\n" (ns c);
-  H.row "   naive interpreter:   %s\n" (ns i);
+  let i, i_bytes, _ =
+    H.measure_alloc ~name:"abl1/interpreted" (fun () -> ignore (interpreted p.v2_value))
+  in
+  H.row "   compiled closures:   %s  %.0f B/op\n" (ns c) c_bytes;
+  H.row "   naive interpreter:   %s  %.0f B/op\n" (ns i) i_bytes;
   H.row "   codegen speedup:     %.1fx\n" (i /. c)
 
 (* --- Ablation 2: cold path vs cached hot path -------------------------------------- *)

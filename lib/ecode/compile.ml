@@ -34,7 +34,27 @@ let as_int v = Value.to_int v
 let as_float v = Value.to_float v
 let as_bool v = Value.to_bool v
 
+(* Booleans are two shared constants, never a fresh box per test. *)
+let vtrue = Value.Bool true
+let vfalse = Value.Bool false
+let vbool b = if b then vtrue else vfalse
+
 let u32 n = n land 0xFFFF_FFFF
+
+(* An integer result boxed as a value of basic type [ty], by the
+   interpreter's assignment rules ([Interp.coerce_to_model]); enum values
+   resolve to their declared case. *)
+let box_int (ty : Ptype.t) : int -> Value.t =
+  match ty with
+  | Basic Uint -> fun n -> Value.Uint (u32 n)
+  | Basic Char -> fun n -> Value.Char (Char.chr (n land 0xff))
+  | Basic Bool -> fun n -> vbool (n <> 0)
+  | Basic (Enum en) ->
+    fun n ->
+      (match List.find_opt (fun (_, v) -> v = n) en.Ptype.cases with
+       | Some (case, _) -> Value.Enum (case, n)
+       | None -> runtime_error "no case of enum %s has value %d" en.Ptype.ename n)
+  | _ -> vint
 
 let string_of_value (v : Value.t) : string =
   match v with
@@ -47,6 +67,96 @@ let string_of_value (v : Value.t) : string =
   | Bool b -> if b then "true" else "false"
   | Enum (case, _) -> case
   | Record _ | Array _ -> Value.to_string v
+
+(* --- lvalues ------------------------------------------------------------ *)
+
+(* An lvalue compiled once.  A bare local or parameter is a slot; any
+   other path is a navigation to the container of its final step plus that
+   step: a field position, or an index expression with the element default
+   that fills gaps.  Navigation grows a variable array by one fresh element
+   when an intermediate index lands one past the end, so code like
+   [old.list[count].f = x] extends the list. *)
+type access =
+  | Local of int
+  | Param of int
+  | Field of (frame -> Value.t) * int
+  | Elem of (frame -> Value.t) * (frame -> Value.t) * Value.t
+
+(* Store into element [i], growing the array when [i] is at or past the
+   end; only a write past the end takes a (shared) copy of [fill] for the
+   gap. *)
+let store_elem a i v fill =
+  let d = Value.dyn a in
+  if i >= 0 && i < d.Value.len then d.Value.items.(i) <- v
+  else if i = d.Value.len then Value.array_push a v
+  else Value.array_set ~fill:(Value.copy fill) a i v
+
+(* [lv = rhs]: resolve the path, then evaluate [rhs], then store. *)
+let compile_store (acc : access) (cr : frame -> Value.t) : frame -> Value.t =
+  match acc with
+  | Local s ->
+    fun f ->
+      let v = cr f in
+      f.locals.(s) <- v;
+      v
+  | Param s ->
+    fun f ->
+      let v = cr f in
+      f.params.(s) <- v;
+      v
+  | Field (nav, idx) ->
+    fun f ->
+      let c = nav f in
+      let v = cr f in
+      Value.set_at c idx v;
+      v
+  | Elem (nav, ci, fill) ->
+    fun f ->
+      let c = nav f in
+      let i = as_int (ci f) in
+      let v = cr f in
+      store_elem c i v fill;
+      v
+
+(* Read-modify-write with one navigation: resolve the path, run [before],
+   read the current value, store [k f old], and yield the stored value, or
+   the old one when [post]. *)
+let compile_modify (acc : access) ~post ~(before : frame -> unit)
+    (k : frame -> Value.t -> Value.t) : frame -> Value.t =
+  match acc with
+  | Local s ->
+    fun f ->
+      before f;
+      let old = f.locals.(s) in
+      let nv = k f old in
+      f.locals.(s) <- nv;
+      if post then old else nv
+  | Param s ->
+    fun f ->
+      before f;
+      let old = f.params.(s) in
+      let nv = k f old in
+      f.params.(s) <- nv;
+      if post then old else nv
+  | Field (nav, idx) ->
+    fun f ->
+      let c = nav f in
+      before f;
+      let old = Value.field_at c idx in
+      let nv = k f old in
+      Value.set_at c idx nv;
+      if post then old else nv
+  | Elem (nav, ci, fill) ->
+    fun f ->
+      let c = nav f in
+      let i = as_int (ci f) in
+      before f;
+      let old = Value.array_get c i in
+      let nv = k f old in
+      store_elem c i nv fill;
+      if post then old else nv
+
+let no_before (_ : frame) = ()
 
 (* --- expressions --------------------------------------------------------- *)
 
@@ -71,59 +181,51 @@ let rec compile_expr (impls : impls) (e : texpr) : frame -> Value.t =
     let ci = compile_expr ix in
     fun f -> Value.array_get (cb f) (as_int (ci f))
   | Tarith (op, a, b) -> compile_arith impls op a b
-  | Tcmp (op, kind, a, b) -> compile_cmp impls op kind a b
-  | Tand (a, b) ->
-    let ca = compile_expr a and cb = compile_expr b in
-    fun f -> Value.Bool (as_bool (ca f) && as_bool (cb f))
-  | Tor (a, b) ->
-    let ca = compile_expr a and cb = compile_expr b in
-    fun f -> Value.Bool (as_bool (ca f) || as_bool (cb f))
+  | Tcmp _ | Tand _ | Tor _ | Tnot _ ->
+    let c = compile_cond impls e in
+    fun f -> vbool (c f)
   | Tneg a ->
     let ca = compile_expr a in
     fun f -> vint (-as_int (ca f))
   | Tfneg a ->
     let ca = compile_expr a in
     fun f -> Value.Float (-.as_float (ca f))
-  | Tnot a ->
-    let ca = compile_expr a in
-    fun f -> Value.Bool (not (as_bool (ca f)))
   | Tbnot a ->
     let ca = compile_expr a in
     fun f -> vint (lnot (as_int (ca f)))
   | Tcond (c, a, b) ->
-    let cc = compile_expr c and ca = compile_expr a and cb = compile_expr b in
-    fun f -> if as_bool (cc f) then ca f else cb f
+    let cc = compile_cond impls c and ca = compile_expr a and cb = compile_expr b in
+    fun f -> if cc f then ca f else cb f
   | Tcall (bi, args) -> compile_call impls bi args
   | Tcoerce (co, a) -> compile_coerce impls co a
   | Tufcall (idx, args) ->
     let cargs = Array.of_list (List.map compile_expr args) in
     fun f -> impls.(idx) (Array.map (fun c -> c f) cargs)
   | Tassign (lv, rhs) ->
-    let set = compile_store impls lv in
     let cr = compile_expr rhs in
-    let deep = match lv.lty with Record _ | Array _ -> true | _ -> false in
-    fun f ->
-      let v = cr f in
-      let v = if deep then Value.copy v else v in
-      set f v;
-      v
+    let cr =
+      match lv.lty with
+      | Record _ | Array _ -> fun f -> Value.copy (cr f)
+      | Basic _ -> cr
+    in
+    compile_store (compile_access impls lv) cr
+  | Tupdate { lv; rhs; rslot; cur; value } ->
+    let cr = compile_expr rhs and cv = compile_expr value in
+    compile_modify (compile_access impls lv) ~post:false
+      ~before:(fun f -> f.locals.(rslot) <- cr f)
+      (fun f old ->
+         f.locals.(cur) <- old;
+         cv f)
   | Tincr { pre; delta; is_float; lv } ->
-    let loc = compile_location impls lv in
+    let acc = compile_access impls lv in
     if is_float then
       let d = float_of_int delta in
-      fun f ->
-        let get, set = loc f in
-        let old = as_float (get ()) in
-        let nv = Value.Float (old +. d) in
-        set nv;
-        if pre then nv else Value.Float old
+      compile_modify acc ~post:(not pre) ~before:no_before (fun _ old ->
+          Value.Float (as_float old +. d))
     else
-      fun f ->
-        let get, set = loc f in
-        let old = as_int (get ()) in
-        let nv = vint (old + delta) in
-        set nv;
-        if pre then nv else vint old
+      let box = box_int lv.lty in
+      compile_modify acc ~post:(not pre) ~before:no_before (fun _ old ->
+          box (as_int old + delta))
 
 and compile_arith impls op a b : frame -> Value.t =
   let compile_expr = compile_expr impls in
@@ -154,32 +256,51 @@ and compile_arith impls op a b : frame -> Value.t =
   | Sconcat ->
     fun f -> Value.String (string_of_value (ca f) ^ string_of_value (cb f))
 
-and compile_cmp impls op kind a b : frame -> Value.t =
+(* Conditions compile to unboxed tests. *)
+and compile_cond impls (e : texpr) : frame -> bool =
+  match e.n with
+  | Tcmp (op, kind, a, b) -> compile_cmp impls op kind a b
+  | Tand (a, b) ->
+    let ca = compile_cond impls a and cb = compile_cond impls b in
+    fun f -> ca f && cb f
+  | Tor (a, b) ->
+    let ca = compile_cond impls a and cb = compile_cond impls b in
+    fun f -> ca f || cb f
+  | Tnot a ->
+    let ca = compile_cond impls a in
+    fun f -> not (ca f)
+  | Tcoerce (To_bool, a) ->
+    let ca = compile_expr impls a in
+    fun f -> as_bool (ca f)
+  | _ ->
+    let ce = compile_expr impls e in
+    fun f -> as_bool (ce f)
+
+and compile_cmp impls op kind a b : frame -> bool =
   let compile_expr = compile_expr impls in
   let ca = compile_expr a and cb = compile_expr b in
-  let wrap (cmp : frame -> bool) = fun f -> Value.Bool (cmp f) in
   match kind, op with
-  | Kint, Ceq -> wrap (fun f -> as_int (ca f) = as_int (cb f))
-  | Kint, Cne -> wrap (fun f -> as_int (ca f) <> as_int (cb f))
-  | Kint, Clt -> wrap (fun f -> as_int (ca f) < as_int (cb f))
-  | Kint, Cle -> wrap (fun f -> as_int (ca f) <= as_int (cb f))
-  | Kint, Cgt -> wrap (fun f -> as_int (ca f) > as_int (cb f))
-  | Kint, Cge -> wrap (fun f -> as_int (ca f) >= as_int (cb f))
-  | Kfloat, Ceq -> wrap (fun f -> as_float (ca f) = as_float (cb f))
-  | Kfloat, Cne -> wrap (fun f -> as_float (ca f) <> as_float (cb f))
-  | Kfloat, Clt -> wrap (fun f -> as_float (ca f) < as_float (cb f))
-  | Kfloat, Cle -> wrap (fun f -> as_float (ca f) <= as_float (cb f))
-  | Kfloat, Cgt -> wrap (fun f -> as_float (ca f) > as_float (cb f))
-  | Kfloat, Cge -> wrap (fun f -> as_float (ca f) >= as_float (cb f))
+  | Kint, Ceq -> fun f -> as_int (ca f) = as_int (cb f)
+  | Kint, Cne -> fun f -> as_int (ca f) <> as_int (cb f)
+  | Kint, Clt -> fun f -> as_int (ca f) < as_int (cb f)
+  | Kint, Cle -> fun f -> as_int (ca f) <= as_int (cb f)
+  | Kint, Cgt -> fun f -> as_int (ca f) > as_int (cb f)
+  | Kint, Cge -> fun f -> as_int (ca f) >= as_int (cb f)
+  | Kfloat, Ceq -> fun f -> as_float (ca f) = as_float (cb f)
+  | Kfloat, Cne -> fun f -> as_float (ca f) <> as_float (cb f)
+  | Kfloat, Clt -> fun f -> as_float (ca f) < as_float (cb f)
+  | Kfloat, Cle -> fun f -> as_float (ca f) <= as_float (cb f)
+  | Kfloat, Cgt -> fun f -> as_float (ca f) > as_float (cb f)
+  | Kfloat, Cge -> fun f -> as_float (ca f) >= as_float (cb f)
   | Kstring, _ ->
     let scmp : string -> string -> bool =
       match op with
       | Ceq -> ( = ) | Cne -> ( <> ) | Clt -> ( < )
       | Cle -> ( <= ) | Cgt -> ( > ) | Cge -> ( >= )
     in
-    wrap (fun f -> scmp (Value.to_string_exn (ca f)) (Value.to_string_exn (cb f)))
-  | Kvalue, Ceq -> wrap (fun f -> Value.equal (ca f) (cb f))
-  | Kvalue, Cne -> wrap (fun f -> not (Value.equal (ca f) (cb f)))
+    fun f -> scmp (Value.to_string_exn (ca f)) (Value.to_string_exn (cb f))
+  | Kvalue, Ceq -> fun f -> Value.equal (ca f) (cb f)
+  | Kvalue, Cne -> fun f -> not (Value.equal (ca f) (cb f))
   | Kvalue, (Clt | Cle | Cgt | Cge) -> assert false (* rejected by typecheck *)
 
 and compile_call impls bi args : frame -> Value.t =
@@ -222,80 +343,47 @@ and compile_coerce impls co a : frame -> Value.t =
      | _ -> fun f -> Value.Uint (u32 (as_int (ca f))))
   | To_float -> fun f -> Value.Float (as_float (ca f))
   | To_char -> fun f -> Value.Char (Char.chr (as_int (ca f) land 0xff))
-  | To_bool -> fun f -> Value.Bool (as_bool (ca f))
+  | To_bool -> fun f -> vbool (as_bool (ca f))
   | To_string -> fun f -> Value.String (string_of_value (ca f))
   | To_enum en ->
-    fun f ->
-      let n = as_int (ca f) in
-      (match List.find_opt (fun (_, v) -> v = n) en.Ptype.cases with
-       | Some (case, _) -> Value.Enum (case, n)
-       | None -> runtime_error "no case of enum %s has value %d" en.Ptype.ename n)
+    let box = box_int (Basic (Enum en)) in
+    fun f -> box (as_int (ca f))
 
-(* Compile an lvalue to a per-access location: navigation happens once,
-   then the caller can read or write.  Intermediate array steps auto-grow so
-   that code like [old.list[count].f = x] extends the list. *)
-and compile_location impls (lv : tlval) : frame -> (unit -> Value.t) * (Value.t -> unit) =
-  let steps = Array.of_list lv.steps in
-  let nsteps = Array.length steps in
-  let compiled_steps =
-    Array.map
-      (function
-        | Sfield i -> `Field i
-        | Sindex (ix, elem_ty) ->
-          let ci = compile_expr impls ix in
-          let fill = Value.default elem_ty in
-          `Index (ci, fill))
-      steps
+and compile_access impls (lv : tlval) : access =
+  let step nav = function
+    | Sfield idx -> fun f -> Value.field_at (nav f) idx
+    | Sindex (ix, elem_ty) ->
+      let ci = compile_expr impls ix and fill = Value.default elem_ty in
+      fun f ->
+        let a = nav f in
+        let i = as_int (ci f) in
+        if i = Value.array_len a then Value.array_push a (Value.copy fill);
+        Value.array_get a i
   in
-  let base_get : frame -> Value.t =
-    match lv.base with
-    | Lbase_local slot -> fun f -> f.locals.(slot)
-    | Lbase_param slot -> fun f -> f.params.(slot)
-  in
-  let base_set : frame -> Value.t -> unit =
-    match lv.base with
-    | Lbase_local slot -> fun f v -> f.locals.(slot) <- v
-    | Lbase_param slot -> fun f v -> f.params.(slot) <- v
-  in
-  if nsteps = 0 then
-    fun f -> ((fun () -> base_get f), base_set f)
-  else
-    fun f ->
-      (* Navigate to the container of the final step, growing variable
-         arrays along the way when an index lands one past the end. *)
-      let rec nav v i =
-        if i = nsteps - 1 then v
-        else
-          let v' =
-            match compiled_steps.(i) with
-            | `Field idx -> Value.field_at v idx
-            | `Index (ci, fill) ->
-              let ix = as_int (ci f) in
-              if ix = Value.array_len v then Value.array_set ~fill:(Value.copy fill) v ix (Value.copy fill);
-              Value.array_get v ix
-          in
-          nav v' (i + 1)
-      in
-      let container = nav (base_get f) 0 in
-      match compiled_steps.(nsteps - 1) with
-      | `Field idx ->
-        ( (fun () -> Value.field_at container idx),
-          fun v -> Value.set_at container idx v )
-      | `Index (ci, fill) ->
-        let ix = as_int (ci f) in
-        ( (fun () -> Value.array_get container ix),
-          fun v -> Value.array_set ~fill:(Value.copy fill) container ix v )
-
-and compile_store impls (lv : tlval) : frame -> Value.t -> unit =
-  let loc = compile_location impls lv in
-  fun f v ->
-    let _, set = loc f in
-    set v
+  match lv.base, List.rev lv.steps with
+  | Lbase_local s, [] -> Local s
+  | Lbase_param s, [] -> Param s
+  | base, last :: rev_init ->
+    let base : frame -> Value.t =
+      match base with
+      | Lbase_local s -> fun f -> f.locals.(s)
+      | Lbase_param s -> fun f -> f.params.(s)
+    in
+    let nav = List.fold_left step base (List.rev rev_init) in
+    (match last with
+     | Sfield idx -> Field (nav, idx)
+     | Sindex (ix, elem_ty) -> Elem (nav, compile_expr impls ix, Value.default elem_ty))
 
 (* --- statements ---------------------------------------------------------- *)
 
+let run_all (gs : (frame -> unit) array) (f : frame) =
+  for i = 0 to Array.length gs - 1 do
+    gs.(i) f
+  done
+
 let rec compile_stmt (impls : impls) (s : tstmt) : frame -> unit =
   let compile_expr = compile_expr impls in
+  let compile_cond = compile_cond impls in
   let compile_stmt = compile_stmt impls in
   match s with
   | TSnop -> fun _ -> ()
@@ -303,46 +391,51 @@ let rec compile_stmt (impls : impls) (s : tstmt) : frame -> unit =
     let ce = compile_expr e in
     fun f -> ignore (ce f)
   | TSif (c, t, None) ->
-    let cc = compile_expr c in
+    let cc = compile_cond c in
     let ct = compile_stmt t in
-    fun f -> if as_bool (cc f) then ct f
+    fun f -> if cc f then ct f
   | TSif (c, t, Some e) ->
-    let cc = compile_expr c in
+    let cc = compile_cond c in
     let ct = compile_stmt t in
     let ce = compile_stmt e in
-    fun f -> if as_bool (cc f) then ct f else ce f
+    fun f -> if cc f then ct f else ce f
   | TSwhile (c, body) ->
-    let cc = compile_expr c in
+    let cc = compile_cond c in
     let cb = compile_stmt body in
     fun f ->
       (try
-         while as_bool (cc f) do
+         while cc f do
            try cb f with Cont -> ()
          done
        with Brk -> ())
   | TSdo (body, c) ->
     let cb = compile_stmt body in
-    let cc = compile_expr c in
+    let cc = compile_cond c in
     fun f ->
       (try
          let continue_ = ref true in
          while !continue_ do
            (try cb f with Cont -> ());
-           continue_ := as_bool (cc f)
+           continue_ := cc f
          done
        with Brk -> ())
   | TSfor (init, cond, step, body) ->
-    let ci = Option.map compile_stmt init in
-    let cc = Option.map compile_expr cond in
-    let cs = Option.map compile_expr step in
+    let ci = match init with Some s -> compile_stmt s | None -> fun _ -> () in
+    let cc = match cond with Some c -> compile_cond c | None -> fun _ -> true in
+    let cs =
+      match step with
+      | Some e ->
+        let ce = compile_expr e in
+        fun f -> ignore (ce f)
+      | None -> fun _ -> ()
+    in
     let cb = compile_stmt body in
     fun f ->
-      (match ci with Some g -> g f | None -> ());
+      ci f;
       (try
-         let check () = match cc with Some g -> as_bool (g f) | None -> true in
-         while check () do
+         while cc f do
            (try cb f with Cont -> ());
-           match cs with Some g -> ignore (g f) | None -> ()
+           cs f
          done
        with Brk -> ())
   | TSswitch (scrutinee, arms) ->
@@ -373,12 +466,12 @@ let rec compile_stmt (impls : impls) (s : tstmt) : frame -> unit =
        | Some start ->
          (try
             for j = start to n - 1 do
-              Array.iter (fun g -> g f) bodies.(j)
+              run_all bodies.(j) f
             done
           with Brk -> ()))
   | TSblock ss ->
     let cs = Array.of_list (List.map compile_stmt ss) in
-    fun f -> Array.iter (fun g -> g f) cs
+    fun f -> run_all cs f
   | TSreturn None -> fun _ -> raise Ret
   | TSreturn (Some e) ->
     let ce = compile_expr e in
@@ -410,7 +503,7 @@ let compile (prog : tprog) : ecode_fn =
             let f = { locals = Array.make (max 1 nlocals) (Value.Int 0); params = [||] } in
             Array.blit args 0 f.locals 0 (Array.length args);
             try
-              Array.iter (fun g -> g f) body;
+              run_all body f;
               fallthrough_ret
             with
             | Ret -> fallthrough_ret
@@ -423,4 +516,4 @@ let compile (prog : tprog) : ecode_fn =
     if Array.length params <> nparams then
       runtime_error "expected %d parameters, got %d" nparams (Array.length params);
     let f = { locals = Array.make (max 1 nlocals) (Value.Int 0); params } in
-    try Array.iter (fun g -> g f) body with Ret | Retv _ -> ()
+    try run_all body f with Ret | Retv _ -> ()

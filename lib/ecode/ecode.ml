@@ -110,11 +110,12 @@ let compile_xform ~(src : Ptype.record) ~(dst : Ptype.record) (code : string) :
   match compile ~params code with
   | Error _ as e -> e
   | Ok run ->
+    let sync = Value.compile_sync dst in
     Ok
       (fun input ->
          let output = Value.default_record dst in
          run [| input; output |];
-         Value.sync_lengths dst output;
+         sync output;
          output)
 
 (* Interpreted variant of {!compile_xform}; same semantics, no code
@@ -125,9 +126,10 @@ let interpret_xform ~(src : Ptype.record) ~(dst : Ptype.record) (code : string) 
   match parse code with
   | Error _ as e -> e
   | Ok prog ->
+    let sync = Value.compile_sync dst in
     Ok
       (fun input ->
          let output = Value.default_record dst in
          Interp.run ~params:[ ("new", input); ("old", output) ] prog;
-         Value.sync_lengths dst output;
+         sync output;
          output)

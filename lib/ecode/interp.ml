@@ -173,12 +173,11 @@ let rec resolve_lval env (e : Ast.expr) : (unit -> Value.t) * (Value.t -> unit) 
     let i = Value.to_int (eval env ix) in
     ( (fun () -> Value.array_get container i),
       fun v ->
-        let v =
-          if i < Value.array_len container then
-            coerce_to_model (Value.array_get container i) v
-          else v
+        let model =
+          if i < Value.array_len container then Value.array_get container i
+          else Option.value (Value.dyn container).Value.model ~default:v
         in
-        Value.array_set container i v )
+        Value.array_set container i (coerce_to_model model v) )
   | _ -> runtime_error "expression is not assignable"
 
 (* Evaluate the container part of an lvalue path, growing arrays when an

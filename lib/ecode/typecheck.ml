@@ -67,6 +67,11 @@ and tnode =
   | Tcall of builtin * texpr list
   | Tcoerce of coercion * texpr
   | Tassign of tlval * texpr
+  | Tupdate of { lv : tlval; rhs : texpr; rslot : int; cur : int; value : texpr }
+      (* [lv op= rhs]: the path of [lv] is resolved once, then [rhs] is
+         evaluated into the hidden local [rslot], the current value of
+         [lv] read into the hidden local [cur], and [value] (computed from
+         those two locals) stored — the interpreter's order *)
   | Tincr of { pre : bool; delta : int; is_float : bool; lv : tlval }
   | Tufcall of int * texpr list (* user-defined function, by index *)
 
@@ -159,13 +164,19 @@ let lookup env name =
   in
   go env.scopes
 
+(* A frame slot no name can reach (compound assignments stage values in
+   them). *)
+let fresh_slot env =
+  let slot = env.nlocals in
+  env.nlocals <- slot + 1;
+  slot
+
 let declare_local env loc name ty =
   (match env.scopes with
    | scope :: _ when List.mem_assoc name scope ->
      error loc "variable %S already declared in this scope" name
    | _ -> ());
-  let slot = env.nlocals in
-  env.nlocals <- slot + 1;
+  let slot = fresh_slot env in
   (match env.scopes with
    | scope :: rest -> env.scopes <- ((name, Blocal (slot, ty)) :: scope) :: rest
    | [] -> assert false);
@@ -317,21 +328,21 @@ let rec check_expr env (e : Ast.expr) : texpr =
   | Assign (op, lhs, rhs) ->
     let lv = check_lval env lhs in
     let trhs = check_expr env rhs in
-    let stored =
-      match op with
-      | Set -> convert_for_assign loc trhs lv.lty
-      | Add_eq | Sub_eq | Mul_eq | Div_eq | Mod_eq ->
-        let binop : Ast.binop =
-          match op with
-          | Add_eq -> Add | Sub_eq -> Sub | Mul_eq -> Mul
-          | Div_eq -> Div | Mod_eq -> Mod
-          | Set -> assert false
-        in
-        let cur = lval_as_expr lv in
-        let combined = combine_arith loc binop cur trhs in
-        convert_for_assign loc combined lv.lty
-    in
-    { ty = lv.lty; n = Tassign (lv, stored) }
+    (match op with
+     | Set -> { ty = lv.lty; n = Tassign (lv, convert_for_assign loc trhs lv.lty) }
+     | Add_eq | Sub_eq | Mul_eq | Div_eq | Mod_eq ->
+       let binop : Ast.binop =
+         match op with
+         | Add_eq -> Add | Sub_eq -> Sub | Mul_eq -> Mul
+         | Div_eq -> Div | Mod_eq -> Mod
+         | Set -> assert false
+       in
+       let rslot = fresh_slot env and cur = fresh_slot env in
+       let combined =
+         combine_arith loc binop { ty = lv.lty; n = Tlocal cur } { ty = trhs.ty; n = Tlocal rslot }
+       in
+       let value = convert_for_assign loc combined lv.lty in
+       { ty = lv.lty; n = Tupdate { lv; rhs = trhs; rslot; cur; value } })
   | Incr (kind, lhs) ->
     let lv = check_lval env lhs in
     let is_float =
@@ -349,21 +360,6 @@ let rec check_expr env (e : Ast.expr) : texpr =
       | Post_decr -> (false, -1)
     in
     { ty = lv.lty; n = Tincr { pre; delta; is_float; lv } }
-
-and lval_as_expr (lv : tlval) : texpr =
-  let base =
-    match lv.base with
-    | Lbase_local slot -> { ty = lv.lty; n = Tlocal slot }
-    | Lbase_param slot -> { ty = lv.lty; n = Tparam slot }
-  in
-  (* Rebuild the access chain as a read.  Types of intermediate nodes are not
-     used by the compiler for reads, so carrying lty everywhere is fine. *)
-  List.fold_left
-    (fun acc step ->
-       match step with
-       | Sfield i -> { ty = lv.lty; n = Tfield (acc, i) }
-       | Sindex (ix, elem_ty) -> { ty = elem_ty; n = Tindex (acc, ix) })
-    base lv.steps
 
 and convert_for_assign loc (rhs : texpr) (want : ty) : texpr =
   match cls_of want, cls_of rhs.ty with

@@ -1160,11 +1160,12 @@ and comp_morph_record endian (src : Ptype.record) (dst : Ptype.record) :
 let compile_morph ~endian ~(from_ : Ptype.record) ~(into : Ptype.record) : morpher =
   timed_compile (fun () ->
       let body = comp_morph_record endian from_ into in
+      let sync = Value.compile_sync into in
       let mrun cur =
         let res = body cur in
         (* target length fields matched by name from the source may disagree
            with converted arrays, exactly as in [Convert.compile] *)
-        Value.sync_lengths into res;
+        sync res;
         res
       in
       { mfrom = from_; minto = into; mrun })

@@ -166,6 +166,7 @@ let compile ~(from_ : Ptype.record) ~(into : Ptype.record) : conv =
   let m = !metrics in
   let t0 = if m.mon then Obs.now m.mreg else 0. in
   let body = compile_record from_ into in
+  let sync = Value.compile_sync into in
   if m.mon then begin
     Obs.Counter.incr m.compiles;
     Obs.Histogram.observe m.compile_ns (Obs.now m.mreg -. t0);
@@ -175,7 +176,7 @@ let compile ~(from_ : Ptype.record) ~(into : Ptype.record) : conv =
     let out = body v in
     (* Length fields may have been matched by name from the source; make
        them agree with the converted arrays. *)
-    Value.sync_lengths into out;
+    sync out;
     out
 
 (* Memo for the one-shot [convert] entry point, which used to recompile

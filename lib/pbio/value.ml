@@ -111,13 +111,26 @@ let has_field v name = field_index (entries v) name <> None
 let field_at v i = (entries v).(i).v
 let set_at v i x = (entries v).(i).v <- x
 
-(* Deep copy (also used to fill growing arrays). *)
+(* Deep copy (also used to fill growing arrays).  Records are copied by a
+   plain loop: a closure passed to [Array.map] would capture [copy] and
+   cost an allocation per record. *)
 let rec copy = function
   | (Int _ | Uint _ | Float _ | Char _ | Bool _ | Enum _ | String _) as v -> v
-  | Record es -> Record (Array.map (fun e -> { e with v = copy e.v }) es)
+  | Record es ->
+    let n = Array.length es in
+    if n = 0 then Record [||]
+    else begin
+      let out = Array.make n (copy_entry es.(0)) in
+      for i = 1 to n - 1 do
+        out.(i) <- copy_entry es.(i)
+      done;
+      Record out
+    end
   | Array d ->
     let items = Array.init d.len (fun i -> copy d.items.(i)) in
     Array { items; len = d.len; model = Option.map copy d.model }
+
+and copy_entry e = { e with v = copy e.v }
 
 (* Array access.  [array_set] grows the array on writes one past the end so
    that transformation code can build a target list incrementally. *)
@@ -283,29 +296,83 @@ let rec conforms (ty : Ptype.t) (v : t) : bool =
         go 0)
   | (Basic _ | Record _ | Array _), _ -> false
 
-(* Variable-array length fields must agree with the actual array lengths;
-   [sync_lengths] fixes up the integer fields from the arrays (used by
-   encoders and by the morphing pipeline after a transformation runs). *)
+(* Variable-array length fields must agree with the actual array lengths.
+   A sync plan, compiled once per record format, rewrites those integer
+   fields from the arrays (encoders require it, and the morphing pipeline
+   runs one after every transformation).  Field positions are resolved up
+   front; the plan touches only length fields and descends only into
+   fields and array elements whose type holds a variable array somewhere
+   below.  A length field that already holds the right count is left
+   alone, so syncing a message whose lengths agree allocates nothing. *)
 
-let rec sync_lengths (r : Ptype.record) (v : t) : unit =
-  let es = entries v in
-  List.iteri
-    (fun i (f : Ptype.field) ->
-       match f.ftype with
-       | Basic _ -> ()
-       | Record r' -> sync_lengths r' es.(i).v
-       | Array { elem; size } ->
-         (match size with
-          | Fixed _ -> ()
-          | Length_field name ->
-            let n = array_len es.(i).v in
-            (match field_index es name with
-             | Some j ->
-               es.(j).v <- (match es.(j).v with Uint _ -> Uint n | _ -> Int n)
-             | None -> type_error "missing length field %S" name));
-         (match elem with
-          | Record r' ->
-            let d = dyn es.(i).v in
-            for k = 0 to d.len - 1 do sync_lengths r' d.items.(k) done
-          | Basic _ | Array _ -> ()))
-    r.fields
+(* The entry holding length field [name]: position [j] from the format
+   when the value agrees with it, else a lookup by name ([j] is [-1] when
+   the format itself has no such field). *)
+let length_entry es j name =
+  if j >= 0 && j < Array.length es && String.equal es.(j).name name then es.(j)
+  else
+    match field_index es name with
+    | Some j -> es.(j)
+    | None -> type_error "missing length field %S" name
+
+let set_length e n =
+  match e.v with
+  | Int m when m = n -> ()
+  | Uint m when m = n -> ()
+  | Uint _ -> e.v <- Uint n
+  | _ -> e.v <- Int n
+
+let rec record_sync (r : Ptype.record) : (entry array -> unit) option =
+  let position name =
+    let rec go i = function
+      | [] -> -1
+      | (f : Ptype.field) :: rest -> if f.fname = name then i else go (i + 1) rest
+    in
+    go 0 r.fields
+  in
+  let field_steps i (f : Ptype.field) =
+    match f.ftype with
+    | Basic _ -> []
+    | Record r' ->
+      (match record_sync r' with
+       | None -> []
+       | Some p -> [ (fun es -> p (entries es.(i).v)) ])
+    | Array { elem; size } ->
+      let len =
+        match size with
+        | Fixed _ -> []
+        | Length_field name ->
+          let j = position name in
+          [ (fun es -> set_length (length_entry es j name) (array_len es.(i).v)) ]
+      in
+      let elems =
+        match elem with
+        | Record r' ->
+          (match record_sync r' with
+           | None -> []
+           | Some p ->
+             [ (fun es ->
+                   let d = dyn es.(i).v in
+                   for k = 0 to d.len - 1 do
+                     p (entries d.items.(k))
+                   done) ])
+        | Basic _ | Array _ -> []
+      in
+      len @ elems
+  in
+  match Array.of_list (List.concat (List.mapi field_steps r.fields)) with
+  | [||] -> None
+  | [| s |] -> Some s
+  | steps ->
+    Some
+      (fun es ->
+         for k = 0 to Array.length steps - 1 do
+           steps.(k) es
+         done)
+
+let compile_sync (r : Ptype.record) : t -> unit =
+  match record_sync r with
+  | None -> fun v -> ignore (entries v)
+  | Some p -> fun v -> p (entries v)
+
+let sync_lengths (r : Ptype.record) (v : t) : unit = compile_sync r v

@@ -116,6 +116,13 @@ val default_record : Ptype.record -> t
     fixed-array lengths, enum cases)? *)
 val conforms : Ptype.t -> t -> bool
 
-(** Overwrite every variable-array length field with the actual array
-    length, recursively.  Encoders require the two to agree. *)
+(** [compile_sync r] is a plan, built once, that overwrites every
+    variable-array length field of an [r] value with the actual array
+    length, recursively.  Encoders require the two to agree.  The plan
+    visits only length fields and the fields and array elements whose type
+    holds a variable array; it allocates nothing when the lengths already
+    agree.  Raises {!Type_error} when a length field is missing. *)
+val compile_sync : Ptype.record -> t -> unit
+
+(** One-shot {!compile_sync}: [sync_lengths r v] is [compile_sync r v]. *)
 val sync_lengths : Ptype.record -> t -> unit

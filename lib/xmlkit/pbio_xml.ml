@@ -168,13 +168,15 @@ let rec value_of_element (r : Ptype.record) (children : Xml.t list) : Value.t =
          (f.fname, v))
       r.fields
   in
-  let v = Value.record entries in
-  Value.sync_lengths r v;
-  v
+  Value.record entries
 
 let of_xml (r : Ptype.record) (doc : Xml.t) : Value.t =
   match doc with
-  | Xml.Element e when e.tag = r.rname -> value_of_element r e.children
+  | Xml.Element e when e.tag = r.rname ->
+    let v = value_of_element r e.children in
+    (* one recursive sync from the top covers every nested record *)
+    Value.sync_lengths r v;
+    v
   | Xml.Element e -> xml_decode_error "expected root <%s>, got <%s>" r.rname e.tag
   | Xml.Text _ -> xml_decode_error "expected root element"
 

@@ -46,6 +46,17 @@ let read_file path =
     ~finally:(fun () -> close_in_noerr ic)
     (fun () -> really_input_string ic (in_channel_length ic))
 
+(* Bytes allocated per call of [f] (after one warm-up call), from
+   [Gc.allocated_bytes] deltas: a count, not a clock reading, so budgets
+   on it hold on any machine. *)
+let alloc_per_call ?(reps = 10) (f : unit -> unit) : float =
+  f ();
+  let a0 = Gc.allocated_bytes () in
+  for _ = 1 to reps do
+    f ()
+  done;
+  (Gc.allocated_bytes () -. a0) /. float_of_int reps
+
 (* substring test for smoke-checking printed output *)
 let contains (hay : string) (needle : string) : bool =
   let n = String.length needle and h = String.length hay in

@@ -23,11 +23,15 @@ let run_with ~engine ~(fmt : Ptype.record) (code : string) (io : Value.t) : Valu
 
 let scratch_fmt =
   Ptype_dsl.format_of_string_exn
-    {|format Scratch {
+    {|record Pt { int x; float y; unsigned u; char c; bool b; int k; int ks[k]; }
+      format Scratch {
         int i1; int i2; float x1; float x2; string s1; string s2;
         bool b1; char c1; unsigned u1;
         int n;
         int xs[n];
+        Pt r1; Pt r2;
+        int m;
+        Pt ps[m];
       }|}
 
 let fresh () = Value.default_record scratch_fmt
@@ -43,6 +47,16 @@ let geti v f = Value.to_int (Value.get_field v f)
 let getf v f = Value.to_float (Value.get_field v f)
 let gets v f = Value.to_string_exn (Value.get_field v f)
 let getb v f = Value.to_bool (Value.get_field v f)
+
+(* A field by dotted path, e.g. ["r1.ks"]. *)
+let getv v path =
+  List.fold_left Value.get_field v (String.split_on_char '.' path)
+
+let ints v path =
+  let a = getv v path in
+  List.init (Value.array_len a) (fun i -> Value.to_int (Value.array_get a i))
+
+let check_value name want v = Alcotest.check Helpers.value name want v
 
 let arithmetic_cases =
   both "arithmetic"
@@ -185,6 +199,80 @@ let incr_cases =
        Alcotest.(check int) "pre returns new" 6 (geti v "u1");
        Alcotest.(check (float 1e-9)) "float incr" 2.0 (getf v "x1");
        Alcotest.(check int) "mixed" 4 (geti v "n"))
+
+(* ++/-- store the kind of the lvalue (the interpreter's assignment
+   rules), not a bare int. *)
+let incr_kind_cases =
+  both "++/-- keep the lvalue's kind"
+    {| io.u1++;
+       io.c1 = 'a'; io.c1++;
+       io.b1++;
+       io.r1.u--;
+       io.r1.c = 'z'; ++io.r1.c;
+       io.r1.b--;
+       unsigned t = 7; t++; io.r2.u = t; |}
+    (fun v ->
+       check_value "unsigned" (Value.Uint 1) (getv v "u1");
+       check_value "char" (Value.Char 'b') (getv v "c1");
+       check_value "bool" (Value.Bool true) (getv v "b1");
+       check_value "unsigned wraps" (Value.Uint 0xFFFF_FFFF) (getv v "r1.u");
+       check_value "nested char" (Value.Char '{') (getv v "r1.c");
+       check_value "false-- is true" (Value.Bool true) (getv v "r1.b");
+       check_value "unsigned local" (Value.Uint 8) (getv v "r2.u");
+       Alcotest.(check bool) "conforms" true (Value.conforms (Ptype.Record scratch_fmt) v))
+
+let incr_result_cases =
+  both "++/-- yield the stored value (pre) or the old one (post)"
+    {| io.c1 = 'a';
+       io.s1 = string(io.c1++);
+       io.s2 = string(++io.c1);
+       io.b1 = true;
+       io.i1 = io.b1--;
+       io.i2 = --io.b1;
+       io.x1 = io.u1--; |}
+    (fun v ->
+       Alcotest.(check string) "post char" "a" (gets v "s1");
+       Alcotest.(check string) "pre char" "c" (gets v "s2");
+       Alcotest.(check int) "post bool" 1 (geti v "i1");
+       Alcotest.(check int) "pre bool" 1 (geti v "i2");
+       Alcotest.(check (float 0.)) "post unsigned" 0.0 (getf v "x1");
+       check_value "unsigned wrapped" (Value.Uint 0xFFFF_FFFF) (getv v "u1"))
+
+(* The lvalue's path is resolved once, before the right-hand side runs. *)
+let assign_order_cases =
+  both "assignment resolves the lvalue before the right-hand side"
+    {| int i = 0;
+       io.xs[0] = 7; io.xs[1] = 8;
+       io.xs[i] = i++; |}
+    (fun v -> Alcotest.(check (list int)) "xs" [ 0; 8 ] (ints v "xs"))
+
+let compound_index_cases =
+  both "compound assignment evaluates its index once"
+    {| int k = 0;
+       io.xs[0] = 1; io.xs[1] = 10; io.xs[2] = 100;
+       io.xs[k++] += 5;
+       io.i1 = k;
+       io.i2 = 1;
+       io.i2 += (io.i2 = 10); |}
+    (fun v ->
+       Alcotest.(check (list int)) "xs" [ 6; 10; 100 ] (ints v "xs");
+       Alcotest.(check int) "k" 1 (geti v "i1");
+       Alcotest.(check int) "current value read after the right-hand side" 20 (geti v "i2"))
+
+let record_copy_cases =
+  both "record assignment copies"
+    {| io.r1.x = 1; io.r1.ks[0] = 4;
+       io.r2 = io.r1;
+       io.r1.x = 9; io.r1.ks[0] = 5;
+       io.ps[len(io.ps)] = io.r1;
+       io.r1.y = 2.5; io.r1.ks[1] = 6; |}
+    (fun v ->
+       Alcotest.(check int) "r2.x" 1 (geti (getv v "r2") "x");
+       Alcotest.(check (list int)) "r2.ks" [ 4 ] (ints v "r2.ks");
+       let p0 = Value.array_get (getv v "ps") 0 in
+       Alcotest.(check int) "ps[0].x" 9 (geti p0 "x");
+       Alcotest.(check (float 0.)) "ps[0].y" 0.0 (getf p0 "y");
+       Alcotest.(check (list int)) "ps[0].ks" [ 5 ] (ints p0 "ks"))
 
 let compound_assign_cases =
   both "compound assignment"
@@ -414,13 +502,37 @@ let test_fig5_transformation_both_engines () =
   (* the input message is untouched *)
   Alcotest.check Helpers.value "input preserved" (Helpers.sample_v2 30) v2_msg
 
+(* Allocation budget of the compiled Figure 5 transform (a deterministic
+   count): the message of the end-to-end benchmark, 255 members that are
+   all sources and sinks, so every member lands in all three v1.0 lists. *)
+let test_fig5_alloc_budget () =
+  let n = 255 in
+  let msg = Echo.Wire_formats.gen_response_v2_full n in
+  let xform =
+    Helpers.check_ok
+      (Ecode.compile_xform ~src:Helpers.response_v2 ~dst:Helpers.response_v1
+         Helpers.fig5_code)
+  in
+  let per_member = Helpers.alloc_per_call (fun () -> ignore (xform msg)) /. float_of_int n in
+  if per_member > 2048. then
+    Alcotest.failf "Figure 5 transform allocates %.0f B per member (budget 2048)" per_member
+
 (* --- equivalence property ---------------------------------------------------- *)
 
-(* Random straight-line integer/float programs over the scratch format. *)
+(* Random programs over the scratch format: straight-line arithmetic,
+   branches, loops and switches, plus what the compiled lvalues must get
+   right — autogrow writes at [len(...)] (top level, inside array
+   elements, in loops), pre/post [++]/[--] on every numeric kind, compound
+   assignments whose index has a side effect, and record copies mutated
+   afterwards. *)
 let gen_program : string QCheck.Gen.t =
   let open QCheck.Gen in
-  let int_fields = [ "io.i1"; "io.i2"; "io.n" ] in
-  let float_fields = [ "io.x1"; "io.x2" ] in
+  let int_fields = [ "io.i1"; "io.i2"; "io.n"; "io.r1.x" ] in
+  let float_fields = [ "io.x1"; "io.x2"; "io.r2.y" ] in
+  let incr_targets =
+    [ "io.i1"; "io.u1"; "io.c1"; "io.b1"; "io.x1"; "io.r1.u"; "io.r1.c"; "io.r1.b";
+      "io.r1.y"; "io.r2.x" ]
+  in
   let gen_int_expr =
     let leaf = oneof [ map string_of_int (int_range (-50) 50); oneofl int_fields ] in
     let* a = leaf and* b = leaf and* op = oneofl [ "+"; "-"; "*" ] in
@@ -433,6 +545,12 @@ let gen_program : string QCheck.Gen.t =
     in
     let* a = leaf and* b = leaf and* op = oneofl [ "+"; "-"; "*" ] in
     return (Printf.sprintf "(%s %s %s)" a op b)
+  in
+  let gen_incr =
+    let* lv = oneofl incr_targets
+    and* form = oneofl [ (fun s -> s ^ "++"); (fun s -> s ^ "--"); (fun s -> "++" ^ s);
+                         (fun s -> "--" ^ s) ] in
+    return (form lv)
   in
   let gen_stmt =
     oneof
@@ -458,8 +576,61 @@ let gen_program : string QCheck.Gen.t =
               e f f f));
         (let* e = gen_int_expr in
          return (Printf.sprintf "io.s1 = io.s1 + (%s %% 100);" e));
-        (let* f = oneofl int_fields in
-         return (Printf.sprintf "%s++;" f));
+        (* pre/post increments, as statements and as values *)
+        (let* i = gen_incr in
+         return (i ^ ";"));
+        (let* f = oneofl (int_fields @ float_fields) and* i = gen_incr in
+         return (Printf.sprintf "%s = %s;" f i));
+        (let* i = gen_incr and* e = gen_int_expr in
+         return (Printf.sprintf "io.s2 = string(%s) + %s;" i e));
+        (let* i = oneofl [ "io.xs[len(io.xs) - 1]++"; "--io.xs[len(io.xs) - 1]" ] in
+         return (Printf.sprintf "if (len(io.xs) > 0) %s;" i));
+        (* autogrow writes at len(...) *)
+        (let* e = gen_int_expr in
+         return (Printf.sprintf "io.xs[len(io.xs)] = %s;" e));
+        (let* e = gen_int_expr in
+         return (Printf.sprintf "io.ps[len(io.ps)].x = %s;" e));
+        return "io.ps[len(io.ps)] = io.r1;";
+        (let* e = gen_int_expr in
+         return
+           (Printf.sprintf
+              "if (len(io.ps) > 0) io.ps[len(io.ps) - 1].ks[len(io.ps[len(io.ps) - 1].ks)] = %s;"
+              e));
+        (let* e = gen_int_expr in
+         return (Printf.sprintf "io.r1.ks[len(io.r1.ks)] = %s;" e));
+        (let* n = int_range 0 5 and* e = gen_int_expr in
+         return
+           (Printf.sprintf "{ int k; for (k = 0; k < %d; k++) io.xs[len(io.xs)] = k * %s; }" n e));
+        (* compound assignments whose index has a side effect *)
+        (let* op = oneofl [ "+="; "-="; "*=" ] and* e = gen_int_expr in
+         return
+           (Printf.sprintf
+              "if (len(io.xs) > 1) { int k = 0; io.xs[k++] %s %s; io.xs[k] %s k; io.i2 = k; }"
+              op e op));
+        (let* e = gen_int_expr in
+         return
+           (Printf.sprintf "if (len(io.xs) > 0) { io.i2 = 0; io.xs[io.i2++] += %s; }" e));
+        (let* op = oneofl [ "/="; "%=" ] and* e = gen_int_expr in
+         return
+           (Printf.sprintf
+              "if (len(io.xs) > 0) { int k = len(io.xs); io.xs[--k] %s (%s %% 7 + 8); io.n = k; }"
+              op e));
+        (let* e = gen_float_expr in
+         return
+           (Printf.sprintf
+              "if (len(io.ps) > 0) { int k = 0; io.ps[k++].y += %s; io.r1.y *= k; }" e));
+        (let* e = gen_int_expr in
+         return (Printf.sprintf "io.s1 += %s %% 10;" e));
+        (* record copies, then mutation of the source *)
+        (let* e = gen_int_expr in
+         return (Printf.sprintf "io.r2 = io.r1; io.r1.x = %s;" e));
+        (let* e = gen_int_expr in
+         return (Printf.sprintf "io.r2 = io.r1; io.r1.ks[len(io.r1.ks)] = %s;" e));
+        (let* e = gen_int_expr in
+         return
+           (Printf.sprintf "if (len(io.ps) > 0) { io.r2 = io.ps[0]; io.ps[0].x = %s; }" e));
+        (let* e = gen_int_expr in
+         return (Printf.sprintf "io.r1.ks = io.r2.ks; io.r2.ks[len(io.r2.ks)] = %s;" e));
       ]
   in
   let* n = int_range 1 10 in
@@ -489,7 +660,7 @@ let prop_engines_agree =
     (fun code ->
        let a = run_with ~engine:`Compiled ~fmt:scratch_fmt code (fresh ()) in
        let b = run_with ~engine:`Interp ~fmt:scratch_fmt code (fresh ()) in
-       Value.equal a b)
+       Value.equal a b && Value.conforms (Ptype.Record scratch_fmt) a)
 
 let suite =
   arithmetic_cases @ bitwise_cases @ comparison_cases @ unary_cases @ loop_cases
@@ -509,4 +680,11 @@ let suite =
         test_fig5_transformation_both_engines;
       Helpers.qtest prop_engines_agree;
       Helpers.qtest prop_pp_roundtrip;
+    ]
+  (* appended, so the indices of the cases above stay put *)
+  @ incr_kind_cases @ incr_result_cases @ assign_order_cases @ compound_index_cases
+  @ record_copy_cases
+  @ [
+      Alcotest.test_case "Figure 5 transformation: allocation budget" `Quick
+        test_fig5_alloc_budget;
     ]

@@ -149,6 +149,91 @@ let test_sync_lengths () =
   Value.sync_lengths Helpers.response_v2 v;
   Alcotest.(check int) "resynced" 5 (Value.to_int (Value.get_field v "member_count"))
 
+(* Variable arrays nested inside array elements, fixed-array elements and
+   a nested record; one length field is unsigned. *)
+let nested_fmt =
+  Ptype_dsl.format_of_string_exn
+    {|record Inner { unsigned k; int ks[k]; string tag; }
+      format Outer { int n; Inner items[n]; Inner fixed[2]; Inner one; }|}
+
+let test_sync_nested () =
+  let v = Value.default_record nested_fmt in
+  let push_ks inner xs =
+    List.iter (fun x -> Value.array_push (Value.get_field inner "ks") (Value.Int x)) xs
+  in
+  let default_inner = Value.copy (Value.get_field v "one") in
+  let items = Value.get_field v "items" in
+  List.iter
+    (fun xs ->
+       let inner = Value.copy default_inner in
+       push_ks inner xs;
+       Value.array_push items inner)
+    [ [ 1; 2; 3 ]; []; [ 4 ] ];
+  push_ks (Value.array_get (Value.get_field v "fixed") 1) [ 9 ];
+  push_ks (Value.get_field v "one") [ 8; 7 ];
+  Value.sync_lengths nested_fmt v;
+  let k e = Value.get_field e "k" in
+  Alcotest.check Helpers.value "outer length" (Value.Int 3) (Value.get_field v "n");
+  List.iteri
+    (fun i want ->
+       Alcotest.check Helpers.value (Printf.sprintf "items[%d].k stays unsigned" i)
+         (Value.Uint want) (k (Value.array_get items i)))
+    [ 3; 0; 1 ];
+  Alcotest.check Helpers.value "fixed[1].k" (Value.Uint 1)
+    (k (Value.array_get (Value.get_field v "fixed") 1));
+  Alcotest.check Helpers.value "one.k" (Value.Uint 2) (k (Value.get_field v "one"));
+  Alcotest.(check bool) "conforms" true (Value.conforms (Ptype.Record nested_fmt) v)
+
+let test_sync_missing_length_field () =
+  let expect_type_error what f =
+    match f () with
+    | () -> Alcotest.failf "%s: expected Type_error" what
+    | exception Value.Type_error _ -> ()
+  in
+  (* the format names a length field it does not declare *)
+  let broken = Ptype.record "R" [ Ptype.field "xs" (Ptype.array_var "n" Ptype.int_) ] in
+  expect_type_error "format without the field" (fun () ->
+      Value.sync_lengths broken
+        (Value.record [ ("xs", Value.array_of_list [ Value.Int 1 ]) ]));
+  (* the value lacks a length field its format declares *)
+  let fmt = Ptype_dsl.format_of_string_exn "format R { int n; int xs[n]; }" in
+  expect_type_error "value without the field" (fun () ->
+      Value.sync_lengths fmt
+        (Value.record [ ("m", Value.Int 0); ("xs", Value.array_of_list [ Value.Int 1 ]) ]))
+
+(* A keep-most target whose elements hold no variable array: syncing it
+   must not walk the member list. *)
+let channel_trim =
+  Ptype.record "ChannelOpenResponse"
+    [
+      Ptype.field "channel" Ptype.string_;
+      Ptype.field "member_count" Ptype.int_;
+      Ptype.field "member_list"
+        (Ptype.array_var "member_count" (Ptype.Record Helpers.member_v1));
+    ]
+
+let trim_value n =
+  Value.record
+    [
+      ("channel", Value.String "c");
+      ("member_count", Value.Int n);
+      ( "member_list",
+        Value.array_of_list
+          (List.init n (fun i ->
+               Echo.Wire_formats.member_v1_value ~host:"h" ~port:i ~id:i)) );
+    ]
+
+let test_sync_alloc_flat () =
+  let small = trim_value 10 and large = trim_value 1000 in
+  let one_shot v () = Value.sync_lengths channel_trim v in
+  Alcotest.(check (float 0.5)) "one-shot sync: same bytes at 10 and 1000 members"
+    (Helpers.alloc_per_call (one_shot small))
+    (Helpers.alloc_per_call (one_shot large));
+  let plan = Value.compile_sync channel_trim in
+  let nothing = Helpers.alloc_per_call (fun () -> ()) in
+  Alcotest.(check (float 0.5)) "compiled plan allocates nothing" nothing
+    (Helpers.alloc_per_call (fun () -> plan large))
+
 let test_pp_smoke () =
   let s = Value.to_string (Helpers.sample_v2 2) in
   Alcotest.(check bool) "mentions field" true
@@ -206,4 +291,7 @@ let suite =
     Helpers.qtest prop_copy_equal;
     Helpers.qtest prop_default_conforms;
     Helpers.qtest prop_generated_value_conforms;
+    Alcotest.test_case "sync: arrays nested in elements" `Quick test_sync_nested;
+    Alcotest.test_case "sync: missing length field" `Quick test_sync_missing_length_field;
+    Alcotest.test_case "sync: allocation flat in members" `Quick test_sync_alloc_flat;
   ]
