@@ -731,7 +731,7 @@ let chaos_cmd =
 (* --- loadgen ------------------------------------------------------------- *)
 
 let loadgen_cmd =
-  let run scenario mode clients dist duration churn versions mix sinks loss dup
+  let run scenario clients dist duration churn versions mix sinks loss dup
       reorder jitter reliable seed samples scrape_every scrape_out prom_out
       flight_dir ndjson json =
     let parse name = function
@@ -741,7 +741,6 @@ let loadgen_cmd =
         exit 2
     in
     let scenario = parse "scenario" (Loadgen.scenario_of_string scenario) in
-    let mode = parse "mode" (Loadgen.mode_of_string mode) in
     let dist = parse "dist" (Loadgen.Dist.of_string dist) in
     let mix =
       match mix with
@@ -760,7 +759,7 @@ let loadgen_cmd =
       { Transport.Netsim.loss; duplication = dup; reorder; jitter_s = jitter }
     in
     let cfg =
-      { Loadgen.scenario; mode; clients; dist; duration_s = duration;
+      { Loadgen.scenario; clients; dist; duration_s = duration;
         churn_per_s = churn; versions; mix; sinks; faults; reliable; seed;
         samples; scrape_every_s = scrape_every }
     in
@@ -788,11 +787,6 @@ let loadgen_cmd =
   let scenario =
     Arg.(value & opt string "echo"
          & info [ "scenario" ] ~docv:"NAME" ~doc:"Scenario: echo or b2b")
-  in
-  let mode =
-    Arg.(value & opt string "fused"
-         & info [ "mode" ] ~docv:"NAME"
-             ~doc:"Ingress receiver mode: fused, staged or interp")
   in
   let clients =
     Arg.(value & opt int Loadgen.default.Loadgen.clients
@@ -890,7 +884,7 @@ let loadgen_cmd =
   Cmd.v
     (Cmd.info "loadgen"
        ~doc:"Open-loop load harness: seeded traffic over the virtual clock")
-    Term.(const run $ scenario $ mode $ clients $ dist $ duration $ churn
+    Term.(const run $ scenario $ clients $ dist $ duration $ churn
           $ versions $ mix $ sinks $ loss $ dup $ reorder $ jitter $ reliable
           $ seed $ samples $ scrape_every $ scrape_out $ prom_out $ flight_dir
           $ ndjson $ json)
@@ -899,7 +893,7 @@ let loadgen_cmd =
 
 let gateway_cmd =
   let run soak tenants lineages dist duration churn versions push_at deadline
-      admit_rate admit_burst max_plans quota budget window mode parity loss
+      admit_rate admit_burst max_plans quota parity loss
       dup reorder jitter seed samples scrape_every scrape_out prom_out
       flight_dir ndjson json =
     match soak with
@@ -965,31 +959,12 @@ let gateway_cmd =
           Printf.eprintf "gateway: --dist: %s\n" msg;
           exit 2
       in
-      let mode_override =
-        match mode with
-        | "governor" -> None
-        | "fused" -> Some Gateway.Fused
-        | "staged" -> Some Gateway.Staged
-        | "interp" -> Some Gateway.Interp
-        | "shed" -> Some Gateway.Shed
-        | m ->
-          Printf.eprintf
-            "gateway: --mode: unknown mode %S (expected governor, fused, \
-             staged, interp or shed)\n"
-            m;
-          exit 2
-      in
       let gcfg =
         { Gateway.default_config with
           Gateway.max_plans;
           tenant_quota = quota;
           admit_rate;
           admit_burst;
-          governor =
-            { Gateway.Governor.default with
-              Gateway.Governor.budget;
-              window_s = window };
-          mode_override;
           parity }
       in
       let cfg =
@@ -1096,21 +1071,6 @@ let gateway_cmd =
     Arg.(value & opt int g0.Gateway.tenant_quota
          & info [ "tenant-quota" ] ~docv:"N" ~doc:"Per-tenant plan-cache quota")
   in
-  let budget =
-    Arg.(value & opt float g0.Gateway.governor.Gateway.Governor.budget
-         & info [ "budget" ] ~docv:"UNITS"
-             ~doc:"Governor compile budget per window (cost units)")
-  in
-  let window =
-    Arg.(value & opt float g0.Gateway.governor.Gateway.Governor.window_s
-         & info [ "window" ] ~docv:"S" ~doc:"Governor accounting window, seconds")
-  in
-  let mode =
-    Arg.(value & opt string "governor"
-         & info [ "mode" ] ~docv:"NAME"
-             ~doc:"Pin the degradation ladder: governor (dynamic), fused, \
-                   staged, interp or shed")
-  in
   let parity =
     Arg.(value & flag
          & info [ "parity" ]
@@ -1179,7 +1139,7 @@ let gateway_cmd =
              campaign (--soak)")
     Term.(const run $ soak $ tenants $ lineages $ dist $ duration $ churn
           $ versions $ push_at $ deadline $ admit_rate $ admit_burst $ max_plans
-          $ quota $ budget $ window $ mode $ parity $ loss $ dup
+          $ quota $ parity $ loss $ dup
           $ reorder $ jitter $ seed $ samples $ scrape_every $ scrape_out
           $ prom_out $ flight_dir $ ndjson $ json)
 

@@ -282,33 +282,9 @@ let provenance_attrs ~(source : Ptype.record) ~(target : Ptype.record) ~via
 (* Build the per-format pipeline following Algorithm 2, lines 11-30. *)
 let plan_uninstrumented t (meta : Meta.format_meta) : pipeline =
   let fm = meta.Meta.body in
-  (* The set of formats fm can be transformed to — including multi-hop
-     chains: a spec whose source is a previously reachable format extends
-     the chain (Figure 1's Rev 2.0 -> Rev 1.0 -> Rev 0.0 lineage).
-     Breadth-first over the transformation graph keeps each reachable
-     format's shortest spec path; cycles stop at the visited check. *)
-  let reachable : (Ptype.record * Meta.xform_spec list) list =
-    let visited = ref [ fm ] in
-    let seen f = List.exists (Ptype.equal_record f) !visited in
-    let rec bfs acc frontier =
-      match frontier with
-      | [] -> List.rev acc
-      | (f, path) :: rest ->
-        let extensions =
-          List.filter_map
-            (fun (x : Meta.xform_spec) ->
-               let src = Option.value x.source ~default:fm in
-               if Ptype.equal_record src f && not (seen x.target) then begin
-                 visited := x.target :: !visited;
-                 Some (x.target, path @ [ x ])
-               end
-               else None)
-            meta.Meta.xforms
-        in
-        bfs ((f, path) :: acc) (rest @ extensions)
-    in
-    bfs [] [ (fm, []) ]
-  in
+  (* The set of formats fm can be transformed to, multi-hop chains
+     included, each with its shortest spec path. *)
+  let reachable = Xform.reachable meta in
   (* Candidate registered formats: same name as fm (the paper's rule), or
      the name of any transformation target on offer — a transformation
      declares the role equivalence that names normally imply. *)
@@ -369,20 +345,12 @@ let plan_uninstrumented t (meta : Meta.format_meta) : pipeline =
              | Some specs ->
                Obs.Histogram.observe t.m.rm_chain_depth
                  (float_of_int (List.length specs));
-               let rec compile_chain source acc = function
-                 | [] -> Ok (Some (acc, List.length specs))
-                 | (spec : Meta.xform_spec) :: rest ->
-                   (match
-                      Xform.compile ~engine:t.config.Config.engine ~source spec
-                    with
-                    | Error e -> Error (Err.to_string e)
-                    | Ok compiled ->
-                      let step = compiled.Xform.run in
-                      compile_chain spec.target
-                        (fun v -> step (acc v))
-                        rest)
-               in
-               compile_chain fm (fun v -> v) specs
+               (match
+                  Xform.compile_chain ~engine:t.config.Config.engine
+                    ~source:fm specs
+                with
+                | Error e -> Error (Err.to_string e)
+                | Ok run -> Ok (Some (run, List.length specs)))
            end
          in
          (match morph_step with

@@ -35,6 +35,20 @@ val spec : ?source:Ptype.record -> target:Ptype.record -> string -> spec
 val compile :
   ?engine:engine -> source:Ptype.record -> spec -> (compiled, Err.t) result
 
+(** Every format [meta]'s transformations reach from [meta.body] (itself
+    first, with the empty path), each with its shortest spec path:
+    breadth-first over the transformation graph, so multi-hop chains are
+    found and cycles terminate. *)
+val reachable : Meta.format_meta -> (Ptype.record * spec list) list
+
+(** Compile each hop of a spec path, starting from [source] messages, and
+    compose the hops into one function into the last hop's target (the
+    identity for the empty path).  The first hop that fails to compile is
+    the error. *)
+val compile_chain :
+  ?engine:engine -> source:Ptype.record -> spec list ->
+  (Value.t -> Value.t, Err.t) result
+
 (** Validate without keeping the compiled form: writers call this at
     registration time so broken snippets fail at the sender, not at some
     receiver. *)

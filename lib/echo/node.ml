@@ -251,14 +251,14 @@ let evict_member t (dead : Transport.Contact.t) : unit =
        end)
     t.channels
 
-let create ?(thresholds = Morph.Maxmatch.default_thresholds) ?(engine = Morph.Xform.Compiled)
+let create ?(thresholds = Morph.Maxmatch.default_thresholds)
     ?(reliable = false) ?(metrics = Obs.null) ?ctx (net : Transport.Netsim.t)
     ~(host : string) ~(port : int) (version : version) : t =
   let contact = Transport.Contact.make host port in
   let endpoint = Transport.Conn.create ~reliable ~metrics ?ctx net contact in
   let receiver =
     Morph.Receiver.create
-      ~config:(Morph.Receiver.Config.v ~thresholds ~engine ~metrics ?ctx ())
+      ~config:(Morph.Receiver.Config.v ~thresholds ~metrics ?ctx ())
       ()
   in
   let t =

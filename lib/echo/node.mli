@@ -23,8 +23,8 @@ type member = {
 
 type t
 
-(** Create a process on the network.  [thresholds] and [engine] configure
-    its morphing receiver.  [reliable] runs the node's endpoint under the
+(** Create a process on the network.  [thresholds] configures its
+    morphing receiver.  [reliable] runs the node's endpoint under the
     connection layer's ack + retransmit protocol; a member whose retransmit
     budget is exhausted (missed acks) is presumed dead and evicted from
     channels this node owns (see docs/FAULTS.md).  [metrics] receives the
@@ -36,7 +36,6 @@ type t
     (docs/CONCURRENCY.md). *)
 val create :
   ?thresholds:Morph.Maxmatch.thresholds ->
-  ?engine:Morph.Xform.engine ->
   ?reliable:bool ->
   ?metrics:Obs.t ->
   ?ctx:Pbio.Ctx.t ->

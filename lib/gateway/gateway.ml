@@ -12,11 +12,13 @@
        (Plan_cache: LRU + per-tenant quotas), with singleflight compile
        coalescing so a mass schema push compiles each (tenant, format)
        plan once, not once per queued message;
-     - the degradation ladder (Governor): compile pressure moves new
-       plans from fused to staged to interpreted; cache thrash sheds new
-       plan work entirely.  Already-compiled plans keep delivering at
-       their compiled rung — degradation throttles *new* compilation, not
-       the hot path.
+     - one compiled plan per (tenant, format), at the engine its shape
+       needs: a fused decode->morph plan for a structural match, a
+       staged decoder plus the composed Ecode chain for a
+       retro-transformation chain.  A plan compiles once and is reused
+       until evicted; the only overload answer on the plan side is the
+       Governor's eviction-storm meter, which sheds new plan work while
+       the shared cache thrashes.
 
    Everything runs on Netsim's virtual clock: compiles take simulated
    time proportional to their deterministic cost units, so seeded runs
@@ -33,7 +35,7 @@ module Breaker = Morph.Breaker
 module Maxmatch = Morph.Maxmatch
 module Xform = Morph.Xform
 
-type rung = Governor.rung = Fused | Staged | Interp | Shed
+type rung = Fused | Staged
 
 (* --- configuration ------------------------------------------------------- *)
 
@@ -49,7 +51,6 @@ type config = {
   governor : Governor.config;
   compile_s_per_unit : float;
   pending_cap : int;
-  mode_override : rung option;
   parity : bool;
 }
 
@@ -66,7 +67,6 @@ let default_config =
     governor = Governor.default;
     compile_s_per_unit = 2e-5;
     pending_cap = 256;
-    mode_override = None;
     parity = false;
   }
 
@@ -76,7 +76,7 @@ type shed_reason =
   | Deadline  (* envelope deadline already expired *)
   | Quota  (* tenant token bucket empty *)
   | Breaker  (* tenant circuit open *)
-  | Overload  (* governor at Shed, or pending queue full *)
+  | Overload  (* eviction storm, or pending queue full *)
   | Unknown_tenant
   | No_meta  (* fingerprint never pushed *)
 
@@ -101,7 +101,6 @@ type delivery = {
   fingerprint : int;
   deadline_ns : int;
   rung : rung;
-  degraded : bool;
   value : Value.t;
 }
 
@@ -114,8 +113,6 @@ type stats = {
   mutable delivered : int;
   mutable delivered_fused : int;
   mutable delivered_staged : int;
-  mutable delivered_interp : int;
-  mutable degraded_deliveries : int;
   mutable shed_deadline : int;
   mutable shed_quota : int;
   mutable shed_breaker : int;
@@ -126,7 +123,6 @@ type stats = {
   mutable bad_frames : int;
   mutable plan_compiles : int;
   mutable plan_recompiles : int;
-  mutable plan_upgrades : int;
   mutable singleflight_coalesced : int;
   mutable parity_mismatches : int;
   mutable breaker_trips : int;
@@ -143,7 +139,6 @@ type gmetrics = {
   gm_meta_pushes : Obs.Counter.h;
   gm_admitted : Obs.Counter.h;
   gm_delivered : Obs.Counter.h;
-  gm_degraded : Obs.Counter.h;
   gm_shed : Obs.Counter.h;
   gm_shed_deadline : Obs.Counter.h;
   gm_shed_quota : Obs.Counter.h;
@@ -152,19 +147,17 @@ type gmetrics = {
   gm_rejected : Obs.Counter.h;
   gm_compiles : Obs.Counter.h;
   gm_recompiles : Obs.Counter.h;
-  gm_upgrades : Obs.Counter.h;
   gm_coalesced : Obs.Counter.h;
   gm_evictions : Obs.Counter.h;
   gm_parity_mismatches : Obs.Counter.h;
   gm_breaker_trips : Obs.Counter.h;
   gm_tenants : Obs.Gauge.h;
-  gm_degrade_level : Obs.Gauge.h;
   gm_breakers_open : Obs.Gauge.h;
   gm_cache_entries : Obs.Gauge.h;
   gm_cache_cost : Obs.Gauge.h;
   gm_pending : Obs.Gauge.h;
   (* dimensional families (docs/OBSERVABILITY.md): which tenant is being
-     admitted or shed, and which ladder rung deliveries run at.  Tenant
+     admitted or shed, and which engine deliveries run at.  Tenant
      families are capped; tenants beyond the cap share the reserved
      ["other"] series, so a mass-onboarding storm cannot grow the
      registry without bound. *)
@@ -173,7 +166,6 @@ type gmetrics = {
   gm_tenant_deadline_missed : Obs.Labeled.counter;
   gm_rung_fused : Obs.Counter.h;
   gm_rung_staged : Obs.Counter.h;
-  gm_rung_interp : Obs.Counter.h;
 }
 
 (* Distinct per-tenant series kept before spilling to ["other"]. *)
@@ -198,7 +190,6 @@ let make_gmetrics reg =
     gm_meta_pushes = Obs.Counter.make reg "gateway.meta_pushes";
     gm_admitted = Obs.Counter.make reg "gateway.admitted";
     gm_delivered = Obs.Counter.make reg "gateway.delivered";
-    gm_degraded = Obs.Counter.make reg "gateway.degraded_deliveries";
     gm_shed = Obs.Counter.make reg "gateway.shed";
     gm_shed_deadline = Obs.Counter.make reg "gateway.shed_deadline";
     gm_shed_quota = Obs.Counter.make reg "gateway.shed_quota";
@@ -207,13 +198,11 @@ let make_gmetrics reg =
     gm_rejected = Obs.Counter.make reg "gateway.rejected";
     gm_compiles = Obs.Counter.make reg "gateway.plan_compiles";
     gm_recompiles = Obs.Counter.make reg "gateway.plan_recompiles";
-    gm_upgrades = Obs.Counter.make reg "gateway.plan_upgrades";
     gm_coalesced = Obs.Counter.make reg "gateway.singleflight_coalesced";
     gm_evictions = Obs.Counter.make reg "gateway.plan_evictions";
     gm_parity_mismatches = Obs.Counter.make reg "gateway.parity_mismatches";
     gm_breaker_trips = Obs.Counter.make reg "gateway.breaker_trips";
     gm_tenants = Obs.Gauge.make reg "gateway.tenants";
-    gm_degrade_level = Obs.Gauge.make reg "gateway.degrade_level";
     gm_breakers_open = Obs.Gauge.make reg "gateway.breakers_open";
     gm_cache_entries = Obs.Gauge.make reg "gateway.plan_cache_entries";
     gm_cache_cost = Obs.Gauge.make reg "gateway.plan_cache_cost";
@@ -231,39 +220,34 @@ let make_gmetrics reg =
         ~keys:[ "tenant" ] "gateway.tenant.deadline_missed";
     gm_rung_fused = rung_series "fused";
     gm_rung_staged = rung_series "staged";
-    gm_rung_interp = rung_series "interp";
   }
 
 (* --- plans ---------------------------------------------------------------- *)
 
-(* The transform shape — what Algorithm 2 planning decided — is computed
-   once per (tenant, fingerprint), synchronously; the wire-plan artifacts
-   (fused morphers / staged decoders) are what the ladder modulates and
-   what the simulated compile delay stands for. *)
-type shape = {
-  s_chain : (Value.t -> Value.t) option;  (* composed Ecode hops to the base *)
-  s_conv : (Value.t -> Value.t) option;  (* structural conversion into target *)
-  s_fusable : bool;  (* no Ecode step: eligible for a fused wire plan *)
-}
+(* What Algorithm 2 planning decided for one (tenant, format), computed
+   synchronously when its first message arrives: a structural match, or
+   the composed Ecode hops of a retro-transformation chain followed by the
+   conversion from the chain's end into the target. *)
+type shape =
+  | Structural
+  | Chain of (Value.t -> Value.t)
 
-(* Compiled wire plans per rung, one per endian (LE, BE), each forced on
-   the first message of that endian. *)
-type arts =
+(* A plan's compiled wire artifacts, one per endian (LE, BE), each forced
+   on the first message of that endian.  A structural shape fuses decode
+   and morph into one plan; a chain needs the decoded value tree, so it
+   decodes with a staged plan and then runs the transform. *)
+type engine_plans =
   | Fused_plans of Codec.morpher Lazy.t * Codec.morpher Lazy.t
-  | Staged_plans of Codec.decoder Lazy.t * Codec.decoder Lazy.t
-  | Interp_only
-
-let arts_level = function
-  | Fused_plans _ -> 0
-  | Staged_plans _ -> 1
-  | Interp_only -> 2
+  | Staged_plans of
+      Codec.decoder Lazy.t * Codec.decoder Lazy.t * (Value.t -> Value.t)
 
 type plan = {
   p_source : Ptype.record;
   p_target : Ptype.record;
-  p_shape : shape;
-  mutable p_arts : arts;
-  mutable p_upgrading : bool;
+  p_plans : engine_plans;
+  p_reference : (Value.t -> Value.t) option;
+      (* the value-tree transform the parity reference applies after its
+         interpretive decode; [Some] only when parity is on *)
 }
 
 (* What the cache holds: planning failures are cached too, so a format
@@ -318,10 +302,9 @@ type t = {
   cache : cached Plan_cache.t;
   gov : Governor.t;
   inflight : (int * int, pending Queue.t) Hashtbl.t;
-  g_cache : Codec.cache option;
-  (* codec plan cache from the creating [Ctx.t]: fused/staged wire plans
-     come from (and are shared through) it instead of being compiled
-     privately per tenant; [None] keeps private per-plan compiles *)
+  codecs : Codec.cache;
+      (* the wire plans' codec cache, shared with every other user of the
+         creating context *)
   mutable pending_depth : int;
   mutable on_delivery : delivery -> unit;
   flight : Obs.Flight.recorder option;
@@ -397,7 +380,7 @@ let create ?(config = default_config) ?(metrics = Obs.null) ?ctx ?flight ~net
       cache;
       gov;
       inflight = Hashtbl.create 64;
-      g_cache = Option.map Ctx.codecs ctx;
+      codecs = Ctx.codecs (Option.value ctx ~default:Ctx.default);
       pending_depth = 0;
       on_delivery;
       flight;
@@ -408,11 +391,10 @@ let create ?(config = default_config) ?(metrics = Obs.null) ?ctx ?flight ~net
       stats =
         {
           meta_pushes = 0; onboarded = 0; admitted = 0; delivered = 0;
-          delivered_fused = 0; delivered_staged = 0; delivered_interp = 0;
-          degraded_deliveries = 0; shed_deadline = 0; shed_quota = 0;
-          shed_breaker = 0; shed_overload = 0; shed_unknown = 0;
-          shed_no_meta = 0; rejected = 0; bad_frames = 0; plan_compiles = 0;
-          plan_recompiles = 0; plan_upgrades = 0; singleflight_coalesced = 0;
+          delivered_fused = 0; delivered_staged = 0; shed_deadline = 0;
+          shed_quota = 0; shed_breaker = 0; shed_overload = 0;
+          shed_unknown = 0; shed_no_meta = 0; rejected = 0; bad_frames = 0;
+          plan_compiles = 0; plan_recompiles = 0; singleflight_coalesced = 0;
           parity_mismatches = 0; breaker_trips = 0; breaker_recoveries = 0;
         };
     }
@@ -425,7 +407,6 @@ let stats t = t.stats
 let cache_stats t = Plan_cache.stats t.cache
 let set_handler t f = t.on_delivery <- f
 let tenant_count t = Hashtbl.length t.tenants
-let degrade_rung t = Governor.rung t.gov ~now:(now_s t)
 
 let breaker_state t tenant =
   Option.map (fun ts -> Breaker.state ts.ts_breaker)
@@ -475,11 +456,37 @@ let new_tenant t id target =
     Obs.Gauge.set t.m.gm_tenants (float_of_int (Hashtbl.length t.tenants));
   ts
 
+let set_cache_gauges t =
+  if t.m.gm_on then begin
+    Obs.Gauge.set t.m.gm_cache_entries (float_of_int (Plan_cache.size t.cache));
+    Obs.Gauge.set t.m.gm_cache_cost (Plan_cache.cost t.cache)
+  end
+
+(* Detach the tenant's in-flight compiles, so later messages plan afresh
+   instead of parking behind a compile whose result will be discarded.
+   The detached queues stay counted in [pending_depth] until their
+   compiles complete (see [start_compile]). *)
+let forget_inflight t id =
+  Hashtbl.filter_map_inplace
+    (fun (tid, _) q -> if tid = id then None else Some q)
+    t.inflight
+
 let add_tenant t ~id ?target () =
   if id < 0 then invalid_arg "Gateway.add_tenant: negative tenant id";
-  match Hashtbl.find_opt t.tenants id with
-  | Some ts -> (match target with Some _ -> ts.ts_target <- target | None -> ())
-  | None -> ignore (new_tenant t id target : tstate)
+  match Hashtbl.find_opt t.tenants id, target with
+  | None, _ -> ignore (new_tenant t id target : tstate)
+  | Some _, None -> ()
+  | Some ts, Some tg ->
+    (match ts.ts_target with
+     | Some old when not (Ptype.equal_record old tg) ->
+       (* a re-pin: plans for the old target are stale, not evicted, and
+          the next compile for a format is a first compile again *)
+       ignore (Plan_cache.drop_tenant t.cache id : int);
+       set_cache_gauges t;
+       Hashtbl.reset ts.ts_compiled;
+       forget_inflight t id
+     | _ -> ());
+    ts.ts_target <- target
 
 let drop_tenant t id =
   match Hashtbl.find_opt t.tenants id with
@@ -487,6 +494,8 @@ let drop_tenant t id =
   | Some _ ->
     Hashtbl.remove t.tenants id;
     ignore (Plan_cache.drop_tenant t.cache id : int);
+    set_cache_gauges t;
+    forget_inflight t id;
     if t.m.gm_on then
       Obs.Gauge.set t.m.gm_tenants (float_of_int (Hashtbl.length t.tenants));
     true
@@ -499,153 +508,101 @@ let drop_tenant t id =
 let build_shape ~thresholds (meta : Meta.format_meta) (target : Ptype.record) :
   (shape, string) result =
   let fm = meta.Meta.body in
-  let direct_shape f2 =
-    if Ptype.equal_record fm f2 then
-      Some { s_chain = None; s_conv = None; s_fusable = true }
-    else if Maxmatch.qualifies thresholds (Maxmatch.evaluate_pair fm f2) then
-      Some
-        { s_chain = None;
-          s_conv = Some (Convert.compile ~from_:fm ~into:f2); s_fusable = true }
-    else None
+  let matches f =
+    Ptype.equal_record f target
+    || Maxmatch.qualifies thresholds (Maxmatch.evaluate_pair f target)
   in
-  match direct_shape target with
-  | Some s -> Ok s
-  | None ->
-    (* breadth-first over the shipped transformation graph, shortest spec
-       path per reachable format (as in Morph.Receiver) *)
-    let visited = ref [ fm ] in
-    let seen f = List.exists (Ptype.equal_record f) !visited in
-    let rec bfs acc frontier =
-      match frontier with
-      | [] -> List.rev acc
-      | (f, path) :: rest ->
-        let extensions =
-          List.filter_map
-            (fun (x : Meta.xform_spec) ->
-               let src = Option.value x.source ~default:fm in
-               if Ptype.equal_record src f && not (seen x.target) then begin
-                 visited := x.target :: !visited;
-                 Some (x.target, path @ [ x ])
-               end
-               else None)
-            meta.Meta.xforms
-        in
-        bfs ((f, path) :: acc) (rest @ extensions)
+  if matches fm then Ok Structural
+  else
+    match
+      List.find_opt
+        (fun (f, path) -> path <> [] && matches f)
+        (Xform.reachable meta)
+    with
+    | None ->
+      Error
+        (Fmt.str "no acceptable match for format %S against the tenant target %S"
+           fm.Ptype.rname target.Ptype.rname)
+    | Some (f, specs) ->
+      (match Xform.compile_chain ~source:fm specs with
+       | Error e -> Error (Err.to_string e)
+       | Ok chain ->
+         if Ptype.equal_record f target then Ok (Chain chain)
+         else
+           let conv = Convert.compile ~from_:f ~into:target in
+           Ok (Chain (fun v -> conv (chain v))))
+
+(* Deterministic compile-cost units ([Ptype.weight], not wall time): a
+   fused plan compiles reader plans over both formats, a staged plan only
+   the source decoder. *)
+let compile_cost (shape : shape) ~(source : Ptype.record)
+    ~(target : Ptype.record) =
+  match shape with
+  | Structural -> float_of_int (Ptype.weight source + Ptype.weight target)
+  | Chain _ -> float_of_int (Ptype.weight source)
+
+let build_plan t (shape : shape) ~(source : Ptype.record)
+    ~(target : Ptype.record) : plan =
+  let parity = t.config.parity in
+  match shape with
+  | Structural ->
+    let morpher endian =
+      lazy (Codec.morpher_in t.codecs ~endian ~from_:source ~into:target)
     in
-    let reachable = bfs [] [ (fm, []) ] in
-    let matched =
-      List.find_map
-        (fun (f, path) ->
-           if path = [] then None
-           else if
-             Ptype.equal_record f target
-             || Maxmatch.qualifies thresholds (Maxmatch.evaluate_pair f target)
-           then Some (f, path)
-           else None)
-        reachable
+    { p_source = source; p_target = target;
+      p_plans = Fused_plans (morpher Codec.Little, morpher Codec.Big);
+      p_reference =
+        (if not parity then None
+         else if Ptype.equal_record source target then Some Fun.id
+         else Some (Convert.compile ~from_:source ~into:target)) }
+  | Chain transform ->
+    let decoder endian =
+      lazy (Codec.decoder_for ~cache:t.codecs ~endian source)
     in
-    (match matched with
-     | None ->
-       Error
-         (Fmt.str "no acceptable match for format %S against the tenant target %S"
-            fm.Ptype.rname target.Ptype.rname)
-     | Some (f, specs) ->
-       let rec compile_chain source acc = function
-         | [] -> Ok acc
-         | (spec : Meta.xform_spec) :: rest ->
-           (match Xform.compile ~engine:Xform.Compiled ~source spec with
-            | Error e -> Error (Err.to_string e)
-            | Ok compiled ->
-              let step = compiled.Xform.run in
-              compile_chain spec.target (fun v -> step (acc v)) rest)
-       in
-       (match compile_chain fm (fun v -> v) specs with
-        | Error e -> Error e
-        | Ok chain ->
-          let conv =
-            if Ptype.equal_record f target then None
-            else Some (Convert.compile ~from_:f ~into:target)
-          in
-          Ok
-            { s_chain = Some chain; s_conv = conv; s_fusable = false }))
-
-(* Deterministic compile-cost units per ladder level ([Ptype.weight], not
-   wall time): a fused plan compiles reader plans over both formats, a
-   staged plan only the source decoder, interp compiles nothing. *)
-let cost_of_level ~(shape : shape) ~(source : Ptype.record)
-    ~(target : Ptype.record) level : float =
-  if level <= 0 && shape.s_fusable then
-    float_of_int (Ptype.weight source + Ptype.weight target)
-  else if level <= 1 then float_of_int (Ptype.weight source)
-  else 1.
-
-let build_arts ?cache ~(shape : shape) ~(source : Ptype.record)
-    ~(target : Ptype.record) level : arts =
-  if level <= 0 && shape.s_fusable then
-    (match cache with
-     | Some c ->
-       Fused_plans
-         ( lazy (Codec.morpher_in c ~endian:Codec.Little ~from_:source ~into:target),
-           lazy (Codec.morpher_in c ~endian:Codec.Big ~from_:source ~into:target) )
-     | None ->
-       Fused_plans
-         ( lazy (Codec.compile_morph ~endian:Codec.Little ~from_:source ~into:target),
-           lazy (Codec.compile_morph ~endian:Codec.Big ~from_:source ~into:target) ))
-  else if level <= 1 then
-    (match cache with
-     | Some c ->
-       Staged_plans
-         ( lazy (Codec.decoder_for ~cache:c ~endian:Codec.Little source),
-           lazy (Codec.decoder_for ~cache:c ~endian:Codec.Big source) )
-     | None ->
-       Staged_plans
-         ( lazy (Codec.compile_decode ~endian:Codec.Little source),
-           lazy (Codec.compile_decode ~endian:Codec.Big source) ))
-  else Interp_only
-
-(* The rung at which *new* plan work compiles right now. *)
-let compile_rung t =
-  match t.config.mode_override with
-  | Some r -> r
-  | None ->
-    let r = Governor.rung t.gov ~now:(now_s t) in
-    if t.m.gm_on then
-      Obs.Gauge.set t.m.gm_degrade_level (float_of_int (Governor.rung_level r));
-    r
+    { p_source = source; p_target = target;
+      p_plans = Staged_plans (decoder Codec.Little, decoder Codec.Big, transform);
+      p_reference = (if parity then Some transform else None) }
 
 (* --- delivery -------------------------------------------------------------- *)
 
-let apply_shape (shape : shape) v =
-  let v = match shape.s_chain with Some f -> f v | None -> v in
-  match shape.s_conv with Some c -> c v | None -> v
+let pick le be = function Codec.Little -> Lazy.force le | Codec.Big -> Lazy.force be
 
-let pick (le, be) = function Codec.Little -> Lazy.force le | Codec.Big -> Lazy.force be
-
-(* Decode + transform one message under the plan's compiled artifacts.
-   Returns the target-format value and the rung this delivery ran at. *)
-let run_plan (plan : plan) ~endian (message : string) : Value.t * rung =
-  match plan.p_arts with
+(* Decode + transform one message under the plan's compiled artifacts. *)
+let run_plan (plan : plan) (message : string) : Value.t =
+  let endian = (Codec.read_header message).Codec.endian in
+  match plan.p_plans with
   | Fused_plans (le, be) ->
-    (Codec.morph_payload (pick (le, be) endian) ~pos:Codec.header_size message, Fused)
-  | Staged_plans (le, be) ->
-    let v = Codec.decode_payload (pick (le, be) endian) ~pos:Codec.header_size message in
-    (apply_shape plan.p_shape v, Staged)
-  | Interp_only ->
-    let v =
-      Codec.Interp.decode_payload ~endian ~pos:Codec.header_size plan.p_source
-        message
-    in
-    (apply_shape plan.p_shape v, Interp)
+    Codec.morph_payload (pick le be endian) ~pos:Codec.header_size message
+  | Staged_plans (le, be, transform) ->
+    transform (Codec.decode_payload (pick le be endian) ~pos:Codec.header_size message)
 
-(* The interpretive reference outcome for the same message — what every
-   rung must agree with, byte-for-byte under the target format. *)
-let reference_bytes (plan : plan) ~endian (message : string) : string =
-  let v =
-    Codec.Interp.decode_payload ~endian ~pos:Codec.header_size plan.p_source
-      message
+let rung_of (plan : plan) =
+  match plan.p_plans with Fused_plans _ -> Fused | Staged_plans _ -> Staged
+
+(* Cross-check a delivered value against the interpretive reference: the
+   reference decoder plus the plan's transform, re-encoded under the
+   target, must be byte-identical. *)
+let check_parity t (plan : plan) reference (message : string) (v : Value.t) =
+  let agree =
+    match
+      let endian = (Codec.read_header message).Codec.endian in
+      let want =
+        Codec.Interp.decode_payload ~endian ~pos:Codec.header_size plan.p_source
+          message
+        |> reference
+        |> Codec.Interp.encode_payload ~endian:Codec.Little plan.p_target
+      in
+      String.equal
+        (Codec.Interp.encode_payload ~endian:Codec.Little plan.p_target v)
+        want
+    with
+    | agree -> agree
+    | exception _ -> false
   in
-  Codec.Interp.encode_payload ~endian:Codec.Little plan.p_target
-    (apply_shape plan.p_shape v)
+  if not agree then begin
+    t.stats.parity_mismatches <- t.stats.parity_mismatches + 1;
+    if t.m.gm_on then Obs.Counter.incr t.m.gm_parity_mismatches
+  end
 
 let record_failure t (ts : tstate) msg : outcome =
   t.stats.rejected <- t.stats.rejected + 1;
@@ -659,96 +616,36 @@ let record_failure t (ts : tstate) msg : outcome =
   end;
   Rejected msg
 
-(* Upgrade a degraded plan's artifacts once pressure is off: scheduled
-   like any compile (charged, simulated delay), but the plan keeps
-   delivering at its current rung meanwhile. *)
-let maybe_upgrade t (plan : plan) =
-  if t.config.mode_override = None && not plan.p_upgrading then begin
-    let cur = arts_level plan.p_arts in
-    let best = if plan.p_shape.s_fusable then 0 else 1 in
-    if cur > best then
-      match Governor.rung t.gov ~now:(now_s t) with
-      | Shed | Interp -> ()
-      | (Fused | Staged) as r ->
-        let want = Int.max best (Governor.rung_level r) in
-        if want < cur then begin
-          plan.p_upgrading <- true;
-          let cost =
-            cost_of_level ~shape:plan.p_shape ~source:plan.p_source
-              ~target:plan.p_target want
-          in
-          Governor.charge t.gov ~now:(now_s t) cost;
-          t.stats.plan_upgrades <- t.stats.plan_upgrades + 1;
-          if t.m.gm_on then Obs.Counter.incr t.m.gm_upgrades;
-          Netsim.after t.net (t.config.compile_s_per_unit *. cost) (fun () ->
-              plan.p_upgrading <- false;
-              if arts_level plan.p_arts > want then
-                plan.p_arts <-
-                  build_arts ?cache:t.g_cache ~shape:plan.p_shape
-                    ~source:plan.p_source ~target:plan.p_target want)
-        end
-  end
-
 let deliver_now t (ts : tstate) (plan : plan) ~fingerprint:fp ~deadline_ns
     (message : string) : outcome =
-  match
-    let hdr = Codec.read_header message in
-    let endian = hdr.Codec.endian in
-    let v, rung = run_plan plan ~endian message in
-    (v, rung, endian)
-  with
-  | v, rung, endian ->
-    let best = if plan.p_shape.s_fusable then 0 else 1 in
-    let degraded = Governor.rung_level rung > best in
-    if t.config.parity then begin
-      let agree =
-        match
-          ( Codec.Interp.encode_payload ~endian:Codec.Little plan.p_target v,
-            reference_bytes plan ~endian message )
-        with
-        | got, want -> String.equal got want
-        | exception _ -> false
-      in
-      if not agree then begin
-        t.stats.parity_mismatches <- t.stats.parity_mismatches + 1;
-        if t.m.gm_on then Obs.Counter.incr t.m.gm_parity_mismatches
-      end
-    end;
+  match run_plan plan message with
+  | v ->
+    (match plan.p_reference with
+     | Some reference -> check_parity t plan reference message v
+     | None -> ());
     if Breaker.record_success ts.ts_breaker then begin
       t.stats.breaker_recoveries <- t.stats.breaker_recoveries + 1;
       if t.m.gm_on then
         Obs.Gauge.set t.m.gm_breakers_open (float_of_int (breakers_open t))
     end;
     t.stats.delivered <- t.stats.delivered + 1;
+    let rung = rung_of plan in
     (match rung with
      | Fused ->
        t.stats.delivered_fused <- t.stats.delivered_fused + 1;
        Obs.Counter.incr t.m.gm_rung_fused
      | Staged ->
        t.stats.delivered_staged <- t.stats.delivered_staged + 1;
-       Obs.Counter.incr t.m.gm_rung_staged
-     | Interp | Shed ->
-       t.stats.delivered_interp <- t.stats.delivered_interp + 1;
-       Obs.Counter.incr t.m.gm_rung_interp);
-    if degraded then begin
-      t.stats.degraded_deliveries <- t.stats.degraded_deliveries + 1;
-      if t.m.gm_on then Obs.Counter.incr t.m.gm_degraded
-    end;
-    if t.m.gm_on then Obs.Counter.incr t.m.gm_delivered;
-    let d =
-      { tenant = ts.ts_id; fingerprint = fp; deadline_ns; rung; degraded;
-        value = v }
-    in
-    if t.m.gm_on then
+       Obs.Counter.incr t.m.gm_rung_staged);
+    let d = { tenant = ts.ts_id; fingerprint = fp; deadline_ns; rung; value = v } in
+    if t.m.gm_on then begin
+      Obs.Counter.incr t.m.gm_delivered;
       Obs.Trace.with_span
-        ~attrs:
-          [ ("gateway.tenant", string_of_int ts.ts_id);
-            ("gateway.degraded",
-             if degraded then Governor.rung_to_string rung else "no") ]
+        ~attrs:[ ("gateway.tenant", string_of_int ts.ts_id) ]
         t.m.gm_reg "gateway.deliver"
         (fun () -> t.on_delivery d)
+    end
     else t.on_delivery d;
-    maybe_upgrade t plan;
     Delivered rung
   | exception Codec.Decode_error msg ->
     record_failure t ts (Fmt.str "decode failed: %s" msg)
@@ -797,80 +694,33 @@ let shed t ~tenant (reason : shed_reason) : outcome =
    | None -> ());
   Shed reason
 
-let set_cache_gauges t =
-  if t.m.gm_on then begin
-    Obs.Gauge.set t.m.gm_cache_entries (float_of_int (Plan_cache.size t.cache));
-    Obs.Gauge.set t.m.gm_cache_cost (Plan_cache.cost t.cache)
-  end
-
-(* Singleflight compile for (tenant, fingerprint): the first message
-   charges the governor, starts the simulated compile and parks; every
-   further message while it is in flight parks behind it (coalesced).
-   Completion caches the plan — or the planning refusal — and drains the
-   parked queue, re-checking each message's deadline. *)
-let start_compile t (ts : tstate) ~fingerprint:fp (meta : Meta.format_meta)
-    (target : Ptype.record) ~deadline_ns (message : string) : outcome =
-  let key = (ts.ts_id, fp) in
-  let q = Queue.create () in
+let park t q ~deadline_ns message =
   Queue.push { pd_deadline_ns = deadline_ns; pd_message = message } q;
-  Hashtbl.replace t.inflight key q;
   t.pending_depth <- t.pending_depth + 1;
   (* maintained as deltas (not [set]) so per-shard pending depths sum
      correctly when registries merge at scrape time *)
-  if t.m.gm_on then Obs.Gauge.add t.m.gm_pending 1.;
-  match build_shape ~thresholds:t.config.thresholds meta target with
-  | Error msg ->
-    (* planning refusals are cached (cost 1) and immediate: there is no
-       artifact to compile, so nothing to wait for *)
-    Hashtbl.remove t.inflight key;
-    t.pending_depth <- t.pending_depth - 1;
-    if t.m.gm_on then Obs.Gauge.add t.m.gm_pending (-1.);
-    Plan_cache.add t.cache ~tenant:ts.ts_id ~key:fp ~cost:1. (Refused msg);
-    set_cache_gauges t;
-    record_failure t ts msg
-  | Ok shape ->
-    let level = Governor.rung_level (compile_rung t) in
-    let source = meta.Meta.body in
-    let cost = cost_of_level ~shape ~source ~target level in
-    Governor.charge t.gov ~now:(now_s t) cost;
-    t.stats.plan_compiles <- t.stats.plan_compiles + 1;
-    if t.m.gm_on then Obs.Counter.incr t.m.gm_compiles;
-    if Hashtbl.mem ts.ts_compiled fp then begin
-      t.stats.plan_recompiles <- t.stats.plan_recompiles + 1;
-      if t.m.gm_on then Obs.Counter.incr t.m.gm_recompiles
-    end
-    else Hashtbl.replace ts.ts_compiled fp ();
-    Netsim.after t.net (t.config.compile_s_per_unit *. cost) (fun () ->
-        Hashtbl.remove t.inflight key;
-        let plan =
-          { p_source = source; p_target = target; p_shape = shape;
-            p_arts = build_arts ?cache:t.g_cache ~shape ~source ~target level;
-            p_upgrading = false }
-        in
-        Plan_cache.add t.cache ~tenant:ts.ts_id ~key:fp ~cost (Ready plan);
-        set_cache_gauges t;
-        if t.m.gm_on then
-          Obs.Gauge.add t.m.gm_pending (-.float_of_int (Queue.length q));
-        Queue.iter
-          (fun { pd_deadline_ns; pd_message } ->
-             t.pending_depth <- t.pending_depth - 1;
-             if pd_deadline_ns > 0 && now_ns t > float_of_int pd_deadline_ns
-             then ignore (shed t ~tenant:ts.ts_id Deadline : outcome)
-             else
-               ignore
-                 (deliver_now t ts plan ~fingerprint:fp
-                    ~deadline_ns:pd_deadline_ns pd_message
-                  : outcome))
-          q);
-    Parked
+  if t.m.gm_on then Obs.Gauge.add t.m.gm_pending 1.
 
-let handle_data t (ts : tstate) ~fingerprint:fp ~deadline_ns (message : string) :
+let unpark t =
+  t.pending_depth <- t.pending_depth - 1;
+  if t.m.gm_on then Obs.Gauge.add t.m.gm_pending (-1.)
+
+(* [ts] is still the tenant registered under its id: neither dropped nor
+   dropped and re-added. *)
+let registered t (ts : tstate) =
+  match Hashtbl.find_opt t.tenants ts.ts_id with
+  | Some cur -> cur == ts
+  | None -> false
+
+let pinned_to (ts : tstate) (target : Ptype.record) =
+  match ts.ts_target with
+  | Some tg -> Ptype.equal_record tg target
+  | None -> false
+
+(* Route one admitted data message: deliver on a cached plan, park behind
+   an in-flight compile, or start one. *)
+let rec handle_data t (ts : tstate) ~fingerprint:fp ~deadline_ns (message : string) :
   outcome =
-  t.stats.admitted <- t.stats.admitted + 1;
-  if t.m.gm_on then begin
-    Obs.Counter.incr t.m.gm_admitted;
-    Obs.Counter.incr ts.ts_m_admitted
-  end;
   match Plan_cache.find t.cache ~tenant:ts.ts_id ~key:fp with
   | Some (Ready plan) -> deliver_now t ts plan ~fingerprint:fp ~deadline_ns message
   | Some (Refused msg) -> record_failure t ts msg
@@ -882,24 +732,85 @@ let handle_data t (ts : tstate) ~fingerprint:fp ~deadline_ns (message : string) 
        if Queue.length q >= t.config.pending_cap then
          shed t ~tenant:ts.ts_id Overload
        else begin
-         Queue.push { pd_deadline_ns = deadline_ns; pd_message = message } q;
-         t.pending_depth <- t.pending_depth + 1;
+         park t q ~deadline_ns message;
          t.stats.singleflight_coalesced <- t.stats.singleflight_coalesced + 1;
-         if t.m.gm_on then begin
-           Obs.Counter.incr t.m.gm_coalesced;
-           Obs.Gauge.add t.m.gm_pending 1.
-         end;
+         if t.m.gm_on then Obs.Counter.incr t.m.gm_coalesced;
          Parked
        end
      | None ->
-       (match Hashtbl.find_opt ts.ts_registry fp with
-        | None -> shed t ~tenant:ts.ts_id No_meta
-        | Some meta ->
-          (match ts.ts_target with
-           | None -> shed t ~tenant:ts.ts_id No_meta
-           | Some target ->
-             if compile_rung t = Shed then shed t ~tenant:ts.ts_id Overload
-             else start_compile t ts ~fingerprint:fp meta target ~deadline_ns message)))
+       (match Hashtbl.find_opt ts.ts_registry fp, ts.ts_target with
+        | None, _ | _, None -> shed t ~tenant:ts.ts_id No_meta
+        | Some meta, Some target ->
+          if Governor.overloaded t.gov ~now:(now_s t) then
+            shed t ~tenant:ts.ts_id Overload
+          else start_compile t ts ~fingerprint:fp meta target ~deadline_ns message))
+
+(* Singleflight compile for (tenant, fingerprint): the first message
+   starts the simulated compile and parks; every further message while it
+   is in flight parks behind it (coalesced).  Completion caches the plan
+   and drains the parked queue, re-checking each message's deadline —
+   unless the tenant was dropped meanwhile (its parked messages are shed
+   as [Unknown_tenant]) or re-pinned to another target (they are routed
+   again, against the new target). *)
+and start_compile t (ts : tstate) ~fingerprint:fp (meta : Meta.format_meta)
+    (target : Ptype.record) ~deadline_ns (message : string) : outcome =
+  match build_shape ~thresholds:t.config.thresholds meta target with
+  | Error msg ->
+    (* planning refusals are cached (cost 1) and immediate: there is no
+       artifact to compile, so nothing to wait for *)
+    Plan_cache.add t.cache ~tenant:ts.ts_id ~key:fp ~cost:1. (Refused msg);
+    set_cache_gauges t;
+    record_failure t ts msg
+  | Ok shape ->
+    let key = (ts.ts_id, fp) in
+    let q = Queue.create () in
+    Hashtbl.replace t.inflight key q;
+    park t q ~deadline_ns message;
+    let source = meta.Meta.body in
+    let cost = compile_cost shape ~source ~target in
+    t.stats.plan_compiles <- t.stats.plan_compiles + 1;
+    if t.m.gm_on then Obs.Counter.incr t.m.gm_compiles;
+    if Hashtbl.mem ts.ts_compiled fp then begin
+      t.stats.plan_recompiles <- t.stats.plan_recompiles + 1;
+      if t.m.gm_on then Obs.Counter.incr t.m.gm_recompiles
+    end
+    else Hashtbl.replace ts.ts_compiled fp ();
+    Netsim.after t.net (t.config.compile_s_per_unit *. cost) (fun () ->
+        (match Hashtbl.find_opt t.inflight key with
+         | Some cur when cur == q -> Hashtbl.remove t.inflight key
+         | _ -> ());
+        if not (registered t ts) then
+          Queue.iter
+            (fun _ ->
+               unpark t;
+               ignore (shed t ~tenant:ts.ts_id Unknown_tenant : outcome))
+            q
+        else if not (pinned_to ts target) then
+          Queue.iter
+            (fun { pd_deadline_ns; pd_message } ->
+               unpark t;
+               ignore
+                 (handle_data t ts ~fingerprint:fp ~deadline_ns:pd_deadline_ns
+                    pd_message
+                  : outcome))
+            q
+        else begin
+          let plan = build_plan t shape ~source ~target in
+          Plan_cache.add t.cache ~tenant:ts.ts_id ~key:fp ~cost (Ready plan);
+          set_cache_gauges t;
+          Queue.iter
+            (fun { pd_deadline_ns; pd_message } ->
+               unpark t;
+               if pd_deadline_ns > 0 && now_ns t > float_of_int pd_deadline_ns
+               then ignore (shed t ~tenant:ts.ts_id Deadline : outcome)
+               else
+                 ignore
+                   (deliver_now t ts plan ~fingerprint:fp
+                      ~deadline_ns:pd_deadline_ns pd_message
+                    : outcome))
+            q
+        end);
+    Parked
 
 let handle_meta t ~tenant ~fingerprint:fp (encoded : string) : outcome =
   match Meta.decode encoded with
@@ -952,7 +863,14 @@ let handle_described t ~tenant ~fingerprint:fp ~deadline_ns
          | Some b -> not (bucket_admit b ~now:(now_s t))
          | None -> false
        then shed t ~tenant Quota
-       else handle_data t ts ~fingerprint:fp ~deadline_ns message)
+       else begin
+         t.stats.admitted <- t.stats.admitted + 1;
+         if t.m.gm_on then begin
+           Obs.Counter.incr t.m.gm_admitted;
+           Obs.Counter.incr ts.ts_m_admitted
+         end;
+         handle_data t ts ~fingerprint:fp ~deadline_ns message
+       end)
   | Framing.Meta_request _ | Framing.Ack _ | Framing.Reliable _
   | Framing.Traced _ | Framing.Described _ ->
     t.stats.bad_frames <- t.stats.bad_frames + 1;

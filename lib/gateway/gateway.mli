@@ -1,22 +1,26 @@
-(** Multi-tenant morphing gateway with overload protection and a
-    graceful-degradation ladder (docs/GATEWAY.md).
+(** Multi-tenant morphing gateway with overload protection
+    (docs/GATEWAY.md).
 
     A broker-side node multiplexing many tenants over one process: each
     tenant pushes format meta-data (self-describing onboarding), then
     sends {!Transport.Framing.Described} data envelopes; the gateway
-    sheds expired/over-quota/circuit-open work {e before} decoding,
+    sheds expired/over-quota/circuit-open work {e before} decoding, and
     plans morphs into the tenant's target format through one shared
-    bounded {!Plan_cache} (singleflight-coalesced compiles), and lets
-    the {!Governor} degrade new plan work fused -> staged -> interp ->
-    shed under compile pressure.  Every rung decodes and transforms to
-    byte-identical results — degradation trades latency, never
-    fidelity. *)
+    bounded {!Plan_cache} (singleflight-coalesced compiles).  Each plan
+    compiles once, at the engine its shape needs; while the cache
+    thrashes, the {!Governor} sheds messages that need a new plan. *)
 
 module Plan_cache = Plan_cache
 module Governor = Governor
 
-(** = {!Governor.rung}. *)
-type rung = Governor.rung = Fused | Staged | Interp | Shed
+(** The engine a plan runs. *)
+type rung =
+  | Fused
+      (** structural match: one fused decode->morph plan
+          ({!Pbio.Codec.morpher_in}) *)
+  | Staged
+      (** retro-transformation chain: compiled decode, then the composed
+          Ecode hops and the conversion into the target *)
 
 type config = {
   max_plans : int;  (** shared plan-cache entry bound *)
@@ -32,15 +36,12 @@ type config = {
       (** open -> half-open probe delay; [None] = open circuits stay
           open (the PR-2 permanent-quarantine behaviour) *)
   thresholds : Morph.Maxmatch.thresholds;  (** match acceptance *)
-  governor : Governor.config;  (** degradation ladder tuning *)
+  governor : Governor.config;  (** eviction-storm shedding *)
   compile_s_per_unit : float;
       (** simulated seconds of compile latency per cost unit *)
   pending_cap : int;
       (** max messages parked behind one in-flight compile; overflow is
           shed as {!Overload} *)
-  mode_override : rung option;
-      (** pin the ladder to one rung (parity testing); [None] = let the
-          governor drive *)
   parity : bool;
       (** cross-check every delivery against the interpretive reference
           decoder and count [gateway.parity_mismatches] *)
@@ -53,14 +54,17 @@ type shed_reason =
   | Deadline  (** envelope deadline already expired *)
   | Quota  (** tenant token bucket empty *)
   | Breaker  (** tenant circuit open *)
-  | Overload  (** governor at {!Shed}, or pending queue full *)
-  | Unknown_tenant  (** data before any meta push for this tenant *)
+  | Overload
+      (** new plan work during an eviction storm, or pending queue full *)
+  | Unknown_tenant
+      (** data before any meta push for this tenant, or for a tenant
+          dropped while its message was parked *)
   | No_meta  (** fingerprint never pushed by this tenant *)
 
 val shed_reason_to_string : shed_reason -> string
 
 type outcome =
-  | Delivered of rung  (** handed to the delivery handler at this rung *)
+  | Delivered of rung  (** handed to the delivery handler by this engine *)
   | Parked  (** waiting on an in-flight singleflight compile *)
   | Shed of shed_reason
   | Rejected of string  (** decode or transform failure (feeds the breaker) *)
@@ -71,9 +75,7 @@ type delivery = {
   tenant : int;
   fingerprint : int;
   deadline_ns : int;
-  rung : rung;  (** the rung this message actually decoded at *)
-  degraded : bool;
-      (** [rung] is below the best this plan's shape supports *)
+  rung : rung;  (** the engine this message decoded at *)
   value : Pbio.Value.t;  (** the message, morphed into the tenant's target *)
 }
 
@@ -84,8 +86,6 @@ type stats = {
   mutable delivered : int;
   mutable delivered_fused : int;
   mutable delivered_staged : int;
-  mutable delivered_interp : int;
-  mutable degraded_deliveries : int;
   mutable shed_deadline : int;
   mutable shed_quota : int;
   mutable shed_breaker : int;
@@ -98,7 +98,6 @@ type stats = {
   mutable plan_recompiles : int;
       (** compiles for a (tenant, format) that had a plan before — the
           recompile-storm signal *)
-  mutable plan_upgrades : int;  (** degraded plans re-compiled upward *)
   mutable singleflight_coalesced : int;
       (** messages parked behind an already-in-flight compile *)
   mutable parity_mismatches : int;
@@ -115,8 +114,9 @@ type t
     network.  [metrics] feeds the [gateway.*] counter/gauge catalogue
     and delivery trace spans.  [ctx] supplies the codec plan cache the
     gateway's fused/staged wire plans are compiled into (shared across
-    tenants and with any other user of the context); omitted, plans are
-    compiled privately per tenant as before (docs/CONCURRENCY.md).
+    tenants and with any other user of the context); omitted, it is
+    {!Pbio.Ctx.default}'s cache, as for [Morph.Receiver.create]
+    (docs/CONCURRENCY.md).
     [flight] arms an {!Obs.Flight} recorder: breaker trips, shed bursts
     and plan-cache eviction storms each freeze a bounded incident
     capture (spans + metrics snapshot) for post-mortem analysis
@@ -144,11 +144,16 @@ val handle_frame : t -> Transport.Framing.frame -> outcome
 
 (** Pre-provision a tenant, optionally pinning its delivery target
     format.  Without this, a tenant's first meta push onboards it and
-    the pushed lineage base becomes the target. *)
+    the pushed lineage base becomes the target.  Re-pinning a known
+    tenant to a different target drops its cached plans (not counted as
+    evictions) and re-plans messages parked behind compiles for the old
+    target. *)
 val add_tenant : t -> id:int -> ?target:Pbio.Ptype.record -> unit -> unit
 
-(** Offboard: forget the tenant and drop its cached plans.  [false] if
-    unknown. *)
+(** Offboard: forget the tenant and drop its cached plans.  Messages
+    parked behind its in-flight compiles are shed as [Unknown_tenant]
+    when those compiles complete, and nothing they compiled is cached.
+    [false] if unknown. *)
 val drop_tenant : t -> int -> bool
 
 (** The routing fingerprint of a format description: what senders put in
@@ -171,9 +176,6 @@ val cache_stats : t -> Plan_cache.stats
 val set_handler : t -> (delivery -> unit) -> unit
 
 val tenant_count : t -> int
-
-(** The ladder rung new plan work would compile at right now. *)
-val degrade_rung : t -> rung
 
 (** [None] for an unknown tenant. *)
 val breaker_state : t -> int -> Morph.Breaker.state option

@@ -1,97 +1,49 @@
-(* The compile-budget governor behind the graceful-degradation ladder.
+(* The eviction-storm meter behind the gateway's overload shedding.
 
-   Plan compilation is the gateway's expensive, bursty cost: a mass schema
-   push wants thousands of fresh plans at once.  The governor accounts
-   compile cost (in deterministic [Ptype.weight] units — never wall time,
-   so seeded runs replay exactly) over a rolling window of simulated time
-   and maps the spend to a rung:
+   Every plan compiles once, at the engine its shape needs, so the only
+   plan-side overload left is cache thrash: when evictions per window of
+   simulated time exceed [shed_evictions], compiling more plans only
+   evicts other tenants' plans, so the gateway sheds new plan work.
+   Window rolls halve the count (exponential decay), giving hysteresis:
+   a storm drains gradually instead of the signal flapping at the window
+   edge.  Counts are of events on the virtual clock, never wall time, so
+   seeded runs replay exactly. *)
 
-     spend <= budget                 -> Fused    (full fast path)
-     spend <= interp_over * budget   -> Staged   (skip fused morph plans)
-     spend  > interp_over * budget   -> Interp   (no wire plans at all)
+type config = { window_s : float; shed_evictions : int }
 
-   plus a separate overload signal: when the plan cache is thrashing
-   (evictions per window above [shed_evictions]), compiling more plans
-   only evicts other tenants' plans, so the governor answers Shed for new
-   plan work.  Window rolls halve the accumulated spend (exponential
-   decay), giving hysteresis: pressure drains gradually instead of the
-   rung flapping at the window edge. *)
-
-type rung = Fused | Staged | Interp | Shed
-
-let rung_to_string = function
-  | Fused -> "fused"
-  | Staged -> "staged"
-  | Interp -> "interp"
-  | Shed -> "shed"
-
-let rung_level = function Fused -> 0 | Staged -> 1 | Interp -> 2 | Shed -> 3
-
-let pp_rung ppf r = Fmt.string ppf (rung_to_string r)
-
-type config = {
-  window_s : float;
-  budget : float;
-  interp_over : float;
-  shed_evictions : int;
-}
-
-let default =
-  { window_s = 0.05; budget = 500.; interp_over = 3.; shed_evictions = 0 }
+let default = { window_s = 0.05; shed_evictions = 0 }
 
 type t = {
   cfg : config;
   mutable window_start : float;
-  mutable spend : float;
   mutable window_evictions : int;
 }
 
 let create ?(now = 0.) (cfg : config) =
   if not (cfg.window_s > 0.) then invalid_arg "Governor.create: window_s must be > 0";
-  if not (cfg.budget > 0.) then invalid_arg "Governor.create: budget must be > 0";
-  if not (cfg.interp_over >= 1.) then
-    invalid_arg "Governor.create: interp_over must be >= 1";
   if cfg.shed_evictions < 0 then
     invalid_arg "Governor.create: shed_evictions must be >= 0";
-  { cfg; window_start = now; spend = 0.; window_evictions = 0 }
+  { cfg; window_start = now; window_evictions = 0 }
 
-(* Advance the window to cover [now], halving spend per elapsed window.
-   A long idle gap (>= 64 windows) just clears the state — the decayed
-   spend would be indistinguishable from zero anyway. *)
+(* Advance the window to cover [now], halving the count per elapsed
+   window.  A long idle gap (>= 64 windows) just clears the state — the
+   decayed count would be zero anyway. *)
 let roll t ~now =
   let w = t.cfg.window_s in
   if now -. t.window_start >= 64. *. w then begin
     t.window_start <- now;
-    t.spend <- 0.;
     t.window_evictions <- 0
   end
   else
     while now -. t.window_start >= w do
       t.window_start <- t.window_start +. w;
-      t.spend <- t.spend /. 2.;
       t.window_evictions <- t.window_evictions / 2
     done
-
-let charge t ~now cost =
-  roll t ~now;
-  t.spend <- t.spend +. Float.max 0. cost
 
 let note_eviction t ~now =
   roll t ~now;
   t.window_evictions <- t.window_evictions + 1
 
-let rung t ~now =
+let overloaded t ~now =
   roll t ~now;
-  if t.cfg.shed_evictions > 0 && t.window_evictions > t.cfg.shed_evictions then
-    Shed
-  else if t.spend <= t.cfg.budget then Fused
-  else if t.spend <= t.cfg.budget *. t.cfg.interp_over then Staged
-  else Interp
-
-let spend t ~now =
-  roll t ~now;
-  t.spend
-
-let window_evictions t ~now =
-  roll t ~now;
-  t.window_evictions
+  t.cfg.shed_evictions > 0 && t.window_evictions > t.cfg.shed_evictions

@@ -1,55 +1,30 @@
-(** Compile-budget governor: picks the gateway's current degradation rung.
+(** Eviction-storm meter: tells the gateway when to shed new plan work.
 
-    Accounts plan-compile cost (deterministic {!Pbio.Ptype.weight} units,
-    never wall time) over a rolling window of simulated seconds and maps
-    the accumulated spend to a rung of the ladder fused -> staged ->
-    interp; a separate plan-cache thrash signal (evictions per window)
-    maps to shed.  Window rolls halve the spend — exponential decay — so
-    the rung recovers gradually instead of flapping (docs/GATEWAY.md). *)
-
-type rung =
-  | Fused  (** compile fused decode->morph plans; full fast path *)
-  | Staged  (** compile decode plans only; transform on the value tree *)
-  | Interp  (** compile nothing; interpretive decode per message *)
-  | Shed  (** don't even plan: shed messages that need a new plan *)
-
-val rung_to_string : rung -> string
-
-(** 0 (fused) .. 3 (shed) — the [gateway.degrade_level] gauge encoding. *)
-val rung_level : rung -> int
-
-val pp_rung : Format.formatter -> rung -> unit
+    Counts plan-cache evictions over a rolling window of simulated
+    seconds.  When evictions in one window exceed [shed_evictions] the
+    cache is thrashing — a fresh plan would only evict another tenant's —
+    so the gateway sheds messages that need a new plan until the storm
+    decays.  Window rolls halve the count (exponential decay), so the
+    signal clears gradually instead of flapping (docs/GATEWAY.md). *)
 
 type config = {
   window_s : float;  (** accounting window, simulated seconds *)
-  budget : float;  (** cost units per window that still allow Fused *)
-  interp_over : float;
-      (** Staged up to [interp_over * budget] spend, Interp beyond *)
   shed_evictions : int;
       (** plan-cache evictions per window beyond which new plan work is
-          Shed; 0 disables the shed rung *)
+          shed; 0 disables shedding *)
 }
 
-(** 50 ms window, 500 units, interp beyond 3x budget, shed disabled. *)
+(** 50 ms window, shedding disabled. *)
 val default : config
 
 type t
 
-(** Raises [Invalid_argument] on non-positive window or budget,
-    [interp_over < 1] or negative [shed_evictions].  [now] anchors the
-    first window (default 0). *)
+(** Raises [Invalid_argument] on a non-positive window or negative
+    [shed_evictions].  [now] anchors the first window (default 0). *)
 val create : ?now:float -> config -> t
 
-(** Account [cost] units of compile work at time [now]. *)
-val charge : t -> now:float -> float -> unit
-
-(** Note one plan-cache eviction at time [now] (cache-thrash signal). *)
+(** Note one plan-cache eviction at time [now]. *)
 val note_eviction : t -> now:float -> unit
 
-(** The rung in effect at time [now]. *)
-val rung : t -> now:float -> rung
-
-(** Decayed spend in the current window. *)
-val spend : t -> now:float -> float
-
-val window_evictions : t -> now:float -> int
+(** Whether new plan work should be shed at time [now]. *)
+val overloaded : t -> now:float -> bool

@@ -26,7 +26,7 @@ type stats = {
 (** [create ()] — defaults: 1024 entries, unlimited cost, unlimited
     per-tenant quota, no eviction hook.  [on_evict] fires on every
     capacity eviction (not on explicit {!remove}/{!drop_tenant}), e.g. to
-    feed the degradation governor.  Raises [Invalid_argument] on
+    feed the gateway's eviction-storm governor.  Raises [Invalid_argument] on
     non-positive limits. *)
 val create :
   ?max_entries:int ->

@@ -12,11 +12,6 @@ type scenario =
   | Echo
   | B2b
 
-type mode =
-  | Fused
-  | Staged
-  | Interp
-
 let scenario_to_string = function Echo -> "echo" | B2b -> "b2b"
 
 let scenario_of_string s =
@@ -25,22 +20,8 @@ let scenario_of_string s =
   | "b2b" -> Ok B2b
   | other -> Error (Printf.sprintf "unknown scenario %S (want echo or b2b)" other)
 
-let mode_to_string = function
-  | Fused -> "fused"
-  | Staged -> "staged"
-  | Interp -> "interp"
-
-let mode_of_string s =
-  match String.lowercase_ascii (String.trim s) with
-  | "fused" -> Ok Fused
-  | "staged" -> Ok Staged
-  | "interp" -> Ok Interp
-  | other ->
-    Error (Printf.sprintf "unknown mode %S (want fused, staged or interp)" other)
-
 type config = {
   scenario : scenario;
-  mode : mode;
   clients : int;
   dist : Dist.t;
   duration_s : float;
@@ -58,7 +39,6 @@ type config = {
 let default =
   {
     scenario = Echo;
-    mode = Fused;
     clients = 1_000;
     dist = Dist.Poisson 2_000.;
     duration_s = 0.5;
@@ -269,16 +249,9 @@ let run (cfg : config) : report =
     Obs.Histogram.observe m_e2e (Netsim.now net -. t0)
   in
 
-  let engine =
-    match cfg.mode with
-    | Interp -> Morph.Xform.Interpreted
-    | Fused | Staged -> Morph.Xform.Compiled
-  in
   let flight = Obs.Flight.create reg in
   let recv =
-    Receiver.create
-      ~config:(Receiver.Config.v ~engine ~metrics:reg ~flight ())
-      ()
+    Receiver.create ~config:(Receiver.Config.v ~metrics:reg ~flight ()) ()
   in
 
   (* The header of the message being delivered; delivery is synchronous,
@@ -291,14 +264,14 @@ let run (cfg : config) : report =
     match cfg.scenario with
     | Echo ->
       let creator =
-        Echo.Node.create ~engine ~reliable:cfg.reliable ~metrics:reg net
+        Echo.Node.create ~reliable:cfg.reliable ~metrics:reg net
           ~host:"creator" ~port:1 Echo.Node.V2
       in
       Echo.Node.create_channel creator "load" ~as_source:true ~as_sink:false;
       for i = 0 to cfg.sinks - 1 do
         let version = if i mod 2 = 1 then Echo.Node.V1 else Echo.Node.V2 in
         let sink =
-          Echo.Node.create ~engine ~reliable:cfg.reliable ~metrics:reg net
+          Echo.Node.create ~reliable:cfg.reliable ~metrics:reg net
             ~host:"sink" ~port:(100 + i) version
         in
         Echo.Node.join sink ~creator:(Echo.Node.contact creator) "load"
@@ -350,14 +323,6 @@ let run (cfg : config) : report =
   in
   Receiver.register recv (Population.base pop) (fun _v -> on_base ());
 
-  let deliver_one (pv : Population.version) (body : string) =
-    match cfg.mode with
-    | Fused -> Receiver.deliver_wire recv pv.meta body
-    | Staged | Interp -> (
-      match Wire.decode pv.format body with
-      | Ok v -> Receiver.deliver recv pv.meta v
-      | Error e -> Receiver.Rejected (Err.to_string e))
-  in
   let ingress = Contact.make "ingress" 1 in
   Netsim.add_node net ingress (fun ~src:_ payload ->
       match parse_frame payload with
@@ -369,7 +334,7 @@ let run (cfg : config) : report =
           cur_client := client;
           cur_seq := seq;
           cur_t0 := t0;
-          match deliver_one pvs.(version) body with
+          match Receiver.deliver_wire recv pvs.(version).meta body with
           | Receiver.Delivered { via; _ } -> (
             match via with
             | Receiver.Exact -> vias.exact <- vias.exact + 1
@@ -487,8 +452,6 @@ let run (cfg : config) : report =
 let percentile (r : report) q =
   match r.latency with Some s -> Obs.Histogram.quantile s q | None -> 0.
 
-(* Engine-independent by design: [mode] never appears, so the parity
-   gates can diff summaries across fused/staged/interp verbatim. *)
 let summary (r : report) : string =
   let cfg = r.config in
   let b = Buffer.create 512 in
@@ -538,7 +501,7 @@ let summary (r : report) : string =
    meta-data through the same Described envelopes as their data, and the
    [g_push_at] times fire mass schema-push storms (every tenant advances
    one version and re-pushes at once — the recompile-storm case the
-   gateway's singleflight and governor exist for).
+   gateway's singleflight compiles exist for).
 
    Latency is deadline-derived: when [g_deadline_s > 0] every message
    carries [now + deadline] and the delivery handler recovers the send
@@ -587,7 +550,6 @@ type gateway_report = {
   g_active_end : int;
   g_stats : Gateway.stats;
   g_cache : Gateway.Plan_cache.stats;
-  g_degrade_max : int;  (* worst ladder level observed at a sample point *)
   g_breakers_open_end : int;
   g_latency : Obs.Histogram.snapshot option;
   g_sim_end : float;
@@ -645,12 +607,6 @@ let check_gateway (cfg : gateway_config) : (unit, Err.t) result =
   else if not (g.Gateway.governor.Gateway.Governor.window_s > 0.) then
     err "governor window must be > 0 (got %g)"
       g.Gateway.governor.Gateway.Governor.window_s
-  else if not (g.Gateway.governor.Gateway.Governor.budget > 0.) then
-    err "governor budget must be > 0 (got %g)"
-      g.Gateway.governor.Gateway.Governor.budget
-  else if not (g.Gateway.governor.Gateway.Governor.interp_over >= 1.) then
-    err "governor interp-over must be >= 1 (got %g)"
-      g.Gateway.governor.Gateway.Governor.interp_over
   else if g.Gateway.governor.Gateway.Governor.shed_evictions < 0 then
     err "governor shed-evictions must be >= 0 (got %d)"
       g.Gateway.governor.Gateway.Governor.shed_evictions
@@ -680,16 +636,14 @@ let run_gateway (cfg : gateway_config) : gateway_report =
     Obs.Histogram.make reg ~unit_:"s" ~buckets:latency_buckets
       "gateway.latency_s"
   in
-  (* Per-rung delivery latency, one labeled series per ladder rung.  The
-     gateway reports the rung each message actually decoded at, so a
-     degrading run shows its latency cost split by execution tier. *)
+  (* Per-rung delivery latency, one labeled series per engine: the
+     gateway reports the engine each message decoded at. *)
   let rung_lat =
     Obs.Labeled.histogram reg ~unit_:"s" ~buckets:latency_buckets
       ~keys:[ "rung" ] "gateway.rung.latency_s"
   in
   let lat_fused = Obs.Labeled.histogram_series rung_lat [ "fused" ] in
   let lat_staged = Obs.Labeled.histogram_series rung_lat [ "staged" ] in
-  let lat_interp = Obs.Labeled.histogram_series rung_lat [ "interp" ] in
   let flight = Obs.Flight.create reg in
   let gw_contact = Contact.make "gateway" 1 in
   let gw =
@@ -704,8 +658,7 @@ let run_gateway (cfg : gateway_config) : gateway_report =
           Obs.Histogram.observe
             (match d.Gateway.rung with
              | Gateway.Fused -> lat_fused
-             | Gateway.Staged -> lat_staged
-             | Gateway.Interp | Gateway.Shed -> lat_interp)
+             | Gateway.Staged -> lat_staged)
             lat
         end)
   in
@@ -825,13 +778,10 @@ let run_gateway (cfg : gateway_config) : gateway_report =
           done))
     cfg.g_push_at;
 
-  let degrade_max = ref 0 in
   let traj = Buffer.create 512 in
   let sample ~final () =
     let s = Gateway.stats gw in
     let c = Gateway.cache_stats gw in
-    let level = Gateway.Governor.rung_level (Gateway.degrade_rung gw) in
-    if level > !degrade_max then degrade_max := level;
     let p q =
       match Obs.Histogram.snapshot reg "gateway.latency_s" with
       | Some snap -> Obs.Histogram.quantile snap q
@@ -839,10 +789,10 @@ let run_gateway (cfg : gateway_config) : gateway_report =
     in
     Buffer.add_string traj
       (Printf.sprintf
-         {|{"t":%.6f,"sent":%d,"delivered":%d,"shed":%d,"degraded":%d,"pending":%d,"cache":%d,"degrade":%d,"p50":%.6f,"p99":%.6f,"final":%b}|}
+         {|{"t":%.6f,"sent":%d,"delivered":%d,"shed":%d,"pending":%d,"cache":%d,"p50":%.6f,"p99":%.6f,"final":%b}|}
          (elapsed ()) !sent s.Gateway.delivered (Gateway.shed_total s)
-         s.Gateway.degraded_deliveries (Gateway.pending_depth gw)
-         c.Gateway.Plan_cache.entries level (p 0.50) (p 0.99) final);
+         (Gateway.pending_depth gw) c.Gateway.Plan_cache.entries (p 0.50)
+         (p 0.99) final);
     Buffer.add_char traj '\n'
   in
   let sample_gap = cfg.g_duration_s /. float_of_int cfg.g_samples in
@@ -870,7 +820,6 @@ let run_gateway (cfg : gateway_config) : gateway_report =
     g_active_end = !n_active;
     g_stats = Gateway.stats gw;
     g_cache = Gateway.cache_stats gw;
-    g_degrade_max = !degrade_max;
     g_breakers_open_end = Gateway.breakers_open gw;
     g_latency = Obs.Histogram.snapshot reg "gateway.latency_s";
     g_sim_end = elapsed ();
@@ -904,28 +853,21 @@ let gateway_summary (r : gateway_report) : string =
     cfg.g_duration_s cfg.g_churn_per_s cfg.g_versions;
   p "storms=%d deadline=%gs" (List.length cfg.g_push_at) cfg.g_deadline_s;
   p "gateway max_plans=%d quota=%d admit=%g/s burst=%g breaker=%d cooldown=%s \
-     budget=%g/%gs interp_over=%g shed_evictions=%d mode=%s parity=%b"
+     shed_evictions=%d/%gs parity=%b"
     g.Gateway.max_plans g.Gateway.tenant_quota g.Gateway.admit_rate
     g.Gateway.admit_burst g.Gateway.breaker_threshold
     (match g.Gateway.breaker_cooldown_s with
      | Some c -> Printf.sprintf "%gs" c
      | None -> "none")
-    g.Gateway.governor.Gateway.Governor.budget
-    g.Gateway.governor.Gateway.Governor.window_s
-    g.Gateway.governor.Gateway.Governor.interp_over
     g.Gateway.governor.Gateway.Governor.shed_evictions
-    (match g.Gateway.mode_override with
-     | Some m -> Gateway.Governor.rung_to_string m
-     | None -> "auto")
+    g.Gateway.governor.Gateway.Governor.window_s
     g.Gateway.parity;
   p "faults loss=%.3f dup=%.3f reorder=%.3f jitter=%.4fs" f.Netsim.loss
     f.Netsim.duplication f.Netsim.reorder f.Netsim.jitter_s;
   p "sent=%d pushes=%d onboarded=%d churn joins=%d leaves=%d active_end=%d"
     r.g_sent r.g_pushes s.Gateway.onboarded r.g_joins r.g_leaves r.g_active_end;
-  p "admitted=%d delivered=%d fused=%d staged=%d interp=%d degraded=%d"
-    s.Gateway.admitted s.Gateway.delivered s.Gateway.delivered_fused
-    s.Gateway.delivered_staged s.Gateway.delivered_interp
-    s.Gateway.degraded_deliveries;
+  p "admitted=%d delivered=%d fused=%d staged=%d" s.Gateway.admitted
+    s.Gateway.delivered s.Gateway.delivered_fused s.Gateway.delivered_staged;
   p "shed total=%d deadline=%d quota=%d breaker=%d overload=%d unknown=%d \
      no_meta=%d"
     (Gateway.shed_total s) s.Gateway.shed_deadline s.Gateway.shed_quota
@@ -933,9 +875,8 @@ let gateway_summary (r : gateway_report) : string =
     s.Gateway.shed_no_meta;
   p "rejected=%d bad_frames=%d parity_mismatches=%d" s.Gateway.rejected
     s.Gateway.bad_frames s.Gateway.parity_mismatches;
-  p "plans compiles=%d recompiles=%d upgrades=%d coalesced=%d degrade_max=%d"
-    s.Gateway.plan_compiles s.Gateway.plan_recompiles s.Gateway.plan_upgrades
-    s.Gateway.singleflight_coalesced r.g_degrade_max;
+  p "plans compiles=%d recompiles=%d coalesced=%d" s.Gateway.plan_compiles
+    s.Gateway.plan_recompiles s.Gateway.singleflight_coalesced;
   p "cache entries=%d high_water=%d cost=%g hits=%d misses=%d evictions=%d \
      quota_evictions=%d"
     c.Gateway.Plan_cache.entries c.Gateway.Plan_cache.high_water

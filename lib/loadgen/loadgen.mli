@@ -7,7 +7,11 @@
     on {!Transport.Netsim}'s virtual clock.  Everything is seeded, so a
     run is a pure function of its {!config}: the {!summary} string and
     ndjson trajectory are byte-stable across processes, which is what
-    the golden and parity regression gates in [test/] assert on. *)
+    the golden regression gates in [test/] assert on.  The ingress
+    receiver delivers each message with [Morph.Receiver.deliver_wire];
+    the equivalence of that path with decode-then-deliver and with the
+    interpreted engine is the morphcheck [codec], [engines] and [chain]
+    oracles' job. *)
 
 module Dist = Dist
 module Population = Population
@@ -16,22 +20,11 @@ type scenario =
   | Echo  (** clients -> ingress morph -> channel fan-out to mixed V1/V2 sinks *)
   | B2b  (** clients -> ingress morph -> retailer order -> broker -> supplier -> status *)
 
-(** How the ingress receiver processes each message; virtual time is
-    oblivious to real compute cost, so all three must yield identical
-    delivery outcomes for the same seed (the parity gate). *)
-type mode =
-  | Fused  (** [Receiver.deliver_wire], compiled engine *)
-  | Staged  (** [Wire.decode] then [Receiver.deliver], compiled engine *)
-  | Interp  (** staged delivery on the interpreted engine (A1 ablation) *)
-
 val scenario_to_string : scenario -> string
 val scenario_of_string : string -> (scenario, string) result
-val mode_to_string : mode -> string
-val mode_of_string : string -> (mode, string) result
 
 type config = {
   scenario : scenario;
-  mode : mode;
   clients : int;  (** population size; senders cost O(1) sim state each *)
   dist : Dist.t;  (** aggregate arrival process across active clients *)
   duration_s : float;  (** arrival window in simulated seconds *)
@@ -107,9 +100,7 @@ val percentile : report -> float -> float
 
 (** The deterministic multi-line run summary the golden gates snapshot:
     config echo plus outcome, via, churn, network and latency
-    (p50/p99/p999) lines.  Engine-independent by construction — {!mode}
-    is deliberately excluded so parity tests can compare summaries
-    across engines verbatim. *)
+    (p50/p99/p999) lines. *)
 val summary : report -> string
 
 (** {1 The gateway scenario}
@@ -159,8 +150,6 @@ type gateway_report = {
   g_active_end : int;
   g_stats : Gateway.stats;
   g_cache : Gateway.Plan_cache.stats;
-  g_degrade_max : int;
-      (** worst {!Gateway.Governor.rung_level} observed at a sample point *)
   g_breakers_open_end : int;
   g_latency : Obs.Histogram.snapshot option;
       (** admitted-delivery latency, simulated seconds (empty when

@@ -1,11 +1,11 @@
 (* Chaos soak for the multi-tenant morphing gateway (docs/GATEWAY.md).
 
    Each case drives one gateway hard on purpose: a deliberately tiny plan
-   cache and compile budget, tight tenant quotas and admission rates, a
-   mass schema-push storm and a 3x overload burst mid-run — first
-   fault-free, then under the {!Chaos.profile} fault model (loss,
-   duplication, reordering, jitter, a timed partition).  The gateway may
-   shed and degrade as much as it needs to; what it may never do is
+   cache, tight tenant quotas and admission rates, a mass schema-push
+   storm and a 3x overload burst mid-run — first fault-free, then under
+   the {!Chaos.profile} fault model (loss, duplication, reordering,
+   jitter, a timed partition).  The gateway may shed as much as it needs
+   to; what it may never do is
    crash, leak (pending work or cache entries past their bounds), deliver
    bytes that differ from the interpretive reference (parity stays on for
    every delivery), or diverge between two runs of the same seed. *)
@@ -78,7 +78,7 @@ let build_lineage ~seed =
       (meta, Wire.encode ~format_id:i format value))
 
 (* A stressed-by-design gateway: the bounds are small enough that a storm
-   plus a burst must evict, degrade and shed. *)
+   plus a burst must evict and shed. *)
 let case_config : Gateway.config =
   {
     Gateway.default_config with
@@ -88,8 +88,7 @@ let case_config : Gateway.config =
     admit_burst = 8.;
     breaker_cooldown_s = Some 0.01;
     governor =
-      { Gateway.Governor.window_s = 0.01; budget = 60.; interp_over = 3.;
-        shed_evictions = 24 };
+      { Gateway.Governor.window_s = 0.01; shed_evictions = 24 };
     compile_s_per_unit = 5e-5;
     pending_cap = 64;
     parity = true;
@@ -102,7 +101,6 @@ type digest = {
   d_sent : int;
   d_admitted : int;
   d_delivered : int;
-  d_degraded : int;
   d_shed : int;
   d_rejected : int;
   d_compiles : int;
@@ -118,10 +116,10 @@ type digest = {
 
 let digest_to_string (d : digest) =
   Printf.sprintf
-    "sent=%d admitted=%d delivered=%d degraded=%d shed=%d rejected=%d \
+    "sent=%d admitted=%d delivered=%d shed=%d rejected=%d \
      compiles=%d recompiles=%d coalesced=%d trips=%d high_water=%d \
      cache_end=%d parity_mismatches=%d pending_end=%d quiesced=%b"
-    d.d_sent d.d_admitted d.d_delivered d.d_degraded d.d_shed d.d_rejected
+    d.d_sent d.d_admitted d.d_delivered d.d_shed d.d_rejected
     d.d_compiles d.d_recompiles d.d_coalesced d.d_trips d.d_high_water
     d.d_cache_end d.d_parity_mismatches d.d_pending_end d.d_quiesced
 
@@ -199,7 +197,6 @@ let run_once ~(seed : int) ~(faulty : bool) ~(profile : Chaos.profile)
     d_sent = !sent;
     d_admitted = s.Gateway.admitted;
     d_delivered = s.Gateway.delivered;
-    d_degraded = s.Gateway.degraded_deliveries;
     d_shed = Gateway.shed_total s;
     d_rejected = s.Gateway.rejected;
     d_compiles = s.Gateway.plan_compiles;

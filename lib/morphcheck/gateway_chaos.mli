@@ -1,10 +1,10 @@
 (** Chaos soak for the multi-tenant morphing gateway.
 
     Each case stresses one gateway on purpose — tiny plan cache, tight
-    compile budget and quotas, a mass schema-push storm and a 3x
-    overload burst — fault-free and then under the {!Chaos.profile}
-    fault model, with parity cross-checking on for every delivery.
-    Shedding and degradation are expected; crashes, bound violations,
+    quotas, a mass schema-push storm and a 3x overload burst —
+    fault-free and then under the {!Chaos.profile} fault model, with
+    parity cross-checking on for every delivery.  Shedding is expected;
+    crashes, bound violations,
     reference divergence and non-determinism are failures.  See
     docs/GATEWAY.md and docs/FAULTS.md. *)
 

@@ -1,8 +1,6 @@
 (* The load-harness regression gates: golden tests snapshot the
-   deterministic summary of canonical workload mixes; parity tests assert
-   the fused / staged / interp ingress paths produce identical delivery
-   outcomes under the same seed (virtual time is oblivious to compute
-   cost, so the summaries must match byte for byte). *)
+   deterministic summary of canonical workload mixes, and the same seed
+   must replay byte for byte. *)
 
 module L = Loadgen
 module D = Loadgen.Dist
@@ -156,19 +154,8 @@ let test_golden_perturbation () =
     { echo_cfg with
       L.faults = { Transport.Netsim.no_faults with Transport.Netsim.loss = 0.01 } }
 
-(* --- parity gates ----------------------------------------------------------- *)
-
-let parity name cfg () =
-  let s mode = L.summary (L.run { cfg with L.mode = mode }) in
-  let fused = s L.Fused in
-  Alcotest.(check string) (name ^ ": staged == fused") fused (s L.Staged);
-  Alcotest.(check string) (name ^ ": interp == fused") fused (s L.Interp)
-
 let small_echo =
   { echo_cfg with L.clients = 200; dist = D.Poisson 1000.; duration_s = 0.2 }
-
-let small_b2b =
-  { b2b_cfg with L.clients = 150; dist = D.Constant 600.; duration_s = 0.15 }
 
 (* --- trajectories ----------------------------------------------------------- *)
 
@@ -227,7 +214,7 @@ let test_scrape_neutral_and_shaped () =
 let test_gateway_scrape_and_tenant_telemetry () =
   (* 300 tenants against a 256-series label cap: the per-tenant families
      must spill to ["other"] instead of growing without bound, and the
-     per-rung families must see the traffic *)
+     per-engine families must see the traffic *)
   let cfg =
     { L.default_gateway with
       L.g_tenants = 300;
@@ -263,13 +250,13 @@ let test_gateway_scrape_and_tenant_telemetry () =
   let rung r' = Obs.Counter.value m (Printf.sprintf {|gateway.rung.delivered{rung="%s"}|} r') in
   Alcotest.(check int) "per-rung deliveries sum to the total"
     r.L.g_stats.Gateway.delivered
-    (rung "fused" + rung "staged" + rung "interp");
+    (rung "fused" + rung "staged");
   let rlat r' =
     Obs.Histogram.count m (Printf.sprintf {|gateway.rung.latency_s{rung="%s"}|} r')
   in
   Alcotest.(check int) "per-rung latency observations match deliveries"
     r.L.g_stats.Gateway.delivered
-    (rlat "fused" + rlat "staged" + rlat "interp");
+    (rlat "fused" + rlat "staged");
   (* the whole registry renders as prometheus exposition *)
   let prom = Obs.to_prometheus m in
   Alcotest.(check bool) "labeled tenant series exposed" true
@@ -371,10 +358,6 @@ let test_check_gateway_rejects_bad_flags () =
   let gov (governor : Gateway.Governor.config) = gw { g with Gateway.governor } in
   let g0 = g.Gateway.governor in
   bad "governor window" (gov { g0 with Gateway.Governor.window_s = 0. }) "window";
-  bad "governor budget" (gov { g0 with Gateway.Governor.budget = 0. }) "budget";
-  bad "governor interp-over"
-    (gov { g0 with Gateway.Governor.interp_over = 0.9 })
-    "interp-over";
   bad "governor shed-evictions"
     (gov { g0 with Gateway.Governor.shed_evictions = -1 })
     "shed-evictions";
@@ -398,12 +381,6 @@ let suite =
       test_golden_twice;
     Alcotest.test_case "golden: perturbations fail the gate" `Quick
       test_golden_perturbation;
-    Alcotest.test_case "parity: echo fused/staged/interp" `Quick
-      (parity "echo" small_echo);
-    Alcotest.test_case "parity: b2b fused/staged/interp" `Quick
-      (parity "b2b" small_b2b);
-    Alcotest.test_case "parity: faulted echo fused/staged/interp" `Slow
-      (parity "faulty" faulty_cfg);
     Alcotest.test_case "trajectory: ndjson shape" `Quick test_trajectory_shape;
     Alcotest.test_case "scrape: neutral and well-shaped" `Quick
       test_scrape_neutral_and_shaped;
