@@ -133,6 +133,7 @@ type rmetrics = {
   rm_transform_failures : Obs.Counter.h;
   rm_quarantined : Obs.Counter.h;
   rm_recovered : Obs.Counter.h;
+  rm_structural_lookups : Obs.Counter.h;
   rm_maxmatch_ns : Obs.Histogram.h;
   rm_plan_ns : Obs.Histogram.h;
   rm_morph_ns : Obs.Histogram.h;
@@ -154,6 +155,7 @@ let make_rmetrics reg =
     rm_transform_failures = Obs.Counter.make reg "receiver.transform_failures";
     rm_quarantined = Obs.Counter.make reg "receiver.quarantined";
     rm_recovered = Obs.Counter.make reg "receiver.recovered";
+    rm_structural_lookups = Obs.Counter.make reg "receiver.structural_lookups";
     rm_maxmatch_ns = Obs.Histogram.make reg ~unit_:"ns" "receiver.maxmatch_ns";
     rm_plan_ns = Obs.Histogram.make reg ~unit_:"ns" "receiver.plan_ns";
     rm_morph_ns = Obs.Histogram.make reg ~unit_:"ns" "receiver.morph_ns";
@@ -168,6 +170,15 @@ let make_rmetrics reg =
     rm_staged_ns = Obs.Histogram.make reg ~unit_:"ns" "codec.staged_ns";
   }
 
+(* How many meta values a receiver recognises by identity ([==]) before it
+   falls back to the structural key ([Meta.hash] + [Meta.equal]). *)
+let identity_slots = 8
+
+type slot = {
+  slot_meta : Meta.format_meta; (* the value delivered, not [entry.key] *)
+  slot_entry : cache_entry;
+}
+
 type t = {
   config : Config.t;
   m : rmetrics;
@@ -178,6 +189,13 @@ type t = {
   mutable default_handler : (Meta.format_meta -> Value.t -> unit) option;
   mutable probe : (Value.t option -> outcome -> unit) option;
   cache : (int, cache_entry list) Hashtbl.t;
+  slots : slot option array;
+  (* identity slots in front of [cache], filled round-robin at
+     [next_slot]: callers hold one meta value per format, so a pointer
+     comparison finds the pipeline without re-hashing the whole meta.
+     [==] implies [Meta.equal]: metas are immutable and [Meta.equal] is
+     reflexive. *)
+  mutable next_slot : int;
   stats : stats;
 }
 
@@ -196,6 +214,8 @@ let create ?(config = Config.default) () =
     default_handler = None;
     probe = None;
     cache = Hashtbl.create 32;
+    slots = Array.make identity_slots None;
+    next_slot = 0;
     stats =
       { cache_hits = 0; cold_paths = 0; delivered = 0; rejected = 0; defaulted = 0;
         transform_failures = 0; quarantined = 0; recovered = 0 };
@@ -210,7 +230,9 @@ let register t (fmt : Ptype.record) (handler : handler) : unit =
   t.registered <- t.registered @ [ { fmt; handler } ];
   (* Registered formats change the matching space: throw away planned
      pipelines so they are recomputed against the new set. *)
-  Hashtbl.reset t.cache
+  Hashtbl.reset t.cache;
+  Array.fill t.slots 0 identity_slots None;
+  t.next_slot <- 0
 
 let set_default_handler t f = t.default_handler <- Some f
 
@@ -400,6 +422,20 @@ let plan t (meta : Meta.format_meta) : pipeline =
 
 (* --- delivery ------------------------------------------------------------ *)
 
+(* The pipeline for [meta] by identity: a slot holding this very value. *)
+let rec find_slot t (meta : Meta.format_meta) i : cache_entry option =
+  if i = identity_slots then None
+  else
+    match t.slots.(i) with
+    | Some { slot_meta; slot_entry } when slot_meta == meta -> Some slot_entry
+    | Some _ | None -> find_slot t meta (i + 1)
+
+let fill_slot t (meta : Meta.format_meta) (entry : cache_entry) : unit =
+  t.slots.(t.next_slot) <- Some { slot_meta = meta; slot_entry = entry };
+  t.next_slot <- (t.next_slot + 1) mod identity_slots
+
+(* The pipeline for [meta] by structure: the whole meta's hash bucket, then
+   [Meta.equal] against each entry's key. *)
 let find_cached t (meta : Meta.format_meta) : cache_entry option =
   let h = Meta.hash meta in
   match Hashtbl.find_opt t.cache h with
@@ -519,18 +555,34 @@ let run_pipeline t (entry : cache_entry) (meta : Meta.format_meta) (v : Value.t)
   in
   outcome
 
-(* Cache lookup with hit/miss accounting; plans and caches the pipeline on
-   a miss. *)
+let count_hit t =
+  t.stats.cache_hits <- t.stats.cache_hits + 1;
+  Obs.Counter.incr t.m.rm_cache_hits
+
+(* Cache lookup with hit/miss accounting: the identity slots first, then the
+   structural table, planning and caching the pipeline on a miss.  Whatever
+   a slot miss finds or plans takes the next slot, keyed by the meta value
+   delivered, so the next message carrying that value skips the
+   structural key. *)
 let lookup t (meta : Meta.format_meta) : bool * cache_entry =
-  match find_cached t meta with
+  match find_slot t meta 0 with
   | Some entry ->
-    t.stats.cache_hits <- t.stats.cache_hits + 1;
-    Obs.Counter.incr t.m.rm_cache_hits;
+    count_hit t;
     (true, entry)
   | None ->
-    t.stats.cold_paths <- t.stats.cold_paths + 1;
-    Obs.Counter.incr t.m.rm_cache_misses;
-    (false, cache_pipeline t meta (plan t meta))
+    Obs.Counter.incr t.m.rm_structural_lookups;
+    let hit, entry =
+      match find_cached t meta with
+      | Some entry ->
+        count_hit t;
+        (true, entry)
+      | None ->
+        t.stats.cold_paths <- t.stats.cold_paths + 1;
+        Obs.Counter.incr t.m.rm_cache_misses;
+        (false, cache_pipeline t meta (plan t meta))
+    in
+    fill_slot t meta entry;
+    (hit, entry)
 
 let deliver_entry t ~hit (entry : cache_entry) (meta : Meta.format_meta)
     (v : Value.t) : outcome =

@@ -127,13 +127,24 @@ val set_delivery_probe : t -> (Value.t option -> outcome -> unit) option -> unit
 
 (** Process one incoming message given its format meta-data: cache lookup,
     else plan (MaxMatch over the format and its transformation targets,
-    code generation, conversion), cache, run. *)
+    code generation, conversion), cache, run.
+
+    The cached pipeline is found by the identity ([==]) of the meta value
+    first: the receiver keeps 8 slots of meta values it has seen, and a
+    lookup that misses them all takes one over, round-robin.  Pass the
+    meta value you hold for the format, as [Transport.Conn] does per
+    (peer, format id).  A fresh copy per message (say, a new
+    {!Pbio.Meta.decode} each time) is delivered the same way but pays the
+    structural key, a hash and an equality walk over the whole meta, on
+    every message; [receiver.structural_lookups] counts those lookups. *)
 val deliver : t -> Meta.format_meta -> Value.t -> outcome
 
 (** Decode a complete wire message (as produced by {!Pbio.Wire.encode}
     under [meta]'s body format) and deliver it.  Malformed or truncated
     messages are {!Rejected}, never an exception: receivers stay up under
-    hostile input. *)
+    hostile input.  The pipeline is found as for {!deliver}: by the meta
+    value's identity first, so pass the same value for every message of a
+    format. *)
 val deliver_wire : t -> Meta.format_meta -> string -> outcome
 
 (** Describe, without delivering or caching, what Algorithm 2 would do

@@ -209,12 +209,16 @@ let equal m1 m2 =
            | None, Some _ | Some _, None -> false))
     m1.xforms m2.xforms
 
+(* Every hop's source, target and code is folded into the accumulator, so
+   each counts however long the chain: [Hashtbl.hash] reads only its first
+   ten meaningful values, so over a list of hops it would ignore every hop
+   past the third. *)
 let hash m =
-  Hashtbl.hash
-    ( Ptype.hash_record m.body,
-      List.map
-        (fun x ->
-           ( Option.map Ptype.hash_record x.source,
-             Ptype.hash_record x.target,
-             Hashtbl.hash x.code ))
-        m.xforms )
+  let mix = Hashtbl.seeded_hash in
+  List.fold_left
+    (fun acc x ->
+       let source =
+         match x.source with None -> -1 | Some r -> Ptype.hash_record r
+       in
+       mix (mix (mix acc source) (Ptype.hash_record x.target)) (Hashtbl.hash x.code))
+    (Ptype.hash_record m.body) m.xforms

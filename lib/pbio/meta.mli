@@ -40,4 +40,7 @@ val decode : string -> (format_meta, Err.t) result
     transformations); receiver caches key on this. *)
 val equal : format_meta -> format_meta -> bool
 
+(** A hash consistent with {!equal}.  Every transformation's source,
+    target and code counts, however long the chain: the gateway routes on
+    it as the format fingerprint. *)
 val hash : format_meta -> int

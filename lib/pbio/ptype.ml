@@ -114,7 +114,17 @@ and equal_record r1 r2 =
   && List.for_all2 equal_field r1.fields r2.fields
 
 and equal_field f1 f2 =
-  f1.fname = f2.fname && f1.fdefault = f2.fdefault && equal_type f1.ftype f2.ftype
+  f1.fname = f2.fname
+  && Option.equal equal_const f1.fdefault f2.fdefault
+  && equal_type f1.ftype f2.ftype
+
+(* Total, unlike [=]: floats compare by their bits, as [Meta] encodes them,
+   so a [nan] default equals itself and [0.0] differs from [-0.0]. *)
+and equal_const c1 c2 =
+  match c1, c2 with
+  | Cfloat x1, Cfloat x2 ->
+    Int64.equal (Int64.bits_of_float x1) (Int64.bits_of_float x2)
+  | (Cint _ | Cfloat _ | Cchar _ | Cbool _ | Cstring _ | Cenum _), _ -> c1 = c2
 
 (* A stable structural hash over the whole format, used as cache key. *)
 let hash_record r =

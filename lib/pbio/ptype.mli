@@ -101,7 +101,9 @@ val find_field : record -> string -> field option
 
     Structural equality and hashing over whole formats; receiver caches and
     registries key on these.  Field order matters: formats listing the same
-    fields in different orders are distinct wire formats. *)
+    fields in different orders are distinct wire formats.  Float defaults
+    compare by their bits, as {!Meta} encodes them, so equality is
+    reflexive even for a [nan] default, and [0.0] and [-0.0] differ. *)
 
 val equal_type : t -> t -> bool
 val equal_basic : basic -> basic -> bool

@@ -638,6 +638,49 @@ let test_gateway_repin_target () =
   Alcotest.(check int) "one plan, for the new target" 1 (G.cache_stats gw).PC.entries;
   Alcotest.(check int) "parity clean" 0 (G.stats gw).G.parity_mismatches
 
+(* The fingerprint covers every hop of a chain: a tenant that fixes the
+   fourth hop and re-pushes its meta gets a plan for the fixed chain, not
+   the one cached for the first push. *)
+let test_gateway_repush_fixed_fourth_hop () =
+  let r k =
+    Ptype_dsl.format_of_string_exn
+      (if k = 0 then "format R0 { int x; }" else Fmt.str "format R%d { int a%d; }" k k)
+  in
+  let meta last =
+    Morph.meta (r 4)
+      ~xforms:
+        [ Morph.xform ~target:(r 3) "old.a3 = new.a4;";
+          Morph.xform ~source:(r 3) ~target:(r 2) "old.a2 = new.a3;";
+          Morph.xform ~source:(r 2) ~target:(r 1) "old.a1 = new.a2;";
+          Morph.xform ~source:(r 1) ~target:(r 0) last ]
+  in
+  let v = Value.record [ ("a4", Value.Int 5) ] in
+  let message = Wire.encode ~format_id:1 (r 4) v in
+  let net = mk_net () in
+  let out = ref [] in
+  let gw = G.create ~net (Contact.make "gw" 1) (fun d -> out := d :: !out) in
+  G.add_tenant gw ~id:1 ~target:(r 0) ();
+  let push_and_deliver m =
+    let fingerprint = G.fingerprint m in
+    let send frame =
+      ignore (G.handle_frame gw (G.envelope ~tenant:1 ~fingerprint frame) : G.outcome)
+    in
+    let before = List.length !out in
+    send (Framing.Meta { format_id = 1; meta = Meta.encode m });
+    send (Framing.Data { format_id = 1; message });
+    ignore (Netsim.run net);
+    match !out with
+    | d :: _ when List.length !out = before + 1 -> d.G.value
+    | _ -> Alcotest.fail "expected one delivery"
+  in
+  let first = meta "old.x = new.a1;" and fixed = meta "old.x = new.a1 + 1000;" in
+  Alcotest.check Helpers.value "first push"
+    (Value.record [ ("x", Value.Int 5) ]) (push_and_deliver first);
+  Alcotest.check Helpers.value "the re-push delivers through the fixed hop"
+    (Helpers.check_ok_err (Morph.morph_to fixed ~target:(r 0) v))
+    (push_and_deliver fixed);
+  Alcotest.(check int) "one plan per pushed meta" 2 (G.stats gw).G.plan_compiles
+
 (* --- the acceptance run: 1k tenants, 3x nominal, mass schema push ------------- *)
 
 let acceptance_cfg =
@@ -774,6 +817,8 @@ let suite =
       test_gateway_drop_during_compile;
     Alcotest.test_case "gateway: re-pinned target drops stale plans" `Quick
       test_gateway_repin_target;
+    Alcotest.test_case "gateway: re-push with a fixed fourth hop replans" `Quick
+      test_gateway_repush_fixed_fourth_hop;
     Alcotest.test_case "gateway: 1k tenants at 3x with a schema-push storm" `Slow
       test_gateway_acceptance;
     Alcotest.test_case "gateway: acceptance run replays identically" `Slow

@@ -66,6 +66,36 @@ let test_meta_equal_and_hash () =
   let m3 = { m2 with Meta.xforms = [] } in
   Alcotest.(check bool) "xforms part of identity" false (Meta.equal m1 m3)
 
+(* Every component of every hop counts in the hash, however long the
+   chain: a meta's hash is also the gateway's routing fingerprint. *)
+let test_meta_hash_covers_every_hop () =
+  let r k = Ptype_dsl.format_of_string_exn (Fmt.str "format R%d { int a%d; }" k k) in
+  let hops = 6 in
+  let base =
+    { Meta.body = r hops;
+      xforms =
+        List.init hops (fun i ->
+            let k = hops - i in
+            { Meta.source = (if i = 0 then None else Some (r k));
+              target = r (k - 1);
+              code = Fmt.str "old.a%d = new.a%d;" (k - 1) k }) }
+  in
+  let differs what m =
+    Alcotest.(check bool) (what ^ ": not equal") false (Meta.equal base m);
+    Alcotest.(check bool) (what ^ ": hash differs") true (Meta.hash base <> Meta.hash m)
+  in
+  for i = 0 to hops - 1 do
+    let edit f =
+      { base with Meta.xforms = List.mapi (fun j x -> if j = i then f x else x) base.Meta.xforms }
+    in
+    let hop = Fmt.str "hop %d" (i + 1) in
+    differs (hop ^ " source") (edit (fun x -> { x with Meta.source = Some (r 99) }));
+    differs (hop ^ " target") (edit (fun x -> { x with Meta.target = r 98 }));
+    differs (hop ^ " code") (edit (fun x -> { x with Meta.code = x.Meta.code ^ " " }))
+  done;
+  differs "body" { base with Meta.body = r 97 };
+  differs "one hop fewer" { base with Meta.xforms = List.tl base.Meta.xforms }
+
 (* --- registry ------------------------------------------------------------------ *)
 
 let test_registry_dedup () =
@@ -128,6 +158,7 @@ let suite =
     Alcotest.test_case "meta: defaults and enums" `Quick test_meta_roundtrip_defaults_and_enums;
     Alcotest.test_case "meta: decode errors" `Quick test_meta_decode_errors;
     Alcotest.test_case "meta: equality and hash" `Quick test_meta_equal_and_hash;
+    Alcotest.test_case "meta: hash covers every hop" `Quick test_meta_hash_covers_every_hop;
     Alcotest.test_case "registry: structural dedup" `Quick test_registry_dedup;
     Alcotest.test_case "registry: find" `Quick test_registry_find;
     Alcotest.test_case "registry: import" `Quick test_registry_import;

@@ -503,6 +503,158 @@ let test_wire_fused_plan_cached () =
        Alcotest.(check int) "repeats hit the plan cache" 4
          (Obs.Counter.value reg "codec.plan_cache_hits"))
 
+(* --- identity slots: the pipeline found by the meta value itself -------- *)
+
+let slot_target = fmt "format R { int x; }"
+
+(* The [k]th of a family of distinct metas that all deliver to
+   [slot_target]: even [k] structurally (exact, then with [k / 2] extra
+   fields to drop), odd [k] through an Ecode hop that adds [k]. *)
+let live_meta k =
+  if k mod 2 = 0 then
+    Meta.plain
+      (Ptype.record "R"
+         (Ptype.field "x" Ptype.int_
+          :: List.init (k / 2) (fun i -> Ptype.field (Fmt.str "pad%d" i) Ptype.int_)))
+  else
+    Morph.meta (fmt "format S { int x; }")
+      ~xforms:[ Morph.xform ~target:slot_target (Fmt.str "old.x = new.x + %d;" k) ]
+
+(* A wire message of [meta]'s body with [x] set (every field is an int),
+   and the value Algorithm 2 should deliver for it. *)
+let live_message meta x =
+  let body = meta.Meta.body in
+  let v =
+    Value.record
+      (List.map
+         (fun (f : Ptype.field) ->
+            (f.Ptype.fname, Value.Int (if f.Ptype.fname = "x" then x else 0)))
+         body.Ptype.fields)
+  in
+  ( Wire.encode ~format_id:1 body v,
+    Helpers.check_ok_err (Morph.morph_to meta ~target:slot_target v) )
+
+let metered_receiver target =
+  let metrics = Obs.create () in
+  let r = Receiver.create ~config:(Receiver.Config.v ~metrics ()) () in
+  let got = ref None in
+  Receiver.register r target (fun v -> got := Some v);
+  (r, metrics, got)
+
+let deliver_checked r got meta (message, want) =
+  got := None;
+  (match Receiver.deliver_wire r meta message with
+   | Receiver.Delivered _ -> ()
+   | o -> Alcotest.failf "expected delivery, got %a" Receiver.pp_outcome o);
+  match !got with
+  | Some v -> Alcotest.check Helpers.value "delivered value" want v
+  | None -> Alcotest.fail "handler did not run"
+
+let test_slots_live_metas () =
+  (* callers that hold one meta value per format pay the structural key
+     once per format *)
+  let r, metrics, got = metered_receiver slot_target in
+  let metas = Array.init 4 live_meta in
+  let messages = Array.mapi (fun k m -> live_message m (10 + k)) metas in
+  for i = 0 to 999 do
+    deliver_checked r got metas.(i mod 4) messages.(i mod 4)
+  done;
+  let s = Receiver.stats r in
+  Alcotest.(check int) "one cold path per meta" 4 s.Receiver.cold_paths;
+  Alcotest.(check int) "the rest hit" 996 s.Receiver.cache_hits;
+  Alcotest.(check int) "one structural lookup per meta" 4
+    (Obs.Counter.value metrics "receiver.structural_lookups");
+  (* a second decoded copy of a meta is a value of its own: after one
+     structural lookup it has a slot keyed by itself *)
+  let copy = Helpers.check_ok_err (Meta.decode (Meta.encode metas.(0))) in
+  for i = 0 to 99 do
+    deliver_checked r got (if i mod 2 = 0 then copy else metas.(0)) messages.(0)
+  done;
+  Alcotest.(check int) "no new cold path" 4 (Receiver.stats r).Receiver.cold_paths;
+  Alcotest.(check int) "one structural lookup for the copy" 5
+    (Obs.Counter.value metrics "receiver.structural_lookups")
+
+let test_slots_fresh_copies () =
+  (* a fresh decoded copy per message misses every slot but still finds
+     the pipeline by structure *)
+  let r, metrics, got = metered_receiver Helpers.response_v1 in
+  let encoded = Meta.encode Helpers.response_v2_meta in
+  for i = 1 to 100 do
+    let meta = Helpers.check_ok_err (Meta.decode encoded) in
+    let v = Helpers.sample_v2 (1 + (i mod 5)) in
+    let want =
+      Helpers.check_ok_err
+        (Morph.morph_to Helpers.response_v2_meta ~target:Helpers.response_v1 v)
+    in
+    deliver_checked r got meta (Wire.encode ~format_id:5 Helpers.response_v2 v, want)
+  done;
+  Alcotest.(check int) "planned once" 1 (Receiver.stats r).Receiver.cold_paths;
+  Alcotest.(check int) "every copy took the structural key" 100
+    (Obs.Counter.value metrics "receiver.structural_lookups")
+
+let test_slots_more_metas_than_slots () =
+  (* twelve live metas round-robin through eight slots: every lookup
+     evicts, and every delivery still runs its own meta's pipeline *)
+  let r, _, got = metered_receiver slot_target in
+  let metas = Array.init 12 live_meta in
+  for round = 0 to 9 do
+    Array.iteri
+      (fun k m -> deliver_checked r got m (live_message m ((100 * round) + k)))
+      metas
+  done;
+  Alcotest.(check int) "one cold path per meta" 12
+    (Receiver.stats r).Receiver.cold_paths
+
+let test_slots_alloc_flat () =
+  (* a steady-state delivery allocates the same whatever the meta carries:
+     the identity slot never walks it *)
+  let body = fmt "format A { int x; string s; }" in
+  let unused =
+    List.init 16 (fun i ->
+        Morph.xform ~target:(fmt (Fmt.str "format U%d { int x; }" i)) "old.x = new.x;")
+  in
+  let message =
+    Wire.encode ~format_id:1 body
+      (Value.record [ ("x", Value.Int 3); ("s", Value.String "m") ])
+  in
+  let per_delivery meta =
+    let r = Receiver.create () in
+    Receiver.register r body ignore;
+    Helpers.alloc_per_call ~reps:100 (fun () ->
+        match Receiver.deliver_wire r meta message with
+        | Receiver.Delivered { via = Receiver.Exact; _ } -> ()
+        | o -> Alcotest.failf "expected exact delivery, got %a" Receiver.pp_outcome o)
+  in
+  let plain = per_delivery (Meta.plain body) in
+  let rich = per_delivery (Morph.meta body ~xforms:unused) in
+  if Float.abs (rich -. plain) > 16. then
+    Alcotest.failf "a delivery allocates %.0f B with 16 unused transformations \
+                    against %.0f B without" rich plain
+
+let test_nan_default_plans_once () =
+  (* a NaN float default equals itself, so decoded copies of its meta find
+     the planned pipeline instead of planning (and caching) one each *)
+  let nan_field = Ptype.field ~default:(Ptype.Cfloat Float.nan) "f" Ptype.float_ in
+  let incoming = Ptype.record "N" [ Ptype.field "x" Ptype.int_; nan_field ] in
+  let r, got = make_receiver (Ptype.record "N" [ Ptype.field "x" Ptype.int_ ]) in
+  let encoded = Meta.encode (Meta.plain incoming) in
+  for i = 1 to 1000 do
+    let meta = Helpers.check_ok_err (Meta.decode encoded) in
+    let v = Value.record [ ("x", Value.Int i); ("f", Value.Float 0.5) ] in
+    ignore (Receiver.deliver_wire r meta (Wire.encode ~format_id:1 incoming v))
+  done;
+  let s = Receiver.stats r in
+  Alcotest.(check int) "planned once" 1 s.Receiver.cold_paths;
+  Alcotest.(check int) "the rest hit" 999 s.Receiver.cache_hits;
+  Alcotest.(check int) "all delivered" 1000 (List.length !got);
+  Alcotest.(check int) "last value" 1000 (Value.to_int (Value.get_field (List.hd !got) "x"));
+  (* and a receiver of that very format matches it exactly *)
+  let r, got = make_receiver incoming in
+  let v = Value.record [ ("x", Value.Int 1); ("f", Value.Float 0.5) ] in
+  Alcotest.(check bool) "same format: exact" true
+    (via_of (Receiver.deliver r (Meta.plain incoming) v) = Receiver.Exact);
+  Alcotest.check Helpers.value "value untouched" v (List.hd !got)
+
 let suite =
   [
     Alcotest.test_case "exact match" `Quick test_exact_match;
@@ -519,6 +671,16 @@ let suite =
     Alcotest.test_case "cache: keyed on full meta" `Quick test_cache_keyed_on_meta_not_name;
     Alcotest.test_case "cache: reset on register" `Quick test_register_resets_cache;
     Alcotest.test_case "cache: rejections cached" `Quick test_rejection_is_cached_too;
+    Alcotest.test_case "cache: live metas hit their identity slots" `Quick
+      test_slots_live_metas;
+    Alcotest.test_case "cache: fresh meta copies fall back to structure" `Quick
+      test_slots_fresh_copies;
+    Alcotest.test_case "cache: more live metas than identity slots" `Quick
+      test_slots_more_metas_than_slots;
+    Alcotest.test_case "cache: delivery allocation flat in the meta" `Quick
+      test_slots_alloc_flat;
+    Alcotest.test_case "cache: nan default plans once" `Quick
+      test_nan_default_plans_once;
     Alcotest.test_case "broken transformation rejects" `Quick test_bad_transformation_rejects;
     Alcotest.test_case "best registered format wins" `Quick test_multiple_registered_picks_best;
     Alcotest.test_case "deliver_wire decodes first" `Quick test_deliver_wire;
