@@ -26,6 +26,7 @@ module Pool = Pool
 module Maxmatch = Maxmatch
 module Weighted = Weighted
 module Xform = Xform
+module Plan = Plan
 module Receiver = Receiver
 
 open Pbio
@@ -66,17 +67,20 @@ let check_meta (m : Meta.format_meta) : (unit, Err.t) result =
 
 (* One-shot morphing without a receiver: convert [value] of format
    [m.body] into [target] using the attached transformations and structural
-   conversion, if the thresholds allow it. *)
-let morph_to ?(thresholds = Maxmatch.default_thresholds) ?(engine = Xform.Compiled)
+   conversion, if the thresholds allow it.  The path is the one a receiver
+   of [target] plans; [engine] runs its hops (the interpreter is the
+   reference the oracles and benchmarks check compiled deliveries
+   against). *)
+let morph_to ?(thresholds = Maxmatch.default_thresholds) ?engine
     (m : Meta.format_meta) ~(target : Ptype.record) (value : Value.t) :
   (Value.t, Err.t) result =
-  let r = Receiver.create ~config:(Receiver.Config.v ~thresholds ~engine ()) () in
-  let result = ref None in
-  Receiver.register r target (fun v -> result := Some v);
-  match Receiver.deliver r m value with
-  | Receiver.Delivered _ ->
-    (match !result with
-     | Some v -> Ok v
-     | None -> Error (`Internal "handler did not run"))
-  | Receiver.Defaulted -> Error (`No_match "fell through to default handler")
-  | Receiver.Rejected reason -> Error (`No_match reason)
+  let r = Receiver.create ~config:(Receiver.Config.v ~thresholds ()) () in
+  Receiver.register r target ignore;
+  match Receiver.plan ?engine r m with
+  | Error reason -> Error (`No_match reason)
+  | Ok p ->
+    (match Plan.transform p value with
+     | v -> Ok v
+     | exception
+         (Value.Type_error msg | Ecode.Compile.Runtime_error msg | Ecode.Interp.Runtime_error msg)
+       -> Error (`No_match (Fmt.str "transformation failed: %s" msg)))

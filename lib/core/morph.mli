@@ -26,6 +26,7 @@ module Pool : module type of Pool
 module Maxmatch : module type of Maxmatch
 module Weighted : module type of Weighted
 module Xform : module type of Xform
+module Plan : module type of Plan
 module Receiver : module type of Receiver
 
 open Pbio
@@ -46,8 +47,12 @@ val check_meta : Meta.format_meta -> (unit, Err.t) result
 
 (** One-shot morphing without a standing receiver: convert [value] of the
     meta's body format into [target] using the attached transformations
-    and structural conversion, if the thresholds allow it.  No acceptable
-    morph path is [Error (`No_match _)]. *)
+    and structural conversion, if the thresholds allow it.  The path is
+    the one a {!Receiver} registered at [target] plans; [engine] (default
+    [Compiled]) runs its hops, so [~engine:Interpreted] is the
+    interpretive reference for a receiver's deliveries.  No acceptable
+    morph path, or a transformation that fails on [value], is
+    [Error (`No_match _)]. *)
 val morph_to :
   ?thresholds:Maxmatch.thresholds ->
   ?engine:Xform.engine ->

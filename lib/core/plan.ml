@@ -1,0 +1,91 @@
+(* A compiled delivery plan: one decided morph path, built once and run per
+   message — one generic transformation, specialised once per
+   representation. *)
+
+open Pbio
+
+type kind = Fused | Staged
+
+type wire =
+  | Morph of Codec.morpher
+  | Decode of Codec.decoder
+
+type t = {
+  kind : kind;
+  source : Ptype.record;
+  specs : Xform.spec list;
+  target : Ptype.record;
+  mutable transform : (Value.t -> Value.t) option;
+  (* what a staged plan runs after its decode; a fused plan's morpher
+     converts on its own, so it builds this on the first [transform] *)
+  le : wire Lazy.t; (* per byte order, compiled on its first message *)
+  be : wire Lazy.t;
+}
+
+let compile_wire codecs p endian =
+  match p.kind with
+  | Fused -> Morph (Codec.morpher_in codecs ~endian ~from_:p.source ~into:p.target)
+  | Staged -> Decode (Codec.decoder_for ~cache:codecs ~endian p.source)
+
+let make ~codecs ~kind ~source ~specs ~target transform =
+  let rec p =
+    { kind; source; specs; target; transform;
+      le = lazy (compile_wire codecs p Little);
+      be = lazy (compile_wire codecs p Big) }
+  in
+  p
+
+let compile ?engine ~codecs ~kind ~(source : Ptype.record) ~specs
+    ~(target : Ptype.record) () : (t, Err.t) result =
+  match kind, specs with
+  | Fused, _ :: _ -> invalid_arg "Plan.compile: a transformation chain cannot fuse"
+  | Fused, [] -> Ok (make ~codecs ~kind ~source ~specs ~target None)
+  | Staged, _ ->
+    (match Xform.compile_chain ?engine ~source specs with
+     | Error _ as e -> e
+     | Ok chain ->
+       let endpoint = List.fold_left (fun _ (s : Xform.spec) -> s.target) source specs in
+       let transform =
+         if Ptype.equal_record endpoint target then chain
+         else
+           let conv = Convert.compile ~from_:endpoint ~into:target in
+           if specs = [] then conv else fun v -> conv (chain v)
+       in
+       Ok (make ~codecs ~kind ~source ~specs ~target (Some transform)))
+
+let kind p = p.kind
+let source p = p.source
+let target p = p.target
+let hops p = List.length p.specs
+
+let transform p =
+  match p.transform with
+  | Some f -> f
+  | None ->
+    let f =
+      if Ptype.equal_record p.source p.target then Fun.id
+      else Convert.compile ~from_:p.source ~into:p.target
+    in
+    p.transform <- Some f;
+    f
+
+let step p (message : string) : Value.t =
+  let h = Codec.read_header message in
+  match Lazy.force (match h.endian with Little -> p.le | Big -> p.be) with
+  | Morph m -> Codec.morph_payload m ~pos:Codec.header_size message
+  | Decode d -> Codec.decode_payload d ~pos:Codec.header_size message
+
+let run p message =
+  match p.kind with
+  | Fused -> step p message
+  | Staged -> transform p (step p message)
+
+let decode ?ctx p message =
+  match p.kind with
+  | Fused -> step p message
+  | Staged -> Wire.metered ?ctx step p message
+
+let pp ppf p =
+  match p.kind with
+  | Fused -> Fmt.string ppf "fused"
+  | Staged -> Fmt.pf ppf "staged, %d hop%s" (hops p) (if hops p = 1 then "" else "s")

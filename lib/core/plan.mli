@@ -1,0 +1,59 @@
+(** A compiled delivery plan: one decided morph path — the sender's
+    format, the retro-transformation hops, the final target — built once
+    and run per message.  {!Receiver} and the gateway decide paths by
+    their own rules and run them through this one type.
+
+    Per byte order the plan holds a wire closure — a fused decode->morph
+    plan, or a staged decoder followed by the chain and the final
+    conversion — taken from the codec cache on the first message in that
+    order (users of one [Pbio.Ctx.t] share compiled code).  Later messages
+    consult no cache.  A plan is used by one domain at a time
+    (docs/CONCURRENCY.md). *)
+
+open Pbio
+
+(** [Fused] decodes straight into the target layout; [Staged] decodes the
+    sender's value tree, then transforms it. *)
+type kind = Fused | Staged
+
+type t
+
+(** Compile the hops [specs] from [source] messages (with [engine],
+    default compiled closures), then a structural conversion from their
+    last target into [target] unless that is the same format; no wire
+    code yet.  [Fused] needs empty [specs] ([Invalid_argument]) and builds
+    its value-tree conversion on the first {!transform}.  A hop that fails
+    to compile is the error. *)
+val compile :
+  ?engine:Xform.engine ->
+  codecs:Codec.cache ->
+  kind:kind ->
+  source:Ptype.record ->
+  specs:Xform.spec list ->
+  target:Ptype.record ->
+  unit ->
+  (t, Err.t) result
+
+val kind : t -> kind
+val source : t -> Ptype.record
+val target : t -> Ptype.record
+
+(** The number of retro-transformation hops. *)
+val hops : t -> int
+
+(** From a [source] value to a [target] value. *)
+val transform : t -> Value.t -> Value.t
+
+(** Decode and transform one complete wire message of the [source]
+    format, allocating only the header read and the values built.  Raises
+    {!Pbio.Codec.Decode_error} or {!Pbio.Value.Type_error} on a malformed
+    message, and whatever the hops raise. *)
+val run : t -> string -> Value.t
+
+(** The wire step of {!run}: a staged plan's decode into the [source]
+    layout, recorded into [ctx] as {!Pbio.Wire.decode} records it; a fused
+    plan's whole {!run}, unrecorded. *)
+val decode : ?ctx:Ctx.t -> t -> string -> Value.t
+
+(** [fused], or [staged, N hops]. *)
+val pp : Format.formatter -> t -> unit

@@ -51,21 +51,20 @@ type stats = {
   mutable recovered : int;
 }
 
+type accept = {
+  via : via;
+  plan : Plan.t;
+  transform : Value.t -> Value.t;
+  (* [Plan.transform plan], built with the plan: what a value delivery
+     runs, and what a staged wire delivery runs after its decode *)
+  handler : handler;
+  provenance : (string * string) list;
+  (* how the plan was derived (source/target formats, chain hops,
+     mismatch ratio); attached to the delivery trace span *)
+}
+
 type pipeline =
-  | Accept of {
-      format_name : string;
-      via : via;
-      transform : Value.t -> Value.t; (* identity when [via] is Exact *)
-      handler : handler;
-      provenance : (string * string) list;
-      (* how the plan was derived (source/target formats, chain hops,
-         mismatch ratio); attached to the delivery trace span *)
-      fused : (Ptype.record * Ptype.record) option;
-      (* when the whole transform is a structural conversion (no Ecode
-         step), [deliver_wire] can run the fused decode->morph plan from
-         [Codec]: bytes of the first format straight into a value of the
-         second, no intermediate source-format tree *)
-    }
+  | Accept of accept
   | Reject of string
 
 type cache_entry = {
@@ -87,15 +86,14 @@ module Config = struct
     weights : Weighted.t option;
     (* when set, MaxMatch runs importance-weighted: the thresholds are
        interpreted on the weighted scale *)
-    engine : Xform.engine;
     quarantine_after : int;
     quarantine_cooldown_s : float option;
     metrics : Obs.t;
     ctx : Ctx.t option;
-    (* capability context for the wire fast paths: fused morph plans come
-       from [Ctx.codecs ctx] and staged decodes run [Wire.decode ~ctx].
-       [None] keeps the legacy process-global caches — required for
-       byte-identical goldens, deprecated for new code. *)
+    (* capability context for wire deliveries: plans compile their wire
+       closures from [Ctx.codecs ctx] and record staged decodes into its
+       registry.  [None] keeps the legacy process-global caches — required
+       for byte-identical goldens, deprecated for new code. *)
     flight : Obs.Flight.recorder option;
     (* anomaly hook: each quarantine (breaker trip on a cached pipeline)
        triggers a flight-recorder incident capture *)
@@ -105,7 +103,6 @@ module Config = struct
     {
       thresholds = Maxmatch.default_thresholds;
       weights = None;
-      engine = Xform.Compiled;
       quarantine_after = 3;
       quarantine_cooldown_s = None;
       metrics = Obs.null;
@@ -113,11 +110,11 @@ module Config = struct
       flight = None;
     }
 
-  let v ?(thresholds = default.thresholds) ?weights ?(engine = default.engine)
+  let v ?(thresholds = default.thresholds) ?weights
       ?(quarantine_after = default.quarantine_after) ?quarantine_cooldown_s
       ?(metrics = Obs.null) ?ctx ?flight () =
-    { thresholds; weights; engine; quarantine_after; quarantine_cooldown_s;
-      metrics; ctx; flight }
+    { thresholds; weights; quarantine_after; quarantine_cooldown_s; metrics;
+      ctx; flight }
 end
 
 (* Handles into the configured Obs registry; [rm_on] gates the clock reads
@@ -183,8 +180,8 @@ type t = {
   config : Config.t;
   m : rmetrics;
   codecs : Codec.cache;
-  (* where fused morph plans come from: the configured context's plan
-     cache, else the process default *)
+  (* where plans take their wire closures from: the configured context's
+     plan cache, else the process default *)
   mutable registered : registered list; (* registration order *)
   mutable default_handler : (Meta.format_meta -> Value.t -> unit) option;
   mutable probe : (Value.t option -> outcome -> unit) option;
@@ -252,8 +249,6 @@ let handler_for t (fmt : Ptype.record) : handler option =
 
 (* --- planning (the cold path) ------------------------------------------- *)
 
-let identity_transform (v : Value.t) = v
-
 (* MaxMatch under the receiver's configuration: plain Algorithm 1 scale, or
    the importance-weighted generalisation when weights are set.  Either way
    the result is reduced to the (f1, f2, perfect?) the planner needs. *)
@@ -301,9 +296,29 @@ let provenance_attrs ~(source : Ptype.record) ~(target : Ptype.record) ~via
     ("mismatch_ratio", Printf.sprintf "%.3f" ratio);
   ]
 
-(* Build the per-format pipeline following Algorithm 2, lines 11-30. *)
-let plan_uninstrumented t (meta : Meta.format_meta) : pipeline =
+(* Build the per-format pipeline following Algorithm 2, lines 11-30: the
+   decided path compiled into a plan.  A structural conversion fuses;
+   exact matches and transformation chains decode staged. *)
+let plan_uninstrumented ?engine t (meta : Meta.format_meta) : pipeline =
   let fm = meta.Meta.body in
+  let accept ?(specs = []) target via ratio =
+    let kind =
+      if specs = [] && not (Ptype.equal_record fm target) then Plan.Fused
+      else Plan.Staged
+    in
+    match Plan.compile ?engine ~codecs:t.codecs ~kind ~source:fm ~specs ~target () with
+    | Error e -> Reject (Err.to_string e)
+    | Ok plan ->
+      let hops = List.length specs in
+      Accept
+        {
+          via;
+          plan;
+          transform = Plan.transform plan;
+          handler = Option.get (handler_for t target);
+          provenance = provenance_attrs ~source:fm ~target ~via ~hops ~ratio;
+        }
+  in
   (* The set of formats fm can be transformed to, multi-hop chains
      included, each with its shortest spec path. *)
   let reachable = Xform.reachable meta in
@@ -316,33 +331,17 @@ let plan_uninstrumented t (meta : Meta.format_meta) : pipeline =
       (fun r -> if List.mem r.fmt.Ptype.rname names then Some r.fmt else None)
       t.registered
   in
-  if fr = [] then
-    Reject (Fmt.str "no registered format named %S" fm.Ptype.rname)
+  if fr = [] then Reject (Fmt.str "no registered format named %S" fm.Ptype.rname)
   else
     (* Line 11: MaxMatch(fm, Fr) over same-name formats; only a perfect
        match short-circuits. *)
     let fr_same = List.filter (fun f -> f.Ptype.rname = fm.Ptype.rname) fr in
-    let direct = run_max_match t [ fm ] fr_same in
-    match direct with
+    match run_max_match t [ fm ] fr_same with
     | Some (_, f2, true, ratio) ->
-      let via, transform, fused =
-        if Ptype.equal_record fm f2 then (Exact, identity_transform, None)
-        else (Reordered, Convert.compile ~from_:fm ~into:f2, Some (fm, f2))
-      in
-      let handler = Option.get (handler_for t f2) in
-      Accept
-        {
-          format_name = f2.Ptype.rname;
-          via;
-          transform;
-          handler;
-          provenance = provenance_attrs ~source:fm ~target:f2 ~via ~hops:0 ~ratio;
-          fused;
-        }
+      accept f2 (if Ptype.equal_record fm f2 then Exact else Reordered) ratio
     | Some _ | None ->
       (* Line 16: MaxMatch(Ft, Fr). *)
-      let ft = List.map fst reachable in
-      (match run_max_match t ft fr with
+      (match run_max_match t (List.map fst reachable) fr with
        | None ->
          Reject
            (Fmt.str "no acceptable match for format %S within thresholds \
@@ -350,72 +349,29 @@ let plan_uninstrumented t (meta : Meta.format_meta) : pipeline =
               fm.Ptype.rname t.config.Config.thresholds.Maxmatch.diff_threshold
               t.config.Config.thresholds.Maxmatch.mismatch_threshold)
        | Some (mf1, mf2, perfect, ratio) ->
-         let morph_step =
-           if Ptype.equal_record mf1 fm then Ok None
-           else begin
-             (* Lines 21-24: generate the fm -> f1 transformation code,
-                composing each hop of the chain. *)
-             let path =
-               List.find_map
-                 (fun (f, path) ->
-                    if Ptype.equal_record f mf1 then Some path else None)
-                 reachable
-             in
-             match path with
-             | None | Some [] ->
-               Error "internal: matched transformation target has no spec path"
-             | Some specs ->
-               Obs.Histogram.observe t.m.rm_chain_depth
-                 (float_of_int (List.length specs));
-               (match
-                  Xform.compile_chain ~engine:t.config.Config.engine
-                    ~source:fm specs
-                with
-                | Error e -> Error (Err.to_string e)
-                | Ok run -> Ok (Some (run, List.length specs)))
-           end
-         in
-         (match morph_step with
-          | Error e -> Reject e
-          | Ok morph ->
-            (* Lines 26-29: imperfect match — fill defaults for missing
-               fields, drop fields absent from f2. *)
-            let finish =
-              if perfect then
-                if Ptype.equal_record mf1 mf2 then None
-                else Some (Convert.compile ~from_:mf1 ~into:mf2)
-              else Some (Convert.compile ~from_:mf1 ~into:mf2)
-            in
-            let transform, via, fused =
-              match morph, finish with
-              | None, None -> (identity_transform, Exact, None)
-              | None, Some conv ->
-                let via = if perfect then Reordered else Converted in
-                (* mf1 = fm here (no morph step): the whole transform is a
-                   structural conversion, so wire delivery can fuse it *)
-                (conv, via, Some (fm, mf2))
-              | Some (run, _), None -> (run, Morphed mf1.Ptype.rname, None)
-              | Some (run, _), Some conv ->
-                ((fun v -> conv (run v)), Morphed_converted mf1.Ptype.rname, None)
-            in
-            let hops = match morph with Some (_, h) -> h | None -> 0 in
-            let handler = Option.get (handler_for t mf2) in
-            Accept
-              {
-                format_name = mf2.Ptype.rname;
-                via;
-                transform;
-                handler;
-                provenance =
-                  provenance_attrs ~source:fm ~target:mf2 ~via ~hops ~ratio;
-                fused;
-              }))
+         (* Lines 21-24 compose the fm -> f1 transformation over each hop
+            of the chain; lines 26-29 convert an imperfect match, filling
+            defaults for missing fields and dropping those absent from f2. *)
+         let same = Ptype.equal_record mf1 mf2 in
+         if Ptype.equal_record mf1 fm then
+           accept mf2 (if same then Exact else if perfect then Reordered else Converted) ratio
+         else
+           match
+             List.find_map
+               (fun (f, path) -> if Ptype.equal_record f mf1 then Some path else None)
+               reachable
+           with
+           | None | Some [] -> Reject "internal: matched transformation target has no spec path"
+           | Some specs ->
+             Obs.Histogram.observe t.m.rm_chain_depth (float_of_int (List.length specs));
+             let name = mf1.Ptype.rname in
+             accept ~specs mf2 (if same then Morphed name else Morphed_converted name) ratio)
 
-let plan t (meta : Meta.format_meta) : pipeline =
-  if not t.m.rm_on then plan_uninstrumented t meta
+let plan_pipeline ?engine t (meta : Meta.format_meta) : pipeline =
+  if not t.m.rm_on then plan_uninstrumented ?engine t meta
   else begin
     let t0 = Obs.now t.m.rm_reg in
-    let p = plan_uninstrumented t meta in
+    let p = plan_uninstrumented ?engine t meta in
     Obs.Histogram.observe t.m.rm_plan_ns (Obs.now t.m.rm_reg -. t0);
     p
   end
@@ -459,6 +415,13 @@ let breaker_state t (meta : Meta.format_meta) : Breaker.state option =
 let probe t (v : Value.t option) (o : outcome) : unit =
   match t.probe with Some f -> f v o | None -> ()
 
+let quarantined_reason (entry : cache_entry) =
+  Fmt.str "quarantined after %d consecutive transformation failures"
+    (Breaker.consecutive_failures entry.breaker)
+
+(* The registry clock ticks nanoseconds; breakers count seconds. *)
+let breaker_now t = Obs.now t.m.rm_reg *. 1e-9
+
 (* A transformation that keeps failing at run time is quarantined: its
    breaker trips.  Without a cooldown (the default) the cached pipeline
    becomes a fast Reject for good, so a poisonous format neither crashes
@@ -472,17 +435,32 @@ let quarantine t (entry : cache_entry) : unit =
   (match t.config.Config.flight with
    | Some fl ->
      Obs.Flight.trigger fl ~kind:"quarantine"
-       ~reason:
-         (Fmt.str "pipeline for format #%d quarantined after %d consecutive \
-                   transformation failures"
-            (Meta.hash entry.key)
-            (Breaker.consecutive_failures entry.breaker))
+       ~reason:(Fmt.str "pipeline for format #%d %s" (Meta.hash entry.key)
+                  (quarantined_reason entry))
    | None -> ());
   if t.config.Config.quarantine_cooldown_s = None then
-    entry.pipeline <-
-      Reject
-        (Fmt.str "quarantined after %d consecutive transformation failures"
-           (Breaker.consecutive_failures entry.breaker))
+    entry.pipeline <- Reject (quarantined_reason entry)
+
+(* The one admission rule for every Accept delivery — value, fused wire or
+   staged wire — checked before its plan runs.  A closed breaker admits
+   without reading the clock.  An open one fast-fails without paying the
+   transform; that is only reachable with a cooldown configured (otherwise
+   the trip already replaced the pipeline with a Reject). *)
+let admit t (entry : cache_entry) : bool =
+  match entry.pipeline with
+  | Reject _ -> false
+  | Accept _ ->
+    (match Breaker.state entry.breaker with
+     | Breaker.Closed -> true
+     | Breaker.Open | Breaker.Half_open ->
+       Breaker.admit entry.breaker ~now:(breaker_now t))
+
+let reject t reason : outcome =
+  t.stats.rejected <- t.stats.rejected + 1;
+  Obs.Counter.incr t.m.rm_rejected;
+  let o = Rejected reason in
+  probe t None o;
+  o
 
 (* Algorithm 2's fallback: the default handler when one is set, otherwise a
    rejection.  Shared by unmatched formats, quarantined pipelines and
@@ -496,64 +474,80 @@ let reject_or_default t (meta : Meta.format_meta) (v : Value.t) reason : outcome
     let o = Defaulted in
     probe t None o;
     o
-  | None ->
-    t.stats.rejected <- t.stats.rejected + 1;
-    Obs.Counter.incr t.m.rm_rejected;
-    let o = Rejected reason in
-    probe t None o;
-    o
+  | None -> reject t reason
 
-let run_pipeline t (entry : cache_entry) (meta : Meta.format_meta) (v : Value.t) :
+(* An admitted delivery's value, in the target layout, reaches its handler;
+   a success in half-open state is the probe that closes the circuit.
+   Handler exceptions propagate: they are application bugs, not message
+   faults. *)
+let hand_over t (entry : cache_entry) (a : accept) (v' : Value.t) : outcome =
+  if Breaker.record_success entry.breaker then begin
+    t.stats.recovered <- t.stats.recovered + 1;
+    Obs.Counter.incr t.m.rm_recovered
+  end;
+  a.handler v';
+  t.stats.delivered <- t.stats.delivered + 1;
+  Obs.Counter.incr t.m.rm_delivered;
+  let o = Delivered { format_name = (Plan.target a.plan).Ptype.rname; via = a.via } in
+  probe t (Some v') o;
+  o
+
+(* What a delivery does, inside its trace span, with the value it has. *)
+type step =
+  | Transform (* admitted: run the transform, then the handler *)
+  | Hand_over (* admitted, and a fused wire plan already built the target value *)
+  | Turn_away (* a Reject pipeline, or a breaker that refused admission *)
+
+let run_step t (entry : cache_entry) (meta : Meta.format_meta) step (v : Value.t) :
   outcome =
-  let outcome =
-    match entry.pipeline with
-    | Accept { format_name; via; transform; handler; _ } ->
-      (* the registry clock ticks nanoseconds; breakers count seconds *)
-      let now = Obs.now t.m.rm_reg *. 1e-9 in
-      if not (Breaker.admit entry.breaker ~now) then
-        (* Open circuit: fast-fail without paying the transform.  Only
-           reachable with a cooldown configured (otherwise the trip already
-           replaced the pipeline with a Reject). *)
-        reject_or_default t meta v
-          (Fmt.str "quarantined after %d consecutive transformation failures"
-             (Breaker.consecutive_failures entry.breaker))
-      else begin
-        (* A transformation can still fail at run time on values its code
-           never anticipated (hostile or corrupt input); that rejects the
-           message rather than crashing the receiver.  Handler exceptions
-           propagate: they are application bugs, not message faults. *)
-        let t0 = if t.m.rm_on then Obs.now t.m.rm_reg else 0. in
-        match transform v with
-        | v' ->
-          if t.m.rm_on then
-            Obs.Histogram.observe t.m.rm_morph_ns (Obs.now t.m.rm_reg -. t0);
-          if Breaker.record_success entry.breaker then begin
-            t.stats.recovered <- t.stats.recovered + 1;
-            Obs.Counter.incr t.m.rm_recovered
-          end;
-          handler v';
-          t.stats.delivered <- t.stats.delivered + 1;
-          Obs.Counter.incr t.m.rm_delivered;
-          let o = Delivered { format_name; via } in
-          probe t (Some v') o;
-          o
-        | exception
-            (Value.Type_error msg
-            | Ecode.Compile.Runtime_error msg
-            | Ecode.Interp.Runtime_error msg) ->
-          t.stats.rejected <- t.stats.rejected + 1;
-          t.stats.transform_failures <- t.stats.transform_failures + 1;
-          Obs.Counter.incr t.m.rm_rejected;
-          Obs.Counter.incr t.m.rm_transform_failures;
-          if Breaker.record_failure entry.breaker ~now then
-            quarantine t entry;
-          let o = Rejected (Fmt.str "transformation failed: %s" msg) in
-          probe t None o;
-          o
-      end
-    | Reject reason -> reject_or_default t meta v reason
-  in
-  outcome
+  match entry.pipeline, step with
+  | Reject reason, _ -> reject_or_default t meta v reason
+  | Accept _, Turn_away -> reject_or_default t meta v (quarantined_reason entry)
+  | Accept a, Hand_over -> hand_over t entry a v
+  | Accept a, Transform ->
+    (* A transformation can still fail at run time on values its code never
+       anticipated (hostile or corrupt input); that rejects the message
+       rather than crashing the receiver, and counts against the breaker. *)
+    let t0 = if t.m.rm_on then Obs.now t.m.rm_reg else 0. in
+    (match a.transform v with
+     | v' ->
+       if t.m.rm_on then Obs.Histogram.observe t.m.rm_morph_ns (Obs.now t.m.rm_reg -. t0);
+       hand_over t entry a v'
+     | exception
+         (Value.Type_error msg | Ecode.Compile.Runtime_error msg | Ecode.Interp.Runtime_error msg)
+       ->
+       t.stats.rejected <- t.stats.rejected + 1;
+       t.stats.transform_failures <- t.stats.transform_failures + 1;
+       Obs.Counter.incr t.m.rm_rejected;
+       Obs.Counter.incr t.m.rm_transform_failures;
+       if Breaker.record_failure entry.breaker ~now:(breaker_now t) then quarantine t entry;
+       let o = Rejected (Fmt.str "transformation failed: %s" msg) in
+       probe t None o;
+       o)
+
+(* [run_step] under a trace-only span (no histogram, so the flat [span:*]
+   metric names stay unchanged) carrying the morph provenance of this
+   message. *)
+let deliver_step t ~hit (entry : cache_entry) (meta : Meta.format_meta) step
+    (v : Value.t) : outcome =
+  if not t.m.rm_on then run_step t entry meta step v
+  else begin
+    let cache = ("cache", if hit then "hit" else "miss") in
+    let attrs =
+      match entry.pipeline with
+      | Accept { plan; provenance; _ } ->
+        let ecode =
+          if Plan.hops plan = 0 then "none" else if hit then "reuse" else "compile"
+        in
+        cache :: ("ecode", ecode)
+        :: (match step with
+            | Hand_over -> ("convert", "fused") :: provenance
+            | Transform | Turn_away -> provenance)
+      | Reject _ -> [ cache ]
+    in
+    Obs.Trace.with_span ~attrs t.m.rm_reg "morph.deliver" (fun () ->
+        run_step t entry meta step v)
+  end
 
 let count_hit t =
   t.stats.cache_hits <- t.stats.cache_hits + 1;
@@ -579,108 +573,59 @@ let lookup t (meta : Meta.format_meta) : bool * cache_entry =
       | None ->
         t.stats.cold_paths <- t.stats.cold_paths + 1;
         Obs.Counter.incr t.m.rm_cache_misses;
-        (false, cache_pipeline t meta (plan t meta))
+        (false, cache_pipeline t meta (plan_pipeline t meta))
     in
     fill_slot t meta entry;
     (hit, entry)
 
-let deliver_entry t ~hit (entry : cache_entry) (meta : Meta.format_meta)
-    (v : Value.t) : outcome =
-  if not t.m.rm_on then run_pipeline t entry meta v
-  else begin
-    (* Trace-only span (no histogram, so the flat [span:*] metric names
-       stay unchanged) carrying the morph provenance of this message. *)
-    let cache = ("cache", if hit then "hit" else "miss") in
-    let attrs =
-      match entry.pipeline with
-      | Accept { provenance; _ } ->
-        let hops =
-          match List.assoc_opt "chain_hops" provenance with
-          | Some h -> h
-          | None -> "0"
-        in
-        let ecode =
-          if hops = "0" then "none" else if hit then "reuse" else "compile"
-        in
-        cache :: ("ecode", ecode) :: provenance
-      | Reject _ -> [ cache ]
-    in
-    Obs.Trace.with_span ~attrs t.m.rm_reg "morph.deliver" (fun () ->
-        run_pipeline t entry meta v)
-  end
-
 let deliver t (meta : Meta.format_meta) (v : Value.t) : outcome =
   let hit, entry = lookup t meta in
-  deliver_entry t ~hit entry meta v
+  deliver_step t ~hit entry meta (if admit t entry then Transform else Turn_away) v
 
-let reject_wire t e : outcome =
-  t.stats.rejected <- t.stats.rejected + 1;
-  Obs.Counter.incr t.m.rm_rejected;
-  let o = Rejected (Fmt.str "wire decode failed: %s" (Err.to_string e)) in
-  probe t None o;
-  o
-
-(* Successful fused delivery: the value is already in the target layout, so
-   only the bookkeeping of [run_pipeline]'s Accept branch remains.  Handler
-   exceptions propagate, as on the staged path. *)
-let deliver_fused t ~hit (entry : cache_entry) ~format_name ~via ~handler
-    ~provenance (v' : Value.t) : outcome =
-  let finish () =
-    ignore (Breaker.record_success entry.breaker : bool);
-    handler v';
-    t.stats.delivered <- t.stats.delivered + 1;
-    Obs.Counter.incr t.m.rm_delivered;
-    let o = Delivered { format_name; via } in
-    probe t (Some v') o;
-    o
-  in
-  if not t.m.rm_on then finish ()
-  else
-    let attrs =
-      ("cache", if hit then "hit" else "miss")
-      :: ("ecode", "none") :: ("convert", "fused") :: provenance
-    in
-    Obs.Trace.with_span ~attrs t.m.rm_reg "morph.deliver" finish
+let reject_wire t e = reject t (Fmt.str "wire decode failed: %s" (Err.to_string e))
 
 (* Decode a whole wire message (as produced by [Pbio.Wire.encode]) and
    deliver it.  [meta] must describe the message's wire format.
 
-   When the cached pipeline's transform is purely structural (no Ecode
-   step), the decode and the conversion run as one fused [Codec] plan —
-   the sender-format value tree is never built.  Ecode pipelines and plain
-   value delivery keep the staged decode-then-transform path. *)
+   An admitted delivery runs the cached plan's compiled closure for the
+   message's byte order: a fused plan decodes straight into the target
+   layout (the sender-format value tree is never built), a staged plan
+   decodes, then transforms.  A Reject pipeline or a refusing breaker still
+   decodes the message, for the default handler. *)
 let deliver_wire t (meta : Meta.format_meta) (message : string) : outcome =
   let hit, entry = lookup t meta in
   match entry.pipeline with
-  | Accept { fused = Some (from_, into); format_name; via; handler; provenance; _ } ->
+  | Accept { plan; _ } when admit t entry ->
     let t0 = if t.m.rm_on then Obs.now t.m.rm_reg else 0. in
-    (match
-       let h = Codec.read_header message in
-       let mor = Codec.morpher_in t.codecs ~endian:h.Codec.endian ~from_ ~into in
-       Codec.morph_payload mor ~pos:Codec.header_size message
-     with
-     | v' ->
-       if t.m.rm_on then
-         Obs.Histogram.observe t.m.rm_fused_ns (Obs.now t.m.rm_reg -. t0);
-       deliver_fused t ~hit entry ~format_name ~via ~handler ~provenance v'
+    (match Plan.decode ?ctx:t.config.Config.ctx plan message with
      | exception Codec.Decode_error msg -> reject_wire t (`Decode msg)
-     | exception Value.Type_error msg -> reject_wire t (`Type msg))
-  | Accept _ | Reject _ ->
-    let t0 = if t.m.rm_on then Obs.now t.m.rm_reg else 0. in
-    (match Wire.decode ?ctx:t.config.Config.ctx meta.Meta.body message with
-     | Ok v ->
-       let o = deliver_entry t ~hit entry meta v in
-       (match entry.pipeline, o with
-        | Accept _, Delivered _ when t.m.rm_on ->
+     | exception Value.Type_error msg -> reject_wire t (`Type msg)
+     | v when Plan.kind plan = Plan.Fused ->
+       if t.m.rm_on then Obs.Histogram.observe t.m.rm_fused_ns (Obs.now t.m.rm_reg -. t0);
+       deliver_step t ~hit entry meta Hand_over v
+     | v ->
+       let o = deliver_step t ~hit entry meta Transform v in
+       (match o with
+        | Delivered _ when t.m.rm_on ->
           Obs.Histogram.observe t.m.rm_staged_ns (Obs.now t.m.rm_reg -. t0)
         | _ -> ());
-       o
+       o)
+  | Accept _ | Reject _ ->
+    (match Wire.decode ?ctx:t.config.Config.ctx meta.Meta.body message with
+     | Ok v -> deliver_step t ~hit entry meta Turn_away v
      | Error e -> reject_wire t e)
 
+let plan ?engine t (meta : Meta.format_meta) : (Plan.t, string) result =
+  match plan_pipeline ?engine t meta with
+  | Accept { plan; _ } -> Ok plan
+  | Reject reason -> Error reason
+
 (* Describe, without delivering or caching, what Algorithm 2 would do with
-   messages of this format — for diagnostics and operator tooling. *)
+   messages of this format — for diagnostics and operator tooling.  Wire
+   closures compile on a plan's first message, so none is compiled here. *)
 let explain t (meta : Meta.format_meta) : string =
-  match plan t meta with
+  match plan_pipeline t meta with
   | Reject reason -> Fmt.str "reject: %s" reason
-  | Accept { format_name; via; _ } ->
-    Fmt.str "deliver to %s via %a" format_name pp_via via
+  | Accept { via; plan; _ } ->
+    Fmt.str "deliver to %s via %a [%a]" (Plan.target plan).Ptype.rname pp_via via
+      Plan.pp plan

@@ -56,9 +56,6 @@ module Config : sig
     weights : Weighted.t option;
         (** when set, MaxMatch runs importance-weighted and the thresholds
             apply on the weighted scale *)
-    engine : Xform.engine;
-        (** how attached transformations execute: compiled closures in
-            production, the interpreter for the A1 ablation *)
     quarantine_after : int;
         (** consecutive run-time transformation failures after which a
             cached pipeline's {!Breaker} trips — without a cooldown the
@@ -75,17 +72,18 @@ module Config : sig
         (** registry receiving the [receiver.*] counters and histograms
             (see docs/OBSERVABILITY.md) *)
     ctx : Ctx.t option;
-        (** capability context for the wire fast paths: fused morph plans
-            come from the context's codec cache and staged decodes run
-            [Wire.decode ~ctx].  [None] (the default) keeps the
-            process-global caches; pass a context when receivers run on
-            multiple domains (docs/CONCURRENCY.md) *)
+        (** capability context for wire deliveries: each pipeline's
+            {!Plan} compiles its wire closures from the context's codec
+            cache, and staged decodes record [wire.*] into its registry.
+            [None] (the default) keeps the process-global caches; pass a
+            context when receivers run on multiple domains
+            (docs/CONCURRENCY.md) *)
     flight : Obs.Flight.recorder option;
         (** when set, every quarantine triggers an {!Obs.Flight} incident
             capture (kind ["quarantine"]) for post-mortem analysis *)
   }
 
-  (** Default thresholds, no weights, compiled engine, quarantine after 3,
+  (** Default thresholds, no weights, quarantine after 3,
       [Obs.null] metrics, no context (process-global caches). *)
   val default : t
 
@@ -93,7 +91,6 @@ module Config : sig
   val v :
     ?thresholds:Maxmatch.thresholds ->
     ?weights:Weighted.t ->
-    ?engine:Xform.engine ->
     ?quarantine_after:int ->
     ?quarantine_cooldown_s:float ->
     ?metrics:Obs.t ->
@@ -144,11 +141,22 @@ val deliver : t -> Meta.format_meta -> Value.t -> outcome
     messages are {!Rejected}, never an exception: receivers stay up under
     hostile input.  The pipeline is found as for {!deliver}: by the meta
     value's identity first, so pass the same value for every message of a
-    format. *)
+    format.  The pipeline's {!Plan} then runs its compiled closure for the
+    message's byte order, with no codec-cache lookup after the first
+    message in that order. *)
 val deliver_wire : t -> Meta.format_meta -> string -> outcome
 
+(** The plan {!deliver} would cache for messages of this format, built
+    afresh: nothing is cached and no wire code is compiled.  [engine]
+    compiles its hops (default compiled closures; [Interpreted] is the
+    reference {!Morph.morph_to} offers).  [Error] is the rejection
+    reason. *)
+val plan : ?engine:Xform.engine -> t -> Meta.format_meta -> (Plan.t, string) result
+
 (** Describe, without delivering or caching, what Algorithm 2 would do
-    with messages of this format — for diagnostics and operator tooling. *)
+    with messages of this format — for diagnostics and operator tooling:
+    the registered format, the {!via}, and the plan kind, e.g.
+    [deliver to LoadEvent via morphed(LoadEvent) [staged, 3 hops]]. *)
 val explain : t -> Meta.format_meta -> string
 
 val stats : t -> stats

@@ -34,8 +34,9 @@ module Framing = Transport.Framing
 module Breaker = Morph.Breaker
 module Maxmatch = Morph.Maxmatch
 module Xform = Morph.Xform
+module Plan = Morph.Plan
 
-type rung = Fused | Staged
+type rung = Plan.kind = Fused | Staged
 
 (* --- configuration ------------------------------------------------------- *)
 
@@ -224,37 +225,11 @@ let make_gmetrics reg =
 
 (* --- plans ---------------------------------------------------------------- *)
 
-(* What Algorithm 2 planning decided for one (tenant, format), computed
-   synchronously when its first message arrives: a structural match, or
-   the composed Ecode hops of a retro-transformation chain followed by the
-   conversion from the chain's end into the target. *)
-type shape =
-  | Structural
-  | Chain of (Value.t -> Value.t)
-
-(* A plan's compiled wire artifacts, one per endian (LE, BE), each forced
-   on the first message of that endian.  A structural shape fuses decode
-   and morph into one plan; a chain needs the decoded value tree, so it
-   decodes with a staged plan and then runs the transform. *)
-type engine_plans =
-  | Fused_plans of Codec.morpher Lazy.t * Codec.morpher Lazy.t
-  | Staged_plans of
-      Codec.decoder Lazy.t * Codec.decoder Lazy.t * (Value.t -> Value.t)
-
-type plan = {
-  p_source : Ptype.record;
-  p_target : Ptype.record;
-  p_plans : engine_plans;
-  p_reference : (Value.t -> Value.t) option;
-      (* the value-tree transform the parity reference applies after its
-         interpretive decode; [Some] only when parity is on *)
-}
-
 (* What the cache holds: planning failures are cached too, so a format
    with no acceptable morph path costs one lookup per message, not one
    MaxMatch per message. *)
 type cached =
-  | Ready of plan
+  | Ready of Plan.t
   | Refused of string
 
 (* --- tenants -------------------------------------------------------------- *)
@@ -503,98 +478,59 @@ let drop_tenant t id =
 (* --- planning -------------------------------------------------------------- *)
 
 (* The gateway's slice of Algorithm 2, with the candidate set pinned to
-   the tenant's single target format: direct structural match, else the
-   shortest retro-transformation chain whose endpoint matches. *)
-let build_shape ~thresholds (meta : Meta.format_meta) (target : Ptype.record) :
-  (shape, string) result =
+   the tenant's single target format: direct structural match (fused),
+   else the shortest retro-transformation chain whose endpoint matches
+   (staged).  Decided when a format's first message arrives; the plan's
+   wire closures compile on the first message of each byte order. *)
+let plan_for t (meta : Meta.format_meta) (target : Ptype.record) :
+  (Plan.t, string) result =
   let fm = meta.Meta.body in
   let matches f =
     Ptype.equal_record f target
-    || Maxmatch.qualifies thresholds (Maxmatch.evaluate_pair f target)
+    || Maxmatch.qualifies t.config.thresholds (Maxmatch.evaluate_pair f target)
   in
-  if matches fm then Ok Structural
-  else
-    match
-      List.find_opt
-        (fun (f, path) -> path <> [] && matches f)
+  match
+    if matches fm then Some []
+    else
+      List.find_map
+        (fun (f, path) -> if path <> [] && matches f then Some path else None)
         (Xform.reachable meta)
-    with
-    | None ->
-      Error
-        (Fmt.str "no acceptable match for format %S against the tenant target %S"
-           fm.Ptype.rname target.Ptype.rname)
-    | Some (f, specs) ->
-      (match Xform.compile_chain ~source:fm specs with
-       | Error e -> Error (Err.to_string e)
-       | Ok chain ->
-         if Ptype.equal_record f target then Ok (Chain chain)
-         else
-           let conv = Convert.compile ~from_:f ~into:target in
-           Ok (Chain (fun v -> conv (chain v))))
+  with
+  | None ->
+    Error
+      (Fmt.str "no acceptable match for format %S against the tenant target %S"
+         fm.Ptype.rname target.Ptype.rname)
+  | Some specs ->
+    let kind = if specs = [] then Fused else Staged in
+    Result.map_error Err.to_string
+      (Plan.compile ~codecs:t.codecs ~kind ~source:fm ~specs ~target ())
 
 (* Deterministic compile-cost units ([Ptype.weight], not wall time): a
    fused plan compiles reader plans over both formats, a staged plan only
    the source decoder. *)
-let compile_cost (shape : shape) ~(source : Ptype.record)
-    ~(target : Ptype.record) =
-  match shape with
-  | Structural -> float_of_int (Ptype.weight source + Ptype.weight target)
-  | Chain _ -> float_of_int (Ptype.weight source)
-
-let build_plan t (shape : shape) ~(source : Ptype.record)
-    ~(target : Ptype.record) : plan =
-  let parity = t.config.parity in
-  match shape with
-  | Structural ->
-    let morpher endian =
-      lazy (Codec.morpher_in t.codecs ~endian ~from_:source ~into:target)
-    in
-    { p_source = source; p_target = target;
-      p_plans = Fused_plans (morpher Codec.Little, morpher Codec.Big);
-      p_reference =
-        (if not parity then None
-         else if Ptype.equal_record source target then Some Fun.id
-         else Some (Convert.compile ~from_:source ~into:target)) }
-  | Chain transform ->
-    let decoder endian =
-      lazy (Codec.decoder_for ~cache:t.codecs ~endian source)
-    in
-    { p_source = source; p_target = target;
-      p_plans = Staged_plans (decoder Codec.Little, decoder Codec.Big, transform);
-      p_reference = (if parity then Some transform else None) }
+let compile_cost (plan : Plan.t) =
+  let source = Ptype.weight (Plan.source plan) in
+  match Plan.kind plan with
+  | Fused -> float_of_int (source + Ptype.weight (Plan.target plan))
+  | Staged -> float_of_int source
 
 (* --- delivery -------------------------------------------------------------- *)
 
-let pick le be = function Codec.Little -> Lazy.force le | Codec.Big -> Lazy.force be
-
-(* Decode + transform one message under the plan's compiled artifacts. *)
-let run_plan (plan : plan) (message : string) : Value.t =
-  let endian = (Codec.read_header message).Codec.endian in
-  match plan.p_plans with
-  | Fused_plans (le, be) ->
-    Codec.morph_payload (pick le be endian) ~pos:Codec.header_size message
-  | Staged_plans (le, be, transform) ->
-    transform (Codec.decode_payload (pick le be endian) ~pos:Codec.header_size message)
-
-let rung_of (plan : plan) =
-  match plan.p_plans with Fused_plans _ -> Fused | Staged_plans _ -> Staged
-
 (* Cross-check a delivered value against the interpretive reference: the
-   reference decoder plus the plan's transform, re-encoded under the
+   reference decoder plus the plan's value transform, re-encoded under the
    target, must be byte-identical. *)
-let check_parity t (plan : plan) reference (message : string) (v : Value.t) =
+let check_parity t (plan : Plan.t) (message : string) (v : Value.t) =
+  let target = Plan.target plan in
   let agree =
     match
       let endian = (Codec.read_header message).Codec.endian in
       let want =
-        Codec.Interp.decode_payload ~endian ~pos:Codec.header_size plan.p_source
+        Codec.Interp.decode_payload ~endian ~pos:Codec.header_size (Plan.source plan)
           message
-        |> reference
-        |> Codec.Interp.encode_payload ~endian:Codec.Little plan.p_target
+        |> Plan.transform plan
+        |> Codec.Interp.encode_payload ~endian:Codec.Little target
       in
-      String.equal
-        (Codec.Interp.encode_payload ~endian:Codec.Little plan.p_target v)
-        want
+      String.equal (Codec.Interp.encode_payload ~endian:Codec.Little target v) want
     with
     | agree -> agree
     | exception _ -> false
@@ -616,20 +552,18 @@ let record_failure t (ts : tstate) msg : outcome =
   end;
   Rejected msg
 
-let deliver_now t (ts : tstate) (plan : plan) ~fingerprint:fp ~deadline_ns
+let deliver_now t (ts : tstate) (plan : Plan.t) ~fingerprint:fp ~deadline_ns
     (message : string) : outcome =
-  match run_plan plan message with
+  match Plan.run plan message with
   | v ->
-    (match plan.p_reference with
-     | Some reference -> check_parity t plan reference message v
-     | None -> ());
+    if t.config.parity then check_parity t plan message v;
     if Breaker.record_success ts.ts_breaker then begin
       t.stats.breaker_recoveries <- t.stats.breaker_recoveries + 1;
       if t.m.gm_on then
         Obs.Gauge.set t.m.gm_breakers_open (float_of_int (breakers_open t))
     end;
     t.stats.delivered <- t.stats.delivered + 1;
-    let rung = rung_of plan in
+    let rung = Plan.kind plan in
     (match rung with
      | Fused ->
        t.stats.delivered_fused <- t.stats.delivered_fused + 1;
@@ -754,20 +688,19 @@ let rec handle_data t (ts : tstate) ~fingerprint:fp ~deadline_ns (message : stri
    again, against the new target). *)
 and start_compile t (ts : tstate) ~fingerprint:fp (meta : Meta.format_meta)
     (target : Ptype.record) ~deadline_ns (message : string) : outcome =
-  match build_shape ~thresholds:t.config.thresholds meta target with
+  match plan_for t meta target with
   | Error msg ->
     (* planning refusals are cached (cost 1) and immediate: there is no
        artifact to compile, so nothing to wait for *)
     Plan_cache.add t.cache ~tenant:ts.ts_id ~key:fp ~cost:1. (Refused msg);
     set_cache_gauges t;
     record_failure t ts msg
-  | Ok shape ->
+  | Ok plan ->
     let key = (ts.ts_id, fp) in
     let q = Queue.create () in
     Hashtbl.replace t.inflight key q;
     park t q ~deadline_ns message;
-    let source = meta.Meta.body in
-    let cost = compile_cost shape ~source ~target in
+    let cost = compile_cost plan in
     t.stats.plan_compiles <- t.stats.plan_compiles + 1;
     if t.m.gm_on then Obs.Counter.incr t.m.gm_compiles;
     if Hashtbl.mem ts.ts_compiled fp then begin
@@ -795,7 +728,6 @@ and start_compile t (ts : tstate) ~fingerprint:fp (meta : Meta.format_meta)
                   : outcome))
             q
         else begin
-          let plan = build_plan t shape ~source ~target in
           Plan_cache.add t.cache ~tenant:ts.ts_id ~key:fp ~cost (Ready plan);
           set_cache_gauges t;
           Queue.iter

@@ -7,17 +7,17 @@
     sheds expired/over-quota/circuit-open work {e before} decoding, and
     plans morphs into the tenant's target format through one shared
     bounded {!Plan_cache} (singleflight-coalesced compiles).  Each plan
-    compiles once, at the engine its shape needs; while the cache
-    thrashes, the {!Governor} sheds messages that need a new plan. *)
+    is a {!Morph.Plan.t}, compiled once at the engine its shape needs;
+    while the cache thrashes, the {!Governor} sheds messages that need a
+    new plan. *)
 
 module Plan_cache = Plan_cache
 module Governor = Governor
 
-(** The engine a plan runs. *)
-type rung =
+(** The engine a plan runs: its {!Morph.Plan.kind}. *)
+type rung = Morph.Plan.kind =
   | Fused
-      (** structural match: one fused decode->morph plan
-          ({!Pbio.Codec.morpher_in}) *)
+      (** structural match: one fused decode->morph plan *)
   | Staged
       (** retro-transformation chain: compiled decode, then the composed
           Ecode hops and the conversion into the target *)

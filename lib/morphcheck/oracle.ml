@@ -8,8 +8,9 @@
    The four differential oracles:
      roundtrip  wire encode/decode is the identity on conforming values
      engines    compiled and interpreted Ecode agree on evolution rollbacks
-     chain      a receiver morphing v_n -> v_0 through a spec chain equals
-                the direct composition of the generated hop transformations
+     chain      a receiver morphing v_n -> v_0 through a spec chain, by
+                value and over the wire in both byte orders, equals the
+                direct composition of the generated hop transformations
      weighted   uniform-weight Weighted matching reproduces the plain
                 integer Diff / Maxmatch quantities and selections
 
@@ -121,16 +122,33 @@ let chain_case st =
       c.Evolve.steps
   in
   let expected = List.fold_left (fun x f -> f x) (Value.copy v) rollbacks in
-  match Morph.morph_to meta ~target:c.Evolve.base (Value.copy v) with
-  | Error e ->
-    fail "receiver rejected a valid %d-hop chain: %a" (List.length c.Evolve.steps) Err.pp e
-  | Ok got ->
+  let hops = List.length c.Evolve.steps in
+  let check path got =
     if not (Value.equal got expected) then
-      fail "chain mismatch over %d hops [%a]:@ input %s@ receiver %s@ direct %s"
-        (List.length c.Evolve.steps)
+      fail "chain mismatch (%s) over %d hops [%a]:@ input %s@ receiver %s@ direct %s"
+        path hops
         (Fmt.list ~sep:Fmt.comma Evolve.pp_op)
         (List.map (fun (s : Evolve.step) -> s.op) c.Evolve.steps)
         (Value.to_string v) (Value.to_string got) (Value.to_string expected)
+  in
+  (match Morph.morph_to meta ~target:c.Evolve.base (Value.copy v) with
+   | Error e -> fail "receiver rejected a valid %d-hop chain: %a" hops Err.pp e
+   | Ok got -> check "morph_to" got);
+  (* the same chain over the wire, staged, in both byte orders through one
+     receiver: each order compiles its own closure into the plan *)
+  let recv = Morph.Receiver.create () in
+  let got = ref None in
+  Morph.Receiver.register recv c.Evolve.base (fun x -> got := Some x);
+  let first = Rgen.bool st in
+  List.iter
+    (fun little ->
+       let endian = if little then Wire.Little else Wire.Big in
+       got := None;
+       let o = Morph.Receiver.deliver_wire recv meta (Wire.encode ~endian ~format_id:7 hd v) in
+       match o, !got with
+       | Morph.Receiver.Delivered _, Some x -> check (if little then "wire LE" else "wire BE") x
+       | o, _ -> fail "wire delivery of a valid %d-hop chain: %a" hops Morph.Receiver.pp_outcome o)
+    [ first; not first ]
 
 let weighted_case st =
   let open Morph in
@@ -267,26 +285,33 @@ let codec_case st =
   let tgt = structural_variant r st in
   check_target tgt;
   (* receiver level: a wire delivery (fused when the pipeline allows) must
-     agree with decode-then-deliver on a twin receiver *)
+     agree with decode-then-deliver on a twin receiver, in both byte
+     orders through the one receiver [ra] *)
   let meta = Meta.plain r in
   let got_wire = ref None and got_val = ref None in
   let ra = Morph.Receiver.create () in
   Morph.Receiver.register ra tgt (fun x -> got_wire := Some x);
   let rb = Morph.Receiver.create () in
   Morph.Receiver.register rb tgt (fun x -> got_val := Some x);
-  let oa = Morph.Receiver.deliver_wire ra meta im in
-  let ob =
-    match Wire.decode r im with
-    | Ok dv -> Morph.Receiver.deliver rb meta dv
-    | Error e -> fail "wire decode failed on own encoding: %a" Err.pp e
-  in
-  let show o = Fmt.str "%a" Morph.Receiver.pp_outcome o in
-  if show oa <> show ob then
-    fail "deliver_wire and deliver disagree:@ wire %s@ value %s" (show oa) (show ob);
-  if not (Option.equal Value.equal !got_wire !got_val) then
-    fail "delivered values differ:@ wire %s@ value %s"
-      (match !got_wire with Some x -> Value.to_string x | None -> "<none>")
-      (match !got_val with Some x -> Value.to_string x | None -> "<none>")
+  let other = if endian = Codec.Little then Codec.Big else Codec.Little in
+  List.iter
+    (fun im ->
+       got_wire := None;
+       got_val := None;
+       let oa = Morph.Receiver.deliver_wire ra meta im in
+       let ob =
+         match Wire.decode r im with
+         | Ok dv -> Morph.Receiver.deliver rb meta dv
+         | Error e -> fail "wire decode failed on own encoding: %a" Err.pp e
+       in
+       let show o = Fmt.str "%a" Morph.Receiver.pp_outcome o in
+       if show oa <> show ob then
+         fail "deliver_wire and deliver disagree:@ wire %s@ value %s" (show oa) (show ob);
+       if not (Option.equal Value.equal !got_wire !got_val) then
+         fail "delivered values differ:@ wire %s@ value %s"
+           (match !got_wire with Some x -> Value.to_string x | None -> "<none>")
+           (match !got_val with Some x -> Value.to_string x | None -> "<none>"))
+    [ im; Codec.Interp.encode_message ~endian:other ~format_id r v ]
 
 (* --- fuzz targets --------------------------------------------------------- *)
 

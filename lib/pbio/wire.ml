@@ -85,9 +85,9 @@ let metrics_for (ctx : Ctx.t option) : metrics =
   | None -> !metrics
   | Some c ->
     let l = Domain.DLS.get ctx_metrics_key in
-    (match List.find_opt (fun (c0, _) -> c0 == c) l with
-     | Some (_, m) -> m
-     | None ->
+    (match List.assq c l with
+     | m -> m
+     | exception Not_found ->
        let m = make_metrics (Ctx.obs c) in
        let l = List.filteri (fun i _ -> i < 7) l in
        Domain.DLS.set ctx_metrics_key ((c, m) :: l);
@@ -132,12 +132,12 @@ let decode_core ?ctx (r : Ptype.record) (data : string) : Value.t =
     (Codec.decoder_for ?cache:(cache_of ctx) ~endian:h.endian r)
     ~pos:header_size data
 
-let decode_raise ?ctx (r : Ptype.record) (data : string) : Value.t =
+let metered ?ctx (f : 'a -> string -> Value.t) (x : 'a) (data : string) : Value.t =
   let m = metrics_for ctx in
-  if not m.mon then decode_core ?ctx r data
+  if not m.mon then f x data
   else begin
     let t0 = Obs.now m.mreg in
-    match decode_core ?ctx r data with
+    match f x data with
     | v ->
       Obs.Counter.incr m.decodes;
       Obs.Counter.add m.bytes_in (String.length data);
@@ -147,6 +147,9 @@ let decode_raise ?ctx (r : Ptype.record) (data : string) : Value.t =
       Obs.Counter.incr m.decode_errors;
       raise e
   end
+
+let decode_raise ?ctx (r : Ptype.record) (data : string) : Value.t =
+  metered ?ctx (decode_core ?ctx) r data
 
 (* Total on untrusted input: every decoding failure — including a type
    error surfaced while interpreting a hostile format description — comes

@@ -85,6 +85,13 @@ val decode_payload :
     fields. *)
 val min_wire_size : Ptype.t -> int
 
+(** [metered f x message] is [f x message] on a complete wire message,
+    recorded as {!decode} records it ([wire.decodes], [wire.bytes_in],
+    [wire.decode_ns], or [wire.decode_errors] when [f] raises): for
+    callers that hold compiled decoders ([Morph.Plan]) and so skip
+    {!decode}'s per-call plan lookup. *)
+val metered : ?ctx:Ctx.t -> ('a -> string -> Value.t) -> 'a -> string -> Value.t
+
 (** {1 Observability}
 
     [set_metrics reg] points the codec's instrumentation at [reg]:

@@ -5,8 +5,8 @@ module Receiver = Morph.Receiver
 
 let fmt = Ptype_dsl.format_of_string_exn
 
-let make_receiver ?thresholds ?engine target =
-  let r = Receiver.create ~config:(Receiver.Config.v ?thresholds ?engine ()) () in
+let make_receiver ?thresholds target =
+  let r = Receiver.create ~config:(Receiver.Config.v ?thresholds ()) () in
   let got = ref [] in
   Receiver.register r target (fun v -> got := v :: !got);
   (r, got)
@@ -188,11 +188,17 @@ let test_deliver_wire () =
     (Value.to_int (Value.get_field (List.hd !got) "member_count"))
 
 let test_interpreted_engine_equivalent () =
-  let rc, gc = make_receiver ~engine:Morph.Xform.Compiled Helpers.response_v1 in
-  let ri, gi = make_receiver ~engine:Morph.Xform.Interpreted Helpers.response_v1 in
-  ignore (Receiver.deliver rc Helpers.response_v2_meta (Helpers.sample_v2 5));
-  ignore (Receiver.deliver ri Helpers.response_v2_meta (Helpers.sample_v2 5));
-  Alcotest.check Helpers.value "engines agree" (List.hd !gc) (List.hd !gi)
+  (* the interpreted reference runs the path a receiver plans *)
+  let r, got = make_receiver Helpers.response_v1 in
+  ignore (Receiver.deliver r Helpers.response_v2_meta (Helpers.sample_v2 5));
+  let morph engine =
+    Helpers.check_ok_err
+      (Morph.morph_to ~engine Helpers.response_v2_meta ~target:Helpers.response_v1
+         (Helpers.sample_v2 5))
+  in
+  let compiled = morph Morph.Xform.Compiled in
+  Alcotest.check Helpers.value "receiver and compiled agree" (List.hd !got) compiled;
+  Alcotest.check Helpers.value "engines agree" compiled (morph Morph.Xform.Interpreted)
 
 let test_morph_to_facade () =
   let out =
@@ -233,10 +239,35 @@ let test_cross_name_morphing () =
 let test_explain () =
   let r, _ = make_receiver Helpers.response_v1 in
   let s1 = Receiver.explain r Helpers.response_v2_meta in
-  Alcotest.(check bool) "explains morphing" true (Helpers.contains s1 "morphed");
+  Alcotest.(check string) "explains morphing and names the plan"
+    "deliver to ChannelOpenResponse via morphed(ChannelOpenResponse) [staged, 1 hop]" s1;
   let s2 = Receiver.explain r (Meta.plain (fmt "format Unrelated { int q; }")) in
   Alcotest.(check bool) "explains rejection" true (Helpers.contains s2 "reject");
-  (* explain does not populate the cache *)
+  let a = fmt "format R { int x; string s; }" in
+  let b = fmt "format R { string s; int x; }" in
+  let rb, _ = make_receiver b in
+  Alcotest.(check string) "a structural conversion fuses"
+    "deliver to R via reordered [fused]" (Receiver.explain rb (Meta.plain a));
+  Alcotest.(check string) "an exact match decodes staged"
+    "deliver to R via exact [staged, 0 hops]" (Receiver.explain rb (Meta.plain b));
+  let chain =
+    let v2 = fmt "format R { string s; int x; int y; }" in
+    let v3 = fmt "format R { string s; int x; int y; int z; }" in
+    Morph.meta v3
+      ~xforms:
+        [ Morph.xform ~target:v2 "old.s = new.s; old.x = new.x; old.y = new.y;";
+          Morph.xform ~source:v2 ~target:b "old.s = new.s; old.x = new.x + new.y;" ]
+  in
+  Alcotest.(check string) "chain hops counted"
+    "deliver to R via morphed(R) [staged, 2 hops]" (Receiver.explain rb chain);
+  (* explain neither populates the cache nor compiles a wire plan *)
+  let ctx = Ctx.create () in
+  let rc = Receiver.create ~config:(Receiver.Config.v ~ctx ()) () in
+  Receiver.register rc b ignore;
+  ignore (Receiver.explain rc (Meta.plain a) : string);
+  ignore (Receiver.explain rc chain : string);
+  Alcotest.(check int) "no wire plan compiled" 0
+    (Codec.plan_cache_size ~cache:(Ctx.codecs ctx) ());
   ignore (Receiver.deliver r Helpers.response_v2_meta (Helpers.sample_v2 1));
   Alcotest.(check int) "still a cold path after explain" 1
     (Receiver.stats r).Receiver.cold_paths
@@ -403,6 +434,59 @@ let test_quarantine_cooldown_probe_failure_reopens () =
    | o -> Alcotest.failf "expected rejection, got %a" Receiver.pp_outcome o);
   Alcotest.(check int) "no recovery" 0 (Receiver.stats r).Receiver.recovered
 
+(* Every Accept delivery passes the same breaker: a fused wire delivery
+   (a structural conversion decoded straight into the target) is refused
+   while the circuit is open, and its half-open probe counts as the
+   recovery. *)
+let test_quarantine_gates_fused_wire () =
+  let target = fmt "format Q { int q; int a; int b; int c; int d; int e; }" in
+  let body = fmt "format Q { uint q; int a; int b; int c; int d; int e; int extra; }" in
+  let meta = Meta.plain body in
+  let now_ns = ref 0. in
+  let metrics = Obs.create () in
+  Obs.set_registry_clock metrics (fun () -> !now_ns);
+  let r =
+    Receiver.create
+      ~config:
+        (Receiver.Config.v ~quarantine_after:2 ~quarantine_cooldown_s:0.05 ~metrics ())
+      ()
+  in
+  let got = ref 0 in
+  Receiver.register r target (fun _ -> incr got);
+  let value q =
+    Value.record
+      (("q", q)
+       :: List.map (fun f -> (f, Value.Int 1)) [ "a"; "b"; "c"; "d"; "e"; "extra" ])
+  in
+  (* a string where the uint belongs fails the coercion: two trip it *)
+  ignore (Receiver.deliver r meta (value (Value.String "x")));
+  ignore (Receiver.deliver r meta (value (Value.String "x")));
+  Alcotest.(check int) "tripped" 1 (Receiver.stats r).Receiver.quarantined;
+  let good = value (Value.Uint 7) in
+  let message = Wire.encode ~format_id:1 body good in
+  let expect_quarantined o =
+    match o with
+    | Receiver.Rejected reason ->
+      Alcotest.(check bool) "mentions quarantine" true (Helpers.contains reason "quarantined")
+    | o -> Alcotest.failf "expected a quarantine rejection, got %a" Receiver.pp_outcome o
+  in
+  expect_quarantined (Receiver.deliver r meta good);
+  expect_quarantined (Receiver.deliver_wire r meta message);
+  Alcotest.(check int) "nothing delivered inside the cooldown" 0 !got;
+  (match Receiver.breaker_state r meta with
+   | Some Morph.Breaker.Open -> ()
+   | _ -> Alcotest.fail "the refused wire delivery must leave the breaker open");
+  (* past the cooldown the wire delivery is the probe that recovers *)
+  now_ns := 0.06 *. 1e9;
+  (match Receiver.deliver_wire r meta message with
+   | Receiver.Delivered { via = Receiver.Converted; _ } -> ()
+   | o -> Alcotest.failf "probe should deliver via converted, got %a" Receiver.pp_outcome o);
+  Alcotest.(check int) "recovery counted" 1 (Receiver.stats r).Receiver.recovered;
+  (match Receiver.breaker_state r meta with
+   | Some Morph.Breaker.Closed -> ()
+   | _ -> Alcotest.fail "breaker should be closed after the probe");
+  Alcotest.(check int) "delivered once" 1 !got
+
 let test_delivery_probe_observes_outcomes () =
   let registered = fmt "format Telemetry { int q; }" in
   let meta = quarantine_meta registered in
@@ -476,8 +560,8 @@ let prop_delivered_value_conforms =
 
 let test_wire_fused_plan_cached () =
   (* repeated wire deliveries of one format must be served entirely from
-     the cached fused plan: [codec.plan_compiles] ticks once, then every
-     lookup is a hit *)
+     the cached pipeline's plan: [codec.plan_compiles] ticks once, and no
+     later delivery consults the codec cache at all *)
   let a = fmt "format W { int x; string s; }" in
   let b = fmt "format W { string s; int x; }" in
   let v = Value.record [ ("x", Value.Int 7); ("s", Value.String "m") ] in
@@ -500,7 +584,7 @@ let test_wire_fused_plan_cached () =
        Alcotest.(check int) "messages delivered" 5 (List.length !got);
        Alcotest.(check int) "one fused compile" 1
          (Obs.Counter.value reg "codec.plan_compiles");
-       Alcotest.(check int) "repeats hit the plan cache" 4
+       Alcotest.(check int) "repeats never look the plan up" 0
          (Obs.Counter.value reg "codec.plan_cache_hits"))
 
 (* --- identity slots: the pipeline found by the meta value itself -------- *)
@@ -629,7 +713,30 @@ let test_slots_alloc_flat () =
   let rich = per_delivery (Morph.meta body ~xforms:unused) in
   if Float.abs (rich -. plain) > 16. then
     Alcotest.failf "a delivery allocates %.0f B with 16 unused transformations \
-                    against %.0f B without" rich plain
+                    against %.0f B without" rich plain;
+  (* nor with the format: one receiver of two formats, each delivered
+     exact, allocates for an alternating pair what it does for a pair of
+     either, since each pipeline keeps its own decode plan *)
+  let other = fmt "format B { int y; int z; }" in
+  let r = Receiver.create () in
+  Receiver.register r body ignore;
+  Receiver.register r other ignore;
+  let a = (Meta.plain body, message) in
+  let b =
+    ( Meta.plain other,
+      Wire.encode ~format_id:2 other
+        (Value.record [ ("y", Value.Int 1); ("z", Value.Int 2) ]) )
+  in
+  let deliver (meta, message) =
+    match Receiver.deliver_wire r meta message with
+    | Receiver.Delivered { via = Receiver.Exact; _ } -> ()
+    | o -> Alcotest.failf "expected exact delivery, got %a" Receiver.pp_outcome o
+  in
+  let per_pair x y = Helpers.alloc_per_call ~reps:100 (fun () -> deliver x; deliver y) in
+  let aa = per_pair a a and bb = per_pair b b and ab = per_pair a b in
+  if Float.abs (ab -. ((aa +. bb) /. 2.)) > 16. then
+    Alcotest.failf "an alternating pair allocates %.0f B against %.0f B (A,A) and \
+                    %.0f B (B,B)" ab aa bb
 
 let test_nan_default_plans_once () =
   (* a NaN float default equals itself, so decoded copies of its meta find
@@ -699,6 +806,8 @@ let suite =
       test_quarantine_cooldown_recovers;
     Alcotest.test_case "quarantine: failed probe re-opens" `Quick
       test_quarantine_cooldown_probe_failure_reopens;
+    Alcotest.test_case "quarantine: breaker gates fused wire deliveries" `Quick
+      test_quarantine_gates_fused_wire;
     Alcotest.test_case "delivery probe observes outcomes" `Quick
       test_delivery_probe_observes_outcomes;
     Alcotest.test_case "metrics counters mirror stats" `Quick test_metrics_counters;
