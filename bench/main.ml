@@ -671,8 +671,8 @@ let parallel quick =
   let base = ref Float.nan in
   List.iter
     (fun domains ->
-       (* fresh sinks per width over one shared context: the striped plan
-          cache is exactly what the workers contend on *)
+       (* fresh sinks per width over one shared context: its plan cache
+          is exactly what the workers contend on *)
        let ctx = Ctx.create () in
        let sinks =
          Array.init nsinks (fun i ->

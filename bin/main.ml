@@ -365,54 +365,41 @@ let stats_cmd =
         Obs.emit metrics
           (if json then Obs.Json print_string else Obs.Text print_string)
     in
-    (* the wire/codec instruments ride the capability context now; only
-       the compile-side counters ([codec.plan_compiles], [convert.compiles])
-       and Ecode remain process-global registrations, fine for a
-       single-domain diagnostic run *)
+    (* every wire, codec, convert and Ecode series is recorded into the
+       command's context *)
     let ctx = Ctx.create ~metrics () in
-    (Codec.set_metrics metrics [@alert "-deprecated"]);
-    (Convert.set_metrics metrics [@alert "-deprecated"]);
-    Ecode.set_metrics metrics;
-    Fun.protect
-      ~finally:(fun () ->
-          (Codec.set_metrics Obs.null [@alert "-deprecated"]);
-          (Convert.set_metrics Obs.null [@alert "-deprecated"]);
-          Ecode.set_metrics Obs.null)
-      (fun () ->
-         match scenario with
-         | "b2b" ->
-           if watch > 0 then
-             Printf.eprintf
-               "stats: --watch snapshots the echo event loop; ignored for b2b\n";
-           let r =
-             B2b.Scenario.run ~orders ~metrics ~ctx B2b.Broker.Morph_at_receiver
-           in
-           if not json then Format.printf "# %a@.@." B2b.Scenario.pp_result r
-         | "echo" ->
-           (* cross-version publish/subscribe: a 2.0 creator, a 1.0 sink *)
-           let net = Transport.Netsim.create ~metrics () in
-           let creator =
-             Echo.Node.create ~metrics ~ctx net ~host:"creator" ~port:1 Echo.Node.V2
-           in
-           let old_sink =
-             Echo.Node.create ~metrics ~ctx net ~host:"legacy" ~port:2 Echo.Node.V1
-           in
-           Echo.Node.create_channel creator "demo" ~as_source:true ~as_sink:false;
-           Echo.Node.subscribe_events old_sink "demo" (fun _ -> ());
-           Echo.Node.join old_sink ~creator:(Echo.Node.contact creator) "demo"
-             ~as_source:false ~as_sink:true;
-           ignore (Echo.settle net);
-           for i = 1 to orders do
-             Echo.Node.publish creator "demo" (Printf.sprintf "event-%d" i);
-             ignore (Echo.settle net);
-             if watch > 0 && i mod watch = 0 && i < orders then begin
-               Printf.printf "# watch %d/%d\n" i orders;
-               emit_now ()
-             end
-           done
-         | s ->
-           Printf.eprintf "stats: unknown scenario %S (expected b2b or echo)\n" s;
-           exit 2);
+    (match scenario with
+     | "b2b" ->
+       if watch > 0 then
+         Printf.eprintf
+           "stats: --watch snapshots the echo event loop; ignored for b2b\n";
+       let r = B2b.Scenario.run ~orders ~metrics ~ctx B2b.Broker.Morph_at_receiver in
+       if not json then Format.printf "# %a@.@." B2b.Scenario.pp_result r
+     | "echo" ->
+       (* cross-version publish/subscribe: a 2.0 creator, a 1.0 sink *)
+       let net = Transport.Netsim.create ~metrics () in
+       let creator =
+         Echo.Node.create ~metrics ~ctx net ~host:"creator" ~port:1 Echo.Node.V2
+       in
+       let old_sink =
+         Echo.Node.create ~metrics ~ctx net ~host:"legacy" ~port:2 Echo.Node.V1
+       in
+       Echo.Node.create_channel creator "demo" ~as_source:true ~as_sink:false;
+       Echo.Node.subscribe_events old_sink "demo" (fun _ -> ());
+       Echo.Node.join old_sink ~creator:(Echo.Node.contact creator) "demo"
+         ~as_source:false ~as_sink:true;
+       ignore (Echo.settle net);
+       for i = 1 to orders do
+         Echo.Node.publish creator "demo" (Printf.sprintf "event-%d" i);
+         ignore (Echo.settle net);
+         if watch > 0 && i mod watch = 0 && i < orders then begin
+           Printf.printf "# watch %d/%d\n" i orders;
+           emit_now ()
+         end
+       done
+     | s ->
+       Printf.eprintf "stats: unknown scenario %S (expected b2b or echo)\n" s;
+       exit 2);
     emit_now ()
   in
   let scenario =

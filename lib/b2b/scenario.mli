@@ -18,8 +18,9 @@ val pp_result : Format.formatter -> result -> unit
 (** [metrics] is threaded through every component of the run — network,
     broker, retailer, supplier — so one registry collects the whole
     scenario's [netsim.*], [conn.*], [receiver.*] and [b2b.*] instruments.
-    [ctx] likewise supplies every component's codec plan caches
-    (docs/CONCURRENCY.md); omitted, the process-global caches are used. *)
+    [ctx] likewise supplies every component's codec plan cache and the
+    registry their wire calls and compiles record into
+    (docs/CONCURRENCY.md); omitted, it is {!Pbio.Ctx.default}. *)
 val run : ?orders:int -> ?metrics:Obs.t -> ?ctx:Pbio.Ctx.t -> Broker.mode -> result
 
 (** The scenario {!result} plus the distributed traces assembled from every

@@ -15,6 +15,7 @@ type t = {
   source : Ptype.record;
   specs : Xform.spec list;
   target : Ptype.record;
+  ctx : Ctx.t; (* its cache compiles the wire closures; its registry records *)
   mutable transform : (Value.t -> Value.t) option;
   (* what a staged plan runs after its decode; a fused plan's morpher
      converts on its own, so it builds this on the first [transform] *)
@@ -22,36 +23,50 @@ type t = {
   be : wire Lazy.t;
 }
 
-let compile_wire codecs p endian =
+let compile_wire p endian =
+  let cache = Ctx.codecs p.ctx in
   match p.kind with
-  | Fused -> Morph (Codec.morpher_in codecs ~endian ~from_:p.source ~into:p.target)
-  | Staged -> Decode (Codec.decoder_for ~cache:codecs ~endian p.source)
+  | Fused -> Morph (Codec.morpher_in cache ~endian ~from_:p.source ~into:p.target)
+  | Staged -> Decode (Codec.decoder_for ~cache ~endian p.source)
 
-let make ~codecs ~kind ~source ~specs ~target transform =
+let make ~ctx ~kind ~source ~specs ~target transform =
   let rec p =
-    { kind; source; specs; target; transform;
-      le = lazy (compile_wire codecs p Little);
-      be = lazy (compile_wire codecs p Big) }
+    { kind; source; specs; target; ctx; transform;
+      le = lazy (compile_wire p Little);
+      be = lazy (compile_wire p Big) }
   in
   p
 
-let compile ?engine ~codecs ~kind ~(source : Ptype.record) ~specs
+(* A structural conversion, timed into [ctx]'s registry. *)
+let convert ctx ~from_ ~into =
+  let m = Ctx.compiles ctx in
+  if not m.compile_on then Convert.compile ~from_ ~into
+  else begin
+    let t0 = Obs.now m.compile_reg in
+    let conv = Convert.compile ~from_ ~into in
+    Obs.Counter.incr m.convert_compiles;
+    Obs.Histogram.observe m.convert_ns (Obs.now m.compile_reg -. t0);
+    Obs.Trace.add_attr m.compile_reg "convert" "compiled";
+    conv
+  end
+
+let compile ?engine ~ctx ~kind ~(source : Ptype.record) ~specs
     ~(target : Ptype.record) () : (t, Err.t) result =
   match kind, specs with
   | Fused, _ :: _ -> invalid_arg "Plan.compile: a transformation chain cannot fuse"
-  | Fused, [] -> Ok (make ~codecs ~kind ~source ~specs ~target None)
+  | Fused, [] -> Ok (make ~ctx ~kind ~source ~specs ~target None)
   | Staged, _ ->
-    (match Xform.compile_chain ?engine ~source specs with
+    (match Xform.compile_chain ?engine ~ctx ~source specs with
      | Error _ as e -> e
      | Ok chain ->
        let endpoint = List.fold_left (fun _ (s : Xform.spec) -> s.target) source specs in
        let transform =
          if Ptype.equal_record endpoint target then chain
          else
-           let conv = Convert.compile ~from_:endpoint ~into:target in
+           let conv = convert ctx ~from_:endpoint ~into:target in
            if specs = [] then conv else fun v -> conv (chain v)
        in
-       Ok (make ~codecs ~kind ~source ~specs ~target (Some transform)))
+       Ok (make ~ctx ~kind ~source ~specs ~target (Some transform)))
 
 let kind p = p.kind
 let source p = p.source
@@ -64,7 +79,7 @@ let transform p =
   | None ->
     let f =
       if Ptype.equal_record p.source p.target then Fun.id
-      else Convert.compile ~from_:p.source ~into:p.target
+      else convert p.ctx ~from_:p.source ~into:p.target
     in
     p.transform <- Some f;
     f
@@ -80,10 +95,10 @@ let run p message =
   | Fused -> step p message
   | Staged -> transform p (step p message)
 
-let decode ?ctx p message =
+let decode p message =
   match p.kind with
   | Fused -> step p message
-  | Staged -> Wire.metered ?ctx step p message
+  | Staged -> Wire.metered ~ctx:p.ctx step p message
 
 let pp ppf p =
   match p.kind with

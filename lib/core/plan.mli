@@ -3,12 +3,15 @@
     and run per message.  {!Receiver} and the gateway decide paths by
     their own rules and run them through this one type.
 
-    Per byte order the plan holds a wire closure — a fused decode->morph
-    plan, or a staged decoder followed by the chain and the final
-    conversion — taken from the codec cache on the first message in that
-    order (users of one [Pbio.Ctx.t] share compiled code).  Later messages
-    consult no cache.  A plan is used by one domain at a time
-    (docs/CONCURRENCY.md). *)
+    A plan keeps the [Pbio.Ctx.t] it was compiled for.  Per byte order it
+    holds a wire closure — a fused decode->morph plan, or a staged decoder
+    followed by the chain and the final conversion — taken from that
+    context's codec cache on the first message in that order (users of
+    one context share compiled code).  Later messages consult no cache.
+    The Ecode hops and structural conversions the plan compiles are
+    recorded into the context's registry ([ecode.*], [convert.*]; the
+    [convert] = [compiled] trace attribute).  A plan is used by one
+    domain at a time (docs/CONCURRENCY.md). *)
 
 open Pbio
 
@@ -20,13 +23,13 @@ type t
 
 (** Compile the hops [specs] from [source] messages (with [engine],
     default compiled closures), then a structural conversion from their
-    last target into [target] unless that is the same format; no wire
-    code yet.  [Fused] needs empty [specs] ([Invalid_argument]) and builds
-    its value-tree conversion on the first {!transform}.  A hop that fails
-    to compile is the error. *)
+    last target into [target] unless that is the same format, recording
+    both into [ctx]; no wire code yet.  [Fused] needs empty [specs]
+    ([Invalid_argument]) and builds its value-tree conversion on the
+    first {!transform}.  A hop that fails to compile is the error. *)
 val compile :
   ?engine:Xform.engine ->
-  codecs:Codec.cache ->
+  ctx:Ctx.t ->
   kind:kind ->
   source:Ptype.record ->
   specs:Xform.spec list ->
@@ -51,9 +54,9 @@ val transform : t -> Value.t -> Value.t
 val run : t -> string -> Value.t
 
 (** The wire step of {!run}: a staged plan's decode into the [source]
-    layout, recorded into [ctx] as {!Pbio.Wire.decode} records it; a fused
-    plan's whole {!run}, unrecorded. *)
-val decode : ?ctx:Ctx.t -> t -> string -> Value.t
+    layout, recorded into the plan's context as {!Pbio.Wire.decode}
+    records it; a fused plan's whole {!run}, unrecorded. *)
+val decode : t -> string -> Value.t
 
 (** [fused], or [staged, N hops]. *)
 val pp : Format.formatter -> t -> unit

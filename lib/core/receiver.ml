@@ -89,11 +89,10 @@ module Config = struct
     quarantine_after : int;
     quarantine_cooldown_s : float option;
     metrics : Obs.t;
-    ctx : Ctx.t option;
-    (* capability context for wire deliveries: plans compile their wire
-       closures from [Ctx.codecs ctx] and record staged decodes into its
-       registry.  [None] keeps the legacy process-global caches — required
-       for byte-identical goldens, deprecated for new code. *)
+    ctx : Ctx.t;
+    (* capability context for plans: they compile their wire closures
+       from [Ctx.codecs ctx] and record their compiles and staged decodes
+       into its registry *)
     flight : Obs.Flight.recorder option;
     (* anomaly hook: each quarantine (breaker trip on a cached pipeline)
        triggers a flight-recorder incident capture *)
@@ -106,13 +105,13 @@ module Config = struct
       quarantine_after = 3;
       quarantine_cooldown_s = None;
       metrics = Obs.null;
-      ctx = None;
+      ctx = Ctx.default;
       flight = None;
     }
 
   let v ?(thresholds = default.thresholds) ?weights
       ?(quarantine_after = default.quarantine_after) ?quarantine_cooldown_s
-      ?(metrics = Obs.null) ?ctx ?flight () =
+      ?(metrics = Obs.null) ?(ctx = default.ctx) ?flight () =
     { thresholds; weights; quarantine_after; quarantine_cooldown_s; metrics;
       ctx; flight }
 end
@@ -171,6 +170,10 @@ let make_rmetrics reg =
    falls back to the structural key ([Meta.hash] + [Meta.equal]). *)
 let identity_slots = 8
 
+(* How many pipelines the structural table keeps, as the codec caches
+   keep plans: a sender pushing fresh metas cannot grow it without bound. *)
+let max_pipelines = 512
+
 type slot = {
   slot_meta : Meta.format_meta; (* the value delivered, not [entry.key] *)
   slot_entry : cache_entry;
@@ -179,13 +182,10 @@ type slot = {
 type t = {
   config : Config.t;
   m : rmetrics;
-  codecs : Codec.cache;
-  (* where plans take their wire closures from: the configured context's
-     plan cache, else the process default *)
   mutable registered : registered list; (* registration order *)
   mutable default_handler : (Meta.format_meta -> Value.t -> unit) option;
   mutable probe : (Value.t option -> outcome -> unit) option;
-  cache : (int, cache_entry list) Hashtbl.t;
+  cache : (Meta.format_meta, cache_entry) Lru.t;
   slots : slot option array;
   (* identity slots in front of [cache], filled round-robin at
      [next_slot]: callers hold one meta value per format, so a pointer
@@ -206,11 +206,10 @@ let create ?(config = Config.default) () =
   {
     config;
     m = make_rmetrics config.Config.metrics;
-    codecs = Ctx.codecs (Option.value config.Config.ctx ~default:Ctx.default);
     registered = [];
     default_handler = None;
     probe = None;
-    cache = Hashtbl.create 32;
+    cache = Lru.create ~equal:Meta.equal ~cap:max_pipelines;
     slots = Array.make identity_slots None;
     next_slot = 0;
     stats =
@@ -227,7 +226,7 @@ let register t (fmt : Ptype.record) (handler : handler) : unit =
   t.registered <- t.registered @ [ { fmt; handler } ];
   (* Registered formats change the matching space: throw away planned
      pipelines so they are recomputed against the new set. *)
-  Hashtbl.reset t.cache;
+  Lru.reset t.cache;
   Array.fill t.slots 0 identity_slots None;
   t.next_slot <- 0
 
@@ -306,7 +305,9 @@ let plan_uninstrumented ?engine t (meta : Meta.format_meta) : pipeline =
       if specs = [] && not (Ptype.equal_record fm target) then Plan.Fused
       else Plan.Staged
     in
-    match Plan.compile ?engine ~codecs:t.codecs ~kind ~source:fm ~specs ~target () with
+    match
+      Plan.compile ?engine ~ctx:t.config.Config.ctx ~kind ~source:fm ~specs ~target ()
+    with
     | Error e -> Reject (Err.to_string e)
     | Ok plan ->
       let hops = List.length specs in
@@ -390,23 +391,18 @@ let fill_slot t (meta : Meta.format_meta) (entry : cache_entry) : unit =
   t.slots.(t.next_slot) <- Some { slot_meta = meta; slot_entry = entry };
   t.next_slot <- (t.next_slot + 1) mod identity_slots
 
-(* The pipeline for [meta] by structure: the whole meta's hash bucket, then
-   [Meta.equal] against each entry's key. *)
+(* The pipeline for [meta] by structure ([Meta.hash], then [Meta.equal]),
+   refreshed as the table's most recently used. *)
 let find_cached t (meta : Meta.format_meta) : cache_entry option =
-  let h = Meta.hash meta in
-  match Hashtbl.find_opt t.cache h with
-  | None -> None
-  | Some entries -> List.find_opt (fun e -> Meta.equal e.key meta) entries
+  Lru.find t.cache ~hash:(Meta.hash meta) meta
 
 let cache_pipeline t (meta : Meta.format_meta) (p : pipeline) : cache_entry =
-  let h = Meta.hash meta in
-  let prev = Option.value ~default:[] (Hashtbl.find_opt t.cache h) in
   let breaker =
     Breaker.create ~threshold:t.config.Config.quarantine_after
       ?cooldown_s:t.config.Config.quarantine_cooldown_s ()
   in
   let entry = { key = meta; pipeline = p; breaker } in
-  Hashtbl.replace t.cache h (entry :: prev);
+  ignore (Lru.add t.cache ~hash:(Meta.hash meta) meta entry : int);
   entry
 
 let breaker_state t (meta : Meta.format_meta) : Breaker.state option =
@@ -597,7 +593,7 @@ let deliver_wire t (meta : Meta.format_meta) (message : string) : outcome =
   match entry.pipeline with
   | Accept { plan; _ } when admit t entry ->
     let t0 = if t.m.rm_on then Obs.now t.m.rm_reg else 0. in
-    (match Plan.decode ?ctx:t.config.Config.ctx plan message with
+    (match Plan.decode plan message with
      | exception Codec.Decode_error msg -> reject_wire t (`Decode msg)
      | exception Value.Type_error msg -> reject_wire t (`Type msg)
      | v when Plan.kind plan = Plan.Fused ->
@@ -611,7 +607,7 @@ let deliver_wire t (meta : Meta.format_meta) (message : string) : outcome =
         | _ -> ());
        o)
   | Accept _ | Reject _ ->
-    (match Wire.decode ?ctx:t.config.Config.ctx meta.Meta.body message with
+    (match Wire.decode ~ctx:t.config.Config.ctx meta.Meta.body message with
      | Ok v -> deliver_step t ~hit entry meta Turn_away v
      | Error e -> reject_wire t e)
 

@@ -71,20 +71,20 @@ module Config : sig
     metrics : Obs.t;
         (** registry receiving the [receiver.*] counters and histograms
             (see docs/OBSERVABILITY.md) *)
-    ctx : Ctx.t option;
-        (** capability context for wire deliveries: each pipeline's
-            {!Plan} compiles its wire closures from the context's codec
-            cache, and staged decodes record [wire.*] into its registry.
-            [None] (the default) keeps the process-global caches; pass a
-            context when receivers run on multiple domains
-            (docs/CONCURRENCY.md) *)
+    ctx : Ctx.t;
+        (** capability context for planning and wire deliveries: each
+            pipeline's {!Plan} compiles its wire closures from the
+            context's codec cache, and its Ecode and conversion compiles
+            and staged decodes record into the context's registry.
+            Defaults to {!Ctx.default}; pass a context when receivers run
+            on multiple domains (docs/CONCURRENCY.md) *)
     flight : Obs.Flight.recorder option;
         (** when set, every quarantine triggers an {!Obs.Flight} incident
             capture (kind ["quarantine"]) for post-mortem analysis *)
   }
 
   (** Default thresholds, no weights, quarantine after 3,
-      [Obs.null] metrics, no context (process-global caches). *)
+      [Obs.null] metrics, {!Ctx.default}. *)
   val default : t
 
   (** Keyword-argument builder over {!default}. *)
@@ -133,7 +133,14 @@ val set_delivery_probe : t -> (Value.t option -> outcome -> unit) option -> unit
     (peer, format id).  A fresh copy per message (say, a new
     {!Pbio.Meta.decode} each time) is delivered the same way but pays the
     structural key, a hash and an equality walk over the whole meta, on
-    every message; [receiver.structural_lookups] counts those lookups. *)
+    every message; [receiver.structural_lookups] counts those lookups.
+
+    The structural table holds at most 512 pipelines and evicts the least
+    recently used, so a sender pushing fresh metas cannot grow a receiver
+    without bound.  An evicted format plans afresh on its next message,
+    and its pipeline's breaker state is lost with it: a quarantined
+    format that was evicted gets a fresh, closed breaker.  A pipeline an
+    identity slot still holds keeps serving that slot. *)
 val deliver : t -> Meta.format_meta -> Value.t -> outcome
 
 (** Decode a complete wire message (as produced by {!Pbio.Wire.encode}
@@ -164,5 +171,6 @@ val registered_formats : t -> Ptype.record list
 val handler_for : t -> Ptype.record -> handler option
 
 (** Breaker state of the cached pipeline for this format meta, when one has
-    been planned ([None] before the first delivery). *)
+    been planned ([None] before the first delivery and after the
+    pipeline's eviction). *)
 val breaker_state : t -> Meta.format_meta -> Breaker.state option

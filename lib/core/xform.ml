@@ -23,11 +23,11 @@ type engine =
   | Compiled
   | Interpreted
 
-let compile ?(engine = Compiled) ~(source : Ptype.record) (spec : spec) :
+let compile ?(engine = Compiled) ?ctx ~(source : Ptype.record) (spec : spec) :
   (compiled, Err.t) result =
   let build =
     match engine with
-    | Compiled -> Ecode.compile_xform
+    | Compiled -> Ecode.compile_xform ?ctx
     | Interpreted -> Ecode.interpret_xform
   in
   match build ~src:source ~dst:spec.target spec.code with
@@ -68,12 +68,12 @@ let reachable (meta : Meta.format_meta) : (Ptype.record * spec list) list =
 
 (* Compile every hop of a spec path and compose them into one function
    from [source] messages to the last hop's target. *)
-let compile_chain ?engine ~(source : Ptype.record) (specs : spec list) :
+let compile_chain ?engine ?ctx ~(source : Ptype.record) (specs : spec list) :
   (Value.t -> Value.t, Err.t) result =
   let rec go source acc = function
     | [] -> Ok acc
     | (spec : spec) :: rest ->
-      (match compile ?engine ~source spec with
+      (match compile ?engine ?ctx ~source spec with
        | Error _ as e -> e
        | Ok compiled ->
          let step = compiled.run in

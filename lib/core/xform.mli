@@ -30,10 +30,12 @@ type engine =
 val spec : ?source:Ptype.record -> target:Ptype.record -> string -> spec
 
 (** Parse, typecheck and compile a transformation from messages of
-    [source] format into the spec's target.  Failures are
-    [Error (`Xform _)]. *)
+    [source] format into the spec's target, recording a compiled
+    engine's compile into [ctx] (default [Ctx.default]) as
+    [Ecode.compile] does.  Failures are [Error (`Xform _)]. *)
 val compile :
-  ?engine:engine -> source:Ptype.record -> spec -> (compiled, Err.t) result
+  ?engine:engine -> ?ctx:Ctx.t -> source:Ptype.record -> spec ->
+  (compiled, Err.t) result
 
 (** Every format [meta]'s transformations reach from [meta.body] (itself
     first, with the empty path), each with its shortest spec path:
@@ -43,10 +45,11 @@ val reachable : Meta.format_meta -> (Ptype.record * spec list) list
 
 (** Compile each hop of a spec path, starting from [source] messages, and
     compose the hops into one function into the last hop's target (the
-    identity for the empty path).  The first hop that fails to compile is
-    the error. *)
+    identity for the empty path), each hop recorded into [ctx] as
+    {!compile} records.  The first hop that fails to compile is the
+    error. *)
 val compile_chain :
-  ?engine:engine -> source:Ptype.record -> spec list ->
+  ?engine:engine -> ?ctx:Ctx.t -> source:Ptype.record -> spec list ->
   (Value.t -> Value.t, Err.t) result
 
 (** Validate without keeping the compiled form: writers call this at

@@ -6,9 +6,9 @@
     in order, so per-sink receiver state needs no locking and the outcome
     matrix is a pure function of (sinks, messages) — identical with no
     pool, a width-1 pool, or any wider pool.  Give each sink's receiver a
-    {!Pbio.Ctx.t} (its own, or one shared context — the plan caches are
-    domain-safe) so wire decodes do not contend on the process-global
-    caches.  See docs/CONCURRENCY.md. *)
+    {!Pbio.Ctx.t} (its own, or one shared context — the plan cache is
+    domain-safe) so wire decodes do not contend on {!Pbio.Ctx.default}'s
+    cache.  See docs/CONCURRENCY.md. *)
 
 open Pbio
 

@@ -31,9 +31,9 @@ type t
     node's [echo.*] counters (including per-channel
     [echo.channel.<name>.delivered]) and is threaded through to the
     endpoint's [conn.*] and the receiver's [receiver.*] instruments.
-    [ctx] supplies the codec plan caches for the node's endpoint and
-    receiver; omitted, the process-global caches are used
-    (docs/CONCURRENCY.md). *)
+    [ctx] supplies the codec plan cache for the node's endpoint and
+    receiver, and the registry their wire calls and compiles record
+    into; omitted, it is {!Pbio.Ctx.default} (docs/CONCURRENCY.md). *)
 val create :
   ?thresholds:Morph.Maxmatch.thresholds ->
   ?reliable:bool ->

@@ -20,33 +20,6 @@ open Pbio
 
 type program = Ast.prog
 
-(* --- observability ------------------------------------------------------- *)
-
-type metrics = {
-  mon : bool;
-  mreg : Obs.t;
-  compiles : Obs.Counter.h;
-  compile_errors : Obs.Counter.h;
-  compile_ns : Obs.Histogram.h;
-  stmt_count : Obs.Histogram.h;
-}
-
-let make_metrics reg =
-  {
-    mon = Obs.enabled reg;
-    mreg = reg;
-    compiles = Obs.Counter.make reg "ecode.compiles";
-    compile_errors = Obs.Counter.make reg "ecode.compile_errors";
-    compile_ns = Obs.Histogram.make reg ~unit_:"ns" "ecode.compile_ns";
-    stmt_count =
-      Obs.Histogram.make reg
-        ~buckets:[ 1.; 2.; 4.; 8.; 16.; 32.; 64.; 128. ]
-        "ecode.stmt_count";
-  }
-
-let metrics = ref (make_metrics Obs.null)
-let set_metrics reg = metrics := make_metrics reg
-
 (* Statement count of a program: a proxy for the length of the generated
    closure chain, reported per compile. *)
 let rec stmt_size (s : Ast.stmt) : int =
@@ -76,11 +49,12 @@ let typecheck ~(params : (string * Ptype.t) list) (prog : program) :
   Typecheck.check ~params prog
 
 (* Parse, check and compile a program against named parameters.  The
-   resulting function takes the parameter values in declaration order. *)
-let compile ~(params : (string * Ptype.t) list) (src : string) :
+   resulting function takes the parameter values in declaration order.
+   Timed into [ctx]'s registry. *)
+let compile ?(ctx = Ctx.default) ~(params : (string * Ptype.t) list) (src : string) :
   (Value.t array -> unit, string) result =
-  let m = !metrics in
-  let t0 = if m.mon then Obs.now m.mreg else 0. in
+  let m = Ctx.compiles ctx in
+  let t0 = if m.compile_on then Obs.now m.compile_reg else 0. in
   let result =
     match parse src with
     | Error _ as e -> e
@@ -88,26 +62,26 @@ let compile ~(params : (string * Ptype.t) list) (src : string) :
       (match typecheck ~params prog with
        | Error _ as e -> e
        | Ok tprog ->
-         if m.mon then
-           Obs.Histogram.observe m.stmt_count (float_of_int (program_size prog));
+         if m.compile_on then
+           Obs.Histogram.observe m.ecode_stmts (float_of_int (program_size prog));
          Ok (Compile.compile tprog))
   in
-  if m.mon then begin
+  if m.compile_on then begin
     (match result with
      | Ok _ ->
-       Obs.Counter.incr m.compiles;
-       Obs.Histogram.observe m.compile_ns (Obs.now m.mreg -. t0)
-     | Error _ -> Obs.Counter.incr m.compile_errors)
+       Obs.Counter.incr m.ecode_compiles;
+       Obs.Histogram.observe m.ecode_ns (Obs.now m.compile_reg -. t0)
+     | Error _ -> Obs.Counter.incr m.ecode_errors)
   end;
   result
 
 (* The paper's transformation shape: convert a [src]-format message into a
    fresh [dst]-format message.  Inside the snippet, [new] is the incoming
    message and [old] the outgoing one. *)
-let compile_xform ~(src : Ptype.record) ~(dst : Ptype.record) (code : string) :
+let compile_xform ?ctx ~(src : Ptype.record) ~(dst : Ptype.record) (code : string) :
   (Value.t -> Value.t, string) result =
   let params = [ ("new", Ptype.Record src); ("old", Ptype.Record dst) ] in
-  match compile ~params code with
+  match compile ?ctx ~params code with
   | Error _ as e -> e
   | Ok run ->
     let sync = Value.compile_sync dst in

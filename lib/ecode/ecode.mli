@@ -22,26 +22,25 @@ type program = Ast.prog
 
 val parse : string -> (program, string) result
 
-(** Point the compiler's instrumentation at a registry: [ecode.compiles] /
-    [ecode.compile_errors] counters, [ecode.compile_ns] latency and
-    [ecode.stmt_count] (statement count per compiled program — a proxy for
-    the generated closure-chain length).  Defaults to [Obs.null]. *)
-val set_metrics : Obs.t -> unit
-
 val typecheck :
   params:(string * Ptype.t) list -> program -> (Typecheck.tprog, string) result
 
 (** Parse, check and compile a program against named parameters.  The
-    resulting function takes the parameter values in declaration order. *)
+    resulting function takes the parameter values in declaration order.
+    The compile is recorded into [ctx] (default {!Ctx.default}):
+    [ecode.compiles] / [ecode.compile_errors] counters, [ecode.compile_ns]
+    latency and [ecode.stmt_count]. *)
 val compile :
+  ?ctx:Ctx.t ->
   params:(string * Ptype.t) list -> string -> (Value.t array -> unit, string) result
 
 (** The paper's transformation shape: convert a [src]-format message into a
     fresh [dst]-format message.  Inside the snippet, [new] is the incoming
     message and [old] the outgoing one (initialised to the target format's
     defaults; variable-array length fields are re-synchronised after the
-    snippet runs). *)
+    snippet runs).  Recorded into [ctx] as {!compile} records. *)
 val compile_xform :
+  ?ctx:Ctx.t ->
   src:Ptype.record -> dst:Ptype.record -> string -> (Value.t -> Value.t, string) result
 
 (** Interpreted variant of {!compile_xform}; same semantics, no code

@@ -277,9 +277,9 @@ type t = {
   cache : cached Plan_cache.t;
   gov : Governor.t;
   inflight : (int * int, pending Queue.t) Hashtbl.t;
-  codecs : Codec.cache;
-      (* the wire plans' codec cache, shared with every other user of the
-         creating context *)
+  ctx : Ctx.t;
+      (* the plans' context: its codec cache is shared with every other
+         user of the context, its registry records their compiles *)
   mutable pending_depth : int;
   mutable on_delivery : delivery -> unit;
   flight : Obs.Flight.recorder option;
@@ -307,8 +307,8 @@ let fingerprint (meta : Meta.format_meta) : int = Meta.hash meta land max_int
 let envelope ~tenant ~fingerprint ?(deadline_ns = 0) frame =
   Framing.Described { tenant; fingerprint; deadline_ns; frame }
 
-let create ?(config = default_config) ?(metrics = Obs.null) ?ctx ?flight ~net
-    contact (on_delivery : delivery -> unit) : t =
+let create ?(config = default_config) ?(metrics = Obs.null) ?(ctx = Ctx.default)
+    ?flight ~net contact (on_delivery : delivery -> unit) : t =
   if config.breaker_threshold < 1 then
     invalid_arg "Gateway.create: breaker_threshold must be >= 1";
   if config.pending_cap < 1 then
@@ -355,7 +355,7 @@ let create ?(config = default_config) ?(metrics = Obs.null) ?ctx ?flight ~net
       cache;
       gov;
       inflight = Hashtbl.create 64;
-      codecs = Ctx.codecs (Option.value ctx ~default:Ctx.default);
+      ctx;
       pending_depth = 0;
       on_delivery;
       flight;
@@ -503,7 +503,7 @@ let plan_for t (meta : Meta.format_meta) (target : Ptype.record) :
   | Some specs ->
     let kind = if specs = [] then Fused else Staged in
     Result.map_error Err.to_string
-      (Plan.compile ~codecs:t.codecs ~kind ~source:fm ~specs ~target ())
+      (Plan.compile ~ctx:t.ctx ~kind ~source:fm ~specs ~target ())
 
 (* Deterministic compile-cost units ([Ptype.weight], not wall time): a
    fused plan compiles reader plans over both formats, a staged plan only

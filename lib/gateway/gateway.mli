@@ -114,8 +114,9 @@ type t
     network.  [metrics] feeds the [gateway.*] counter/gauge catalogue
     and delivery trace spans.  [ctx] supplies the codec plan cache the
     gateway's fused/staged wire plans are compiled into (shared across
-    tenants and with any other user of the context); omitted, it is
-    {!Pbio.Ctx.default}'s cache, as for [Morph.Receiver.create]
+    tenants and with any other user of the context) and the registry
+    their Ecode and conversion compiles record into; omitted, it is
+    {!Pbio.Ctx.default}, as for [Morph.Receiver.create]
     (docs/CONCURRENCY.md).
     [flight] arms an {!Obs.Flight} recorder: breaker trips, shed bursts
     and plan-cache eviction storms each freeze a bounded incident

@@ -241,13 +241,16 @@ let structural_variant (r : Ptype.record) st : Ptype.record =
 (* Interpretive vs compiled/fused codec: byte-identical encodings,
    value-identical decodings, and fused decode->morph equal to
    decode-then-convert — including through [Receiver.deliver_wire], whose
-   cached pipeline picks the fused plan on its own. *)
+   cached pipeline picks the fused plan on its own.  Plans come from the
+   process default's cache, which the context-free entry points share. *)
+let codecs = Ctx.codecs Ctx.default
+
 let codec_case st =
   let r, v = Gen.format_and_value st in
   let endian = if Rgen.bool st then Codec.Little else Codec.Big in
   let format_id = Rgen.int_range 0 0xffff st in
   let ip = Codec.Interp.encode_payload ~endian r v in
-  let enc = Codec.encoder_for ~endian r in
+  let enc = Codec.encoder_for ~cache:codecs ~endian r in
   if not (String.equal ip (Codec.encode_payload enc v)) then
     fail "compiled encode differs from interpretive on format %s"
       (Ptype.record_to_string r);
@@ -259,7 +262,7 @@ let codec_case st =
   if not (Value.equal iv v) then
     fail "interpretive decode is not the identity on format %s"
       (Ptype.record_to_string r);
-  let cv = Codec.decode_payload (Codec.decoder_for ~endian r) ip in
+  let cv = Codec.decode_payload (Codec.decoder_for ~cache:codecs ~endian r) ip in
   if not (Value.equal cv iv) then
     fail "compiled decode differs from interpretive:@ format %s@ interp %s@ compiled %s"
       (Ptype.record_to_string r) (Value.to_string iv) (Value.to_string cv);
@@ -274,7 +277,7 @@ let codec_case st =
     in
     let fused =
       Codec.morph_payload
-        (Codec.morpher_in Codec.default_cache ~endian ~from_:r ~into:tgt) ip
+        (Codec.morpher_in codecs ~endian ~from_:r ~into:tgt) ip
     in
     if not (Value.equal staged fused) then
       fail "fused morph differs from decode-then-convert:@ %s -> %s@ staged %s@ fused %s"
@@ -387,7 +390,7 @@ let fuzz_codec_case st =
         | exception _ -> false)
   in
   let interp = catch (fun () -> Codec.Interp.decode_payload ~endian r bad) in
-  let compiled = catch (fun () -> Codec.decode_payload (Codec.decoder_for ~endian r) bad) in
+  let compiled = catch (fun () -> Codec.decode_payload (Codec.decoder_for ~cache:codecs ~endian r) bad) in
   (match interp, compiled with
    | Ok a, Ok b ->
      if not (same r a b) then
@@ -408,7 +411,7 @@ let fuzz_codec_case st =
   let fused =
     catch (fun () ->
         Codec.morph_payload
-          (Codec.morpher_in Codec.default_cache ~endian ~from_:r ~into:tgt) bad)
+          (Codec.morpher_in codecs ~endian ~from_:r ~into:tgt) bad)
   in
   match staged, fused with
   | Ok a, Ok b ->

@@ -141,8 +141,8 @@ let b2b_case ~(pool : Morph.Pool.t option) st =
 
 (* Broker fan-out shape: every tenant shard receives the same message
    stream and morphs it into its own target format, all shards pulling
-   fused plans from one shared striped codec cache — the contention case
-   the striping exists for. *)
+   fused plans from one shared codec cache — the contention case its
+   lock and one-slot memos exist for. *)
 let gateway_case ~(pool : Morph.Pool.t option) st =
   let source = Gen.record st in
   let endian = if Rgen.bool st then Codec.Little else Codec.Big in

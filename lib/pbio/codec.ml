@@ -297,20 +297,6 @@ let make_metrics reg =
     compile_ns = Obs.Histogram.make reg ~unit_:"ns" "codec.compile_ns";
   }
 
-let metrics = ref (make_metrics Obs.null)
-
-(* Time one plan compilation and tick [codec.plan_compiles]. *)
-let timed_compile (f : unit -> 'a) : 'a =
-  let m = !metrics in
-  if not m.mon then f ()
-  else begin
-    let t0 = Obs.now m.mreg in
-    let p = f () in
-    Obs.Counter.incr m.compiles;
-    Obs.Histogram.observe m.compile_ns (Obs.now m.mreg -. t0);
-    p
-  end
-
 (* --- interpretive reference implementation ----------------------------------- *)
 
 module Interp = struct
@@ -569,9 +555,7 @@ and comp_encode_record endian (r : Ptype.record) : Buffer.t -> Value.t -> unit =
         (Value.to_string v) Ptype.pp_type (Ptype.Record r)
 
 let compile_encode ~endian (r : Ptype.record) : encoder =
-  timed_compile (fun () ->
-      let erun = comp_encode_record endian r in
-      { efmt = r; eendian = endian; erun })
+  { efmt = r; eendian = endian; erun = comp_encode_record endian r }
 
 let encode_payload (enc : encoder) (v : Value.t) : string =
   let scratch = Domain.DLS.get scratch_key in
@@ -938,7 +922,7 @@ and comp_skip_record endian (r : Ptype.record) : cursor -> unit =
     done
 
 let compile_decode ~endian (r : Ptype.record) : decoder =
-  timed_compile (fun () -> { dfmt = r; drun = comp_decode_record endian r })
+  { dfmt = r; drun = comp_decode_record endian r }
 
 let decode_payload (d : decoder) ?(pos = 0) (data : string) : Value.t =
   let cur = { data; pos; limit = String.length data } in
@@ -1158,17 +1142,16 @@ and comp_morph_record endian (src : Ptype.record) (dst : Ptype.record) :
     assemble tmp
 
 let compile_morph ~endian ~(from_ : Ptype.record) ~(into : Ptype.record) : morpher =
-  timed_compile (fun () ->
-      let body = comp_morph_record endian from_ into in
-      let sync = Value.compile_sync into in
-      let mrun cur =
-        let res = body cur in
-        (* target length fields matched by name from the source may disagree
-           with converted arrays, exactly as in [Convert.compile] *)
-        sync res;
-        res
-      in
-      { mfrom = from_; minto = into; mrun })
+  let body = comp_morph_record endian from_ into in
+  let sync = Value.compile_sync into in
+  let mrun cur =
+    let res = body cur in
+    (* target length fields matched by name from the source may disagree
+       with converted arrays, exactly as in [Convert.compile] *)
+    sync res;
+    res
+  in
+  { mfrom = from_; minto = into; mrun }
 
 let morph_payload (m : morpher) ?(pos = 0) (data : string) : Value.t =
   let cur = { data; pos; limit = String.length data } in
@@ -1182,112 +1165,18 @@ let morpher_formats m = (m.mfrom, m.minto)
 
 (* --- plan caches ------------------------------------------------------------------- *)
 
-(* Per-format plans, both endians built lazily on first use.  Buckets hang
-   off [Ptype.hash_record] and resolve collisions with structural equality.
-   Bounded: hostile shipped meta-data can mint unlimited formats, so the
-   cache evicts its least-recently-used entry at the cap — a burst of fresh
-   formats cannot flush the hot ones (the old behaviour was a whole-cache
-   reset).  Evictions tick [codec.plan_evictions]. *)
-
-(* Bounded map with lazy-deletion LRU: each touch stamps the entry with a
-   fresh clock tick and pushes (entry, tick) on the queue; eviction pops
-   until it finds a pair whose tick still matches (stale pairs are
-   superseded touches).  The queue is compacted when it outgrows the live
-   entry count, keeping it O(live) amortised. *)
-module Lru = struct
-  type ('k, 'v) entry = {
-    ekey : 'k;
-    ev : 'v;
-    ehash : int;
-    mutable tick : int;
-    mutable alive : bool;
-  }
-
-  type ('k, 'v) t = {
-    table : (int, ('k, 'v) entry list) Hashtbl.t;
-    queue : (('k, 'v) entry * int) Queue.t;
-    equal : 'k -> 'k -> bool;
-    mutable count : int;
-    mutable clock : int;
-  }
-
-  let create ~equal n =
-    { table = Hashtbl.create n; queue = Queue.create (); equal; count = 0;
-      clock = 0 }
-
-  let size t = t.count
-
-  let compact t =
-    let q' = Queue.create () in
-    Queue.iter
-      (fun ((e, tk) as pair) -> if e.alive && e.tick = tk then Queue.push pair q')
-      t.queue;
-    Queue.clear t.queue;
-    Queue.transfer q' t.queue
-
-  let touch t e =
-    t.clock <- t.clock + 1;
-    e.tick <- t.clock;
-    Queue.push (e, t.clock) t.queue;
-    if Queue.length t.queue > (4 * t.count) + 64 then compact t
-
-  let find t ~hash k =
-    match Hashtbl.find_opt t.table hash with
-    | None -> None
-    | Some bucket ->
-      (match List.find_opt (fun e -> t.equal e.ekey k) bucket with
-       | Some e ->
-         touch t e;
-         Some e.ev
-       | None -> None)
-
-  (* Evict the least-recently-used live entry; [false] when empty. *)
-  let evict_one t =
-    let rec go () =
-      match Queue.take_opt t.queue with
-      | None -> false
-      | Some (e, tk) ->
-        if e.alive && e.tick = tk then begin
-          e.alive <- false;
-          let bucket =
-            Option.value ~default:[] (Hashtbl.find_opt t.table e.ehash)
-          in
-          (match List.filter (fun e' -> e' != e) bucket with
-           | [] -> Hashtbl.remove t.table e.ehash
-           | rest -> Hashtbl.replace t.table e.ehash rest);
-          t.count <- t.count - 1;
-          true
-        end
-        else go ()
-    in
-    go ()
-
-  (* Insert under [hash], evicting LRU entries down to [max - 1] first.
-     Returns how many entries were evicted. *)
-  let add t ~hash ~max k v =
-    let evicted = ref 0 in
-    while t.count >= max && evict_one t do
-      incr evicted
-    done;
-    let e = { ekey = k; ev = v; ehash = hash; tick = 0; alive = true } in
-    Hashtbl.replace t.table hash
-      (e :: Option.value ~default:[] (Hashtbl.find_opt t.table hash));
-    t.count <- t.count + 1;
-    touch t e;
-    !evicted
-
-  let reset t =
-    Hashtbl.reset t.table;
-    Queue.clear t.queue;
-    t.count <- 0;
-    t.clock <- 0
-end
+(* Per-format plans, both endians built lazily on first use, in a {!Lru}
+   keyed by [Ptype.hash_record] with structural equality.  Bounded:
+   hostile shipped meta-data can mint unlimited formats, so the cache
+   evicts its least-recently-used entry at the cap — a burst of fresh
+   formats cannot flush the hot ones.  Evictions tick
+   [codec.plan_evictions]. *)
 
 (* Per-endian plan slots, filled on demand.  The slots are plain mutable
-   options rather than [Lazy.t]: every write happens under the owning
-   stripe's lock, so two domains can never race a force (which would
-   raise [Lazy.Undefined] on a shared lazy).  A reader outside the lock
-   that observes a stale [None] simply falls through to the locked
+   options rather than [Lazy.t]: every write happens under the cache
+   lock, so two domains can never race a force (which would raise
+   [Lazy.Undefined] on a shared lazy).  A reader outside the lock that
+   observes a stale [None] simply falls through to the locked
    double-check; one that observes [Some plan] sees a fully-initialised
    immutable closure tree, which is safe to run anywhere. *)
 type plans = {
@@ -1302,94 +1191,33 @@ type mplans = {
   mutable mor_be : morpher option;
 }
 
-(* One lock stripe of a {!cache}: an LRU of format plans plus an LRU of
-   fused morph plans, both touched only under [lock].  Plan compilation
-   also runs under the stripe lock, which serialises duplicate compiles
-   of the same plan for free (stripe-level singleflight). *)
-type stripe = {
+(* A plan cache: the codec part of a [Pbio.Ctx.t] capability.  One mutex
+   guards both tables; plan compilation also runs under it, which
+   serialises duplicate compiles of the same plan for free. *)
+type cache = {
   lock : Mutex.t;
   ptbl : (Ptype.record, plans) Lru.t;
   mtbl : (Ptype.record * Ptype.record, mplans) Lru.t;
+  cmetrics : metrics;
 }
 
-(* A plan cache: the codec part of a [Pbio.Ctx.t] capability.  Striped
-   so domains sharing one cache contend on 1/N of it; [cgen] is bumped
-   by {!reset_plans} to invalidate the per-domain 1-slot memos that sit
-   in front (a domain cannot clear another domain's DLS slot). *)
-type cache = {
-  stripes : stripe array; (* power-of-two length *)
-  mutable cmax : int; (* total entry bound per table kind *)
-  mutable cgen : int;
-  mutable cmetrics : metrics;
-}
+(* Entries per table kind. *)
+let plan_cap = 512
 
-let default_max_plans = 512
-let default_stripes = 8
-
-let fresh_stripe () =
+let create_cache ?(metrics = Obs.null) () : cache =
   {
     lock = Mutex.create ();
-    ptbl = Lru.create ~equal:Ptype.equal_record 16;
+    ptbl = Lru.create ~equal:Ptype.equal_record ~cap:plan_cap;
     mtbl =
       Lru.create
         ~equal:(fun (f, i) (f', i') ->
           Ptype.equal_record f f' && Ptype.equal_record i i')
-        8;
-  }
-
-let create_cache ?(metrics = Obs.null) ?(max_plans = default_max_plans)
-    ?(stripes = default_stripes) () : cache =
-  if max_plans < 1 then invalid_arg "Codec.create_cache: max_plans must be >= 1";
-  if stripes < 1 then invalid_arg "Codec.create_cache: stripes must be >= 1";
-  let n = ref 1 in
-  while !n < stripes do n := !n * 2 done;
-  {
-    stripes = Array.init !n (fun _ -> fresh_stripe ());
-    cmax = max_plans;
-    cgen = 0;
+        ~cap:plan_cap;
     cmetrics = make_metrics metrics;
   }
 
-let default_cache = create_cache ()
-
-(* Legacy shim: retarget both the compile-side metrics and the default
-   cache's hit/eviction metrics, matching the pre-context behaviour
-   where one global registry saw everything. *)
-let set_metrics reg =
-  metrics := make_metrics reg;
-  default_cache.cmetrics <- !metrics
-
-let with_stripe (s : stripe) f =
-  Mutex.lock s.lock;
-  Fun.protect ~finally:(fun () -> Mutex.unlock s.lock) f
-
-let stripe_for (c : cache) (h : int) : stripe =
-  c.stripes.(h land (Array.length c.stripes - 1))
-
-(* Per-stripe share of the total bound; stripe counts never sum past
-   [cmax] because the stripe count divides the power-of-two-friendly
-   defaults, and a floor of 1 keeps tiny caches functional. *)
-let stripe_cap (c : cache) : int = max 1 (c.cmax / Array.length c.stripes)
-
-let set_max_plans ?(cache = default_cache) n =
-  if n < 1 then invalid_arg "Codec.set_max_plans: must be >= 1";
-  cache.cmax <- n
-
-let max_plans ?(cache = default_cache) () = cache.cmax
-
-let plan_cache_size ?(cache = default_cache) () =
-  Array.fold_left
-    (fun acc s -> acc + with_stripe s (fun () -> Lru.size s.ptbl + Lru.size s.mtbl))
-    0 cache.stripes
-
-let reset_plans ?(cache = default_cache) () =
-  Array.iter
-    (fun s ->
-       with_stripe s (fun () ->
-           Lru.reset s.ptbl;
-           Lru.reset s.mtbl))
-    cache.stripes;
-  cache.cgen <- cache.cgen + 1
+let plan_cache_size ~cache =
+  Mutex.protect cache.lock (fun () -> Lru.size cache.ptbl + Lru.size cache.mtbl)
 
 let note_evictions (c : cache) n =
   if n > 0 then begin
@@ -1401,120 +1229,128 @@ let hit (c : cache) =
   let m = c.cmetrics in
   if m.mon then Obs.Counter.incr m.cache_hits
 
-(* One-slot physical-identity memo in front of the hashed stripes:
+(* Compile one plan, timed into the cache's own registry. *)
+let timed_compile (c : cache) (f : unit -> 'a) : 'a =
+  let m = c.cmetrics in
+  if not m.mon then f ()
+  else begin
+    let t0 = Obs.now m.mreg in
+    let p = f () in
+    Obs.Counter.incr m.compiles;
+    Obs.Histogram.observe m.compile_ns (Obs.now m.mreg -. t0);
+    p
+  end
+
+(* One-slot physical-identity memo in front of the hashed tables:
    almost every caller passes the same statically-defined [Ptype.record]
    value per message, and [Ptype.hash_record] walks the whole
    description — at 100-byte messages that walk costs as much as
-   decoding.  A [==] hit skips both the walk and the stripe lock.  The
-   slot lives in domain-local storage (one per domain per process, not
-   per cache), is keyed by cache identity and generation, and does not
-   refresh LRU order — interleaved workloads fall through to the hashed
-   lookup and keep the hot entry recent, exactly as before. *)
+   decoding.  A [==] hit skips both the walk and the lock.  The slot
+   lives in domain-local storage (one per domain per process, not per
+   cache), is keyed by cache identity, and does not refresh LRU order —
+   interleaved workloads fall through to the hashed lookup and keep the
+   hot entry recent.  An entry the LRU has since evicted stays usable in
+   the slot: plans are pure functions of their format and endianness. *)
 type local_memo = {
-  mutable lp : (cache * int * Ptype.record * stripe * plans) option;
-  mutable lm :
-    (cache * int * (Ptype.record * Ptype.record) * stripe * mplans) option;
+  mutable lp : (cache * Ptype.record * plans) option;
+  mutable lm : (cache * (Ptype.record * Ptype.record) * mplans) option;
 }
 
 let local_memo_key : local_memo Domain.DLS.key =
   Domain.DLS.new_key (fun () -> { lp = None; lm = None })
 
-let plans_for (c : cache) (r : Ptype.record) : stripe * plans =
+let plans_for (c : cache) (r : Ptype.record) : plans =
   let memo = Domain.DLS.get local_memo_key in
   match memo.lp with
-  | Some (c0, g0, r0, s, p) when c0 == c && r0 == r && g0 = c.cgen ->
+  | Some (c0, r0, p) when c0 == c && r0 == r ->
     hit c;
-    (s, p)
+    p
   | _ ->
     let h = Ptype.hash_record r in
-    let s = stripe_for c h in
     let p =
-      with_stripe s (fun () ->
-          match Lru.find s.ptbl ~hash:h r with
+      Mutex.protect c.lock (fun () ->
+          match Lru.find c.ptbl ~hash:h r with
           | Some p ->
             hit c;
             p
           | None ->
             let p = { enc_le = None; enc_be = None; dec_le = None; dec_be = None } in
-            note_evictions c (Lru.add s.ptbl ~hash:h ~max:(stripe_cap c) r p);
+            note_evictions c (Lru.add c.ptbl ~hash:h r p);
             p)
     in
-    memo.lp <- Some (c, c.cgen, r, s, p);
-    (s, p)
+    memo.lp <- Some (c, r, p);
+    p
 
-let encoder_for ?(cache = default_cache) ~endian (r : Ptype.record) : encoder =
-  let s, p = plans_for cache r in
+let encoder_for ~cache ~endian (r : Ptype.record) : encoder =
+  let p = plans_for cache r in
   match (endian, p.enc_le, p.enc_be) with
   | Little, Some e, _ | Big, _, Some e -> e
   | _ ->
-    with_stripe s (fun () ->
+    Mutex.protect cache.lock (fun () ->
         match (endian, p.enc_le, p.enc_be) with
         | Little, Some e, _ | Big, _, Some e -> e
         | Little, None, _ ->
-          let e = compile_encode ~endian r in
+          let e = timed_compile cache (fun () -> compile_encode ~endian r) in
           p.enc_le <- Some e;
           e
         | Big, _, None ->
-          let e = compile_encode ~endian r in
+          let e = timed_compile cache (fun () -> compile_encode ~endian r) in
           p.enc_be <- Some e;
           e)
 
-let decoder_for ?(cache = default_cache) ~endian (r : Ptype.record) : decoder =
-  let s, p = plans_for cache r in
+let decoder_for ~cache ~endian (r : Ptype.record) : decoder =
+  let p = plans_for cache r in
   match (endian, p.dec_le, p.dec_be) with
   | Little, Some d, _ | Big, _, Some d -> d
   | _ ->
-    with_stripe s (fun () ->
+    Mutex.protect cache.lock (fun () ->
         match (endian, p.dec_le, p.dec_be) with
         | Little, Some d, _ | Big, _, Some d -> d
         | Little, None, _ ->
-          let d = compile_decode ~endian r in
+          let d = timed_compile cache (fun () -> compile_decode ~endian r) in
           p.dec_le <- Some d;
           d
         | Big, _, None ->
-          let d = compile_decode ~endian r in
+          let d = timed_compile cache (fun () -> compile_decode ~endian r) in
           p.dec_be <- Some d;
           d)
 
-let mplans_for (c : cache) ~(from_ : Ptype.record) ~(into : Ptype.record) :
-  stripe * mplans =
+let mplans_for (c : cache) ~(from_ : Ptype.record) ~(into : Ptype.record) : mplans =
   let memo = Domain.DLS.get local_memo_key in
   match memo.lm with
-  | Some (c0, g0, (f0, i0), s, p) when c0 == c && f0 == from_ && i0 == into && g0 = c.cgen ->
+  | Some (c0, (f0, i0), p) when c0 == c && f0 == from_ && i0 == into ->
     hit c;
-    (s, p)
+    p
   | _ ->
     let h = ((Ptype.hash_record from_ * 31) + Ptype.hash_record into) land max_int in
-    let s = stripe_for c h in
     let p =
-      with_stripe s (fun () ->
-          match Lru.find s.mtbl ~hash:h (from_, into) with
+      Mutex.protect c.lock (fun () ->
+          match Lru.find c.mtbl ~hash:h (from_, into) with
           | Some p ->
             hit c;
             p
           | None ->
             let p = { mor_le = None; mor_be = None } in
-            note_evictions c
-              (Lru.add s.mtbl ~hash:h ~max:(stripe_cap c) (from_, into) p);
+            note_evictions c (Lru.add c.mtbl ~hash:h (from_, into) p);
             p)
     in
-    memo.lm <- Some (c, c.cgen, (from_, into), s, p);
-    (s, p)
+    memo.lm <- Some (c, (from_, into), p);
+    p
 
 let morpher_in (cache : cache) ~endian ~(from_ : Ptype.record)
     ~(into : Ptype.record) : morpher =
-  let s, p = mplans_for cache ~from_ ~into in
+  let p = mplans_for cache ~from_ ~into in
   match (endian, p.mor_le, p.mor_be) with
   | Little, Some m, _ | Big, _, Some m -> m
   | _ ->
-    with_stripe s (fun () ->
+    Mutex.protect cache.lock (fun () ->
         match (endian, p.mor_le, p.mor_be) with
         | Little, Some m, _ | Big, _, Some m -> m
         | Little, None, _ ->
-          let m = compile_morph ~endian ~from_ ~into in
+          let m = timed_compile cache (fun () -> compile_morph ~endian ~from_ ~into) in
           p.mor_le <- Some m;
           m
         | Big, _, None ->
-          let m = compile_morph ~endian ~from_ ~into in
+          let m = timed_compile cache (fun () -> compile_morph ~endian ~from_ ~into) in
           p.mor_be <- Some m;
           m)

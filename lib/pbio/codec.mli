@@ -53,8 +53,7 @@ type morpher
 
 (** Compile an encode plan for one format at one endianness.  Plans are
     immutable closure trees safe to share across domains; the scratch
-    buffer encodes render through is domain-local.  Counted in
-    [codec.plan_compiles]. *)
+    buffer encodes render through is domain-local. *)
 val compile_encode : endian:endian -> Ptype.record -> encoder
 
 val compile_decode : endian:endian -> Ptype.record -> decoder
@@ -88,55 +87,34 @@ val morpher_formats : morpher -> Ptype.record * Ptype.record
 (** {1 Plan caches}
 
     A {!cache} is the codec component of a [Pbio.Ctx.t] capability:
-    bounded (LRU-evicted at the cap — 512 entries per table kind by
-    default — so hostile shipped meta-data cannot grow it without limit
-    and a burst of fresh formats cannot flush the hot ones), keyed by
-    {!Ptype.hash_record} with structural equality, and safe to share
-    across domains — the table is lock-striped, and a domain-local
-    1-slot physical-identity memo in front keeps the per-message fast
-    path lock-free.  Hits tick [codec.plan_cache_hits] on the cache's
-    own metrics registry; evictions tick [codec.plan_evictions];
-    compiles tick the process-wide [codec.plan_compiles] (see
-    {!set_metrics}). *)
+    bounded (a {!Lru} of 512 entries per table kind, so hostile shipped
+    meta-data cannot grow it without limit and a burst of fresh formats
+    cannot flush the hot ones), keyed by {!Ptype.hash_record} with
+    structural equality, and safe to share across domains — one mutex
+    guards the tables, and a domain-local 1-slot physical-identity memo
+    in front keeps the per-message fast path lock-free.  Plans compiled
+    through a cache tick [codec.plan_compiles] and [codec.compile_ns] on
+    the cache's registry; hits tick [codec.plan_cache_hits] and
+    evictions [codec.plan_evictions].  The [compile_*] functions above
+    record nowhere. *)
 
 type cache
 
 (** [create_cache ()] builds an independent plan cache.  [metrics]
-    (default {!Obs.null}) receives the hit/eviction counters — when the
-    cache is shared across domains, pass {!Obs.null} or accept racy
-    (lossy but memory-safe) counts.  [max_plans] (default 512) bounds
-    each table kind; [stripes] (default 8, rounded up to a power of
-    two) sets lock granularity.  Raises [Invalid_argument] when either
-    is below 1. *)
-val create_cache :
-  ?metrics:Obs.t -> ?max_plans:int -> ?stripes:int -> unit -> cache
+    (default {!Obs.null}) receives its compile, hit and eviction series —
+    when the cache is shared across domains, pass {!Obs.null} or accept
+    racy (lossy but memory-safe) counts. *)
+val create_cache : ?metrics:Obs.t -> unit -> cache
 
-(** The process-default cache, used whenever no explicit [?cache] (or
-    enclosing [Pbio.Ctx.t]) is given — the compatibility shim for the
-    pre-context global cache. *)
-val default_cache : cache
+val encoder_for : cache:cache -> endian:endian -> Ptype.record -> encoder
+val decoder_for : cache:cache -> endian:endian -> Ptype.record -> decoder
 
-val encoder_for : ?cache:cache -> endian:endian -> Ptype.record -> encoder
-val decoder_for : ?cache:cache -> endian:endian -> Ptype.record -> decoder
-
-(** Fused morph plan from [cache] (an optional [?cache] would be
-    unerasable here — every other argument is labelled). *)
+(** Fused morph plan from [cache]. *)
 val morpher_in :
   cache -> endian:endian -> from_:Ptype.record -> into:Ptype.record -> morpher
 
-(** Drop every cached plan (tests and long-lived fuzz drivers) and
-    invalidate every domain's 1-slot memo over [cache]. *)
-val reset_plans : ?cache:cache -> unit -> unit
-
-(** Cap on cached plan entries (applies separately to the format-plan and
-    morph-plan tables).  Raises [Invalid_argument] below 1.  The gateway
-    lowers this to bound broker-side memory (docs/GATEWAY.md). *)
-val set_max_plans : ?cache:cache -> int -> unit
-
-val max_plans : ?cache:cache -> unit -> int
-
 (** Live entries across both plan tables. *)
-val plan_cache_size : ?cache:cache -> unit -> int
+val plan_cache_size : cache:cache -> int
 
 (** {1 Interpretive reference implementation}
 
@@ -168,13 +146,3 @@ val add_f64 : endian -> Buffer.t -> float -> unit
 
 val encode_error : ('a, Format.formatter, unit, 'b) format4 -> 'a
 val decode_error : ('a, Format.formatter, unit, 'b) format4 -> 'a
-
-(** Point the codec's process-wide instrumentation ([codec.plan_compiles]
-    counter, [codec.compile_ns] histogram) {e and} {!default_cache}'s
-    hit/eviction counters at a registry.  Defaults to {!Obs.null}.
-    Deprecated: build a [Pbio.Ctx.t] (or {!create_cache} [~metrics])
-    instead; the global registration is not domain-safe. *)
-val set_metrics : Obs.t -> unit
-  [@@deprecated "use Pbio.Ctx.create ~metrics (or Codec.create_cache \
-                 ~metrics): the process-global metrics registration is \
-                 not domain-safe"]

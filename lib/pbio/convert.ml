@@ -142,36 +142,9 @@ and compile_record (src : Ptype.record) (dst : Ptype.record) : conv =
     in
     Value.Record out
 
-(* --- observability ------------------------------------------------------- *)
-
-type metrics = {
-  mon : bool;
-  mreg : Obs.t;
-  compiles : Obs.Counter.h;
-  compile_ns : Obs.Histogram.h;
-}
-
-let make_metrics reg =
-  {
-    mon = Obs.enabled reg;
-    mreg = reg;
-    compiles = Obs.Counter.make reg "convert.compiles";
-    compile_ns = Obs.Histogram.make reg ~unit_:"ns" "convert.compile_ns";
-  }
-
-let metrics = ref (make_metrics Obs.null)
-let set_metrics reg = metrics := make_metrics reg
-
 let compile ~(from_ : Ptype.record) ~(into : Ptype.record) : conv =
-  let m = !metrics in
-  let t0 = if m.mon then Obs.now m.mreg else 0. in
   let body = compile_record from_ into in
   let sync = Value.compile_sync into in
-  if m.mon then begin
-    Obs.Counter.incr m.compiles;
-    Obs.Histogram.observe m.compile_ns (Obs.now m.mreg -. t0);
-    Obs.Trace.add_attr m.mreg "convert" "compiled"
-  end;
   fun v ->
     let out = body v in
     (* Length fields may have been matched by name from the source; make
@@ -179,62 +152,8 @@ let compile ~(from_ : Ptype.record) ~(into : Ptype.record) : conv =
     sync out;
     out
 
-(* Memo for the one-shot [convert] entry point, which used to recompile
-   the closure chain on every call.  Keyed by the format pair's combined
-   structural hash, resolved with structural equality; bounded so fuzzed
-   meta-data cannot grow it without limit.  [compile] itself stays
-   uncached — callers like [Morph.Receiver] manage their own plan
-   caches.  A [memo] is the convert component of a [Pbio.Ctx.t]
-   capability: one mutex guards lookup, compile and insert, so a memo
-   can be shared across domains (compiles are rare enough that striping
-   would buy nothing here — the compiled closures themselves are
-   immutable and run lock-free). *)
-
-let max_cached_convs = 512
-
-type memo = {
-  mlock : Mutex.t;
-  mtbl : (int, ((Ptype.record * Ptype.record) * conv) list) Hashtbl.t;
-  mutable mcount : int;
-}
-
-let create_memo () =
-  { mlock = Mutex.create (); mtbl = Hashtbl.create 64; mcount = 0 }
-
-let default_memo = create_memo ()
-
-let with_memo (m : memo) f =
-  Mutex.lock m.mlock;
-  Fun.protect ~finally:(fun () -> Mutex.unlock m.mlock) f
-
-let reset_unlocked m =
-  Hashtbl.reset m.mtbl;
-  m.mcount <- 0
-
-let reset_cache ?(memo = default_memo) () =
-  with_memo memo (fun () -> reset_unlocked memo)
-
-let cached (memo : memo) ~(from_ : Ptype.record) ~(into : Ptype.record) : conv =
-  let h = ((Ptype.hash_record from_ * 31) + Ptype.hash_record into) land max_int in
-  with_memo memo (fun () ->
-      let bucket = Option.value ~default:[] (Hashtbl.find_opt memo.mtbl h) in
-      match
-        List.find_opt
-          (fun ((f, i), _) -> Ptype.equal_record f from_ && Ptype.equal_record i into)
-          bucket
-      with
-      | Some (_, c) -> c
-      | None ->
-        if memo.mcount >= max_cached_convs then reset_unlocked memo;
-        let c = compile ~from_ ~into in
-        Hashtbl.replace memo.mtbl h
-          (((from_, into), c)
-           :: Option.value ~default:[] (Hashtbl.find_opt memo.mtbl h));
-        memo.mcount <- memo.mcount + 1;
-        c)
-
-let convert ?(memo = default_memo) ~from_ ~into v =
-  match (cached memo ~from_ ~into) v with
+let convert ~from_ ~into v =
+  match compile ~from_ ~into v with
   | out -> Ok out
   | exception Value.Type_error msg -> Error (`Type msg)
 

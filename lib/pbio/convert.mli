@@ -16,39 +16,14 @@ type conv = Value.t -> Value.t
 
 (** [compile ~from_ ~into] builds the specialised converter.  The plan is
     reusable across any number of messages of the [from_] format.  Always
-    compiles afresh — callers with a plan cache (e.g. [Morph.Receiver],
-    [Pbio.Codec]) use this; one-shot callers should prefer {!convert},
-    which memoizes per format pair. *)
+    compiles afresh and records nowhere: [Morph.Plan] compiles the
+    conversions a delivery needs once, timed into its context. *)
 val compile : from_:Ptype.record -> into:Ptype.record -> conv
 
-(** {1 Memoized one-shot conversion}
-
-    A {!memo} is the convert component of a [Pbio.Ctx.t] capability: a
-    bounded, mutex-guarded table of compiled converters keyed by
-    structurally equal [(from_, into)] pairs.  Safe to share across
-    domains; the compiled closures themselves are immutable and run
-    lock-free. *)
-
-type memo
-
-(** A fresh, empty, independent memo. *)
-val create_memo : unit -> memo
-
-(** The process-default memo, used whenever no explicit [?memo] (or
-    enclosing [Pbio.Ctx.t]) is given — the compatibility shim for the
-    pre-context global table. *)
-val default_memo : memo
-
-(** One-shot conversion.  The compiled plan is memoized in [memo]
-    (default {!default_memo}), so repeated calls compile once
-    ([convert.compiles] stays flat).  [Error (`Type _)] when the value does
-    not conform to [from_]. *)
+(** One-shot conversion: {!compile}, then run once.  [Error (`Type _)]
+    when the value does not conform to [from_]. *)
 val convert :
-  ?memo:memo ->
   from_:Ptype.record -> into:Ptype.record -> Value.t -> (Value.t, Err.t) result
-
-(** Drop all memoized conversion plans (tests and long-lived fuzz drivers). *)
-val reset_cache : ?memo:memo -> unit -> unit
 
 (** A conversion is unnecessary exactly when the formats are structurally
     equal. *)
@@ -67,11 +42,3 @@ val compile_type : Ptype.t -> Ptype.t -> conv option
 (** Default-value thunk for a field, honouring declared constant defaults;
     immutable scalars are shared, complex values copied per call. *)
 val field_default : Ptype.field -> unit -> Value.t
-
-(** Point the converter's process-wide instrumentation
-    ([convert.compiles] counter, [convert.compile_ns] histogram) at a
-    registry.  Defaults to {!Obs.null}.  Deprecated: the global
-    registration is not domain-safe. *)
-val set_metrics : Obs.t -> unit
-  [@@deprecated "use a per-component Obs registry: the process-global \
-                 metrics registration is not domain-safe"]

@@ -1,14 +1,17 @@
 (** The capability-style execution context for the morphing stack.
 
-    A {!t} bundles the state that used to be ambient process globals —
-    the {!Codec.cache} of compiled wire plans, the {!Convert.memo} of
-    one-shot converters, and the {!Obs.t} registry hot-path metrics are
-    recorded into — into one explicit value, threaded through
-    [Wire]/[Codec]/[Convert]/[Morph.Receiver]/[Echo]/[B2b]/[Gateway] as
-    an optional [?ctx] argument.  Omitting [?ctx] everywhere reproduces
-    the pre-context behaviour byte-for-byte through {!default}.
+    A {!t} owns the {!Codec.cache} of compiled wire plans and the
+    {!Obs.t} registry that every metric about those plans and the wire
+    calls that run them is recorded into.  It is threaded through
+    [Wire]/[Ecode]/[Morph.Plan]/[Morph.Receiver]/[Echo]/[B2b]/[Gateway]
+    as a [?ctx] argument; omitted, it is {!default}.
 
-    Sharing rules (docs/CONCURRENCY.md): the caches are internally
+    Compile metrics follow the context: codec plans tick [codec.*] on
+    the cache's registry, and the structural conversions and Ecode hops
+    a [Morph.Plan] compiles tick [convert.*] and [ecode.*] on the
+    registry of the context the plan was compiled for.
+
+    Sharing rules (docs/CONCURRENCY.md): the cache is internally
     synchronised and safe to share across domains; the [Obs.t] registry
     is single-domain-owned.  A ctx used from several domains should
     carry {!Obs.null} metrics, with per-shard registries merged at
@@ -16,22 +19,46 @@
 
 type t
 
-(** [create ()] builds an independent context with a fresh plan cache
-    and convert memo.  [metrics] (default {!Obs.null}) becomes the
-    context registry {e and} the plan cache's hit/eviction registry;
-    [max_plans]/[stripes] are passed to {!Codec.create_cache}. *)
-val create : ?metrics:Obs.t -> ?max_plans:int -> ?stripes:int -> unit -> t
+(** Handles for [Wire]'s instruments. *)
+type wire_metrics = {
+  wire_on : bool;
+  wire_reg : Obs.t;
+  encodes : Obs.Counter.h;
+  decodes : Obs.Counter.h;
+  decode_errors : Obs.Counter.h;
+  bytes_out : Obs.Counter.h;
+  bytes_in : Obs.Counter.h;
+  encode_ns : Obs.Histogram.h;
+  decode_ns : Obs.Histogram.h;
+}
 
-(** Assemble a context from existing components, e.g. to share one plan
-    cache between contexts with different metrics registries. *)
-val v : ?metrics:Obs.t -> codecs:Codec.cache -> convs:Convert.memo -> unit -> t
+(** Handles for the compiles above the codec: structural conversions
+    ([convert.compiles], [convert.compile_ns]) and Ecode programs
+    ([ecode.compiles], [ecode.compile_errors], [ecode.compile_ns], and
+    [ecode.stmt_count], the statement count per compiled program — a
+    proxy for the generated closure-chain length). *)
+type compile_metrics = {
+  compile_on : bool;
+  compile_reg : Obs.t;
+  convert_compiles : Obs.Counter.h;
+  convert_ns : Obs.Histogram.h;
+  ecode_compiles : Obs.Counter.h;
+  ecode_errors : Obs.Counter.h;
+  ecode_ns : Obs.Histogram.h;
+  ecode_stmts : Obs.Histogram.h;
+}
 
-(** The compatibility context: {!Obs.null} metrics over
-    {!Codec.default_cache} and {!Convert.default_memo}.  Code that calls
-    the context-free APIs runs here. *)
+(** [create ()] builds an independent context with a fresh plan cache.
+    [metrics] (default {!Obs.null}) becomes the context registry; every
+    handle above and the cache's are minted into it here, so the registry
+    lists each series before the first compile. *)
+val create : ?metrics:Obs.t -> unit -> t
+
+(** The process default: {!Obs.null} metrics over its own plan cache.
+    Code that omits [?ctx] runs here. *)
 val default : t
 
 val obs : t -> Obs.t
 val codecs : t -> Codec.cache
-val convs : t -> Convert.memo
-
+val wire : t -> wire_metrics
+val compiles : t -> compile_metrics

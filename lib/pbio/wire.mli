@@ -45,11 +45,12 @@ type header = Codec.header = {
 
 (** {1 Encoding}
 
-    Every entry point takes an optional [?ctx] {!Ctx.t}: plans are then
+    Every entry point takes an optional [?ctx] {!Ctx.t}: plans are
     pulled from that context's cache and metrics recorded into its
-    registry.  Omitting it uses the process-default context
-    ({!Ctx.default} — the pre-context global cache and whatever
-    {!set_metrics} installed). *)
+    registry ([wire.encodes]/[wire.decodes]/[wire.decode_errors]
+    counters, [wire.bytes_out]/[wire.bytes_in] byte counters and
+    [wire.encode_ns]/[wire.decode_ns] latency histograms; {!Obs.null}
+    skips the clock reads entirely).  Omitted, it is {!Ctx.default}. *)
 
 (** [encode ~endian ~format_id fmt v] is the complete wire message (header
     plus payload).  Raises {!Encode_error} if [v] does not conform to
@@ -85,22 +86,9 @@ val decode_payload :
     fields. *)
 val min_wire_size : Ptype.t -> int
 
-(** [metered f x message] is [f x message] on a complete wire message,
-    recorded as {!decode} records it ([wire.decodes], [wire.bytes_in],
+(** [metered ~ctx f x message] is [f x message] on a complete wire
+    message, recorded into [ctx] as {!decode} records it ([wire.decodes], [wire.bytes_in],
     [wire.decode_ns], or [wire.decode_errors] when [f] raises): for
     callers that hold compiled decoders ([Morph.Plan]) and so skip
     {!decode}'s per-call plan lookup. *)
-val metered : ?ctx:Ctx.t -> ('a -> string -> Value.t) -> 'a -> string -> Value.t
-
-(** {1 Observability}
-
-    [set_metrics reg] points the codec's instrumentation at [reg]:
-    [wire.encodes]/[wire.decodes]/[wire.decode_errors] counters,
-    [wire.bytes_out]/[wire.bytes_in] byte counters and
-    [wire.encode_ns]/[wire.decode_ns] latency histograms.  Defaults to
-    {!Obs.null}, which skips the clock reads entirely.  Deprecated: pass
-    [?ctx] with a metrics registry instead; the global registration
-    applies to every caller in the process and is not domain-safe. *)
-val set_metrics : Obs.t -> unit
-  [@@deprecated "pass ?ctx (Pbio.Ctx.create ~metrics) instead: the \
-                 process-global metrics registration is not domain-safe"]
+val metered : ctx:Ctx.t -> ('a -> string -> Value.t) -> 'a -> string -> Value.t

@@ -149,10 +149,10 @@ type endpoint = {
      message (plus its format meta) to the handler and skips the eager
      [Wire.decode] — the receiver can then run a fused decode->morph plan *)
   endian : Wire.endian;
-  pctx : Ctx.t option;
-  (* capability context for wire codec plans; [None] = process-global
-     caches (legacy default).  Named [pctx] because [ctx] in this file is
-     the trace context threaded through [hop_send]. *)
+  pctx : Ctx.t;
+  (* capability context for wire codec plans and [wire.*] metrics.  Named
+     [pctx] because [ctx] in this file is the trace context threaded
+     through [hop_send]. *)
   stats : stats;
 }
 
@@ -386,7 +386,7 @@ let deliver ep ~src (fm : Meta.format_meta) (message : string) : unit =
     Obs.Counter.incr ep.m.m_delivered;
     f ~src fm message
   | None ->
-    (match Wire.decode ?ctx:ep.pctx fm.Meta.body message with
+    (match Wire.decode ~ctx:ep.pctx fm.Meta.body message with
      | Ok v ->
        ep.stats.records_delivered <- ep.stats.records_delivered + 1;
        Obs.Counter.incr ep.m.m_delivered;
@@ -484,7 +484,7 @@ let handle_frame ep ~src (payload : string) : unit =
 
 let create ?(endian = Wire.Little) ?(reliable = false)
     ?(retransmit = default_retransmit) ?(meta_retry = default_meta_retry)
-    ?(parked_cap = 64) ?(metrics = Obs.null) ?ctx (net : Netsim.t)
+    ?(parked_cap = 64) ?(metrics = Obs.null) ?(ctx = Ctx.default) (net : Netsim.t)
     (contact : Contact.t) : endpoint =
   if parked_cap < 1 then invalid_arg "Conn.create: parked_cap must be positive";
   let ep =
@@ -552,7 +552,7 @@ let send_plain ep ~(dst : Contact.t) (meta : Meta.format_meta) (v : Value.t) :
   end;
   let message =
     Obs.Trace.with_span ep.obs "wire.encode" (fun () ->
-        Wire.encode ?ctx:ep.pctx ~endian:ep.endian ~format_id:f.Registry.id
+        Wire.encode ~ctx:ep.pctx ~endian:ep.endian ~format_id:f.Registry.id
           meta.Meta.body v)
   in
   send_frame ep ~dst (Framing.Data { format_id = f.Registry.id; message })

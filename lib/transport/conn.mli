@@ -69,9 +69,10 @@ type endpoint
     and [meta_retry] tune the backoff schedules; [parked_cap] bounds each
     (peer, format) parked queue.  [metrics] mirrors {!stats} into an Obs
     registry ([conn.*] counters plus the [conn.parked_depth] gauge);
-    defaults to [Obs.null].  [ctx] supplies the codec plan caches used by
-    this endpoint's [Wire.encode]/[Wire.decode] calls; omitted, the
-    process-global caches are used (docs/CONCURRENCY.md). *)
+    defaults to [Obs.null].  [ctx] supplies the codec plan cache used by
+    this endpoint's [Wire.encode]/[Wire.decode] calls and records their
+    [wire.*] metrics; omitted, it is {!Pbio.Ctx.default}
+    (docs/CONCURRENCY.md). *)
 val create :
   ?endian:Wire.endian ->
   ?reliable:bool ->

@@ -216,37 +216,29 @@ let test_truncated_coalesced_skip_rejected () =
 
 (* --- plan cache metrics --------------------------------------------------- *)
 
-(* Exercises the deprecated global [set_metrics] shim on purpose: the
-   compile-side counters it retargets are process-global, and the shim
-   must keep working for one release (ctx-scoped metrics are covered in
-   test_parallel.ml). *)
+(* A fresh context's plan cache, with the registry its compile, hit and
+   eviction series record into. *)
 let with_codec_metrics f =
   let reg = Obs.create () in
-  (Codec.set_metrics reg [@alert "-deprecated"]);
-  Codec.reset_plans ();
-  Fun.protect
-    ~finally:(fun () ->
-        (Codec.set_metrics Obs.null [@alert "-deprecated"]);
-        Codec.reset_plans ())
-    (fun () -> f reg)
+  f reg (Ctx.codecs (Ctx.create ~metrics:reg ()))
 
 let test_plan_cache_compiles_once () =
-  with_codec_metrics (fun reg ->
+  with_codec_metrics (fun reg cache ->
       let r = fmt "format C { int x; string s; }" in
       let v = Value.record [ ("x", Value.Int 1); ("s", Value.String "a") ] in
-      let enc () = Codec.encoder_for ~endian:Codec.Little r in
+      let enc () = Codec.encoder_for ~cache ~endian:Codec.Little r in
       let payload = Codec.encode_payload (enc ()) v in
       for _ = 1 to 4 do
         ignore (Codec.encode_payload (enc ()) v);
         ignore
-          (Codec.decode_payload (Codec.decoder_for ~endian:Codec.Little r) payload)
+          (Codec.decode_payload (Codec.decoder_for ~cache ~endian:Codec.Little r) payload)
       done;
       (* one encoder + one decoder compile, every other lookup a hit *)
       Alcotest.(check int) "plan compiles" 2 (Obs.Counter.value reg "codec.plan_compiles");
       Alcotest.(check int) "cache hits" 8 (Obs.Counter.value reg "codec.plan_cache_hits"))
 
 let test_morph_plan_cached () =
-  with_codec_metrics (fun reg ->
+  with_codec_metrics (fun reg cache ->
       let from_ = fmt "format M { int x; int gone; }" in
       let into = fmt "format M { int x; }" in
       let payload =
@@ -258,7 +250,7 @@ let test_morph_plan_cached () =
       for _ = 1 to 5 do
         ignore
           (Codec.morph_payload
-             (Codec.morpher_in Codec.default_cache ~endian:Codec.Little ~from_ ~into)
+             (Codec.morpher_in cache ~endian:Codec.Little ~from_ ~into)
              payload)
       done;
       Alcotest.(check int) "one fused compile" (before + 1)
@@ -266,41 +258,36 @@ let test_morph_plan_cached () =
       Alcotest.(check bool) "repeat lookups hit" true
         (Obs.Counter.value reg "codec.plan_cache_hits" >= 4))
 
-(* Regression for the LRU bound: a stream of hundreds of distinct formats
-   (a hostile or churning peer) must not flush the hot format's plan —
-   recency keeps it resident while the one-shot plans cycle through the
-   tail of the cache. *)
+(* Regression for the LRU bound: a stream of over a thousand distinct
+   formats (a hostile or churning peer) must not flush the hot format's
+   plan — recency keeps it resident while the one-shot plans cycle through
+   the tail of the cache's 512 entries. *)
 let test_plan_cache_lru_keeps_hot_format () =
-  with_codec_metrics (fun reg ->
-      let saved = Codec.max_plans () in
-      Fun.protect
-        ~finally:(fun () -> Codec.set_max_plans saved)
-        (fun () ->
-           Codec.set_max_plans 32;
-           let hot = fmt "format Hot { int x; string s; }" in
-           let v = Value.record [ ("x", Value.Int 1); ("s", Value.String "a") ] in
-           let use_hot () =
-             ignore
-               (Codec.encode_payload (Codec.encoder_for ~endian:Codec.Little hot) v)
-           in
-           use_hot ();
-           let after_hot = Obs.Counter.value reg "codec.plan_compiles" in
-           for i = 0 to 519 do
-             let r = fmt (Printf.sprintf "format F%d { int a%d; }" i i) in
-             ignore (Codec.encoder_for ~endian:Codec.Little r);
-             use_hot ()
-           done;
-           Alcotest.(check int) "each fresh format compiled once"
-             (after_hot + 520)
-             (Obs.Counter.value reg "codec.plan_compiles");
-           Alcotest.(check bool) "the churn evicted plans" true
-             (Obs.Counter.value reg "codec.plan_evictions" >= 488);
-           Alcotest.(check bool) "cache stayed within its bound" true
-             (Codec.plan_cache_size () <= 32);
-           let before = Obs.Counter.value reg "codec.plan_compiles" in
-           use_hot ();
-           Alcotest.(check int) "hot format never recompiled" before
-             (Obs.Counter.value reg "codec.plan_compiles")))
+  with_codec_metrics (fun reg cache ->
+      let hot = fmt "format Hot { int x; string s; }" in
+      let v = Value.record [ ("x", Value.Int 1); ("s", Value.String "a") ] in
+      let use_hot () =
+        ignore
+          (Codec.encode_payload (Codec.encoder_for ~cache ~endian:Codec.Little hot) v)
+      in
+      use_hot ();
+      let after_hot = Obs.Counter.value reg "codec.plan_compiles" in
+      for i = 0 to 1039 do
+        let r = fmt (Printf.sprintf "format F%d { int a%d; }" i i) in
+        ignore (Codec.encoder_for ~cache ~endian:Codec.Little r);
+        use_hot ()
+      done;
+      Alcotest.(check int) "each fresh format compiled once"
+        (after_hot + 1040)
+        (Obs.Counter.value reg "codec.plan_compiles");
+      Alcotest.(check bool) "the churn evicted plans" true
+        (Obs.Counter.value reg "codec.plan_evictions" >= 529);
+      Alcotest.(check bool) "cache stayed within its bound" true
+        (Codec.plan_cache_size ~cache <= 512);
+      let before = Obs.Counter.value reg "codec.plan_compiles" in
+      use_hot ();
+      Alcotest.(check int) "hot format never recompiled" before
+        (Obs.Counter.value reg "codec.plan_compiles"))
 
 let suite =
   [

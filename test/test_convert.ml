@@ -160,31 +160,9 @@ let prop_identity_conversion =
         | Ok v' -> Value.equal v v'
         | Error _ -> false)
 
-let test_convert_memoized () =
-  (* repeated [convert] over one format pair must reuse the compiled plan:
-     [convert.compiles] ticks once, not per message *)
-  (* exercises the deprecated global [set_metrics] shim on purpose *)
-  let reg = Obs.create () in
-  (Convert.set_metrics reg [@alert "-deprecated"]);
-  Convert.reset_cache ();
-  Fun.protect
-    ~finally:(fun () ->
-        (Convert.set_metrics Obs.null [@alert "-deprecated"]);
-        Convert.reset_cache ())
-    (fun () ->
-       let a = fmt "format Memo { int x; int gone; }" in
-       let b = fmt "format Memo { int x; int fresh = 2; }" in
-       for i = 1 to 5 do
-         ignore
-           (conv ~from_:a ~into:b
-              (Value.record [ ("x", Value.Int i); ("gone", Value.Int 0) ]))
-       done;
-       Alcotest.(check int) "compiled once" 1 (Obs.Counter.value reg "convert.compiles"))
-
 let suite =
   [
     Alcotest.test_case "identity" `Quick test_identity;
-    Alcotest.test_case "convert memoized per format pair" `Quick test_convert_memoized;
     Alcotest.test_case "field reorder" `Quick test_reorder;
     Alcotest.test_case "missing fields take defaults" `Quick test_missing_fields_take_defaults;
     Alcotest.test_case "extra fields dropped" `Quick test_extra_fields_dropped;

@@ -85,22 +85,25 @@ let test_ctx_cache_isolation () =
   let r = fmt "format CtxIso { int x; string s; }" in
   let v = Value.record [ ("x", Value.Int 1); ("s", Value.String "a") ] in
   let ctx = Ctx.create () in
-  let default_before = Codec.plan_cache_size () in
+  let default_size () = Codec.plan_cache_size ~cache:(Ctx.codecs Ctx.default) in
+  let default_before = default_size () in
   let msg = Wire.encode ~ctx ~format_id:1 r v in
   (match Wire.decode ~ctx r msg with
    | Ok v' -> Alcotest.check Helpers.value "ctx roundtrip" v v'
    | Error e -> Alcotest.failf "ctx decode failed: %a" Err.pp e);
-  Alcotest.(check int)
-    "default cache untouched" default_before (Codec.plan_cache_size ());
+  Alcotest.(check int) "default cache untouched" default_before (default_size ());
   Alcotest.(check bool)
     "ctx cache populated" true
-    (Codec.plan_cache_size ~cache:(Ctx.codecs ctx) () > 0)
+    (Codec.plan_cache_size ~cache:(Ctx.codecs ctx) > 0)
 
 let test_ctx_metrics_are_cache_scoped () =
   (* repeated decodes through one ctx tick hit counters in that ctx's
-     registry, not in any global one *)
-  let reg = Obs.create () in
-  let ctx = Ctx.create ~metrics:reg () in
+     registry, and the compiles its cache and its receivers' plans make
+     tick compile counters there too — never in another context's *)
+  let reg_a = Obs.create () and reg_b = Obs.create () in
+  let ctx = Ctx.create ~metrics:reg_a () in
+  ignore (Ctx.create ~metrics:reg_b () : Ctx.t);
+  let both name = (Obs.Counter.value reg_a name, Obs.Counter.value reg_b name) in
   let r = fmt "format CtxHit { int x; }" in
   let v = Value.record [ ("x", Value.Int 9) ] in
   let msg = Wire.encode ~ctx ~format_id:2 r v in
@@ -111,7 +114,25 @@ let test_ctx_metrics_are_cache_scoped () =
   done;
   Alcotest.(check bool)
     "ctx registry saw plan-cache hits" true
-    (Obs.Counter.value reg "codec.plan_cache_hits" > 0)
+    (Obs.Counter.value reg_a "codec.plan_cache_hits" > 0);
+  Alcotest.(check (pair int int))
+    "an encoder and a decoder compiled, in A only" (2, 0) (both "codec.plan_compiles");
+  (* a 1-hop Ecode chain whose target needs a final structural conversion *)
+  let v2 = fmt "format Ev { int a; int b; }" in
+  let v1 = fmt "format Old { int a; }" in
+  let registered = fmt "format Old { int a; string note = \"n\"; }" in
+  let meta = Morph.meta v2 ~xforms:[ Morph.xform ~target:v1 "old.a = new.a + new.b;" ] in
+  let recv = Morph.Receiver.create ~config:(Morph.Receiver.Config.v ~ctx ()) () in
+  Morph.Receiver.register recv registered ignore;
+  let message =
+    Wire.encode ~format_id:3 v2 (Value.record [ ("a", Value.Int 1); ("b", Value.Int 2) ])
+  in
+  (match Morph.Receiver.deliver_wire recv meta message with
+   | Morph.Receiver.Delivered { via = Morph.Receiver.Morphed_converted _; _ } -> ()
+   | o -> Alcotest.failf "expected morphed+converted, got %a" Morph.Receiver.pp_outcome o);
+  Alcotest.(check (pair int int)) "the hop compiled, in A only" (1, 0) (both "ecode.compiles");
+  Alcotest.(check (pair int int))
+    "the conversion compiled, in A only" (1, 0) (both "convert.compiles")
 
 let test_ctx_morpher_shares_plans () =
   (* two morpher_in lookups on the same ctx cache compile once, hit once *)

@@ -267,7 +267,7 @@ let test_explain () =
   ignore (Receiver.explain rc (Meta.plain a) : string);
   ignore (Receiver.explain rc chain : string);
   Alcotest.(check int) "no wire plan compiled" 0
-    (Codec.plan_cache_size ~cache:(Ctx.codecs ctx) ());
+    (Codec.plan_cache_size ~cache:(Ctx.codecs ctx));
   ignore (Receiver.deliver r Helpers.response_v2_meta (Helpers.sample_v2 1));
   Alcotest.(check int) "still a cold path after explain" 1
     (Receiver.stats r).Receiver.cold_paths
@@ -566,26 +566,59 @@ let test_wire_fused_plan_cached () =
   let b = fmt "format W { string s; int x; }" in
   let v = Value.record [ ("x", Value.Int 7); ("s", Value.String "m") ] in
   let message = Wire.encode ~format_id:3 a v in
-  (* exercises the deprecated global [set_metrics] shim on purpose *)
   let reg = Obs.create () in
-  (Codec.set_metrics reg [@alert "-deprecated"]);
-  Codec.reset_plans ();
-  Fun.protect
-    ~finally:(fun () ->
-        (Codec.set_metrics Obs.null [@alert "-deprecated"]);
-        Codec.reset_plans ())
-    (fun () ->
-       let r, got = make_receiver b in
-       for _ = 1 to 5 do
-         match Receiver.deliver_wire r (Meta.plain a) message with
-         | Receiver.Delivered { via = Receiver.Reordered; _ } -> ()
-         | o -> Alcotest.failf "expected reordered delivery, got %a" Receiver.pp_outcome o
-       done;
-       Alcotest.(check int) "messages delivered" 5 (List.length !got);
-       Alcotest.(check int) "one fused compile" 1
-         (Obs.Counter.value reg "codec.plan_compiles");
-       Alcotest.(check int) "repeats never look the plan up" 0
-         (Obs.Counter.value reg "codec.plan_cache_hits"))
+  let r = Receiver.create ~config:(Receiver.Config.v ~ctx:(Ctx.create ~metrics:reg ()) ()) () in
+  let got = ref [] in
+  Receiver.register r b (fun v -> got := v :: !got);
+  for _ = 1 to 5 do
+    match Receiver.deliver_wire r (Meta.plain a) message with
+    | Receiver.Delivered { via = Receiver.Reordered; _ } -> ()
+    | o -> Alcotest.failf "expected reordered delivery, got %a" Receiver.pp_outcome o
+  done;
+  Alcotest.(check int) "messages delivered" 5 (List.length !got);
+  Alcotest.(check int) "one fused compile" 1
+    (Obs.Counter.value reg "codec.plan_compiles");
+  Alcotest.(check int) "repeats never look the plan up" 0
+    (Obs.Counter.value reg "codec.plan_cache_hits")
+
+let test_pipeline_table_bounded () =
+  (* 1,000 distinct metas, each converting to the one registered target:
+     the structural table keeps the 512 most recently used pipelines, so
+     meta 900 (long out of the 8 identity slots) is a structural hit and
+     meta 0, evicted, plans afresh *)
+  let target = fmt "format T { int x; string s; }" in
+  let ctx = Ctx.create () in
+  let r = Receiver.create ~config:(Receiver.Config.v ~ctx ()) () in
+  let got = ref None in
+  Receiver.register r target (fun v -> got := Some v);
+  let metas =
+    Array.init 1000 (fun k ->
+        Meta.plain (fmt (Printf.sprintf "format T { int x; string s; int f%d; }" k)))
+  in
+  let deliver k =
+    let meta = metas.(k) in
+    let v =
+      Value.record
+        [ ("x", Value.Int k); ("s", Value.String "m"); (Printf.sprintf "f%d" k, Value.Int 1) ]
+    in
+    got := None;
+    (match Receiver.deliver_wire r meta (Wire.encode ~ctx ~format_id:k meta.Meta.body v) with
+     | Receiver.Delivered { via = Receiver.Converted; _ } -> ()
+     | o -> Alcotest.failf "meta %d: expected converted delivery, got %a" k Receiver.pp_outcome o);
+    Alcotest.check Helpers.value
+      (Printf.sprintf "meta %d delivers what morph_to gives" k)
+      (Helpers.check_ok_err (Morph.morph_to meta ~target v))
+      (Option.get !got)
+  in
+  let cold () = (Receiver.stats r).Receiver.cold_paths in
+  for k = 0 to 999 do
+    deliver k
+  done;
+  Alcotest.(check int) "one cold path per meta" 1000 (cold ());
+  deliver 900;
+  Alcotest.(check int) "meta 900 still cached" 1000 (cold ());
+  deliver 0;
+  Alcotest.(check int) "meta 0 evicted, planned afresh" 1001 (cold ())
 
 (* --- identity slots: the pipeline found by the meta value itself -------- *)
 
@@ -788,6 +821,8 @@ let suite =
       test_slots_alloc_flat;
     Alcotest.test_case "cache: nan default plans once" `Quick
       test_nan_default_plans_once;
+    Alcotest.test_case "cache: pipeline table bounded at 512" `Quick
+      test_pipeline_table_bounded;
     Alcotest.test_case "broken transformation rejects" `Quick test_bad_transformation_rejects;
     Alcotest.test_case "best registered format wins" `Quick test_multiple_registered_picks_best;
     Alcotest.test_case "deliver_wire decodes first" `Quick test_deliver_wire;
