@@ -10,6 +10,9 @@
      abl2-cache       cold (MaxMatch + codegen) vs cached receiver path
      abl3-maxmatch    MaxMatch cost vs number of candidate formats
      abl4-b2b         broker-side XSLT vs receiver-side morphing (Figs 6/7)
+     abl5-chains      per-message cost against retro-transformation chain
+                      depth: Ecode loop hops, and straight-line hops that
+                      collapse into one fused plan
      codec            wire codec: per-field interpreter vs compiled plans
                       vs the fused decode->morph path
      msgpack          PBIO compiled plans vs a MsgPack-shaped tagged encoding
@@ -358,6 +361,46 @@ let abl5 () =
        let cold_ns = H.measure ~name:(Printf.sprintf "abl5/cold/%d" depth) cold in
        let hot_ns = H.measure ~name:(Printf.sprintf "abl5/hot/%d" depth) hot in
        H.row "   %-8d %16s %16s\n" depth (ns cold_ns) (ns hot_ns))
+    (List.init max_depth (fun i -> i + 1));
+  (* the same revisions with every hop written as moves, the payload array
+     whole: straight-line hops collapse into one fused plan, so a wire
+     delivery decodes straight into revision 0 however deep the chain *)
+  let moves k =
+    Morph.xform ~source:(rev (k + 1)) ~target:(rev k)
+      (String.concat "\n"
+         ([ "old.n = new.n;"; "old.payload = new.payload;";
+            Printf.sprintf "old.g0 = new.g%d;" (k + 1) ]
+          @ List.init k (fun i -> Printf.sprintf "old.g%d = new.g%d;" (i + 1) (i + 1))))
+  in
+  H.row "   straight-line hops, deliver_wire:\n";
+  H.row "   %-8s %16s %12s\n" "hops" "per message" "B/op";
+  List.iter
+    (fun depth ->
+       let specs =
+         List.init depth (fun i ->
+             let k = depth - 1 - i in
+             let x = moves k in
+             if k + 1 = depth then { x with Pbio.Meta.source = None } else x)
+       in
+       let meta = Morph.meta (rev depth) ~xforms:specs in
+       let message =
+         Wire.encode ~format_id:1 (rev depth)
+           (Value.record
+              (( "n", Value.Int 250 )
+               :: ( "payload", Value.array_of_list payload )
+               :: List.init (depth + 1) (fun i -> (Printf.sprintf "g%d" i, Value.Int i))))
+       in
+       let r = Morph.Receiver.create () in
+       Morph.Receiver.register r (rev 0) (fun _ -> ());
+       let deliver () =
+         match Morph.Receiver.deliver_wire r meta message with
+         | Morph.Receiver.Delivered _ -> ()
+         | o -> Fmt.failwith "unexpected outcome %a" Morph.Receiver.pp_outcome o
+       in
+       let hot_ns, bytes, _ =
+         H.measure_alloc ~name:(Printf.sprintf "abl5/moves/%d" depth) deliver
+       in
+       H.row "   %-8d %16s %12.0f\n" depth (ns hot_ns) bytes)
     (List.init max_depth (fun i -> i + 1))
 
 (* --- Ablation 6: end-to-end event throughput, ECho -------------------------------- *)

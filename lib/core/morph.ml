@@ -37,6 +37,11 @@ let xform ?source ~(target : Ptype.record) (code : string) : Meta.xform_spec =
   { Meta.source; target; code }
 
 let meta ?(xforms = []) (body : Ptype.record) : Meta.format_meta =
+  let n = List.length xforms in
+  if n > Meta.max_xforms then
+    invalid_arg
+      (Fmt.str "Morph.meta: %d transformations, more than the %d a meta may carry" n
+         Meta.max_xforms);
   (match Ptype.validate body with
    | Ok () -> ()
    | Error e -> invalid_arg (Fmt.str "Morph.meta: %s: %s" e.Ptype.where e.Ptype.what));

@@ -37,7 +37,8 @@ open Pbio
 val xform : ?source:Ptype.record -> target:Ptype.record -> string -> Meta.xform_spec
 
 (** Build format meta-data, validating the body and every transformation
-    target.  Raises [Invalid_argument] on ill-formed formats. *)
+    target.  Raises [Invalid_argument] on ill-formed formats and on more
+    than {!Pbio.Meta.max_xforms} transformations. *)
 val meta : ?xforms:Meta.xform_spec list -> Ptype.record -> Meta.format_meta
 
 (** Compile every attached transformation once, so a broken snippet is

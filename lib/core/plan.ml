@@ -16,6 +16,9 @@ type t = {
   specs : Xform.spec list;
   target : Ptype.record;
   ctx : Ctx.t; (* its cache compiles the wire closures; its registry records *)
+  map : Codec.field_map option;
+  (* a collapsed chain's composed map, compiled per plan; a structural
+     fused plan takes the by-name morpher from the cache *)
   mutable transform : (Value.t -> Value.t) option;
   (* what a staged plan runs after its decode; a fused plan's morpher
      converts on its own, so it builds this on the first [transform] *)
@@ -25,13 +28,15 @@ type t = {
 
 let compile_wire p endian =
   let cache = Ctx.codecs p.ctx in
-  match p.kind with
-  | Fused -> Morph (Codec.morpher_in cache ~endian ~from_:p.source ~into:p.target)
-  | Staged -> Decode (Codec.decoder_for ~cache ~endian p.source)
+  match p.kind, p.map with
+  | Fused, None -> Morph (Codec.morpher_in cache ~endian ~from_:p.source ~into:p.target)
+  | Fused, Some map ->
+    Morph (Codec.compile_map_in cache ~endian ~from_:p.source ~into:p.target map)
+  | Staged, _ -> Decode (Codec.decoder_for ~cache ~endian p.source)
 
-let make ~ctx ~kind ~source ~specs ~target transform =
+let make ~ctx ~kind ~source ~specs ~target ?map transform =
   let rec p =
-    { kind; source; specs; target; ctx; transform;
+    { kind; source; specs; target; ctx; map; transform;
       le = lazy (compile_wire p Little);
       be = lazy (compile_wire p Big) }
   in
@@ -58,7 +63,8 @@ let compile ?engine ~ctx ~kind ~(source : Ptype.record) ~specs
   | Staged, _ ->
     (match Xform.compile_chain ?engine ~ctx ~source specs with
      | Error _ as e -> e
-     | Ok chain ->
+     | Ok hops ->
+       let chain = Xform.run_chain hops in
        let endpoint = List.fold_left (fun _ (s : Xform.spec) -> s.target) source specs in
        let transform =
          if Ptype.equal_record endpoint target then chain
@@ -66,7 +72,11 @@ let compile ?engine ~ctx ~kind ~(source : Ptype.record) ~specs
            let conv = convert ctx ~from_:endpoint ~into:target in
            if specs = [] then conv else fun v -> conv (chain v)
        in
-       Ok (make ~ctx ~kind ~source ~specs ~target (Some transform)))
+       (* a chain of straight-line hops fuses as one composed map; the
+          hop-by-hop chain stays the value transform *)
+       let map = if specs = [] then None else Xform.collapse ~source hops ~target in
+       let kind = if Option.is_none map then Staged else Fused in
+       Ok (make ~ctx ~kind ~source ~specs ~target ?map (Some transform)))
 
 let kind p = p.kind
 let source p = p.source
@@ -101,6 +111,8 @@ let decode p message =
   | Staged -> Wire.metered ~ctx:p.ctx step p message
 
 let pp ppf p =
-  match p.kind with
-  | Fused -> Fmt.string ppf "fused"
-  | Staged -> Fmt.pf ppf "staged, %d hop%s" (hops p) (if hops p = 1 then "" else "s")
+  let plural = if hops p = 1 then "" else "s" in
+  match p.kind, p.map with
+  | Fused, None -> Fmt.string ppf "fused"
+  | Fused, Some _ -> Fmt.pf ppf "fused, %d hop%s" (hops p) plural
+  | Staged, _ -> Fmt.pf ppf "staged, %d hop%s" (hops p) plural

@@ -5,9 +5,11 @@
 
     A plan keeps the [Pbio.Ctx.t] it was compiled for.  Per byte order it
     holds a wire closure — a fused decode->morph plan, or a staged decoder
-    followed by the chain and the final conversion — taken from that
-    context's codec cache on the first message in that order (users of
-    one context share compiled code).  Later messages consult no cache.
+    followed by the chain and the final conversion — compiled on the
+    first message in that order.  A structural plan's closure comes from
+    that context's codec cache (users of one context share compiled
+    code); a collapsed chain's is compiled for the plan alone, timed into
+    the same cache's registry.  Later messages consult no cache.
     The Ecode hops and structural conversions the plan compiles are
     recorded into the context's registry ([ecode.*], [convert.*]; the
     [convert] = [compiled] trace attribute).  A plan is used by one
@@ -16,7 +18,8 @@
 open Pbio
 
 (** [Fused] decodes straight into the target layout; [Staged] decodes the
-    sender's value tree, then transforms it. *)
+    sender's value tree, then transforms it.  A chain of straight-line
+    hops fuses too: collapsed into one field map ({!Xform.collapse}). *)
 type kind = Fused | Staged
 
 type t
@@ -24,9 +27,13 @@ type t
 (** Compile the hops [specs] from [source] messages (with [engine],
     default compiled closures), then a structural conversion from their
     last target into [target] unless that is the same format, recording
-    both into [ctx]; no wire code yet.  [Fused] needs empty [specs]
-    ([Invalid_argument]) and builds its value-tree conversion on the
-    first {!transform}.  A hop that fails to compile is the error. *)
+    both into [ctx]; no wire code yet.  When every hop is straight-line
+    moves, the [Staged] request comes back [Fused]: the hops and the
+    conversion collapse into one field map, and a wire message decodes
+    straight into [target] (never with the interpreted engine).  [Fused]
+    needs empty [specs] ([Invalid_argument]) and builds its value-tree
+    conversion on the first {!transform}.  A hop that fails to compile is
+    the error. *)
 val compile :
   ?engine:Xform.engine ->
   ctx:Ctx.t ->
@@ -44,13 +51,15 @@ val target : t -> Ptype.record
 (** The number of retro-transformation hops. *)
 val hops : t -> int
 
-(** From a [source] value to a [target] value. *)
+(** From a [source] value to a [target] value: for a chain, collapsed or
+    not, its hops run one after another, then the conversion. *)
 val transform : t -> Value.t -> Value.t
 
 (** Decode and transform one complete wire message of the [source]
     format, allocating only the header read and the values built.  Raises
     {!Pbio.Codec.Decode_error} or {!Pbio.Value.Type_error} on a malformed
-    message, and whatever the hops raise. *)
+    message, and whatever the hops raise — a collapsed chain's coercions
+    only once the whole message has decoded. *)
 val run : t -> string -> Value.t
 
 (** The wire step of {!run}: a staged plan's decode into the [source]
@@ -58,5 +67,5 @@ val run : t -> string -> Value.t
     records it; a fused plan's whole {!run}, unrecorded. *)
 val decode : t -> string -> Value.t
 
-(** [fused], or [staged, N hops]. *)
+(** [fused], [fused, N hops] for a collapsed chain, or [staged, N hops]. *)
 val pp : Format.formatter -> t -> unit

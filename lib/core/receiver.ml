@@ -296,8 +296,9 @@ let provenance_attrs ~(source : Ptype.record) ~(target : Ptype.record) ~via
   ]
 
 (* Build the per-format pipeline following Algorithm 2, lines 11-30: the
-   decided path compiled into a plan.  A structural conversion fuses;
-   exact matches and transformation chains decode staged. *)
+   decided path compiled into a plan.  A structural conversion fuses,
+   and so does a chain [Plan.compile] collapses; exact matches and the
+   other chains decode staged. *)
 let plan_uninstrumented ?engine t (meta : Meta.format_meta) : pipeline =
   let fm = meta.Meta.body in
   let accept ?(specs = []) target via ratio =
@@ -488,22 +489,34 @@ let hand_over t (entry : cache_entry) (a : accept) (v' : Value.t) : outcome =
   probe t (Some v') o;
   o
 
-(* What a delivery does, inside its trace span, with the value it has. *)
-type step =
-  | Transform (* admitted: run the transform, then the handler *)
-  | Hand_over (* admitted, and a fused wire plan already built the target value *)
-  | Turn_away (* a Reject pipeline, or a breaker that refused admission *)
+(* A transformation that fails at run time on values its code never
+   anticipated (hostile or corrupt input) rejects the message rather than
+   crashing the receiver, and counts against the breaker. *)
+let transform_failed t (entry : cache_entry) msg : outcome =
+  t.stats.rejected <- t.stats.rejected + 1;
+  t.stats.transform_failures <- t.stats.transform_failures + 1;
+  Obs.Counter.incr t.m.rm_rejected;
+  Obs.Counter.incr t.m.rm_transform_failures;
+  if Breaker.record_failure entry.breaker ~now:(breaker_now t) then quarantine t entry;
+  let o = Rejected (Fmt.str "transformation failed: %s" msg) in
+  probe t None o;
+  o
 
-let run_step t (entry : cache_entry) (meta : Meta.format_meta) step (v : Value.t) :
-  outcome =
+(* What a delivery does, inside its trace span. *)
+type step =
+  | Transform of Value.t (* admitted: run the transform on the sender's value, then the handler *)
+  | Hand_over of Value.t (* admitted, and a fused wire plan already built the target value *)
+  | Failed of string (* admitted, and a fused wire plan's coercion failed *)
+  | Turn_away of Value.t (* a Reject pipeline, or a breaker that refused admission *)
+
+let run_step t (entry : cache_entry) (meta : Meta.format_meta) step : outcome =
   match entry.pipeline, step with
-  | Reject reason, _ -> reject_or_default t meta v reason
-  | Accept _, Turn_away -> reject_or_default t meta v (quarantined_reason entry)
-  | Accept a, Hand_over -> hand_over t entry a v
-  | Accept a, Transform ->
-    (* A transformation can still fail at run time on values its code never
-       anticipated (hostile or corrupt input); that rejects the message
-       rather than crashing the receiver, and counts against the breaker. *)
+  | Reject reason, (Transform v | Hand_over v | Turn_away v) -> reject_or_default t meta v reason
+  | Reject reason, Failed _ -> reject t reason
+  | Accept _, Turn_away v -> reject_or_default t meta v (quarantined_reason entry)
+  | Accept a, Hand_over v -> hand_over t entry a v
+  | Accept _, Failed msg -> transform_failed t entry msg
+  | Accept a, Transform v ->
     let t0 = if t.m.rm_on then Obs.now t.m.rm_reg else 0. in
     (match a.transform v with
      | v' ->
@@ -511,22 +524,13 @@ let run_step t (entry : cache_entry) (meta : Meta.format_meta) step (v : Value.t
        hand_over t entry a v'
      | exception
          (Value.Type_error msg | Ecode.Compile.Runtime_error msg | Ecode.Interp.Runtime_error msg)
-       ->
-       t.stats.rejected <- t.stats.rejected + 1;
-       t.stats.transform_failures <- t.stats.transform_failures + 1;
-       Obs.Counter.incr t.m.rm_rejected;
-       Obs.Counter.incr t.m.rm_transform_failures;
-       if Breaker.record_failure entry.breaker ~now:(breaker_now t) then quarantine t entry;
-       let o = Rejected (Fmt.str "transformation failed: %s" msg) in
-       probe t None o;
-       o)
+       -> transform_failed t entry msg)
 
 (* [run_step] under a trace-only span (no histogram, so the flat [span:*]
    metric names stay unchanged) carrying the morph provenance of this
    message. *)
-let deliver_step t ~hit (entry : cache_entry) (meta : Meta.format_meta) step
-    (v : Value.t) : outcome =
-  if not t.m.rm_on then run_step t entry meta step v
+let deliver_step t ~hit (entry : cache_entry) (meta : Meta.format_meta) step : outcome =
+  if not t.m.rm_on then run_step t entry meta step
   else begin
     let cache = ("cache", if hit then "hit" else "miss") in
     let attrs =
@@ -537,12 +541,12 @@ let deliver_step t ~hit (entry : cache_entry) (meta : Meta.format_meta) step
         in
         cache :: ("ecode", ecode)
         :: (match step with
-            | Hand_over -> ("convert", "fused") :: provenance
-            | Transform | Turn_away -> provenance)
+            | Hand_over _ | Failed _ -> ("convert", "fused") :: provenance
+            | Transform _ | Turn_away _ -> provenance)
       | Reject _ -> [ cache ]
     in
     Obs.Trace.with_span ~attrs t.m.rm_reg "morph.deliver" (fun () ->
-        run_step t entry meta step v)
+        run_step t entry meta step)
   end
 
 let count_hit t =
@@ -576,7 +580,7 @@ let lookup t (meta : Meta.format_meta) : bool * cache_entry =
 
 let deliver t (meta : Meta.format_meta) (v : Value.t) : outcome =
   let hit, entry = lookup t meta in
-  deliver_step t ~hit entry meta (if admit t entry then Transform else Turn_away) v
+  deliver_step t ~hit entry meta (if admit t entry then Transform v else Turn_away v)
 
 let reject_wire t e = reject t (Fmt.str "wire decode failed: %s" (Err.to_string e))
 
@@ -586,8 +590,11 @@ let reject_wire t e = reject t (Fmt.str "wire decode failed: %s" (Err.to_string 
    An admitted delivery runs the cached plan's compiled closure for the
    message's byte order: a fused plan decodes straight into the target
    layout (the sender-format value tree is never built), a staged plan
-   decodes, then transforms.  A Reject pipeline or a refusing breaker still
-   decodes the message, for the default handler. *)
+   decodes, then transforms.  A collapsed chain's fused plan applies its
+   coercions only once the whole message has decoded, so a coercion that
+   fails is a transformation failure, as on the staged path, and never a
+   decode failure.  A Reject pipeline or a refusing breaker still decodes
+   the message, for the default handler. *)
 let deliver_wire t (meta : Meta.format_meta) (message : string) : outcome =
   let hit, entry = lookup t meta in
   match entry.pipeline with
@@ -596,11 +603,12 @@ let deliver_wire t (meta : Meta.format_meta) (message : string) : outcome =
     (match Plan.decode plan message with
      | exception Codec.Decode_error msg -> reject_wire t (`Decode msg)
      | exception Value.Type_error msg -> reject_wire t (`Type msg)
+     | exception Ecode.Compile.Runtime_error msg -> deliver_step t ~hit entry meta (Failed msg)
      | v when Plan.kind plan = Plan.Fused ->
        if t.m.rm_on then Obs.Histogram.observe t.m.rm_fused_ns (Obs.now t.m.rm_reg -. t0);
-       deliver_step t ~hit entry meta Hand_over v
+       deliver_step t ~hit entry meta (Hand_over v)
      | v ->
-       let o = deliver_step t ~hit entry meta Transform v in
+       let o = deliver_step t ~hit entry meta (Transform v) in
        (match o with
         | Delivered _ when t.m.rm_on ->
           Obs.Histogram.observe t.m.rm_staged_ns (Obs.now t.m.rm_reg -. t0)
@@ -608,7 +616,7 @@ let deliver_wire t (meta : Meta.format_meta) (message : string) : outcome =
        o)
   | Accept _ | Reject _ ->
     (match Wire.decode ~ctx:t.config.Config.ctx meta.Meta.body message with
-     | Ok v -> deliver_step t ~hit entry meta Turn_away v
+     | Ok v -> deliver_step t ~hit entry meta (Turn_away v)
      | Error e -> reject_wire t e)
 
 let plan ?engine t (meta : Meta.format_meta) : (Plan.t, string) result =

@@ -150,7 +150,10 @@ val deliver : t -> Meta.format_meta -> Value.t -> outcome
     value's identity first, so pass the same value for every message of a
     format.  The pipeline's {!Plan} then runs its compiled closure for the
     message's byte order, with no codec-cache lookup after the first
-    message in that order. *)
+    message in that order.  A collapsed chain decodes straight into the
+    registered format; a coercion it fails is a transformation failure,
+    counted against the breaker, exactly as when the hops run one by
+    one. *)
 val deliver_wire : t -> Meta.format_meta -> string -> outcome
 
 (** The plan {!deliver} would cache for messages of this format, built
@@ -163,7 +166,7 @@ val plan : ?engine:Xform.engine -> t -> Meta.format_meta -> (Plan.t, string) res
 (** Describe, without delivering or caching, what Algorithm 2 would do
     with messages of this format — for diagnostics and operator tooling:
     the registered format, the {!via}, and the plan kind, e.g.
-    [deliver to LoadEvent via morphed(LoadEvent) [staged, 3 hops]]. *)
+    [deliver to LoadEvent via morphed(LoadEvent) [fused, 3 hops]]. *)
 val explain : t -> Meta.format_meta -> string
 
 val stats : t -> stats

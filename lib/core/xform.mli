@@ -16,6 +16,9 @@ type compiled = {
   source : Ptype.record;
   spec : spec;
   run : Value.t -> Value.t;
+  moves : Ecode.move list option;
+      (** the hop's typed body as moves ({!Ecode.compile_hop}) when it is
+          straight-line stores; always [None] from the interpreter *)
 }
 
 (** Execution engine for transformation code.  Production paths use
@@ -43,14 +46,30 @@ val compile :
     found and cycles terminate. *)
 val reachable : Meta.format_meta -> (Ptype.record * spec list) list
 
-(** Compile each hop of a spec path, starting from [source] messages, and
-    compose the hops into one function into the last hop's target (the
-    identity for the empty path), each hop recorded into [ctx] as
-    {!compile} records.  The first hop that fails to compile is the
-    error. *)
+(** Compile each hop of a spec path, starting from [source] messages,
+    each hop recorded into [ctx] as {!compile} records.  The first hop
+    that fails to compile is the error. *)
 val compile_chain :
   ?engine:engine -> ?ctx:Ctx.t -> source:Ptype.record -> spec list ->
-  (Value.t -> Value.t, Err.t) result
+  (compiled list, Err.t) result
+
+(** The hops run one after another: from [source] messages into the last
+    hop's target (the identity for no hops). *)
+val run_chain : compiled list -> Value.t -> Value.t
+
+(** Compose straight-line hops from [source] messages, and a final
+    structural conversion into [target] unless that is the last hop's
+    target, into one field map: each target field is a source field
+    through every coercion its hops apply, in order, then the conversion;
+    or a constant, the hop's default or stored constant coerced at plan
+    time.  Stores whose coercions can fail become the map's checks, in
+    the order the hops run them.  [None] (fall back to running the hops)
+    when a hop has no moves — loops, branches, calls, arithmetic, the
+    interpreted engine — when a plan-time coercion raises, or when a
+    hop's length sync could change a value: a variable array must come
+    with its length field from a matching source pair. *)
+val collapse :
+  source:Ptype.record -> compiled list -> target:Ptype.record -> Codec.field_map option
 
 (** Validate without keeping the compiled form: writers call this at
     registration time so broken snippets fail at the sender, not at some

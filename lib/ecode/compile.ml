@@ -9,7 +9,9 @@
 open Pbio
 open Typecheck
 
-exception Runtime_error of string
+(* A coercion's failure ({!Pbio.Coerce.Runtime_error}) is a run-time error
+   like any other: one exception, whichever engine part raised it. *)
+exception Runtime_error = Coerce.Runtime_error
 
 let runtime_error fmt = Fmt.kstr (fun s -> raise (Runtime_error s)) fmt
 
@@ -38,35 +40,6 @@ let as_bool v = Value.to_bool v
 let vtrue = Value.Bool true
 let vfalse = Value.Bool false
 let vbool b = if b then vtrue else vfalse
-
-let u32 n = n land 0xFFFF_FFFF
-
-(* An integer result boxed as a value of basic type [ty], by the
-   interpreter's assignment rules ([Interp.coerce_to_model]); enum values
-   resolve to their declared case. *)
-let box_int (ty : Ptype.t) : int -> Value.t =
-  match ty with
-  | Basic Uint -> fun n -> Value.Uint (u32 n)
-  | Basic Char -> fun n -> Value.Char (Char.chr (n land 0xff))
-  | Basic Bool -> fun n -> vbool (n <> 0)
-  | Basic (Enum en) ->
-    fun n ->
-      (match List.find_opt (fun (_, v) -> v = n) en.Ptype.cases with
-       | Some (case, _) -> Value.Enum (case, n)
-       | None -> runtime_error "no case of enum %s has value %d" en.Ptype.ename n)
-  | _ -> vint
-
-let string_of_value (v : Value.t) : string =
-  match v with
-  | String s -> s
-  | Int n | Uint n -> string_of_int n
-  | Float x ->
-    if Float.is_integer x && Float.abs x < 1e15 then Printf.sprintf "%.0f" x
-    else Printf.sprintf "%g" x
-  | Char c -> String.make 1 c
-  | Bool b -> if b then "true" else "false"
-  | Enum (case, _) -> case
-  | Record _ | Array _ -> Value.to_string v
 
 (* --- lvalues ------------------------------------------------------------ *)
 
@@ -223,7 +196,7 @@ let rec compile_expr (impls : impls) (e : texpr) : frame -> Value.t =
       compile_modify acc ~post:(not pre) ~before:no_before (fun _ old ->
           Value.Float (as_float old +. d))
     else
-      let box = box_int lv.lty in
+      let box = Coerce.box_int lv.lty in
       compile_modify acc ~post:(not pre) ~before:no_before (fun _ old ->
           box (as_int old + delta))
 
@@ -254,7 +227,7 @@ and compile_arith impls op a b : frame -> Value.t =
   | Fmul -> fun f -> Value.Float (as_float (ca f) *. as_float (cb f))
   | Fdiv -> fun f -> Value.Float (as_float (ca f) /. as_float (cb f))
   | Sconcat ->
-    fun f -> Value.String (string_of_value (ca f) ^ string_of_value (cb f))
+    fun f -> Value.String (Coerce.string_of_value (ca f) ^ Coerce.string_of_value (cb f))
 
 (* Conditions compile to unboxed tests. *)
 and compile_cond impls (e : texpr) : frame -> bool =
@@ -332,22 +305,8 @@ and compile_call impls bi args : frame -> Value.t =
 
 and compile_coerce impls co a : frame -> Value.t =
   let ca = compile_expr impls a in
-  match co with
-  | To_int ->
-    (match a.ty with
-     | Basic Float -> fun f -> vint (int_of_float (as_float (ca f)))
-     | _ -> fun f -> vint (as_int (ca f)))
-  | To_uint ->
-    (match a.ty with
-     | Basic Float -> fun f -> Value.Uint (u32 (int_of_float (as_float (ca f))))
-     | _ -> fun f -> Value.Uint (u32 (as_int (ca f))))
-  | To_float -> fun f -> Value.Float (as_float (ca f))
-  | To_char -> fun f -> Value.Char (Char.chr (as_int (ca f) land 0xff))
-  | To_bool -> fun f -> vbool (as_bool (ca f))
-  | To_string -> fun f -> Value.String (string_of_value (ca f))
-  | To_enum en ->
-    let box = box_int (Basic (Enum en)) in
-    fun f -> box (as_int (ca f))
+  let k = Coerce.compile ~from:a.ty co in
+  fun f -> k (ca f)
 
 and compile_access impls (lv : tlval) : access =
   let step nav = function

@@ -48,11 +48,10 @@ let typecheck ~(params : (string * Ptype.t) list) (prog : program) :
   (Typecheck.tprog, string) result =
   Typecheck.check ~params prog
 
-(* Parse, check and compile a program against named parameters.  The
-   resulting function takes the parameter values in declaration order.
-   Timed into [ctx]'s registry. *)
-let compile ?(ctx = Ctx.default) ~(params : (string * Ptype.t) list) (src : string) :
-  (Value.t array -> unit, string) result =
+(* Parse, check and compile a program against named parameters, keeping
+   the typed program next to its closure.  Timed into [ctx]'s registry. *)
+let compile_typed ?(ctx = Ctx.default) ~(params : (string * Ptype.t) list) (src : string)
+  : (Typecheck.tprog * (Value.t array -> unit), string) result =
   let m = Ctx.compiles ctx in
   let t0 = if m.compile_on then Obs.now m.compile_reg else 0. in
   let result =
@@ -64,7 +63,7 @@ let compile ?(ctx = Ctx.default) ~(params : (string * Ptype.t) list) (src : stri
        | Ok tprog ->
          if m.compile_on then
            Obs.Histogram.observe m.ecode_stmts (float_of_int (program_size prog));
-         Ok (Compile.compile tprog))
+         Ok (tprog, Compile.compile tprog))
   in
   if m.compile_on then begin
     (match result with
@@ -75,22 +74,71 @@ let compile ?(ctx = Ctx.default) ~(params : (string * Ptype.t) list) (src : stri
   end;
   result
 
+(* The resulting function takes the parameter values in declaration
+   order. *)
+let compile ?ctx ~params src = Result.map snd (compile_typed ?ctx ~params src)
+
+type rhs =
+  | Read of int * (Ptype.t * Coerce.t) list
+  | Const of Value.t
+
+type move = {
+  dst : int;
+  rhs : rhs;
+}
+
+(* A hop's typed body as stores, when it is nothing else: every top-level
+   statement is [old.f = e;] with [e] a read [new.g] under the checker's
+   assignment coercions only, or a constant, coerced now (a constant its
+   coercion rejects fails every message, so it is no move).  [new] and
+   [old] are parameters 0 and 1. *)
+let moves_of (prog : Typecheck.tprog) : move list option =
+  let open Typecheck in
+  let rec rhs (e : texpr) =
+    match e.n with
+    | Tfield ({ n = Tparam 0; _ }, g) -> Some (Read (g, []))
+    | Tconst v -> Some (Const v)
+    | Tcoerce (co, a) ->
+      (match rhs a with
+       | Some (Read (g, cs)) -> Some (Read (g, cs @ [ (a.ty, co) ]))
+       | Some (Const v) ->
+         (match Coerce.compile ~from:a.ty co v with
+          | v -> Some (Const v)
+          | exception (Coerce.Runtime_error _ | Value.Type_error _) -> None)
+       | None -> None)
+    | _ -> None
+  in
+  let rec go acc = function
+    | [] -> Some (List.rev acc)
+    | TSnop :: rest -> go acc rest
+    | TSexpr { n = Tassign ({ base = Lbase_param 1; steps = [ Sfield dst ]; _ }, e); _ }
+      :: rest ->
+      (match rhs e with
+       | Some rhs -> go ({ dst; rhs } :: acc) rest
+       | None -> None)
+    | _ -> None
+  in
+  go [] prog.body
+
 (* The paper's transformation shape: convert a [src]-format message into a
    fresh [dst]-format message.  Inside the snippet, [new] is the incoming
    message and [old] the outgoing one. *)
-let compile_xform ?ctx ~(src : Ptype.record) ~(dst : Ptype.record) (code : string) :
-  (Value.t -> Value.t, string) result =
+let compile_hop ?ctx ~(src : Ptype.record) ~(dst : Ptype.record) (code : string) :
+  ((Value.t -> Value.t) * move list option, string) result =
   let params = [ ("new", Ptype.Record src); ("old", Ptype.Record dst) ] in
-  match compile ?ctx ~params code with
+  match compile_typed ?ctx ~params code with
   | Error _ as e -> e
-  | Ok run ->
+  | Ok (tprog, run) ->
     let sync = Value.compile_sync dst in
     Ok
-      (fun input ->
-         let output = Value.default_record dst in
-         run [| input; output |];
-         sync output;
-         output)
+      ( (fun input ->
+          let output = Value.default_record dst in
+          run [| input; output |];
+          sync output;
+          output),
+        moves_of tprog )
+
+let compile_xform ?ctx ~src ~dst code = Result.map fst (compile_hop ?ctx ~src ~dst code)
 
 (* Interpreted variant of {!compile_xform}; same semantics, no code
    generation.  Used by the A1 ablation benchmark. *)

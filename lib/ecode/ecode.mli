@@ -43,6 +43,31 @@ val compile_xform :
   ?ctx:Ctx.t ->
   src:Ptype.record -> dst:Ptype.record -> string -> (Value.t -> Value.t, string) result
 
+(** How a straight-line hop fills one field of its target. *)
+type rhs =
+  | Read of int * (Ptype.t * Coerce.t) list
+      (** field [g] of [new], then each assignment coercion, innermost
+          first, from a value of the given type *)
+  | Const of Value.t  (** a constant, its coercions already applied *)
+
+(** One top-level store [old.f = e;]: [dst] is [f]'s position in the
+    target format. *)
+type move = {
+  dst : int;
+  rhs : rhs;
+}
+
+(** {!compile_xform}, plus the hop's typed body as moves when it is
+    nothing but top-level stores [old.f = e;], in program order, each [e]
+    a read [new.g] under the checker's assignment coercions or a constant.
+    Declarations, loops, branches, calls, arithmetic, nested lvalues and
+    reads of [old] make it [None]; so does a constant its coercion
+    rejects.  The snippet is parsed and checked once for both. *)
+val compile_hop :
+  ?ctx:Ctx.t ->
+  src:Ptype.record -> dst:Ptype.record -> string ->
+  ((Value.t -> Value.t) * move list option, string) result
+
 (** Interpreted variant of {!compile_xform}; same semantics, no code
     generation. *)
 val interpret_xform :

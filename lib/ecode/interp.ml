@@ -58,7 +58,7 @@ let is_string = function Value.String _ -> true | _ -> false
 let arith op (a : Value.t) (b : Value.t) : Value.t =
   match op with
   | Ast.Add when is_string a || is_string b ->
-    Value.String (Compile.string_of_value a ^ Compile.string_of_value b)
+    Value.String (Coerce.string_of_value a ^ Coerce.string_of_value b)
   | Add | Sub | Mul | Div ->
     if is_float a || is_float b then begin
       let x = Value.to_float a and y = Value.to_float b in
@@ -286,7 +286,7 @@ and eval_call env name (args : Value.t list) : Value.t =
   | ("float" | "double"), [ v ] -> Value.Float (Value.to_float v)
   | "char", [ v ] -> Value.Char (Char.chr (Value.to_int v land 0xff))
   | "bool", [ v ] -> Value.Bool (Value.to_bool v)
-  | "string", [ v ] -> Value.String (Compile.string_of_value v)
+  | "string", [ v ] -> Value.String (Coerce.string_of_value v)
   | "strlen", [ Value.String s ] -> Value.Int (String.length s)
   | "len", [ (Value.Array _ as v) ] -> Value.Int (Value.array_len v)
   | "len", [ Value.String s ] -> Value.Int (String.length s)

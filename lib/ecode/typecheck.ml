@@ -11,8 +11,8 @@ open Pbio
 
 type ty = Ptype.t
 
-(* Coercions made explicit during checking. *)
-type coercion =
+(* Coercions made explicit during checking; {!Pbio.Coerce} runs them. *)
+type coercion = Coerce.t =
   | To_int
   | To_uint (* wraps to 32 bits, like C unsigned conversion *)
   | To_float

@@ -13,8 +13,9 @@
        coalescing so a mass schema push compiles each (tenant, format)
        plan once, not once per queued message;
      - one compiled plan per (tenant, format), at the engine its shape
-       needs: a fused decode->morph plan for a structural match, a
-       staged decoder plus the composed Ecode chain for a
+       needs: a fused decode->morph plan for a structural match or a
+       chain of straight-line hops collapsed into one, a staged decoder
+       plus the composed Ecode chain for any other
        retro-transformation chain.  A plan compiles once and is reused
        until evicted; the only overload answer on the plan side is the
        Governor's eviction-storm meter, which sheds new plan work while
@@ -480,8 +481,9 @@ let drop_tenant t id =
 (* The gateway's slice of Algorithm 2, with the candidate set pinned to
    the tenant's single target format: direct structural match (fused),
    else the shortest retro-transformation chain whose endpoint matches
-   (staged).  Decided when a format's first message arrives; the plan's
-   wire closures compile on the first message of each byte order. *)
+   (staged, or fused when [Plan.compile] collapses it).  Decided when a
+   format's first message arrives; the plan's wire closures compile on
+   the first message of each byte order. *)
 let plan_for t (meta : Meta.format_meta) (target : Ptype.record) :
   (Plan.t, string) result =
   let fm = meta.Meta.body in

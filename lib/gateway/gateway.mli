@@ -17,10 +17,11 @@ module Governor = Governor
 (** The engine a plan runs: its {!Morph.Plan.kind}. *)
 type rung = Morph.Plan.kind =
   | Fused
-      (** structural match: one fused decode->morph plan *)
+      (** structural match, or a chain of straight-line hops collapsed
+          with its conversion: one fused decode->morph plan *)
   | Staged
-      (** retro-transformation chain: compiled decode, then the composed
-          Ecode hops and the conversion into the target *)
+      (** any other retro-transformation chain: compiled decode, then the
+          composed Ecode hops and the conversion into the target *)
 
 type config = {
   max_plans : int;  (** shared plan-cache entry bound *)

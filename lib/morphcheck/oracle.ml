@@ -5,7 +5,7 @@
    derived from (campaign seed, case index), so any failing case is
    reproducible from the numbers in its report line alone.
 
-   The four differential oracles:
+   The differential oracles:
      roundtrip  wire encode/decode is the identity on conforming values
      engines    compiled and interpreted Ecode agree on evolution rollbacks
      chain      a receiver morphing v_n -> v_0 through a spec chain, by
@@ -13,6 +13,11 @@
                 direct composition of the generated hop transformations
      weighted   uniform-weight Weighted matching reproduces the plain
                 integer Diff / Maxmatch quantities and selections
+     codec      compiled and fused codec plans equal the interpretive
+                reference
+     collapse   a chain collapsed into one fused plan delivers what the
+                hop-by-hop chain and the interpreter deliver, and fails
+                corrupted messages the same way
 
    The fuzz targets corrupt encoded buffers and require structured [Error]s
    (never an escaping exception) from the wire, meta, framing and receiver
@@ -29,6 +34,7 @@ type report = {
   oracle : string;
   cases : int;
   failures : failure list; (* first-seen order, capped *)
+  note : string; (* what the campaign counted, if anything *)
 }
 
 let passed (r : report) = r.failures = []
@@ -55,7 +61,7 @@ let run_cases ~oracle ~seed ~count (case : Random.State.t -> unit) : report =
     | exception Counterexample msg -> record msg
     | exception e -> record ("uncaught exception: " ^ Printexc.to_string e)
   done;
-  { oracle; cases = count; failures = List.rev !failures }
+  { oracle; cases = count; failures = List.rev !failures; note = "" }
 
 (* --- differential oracles ------------------------------------------------- *)
 
@@ -134,7 +140,7 @@ let chain_case st =
   (match Morph.morph_to meta ~target:c.Evolve.base (Value.copy v) with
    | Error e -> fail "receiver rejected a valid %d-hop chain: %a" hops Err.pp e
    | Ok got -> check "morph_to" got);
-  (* the same chain over the wire, staged, in both byte orders through one
+  (* the same chain over the wire, in both byte orders through one
      receiver: each order compiles its own closure into the plan *)
   let recv = Morph.Receiver.create () in
   let got = ref None in
@@ -316,6 +322,191 @@ let codec_case st =
            (match !got_val with Some x -> Value.to_string x | None -> "<none>"))
     [ im; Codec.Interp.encode_message ~endian:other ~format_id r v ]
 
+(* Value agreement, bit-level via re-encoding: [Value.equal] is IEEE on
+   floats, so a mutation that manufactures a NaN would fail it even when
+   both sides decoded identical bits. *)
+let same fmt a b =
+  Value.equal a b
+  || (match
+        ( Codec.Interp.encode_payload ~endian:Codec.Little fmt a,
+          Codec.Interp.encode_payload ~endian:Codec.Little fmt b )
+      with
+      | x, y -> String.equal x y
+      | exception _ -> false)
+
+(* Collapsed chains.  Each case evolves a random base through up to 8
+   straight-line hops and registers a receiver at the base or a structural
+   variant of it, so a final conversion composes on top.  Two twists make
+   a wrong composition show: every chain format declares its own default
+   for its numeric and char fields, so a constant a hop leaves behind
+   differs from the target's default; and when the head has an enum field,
+   half the cases add a newest version that widens it to int, whose
+   rollback coerces back into the enum and fails on values no case
+   carries — also when a later hop drops the field.  The receiver's wire
+   delivery of the head message, a decode followed by the compiled
+   hop-by-hop chain, and the interpretive reference must give equal
+   values, or all fail.  Corrupted messages (a flipped byte, a truncated
+   payload, 1-4 bytes appended, each under a header that still fits) must
+   land in the same outcome class at the receiver as under reference
+   decode plus interpreted morph.  The interpreter does not check enum
+   coercions (the engines oracle leaves them out for that reason), so a
+   widened case takes the compiled hop-by-hop chain as its reference
+   morph instead.  [collapsed] counts the cases whose plan collapsed; a
+   campaign with none fails. *)
+let collapsed = Atomic.make 0
+
+(* Version [k]'s declared defaults: distinct per version, of every
+   top-level int, unsigned, float, bool and char field. *)
+let with_defaults k (r : Ptype.record) : Ptype.record =
+  let default (f : Ptype.field) : Ptype.const option =
+    match f.ftype with
+    | Ptype.Basic (Int | Uint | Float | Bool) -> Some (Ptype.Cint (300 + (7 * k)))
+    | Basic Char -> Some (Ptype.Cchar (Char.chr (65 + k)))
+    | Basic (String | Enum _) | Record _ | Array _ -> None
+  in
+  { r with fields = List.map (fun f -> { f with Ptype.fdefault = default f }) r.fields }
+
+(* Half the chains whose head has an enum field gain a newest version with
+   that field widened to int; the widened field's name, if any. *)
+let widen_enum (c : Evolve.chain) st : Evolve.chain * string option =
+  let hd = Evolve.head c in
+  match
+    List.find_opt
+      (fun (f : Ptype.field) -> match f.ftype with Ptype.Basic (Enum _) -> true | _ -> false)
+      hd.Ptype.fields
+  with
+  | Some ({ ftype = Basic (Enum _ as from_); _ } as f) when Rgen.bool st ->
+    let after =
+      { hd with
+        fields =
+          List.map
+            (fun (g : Ptype.field) -> if g.fname = f.fname then { g with ftype = Ptype.int_ } else g)
+            hd.fields }
+    in
+    let code = Evolve.rollback_code hd after ~renames:[] in
+    let widen =
+      { Evolve.before = hd; after; code;
+        op = Retype { field = f.fname; from_; to_ = Ptype.Int } }
+    in
+    ({ c with steps = c.steps @ [ widen ] }, Some f.fname)
+  | Some _ | None -> (c, None)
+
+(* The chain with every format carrying its version's defaults. *)
+let versioned (c : Evolve.chain) : Evolve.chain =
+  let steps =
+    List.mapi
+      (fun k (s : Evolve.step) ->
+         { s with before = with_defaults k s.before; after = with_defaults (k + 1) s.after })
+      c.steps
+  in
+  { Evolve.base = with_defaults 0 c.base; steps }
+
+(* A wire message with [payload] under [msg]'s header, its payload length
+   patched to fit. *)
+let reframe msg payload =
+  let h = Bytes.of_string (String.sub msg 0 Codec.header_size) in
+  let n = String.length payload in
+  (match (Codec.read_header msg).Codec.endian with
+   | Codec.Little -> Bytes.set_int32_le h 12 (Int32.of_int n)
+   | Codec.Big -> Bytes.set_int32_be h 12 (Int32.of_int n));
+  Bytes.to_string h ^ payload
+
+let wire_mutants msg st =
+  let payload = String.sub msg Codec.header_size (String.length msg - Codec.header_size) in
+  let n = String.length payload in
+  let flip =
+    if n = 0 then []
+    else
+      let b = Bytes.of_string payload in
+      let i = Rgen.int_range 0 (n - 1) st in
+      Bytes.set b i (Char.chr (Char.code (Bytes.get b i) lxor (1 lsl Rgen.int_range 0 7 st)));
+      [ reframe msg (Bytes.to_string b) ]
+  in
+  let truncated =
+    if n = 0 then [] else [ reframe msg (String.sub payload 0 (Rgen.int_range 0 (n - 1) st)) ]
+  in
+  let appended = reframe msg (payload ^ Fuzz.random_bytes (Rgen.int_range 1 4) st) in
+  flip @ truncated @ [ appended ]
+
+let starts_with prefix s =
+  String.length s >= String.length prefix && String.sub s 0 (String.length prefix) = prefix
+
+let collapse_case st =
+  let base = Gen.record st in
+  let c, widened = widen_enum (Evolve.chain ~max_steps:8 base st) st in
+  let c = versioned c in
+  let target = if Rgen.bool st then c.Evolve.base else structural_variant c.Evolve.base st in
+  let meta = Evolve.meta_of_chain c in
+  let hd = Evolve.head c in
+  let v = Gen.value_for hd st in
+  (match widened with
+   | Some f -> Value.set_field v f (Value.Int (Rgen.oneofl [ 0; 1; 5; 2; 7 ] st))
+   | None -> ());
+  let endian = if Rgen.bool st then Wire.Little else Wire.Big in
+  let msg = Wire.encode ~endian ~format_id:9 hd v in
+  let got = ref None in
+  let recv =
+    Morph.Receiver.create ~config:(Morph.Receiver.Config.v ~quarantine_after:max_int ()) ()
+  in
+  Morph.Receiver.register recv target (fun x -> got := Some x);
+  let plan = Morph.Receiver.plan recv meta in
+  (match plan with
+   | Ok p when Morph.Plan.kind p = Morph.Plan.Fused && Morph.Plan.hops p > 0 ->
+     Atomic.incr collapsed
+   | Ok _ | Error _ -> ());
+  let show = function
+    | `Delivered x -> "delivered " ^ Value.to_string x
+    | `Decode -> "decode failure"
+    | `Transform -> "transformation failure"
+    | `No_path -> "no path"
+  in
+  let receiver m =
+    got := None;
+    match Morph.Receiver.deliver_wire recv meta m, !got with
+    | Morph.Receiver.Delivered _, Some x -> `Delivered x
+    | Rejected r, _ when starts_with "wire decode failed" r -> `Decode
+    | Rejected r, _ when starts_with "transformation failed" r -> `Transform
+    | _ -> `No_path
+  in
+  (* decode, then the compiled hop-by-hop chain *)
+  let chained dv =
+    match plan with
+    | Error _ -> `No_path
+    | Ok p ->
+      (match Morph.Plan.transform p dv with
+       | x -> `Delivered x
+       | exception (Value.Type_error _ | Ecode.Compile.Runtime_error _) -> `Transform)
+  in
+  let interpreted dv =
+    match Morph.morph_to ~engine:Morph.Xform.Interpreted meta ~target dv with
+    | Ok x -> `Delivered x
+    | Error (`No_match r) when starts_with "transformation failed" r -> `Transform
+    | Error _ -> `No_path
+  in
+  let reference m =
+    match
+      Codec.Interp.decode_payload ~endian:(Codec.read_header m).Codec.endian
+        ~pos:Codec.header_size hd m
+    with
+    | exception (Codec.Decode_error _ | Value.Type_error _) -> `Decode
+    | dv -> if widened = None then interpreted dv else chained dv
+  in
+  let hops = List.length c.Evolve.steps in
+  let agree what a b =
+    match a, b with
+    | `Delivered x, `Delivered y when same target x y -> ()
+    | `Decode, `Decode | `Transform, `Transform | `No_path, `No_path -> ()
+    | _ ->
+      fail "%s over %d hops [%a] into %s:@ receiver %s@ %s" what hops
+        (Fmt.list ~sep:Fmt.comma Evolve.pp_op)
+        (List.map (fun (s : Evolve.step) -> s.op) c.Evolve.steps)
+        (Ptype.record_to_string target) (show a) (show b)
+  in
+  let delivered = receiver msg in
+  agree "hop-by-hop chain" delivered (chained (Value.copy v));
+  agree "reference" delivered (reference msg);
+  List.iter (fun m -> agree "corrupted message" (receiver m) (reference m)) (wire_mutants msg st)
+
 (* --- fuzz targets --------------------------------------------------------- *)
 
 let fuzz_wire_case st =
@@ -377,18 +568,6 @@ let fuzz_codec_case st =
     | exception Codec.Decode_error m -> Error m
     | exception Value.Type_error m -> Error m
   in
-  (* bit-level agreement via re-encoding: [Value.equal] is IEEE on
-     floats, so a mutation that manufactures a NaN would fail it even
-     when both sides decoded identical bits *)
-  let same fmt a b =
-    Value.equal a b
-    || (match
-          ( Codec.Interp.encode_payload ~endian:Codec.Little fmt a,
-            Codec.Interp.encode_payload ~endian:Codec.Little fmt b )
-        with
-        | x, y -> String.equal x y
-        | exception _ -> false)
-  in
   let interp = catch (fun () -> Codec.Interp.decode_payload ~endian r bad) in
   let compiled = catch (fun () -> Codec.decode_payload (Codec.decoder_for ~cache:codecs ~endian r) bad) in
   (match interp, compiled with
@@ -444,6 +623,7 @@ let oracles : (string * (Random.State.t -> unit)) list =
     ("chain", chain_case);
     ("weighted", weighted_case);
     ("codec", codec_case);
+    ("collapse", collapse_case);
     ("fuzz-wire", fuzz_wire_case);
     ("fuzz-codec", fuzz_codec_case);
     ("fuzz-meta", fuzz_meta_case);
@@ -455,18 +635,30 @@ let names = List.map fst oracles
 
 let fuzz_names = List.filter (fun n -> String.length n > 5 && String.sub n 0 5 = "fuzz-") names
 
+(* The collapse campaign's verdict on its own tally. *)
+let collapse_report (r : report) =
+  let n = Atomic.get collapsed in
+  let r = { r with note = Fmt.str "%d collapsed" n } in
+  if n = 0 && r.cases > 0 then
+    { r with failures = r.failures @ [ { case = -1; detail = "no case collapsed" } ] }
+  else r
+
 let run ?names:(selected = names) ~seed ~count () : report list =
   List.map
     (fun name ->
        match List.assoc_opt name oracles with
        | None -> invalid_arg ("Oracle.run: unknown oracle " ^ name)
-       | Some case -> run_cases ~oracle:name ~seed ~count case)
+       | Some case ->
+         Atomic.set collapsed 0;
+         let r = run_cases ~oracle:name ~seed ~count case in
+         if name = "collapse" then collapse_report r else r)
     selected
 
 let pp_report ppf (r : report) =
-  if passed r then Fmt.pf ppf "%-14s %6d cases  ok" r.oracle r.cases
+  let note = if r.note = "" then "" else Fmt.str " (%s)" r.note in
+  if passed r then Fmt.pf ppf "%-14s %6d cases  ok%s" r.oracle r.cases note
   else
-    Fmt.pf ppf "%-14s %6d cases  %d FAILED@,%a" r.oracle r.cases
+    Fmt.pf ppf "%-14s %6d cases%s  %d FAILED@,%a" r.oracle r.cases note
       (List.length r.failures)
       (Fmt.list ~sep:Fmt.cut
          (fun ppf f -> Fmt.pf ppf "  case %d: %s" f.case f.detail))

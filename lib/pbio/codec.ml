@@ -631,7 +631,7 @@ let record_layout (r : Ptype.record) =
   let slot_for_name nm =
     List.find_map (fun (n, _, k) -> if n = nm then Some k else None) slots
   in
-  (fields, nf, nslots, slot_for_field, slot_for_name, first_index)
+  (fields, nf, nslots, slot_for_field, slot_for_name)
 
 (* Resolve a length-field name to a reader over the scope's slot array.
    Slots start as [Int 0], reproducing the interpreter's placeholder
@@ -748,7 +748,7 @@ let rec comp_decode_type endian (lf : string -> Value.t array -> int) (ty : Ptyp
       Value.Array { items; len = n; model }
 
 and comp_decode_record endian (r : Ptype.record) : cursor -> Value.t =
-  let fields, nf, nslots, slot_for_field, slot_for_name, _ = record_layout r in
+  let fields, nf, nslots, slot_for_field, slot_for_name = record_layout r in
   let lf = lf_of r slot_for_name in
   let names = Array.map (fun (f : Ptype.field) -> f.fname) fields in
   let steps =
@@ -885,7 +885,7 @@ let rec comp_skip_type endian (lf : string -> Value.t array -> int) (ty : Ptype.
           | None -> for _ = 1 to n do eskip cur lens done))
 
 and comp_skip_record endian (r : Ptype.record) : cursor -> unit =
-  let fields, nf, nslots, slot_for_field, slot_for_name, _ = record_layout r in
+  let fields, nf, nslots, slot_for_field, slot_for_name = record_layout r in
   let lf = lf_of r slot_for_name in
   (* adjacent fixed-width fields collapse into one span: this runs per
      array element on drop-heavy morphs, so a run of scalars (ints,
@@ -936,19 +936,75 @@ let decoder_format d = d.dfmt
 
 (* --- fused decode->morph plans ---------------------------------------------------- *)
 
+type step =
+  | Coerce of Ptype.t * Coerce.t
+  | Convert of Ptype.t * Ptype.t
+
+type slot =
+  | Take of int * step list
+  | Const of Value.t
+
+type field_map = {
+  slots : slot array;
+  checks : (int * step list) list;
+}
+
 type morpher = {
   mfrom : Ptype.record;
   minto : Ptype.record;
-  mrun : cursor -> Value.t;
+  mread : cursor -> Value.t array;
+  (* consumes the payload; what it returns feeds [mbuild] *)
+  mbuild : Value.t array -> Value.t;
+  (* runs the map's checks and coercions, assembles and syncs the target:
+     only once the whole message has decoded *)
 }
+
+(* Convert's rules as a map: each target field from the first source field
+   of its name, through one structural conversion when the types differ;
+   the target's default when no field has the name or the types cannot
+   convert. *)
+let by_name ~(from_ : Ptype.record) ~(into : Ptype.record) : field_map =
+  let src = Array.of_list from_.fields in
+  let rec first_index name i =
+    if i >= Array.length src then None
+    else if src.(i).Ptype.fname = name then Some i
+    else first_index name (i + 1)
+  in
+  let slot (f : Ptype.field) =
+    match first_index f.fname 0 with
+    | Some i when Ptype.equal_type src.(i).Ptype.ftype f.ftype -> Take (i, [])
+    | Some i when Convert.convertible src.(i).Ptype.ftype f.ftype ->
+      Take (i, [ Convert (src.(i).Ptype.ftype, f.ftype) ])
+    | Some _ | None -> Const (Convert.field_default f ())
+  in
+  { slots = Array.of_list (List.map slot into.fields); checks = [] }
+
+let compile_step = function
+  | Coerce (from, co) -> Coerce.compile ~from co
+  | Convert (s, t) ->
+    (match Convert.compile_type s t with
+     | Some conv -> conv
+     | None -> invalid_arg "Codec: a field map converts between inconvertible types")
+
+let compile_steps (steps : step list) : Value.t -> Value.t =
+  match List.map compile_step steps with
+  | [] -> Fun.id
+  | [ f ] -> f
+  | [ f; g ] -> fun v -> g (f v)
+  | f :: rest -> List.fold_left (fun acc g v -> g (acc v)) f rest
+
+let const_of (v : Value.t) : Value.t array -> Value.t =
+  match v with
+  | Record _ | Array _ -> fun _ -> Value.copy v
+  | Int _ | Uint _ | Float _ | Char _ | Bool _ | Enum _ | String _ -> fun _ -> v
 
 (* Fused type decoder: read a [src]-formatted value off the wire and build
    it directly in the [dst] layout, with no intermediate source-format
    value.  Returns None exactly when [Convert.compile_type] would (the
    shapes are incompatible; the caller then skips the source bytes and
    materialises the target default).  Fusion recurses through records and
-   arrays, so e.g. fields dropped from an array element are skipped on the
-   wire instead of decoded and discarded. *)
+   arrays, by {!by_name} maps, so e.g. fields dropped from an array element
+   are skipped on the wire instead of decoded and discarded. *)
 let rec comp_morph_type endian (lf : string -> Value.t array -> int) (src : Ptype.t)
     (dst : Ptype.t) : (cursor -> Value.t array -> Value.t) option =
   if Ptype.equal_type src dst then Some (comp_decode_type endian lf src)
@@ -961,8 +1017,8 @@ let rec comp_morph_type endian (lf : string -> Value.t array -> int) (src : Ptyp
          let dec = comp_decode_type endian lf src in
          Some (fun cur lens -> co (dec cur lens)))
     | Record r1, Record r2 ->
-      let sub = comp_morph_record endian r1 r2 in
-      Some (fun cur _ -> sub cur)
+      let read, build = comp_map_record endian r1 r2 (by_name ~from_:r1 ~into:r2) in
+      Some (fun cur _ -> build (read cur))
     | Array a1, Array a2 ->
       let m = min_wire_size a1.elem in
       (* like [Convert.compile_type]: an inconvertible element becomes a
@@ -1015,84 +1071,97 @@ let rec comp_morph_type endian (lf : string -> Value.t array -> int) (src : Ptyp
               Value.Array { items; len = k; model = Some dmodel }))
     | (Basic _ | Record _ | Array _), _ -> None
 
-and comp_morph_record endian (src : Ptype.record) (dst : Ptype.record) :
-  cursor -> Value.t =
-  let fields, nf, nslots, slot_for_field, slot_for_name, first_index =
-    record_layout src
-  in
+(* A field map compiled over one record scope, in two phases.  [read]
+   consumes the source fields in wire order into a state array: the first
+   [nt] entries hold target fields decoded straight into place (a source
+   field with one taker, no check and structural steps only, which cannot
+   fail), the rest hold source values kept for [build].  [build] runs the
+   checks in order, then the kept values' steps, then assembles the target
+   record.  Unused fields are skipped on the wire, or only read when other
+   arrays size from them. *)
+and comp_map_record endian (src : Ptype.record) (dst : Ptype.record) (map : field_map) :
+  (cursor -> Value.t array) * (Value.t array -> Value.t) =
+  let fields, nf, nslots, slot_for_field, slot_for_name = record_layout src in
   let lf = lf_of src slot_for_name in
-  let dst_fields = Array.of_list dst.fields in
-  let nt = Array.length dst_fields in
-  let tnames = Array.map (fun (f : Ptype.field) -> f.fname) dst_fields in
-  (* source index -> matched target index (first source occurrence of each
-     target name, as in [Convert.compile_record]); injective since target
-     names are unique *)
-  let target_of = Array.make (max nf 1) (-1) in
-  Array.iteri
-    (fun j (f : Ptype.field) ->
-       match first_index f.fname with
-       | Some i -> target_of.(i) <- j
-       | None -> ())
-    dst_fields;
-  (* how each target slot is produced: fused in wire order into [tmp], or
-     defaulted at assembly time *)
-  let finals =
-    Array.init (max nt 1) (fun j ->
-        if j < nt then `Default (Convert.field_default dst_fields.(j))
-        else `Default (fun () -> Value.Int 0))
+  let tnames = Array.of_list (List.map (fun (f : Ptype.field) -> f.Ptype.fname) dst.fields) in
+  let nt = Array.length tnames in
+  if Array.length map.slots <> nt then invalid_arg "Codec: field map arity";
+  let in_range i =
+    if i < 0 || i >= nf then invalid_arg "Codec: field map reads no such field"
   in
-  (* [Fskip n] marks a field whose bytes are dropped with a statically
-     known span; adjacent ones coalesce into a single bounds check and
-     cursor bump (e.g. two bools dropped from an array element cost one
-     2-byte skip per element, not two closure calls) *)
+  (* takers of each source field, in target order *)
+  let uses = Array.make (max nf 1) [] in
+  for j = nt - 1 downto 0 do
+    match map.slots.(j) with
+    | Take (i, steps) ->
+      in_range i;
+      uses.(i) <- (j, steps) :: uses.(i)
+    | Const _ -> ()
+  done;
+  let checked = Array.make (max nf 1) false in
+  List.iter
+    (fun (i, _) ->
+       in_range i;
+       checked.(i) <- true)
+    map.checks;
+  let kept = Array.make (max nf 1) (-1) in
+  let nst = ref nt in
+  (* a step closure per source field; [Fskip n] marks a field whose bytes
+     are dropped with a statically known span; adjacent ones coalesce into
+     a single bounds check and cursor bump (e.g. two bools dropped from an
+     array element cost one 2-byte skip per element, not two closure
+     calls) *)
   let raw =
     List.init nf (fun i ->
         let sty = fields.(i).Ptype.ftype in
-        let j = target_of.(i) in
-        if j >= 0 then begin
-          let dty = dst_fields.(j).Ptype.ftype in
-          match slot_for_field i with
-          | Some k ->
-            (* length-referenced AND matched: the lens needs the
-               source-formed value, so convert it separately like the
-               staged path instead of fusing *)
-            let dec = comp_decode_type endian lf sty in
-            let co =
-              if Ptype.equal_type sty dty then Some (fun v -> v)
-              else Convert.compile_type sty dty
-            in
-            (match co with
-             | Some co ->
-               finals.(j) <- `Tmp;
-               `Step
-                 (fun cur lens tmp ->
-                    let v = dec cur lens in
-                    lens.(k) <- v;
-                    tmp.(j) <- co v)
-             | None -> `Step (fun cur lens _ -> lens.(k) <- dec cur lens))
-          | None ->
-            (match comp_morph_type endian lf sty dty with
-             | Some dec ->
-               finals.(j) <- `Tmp;
-               `Step (fun cur lens tmp -> tmp.(j) <- dec cur lens)
-             | None ->
-               (match fixed_span sty with
-                | Some n -> `Fskip n
-                | None ->
-                  let sk = comp_skip_type endian lf sty in
-                  `Step (fun cur lens _ -> sk cur lens)))
-        end
-        else
-          match slot_for_field i with
-          | Some k ->
-            let dec = comp_decode_type endian lf sty in
-            `Step (fun cur lens _ -> lens.(k) <- dec cur lens)
-          | None ->
-            (match fixed_span sty with
-             | Some n -> `Fskip n
-             | None ->
-               let sk = comp_skip_type endian lf sty in
-               `Step (fun cur lens _ -> sk cur lens)))
+        let dec () = comp_decode_type endian lf sty in
+        let wire_phase = List.for_all (function Convert _ -> true | Coerce _ -> false) in
+        match uses.(i), checked.(i), slot_for_field i with
+        | [], false, None ->
+          (match fixed_span sty with
+           | Some n -> `Fskip n
+           | None ->
+             let sk = comp_skip_type endian lf sty in
+             `Step (fun cur lens _ -> sk cur lens))
+        | [], false, Some k ->
+          (* a dropped field other arrays size from must still be read *)
+          let dec = dec () in
+          `Step (fun cur lens _ -> lens.(k) <- dec cur lens)
+        | [ (j, steps) ], false, None when wire_phase steps ->
+          let dec =
+            match steps with
+            | [] -> dec ()
+            | [ Convert (s, t) ] when Ptype.equal_type s sty ->
+              (match comp_morph_type endian lf sty t with
+               | Some dec -> dec
+               | None -> invalid_arg "Codec: a field map converts between inconvertible types")
+            | _ ->
+              let dec = dec () and f = compile_steps steps in
+              fun cur lens -> f (dec cur lens)
+          in
+          `Step (fun cur lens st -> st.(j) <- dec cur lens)
+        | [ (j, steps) ], false, Some k when wire_phase steps ->
+          (* length-referenced AND taken: the lens needs the source-formed
+             value, so convert it separately like the staged path *)
+          let dec = dec () and f = compile_steps steps in
+          `Step
+            (fun cur lens st ->
+               let v = dec cur lens in
+               lens.(k) <- v;
+               st.(j) <- f v)
+        | _, _, lens_slot ->
+          let p = !nst in
+          incr nst;
+          kept.(i) <- p;
+          let dec = dec () in
+          (match lens_slot with
+           | None -> `Step (fun cur lens st -> st.(p) <- dec cur lens)
+           | Some k ->
+             `Step
+               (fun cur lens st ->
+                  let v = dec cur lens in
+                  lens.(k) <- v;
+                  st.(p) <- v)))
   in
   let steps =
     Array.of_list
@@ -1106,60 +1175,106 @@ and comp_morph_record endian (src : Ptype.record) (dst : Ptype.record) :
          (coalesce raw))
   in
   let ns = Array.length steps in
-  (* assembly closures resolved now: pull from [tmp] or build the default *)
+  let nst = max !nst 1 in
+  let read cur =
+    let lens = if nslots = 0 then no_lens else Array.make nslots (Value.Int 0) in
+    let st = Array.make nst (Value.Int 0) in
+    for i = 0 to ns - 1 do
+      steps.(i) cur lens st
+    done;
+    st
+  in
+  (* build phase: the checks, for their failures alone, then the kept
+     values' takers; a mutable value taken twice is copied for each later
+     taker, as Ecode's record and array assignment copies *)
+  let checks =
+    List.map
+      (fun (i, steps) ->
+         let f = compile_steps steps and p = kept.(i) in
+         fun st -> ignore (f st.(p) : Value.t))
+      map.checks
+  in
+  let fills =
+    List.concat
+      (List.init nf (fun i ->
+           let p = kept.(i) in
+           if p < 0 then []
+           else
+             let mutable_ =
+               match fields.(i).Ptype.ftype with Record _ | Array _ -> true | Basic _ -> false
+             in
+             List.mapi
+               (fun n (j, steps) ->
+                  let f = compile_steps steps in
+                  if n > 0 && mutable_ then fun st -> st.(j) <- f (Value.copy st.(p))
+                  else fun st -> st.(j) <- f st.(p))
+               uses.(i)))
+  in
+  let prepare = Array.of_list (checks @ fills) in
+  (* assembly closures resolved now: pull from the state or build the
+     constant *)
   let g =
     Array.init (max nt 1) (fun j ->
-        match finals.(j) with
-        | `Tmp -> fun tmp -> tmp.(j)
-        | `Default d -> fun _ -> d ())
+        if j >= nt then fun _ -> Value.Int 0
+        else
+          match map.slots.(j) with
+          | Take _ -> fun st -> st.(j)
+          | Const v -> const_of v)
   in
   let assemble : Value.t array -> Value.t =
     match g, tnames with
-    | [| g0 |], [| n0 |] -> fun tmp -> Value.Record [| { Value.name = n0; v = g0 tmp } |]
+    | [| g0 |], [| n0 |] -> fun st -> Value.Record [| { Value.name = n0; v = g0 st } |]
     | [| g0; g1 |], [| n0; n1 |] ->
-      fun tmp ->
+      fun st ->
         Value.Record
-          [| { Value.name = n0; v = g0 tmp }; { Value.name = n1; v = g1 tmp } |]
+          [| { Value.name = n0; v = g0 st }; { Value.name = n1; v = g1 st } |]
     | [| g0; g1; g2 |], [| n0; n1; n2 |] ->
-      fun tmp ->
+      fun st ->
         Value.Record
-          [| { Value.name = n0; v = g0 tmp }; { Value.name = n1; v = g1 tmp };
-             { Value.name = n2; v = g2 tmp } |]
+          [| { Value.name = n0; v = g0 st }; { Value.name = n1; v = g1 st };
+             { Value.name = n2; v = g2 st } |]
     | [| g0; g1; g2; g3 |], [| n0; n1; n2; n3 |] ->
-      fun tmp ->
+      fun st ->
         Value.Record
-          [| { Value.name = n0; v = g0 tmp }; { Value.name = n1; v = g1 tmp };
-             { Value.name = n2; v = g2 tmp }; { Value.name = n3; v = g3 tmp } |]
+          [| { Value.name = n0; v = g0 st }; { Value.name = n1; v = g1 st };
+             { Value.name = n2; v = g2 st }; { Value.name = n3; v = g3 st } |]
     | _ ->
-      fun tmp -> Value.Record (Array.init nt (fun j -> { Value.name = tnames.(j); v = g.(j) tmp }))
+      fun st -> Value.Record (Array.init nt (fun j -> { Value.name = tnames.(j); v = g.(j) st }))
   in
-  fun cur ->
-    let lens = if nslots = 0 then no_lens else Array.make nslots (Value.Int 0) in
-    let tmp = Array.make (max nt 1) (Value.Int 0) in
-    for i = 0 to ns - 1 do
-      steps.(i) cur lens tmp
-    done;
-    assemble tmp
+  let build =
+    match prepare with
+    | [||] -> assemble
+    | _ ->
+      fun st ->
+        for k = 0 to Array.length prepare - 1 do
+          prepare.(k) st
+        done;
+        assemble st
+  in
+  (read, build)
 
-let compile_morph ~endian ~(from_ : Ptype.record) ~(into : Ptype.record) : morpher =
-  let body = comp_morph_record endian from_ into in
+let compile_map ~endian ~(from_ : Ptype.record) ~(into : Ptype.record) (map : field_map) :
+  morpher =
+  let read, build = comp_map_record endian from_ into map in
   let sync = Value.compile_sync into in
-  let mrun cur =
-    let res = body cur in
+  let mbuild st =
+    let res = build st in
     (* target length fields matched by name from the source may disagree
        with converted arrays, exactly as in [Convert.compile] *)
     sync res;
     res
   in
-  { mfrom = from_; minto = into; mrun }
+  { mfrom = from_; minto = into; mread = read; mbuild }
+
+let compile_morph ~endian ~from_ ~into = compile_map ~endian ~from_ ~into (by_name ~from_ ~into)
 
 let morph_payload (m : morpher) ?(pos = 0) (data : string) : Value.t =
   let cur = { data; pos; limit = String.length data } in
-  let v = m.mrun cur in
+  let st = m.mread cur in
   if cur.pos <> cur.limit then
     decode_error "trailing garbage: %d bytes left after record %s"
       (cur.limit - cur.pos) m.mfrom.Ptype.rname;
-  v
+  m.mbuild st
 
 let morpher_formats m = (m.mfrom, m.minto)
 
@@ -1354,3 +1469,7 @@ let morpher_in (cache : cache) ~endian ~(from_ : Ptype.record)
           let m = timed_compile cache (fun () -> compile_morph ~endian ~from_ ~into) in
           p.mor_be <- Some m;
           m)
+
+(* Collapsed chains compile one map per plan; nothing shares them. *)
+let compile_map_in (cache : cache) ~endian ~from_ ~into map : morpher =
+  timed_compile cache (fun () -> compile_map ~endian ~from_ ~into map)

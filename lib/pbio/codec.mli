@@ -58,8 +58,54 @@ val compile_encode : endian:endian -> Ptype.record -> encoder
 
 val compile_decode : endian:endian -> Ptype.record -> decoder
 
-(** Compile a fused decode->morph plan: bytes of [from_] in, value laid
-    out as [into] out. *)
+(** {1 Field maps}
+
+    A fused plan is compiled from a field map: for each target field,
+    which source field it takes and through which steps, or which
+    constant it holds.  {!by_name} gives the map of a structural
+    conversion; a collapsed retro-transformation chain gives one whose
+    steps are its hops' Ecode coercions. *)
+
+(** One step applied to a source field's value. *)
+type step =
+  | Coerce of Ptype.t * Coerce.t
+      (** an Ecode assignment coercion from a value of the given type *)
+  | Convert of Ptype.t * Ptype.t
+      (** {!Convert.compile_type} from the first type into the second *)
+
+(** How a fused plan produces one target field. *)
+type slot =
+  | Take of int * step list
+      (** source field [i] (by position), through each step in order *)
+  | Const of Value.t  (** a constant, copied per message when mutable *)
+
+(** One slot per target field, in order, plus [checks]: source fields and
+    steps run for their failures alone, in order, before any slot — the
+    coercions of stores whose value no target field keeps. *)
+type field_map = {
+  slots : slot array;
+  checks : (int * step list) list;
+}
+
+(** Convert's rules: each target field from the first source field of its
+    name, converted when the types differ; the target's default for a
+    missing name or inconvertible types. *)
+val by_name : from_:Ptype.record -> into:Ptype.record -> field_map
+
+(** Compile a fused decode->morph plan from a field map: bytes of [from_]
+    in, value laid out as [into] out, then [into]'s length fields synced.
+    Source fields taken through structural steps only decode straight
+    into place, nested records and arrays by name; fields no slot or
+    check takes are skipped on the wire with the same validity checks as
+    a decode.  Checks and coercions run only once the whole message has
+    decoded and the trailing-bytes check has passed, so a malformed
+    message is a {!Decode_error}, never a coercion failure.  Raises
+    [Invalid_argument] when the map does not fit the formats. *)
+val compile_map :
+  endian:endian -> from_:Ptype.record -> into:Ptype.record -> field_map -> morpher
+
+(** [compile_map] of the {!by_name} map: the plan of a structural
+    conversion. *)
 val compile_morph : endian:endian -> from_:Ptype.record -> into:Ptype.record -> morpher
 
 (** [encode_payload enc v] renders the payload bytes (no header).
@@ -76,7 +122,9 @@ val encode_message : encoder -> format_id:int -> Value.t -> string
 val decode_payload : decoder -> ?pos:int -> string -> Value.t
 
 (** Fused decode->morph over a payload, same contract as
-    {!decode_payload}. *)
+    {!decode_payload}.
+    @raise Coerce.Runtime_error when a map's coercion fails, after the
+    payload decoded whole. *)
 val morph_payload : morpher -> ?pos:int -> string -> Value.t
 
 val encoder_format : encoder -> Ptype.record
@@ -112,6 +160,11 @@ val decoder_for : cache:cache -> endian:endian -> Ptype.record -> decoder
 (** Fused morph plan from [cache]. *)
 val morpher_in :
   cache -> endian:endian -> from_:Ptype.record -> into:Ptype.record -> morpher
+
+(** {!compile_map} afresh, not cached, timed into [cache]'s registry as
+    a cached compile is. *)
+val compile_map_in :
+  cache -> endian:endian -> from_:Ptype.record -> into:Ptype.record -> field_map -> morpher
 
 (** Live entries across both plan tables. *)
 val plan_cache_size : cache:cache -> int

@@ -63,6 +63,12 @@ let coerce_basic (src : Ptype.basic) (dst : Ptype.basic) : conv option =
   | Float, Enum _ ->
     None
 
+let convertible (src : Ptype.t) (dst : Ptype.t) : bool =
+  match src, dst with
+  | Basic b1, Basic b2 -> Option.is_some (coerce_basic b1 b2)
+  | Record _, Record _ | Array _, Array _ -> true
+  | (Basic _ | Record _ | Array _), _ -> false
+
 let field_default (f : Ptype.field) : unit -> Value.t =
   let model =
     match f.fdefault, f.ftype with

@@ -39,6 +39,9 @@ val coerce_basic : Ptype.basic -> Ptype.basic -> conv option
     block for fused plans ({!Codec.compile_morph}). *)
 val compile_type : Ptype.t -> Ptype.t -> conv option
 
+(** [compile_type src dst <> None], without compiling. *)
+val convertible : Ptype.t -> Ptype.t -> bool
+
 (** Default-value thunk for a field, honouring declared constant defaults;
     immutable scalars are shared, complex values copied per call. *)
 val field_default : Ptype.field -> unit -> Value.t

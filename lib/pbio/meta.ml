@@ -23,6 +23,11 @@ type format_meta = {
 
 let plain body = { body; xforms = [] }
 
+(* Receivers and the gateway plan over every transformation a meta
+   carries, before any match or compile, so a sender must not be able to
+   make that work arbitrarily large. *)
+let max_xforms = 64
+
 let meta_magic = "PBIM"
 
 exception Meta_error of string
@@ -177,6 +182,8 @@ let decode (data : string) : (format_meta, Err.t) result =
     let body = take_record cur in
     let n = take_int cur in
     if n < 0 then meta_error "negative transformation count";
+    if n > max_xforms then
+      meta_error "%d transformations, more than the %d a meta may carry" n max_xforms;
     let xforms =
       List.init n (fun _ ->
           let source =

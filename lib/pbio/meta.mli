@@ -28,6 +28,10 @@ type format_meta = {
 (** Meta-data with no transformations attached. *)
 val plain : Ptype.record -> format_meta
 
+(** The most transformations one meta may carry: 64.  {!decode} rejects
+    more, naming the count, and [Morph.meta] refuses to build more. *)
+val max_xforms : int
+
 exception Meta_error of string
 
 (** Serialise to the out-of-band wire form. *)

@@ -681,6 +681,51 @@ let test_gateway_repush_fixed_fourth_hop () =
     (push_and_deliver fixed);
   Alcotest.(check int) "one plan per pushed meta" 2 (G.stats gw).G.plan_compiles
 
+(* A push of more transformations than a meta may carry is a bad frame,
+   turned away before any planning. *)
+let test_gateway_meta_xform_cap () =
+  let body = Ptype_dsl.format_of_string_exn "format R { int x; }" in
+  let hop i =
+    { Meta.source = None;
+      target = Ptype_dsl.format_of_string_exn (Fmt.str "format T%d { int x; }" i);
+      code = "old.x = new.x;" }
+  in
+  let meta n = { Meta.body = body; xforms = List.init n hop } in
+  let gw = G.create ~net:(mk_net ()) (Contact.make "gw" 1) (fun _ -> ()) in
+  let push m =
+    G.handle_frame gw
+      (G.envelope ~tenant:1 ~fingerprint:(G.fingerprint m)
+         (Framing.Meta { format_id = 1; meta = Meta.encode m }))
+  in
+  (match push (meta 65) with
+   | G.Ignored _ -> ()
+   | _ -> Alcotest.fail "a push of 65 transformations was not ignored");
+  Alcotest.(check int) "counted as a bad frame" 1 (G.stats gw).G.bad_frames;
+  (match push (meta 64) with
+   | G.Onboarded -> ()
+   | _ -> Alcotest.fail "a push of 64 transformations was not accepted");
+  Alcotest.(check int) "64 is no bad frame" 1 (G.stats gw).G.bad_frames
+
+(* A chain of straight-line hops collapses into one fused plan: it
+   delivers on the fused rung, and the parity check against the
+   hop-by-hop transform stays clean. *)
+let test_gateway_collapsed_chain_fuses () =
+  let v0 = Ptype_dsl.format_of_string_exn "format Tick { int a; string b; }" in
+  let v1 = Ptype_dsl.format_of_string_exn "format Tick { float a; string b; }" in
+  let v2 = Ptype_dsl.format_of_string_exn "format Tick { float a; string c; int d; }" in
+  let meta =
+    Morph.meta v2
+      ~xforms:[ Morph.xform ~target:v1 "old.a = new.a; old.b = new.c;";
+                Morph.xform ~source:v1 ~target:v0 "old.a = new.a; old.b = new.b;" ]
+  in
+  let value =
+    Value.record [ ("a", Value.Float 2.5); ("c", Value.String "x"); ("d", Value.Int 1) ]
+  in
+  let d = shape_run ~target:v0 meta (Wire.encode ~format_id:1 v2 value) in
+  Alcotest.check rung_t "collapsed chain fuses" G.Fused d.G.rung;
+  Alcotest.check Helpers.value "value"
+    (Value.record [ ("a", Value.Int 2); ("b", Value.String "x") ]) d.G.value
+
 (* --- the acceptance run: 1k tenants, 3x nominal, mass schema push ------------- *)
 
 let acceptance_cfg =
@@ -819,6 +864,10 @@ let suite =
       test_gateway_repin_target;
     Alcotest.test_case "gateway: re-push with a fixed fourth hop replans" `Quick
       test_gateway_repush_fixed_fourth_hop;
+    Alcotest.test_case "gateway: a push over the transformation cap is ignored" `Quick
+      test_gateway_meta_xform_cap;
+    Alcotest.test_case "gateway: a straight-line chain delivers fused" `Quick
+      test_gateway_collapsed_chain_fuses;
     Alcotest.test_case "gateway: 1k tenants at 3x with a schema-push storm" `Slow
       test_gateway_acceptance;
     Alcotest.test_case "gateway: acceptance run replays identically" `Slow

@@ -55,6 +55,27 @@ let test_meta_decode_errors () =
   expect_err (String.sub good 0 (String.length good - 2));
   expect_err (good ^ "junk")
 
+(* A meta carries at most [Meta.max_xforms] transformations: receivers
+   and the gateway plan over all of them before any match. *)
+let test_meta_xform_cap () =
+  let hop i =
+    { Meta.source = None;
+      target = Ptype_dsl.format_of_string_exn (Fmt.str "format T%d { int x; }" i);
+      code = "old.x = new.x;" }
+  in
+  let meta n = { Meta.body = Helpers.contact; xforms = List.init n hop } in
+  Alcotest.(check int) "the cap" 64 Meta.max_xforms;
+  let m64 = Helpers.check_ok_err (Meta.decode (Meta.encode (meta 64))) in
+  Alcotest.(check int) "64 decode" 64 (List.length m64.Meta.xforms);
+  (match Meta.decode (Meta.encode (meta 65)) with
+   | Error (`Meta msg) when Helpers.contains msg "65" -> ()
+   | Error e -> Alcotest.failf "65: expected a meta error naming the count, got %s" (Err.to_string e)
+   | Ok _ -> Alcotest.fail "65 transformations decoded");
+  ignore (Morph.meta Helpers.contact ~xforms:(meta 64).Meta.xforms : Meta.format_meta);
+  match Morph.meta Helpers.contact ~xforms:(meta 65).Meta.xforms with
+  | _ -> Alcotest.fail "Morph.meta built 65 transformations"
+  | exception Invalid_argument _ -> ()
+
 let test_meta_equal_and_hash () =
   let m1 = Helpers.response_v2_meta in
   let m2 =
@@ -157,6 +178,7 @@ let suite =
     Alcotest.test_case "meta: transformations roundtrip" `Quick test_meta_roundtrip_with_xforms;
     Alcotest.test_case "meta: defaults and enums" `Quick test_meta_roundtrip_defaults_and_enums;
     Alcotest.test_case "meta: decode errors" `Quick test_meta_decode_errors;
+    Alcotest.test_case "meta: at most 64 transformations" `Quick test_meta_xform_cap;
     Alcotest.test_case "meta: equality and hash" `Quick test_meta_equal_and_hash;
     Alcotest.test_case "meta: hash covers every hop" `Quick test_meta_hash_covers_every_hop;
     Alcotest.test_case "registry: structural dedup" `Quick test_registry_dedup;

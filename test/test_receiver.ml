@@ -272,6 +272,173 @@ let test_explain () =
   Alcotest.(check int) "still a cold path after explain" 1
     (Receiver.stats r).Receiver.cold_paths
 
+(* A lineage of straight-line hops (Fig. 1's shape): v1 retypes [load]
+   from int to float, v2 renames [tag] to [label], v3 adds [extra].  Each
+   hop is plain moves, so the receiver composes them into one fused plan. *)
+let ev0 = fmt "format Ev { int id; int load; string tag; }"
+let ev1 = fmt "format Ev { int id; float load; string tag; }"
+let ev2 = fmt "format Ev { int id; float load; string label; }"
+let ev3 = fmt "format Ev { int id; float load; string label; int extra; }"
+
+let ev_meta =
+  Morph.meta ev3
+    ~xforms:
+      [ Morph.xform ~target:ev2 "old.id = new.id; old.load = new.load; old.label = new.label;";
+        Morph.xform ~source:ev2 ~target:ev1
+          "old.id = new.id; old.load = new.load; old.tag = new.label;";
+        Morph.xform ~source:ev1 ~target:ev0
+          "old.id = new.id; old.load = new.load; old.tag = new.tag;" ]
+
+let ev_value i =
+  Value.record
+    [ ("id", Value.Int i); ("load", Value.Float (float_of_int i +. 0.75));
+      ("label", Value.String "x"); ("extra", Value.Int 9) ]
+
+let test_collapsed_chain () =
+  let metrics = Obs.create () in
+  let compiles = Obs.create () in
+  let ctx = Ctx.create ~metrics:compiles () in
+  let r = Receiver.create ~config:(Receiver.Config.v ~metrics ~ctx ()) () in
+  let got = ref [] in
+  Receiver.register r ev0 (fun v -> got := v :: !got);
+  Alcotest.(check string) "the chain collapses into one fused plan"
+    "deliver to Ev via morphed(Ev) [fused, 3 hops]" (Receiver.explain r ev_meta);
+  Alcotest.(check int) "explain compiles no codec plan" 0
+    (Obs.Counter.value compiles "codec.plan_compiles");
+  List.iter
+    (fun (endian, i) ->
+       let v = ev_value i in
+       (match Receiver.deliver_wire r ev_meta (Wire.encode ~endian ~format_id:1 ev3 v) with
+        | Receiver.Delivered { via = Receiver.Morphed "Ev"; _ } -> ()
+        | o -> Alcotest.failf "expected a morphed delivery, got %a" Receiver.pp_outcome o);
+       let want =
+         Helpers.check_ok_err
+           (Morph.morph_to ~engine:Morph.Xform.Interpreted ev_meta ~target:ev0 v)
+       in
+       Alcotest.check Helpers.value "equals the interpretive reference" want (List.hd !got))
+    [ (Wire.Little, 1); (Wire.Big, 2); (Wire.Little, 3); (Wire.Big, 4); (Wire.Little, 5) ];
+  Alcotest.check Helpers.value "float load truncated, tag from label"
+    (Value.record [ ("id", Value.Int 5); ("load", Value.Int 5); ("tag", Value.String "x") ])
+    (List.hd !got);
+  Alcotest.(check int) "one fused plan compiled per byte order" 2
+    (Obs.Counter.value compiles "codec.plan_compiles");
+  Alcotest.(check int) "both timed" 2 (Obs.Histogram.count compiles "codec.compile_ns");
+  Alcotest.(check int) "five fused deliveries" 5 (Obs.Histogram.count metrics "codec.fused_ns");
+  Alcotest.(check int) "no staged delivery" 0 (Obs.Histogram.count metrics "codec.staged_ns");
+  Alcotest.(check int) "no hop-by-hop morph" 0 (Obs.Histogram.count metrics "receiver.morph_ns");
+  (* a collapsed delivery builds no intermediate record: six hops cost
+     what one does *)
+  let rev k =
+    fmt
+      (Printf.sprintf "format Lineage { int n; int payload[n]; %s }"
+         (String.concat " " (List.init (k + 1) (fun i -> Printf.sprintf "int g%d;" i))))
+  in
+  let hop k =
+    Morph.xform ~source:(rev (k + 1)) ~target:(rev k)
+      (String.concat " "
+         ([ "old.n = new.n;"; "old.payload = new.payload;";
+            Printf.sprintf "old.g0 = new.g%d;" (k + 1) ]
+          @ List.init k (fun i -> Printf.sprintf "old.g%d = new.g%d;" (i + 1) (i + 1))))
+  in
+  let per_delivery depth =
+    let specs =
+      List.init depth (fun i ->
+          let x = hop (depth - 1 - i) in
+          if i = 0 then { x with Meta.source = None } else x)
+    in
+    let meta = Morph.meta (rev depth) ~xforms:specs in
+    let message =
+      Wire.encode ~format_id:1 (rev depth)
+        (Value.record
+           (("n", Value.Int 8)
+            :: ("payload", Value.array_of_list (List.init 8 (fun i -> Value.Int i)))
+            :: List.init (depth + 1) (fun i -> (Printf.sprintf "g%d" i, Value.Int i))))
+    in
+    let r = Receiver.create () in
+    Receiver.register r (rev 0) ignore;
+    Alcotest.(check string) "collapsed"
+      (Printf.sprintf "deliver to Lineage via morphed(Lineage) [fused, %d hop%s]" depth
+         (if depth = 1 then "" else "s"))
+      (Receiver.explain r meta);
+    Helpers.alloc_per_call ~reps:100 (fun () ->
+        match Receiver.deliver_wire r meta message with
+        | Receiver.Delivered _ -> ()
+        | o -> Alcotest.failf "expected delivery, got %a" Receiver.pp_outcome o)
+  in
+  let one = per_delivery 1 and six = per_delivery 6 in
+  if Float.abs (six -. one) > 16. then
+    Alcotest.failf "a 6-hop delivery allocates %.0f B against %.0f B for 1 hop" six one
+
+(* A wire message of [format] carrying [v], with [extra] bytes after its
+   payload under a header whose length still fits. *)
+let with_trailing ~format_id format v extra =
+  let m = Wire.encode ~format_id format v ^ extra in
+  let b = Bytes.of_string m in
+  Bytes.set_int32_le b 12 (Int32.of_int (String.length m - Codec.header_size));
+  Bytes.to_string b
+
+let test_collapsed_failures_classified () =
+  (* the last hop coerces an int into an enum, which fails on a value no
+     case carries: a transformation failure, counted against the breaker,
+     whether the chain runs fused or hop by hop — and a decode failure
+     when the message itself is malformed, even where its value would
+     fail the coercion too *)
+  let s0 = fmt "enum E { A = 0, B = 1 } format S { E e; }" in
+  let s1 = fmt "format S { int n; }" in
+  let s2 = fmt "format S { int n; int pad; }" in
+  let meta =
+    Morph.meta s2
+      ~xforms:[ Morph.xform ~target:s1 "old.n = new.n;";
+                Morph.xform ~source:s1 ~target:s0 "old.e = new.n;" ]
+  in
+  let r = Receiver.create ~config:(Receiver.Config.v ~quarantine_after:3 ()) () in
+  let got = ref [] in
+  Receiver.register r s0 (fun v -> got := v :: !got);
+  let message n = Wire.encode ~format_id:1 s2 (Value.record [ ("n", Value.Int n); ("pad", Value.Int 0) ]) in
+  let outcome o = Fmt.str "%a" Receiver.pp_outcome o in
+  let check_outcome what want o = Alcotest.(check string) what want (outcome o) in
+  let state () =
+    match Receiver.breaker_state r meta with
+    | Some Morph.Breaker.Closed -> "closed"
+    | Some Open -> "open"
+    | Some Half_open -> "half-open"
+    | None -> "none"
+  in
+  check_outcome "0 delivers" "delivered to S via morphed(S)" (Receiver.deliver_wire r meta (message 0));
+  check_outcome "1 delivers" "delivered to S via morphed(S)" (Receiver.deliver_wire r meta (message 1));
+  Alcotest.check Helpers.value "as case B" (Value.record [ ("e", Value.Enum ("B", 1)) ]) (List.hd !got);
+  check_outcome "7 fails the coercion" "rejected: transformation failed: no case of enum E has value 7"
+    (Receiver.deliver_wire r meta (message 7));
+  Alcotest.(check int) "counted as a transformation failure" 1
+    (Receiver.stats r).Receiver.transform_failures;
+  (match
+     Receiver.deliver_wire r meta
+       (with_trailing ~format_id:1 s2
+          (Value.record [ ("n", Value.Int 7); ("pad", Value.Int 0) ]) "\001\002\003\004")
+   with
+   | Receiver.Rejected reason when Helpers.contains reason "wire decode failed: " -> ()
+   | o -> Alcotest.failf "trailing bytes: expected a decode failure, got %a" Receiver.pp_outcome o);
+  Alcotest.(check int) "a decode failure is no transformation failure" 1
+    (Receiver.stats r).Receiver.transform_failures;
+  Alcotest.(check string) "breaker still closed" "closed" (state ());
+  ignore (Receiver.deliver_wire r meta (message 7) : Receiver.outcome);
+  Alcotest.(check string) "two failures: still closed" "closed" (state ());
+  check_outcome "third consecutive failure" "rejected: transformation failed: no case of enum E has value 7"
+    (Receiver.deliver_wire r meta (message 7));
+  Alcotest.(check string) "quarantined" "open" (state ());
+  check_outcome "quarantined pipeline rejects"
+    "rejected: quarantined after 3 consecutive transformation failures"
+    (Receiver.deliver_wire r meta (message 0));
+  let s = Receiver.stats r in
+  Alcotest.(check (list int)) "delivered, rejected, failures, quarantined"
+    [ 2; 5; 3; 1 ]
+    [ s.Receiver.delivered; s.rejected; s.transform_failures; s.quarantined ];
+  (* Fig. 5's loops keep the chain hop by hop *)
+  let r, _ = make_receiver Helpers.response_v1 in
+  Alcotest.(check string) "Fig. 5 stays staged"
+    "deliver to ChannelOpenResponse via morphed(ChannelOpenResponse) [staged, 1 hop]"
+    (Receiver.explain r Helpers.response_v2_meta)
+
 let test_check_meta () =
   Helpers.check_ok_err (Morph.check_meta Helpers.response_v2_meta);
   let bad =
@@ -830,6 +997,10 @@ let suite =
     Alcotest.test_case "morph_to facade" `Quick test_morph_to_facade;
     Alcotest.test_case "cross-name morphing" `Quick test_cross_name_morphing;
     Alcotest.test_case "explain" `Quick test_explain;
+    Alcotest.test_case "collapsed chain builds no intermediate value" `Quick
+      test_collapsed_chain;
+    Alcotest.test_case "collapsed chain classifies failures as staged" `Quick
+      test_collapsed_failures_classified;
     Alcotest.test_case "check_meta validates snippets" `Quick test_check_meta;
     Alcotest.test_case "quarantine after repeated failures" `Quick
       test_quarantine_after_repeated_failures;
