@@ -100,6 +100,21 @@ let alloc_of ?(reps = 64) (f : unit -> unit) : float * float =
     float_of_int (s1.Gc.minor_collections - s0.Gc.minor_collections)
     /. float_of_int reps )
 
+(* Bytes promoted to the major heap per execution of [f]: what the minor
+   collector copies out because something long-lived still points at it.
+   The run starts after a full major collection and ends with a minor
+   one, so a block [f] leaves live in the minor heap counts too.  Like
+   allocation, the count is deterministic per run. *)
+let promoted_of ?(reps = 20_000) (f : unit -> unit) : float =
+  Gc.full_major ();
+  let p0 = (Gc.quick_stat ()).Gc.promoted_words in
+  for _ = 1 to reps do
+    f ()
+  done;
+  Gc.minor ();
+  let p1 = (Gc.quick_stat ()).Gc.promoted_words in
+  (p1 -. p0) *. float_of_int (Sys.word_size / 8) /. float_of_int reps
+
 (* ns/op plus the allocation profile: (ns, allocated bytes/op, minor
    collections/op).  Records all three for the JSON trajectory. *)
 let measure_alloc ~(name : string) (f : unit -> unit) : float * float * float =

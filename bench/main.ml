@@ -22,7 +22,8 @@
      parallel         domain-sharded fan-out: one batch over many sinks at
                       pool widths 1/2/4
      obs              telemetry hot paths: inert handles, labeled-family
-                      lookup+record, pre-resolved series
+                      lookup+record, pre-resolved series, and a traced
+                      receiver delivery against an untraced one
 
    The workload is the paper's: a ChannelOpenResponse v2.0 message whose
    member list is sized so the unencoded struct is 100 B ... 1 MB.
@@ -37,7 +38,8 @@
    --check-parallel exits non-zero unless 4-domain fan-out beats the
    sequential baseline by >= 2x (skipped with a warning on machines with
    fewer than 4 recommended domains).  --check-obs exits non-zero unless
-   the telemetry hot paths stay within their overhead budgets.
+   the telemetry hot paths stay within their overhead budgets and a
+   traced delivery promotes nothing to the major heap.
    --check-alloc exits non-zero unless, on the drop-heavy shape, the
    fused plan allocates at most a quarter of the staged bytes at the
    ~100 KB point and takes at most 0.75x the staged time from 1 KB up. *)
@@ -775,14 +777,39 @@ let check_parallel () : int =
 
 (* --- obs: telemetry hot-path overhead ---------------------------------------------- *)
 
-(* (inert incr, labeled lookup+record, pre-resolved series incr), in ns;
-   read back by --check-obs *)
-let obs_results : (float * float * float) option ref = ref None
+(* Read back by --check-obs: handle costs in ns, and the bytes a traced
+   delivery promotes to the major heap. *)
+type obs_results = {
+  inert : float;
+  lookup : float;
+  resolved : float;
+  live_promoted : float;
+}
+
+let obs_results : obs_results option ref = ref None
+
+(* lineage-small's head delivery: morphbench's lineage population (4
+   versions, lineage seed 42) whose head version is 3 hops from the base
+   format the receiver registers, delivered from the wire on a receiver
+   that records into [reg]. *)
+let lineage_head_delivery reg =
+  let pop = Loadgen.Population.make ~versions:4 ~seed:42 () in
+  let vs = Loadgen.Population.versions pop in
+  let head = vs.(Array.length vs - 1) in
+  let config = Morph.Receiver.Config.v ~metrics:reg ~ctx:(Ctx.create ~metrics:reg ()) () in
+  let r = Morph.Receiver.create ~config () in
+  Morph.Receiver.register r (Loadgen.Population.base pop) ignore;
+  fun () ->
+    match Morph.Receiver.deliver_wire r head.meta head.bytes with
+    | Morph.Receiver.Delivered _ -> ()
+    | o -> Fmt.failwith "unexpected outcome %a" Morph.Receiver.pp_outcome o
 
 let obs_bench () =
   H.section "obs"
     "Telemetry hot paths: inert (Obs.null) handle increments, labeled-family \
-     lookup+record, and pre-resolved labeled series handles";
+     lookup+record, pre-resolved labeled series handles, and lineage-small's \
+     3-hop head deliver_wire untraced (Obs.null) and traced (a live registry \
+     whose trace ring has wrapped)";
   let null_c = Obs.Counter.make Obs.null "bench.null" in
   let inert =
     H.measure ~name:"obs/inert-incr" (fun () -> Obs.Counter.incr null_c)
@@ -806,26 +833,48 @@ let obs_bench () =
   let resolved =
     H.measure ~name:"obs/resolved-incr" (fun () -> Obs.Counter.incr h)
   in
-  obs_results := Some (inert, lookup, resolved);
   H.row "   %-36s %14s\n" "inert handle incr (Obs.null)" (ns inert);
   H.row "   %-36s %14s\n" "labeled lookup + record" (ns lookup);
-  H.row "   %-36s %14s\n" "pre-resolved series incr" (ns resolved)
+  H.row "   %-36s %14s\n" "pre-resolved series incr" (ns resolved);
+  let deliver name reg =
+    let f = lineage_head_delivery reg in
+    (* fill the ring, so each span evicts one as in a long run *)
+    for _ = 0 to Obs.Trace.capacity reg do
+      f ()
+    done;
+    let t, bytes, _ = H.measure_alloc ~name f in
+    (t, bytes, H.promoted_of f)
+  in
+  let null_ns, null_b, null_p = deliver "obs/deliver-null" Obs.null in
+  let live_reg = Obs.create () in
+  let live_ns, live_b, live_p = deliver "obs/deliver-live" live_reg in
+  obs_results := Some { inert; lookup; resolved; live_promoted = live_p };
+  H.row "   %-36s %14s %10s %14s\n" "head deliver_wire" "time" "B/op" "promoted B/op";
+  H.row "   %-36s %14s %10.0f %14.1f\n" "untraced (Obs.null)" (ns null_ns) null_b null_p;
+  H.row "   %-36s %14s %10.0f %14.1f\n" "traced (live registry, ring wrapped)" (ns live_ns)
+    live_b live_p;
+  H.row "   %-36s %14s\n" "telemetry (traced - untraced)" (ns (live_ns -. null_ns))
 
 (* The CI guard: telemetry must stay cheap enough to leave on everywhere.
-   Budgets are far above the typical numbers so only a real regression
-   (e.g. an allocation sneaking into the inert or resolved path) trips
-   them on noisy CI machines. *)
+   Time budgets are far above the typical numbers so only a real
+   regression (e.g. an allocation sneaking into the inert or resolved
+   path) trips them on noisy CI machines.  The promotion budget is a
+   count, not a time: a traced delivery whose span or attributes outlive
+   the minor heap promotes hundreds of bytes, one that keeps nothing
+   alive promotes none. *)
 let check_obs () : int =
   match !obs_results with
   | None ->
     prerr_endline "check-obs: no obs measurements (did filters skip 'obs'?)";
     1
-  | Some (inert, lookup, resolved) ->
+  | Some { inert; lookup; resolved; live_promoted } ->
     Printf.printf
       "check-obs: inert %.1fns (need <= 100), labeled lookup+record %.0fns \
-       (need <= 10000), resolved series %.1fns (need <= 100)\n"
-      inert lookup resolved;
-    if inert <= 100. && lookup <= 10_000. && resolved <= 100. then 0
+       (need <= 10000), resolved series %.1fns (need <= 100), traced delivery \
+       promotes %.1f B (need <= 8)\n"
+      inert lookup resolved live_promoted;
+    if inert <= 100. && lookup <= 10_000. && resolved <= 100. && live_promoted <= 8.
+    then 0
     else begin
       prerr_endline "check-obs: FAILED — telemetry hot path regressed";
       1

@@ -58,9 +58,15 @@ type accept = {
   (* [Plan.transform plan], built with the plan: what a value delivery
      runs, and what a staged wire delivery runs after its decode *)
   handler : handler;
-  provenance : (string * string) list;
-  (* how the plan was derived (source/target formats, chain hops,
-     mismatch ratio); attached to the delivery trace span *)
+  span_hit : (string * string) list;
+  span_miss : (string * string) list;
+  span_hit_fused : (string * string) list;
+  span_miss_fused : (string * string) list;
+  (* the [morph.deliver] span's attributes, built with the plan so a
+     traced delivery builds none: cache hit or miss, Ecode none, reuse or
+     compile, [convert=fused] when a fused plan built the value, then how
+     the plan was derived (source/target formats, chain hops, mismatch
+     ratio) *)
 }
 
 type pipeline =
@@ -282,18 +288,27 @@ let run_max_match t (set1 : Ptype.record list) (set2 : Ptype.record list) :
     Obs.Histogram.observe t.m.rm_maxmatch_ns (Obs.now t.m.rm_reg -. t0);
   result
 
-(* The provenance record attached to the delivery trace span: which
-   format morphed into which, over how many chain hops, at what
-   mismatch ratio. *)
-let provenance_attrs ~(source : Ptype.record) ~(target : Ptype.record) ~via
-    ~hops ~ratio =
-  [
-    ("source", source.Ptype.rname);
-    ("target", target.Ptype.rname);
-    ("via", Fmt.str "%a" pp_via via);
-    ("chain_hops", string_of_int hops);
-    ("mismatch_ratio", Printf.sprintf "%.3f" ratio);
-  ]
+(* The four [morph.deliver] attribute lists of an accepted plan: cache
+   hit, miss, hit with a fused value, miss with a fused value. *)
+let span_attrs ~(source : Ptype.record) ~(target : Ptype.record) ~via ~hops ~ratio =
+  let provenance =
+    [
+      ("source", source.Ptype.rname);
+      ("target", target.Ptype.rname);
+      ("via", Fmt.str "%a" pp_via via);
+      ("chain_hops", string_of_int hops);
+      ("mismatch_ratio", Printf.sprintf "%.3f" ratio);
+    ]
+  in
+  let attrs ~hit ~fused =
+    let ecode = if hops = 0 then "none" else if hit then "reuse" else "compile" in
+    ("cache", if hit then "hit" else "miss") :: ("ecode", ecode)
+    :: (if fused then ("convert", "fused") :: provenance else provenance)
+  in
+  ( attrs ~hit:true ~fused:false,
+    attrs ~hit:false ~fused:false,
+    attrs ~hit:true ~fused:true,
+    attrs ~hit:false ~fused:true )
 
 (* Build the per-format pipeline following Algorithm 2, lines 11-30: the
    decided path compiled into a plan.  A structural conversion fuses,
@@ -311,14 +326,19 @@ let plan_uninstrumented ?engine t (meta : Meta.format_meta) : pipeline =
     with
     | Error e -> Reject (Err.to_string e)
     | Ok plan ->
-      let hops = List.length specs in
+      let span_hit, span_miss, span_hit_fused, span_miss_fused =
+        span_attrs ~source:fm ~target ~via ~hops:(List.length specs) ~ratio
+      in
       Accept
         {
           via;
           plan;
           transform = Plan.transform plan;
           handler = Option.get (handler_for t target);
-          provenance = provenance_attrs ~source:fm ~target ~via ~hops ~ratio;
+          span_hit;
+          span_miss;
+          span_hit_fused;
+          span_miss_fused;
         }
   in
   (* The set of formats fm can be transformed to, multi-hop chains
@@ -526,26 +546,23 @@ let run_step t (entry : cache_entry) (meta : Meta.format_meta) step : outcome =
          (Value.Type_error msg | Ecode.Compile.Runtime_error msg | Ecode.Interp.Runtime_error msg)
        -> transform_failed t entry msg)
 
+let reject_hit = [ ("cache", "hit") ]
+let reject_miss = [ ("cache", "miss") ]
+
 (* [run_step] under a trace-only span (no histogram, so the flat [span:*]
    metric names stay unchanged) carrying the morph provenance of this
-   message. *)
-let deliver_step t ~hit (entry : cache_entry) (meta : Meta.format_meta) step : outcome =
+   message.  [start_ns] is a clock read the caller has just made. *)
+let deliver_step ?start_ns t ~hit (entry : cache_entry) (meta : Meta.format_meta) step :
+  outcome =
   if not t.m.rm_on then run_step t entry meta step
   else begin
-    let cache = ("cache", if hit then "hit" else "miss") in
     let attrs =
-      match entry.pipeline with
-      | Accept { plan; provenance; _ } ->
-        let ecode =
-          if Plan.hops plan = 0 then "none" else if hit then "reuse" else "compile"
-        in
-        cache :: ("ecode", ecode)
-        :: (match step with
-            | Hand_over _ | Failed _ -> ("convert", "fused") :: provenance
-            | Transform _ | Turn_away _ -> provenance)
-      | Reject _ -> [ cache ]
+      match entry.pipeline, step with
+      | Accept a, (Hand_over _ | Failed _) -> if hit then a.span_hit_fused else a.span_miss_fused
+      | Accept a, (Transform _ | Turn_away _) -> if hit then a.span_hit else a.span_miss
+      | Reject _, _ -> if hit then reject_hit else reject_miss
     in
-    Obs.Trace.with_span ~attrs t.m.rm_reg "morph.deliver" (fun () ->
+    Obs.Trace.with_span ?start_ns ~attrs t.m.rm_reg "morph.deliver" (fun () ->
         run_step t entry meta step)
   end
 
@@ -605,8 +622,16 @@ let deliver_wire t (meta : Meta.format_meta) (message : string) : outcome =
      | exception Value.Type_error msg -> reject_wire t (`Type msg)
      | exception Ecode.Compile.Runtime_error msg -> deliver_step t ~hit entry meta (Failed msg)
      | v when Plan.kind plan = Plan.Fused ->
-       if t.m.rm_on then Obs.Histogram.observe t.m.rm_fused_ns (Obs.now t.m.rm_reg -. t0);
-       deliver_step t ~hit entry meta (Hand_over v)
+       (* the decode's end is the span's start: one clock read *)
+       let start_ns =
+         if t.m.rm_on then begin
+           let t1 = Obs.now t.m.rm_reg in
+           Obs.Histogram.observe t.m.rm_fused_ns (t1 -. t0);
+           Some t1
+         end
+         else None
+       in
+       deliver_step ?start_ns t ~hit entry meta (Hand_over v)
      | v ->
        let o = deliver_step t ~hit entry meta (Transform v) in
        (match o with

@@ -263,6 +263,9 @@ type tstate = {
   ts_m_admitted : Obs.Counter.h;
       (* this tenant's series of gateway.tenant.admitted, resolved once
          at onboarding so per-message admission stays handle-speed *)
+  ts_span_attrs : (string * string) list;
+      (* the gateway.deliver span's attributes, built once at onboarding
+         so a traced delivery builds none *)
 }
 
 (* --- the gateway ---------------------------------------------------------- *)
@@ -424,6 +427,7 @@ let new_tenant t id target =
       ts_m_admitted =
         Obs.Labeled.counter_series t.m.gm_tenant_admitted
           [ string_of_int id ];
+      ts_span_attrs = [ ("gateway.tenant", string_of_int id) ];
     }
   in
   Hashtbl.replace t.tenants id ts;
@@ -576,9 +580,7 @@ let deliver_now t (ts : tstate) (plan : Plan.t) ~fingerprint:fp ~deadline_ns
     let d = { tenant = ts.ts_id; fingerprint = fp; deadline_ns; rung; value = v } in
     if t.m.gm_on then begin
       Obs.Counter.incr t.m.gm_delivered;
-      Obs.Trace.with_span
-        ~attrs:[ ("gateway.tenant", string_of_int ts.ts_id) ]
-        t.m.gm_reg "gateway.deliver"
+      Obs.Trace.with_span ~attrs:ts.ts_span_attrs t.m.gm_reg "gateway.deliver"
         (fun () -> t.on_delivery d)
     end
     else t.on_delivery d;

@@ -12,8 +12,10 @@
    node, or one per test, or one per domain) cannot leak virtual time
    into each other.  There is deliberately no process-wide override: a
    registry belongs to one domain, and ambient mutable state would make
-   that ownership rule unenforceable. *)
-let default_clock () = Unix.gettimeofday () *. 1e9
+   that ownership rule unenforceable.  The default is the monotonic
+   clock in ns: fine enough for the ~200 ns operations it times, and a
+   wall-clock step can never end a span before it starts. *)
+let default_clock () = Int64.to_float (Monotonic_clock.now ())
 
 type counter_cell = { mutable n : int }
 
@@ -86,18 +88,62 @@ let compose_series name keys values =
   Buffer.add_char buf '}';
   Buffer.contents buf
 
-(* A finished (or still-open) trace span instance.  [sp_parent] is 0 for a
-   root; [sp_attrs] is kept newest-first and reversed on export. *)
+(* An open trace span.  [sp_parent] is 0 for a root; [sp_attrs] is the
+   caller's list, kept as given, and [sp_extras] holds [add_attr]'s pairs
+   newest-first.  The record lives only while the span is open. *)
 type tr_span = {
   sp_trace : int;
   sp_id : int;
   sp_parent : int;
   sp_name : string;
-  sp_node : string;
   sp_start : float;
-  mutable sp_end : float;
-  mutable sp_attrs : (string * string) list;
+  sp_attrs : (string * string) list;
+  mutable sp_extras : (string * string) list;
 }
+
+(* The trace ring's slots, one array per span field, so a buffered span
+   is scalars and shared pointers, never a block of its own that the ring
+   would keep alive (and the GC promote) for the next [tr_cap] spans: ids
+   in [int array]s, timestamps in [Float.Array]s, the name and both
+   attribute lists by reference.  A span's node is always the registry's
+   [label], so it has no slot. *)
+type ring = {
+  r_trace : int array;
+  r_id : int array;
+  r_parent : int array;
+  r_start : Float.Array.t;
+  r_end : Float.Array.t;
+  r_name : string array;
+  r_attrs : (string * string) list array;
+  r_extras : (string * string) list array;
+}
+
+let ring_make n =
+  {
+    r_trace = Array.make n 0;
+    r_id = Array.make n 0;
+    r_parent = Array.make n 0;
+    r_start = Float.Array.make n 0.;
+    r_end = Float.Array.make n 0.;
+    r_name = Array.make n "";
+    r_attrs = Array.make n [];
+    r_extras = Array.make n [];
+  }
+
+let empty_ring = ring_make 0
+
+(* [r]'s first [len] slots in a ring of [n] slots. *)
+let ring_grow r len n =
+  let r' = ring_make n in
+  Array.blit r.r_trace 0 r'.r_trace 0 len;
+  Array.blit r.r_id 0 r'.r_id 0 len;
+  Array.blit r.r_parent 0 r'.r_parent 0 len;
+  Float.Array.blit r.r_start 0 r'.r_start 0 len;
+  Float.Array.blit r.r_end 0 r'.r_end 0 len;
+  Array.blit r.r_name 0 r'.r_name 0 len;
+  Array.blit r.r_attrs 0 r'.r_attrs 0 len;
+  Array.blit r.r_extras 0 r'.r_extras 0 len;
+  r'
 
 type t = {
   on : bool;
@@ -113,9 +159,11 @@ type t = {
       (* obs.spans_dropped, obs.trace_buffer_depth *)
   mutable spans : string list; (* innermost first *)
   (* trace ring buffer: [tr_head] indexes the oldest stored span,
-     [tr_len] counts stored spans, writes go to (head + len) mod cap *)
+     [tr_len] counts stored spans, writes go to (head + len) mod cap.
+     [tr_ring] starts small and doubles up to [tr_cap] slots; it only
+     wraps once full, so [tr_head] is 0 while it grows. *)
   mutable tr_cap : int;
-  mutable tr_buf : tr_span array;
+  mutable tr_ring : ring;
   mutable tr_head : int;
   mutable tr_len : int;
   mutable tr_dropped : int;
@@ -136,7 +184,7 @@ let create ?(label = "main") () =
     selftr_cells = None;
     spans = [];
     tr_cap = default_trace_capacity;
-    tr_buf = [||];
+    tr_ring = empty_ring;
     tr_head = 0;
     tr_len = 0;
     tr_dropped = 0;
@@ -155,7 +203,7 @@ let null =
     selftr_cells = None;
     spans = [];
     tr_cap = 0;
-    tr_buf = [||];
+    tr_ring = empty_ring;
     tr_head = 0;
     tr_len = 0;
     tr_dropped = 0;
@@ -216,7 +264,7 @@ let reset (t : t) =
          h.hmax <- neg_infinity)
     t.rev_order;
   t.spans <- [];
-  t.tr_buf <- [||];
+  t.tr_ring <- empty_ring;
   t.tr_head <- 0;
   t.tr_len <- 0;
   t.tr_dropped <- 0;
@@ -361,26 +409,49 @@ let selftr_cells t =
     t.selftr_cells <- Some cells;
     cells
 
-let tr_push t sp =
+(* The first buffered span allocates this many slots; the ring doubles
+   from there up to [tr_cap], so a registry that records a few spans
+   never pays for the whole ring. *)
+let ring_initial_slots = 32
+
+(* Buffer one finished span.  While the ring is not full, [tr_head] is 0
+   and the next free slot is [tr_len]; once full, the oldest span's slot
+   is overwritten. *)
+let tr_push t ~trace ~id ~parent ~name ~start ~stop ~attrs ~extras =
   if t.tr_cap > 0 then begin
-    if Array.length t.tr_buf = 0 then t.tr_buf <- Array.make t.tr_cap sp;
-    if t.tr_len = t.tr_cap then begin
-      t.tr_buf.(t.tr_head) <- sp;
-      t.tr_head <- (t.tr_head + 1) mod t.tr_cap;
-      t.tr_dropped <- t.tr_dropped + 1;
-      let dc, _ = selftr_cells t in
-      dc.n <- dc.n + 1
-    end
-    else begin
-      t.tr_buf.((t.tr_head + t.tr_len) mod t.tr_cap) <- sp;
-      t.tr_len <- t.tr_len + 1;
-      let _, dg = selftr_cells t in
-      dg.g <- float_of_int t.tr_len;
-      dg.gset <- true
-    end
+    let i =
+      if t.tr_len = t.tr_cap then begin
+        let i = t.tr_head in
+        t.tr_head <- (i + 1) mod t.tr_cap;
+        t.tr_dropped <- t.tr_dropped + 1;
+        let dc, _ = selftr_cells t in
+        dc.n <- dc.n + 1;
+        i
+      end
+      else begin
+        let i = t.tr_len in
+        if i = Array.length t.tr_ring.r_id then
+          t.tr_ring <-
+            ring_grow t.tr_ring i (min t.tr_cap (max ring_initial_slots (2 * i)));
+        t.tr_len <- i + 1;
+        let _, dg = selftr_cells t in
+        dg.g <- float_of_int t.tr_len;
+        dg.gset <- true;
+        i
+      end
+    in
+    let r = t.tr_ring in
+    r.r_trace.(i) <- trace;
+    r.r_id.(i) <- id;
+    r.r_parent.(i) <- parent;
+    Float.Array.set r.r_start i start;
+    Float.Array.set r.r_end i stop;
+    r.r_name.(i) <- name;
+    r.r_attrs.(i) <- attrs;
+    r.r_extras.(i) <- extras
   end
 
-let open_trace_span ?ctx t name t0 =
+let open_trace_span ?ctx t name ~attrs t0 =
   let parent, trace =
     match ctx with
     | Some c -> (c.span_id, c.trace_id)
@@ -395,19 +466,18 @@ let open_trace_span ?ctx t name t0 =
       sp_id = next_id ();
       sp_parent = parent;
       sp_name = name;
-      sp_node = t.label;
       sp_start = t0;
-      sp_end = t0;
-      sp_attrs = [];
+      sp_attrs = attrs;
+      sp_extras = [];
     }
   in
   t.tr_stack <- sp :: t.tr_stack;
   sp
 
 let close_trace_span t sp t1 =
-  sp.sp_end <- t1;
   (match t.tr_stack with [] -> () | _ :: rest -> t.tr_stack <- rest);
-  tr_push t sp
+  tr_push t ~trace:sp.sp_trace ~id:sp.sp_id ~parent:sp.sp_parent ~name:sp.sp_name
+    ~start:sp.sp_start ~stop:t1 ~attrs:sp.sp_attrs ~extras:sp.sp_extras
 
 module Counter = struct
   type h = { on : bool; cell : counter_cell }
@@ -768,7 +838,7 @@ let with_span (t : t) name f =
     let path = String.concat "/" (List.rev t.spans) in
     let h = Histogram.make t ~unit_:"ns" ("span:" ^ path) in
     let t0 = now t in
-    let sp = open_trace_span t name t0 in
+    let sp = open_trace_span t name ~attrs:[] t0 in
     Fun.protect
       ~finally:(fun () ->
         let t1 = now t in
@@ -1010,7 +1080,7 @@ module Trace = struct
     if t.on then begin
       if n < 0 then invalid_arg "Obs.Trace.set_capacity: negative capacity";
       t.tr_cap <- n;
-      t.tr_buf <- [||];
+      t.tr_ring <- empty_ring;
       t.tr_head <- 0;
       t.tr_len <- 0;
       t.tr_dropped <- 0;
@@ -1021,7 +1091,7 @@ module Trace = struct
   let dropped t = t.tr_dropped
 
   let clear t =
-    t.tr_buf <- [||];
+    t.tr_ring <- empty_ring;
     t.tr_head <- 0;
     t.tr_len <- 0;
     t.tr_dropped <- 0;
@@ -1035,30 +1105,32 @@ module Trace = struct
 
   let add_attr t k v =
     match t.tr_stack with
-    | sp :: _ -> sp.sp_attrs <- (k, v) :: sp.sp_attrs
+    | sp :: _ -> sp.sp_extras <- (k, v) :: sp.sp_extras
     | [] -> ()
 
-  let export sp =
+  (* Slot [i] as a span: the caller's attributes, then [add_attr]'s in
+     the order they were added. *)
+  let export t i =
+    let r = t.tr_ring in
+    let parent = r.r_parent.(i) in
     {
-      trace_id = sp.sp_trace;
-      span_id = sp.sp_id;
-      parent_id = (if sp.sp_parent = 0 then None else Some sp.sp_parent);
-      name = sp.sp_name;
-      node = sp.sp_node;
-      start_ns = sp.sp_start;
-      end_ns = sp.sp_end;
-      attrs = List.rev sp.sp_attrs;
+      trace_id = r.r_trace.(i);
+      span_id = r.r_id.(i);
+      parent_id = (if parent = 0 then None else Some parent);
+      name = r.r_name.(i);
+      node = t.label;
+      start_ns = Float.Array.get r.r_start i;
+      end_ns = Float.Array.get r.r_end i;
+      attrs = r.r_attrs.(i) @ List.rev r.r_extras.(i);
     }
 
-  let spans t =
-    List.init t.tr_len (fun i -> export t.tr_buf.((t.tr_head + i) mod t.tr_cap))
+  let spans t = List.init t.tr_len (fun i -> export t ((t.tr_head + i) mod t.tr_cap))
 
-  let with_span ?ctx ?(attrs = []) t name f =
+  let with_span ?ctx ?start_ns ?(attrs = []) t name f =
     if not t.on then f ()
     else begin
-      let t0 = now t in
-      let sp = open_trace_span ?ctx t name t0 in
-      sp.sp_attrs <- List.rev attrs;
+      let t0 = match start_ns with Some t0 -> t0 | None -> now t in
+      let sp = open_trace_span ?ctx t name ~attrs t0 in
       Fun.protect ~finally:(fun () -> close_trace_span t sp (now t)) f
     end
 
@@ -1072,17 +1144,8 @@ module Trace = struct
           | sp :: _ -> (sp.sp_id, sp.sp_trace)
           | [] -> (0, next_id ()))
       in
-      tr_push t
-        {
-          sp_trace = trace;
-          sp_id = next_id ();
-          sp_parent = parent;
-          sp_name = name;
-          sp_node = t.label;
-          sp_start = start_ns;
-          sp_end = end_ns;
-          sp_attrs = List.rev attrs;
-        }
+      tr_push t ~trace ~id:(next_id ()) ~parent ~name ~start:start_ns ~stop:end_ns
+        ~attrs ~extras:[]
     end
 
   (* --- assembly -------------------------------------------------------- *)

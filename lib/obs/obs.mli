@@ -42,7 +42,7 @@ val reset : t -> unit
 val set_registry_clock : t -> (unit -> float) -> unit
 (** Replace [t]'s clock.  The clock returns nanoseconds as a float; it
     only needs to be monotonic between the start and end of a span.  The
-    default derives from [Unix.gettimeofday].  Each registry has its own
+    default is the system's monotonic clock, in ns.  Each registry has its own
     clock so one simulated node (or one test) cannot leak virtual time
     into another.  No-op on {!null}. *)
 
@@ -266,13 +266,22 @@ module Trace : sig
       process boundary.  [None] when no span is open (or on {!null}). *)
 
   val with_span :
-    ?ctx:ctx -> ?attrs:(string * string) list -> t -> string -> (unit -> 'a) -> 'a
+    ?ctx:ctx ->
+    ?start_ns:float ->
+    ?attrs:(string * string) list ->
+    t ->
+    string ->
+    (unit -> 'a) ->
+    'a
   (** Trace-only variant of {!Obs.with_span}: records a span instance
       but no histogram (so it never perturbs existing [span:*] metric
       names).  [ctx] explicitly parents the span — use it when
       continuing a context received from the wire; otherwise the
       innermost open span is the parent, and a fresh trace id is minted
-      at top level.  On {!null} this is just [f ()]. *)
+      at top level.  [start_ns] is the span's start when the caller has
+      just read the registry clock (default: read it again).  The ring
+      keeps [attrs] by reference, so a caller may build the list once
+      and pass it to every span.  On {!null} this is just [f ()]. *)
 
   val record :
     ?ctx:ctx ->
@@ -294,7 +303,9 @@ module Trace : sig
 
   val set_capacity : t -> int -> unit
   (** Resize the ring buffer, discarding buffered spans.  Default
-      capacity is 4096 spans; 0 disables buffering.  No-op on {!null}. *)
+      capacity is 4096 spans; 0 disables buffering.  The ring allocates
+      its slots as spans arrive, doubling up to the capacity.  No-op on
+      {!null}. *)
 
   val capacity : t -> int
 

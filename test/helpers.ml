@@ -65,6 +65,21 @@ let alloc_per_call ?(reps = 10) (f : unit -> unit) : float =
   done;
   (allocated_bytes () -. a0) /. float_of_int reps
 
+(* Words promoted to the major heap per call of [f], over [reps] calls
+   made after [warm] warm-up calls and a full major collection; a closing
+   minor collection counts what [f] leaves live in the minor heap. *)
+let promoted_words_per_call ~warm ~reps (f : unit -> unit) : float =
+  for _ = 1 to warm do
+    f ()
+  done;
+  Gc.full_major ();
+  let p0 = (Gc.quick_stat ()).Gc.promoted_words in
+  for _ = 1 to reps do
+    f ()
+  done;
+  Gc.minor ();
+  ((Gc.quick_stat ()).Gc.promoted_words -. p0) /. float_of_int reps
+
 (* substring test for smoke-checking printed output *)
 let contains (hay : string) (needle : string) : bool =
   let n = String.length needle and h = String.length hay in

@@ -818,6 +818,35 @@ let test_gateway_observed_case () =
   Alcotest.(check string) "observed case replays" o.C.o_scrape o'.C.o_scrape;
   Alcotest.(check int) "incident count replays" o.C.o_incidents o'.C.o_incidents
 
+(* One tenant on one warm plan, traced, no deadlines: each delivery's
+   span carries the tenant's attribute, and keeps nothing alive once the
+   trace ring has wrapped. *)
+let test_gateway_traced_delivery () =
+  let pvs = P.versions (pop_of_seed 42) in
+  let net = mk_net () in
+  let reg = Obs.create ~label:"gateway" () in
+  let gw = G.create ~metrics:reg ~net (Contact.make "gw" 1) ignore in
+  ignore (G.handle_frame gw (meta_frame ~tenant:7 pvs.(0)) : G.outcome);
+  ignore (G.handle_frame gw (meta_frame ~tenant:7 pvs.(2)) : G.outcome);
+  let frame = data_frame ~tenant:7 pvs.(2) in
+  ignore (G.handle_frame gw frame : G.outcome);
+  ignore (Netsim.run net);
+  let deliver () =
+    match G.handle_frame gw frame with
+    | G.Delivered _ -> ()
+    | _ -> Alcotest.fail "expected a delivery on the warm plan"
+  in
+  deliver ();
+  (match List.rev (Obs.Trace.spans reg) with
+   | s :: _ ->
+     Alcotest.(check string) "the delivery span" "gateway.deliver" s.Obs.Trace.name;
+     Alcotest.(check (list (pair string string))) "its attributes"
+       [ ("gateway.tenant", "7") ] s.Obs.Trace.attrs
+   | [] -> Alcotest.fail "no span recorded");
+  let per = Helpers.promoted_words_per_call ~warm:5_000 ~reps:20_000 deliver in
+  if per >= 1. then
+    Alcotest.failf "a traced gateway delivery promotes %.2f words to the major heap" per
+
 let suite =
   [
     Alcotest.test_case "breaker: trip, cooldown, probe, recover" `Quick
@@ -875,4 +904,6 @@ let suite =
     Alcotest.test_case "gateway: chaos campaign smoke" `Slow test_gateway_chaos_smoke;
     Alcotest.test_case "gateway: observed case trips flight recorder" `Quick
       test_gateway_observed_case;
+    Alcotest.test_case "gateway: a traced delivery promotes nothing" `Quick
+      test_gateway_traced_delivery;
   ]

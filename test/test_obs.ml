@@ -318,6 +318,100 @@ let test_trace_explicit_ctx_and_record () =
   Alcotest.(check (list string)) "oldest overwritten" [ "s4"; "s5" ]
     (List.map (fun s -> s.Obs.Trace.name) (Obs.Trace.spans t))
 
+(* The default clock is the monotonic ns clock: it never steps back, and
+   it resolves far below a wall clock's 1 us. *)
+let test_default_clock_monotonic_ns () =
+  let t = Obs.create () in
+  let prev = ref (Obs.now t) in
+  let fine = ref false in
+  for _ = 1 to 100_000 do
+    let now = Obs.now t in
+    let step = now -. !prev in
+    if step < 0. then Alcotest.failf "the clock stepped back by %.0f ns" (-.step);
+    if step > 0. && step < 500. then fine := true;
+    prev := now
+  done;
+  Alcotest.(check bool) "some step is finer than 500 ns" true !fine
+
+(* The ring allocates its slots as spans arrive.  Across that growth and
+   the wrap it keeps the last [capacity] spans, oldest first, with the
+   ids, parents, timestamps and attributes they were recorded with. *)
+let test_trace_ring_growth () =
+  let t = Obs.create () in
+  Obs.set_registry_clock t (tick_clock ());
+  Obs.Trace.set_capacity t 100;
+  let n = 250 in
+  let ids = Array.make n 0 and trace = ref 0 in
+  let rec nest d =
+    if d < n then
+      Obs.Trace.with_span ~attrs:[ ("depth", string_of_int d); ("k", "v") ] t
+        (Printf.sprintf "s%d" d) (fun () ->
+          (match Obs.Trace.current t with
+           | Some c ->
+             ids.(d) <- c.Obs.Trace.span_id;
+             trace := c.Obs.Trace.trace_id
+           | None -> Alcotest.fail "expected an open span");
+          Obs.Trace.add_attr t "x" (string_of_int d);
+          nest (d + 1);
+          Obs.Trace.add_attr t "y" "after")
+  in
+  nest 0;
+  (* spans close innermost first: s249 is buffered first and s0 last, so
+     the ring keeps s99 .. s0.  Each read of the tick clock advances
+     100 ns: s[d] opens at read d + 1 and closes at read 500 - d. *)
+  let spans = Obs.Trace.spans t in
+  Alcotest.(check int) "the last 100 spans" 100 (List.length spans);
+  List.iteri
+    (fun i (s : Obs.Trace.span) ->
+       let d = 99 - i in
+       let what = Printf.sprintf "s%d " d in
+       Alcotest.(check string) (what ^ "name") (Printf.sprintf "s%d" d) s.Obs.Trace.name;
+       Alcotest.(check string) (what ^ "node") "main" s.Obs.Trace.node;
+       Alcotest.(check int) (what ^ "trace") !trace s.Obs.Trace.trace_id;
+       Alcotest.(check int) (what ^ "id") ids.(d) s.Obs.Trace.span_id;
+       Alcotest.(check (option int)) (what ^ "parent")
+         (if d = 0 then None else Some ids.(d - 1))
+         s.Obs.Trace.parent_id;
+       Alcotest.(check (float 0.)) (what ^ "start") (float_of_int (100 * (d + 1)))
+         s.Obs.Trace.start_ns;
+       Alcotest.(check (float 0.)) (what ^ "end") (float_of_int (100 * (500 - d)))
+         s.Obs.Trace.end_ns;
+       Alcotest.(check (list (pair string string))) (what ^ "attrs")
+         [ ("depth", string_of_int d); ("k", "v"); ("x", string_of_int d); ("y", "after") ]
+         s.Obs.Trace.attrs)
+    spans;
+  Alcotest.(check int) "dropped" 150 (Obs.Trace.dropped t);
+  Alcotest.(check int) "obs.spans_dropped" 150 (Obs.Counter.value t "obs.spans_dropped");
+  Alcotest.(check (option (float 0.))) "obs.trace_buffer_depth" (Some 100.)
+    (Obs.Gauge.value t "obs.trace_buffer_depth");
+  (* resizing and clearing a grown ring *)
+  Obs.Trace.set_capacity t 3;
+  Alcotest.(check int) "resized ring starts empty" 0 (List.length (Obs.Trace.spans t));
+  for i = 1 to 5 do
+    let at = float_of_int i in
+    Obs.Trace.record t (Printf.sprintf "r%d" i) ~start_ns:at ~end_ns:at
+  done;
+  Alcotest.(check (list string)) "resized ring keeps the last 3" [ "r3"; "r4"; "r5" ]
+    (List.map (fun (s : Obs.Trace.span) -> s.Obs.Trace.name) (Obs.Trace.spans t));
+  Alcotest.(check int) "drops counted from the resize" 2 (Obs.Trace.dropped t);
+  Obs.Trace.clear t;
+  Alcotest.(check int) "cleared" 0 (List.length (Obs.Trace.spans t));
+  Alcotest.(check int) "drops cleared" 0 (Obs.Trace.dropped t);
+  Alcotest.(check (option (float 0.))) "depth cleared" (Some 0.)
+    (Obs.Gauge.value t "obs.trace_buffer_depth");
+  (* a caller that has just read the clock passes that read as the start *)
+  Obs.Trace.with_span ~start_ns:7. t "given start" (fun () -> ());
+  (match Obs.Trace.spans t with
+   | [ s ] -> Alcotest.(check (float 0.)) "start as given" 7. s.Obs.Trace.start_ns
+   | l -> Alcotest.failf "expected one span, got %d" (List.length l));
+  (* the first span on a fresh registry allocates a few slots, not the
+     whole ring *)
+  let fresh = Obs.create () in
+  let a0 = Helpers.allocated_bytes () in
+  Obs.Trace.with_span fresh "first" (fun () -> ());
+  let bytes = Helpers.allocated_bytes () -. a0 in
+  if bytes >= 4096. then Alcotest.failf "the first span allocated %.0f B" bytes
+
 let test_trace_null_inert () =
   let t = Obs.null in
   Alcotest.(check int) "body still runs" 3
@@ -479,6 +573,9 @@ let suite =
     Alcotest.test_case "trace explicit ctx, record, ring" `Quick
       test_trace_explicit_ctx_and_record;
     Alcotest.test_case "trace null registry inert" `Quick test_trace_null_inert;
+    Alcotest.test_case "default clock: monotonic ns" `Quick
+      test_default_clock_monotonic_ns;
+    Alcotest.test_case "trace ring across growth" `Quick test_trace_ring_growth;
     Alcotest.test_case "per-registry clock and override" `Quick
       test_trace_registry_clock;
     Alcotest.test_case "assemble tolerates malformed input" `Quick

@@ -699,6 +699,117 @@ let test_metrics_counters () =
   Alcotest.(check int) "stats agree on hits" s.Receiver.cache_hits
     (Obs.Counter.value metrics "receiver.cache_hits")
 
+(* --- the delivery's own telemetry ------------------------------------------ *)
+
+(* lineage-small's shapes: morphbench's lineage population (4 versions,
+   lineage seed 42), whose head version is 3 hops from the base *)
+let lineage_head () =
+  let pop = Loadgen.Population.make ~versions:4 ~seed:42 () in
+  let vs = Loadgen.Population.versions pop in
+  (Loadgen.Population.base pop, vs.(Array.length vs - 1))
+
+(* A receiver recording into a live registry, as every benchmark
+   workload's does. *)
+let traced_receiver target =
+  let reg = Obs.create () in
+  let config = Receiver.Config.v ~metrics:reg ~ctx:(Ctx.create ~metrics:reg ()) () in
+  let r = Receiver.create ~config () in
+  Receiver.register r target ignore;
+  (r, reg)
+
+let deliver_head r (head : Loadgen.Population.version) =
+  match Receiver.deliver_wire r head.meta head.bytes with
+  | Receiver.Delivered _ -> ()
+  | o -> Alcotest.failf "expected a delivery, got %a" Receiver.pp_outcome o
+
+(* A warm fused delivery reads the clock once per boundary: before the
+   decode, after it (also the span's start), and at the span's end; and
+   [codec.fused_ns] covers the decode alone. *)
+let test_fused_delivery_clock_reads () =
+  let base, head = lineage_head () in
+  let r, reg = traced_receiver base in
+  deliver_head r head;
+  let reads = ref 0 in
+  Obs.set_registry_clock reg (fun () ->
+      incr reads;
+      float_of_int (!reads * 1000));
+  Obs.Trace.clear reg;
+  let fused0 = Obs.Histogram.sum reg "codec.fused_ns" in
+  deliver_head r head;
+  Alcotest.(check int) "three clock reads" 3 !reads;
+  Alcotest.(check (float 0.)) "codec.fused_ns is the decode alone" 1000.
+    (Obs.Histogram.sum reg "codec.fused_ns" -. fused0);
+  match Obs.Trace.spans reg with
+  | [ s ] ->
+    Alcotest.(check string) "the delivery span" "morph.deliver" s.Obs.Trace.name;
+    Alcotest.(check (float 0.)) "the span starts at the decode's end" 2000.
+      s.Obs.Trace.start_ns;
+    Alcotest.(check (float 0.)) "and ends at the last read" 3000. s.Obs.Trace.end_ns
+  | l -> Alcotest.failf "expected one span, got %d" (List.length l)
+
+(* A traced delivery keeps nothing alive: once the trace ring has wrapped,
+   each span it buffers is scalars plus the plan's own attribute list, so
+   a minor collection promotes next to nothing. *)
+let test_traced_delivery_promotes_nothing () =
+  let base, head = lineage_head () in
+  let r, _ = traced_receiver base in
+  let per =
+    Helpers.promoted_words_per_call ~warm:5_000 ~reps:20_000 (fun () -> deliver_head r head)
+  in
+  if per >= 1. then
+    Alcotest.failf "a traced delivery promotes %.2f words to the major heap" per
+
+let last_span_attrs reg =
+  match List.rev (Obs.Trace.spans reg) with
+  | s :: _ when s.Obs.Trace.name = "morph.deliver" -> s.Obs.Trace.attrs
+  | _ -> Alcotest.fail "expected a morph.deliver span last"
+
+let attrs_t = Alcotest.(list (pair string string))
+
+(* The exact [morph.deliver] attributes, in order, on each kind of
+   delivery. *)
+let test_delivery_span_attrs () =
+  (* lineage-small's head: a collapsed 3-hop chain, fused *)
+  let base, head = lineage_head () in
+  let r, reg = traced_receiver base in
+  let provenance =
+    [ ("source", "LoadEvent"); ("target", "LoadEvent"); ("via", "morphed(LoadEvent)");
+      ("chain_hops", "3"); ("mismatch_ratio", "0.000") ]
+  in
+  deliver_head r head;
+  Alcotest.check attrs_t "cold fused"
+    (("cache", "miss") :: ("ecode", "compile") :: ("convert", "fused") :: provenance)
+    (last_span_attrs reg);
+  deliver_head r head;
+  Alcotest.check attrs_t "warm fused"
+    (("cache", "hit") :: ("ecode", "reuse") :: ("convert", "fused") :: provenance)
+    (last_span_attrs reg);
+  (* channel-ecode's shape: Fig. 5's Ecode has loops, so it runs staged *)
+  let r, reg = traced_receiver Helpers.response_v1 in
+  let message = Wire.encode ~format_id:1 Helpers.response_v2 (Helpers.sample_v2 3) in
+  for _ = 1 to 2 do
+    match Receiver.deliver_wire r Helpers.response_v2_meta message with
+    | Receiver.Delivered _ -> ()
+    | o -> Alcotest.failf "expected a delivery, got %a" Receiver.pp_outcome o
+  done;
+  Alcotest.check attrs_t "warm staged chain"
+    [ ("cache", "hit"); ("ecode", "reuse"); ("source", "ChannelOpenResponse");
+      ("target", "ChannelOpenResponse"); ("via", "morphed(ChannelOpenResponse)");
+      ("chain_hops", "1"); ("mismatch_ratio", "0.000") ]
+    (last_span_attrs reg);
+  (* a Reject pipeline carries only the cache outcome *)
+  let r, reg = traced_receiver (fmt "format Other { int x; }") in
+  let a = fmt "format A { int x; }" in
+  let message = Wire.encode ~format_id:1 a (Value.record [ ("x", Value.Int 1) ]) in
+  List.iter
+    (fun cache ->
+       (match Receiver.deliver_wire r (Meta.plain a) message with
+        | Receiver.Rejected _ -> ()
+        | o -> Alcotest.failf "expected a rejection, got %a" Receiver.pp_outcome o);
+       Alcotest.check attrs_t ("reject, cache " ^ cache) [ ("cache", cache) ]
+         (last_span_attrs reg))
+    [ "miss"; "hit" ]
+
 (* Robustness: whatever formats arrive, deliver returns an outcome — it
    never raises, even when the incoming format shares a name but nothing
    else with the registered one. *)
@@ -1017,6 +1128,12 @@ let suite =
     Alcotest.test_case "delivery probe observes outcomes" `Quick
       test_delivery_probe_observes_outcomes;
     Alcotest.test_case "metrics counters mirror stats" `Quick test_metrics_counters;
+    Alcotest.test_case "telemetry: a fused delivery reads the clock 3 times" `Quick
+      test_fused_delivery_clock_reads;
+    Alcotest.test_case "telemetry: a traced delivery promotes nothing" `Quick
+      test_traced_delivery_promotes_nothing;
+    Alcotest.test_case "telemetry: exact delivery span attributes" `Quick
+      test_delivery_span_attrs;
     Helpers.qtest prop_deliver_total;
     Helpers.qtest prop_delivered_value_conforms;
   ]
