@@ -1,4 +1,6 @@
-(* Hand-written lexer for Ecode. *)
+(* Hand-written lexer for Ecode.  Characters are read with an explicit end
+   check and matched directly; keywords and operators come from tables
+   built once, so lexing allocates only the tokens it returns. *)
 
 exception Error of string * Token.loc
 
@@ -6,6 +8,7 @@ let error loc fmt = Fmt.kstr (fun s -> raise (Error (s, loc))) fmt
 
 type state = {
   src : string;
+  len : int;
   mutable pos : int;
   mutable line : int;
   mutable bol : int; (* offset of beginning of current line *)
@@ -13,17 +16,14 @@ type state = {
 
 let loc st : Token.loc = { line = st.line; col = st.pos - st.bol + 1 }
 
-let peek st = if st.pos < String.length st.src then Some st.src.[st.pos] else None
-
-let peek2 st =
-  if st.pos + 1 < String.length st.src then Some st.src.[st.pos + 1] else None
+(* Is the character [k] places ahead [c]?  False past the end. *)
+let[@inline] ahead_is st k c = st.pos + k < st.len && st.src.[st.pos + k] = c
 
 let advance st =
-  (match peek st with
-   | Some '\n' ->
-     st.line <- st.line + 1;
-     st.bol <- st.pos + 1
-   | _ -> ());
+  if ahead_is st 0 '\n' then begin
+    st.line <- st.line + 1;
+    st.bol <- st.pos + 1
+  end;
   st.pos <- st.pos + 1
 
 let is_digit c = c >= '0' && c <= '9'
@@ -41,87 +41,98 @@ let operators1 =
   [ "+"; "-"; "*"; "/"; "%"; "="; "<"; ">"; "!"; "."; ","; ";"; "("; ")"; "{"; "}";
     "["; "]"; "?"; ":"; "&"; "|"; "^"; "~" ]
 
+(* The operators by first character, longest first. *)
+let operator_table : string list array =
+  let t = Array.make 256 [] in
+  List.iter
+    (fun op ->
+       let i = Char.code op.[0] in
+       t.(i) <- t.(i) @ [ op ])
+    (operators3 @ operators2 @ operators1);
+  t
+
+module Names = Hashtbl.Make (String)
+
+let keyword_table : unit Names.t =
+  let t = Names.create 32 in
+  List.iter (fun k -> Names.replace t k ()) Token.keywords;
+  t
+
 let skip_ws_and_comments st =
   let rec go () =
-    match peek st with
-    | Some (' ' | '\t' | '\r' | '\n') ->
-      advance st;
-      go ()
-    | Some '/' when peek2 st = Some '/' ->
-      while peek st <> None && peek st <> Some '\n' do advance st done;
-      go ()
-    | Some '/' when peek2 st = Some '*' ->
-      let start = loc st in
-      advance st;
-      advance st;
-      let rec skip () =
-        match peek st, peek2 st with
-        | Some '*', Some '/' ->
-          advance st;
+    if st.pos < st.len then
+      match st.src.[st.pos] with
+      | ' ' | '\t' | '\r' | '\n' ->
+        advance st;
+        go ()
+      | '/' when ahead_is st 1 '/' ->
+        while st.pos < st.len && st.src.[st.pos] <> '\n' do advance st done;
+        go ()
+      | '/' when ahead_is st 1 '*' ->
+        let start = loc st in
+        advance st;
+        advance st;
+        while not (ahead_is st 0 '*' && ahead_is st 1 '/') do
+          if st.pos >= st.len then error start "unterminated comment";
           advance st
-        | None, _ -> error start "unterminated comment"
-        | _ ->
-          advance st;
-          skip ()
-      in
-      skip ();
-      go ()
-    | _ -> ()
+        done;
+        advance st;
+        advance st;
+        go ()
+      | _ -> ()
   in
   go ()
 
+let skip_digits st =
+  while st.pos < st.len && is_digit st.src.[st.pos] do advance st done
+
 let lex_number st : Token.t =
   let start = st.pos in
-  while (match peek st with Some c -> is_digit c | None -> false) do advance st done;
+  skip_digits st;
   let is_float =
-    match peek st, peek2 st with
-    | Some '.', Some c when is_digit c -> true
-    | Some ('e' | 'E'), _ -> true
-    | _ -> false
+    (ahead_is st 0 '.' && st.pos + 1 < st.len && is_digit st.src.[st.pos + 1])
+    || ahead_is st 0 'e' || ahead_is st 0 'E'
   in
   if is_float then begin
-    if peek st = Some '.' then begin
+    if ahead_is st 0 '.' then begin
       advance st;
-      while (match peek st with Some c -> is_digit c | None -> false) do advance st done
+      skip_digits st
     end;
-    (match peek st with
-     | Some ('e' | 'E') ->
-       advance st;
-       (match peek st with Some ('+' | '-') -> advance st | _ -> ());
-       while (match peek st with Some c -> is_digit c | None -> false) do advance st done
-     | _ -> ());
+    if ahead_is st 0 'e' || ahead_is st 0 'E' then begin
+      advance st;
+      if ahead_is st 0 '+' || ahead_is st 0 '-' then advance st;
+      skip_digits st
+    end;
     Token.Float_lit (float_of_string (String.sub st.src start (st.pos - start)))
   end
   else Token.Int_lit (int_of_string (String.sub st.src start (st.pos - start)))
 
 let lex_escape st where =
-  match peek st with
-  | Some 'n' -> advance st; '\n'
-  | Some 't' -> advance st; '\t'
-  | Some 'r' -> advance st; '\r'
-  | Some '0' -> advance st; '\x00'
-  | Some '\\' -> advance st; '\\'
-  | Some '\'' -> advance st; '\''
-  | Some '"' -> advance st; '"'
-  | Some c -> advance st; c
-  | None -> error where "unterminated escape"
+  if st.pos >= st.len then error where "unterminated escape";
+  let c = st.src.[st.pos] in
+  advance st;
+  match c with
+  | 'n' -> '\n'
+  | 't' -> '\t'
+  | 'r' -> '\r'
+  | '0' -> '\x00'
+  | c -> c (* a backslash, a quote or any other character: itself *)
 
 let lex_char st : Token.t =
   let where = loc st in
   advance st; (* opening quote *)
+  if st.pos >= st.len then error where "unterminated character literal";
   let c =
-    match peek st with
-    | Some '\\' ->
+    match st.src.[st.pos] with
+    | '\\' ->
       advance st;
       lex_escape st where
-    | Some c ->
+    | c ->
       advance st;
       c
-    | None -> error where "unterminated character literal"
   in
-  (match peek st with
-   | Some '\'' -> advance st
-   | _ -> error where "unterminated character literal");
+  if not (ahead_is st 0 '\'') then error where "unterminated character literal";
+  advance st;
   Token.Char_lit c
 
 let lex_string st : Token.t =
@@ -129,68 +140,56 @@ let lex_string st : Token.t =
   advance st; (* opening quote *)
   let buf = Buffer.create 16 in
   let rec go () =
-    match peek st with
-    | Some '"' -> advance st
-    | Some '\\' ->
+    if st.pos >= st.len then error where "unterminated string literal";
+    match st.src.[st.pos] with
+    | '"' -> advance st
+    | '\\' ->
       advance st;
       Buffer.add_char buf (lex_escape st where);
       go ()
-    | Some c ->
+    | c ->
       advance st;
       Buffer.add_char buf c;
       go ()
-    | None -> error where "unterminated string literal"
   in
   go ();
   Token.String_lit (Buffer.contents buf)
 
+let starts_with st op =
+  let n = String.length op in
+  let rec eq i = i >= n || (st.src.[st.pos + i] = op.[i] && eq (i + 1)) in
+  st.pos + n <= st.len && eq 0
+
 let lex_operator st : Token.t =
-  let try_ops ops n =
-    if st.pos + n <= String.length st.src then begin
-      let s = String.sub st.src st.pos n in
-      if List.mem s ops then Some s else None
-    end
-    else None
+  let rec first = function
+    | op :: rest -> if starts_with st op then op else first rest
+    | [] -> error (loc st) "unexpected character %C" st.src.[st.pos]
   in
-  match try_ops operators3 3 with
-  | Some s ->
-    st.pos <- st.pos + 3;
-    Token.Op s
-  | None ->
-    (match try_ops operators2 2 with
-     | Some s ->
-       st.pos <- st.pos + 2;
-       Token.Op s
-     | None ->
-       (match try_ops operators1 1 with
-        | Some s ->
-          advance st;
-          Token.Op s
-        | None -> error (loc st) "unexpected character %C" st.src.[st.pos]))
+  let op = first operator_table.(Char.code st.src.[st.pos]) in
+  st.pos <- st.pos + String.length op;
+  Token.Op op
+
+let lex_word st : Token.t =
+  let start = st.pos in
+  while st.pos < st.len && is_ident st.src.[st.pos] do advance st done;
+  let name = String.sub st.src start (st.pos - start) in
+  if Names.mem keyword_table name then Token.Kw name else Token.Ident name
 
 let tokenize (src : string) : Token.spanned list =
-  let st = { src; pos = 0; line = 1; bol = 0 } in
-  let out = ref [] in
-  let rec go () =
+  let st = { src; len = String.length src; pos = 0; line = 1; bol = 0 } in
+  let rec go acc =
     skip_ws_and_comments st;
     let l = loc st in
-    match peek st with
-    | None -> out := { Token.tok = Eof; loc = l } :: !out
-    | Some c when is_digit c -> emit l (lex_number st)
-    | Some c when is_ident_start c ->
-      let start = st.pos in
-      while (match peek st with Some c -> is_ident c | None -> false) do advance st done;
-      let name = String.sub src start (st.pos - start) in
+    if st.pos >= st.len then List.rev ({ Token.tok = Eof; loc = l } :: acc)
+    else
       let tok =
-        if List.mem name Token.keywords then Token.Kw name else Token.Ident name
+        match st.src.[st.pos] with
+        | c when is_digit c -> lex_number st
+        | c when is_ident_start c -> lex_word st
+        | '\'' -> lex_char st
+        | '"' -> lex_string st
+        | _ -> lex_operator st
       in
-      emit l tok
-    | Some '\'' -> emit l (lex_char st)
-    | Some '"' -> emit l (lex_string st)
-    | Some _ -> emit l (lex_operator st)
-  and emit l tok =
-    out := { Token.tok; loc = l } :: !out;
-    go ()
+      go ({ Token.tok; loc = l } :: acc)
   in
-  go ();
-  List.rev !out
+  go []

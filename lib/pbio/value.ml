@@ -168,7 +168,12 @@ let array_set ?fill v i x =
   if i >= d.len then begin
     let fill = match fill with Some f -> f | None -> fill_for d in
     grow d fill (i + 1);
-    for j = d.len to i do d.items.(j) <- fill done;
+    (* each gap slot its own copy, so a store through one shows in no
+       other *)
+    if i > d.len then begin
+      d.items.(d.len) <- fill;
+      for j = d.len + 1 to i - 1 do d.items.(j) <- copy fill done
+    end;
     d.len <- i + 1
   end;
   d.items.(i) <- x

@@ -77,8 +77,9 @@ val array_len : t -> int
 val array_get : t -> int -> t
 
 (** [array_set a i x] stores [x] at index [i], growing the array when [i]
-    is at or past the end; gaps are filled with [fill] if given, else with
-    copies of the array's model element. *)
+    is at or past the end; each gap slot gets its own copy of [fill] if
+    given (the first slot [fill] itself), else of the array's model
+    element. *)
 val array_set : ?fill:t -> t -> int -> t -> unit
 
 val array_push : t -> t -> unit

@@ -45,6 +45,82 @@ let test_lexer_errors () =
   expect_lex_error "/* unterminated";
   expect_lex_error "int x = $;"
 
+(* Every operator, both comment kinds, escapes, keywords next to
+   identifiers, and int, float and exponent literals: each token with its
+   column, per source line. *)
+let test_lexer_pinned () =
+  let src =
+    "/* block\n   comment */ int intx=42; // line\n\
+     float f=1.5e3+2.25+7e-2+3E+1+6e2+10;\n\
+     char c='\\n'; string s=\"a\\tb\\\"c\\\\d\\0\\r\\q\"; c='\\''; c='\\\\';\n\
+     a+b-c*d/e%f=g<h>i!j.k,l;(){}[]?:&|^~\n\
+     a==b!=c<=d>=e&&f||g++h--i+=j-=k*=l/=m%=n<<o>>p&=q|=r^=s<<=t>>=u\n\
+     returnx ifelse int1 _if If if(x)else\n\
+     1.x 3..4 007"
+  in
+  let show : Ecode.Token.t -> string = function
+    | Ident s | Op s -> s
+    | Kw s -> "kw:" ^ s
+    | Int_lit n -> Printf.sprintf "int:%d" n
+    | Float_lit x -> Printf.sprintf "float:%g" x
+    | Char_lit c -> Printf.sprintf "char:%C" c
+    | String_lit s -> Printf.sprintf "string:%S" s
+    | Eof -> "eof"
+  in
+  let toks = Ecode.Lexer.tokenize src in
+  let line l =
+    String.concat "  "
+      (List.filter_map
+         (fun (t : Ecode.Token.spanned) ->
+            if t.loc.line = l then Some (Printf.sprintf "%d %s" t.loc.col (show t.tok))
+            else None)
+         toks)
+  in
+  List.iter
+    (fun (l, want) -> Alcotest.(check string) (Printf.sprintf "line %d" l) want (line l))
+    [
+      (1, "");
+      (2, "15 kw:int  19 intx  23 =  24 int:42  26 ;");
+      (3, "1 kw:float  7 f  8 =  9 float:1500  14 +  15 float:2.25  19 +  20 float:0.07  24 +  \
+           25 float:30  29 +  30 float:600  33 +  34 int:10  36 ;");
+      (4, "1 kw:char  6 c  7 =  8 char:'\\n'  12 ;  14 kw:string  21 s  22 =  \
+           23 string:\"a\\tb\\\"c\\\\d\\000\\rq\"  41 ;  43 c  44 =  45 char:'\\''  49 ;  \
+           51 c  52 =  53 char:'\\\\'  57 ;");
+      (5, "1 a  2 +  3 b  4 -  5 c  6 *  7 d  8 /  9 e  10 %  11 f  12 =  13 g  14 <  15 h  \
+           16 >  17 i  18 !  19 j  20 .  21 k  22 ,  23 l  24 ;  25 (  26 )  27 {  28 }  \
+           29 [  30 ]  31 ?  32 :  33 &  34 |  35 ^  36 ~");
+      (6, "1 a  2 ==  4 b  5 !=  7 c  8 <=  10 d  11 >=  13 e  14 &&  16 f  17 ||  19 g  \
+           20 ++  22 h  23 --  25 i  26 +=  28 j  29 -=  31 k  32 *=  34 l  35 /=  37 m  \
+           38 %=  40 n  41 <<  43 o  44 >>  46 p  47 &=  49 q  50 |=  52 r  53 ^=  55 s  \
+           56 <<=  59 t  60 >>=  63 u");
+      (7, "1 returnx  9 ifelse  16 int1  21 _if  25 If  28 kw:if  30 (  31 x  32 )  \
+           33 kw:else");
+      (8, "1 int:1  2 .  3 x  5 int:3  6 .  7 .  8 int:4  10 int:7  13 eof");
+    ]
+
+(* Lexical errors: message and location. *)
+let test_lexer_error_messages () =
+  List.iter
+    (fun (src, want) ->
+       let got =
+         match Ecode.Lexer.tokenize src with
+         | _ -> "ok"
+         | exception Ecode.Lexer.Error (m, l) -> Printf.sprintf "%d:%d %s" l.line l.col m
+       in
+       Alcotest.(check string) src want got)
+    [
+      ("x /* unterminated", "1:3 unterminated comment");
+      ("a /*/ b", "1:3 unterminated comment");
+      ("x = \"abc", "1:5 unterminated string literal");
+      ("\"\\", "1:1 unterminated escape");
+      ("x = 'x", "1:5 unterminated character literal");
+      ("''", "1:1 unterminated character literal");
+      ("'ab'", "1:1 unterminated character literal");
+      ("'\\", "1:1 unterminated escape");
+      ("int x = $;", "1:9 unexpected character '$'");
+      ("a\n  @", "2:3 unexpected character '@'");
+    ]
+
 let test_parser_statements () =
   ignore (parse_ok "int x = 1, y; x = y;");
   ignore (parse_ok "if (x) y = 1; else { y = 2; z = 3; }");
@@ -179,4 +255,6 @@ let suite =
     Alcotest.test_case "typecheck: record assignment" `Quick test_record_assignment_shapes;
     Alcotest.test_case "pp: fixed point on corpus" `Quick test_pp_fixed_point;
     Alcotest.test_case "pp: preserves semantics" `Quick test_pp_preserves_semantics;
+    Alcotest.test_case "lexer: tokens and locations pinned" `Quick test_lexer_pinned;
+    Alcotest.test_case "lexer: error messages and locations" `Quick test_lexer_error_messages;
   ]
