@@ -1,8 +1,6 @@
 (** The integration broker of Section 4.2, in both of the paper's
     configurations. *)
 
-open Pbio
-
 type mode =
   | Xslt_at_broker
       (** Figure 6, Oracle-AQ style: applications exchange XML; the broker
@@ -47,7 +45,3 @@ val add_supplier : t -> Transport.Contact.t -> unit
 val connect : t -> retailer:Transport.Contact.t -> supplier:Transport.Contact.t -> unit
 
 val counters : t -> counters
-
-(** Attach the retro-transformation for the destination, leaving meta that
-    already carries transformations untouched (morphing mode). *)
-val augment_meta : Meta.format_meta -> Meta.format_meta

@@ -8,13 +8,10 @@ open Pbio
 
 (** {1 Retailer-side formats} *)
 
-val ship_to : Ptype.record
 val retail_order : Ptype.record
 val retail_status : Ptype.record
 
 (** {1 Supplier-side formats} *)
-
-val order_state : Ptype.enum
 
 val supplier_order : Ptype.record
 val supplier_status : Ptype.record
@@ -35,10 +32,6 @@ val retail_to_supplier_order_xslt : string
 val supplier_to_retail_status_xslt : string
 
 (** {1 Value builders and workload} *)
-
-val retail_order_value :
-  order_id:int -> sku:string -> quantity:int -> unit_price:float ->
-  customer:string -> street:string -> city:string -> zip:string -> Value.t
 
 val supplier_status_value : po:int -> state:string -> eta_days:int -> Value.t
 

@@ -15,7 +15,6 @@ type t = {
   net : Transport.Netsim.t;
   broker : Transport.Contact.t;
   mutable statuses : (int * string * int) list; (* order_id, status, days; newest first *)
-  mutable orders_sent : int;
   mutable endpoint : Transport.Conn.endpoint option;
   receiver : Morph.Receiver.t;
   metrics : Obs.t;
@@ -46,7 +45,7 @@ let create ?(thresholds = Morph.Maxmatch.default_thresholds) ?(reliable = false)
       ~config:(Morph.Receiver.Config.v ~thresholds ~metrics ?ctx ()) ()
   in
   let t =
-    { mode; contact; net; broker; statuses = []; orders_sent = 0;
+    { mode; contact; net; broker; statuses = [];
       endpoint = None; receiver; metrics;
       sent_at = Hashtbl.create 64;
       m_roundtrip =
@@ -74,7 +73,6 @@ let create ?(thresholds = Morph.Maxmatch.default_thresholds) ?(reliable = false)
   t
 
 let send_order t (order : Value.t) : unit =
-  t.orders_sent <- t.orders_sent + 1;
   (if Obs.enabled t.metrics then
      match
        if Value.has_field order "order_id" then
@@ -93,5 +91,4 @@ let send_order t (order : Value.t) : unit =
 
 let contact t = t.contact
 let statuses t = t.statuses
-let orders_sent t = t.orders_sent
 let receiver t = t.receiver

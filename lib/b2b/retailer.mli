@@ -27,5 +27,4 @@ val contact : t -> Transport.Contact.t
 (** Received statuses, newest first: (order id, status, estimated days). *)
 val statuses : t -> (int * string * int) list
 
-val orders_sent : t -> int
 val receiver : t -> Morph.Receiver.t

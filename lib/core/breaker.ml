@@ -15,8 +15,6 @@ let pp_state ppf = function
   | Open -> Fmt.string ppf "open"
   | Half_open -> Fmt.string ppf "half-open"
 
-let state_level = function Closed -> 0 | Half_open -> 1 | Open -> 2
-
 type t = {
   threshold : int;
   cooldown_s : float option;
@@ -25,7 +23,6 @@ type t = {
   mutable consecutive_failures : int;
   mutable opened_at : float;
   mutable trips : int;
-  mutable probes : int;
 }
 
 let create ?(threshold = 3) ?cooldown_s ?on_trip () =
@@ -41,34 +38,22 @@ let create ?(threshold = 3) ?cooldown_s ?on_trip () =
     consecutive_failures = 0;
     opened_at = neg_infinity;
     trips = 0;
-    probes = 0;
   }
 
 let state t = t.state
-let threshold t = t.threshold
 let consecutive_failures t = t.consecutive_failures
 let trips t = t.trips
-let probes t = t.probes
-
-let retry_at t =
-  match t.state, t.cooldown_s with
-  | Open, Some c -> Some (t.opened_at +. c)
-  | _ -> None
 
 (* Deliveries admitted while [Half_open] are probes: the next recorded
    outcome decides whether the circuit closes again or re-opens. *)
 let admit t ~now =
   match t.state with
-  | Closed -> true
-  | Half_open ->
-    t.probes <- t.probes + 1;
-    true
+  | Closed | Half_open -> true
   | Open ->
     (match t.cooldown_s with
      | None -> false
      | Some c when now -. t.opened_at >= c ->
        t.state <- Half_open;
-       t.probes <- t.probes + 1;
        true
      | Some _ -> false)
 

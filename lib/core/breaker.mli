@@ -15,10 +15,6 @@ type state = Closed | Open | Half_open
 
 val pp_state : Format.formatter -> state -> unit
 
-(** 0 = closed, 1 = half-open, 2 = open — the encoding used by the
-    [gateway.breaker_open] style gauges. *)
-val state_level : state -> int
-
 type t
 
 (** [create ~threshold ~cooldown_s ()] — trip after [threshold] consecutive
@@ -44,18 +40,10 @@ val record_success : t -> bool
 val record_failure : t -> now:float -> bool
 
 val state : t -> state
-val threshold : t -> int
 val consecutive_failures : t -> int
 
 (** Times the breaker tripped open over its lifetime. *)
 val trips : t -> int
-
-(** Probe deliveries admitted while half-open. *)
-val probes : t -> int
-
-(** Earliest time an open breaker will admit a probe ([None] when closed,
-    or open with no cooldown). *)
-val retry_at : t -> float option
 
 (** Force the breaker closed and clear the failure streak. *)
 val reset : t -> unit

@@ -6,8 +6,6 @@ open Pbio
 (** Re-exports of {!Ptype.weight} for symmetry with [diff]. *)
 val weight : Ptype.record -> int
 
-val weight_of_type : Ptype.t -> int
-
 (** [diff f1 f2] is the total number of basic-type fields present in [f1]
     but not in [f2].  Basic fields match when [f2] has a field of the same
     name and basic type; a complex field looks for a complex field of the

@@ -55,12 +55,11 @@ let convert ctx ~from_ ~into =
     conv
   end
 
-let compile ?engine ~ctx ~kind ~(source : Ptype.record) ~specs
-    ~(target : Ptype.record) () : (t, Err.t) result =
-  match kind, specs with
-  | Fused, _ :: _ -> invalid_arg "Plan.compile: a transformation chain cannot fuse"
-  | Fused, [] -> Ok (make ~ctx ~kind ~source ~specs ~target None)
-  | Staged, _ ->
+let compile ?engine ~ctx ~(source : Ptype.record) ~specs ~(target : Ptype.record) () :
+  (t, Err.t) result =
+  match specs with
+  | [] -> Ok (make ~ctx ~kind:Fused ~source ~specs ~target None)
+  | _ :: _ ->
     (match Xform.compile_chain ?engine ~ctx ~source specs with
      | Error _ as e -> e
      | Ok hops ->
@@ -70,11 +69,11 @@ let compile ?engine ~ctx ~kind ~(source : Ptype.record) ~specs
          if Ptype.equal_record endpoint target then chain
          else
            let conv = convert ctx ~from_:endpoint ~into:target in
-           if specs = [] then conv else fun v -> conv (chain v)
+           fun v -> conv (chain v)
        in
        (* a chain of straight-line hops fuses as one composed map; the
           hop-by-hop chain stays the value transform *)
-       let map = if specs = [] then None else Xform.collapse ~source hops ~target in
+       let map = Xform.collapse ~source hops ~target in
        let kind = if Option.is_none map then Staged else Fused in
        Ok (make ~ctx ~kind ~source ~specs ~target ?map (Some transform)))
 

@@ -24,20 +24,20 @@ type kind = Fused | Staged
 
 type t
 
-(** Compile the hops [specs] from [source] messages (with [engine],
-    default compiled closures), then a structural conversion from their
-    last target into [target] unless that is the same format, recording
-    both into [ctx]; no wire code yet.  When every hop is straight-line
-    moves, the [Staged] request comes back [Fused]: the hops and the
-    conversion collapse into one field map, and a wire message decodes
-    straight into [target] (never with the interpreted engine).  [Fused]
-    needs empty [specs] ([Invalid_argument]) and builds its value-tree
-    conversion on the first {!transform}.  A hop that fails to compile is
-    the error. *)
+(** Compile a plan from [source] messages through the hops [specs] into
+    [target], recording into [ctx]; no wire code yet.  The plan picks its
+    own {!kind}.  With no hops it is [Fused], an exact match included, and
+    builds its value-tree conversion on the first {!transform}.  With hops
+    it compiles them (with [engine], default compiled closures), then a
+    structural conversion from their last target into [target] unless
+    that is the same format.  When every hop is straight-line moves, the
+    hops and the conversion collapse into one field map and the plan is
+    [Fused]: a wire message decodes straight into [target] (never with
+    the interpreted engine).  Any other chain is [Staged].  A hop that
+    fails to compile is the error. *)
 val compile :
   ?engine:Xform.engine ->
   ctx:Ctx.t ->
-  kind:kind ->
   source:Ptype.record ->
   specs:Xform.spec list ->
   target:Ptype.record ->

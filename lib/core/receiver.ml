@@ -75,13 +75,13 @@ type pipeline =
 
 type cache_entry = {
   key : Meta.format_meta;
-  mutable pipeline : pipeline;
+  pipeline : pipeline;
   breaker : Breaker.t;
   (* counts run-time transform failures since the last success; tripping
-     quarantines the pipeline.  Without a cooldown (the default) the trip
-     replaces the pipeline with a fast Reject for good; with
-     [quarantine_cooldown_s] the breaker re-admits a probe delivery after
-     the cooldown (closed / open / half-open). *)
+     quarantines the pipeline.  Without a cooldown (the default) the
+     breaker stays open for good and turns every later delivery away; with
+     [quarantine_cooldown_s] it re-admits a probe delivery after the
+     cooldown (closed / open / half-open). *)
 }
 
 (* All the knobs a receiver is created with, collapsed into one record so
@@ -223,8 +223,6 @@ let create ?(config = Config.default) () =
         transform_failures = 0; quarantined = 0; recovered = 0 };
   }
 
-let config t = t.config
-
 let register t (fmt : Ptype.record) (handler : handler) : unit =
   (match Ptype.validate fmt with
    | Ok () -> ()
@@ -244,8 +242,6 @@ let set_default_handler t f = t.default_handler <- Some f
 let set_delivery_probe t f = t.probe <- f
 
 let stats t = t.stats
-
-let registered_formats t = List.map (fun r -> r.fmt) t.registered
 
 let handler_for t (fmt : Ptype.record) : handler option =
   List.find_map
@@ -311,19 +307,11 @@ let span_attrs ~(source : Ptype.record) ~(target : Ptype.record) ~via ~hops ~rat
     attrs ~hit:false ~fused:true )
 
 (* Build the per-format pipeline following Algorithm 2, lines 11-30: the
-   decided path compiled into a plan.  A structural conversion fuses,
-   and so does a chain [Plan.compile] collapses; exact matches and the
-   other chains decode staged. *)
+   decided path compiled into a plan, which picks its own engine. *)
 let plan_uninstrumented ?engine t (meta : Meta.format_meta) : pipeline =
   let fm = meta.Meta.body in
   let accept ?(specs = []) target via ratio =
-    let kind =
-      if specs = [] && not (Ptype.equal_record fm target) then Plan.Fused
-      else Plan.Staged
-    in
-    match
-      Plan.compile ?engine ~ctx:t.config.Config.ctx ~kind ~source:fm ~specs ~target ()
-    with
+    match Plan.compile ?engine ~ctx:t.config.Config.ctx ~source:fm ~specs ~target () with
     | Error e -> Reject (Err.to_string e)
     | Ok plan ->
       let span_hit, span_miss, span_hit_fused, span_miss_fused =
@@ -440,12 +428,12 @@ let quarantined_reason (entry : cache_entry) =
 let breaker_now t = Obs.now t.m.rm_reg *. 1e-9
 
 (* A transformation that keeps failing at run time is quarantined: its
-   breaker trips.  Without a cooldown (the default) the cached pipeline
-   becomes a fast Reject for good, so a poisonous format neither crashes
-   the receiver nor pays planning or transformation work on every further
-   message.  With [quarantine_cooldown_s] the pipeline is kept and the
-   breaker gates it: open until the cooldown elapses, then a half-open
-   probe decides whether to close or re-open the circuit. *)
+   breaker trips, and the breaker alone gates the pipeline from then on.
+   Without a cooldown (the default) it stays open for good, so a
+   poisonous format neither crashes the receiver nor pays planning or
+   transformation work on every further message.  With
+   [quarantine_cooldown_s] it is open until the cooldown elapses, then a
+   half-open probe decides whether to close or re-open the circuit. *)
 let quarantine t (entry : cache_entry) : unit =
   t.stats.quarantined <- t.stats.quarantined + 1;
   Obs.Counter.incr t.m.rm_quarantined;
@@ -454,15 +442,13 @@ let quarantine t (entry : cache_entry) : unit =
      Obs.Flight.trigger fl ~kind:"quarantine"
        ~reason:(Fmt.str "pipeline for format #%d %s" (Meta.hash entry.key)
                   (quarantined_reason entry))
-   | None -> ());
-  if t.config.Config.quarantine_cooldown_s = None then
-    entry.pipeline <- Reject (quarantined_reason entry)
+   | None -> ())
 
 (* The one admission rule for every Accept delivery — value, fused wire or
    staged wire — checked before its plan runs.  A closed breaker admits
    without reading the clock.  An open one fast-fails without paying the
-   transform; that is only reachable with a cooldown configured (otherwise
-   the trip already replaced the pipeline with a Reject). *)
+   transform: for good without a cooldown, until the cooldown elapses
+   with one. *)
 let admit t (entry : cache_entry) : bool =
   match entry.pipeline with
   | Reject _ -> false
@@ -480,8 +466,8 @@ let reject t reason : outcome =
   o
 
 (* Algorithm 2's fallback: the default handler when one is set, otherwise a
-   rejection.  Shared by unmatched formats, quarantined pipelines and
-   open-breaker fast-fails. *)
+   rejection.  Shared by unmatched formats and the deliveries an open
+   breaker turns away. *)
 let reject_or_default t (meta : Meta.format_meta) (v : Value.t) reason : outcome =
   match t.default_handler with
   | Some f ->

@@ -48,8 +48,8 @@ type stats = {
 type t
 
 (** Everything a receiver is created with, as one record: call sites name
-    only the knobs they change and take {!Config.default} (or the {!Config.v}
-    builder) for the rest. *)
+    only the knobs they change and take the {!Config.v} builder's defaults
+    for the rest. *)
 module Config : sig
   type t = {
     thresholds : Maxmatch.thresholds;
@@ -58,15 +58,14 @@ module Config : sig
             apply on the weighted scale *)
     quarantine_after : int;
         (** consecutive run-time transformation failures after which a
-            cached pipeline's {!Breaker} trips — without a cooldown the
-            pipeline is replaced with a fast Reject so a poisonous format
-            stops costing transformation work (see docs/FAULTS.md); must
-            be >= 1 *)
+            cached pipeline's {!Breaker} trips — without a cooldown it
+            stays open, so the breaker turns every later delivery away
+            before any transformation work (see docs/FAULTS.md); must be
+            >= 1 *)
     quarantine_cooldown_s : float option;
-        (** when set, a quarantined pipeline is not discarded: its breaker
-            re-admits a probe delivery after this many seconds of registry
-            time — probe success recovers the pipeline, probe failure
-            re-opens it (closed / open / half-open, docs/GATEWAY.md);
+        (** when set, a quarantined pipeline's breaker re-admits a probe
+            delivery after this many seconds of registry time — probe
+            success recovers the pipeline, probe failure re-opens it (closed / open / half-open, docs/GATEWAY.md);
             must be > 0 when given *)
     metrics : Obs.t;
         (** registry receiving the [receiver.*] counters and histograms
@@ -83,11 +82,8 @@ module Config : sig
             capture (kind ["quarantine"]) for post-mortem analysis *)
   }
 
-  (** Default thresholds, no weights, quarantine after 3,
-      [Obs.null] metrics, {!Ctx.default}. *)
-  val default : t
-
-  (** Keyword-argument builder over {!default}. *)
+  (** Keyword-argument builder: default thresholds, no weights,
+      quarantine after 3, [Obs.null] metrics, {!Ctx.default}. *)
   val v :
     ?thresholds:Maxmatch.thresholds ->
     ?weights:Weighted.t ->
@@ -100,12 +96,10 @@ module Config : sig
     t
 end
 
-(** [create ()] makes an empty receiver with {!Config.default}.  Raises
+(** [create ()] makes an empty receiver with [Config.v ()].  Raises
     [Invalid_argument] when the config is out of range
     ([quarantine_after < 1]). *)
 val create : ?config:Config.t -> unit -> t
-
-val config : t -> Config.t
 
 (** Register a format the application understands, with the handler invoked
     for (possibly morphed) messages delivered in that format.  Clears
@@ -170,8 +164,6 @@ val plan : ?engine:Xform.engine -> t -> Meta.format_meta -> (Plan.t, string) res
 val explain : t -> Meta.format_meta -> string
 
 val stats : t -> stats
-val registered_formats : t -> Ptype.record list
-val handler_for : t -> Ptype.record -> handler option
 
 (** Breaker state of the cached pipeline for this format meta, when one has
     been planned ([None] before the first delivery and after the

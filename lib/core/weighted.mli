@@ -36,8 +36,6 @@ type thresholds = {
   mismatch_threshold : float;
 }
 
-val default_thresholds : thresholds
-
 type match_result = {
   f1 : Ptype.record;
   f2 : Ptype.record;
@@ -45,9 +43,6 @@ type match_result = {
   diff21 : float;
   ratio : float;
 }
-
-val evaluate_pair : t -> Ptype.record -> Ptype.record -> match_result
-val qualifies : thresholds -> match_result -> bool
 
 (** Weighted MaxMatch: same selection rule as {!Maxmatch.max_match} with
     weighted quantities and float thresholds. *)

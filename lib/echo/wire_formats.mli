@@ -46,8 +46,6 @@ val event_v1_meta : Meta.format_meta
 
 (** {1 Value builders} *)
 
-val contact_value : string * int -> Value.t
-
 val member_v2_value :
   host:string -> port:int -> id:int -> is_source:bool -> is_sink:bool -> Value.t
 
@@ -67,20 +65,9 @@ val event_v2_value :
 
 (** {1 Workload generation} *)
 
-(** Deterministic members: every third a source, every second a sink. *)
-val gen_members : int -> Value.t list
-
 val gen_response_v2 : int -> Value.t
 
-(** Benchmark variant matching Table 1: every member is both source and
-    sink, so the v1.0 roll-back copies the whole list into all three
-    lists. *)
-val gen_members_full : int -> Value.t list
-
 val gen_response_v2_full : int -> Value.t
-
-(** Unencoded size of one generated v2.0 member entry. *)
-val member_unencoded_size : int
 
 (** Member count so the unencoded v2.0 response is close to the requested
     byte size (the x-axis of Figures 8-10 / rows of Table 1). *)

@@ -22,9 +22,6 @@ type program = Ast.prog
 
 val parse : string -> (program, string) result
 
-val typecheck :
-  params:(string * Ptype.t) list -> program -> (Typecheck.tprog, string) result
-
 (** Parse, check and compile a program against named parameters.  The
     resulting function takes the parameter values in declaration order.
     The compile is recorded into [ctx] (default {!Ctx.default}):

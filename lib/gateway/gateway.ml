@@ -82,14 +82,6 @@ type shed_reason =
   | Unknown_tenant
   | No_meta  (* fingerprint never pushed *)
 
-let shed_reason_to_string = function
-  | Deadline -> "deadline"
-  | Quota -> "quota"
-  | Breaker -> "breaker"
-  | Overload -> "overload"
-  | Unknown_tenant -> "unknown_tenant"
-  | No_meta -> "no_meta"
-
 type outcome =
   | Delivered of rung
   | Parked  (* waiting on an in-flight singleflight compile *)
@@ -285,7 +277,7 @@ type t = {
       (* the plans' context: its codec cache is shared with every other
          user of the context, its registry records their compiles *)
   mutable pending_depth : int;
-  mutable on_delivery : delivery -> unit;
+  on_delivery : delivery -> unit;
   flight : Obs.Flight.recorder option;
   (* anomaly-burst detection for the flight recorder: sheds and cache
      evictions are counted in short windows of simulated time; crossing
@@ -381,10 +373,8 @@ let create ?(config = default_config) ?(metrics = Obs.null) ?(ctx = Ctx.default)
   t_ref := Some t;
   t
 
-let contact t = t.contact
 let stats t = t.stats
 let cache_stats t = Plan_cache.stats t.cache
-let set_handler t f = t.on_delivery <- f
 let tenant_count t = Hashtbl.length t.tenants
 
 let breaker_state t tenant =
@@ -483,11 +473,11 @@ let drop_tenant t id =
 (* --- planning -------------------------------------------------------------- *)
 
 (* The gateway's slice of Algorithm 2, with the candidate set pinned to
-   the tenant's single target format: direct structural match (fused),
-   else the shortest retro-transformation chain whose endpoint matches
-   (staged, or fused when [Plan.compile] collapses it).  Decided when a
-   format's first message arrives; the plan's wire closures compile on
-   the first message of each byte order. *)
+   the tenant's single target format: direct structural match, else the
+   shortest retro-transformation chain whose endpoint matches; the plan
+   picks its own engine.  Decided when a format's first message arrives;
+   the plan's wire closures compile on the first message of each byte
+   order. *)
 let plan_for t (meta : Meta.format_meta) (target : Ptype.record) :
   (Plan.t, string) result =
   let fm = meta.Meta.body in
@@ -507,9 +497,7 @@ let plan_for t (meta : Meta.format_meta) (target : Ptype.record) :
       (Fmt.str "no acceptable match for format %S against the tenant target %S"
          fm.Ptype.rname target.Ptype.rname)
   | Some specs ->
-    let kind = if specs = [] then Fused else Staged in
-    Result.map_error Err.to_string
-      (Plan.compile ~ctx:t.ctx ~kind ~source:fm ~specs ~target ())
+    Result.map_error Err.to_string (Plan.compile ~ctx:t.ctx ~source:fm ~specs ~target ())
 
 (* Deterministic compile-cost units ([Ptype.weight], not wall time): a
    fused plan compiles reader plans over both formats, a staged plan only

@@ -62,8 +62,6 @@ type shed_reason =
           dropped while its message was parked *)
   | No_meta  (** fingerprint never pushed by this tenant *)
 
-val shed_reason_to_string : shed_reason -> string
-
 type outcome =
   | Delivered of rung  (** handed to the delivery handler by this engine *)
   | Parked  (** waiting on an in-flight singleflight compile *)
@@ -170,12 +168,8 @@ val envelope :
   Transport.Framing.frame ->
   Transport.Framing.frame
 
-val contact : t -> Transport.Contact.t
 val stats : t -> stats
 val cache_stats : t -> Plan_cache.stats
-
-(** Replace the delivery handler. *)
-val set_handler : t -> (delivery -> unit) -> unit
 
 val tenant_count : t -> int
 

@@ -123,11 +123,6 @@ let find t ~tenant ~key =
     t.misses <- t.misses + 1;
     None
 
-let mem t ~tenant ~key =
-  match Hashtbl.find_opt t.table (tenant, key) with
-  | Some e -> e.e_alive
-  | None -> false
-
 (* Unlink [e] from every index.  [evicted] says whether this removal is an
    eviction (capacity pressure) as opposed to an explicit [remove]. *)
 let delete t e ~evicted ~quota =
@@ -217,11 +212,3 @@ let add t ~tenant ~key ~cost v =
   t.total_cost <- t.total_cost +. cost;
   if t.count > t.high_water then t.high_water <- t.count;
   touch t e
-
-let clear t =
-  Hashtbl.reset t.table;
-  Hashtbl.reset t.by_tenant;
-  Queue.clear t.queue;
-  t.count <- 0;
-  t.total_cost <- 0.;
-  t.clock <- 0

@@ -39,15 +39,11 @@ val create :
 (** Lookup refreshes recency and counts a hit or miss. *)
 val find : 'v t -> tenant:int -> key:int -> 'v option
 
-val mem : 'v t -> tenant:int -> key:int -> bool
-
 (** Insert (replacing any previous value under the same key without
     counting an eviction), evicting first the owning tenant's LRU entries
     down to quota, then the globally least-recently-used entries until
     both shared bounds hold. *)
 val add : 'v t -> tenant:int -> key:int -> cost:float -> 'v -> unit
-
-val remove : 'v t -> tenant:int -> key:int -> unit
 
 (** Remove every entry of one tenant (offboarding); returns how many. *)
 val drop_tenant : 'v t -> int -> int
@@ -57,4 +53,3 @@ val cost : 'v t -> float
 val high_water : 'v t -> int
 val tenant_count : 'v t -> int -> int
 val stats : 'v t -> stats
-val clear : 'v t -> unit

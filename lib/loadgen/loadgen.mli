@@ -20,7 +20,6 @@ type scenario =
   | Echo  (** clients -> ingress morph -> channel fan-out to mixed V1/V2 sinks *)
   | B2b  (** clients -> ingress morph -> retailer order -> broker -> supplier -> status *)
 
-val scenario_to_string : scenario -> string
 val scenario_of_string : string -> (scenario, string) result
 
 type config = {

@@ -21,11 +21,8 @@ type version = {
 
 type t
 
-(** The load-event base format every run starts its lineage from. *)
-val default_base : Ptype.record
-
 (** Build a population of [versions] formats (v0 .. v[versions-1])
-    by evolving [base] ([default_base] when omitted) with
+    by evolving [base] (the load-event base format when omitted) with
     [Morphcheck.Evolve]; deterministic in [seed].
 
     [mix] lists weights {e newest-first} (the paper's "70% v2 / 25% v1 /

@@ -26,8 +26,6 @@ type failure = {
   reason : string;
 }
 
-val pp_failure : Format.formatter -> failure -> unit
-
 type report = {
   cases : int;
   records_per_case : int;

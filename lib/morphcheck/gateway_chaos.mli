@@ -14,8 +14,6 @@ type failure = {
   reason : string;
 }
 
-val pp_failure : Format.formatter -> failure -> unit
-
 type report = {
   cases : int;
   tenants_per_case : int;

@@ -211,7 +211,6 @@ let null =
   }
 
 let enabled t = t.on
-let label t = t.label
 let set_registry_clock t f = if t.on then t.clock <- f
 
 let now t = t.clock ()
@@ -1421,8 +1420,6 @@ module Flight = struct
       fl_c_incidents = Counter.make reg "obs.flight.incidents";
       fl_c_suppressed = Counter.make reg "obs.flight.suppressed";
     }
-
-  let registry r = r.fl_reg
 
   (* Freeze the registry's current trace ring and metric values.  The
      buffer is bounded: once [max_incidents] incidents are held, further

@@ -32,9 +32,6 @@ val null : t
 
 val enabled : t -> bool
 
-val label : t -> string
-(** The node label given at {!create} time (["null"] for {!null}). *)
-
 val reset : t -> unit
 (** Zero every metric in [t] without forgetting registrations, and
     discard all recorded trace spans. *)
@@ -124,8 +121,8 @@ module Histogram : sig
   val make : t -> ?unit_:string -> ?buckets:float list -> string -> h
   (** [make t name] registers histogram [name].  [buckets] lists the
       inclusive upper bounds in ascending order (an implicit [+inf]
-      bucket is always appended); defaults to
-      {!default_latency_buckets}. *)
+      bucket is always appended); defaults to powers of ten from 100 ns
+      to 1 s. *)
 
   val observe : h -> float -> unit
 
@@ -171,12 +168,6 @@ module Labeled : sig
   type gauge
   type histogram
 
-  val default_cardinality : int
-  (** 64 distinct series per family. *)
-
-  val overflow_value : string
-  (** The reserved label value ["other"]. *)
-
   val counter :
     t -> ?unit_:string -> ?cardinality:int -> keys:string list -> string ->
     counter
@@ -203,7 +194,6 @@ module Labeled : sig
       [values] (arity must match the family's [keys]; raises otherwise).
       Memoize it on hot paths. *)
 
-  val gauge_series : gauge -> string list -> Gauge.h
   val histogram_series : histogram -> string list -> Histogram.h
 
   val incr : counter -> string list -> unit
@@ -222,9 +212,6 @@ module Labeled : sig
   (** Value of [obs.label_overflow]: spilled lookups across all
       families of this registry. *)
 end
-
-val default_latency_buckets : float list
-(** Powers of ten from 100 ns to 1 s. *)
 
 val ratio_buckets : float list
 (** Buckets suited to mismatch ratios in [\[0, 1\]]. *)
@@ -255,7 +242,7 @@ module Trace : sig
     span_id : int;
     parent_id : int option;  (** [None] for a trace root *)
     name : string;
-    node : string;  (** {!label} of the recording registry *)
+    node : string;  (** the [label] of the recording registry *)
     start_ns : float;
     end_ns : float;
     attrs : (string * string) list;  (** in the order they were added *)
@@ -387,8 +374,6 @@ module Flight : sig
       [< 1]).  Registers the counters [obs.flight.incidents] and
       [obs.flight.suppressed].  A recorder over {!null} is inert. *)
 
-  val registry : recorder -> t
-
   val trigger : recorder -> kind:string -> reason:string -> unit
   (** Capture an incident now, or count it as suppressed when the
       buffer already holds [max_incidents].  No-op on {!null}. *)
@@ -422,9 +407,6 @@ val emit : t -> sink -> unit
 
 val names : t -> string list
 (** Registered metric names, in registration order. *)
-
-val render_table : t -> string
-(** Human-readable table of every registered metric. *)
 
 val to_json_lines : t -> string
 (** One JSON object per line, ["\n"]-terminated.  Schema:

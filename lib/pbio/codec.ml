@@ -8,8 +8,8 @@
    emit a flat plan of specialised closures — per-endian primitive
    readers/writers, enum value<->case lookup tables instead of
    [List.find_opt], length-field references resolved to slot indices,
-   [min_wire_size] precomputed per array element, and a reusable scratch
-   buffer sized from [Sizeof.static_wire_bound].  Per message only direct
+   [min_wire_size] precomputed per array element.  Encoders render
+   through one domain-local scratch buffer.  Per message only direct
    calls remain.
 
    [compile_morph] goes one step further and fuses wire decoding of the
@@ -437,7 +437,6 @@ end
 (* --- compiled encode plans ----------------------------------------------------- *)
 
 type encoder = {
-  efmt : Ptype.record;
   eendian : endian;
   erun : Buffer.t -> Value.t -> unit;
 }
@@ -555,7 +554,7 @@ and comp_encode_record endian (r : Ptype.record) : Buffer.t -> Value.t -> unit =
         (Value.to_string v) Ptype.pp_type (Ptype.Record r)
 
 let compile_encode ~endian (r : Ptype.record) : encoder =
-  { efmt = r; eendian = endian; erun = comp_encode_record endian r }
+  { eendian = endian; erun = comp_encode_record endian r }
 
 let encode_payload (enc : encoder) (v : Value.t) : string =
   let scratch = Domain.DLS.get scratch_key in
@@ -578,9 +577,6 @@ let encode_message (enc : encoder) ~format_id (v : Value.t) : string =
   set_u32 enc.eendian b 12 plen;
   Buffer.blit scratch 0 b header_size plen;
   Bytes.unsafe_to_string b
-
-let encoder_format enc = enc.efmt
-let encoder_endian enc = enc.eendian
 
 (* --- compiled decode plans ------------------------------------------------------ *)
 
@@ -932,8 +928,6 @@ let decode_payload (d : decoder) ?(pos = 0) (data : string) : Value.t =
       (cur.limit - cur.pos) d.dfmt.Ptype.rname;
   v
 
-let decoder_format d = d.dfmt
-
 (* --- fused decode->morph plans ---------------------------------------------------- *)
 
 type step =
@@ -951,7 +945,6 @@ type field_map = {
 
 type morpher = {
   mfrom : Ptype.record;
-  minto : Ptype.record;
   mread : cursor -> Value.t array;
   (* consumes the payload; what it returns feeds [mbuild] *)
   mbuild : Value.t array -> Value.t;
@@ -1264,7 +1257,7 @@ let compile_map ~endian ~(from_ : Ptype.record) ~(into : Ptype.record) (map : fi
     sync res;
     res
   in
-  { mfrom = from_; minto = into; mread = read; mbuild }
+  { mfrom = from_; mread = read; mbuild }
 
 let compile_morph ~endian ~from_ ~into = compile_map ~endian ~from_ ~into (by_name ~from_ ~into)
 
@@ -1275,8 +1268,6 @@ let morph_payload (m : morpher) ?(pos = 0) (data : string) : Value.t =
     decode_error "trailing garbage: %d bytes left after record %s"
       (cur.limit - cur.pos) m.mfrom.Ptype.rname;
   m.mbuild st
-
-let morpher_formats m = (m.mfrom, m.minto)
 
 (* --- plan caches ------------------------------------------------------------------- *)
 

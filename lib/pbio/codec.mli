@@ -4,9 +4,9 @@
     format description once and emit flat plans of specialised closures —
     per-endian primitive readers/writers resolved at compile time, enum
     value<->case hash tables instead of [List.find_opt], length-field
-    references bound to slot indices, [min_wire_size] precomputed per
-    array element, and a reusable scratch buffer sized from
-    {!Sizeof.static_wire_bound}.  Per message, only direct calls remain.
+    references bound to slot indices, and each array element's minimum
+    wire size precomputed.  Encoders render through one domain-local
+    scratch buffer.  Per message, only direct calls remain.
 
     {!compile_morph} additionally fuses wire decoding of the sender's
     format into construction of the {e receiver's} value layout: dropped
@@ -28,8 +28,6 @@ exception Encode_error of string
 exception Decode_error of string
 
 val header_size : int
-val magic : string
-val wire_version : int
 
 type header = {
   endian : endian;
@@ -40,10 +38,6 @@ type header = {
 (** Parse and validate the 16-byte message header.
     @raise Decode_error on any malformation. *)
 val read_header : string -> header
-
-(** Minimum wire footprint of one value of a type; used to reject
-    corrupted length fields before allocating element arrays. *)
-val min_wire_size : Ptype.t -> int
 
 (** {1 Compiled plans} *)
 
@@ -62,9 +56,11 @@ val compile_decode : endian:endian -> Ptype.record -> decoder
 
     A fused plan is compiled from a field map: for each target field,
     which source field it takes and through which steps, or which
-    constant it holds.  {!by_name} gives the map of a structural
-    conversion; a collapsed retro-transformation chain gives one whose
-    steps are its hops' Ecode coercions. *)
+    constant it holds.  A structural conversion has Convert's map: each
+    target field from the first source field of its name, converted when
+    the types differ, and the target's default for a missing name or
+    inconvertible types.  A collapsed retro-transformation chain gives a
+    map whose steps are its hops' Ecode coercions. *)
 
 (** One step applied to a source field's value. *)
 type step =
@@ -87,25 +83,10 @@ type field_map = {
   checks : (int * step list) list;
 }
 
-(** Convert's rules: each target field from the first source field of its
-    name, converted when the types differ; the target's default for a
-    missing name or inconvertible types. *)
-val by_name : from_:Ptype.record -> into:Ptype.record -> field_map
-
-(** Compile a fused decode->morph plan from a field map: bytes of [from_]
-    in, value laid out as [into] out, then [into]'s length fields synced.
-    Source fields taken through structural steps only decode straight
-    into place, nested records and arrays by name; fields no slot or
-    check takes are skipped on the wire with the same validity checks as
-    a decode.  Checks and coercions run only once the whole message has
-    decoded and the trailing-bytes check has passed, so a malformed
-    message is a {!Decode_error}, never a coercion failure.  Raises
-    [Invalid_argument] when the map does not fit the formats. *)
-val compile_map :
-  endian:endian -> from_:Ptype.record -> into:Ptype.record -> field_map -> morpher
-
-(** [compile_map] of the {!by_name} map: the plan of a structural
-    conversion. *)
+(** The fused plan of a structural conversion: bytes of [from_] in,
+    value laid out as [into] out, then [into]'s length fields synced.
+    Fields no slot takes are skipped on the wire with the same validity
+    checks as a decode. *)
 val compile_morph : endian:endian -> from_:Ptype.record -> into:Ptype.record -> morpher
 
 (** [encode_payload enc v] renders the payload bytes (no header).
@@ -126,11 +107,6 @@ val decode_payload : decoder -> ?pos:int -> string -> Value.t
     @raise Coerce.Runtime_error when a map's coercion fails, after the
     payload decoded whole. *)
 val morph_payload : morpher -> ?pos:int -> string -> Value.t
-
-val encoder_format : encoder -> Ptype.record
-val encoder_endian : encoder -> endian
-val decoder_format : decoder -> Ptype.record
-val morpher_formats : morpher -> Ptype.record * Ptype.record
 
 (** {1 Plan caches}
 
@@ -161,8 +137,14 @@ val decoder_for : cache:cache -> endian:endian -> Ptype.record -> decoder
 val morpher_in :
   cache -> endian:endian -> from_:Ptype.record -> into:Ptype.record -> morpher
 
-(** {!compile_map} afresh, not cached, timed into [cache]'s registry as
-    a cached compile is. *)
+(** Compile a fused plan from a field map, afresh and not cached, timed
+    into [cache]'s registry as a cached compile is.  Source fields taken
+    through structural steps only decode straight into place, nested
+    records and arrays by name; fields no slot or check takes are skipped
+    on the wire.  Checks and coercions run only once the whole message
+    has decoded and the trailing-bytes check has passed, so a malformed
+    message is a {!Decode_error}, never a coercion failure.  Raises
+    [Invalid_argument] when the map does not fit the formats. *)
 val compile_map_in :
   cache -> endian:endian -> from_:Ptype.record -> into:Ptype.record -> field_map -> morpher
 
@@ -178,24 +160,3 @@ module Interp : sig
   val encode_message : endian:endian -> format_id:int -> Ptype.record -> Value.t -> string
   val decode_payload : endian:endian -> ?pos:int -> Ptype.record -> string -> Value.t
 end
-
-(** {1 Primitives shared with [Wire]} *)
-
-type cursor = {
-  data : string;
-  mutable pos : int;
-  limit : int;
-}
-
-val need : cursor -> int -> unit
-val read_i32 : endian -> cursor -> int
-val read_u32 : endian -> cursor -> int
-val read_f64 : endian -> cursor -> float
-val read_byte : cursor -> char
-val read_bytes : cursor -> int -> string
-val add_i32 : endian -> Buffer.t -> int -> unit
-val add_u32 : endian -> Buffer.t -> int -> unit
-val add_f64 : endian -> Buffer.t -> float -> unit
-
-val encode_error : ('a, Format.formatter, unit, 'b) format4 -> 'a
-val decode_error : ('a, Format.formatter, unit, 'b) format4 -> 'a

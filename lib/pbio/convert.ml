@@ -162,7 +162,3 @@ let convert ~from_ ~into v =
   match compile ~from_ ~into v with
   | out -> Ok out
   | exception Value.Type_error msg -> Error (`Type msg)
-
-(* Identity check used by the receiver: a conversion is unnecessary exactly
-   when the two formats are structurally equal. *)
-let is_identity ~from_ ~into = Ptype.equal_record from_ into

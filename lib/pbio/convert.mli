@@ -25,15 +25,6 @@ val compile : from_:Ptype.record -> into:Ptype.record -> conv
 val convert :
   from_:Ptype.record -> into:Ptype.record -> Value.t -> (Value.t, Err.t) result
 
-(** A conversion is unnecessary exactly when the formats are structurally
-    equal. *)
-val is_identity : from_:Ptype.record -> into:Ptype.record -> bool
-
-(** Coercion between basic types, or [None] when no sensible coercion
-    exists (the target field then takes its default).  Enum lookups are
-    resolved through hash tables built when the coercion is compiled. *)
-val coerce_basic : Ptype.basic -> Ptype.basic -> conv option
-
 (** Conversion between two types, or [None] when the shapes are
     incompatible (the target field then takes its default).  Building
     block for fused plans ({!Codec.compile_morph}). *)

@@ -34,7 +34,6 @@ type compile_metrics = {
 }
 
 type t = {
-  obs : Obs.t;
   codecs : Codec.cache;
   wire : wire_metrics;
   compiles : compile_metrics;
@@ -44,7 +43,6 @@ type t = {
    context's creation on, compiled into or not. *)
 let create ?(metrics = Obs.null) () =
   {
-    obs = metrics;
     codecs = Codec.create_cache ~metrics ();
     wire =
       {
@@ -76,7 +74,6 @@ let create ?(metrics = Obs.null) () =
 
 let default = create ()
 
-let obs t = t.obs
 let codecs t = t.codecs
 let wire t = t.wire
 let compiles t = t.compiles

@@ -58,7 +58,6 @@ val create : ?metrics:Obs.t -> unit -> t
     Code that omits [?ctx] runs here. *)
 val default : t
 
-val obs : t -> Obs.t
 val codecs : t -> Codec.cache
 val wire : t -> wire_metrics
 val compiles : t -> compile_metrics

@@ -27,4 +27,3 @@ let message : t -> string = function
 
 let to_string e = tag e ^ ": " ^ message e
 let pp ppf e = Format.pp_print_string ppf (to_string e)
-let msg = function Ok _ as ok -> ok | Error e -> Error (to_string e)

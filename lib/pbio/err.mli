@@ -17,9 +17,6 @@ type t =
   | `Config of string   (** out-of-range or contradictory configuration *)
   | `Internal of string (** invariant violation; please report *) ]
 
-val tag : t -> string
-(** The variant name, lowercased: ["decode"], ["no_match"], ... *)
-
 val message : t -> string
 (** The payload, without the tag. *)
 
@@ -27,7 +24,3 @@ val to_string : t -> string
 (** ["tag: message"]. *)
 
 val pp : Format.formatter -> t -> unit
-
-val msg : ('a, t) result -> ('a, string) result
-(** Flatten the error to its {!to_string} rendering, for callers that
-    only want a printable message. *)

@@ -125,7 +125,5 @@ val validate : record -> (unit, error) result
 (** {1 Pretty-printing} *)
 
 val pp_type : Format.formatter -> t -> unit
-val pp_const : Format.formatter -> const -> unit
 val pp_record : Format.formatter -> record -> unit
-val pp_field : Format.formatter -> field -> unit
 val record_to_string : record -> string

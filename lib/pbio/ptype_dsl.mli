@@ -24,9 +24,6 @@ type decl =
 
 exception Parse_error of string
 
-(** Parse a sequence of declarations; every record is {!Ptype.validate}d. *)
-val parse : string -> (decl list, string) result
-
 (** The declared base formats, by name. *)
 val parse_formats : string -> ((string * Ptype.record) list, string) result
 

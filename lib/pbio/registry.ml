@@ -55,6 +55,4 @@ let find_by_name t name =
     (fun _ f acc -> if f.meta.Meta.body.Ptype.rname = name then f :: acc else acc)
     t.by_id []
 
-let all t = Hashtbl.fold (fun _ f acc -> f :: acc) t.by_id []
-
 let size t = Hashtbl.length t.by_id

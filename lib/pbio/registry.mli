@@ -28,6 +28,4 @@ val find : t -> int -> fmt option
 (** All registered formats whose base record has the given name. *)
 val find_by_name : t -> string -> fmt list
 
-val find_structural : t -> Meta.format_meta -> fmt option
-val all : t -> fmt list
 val size : t -> int

@@ -61,27 +61,3 @@ and wire_payload (r : Ptype.record) (v : Value.t) : int =
     (fun acc (f : Ptype.field) -> acc + wire_payload_type f.ftype (Value.get_field v f.fname))
     0 r.fields
 
-(* Static lower bound on the wire-payload size of any value of a format,
-   without a value in hand: strings contribute their 4-byte length prefix,
-   variable arrays nothing.  The [exact] flag reports whether the bound is
-   in fact the exact size for every conforming value (no strings, no
-   variable arrays anywhere).  Used by the compiled encoder to pre-size its
-   scratch buffer. *)
-let rec static_bound_type (ty : Ptype.t) : int * bool =
-  match ty with
-  | Ptype.Basic (Int | Uint | Enum _) -> (4, true)
-  | Basic Float -> (8, true)
-  | Basic (Char | Bool) -> (1, true)
-  | Basic String -> (4, false)
-  | Record r -> static_wire_bound r
-  | Array { elem; size = Fixed k } ->
-    let m, e = static_bound_type elem in
-    (max k 0 * m, e)
-  | Array { size = Length_field _; _ } -> (0, false)
-
-and static_wire_bound (r : Ptype.record) : int * bool =
-  List.fold_left
-    (fun (acc, exact) (f : Ptype.field) ->
-       let m, e = static_bound_type f.ftype in
-       (acc + m, exact && e))
-    (0, true) r.fields

@@ -12,23 +12,3 @@ val unencoded_type : Ptype.t -> Value.t -> int
 (** Exact wire-payload size, without encoding; agrees with {!Wire.encode}
     (property-tested). *)
 val wire_payload : Ptype.record -> Value.t -> int
-
-val wire_payload_type : Ptype.t -> Value.t -> int
-
-(** [static_wire_bound fmt] is a lower bound on the wire-payload size of
-    any value conforming to [fmt], computed from the format alone: strings
-    contribute their 4-byte length prefix, variable arrays nothing.  The
-    boolean is [true] when the bound is exact for every conforming value
-    (no strings or variable arrays anywhere in the format).  Used by the
-    compiled encoder to pre-size its scratch buffer. *)
-val static_wire_bound : Ptype.record -> int * bool
-
-val static_bound_type : Ptype.t -> int * bool
-
-(** {1 Modelled C sizes} *)
-
-val c_int : int
-val c_float : int
-val c_char : int
-val c_bool : int
-val c_enum : int

@@ -44,8 +44,6 @@ val record : (string * t) list -> t
     becomes the growth model. *)
 val array_of_list : t list -> t
 
-val empty_array : ?model:t -> unit -> t
-
 (** {1 Scalar accessors}
 
     C-style coercions: integers, unsigneds, enums, chars and booleans

@@ -30,16 +30,12 @@ exception Encode_error = Codec.Encode_error
 exception Decode_error = Codec.Decode_error
 
 let header_size = Codec.header_size
-let magic = Codec.magic
-let wire_version = Codec.wire_version
 
 type header = Codec.header = {
   endian : endian;
   format_id : int;
   payload_len : int;
 }
-
-let min_wire_size = Codec.min_wire_size
 
 (* --- encoding ------------------------------------------------------------- *)
 

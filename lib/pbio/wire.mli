@@ -34,9 +34,6 @@ exception Decode_error of string
 (** Header size in bytes (16 — the paper reports PBIO adds <30 bytes). *)
 val header_size : int
 
-val magic : string
-val wire_version : int
-
 type header = Codec.header = {
   endian : endian;
   format_id : int;
@@ -81,10 +78,6 @@ val decode : ?ctx:Ctx.t -> Ptype.record -> string -> (Value.t, Err.t) result
 (** Decode a bare payload (no header) in the given byte order. *)
 val decode_payload :
   ?ctx:Ctx.t -> ?endian:endian -> Ptype.record -> string -> (Value.t, Err.t) result
-
-(** Minimum wire footprint of one value of a type, used to validate length
-    fields. *)
-val min_wire_size : Ptype.t -> int
 
 (** [metered ~ctx f x message] is [f x message] on a complete wire
     message, recorded into [ctx] as {!decode} records it ([wire.decodes], [wire.bytes_in],

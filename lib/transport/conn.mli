@@ -40,12 +40,6 @@ type backoff = {
   max_attempts : int;
 }
 
-(** 5 ms, doubling, capped at 250 ms, 12 attempts. *)
-val default_retransmit : backoff
-
-(** 10 ms, doubling, capped at 500 ms, 8 requests. *)
-val default_meta_retry : backoff
-
 type stats = {
   mutable records_sent : int;
   mutable records_delivered : int;  (** handed to the message handler *)
@@ -99,9 +93,6 @@ val set_wire_handler : endpoint -> wire_handler -> unit
     acks): the peer is presumed dead.  A later fresh send to that peer
     gives it another chance. *)
 val set_on_peer_failure : endpoint -> (Contact.t -> unit) -> unit
-
-(** Register a format for sending; idempotent. *)
-val register : endpoint -> Meta.format_meta -> Registry.fmt
 
 (** Send one record, pushing the format meta-data first if this peer has
     not seen it. *)

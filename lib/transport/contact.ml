@@ -10,13 +10,6 @@ let make host port = { host; port }
 
 let equal a b = a.host = b.host && a.port = b.port
 
-let compare a b =
-  match String.compare a.host b.host with
-  | 0 -> Int.compare a.port b.port
-  | c -> c
-
-let hash t = Hashtbl.hash (t.host, t.port)
-
 let pp ppf t = Fmt.pf ppf "%s:%d" t.host t.port
 
 let to_string t = Fmt.str "%a" pp t

@@ -8,8 +8,6 @@ type t = {
 
 val make : string -> int -> t
 val equal : t -> t -> bool
-val compare : t -> t -> int
-val hash : t -> int
 val pp : Format.formatter -> t -> unit
 val to_string : t -> string
 

@@ -111,6 +111,14 @@ let rec encode (f : frame) : string =
   Buffer.add_string buf body;
   Buffer.contents buf
 
+(* The kind byte of the frame enveloped at [off] of [body], or ['\x00'],
+   no frame's kind, when no whole frame header is there to read it from;
+   the byte alone decides the inner frame's constructor.  Envelopes check
+   it before decoding the inner frame, so legal nesting recurses at most
+   three levels and a hostile stack of envelopes fails at its second
+   level instead of recursing through, and copying, every level. *)
+let inner_kind body off = if String.length body - off >= 9 then body.[off] else '\x00'
+
 let rec decode_exn (s : string) : frame =
   if String.length s < 9 then frame_error "short frame (%d bytes)" (String.length s);
   let id_field = Int32.to_int (String.get_int32_le s 1) in
@@ -128,18 +136,19 @@ let rec decode_exn (s : string) : frame =
     Ack { seq = id_field }
   | '\x05' ->
     if id_field < 0 then frame_error "negative sequence number %d" id_field;
-    (match decode_exn body with
-     | Ack _ | Reliable _ -> frame_error "nested reliable envelope"
-     | inner -> Reliable { seq = id_field; frame = inner })
+    (match inner_kind body 0 with
+     | '\x04' | '\x05' -> frame_error "nested reliable envelope"
+     | _ -> Reliable { seq = id_field; frame = decode_exn body })
   | '\x06' ->
     if len < 16 then frame_error "traced frame with a %d-byte body" len;
     let trace_id = Int64.to_int (String.get_int64_le body 0) in
     let parent_span = Int64.to_int (String.get_int64_le body 8) in
     if trace_id < 0 || parent_span < 0 then
       frame_error "negative trace context (%d, %d)" trace_id parent_span;
-    (match decode_exn (String.sub body 16 (len - 16)) with
-     | Ack _ | Reliable _ | Traced _ -> frame_error "nested traced envelope"
-     | inner -> Traced { trace_id; parent_span; frame = inner })
+    (match inner_kind body 16 with
+     | '\x04' | '\x05' | '\x06' -> frame_error "nested traced envelope"
+     | _ ->
+       Traced { trace_id; parent_span; frame = decode_exn (String.sub body 16 (len - 16)) })
   | '\x07' ->
     if len < 16 then frame_error "described frame with a %d-byte body" len;
     if id_field < 0 then frame_error "negative tenant id %d" id_field;
@@ -147,11 +156,11 @@ let rec decode_exn (s : string) : frame =
     let deadline_ns = Int64.to_int (String.get_int64_le body 8) in
     if fingerprint < 0 || deadline_ns < 0 then
       frame_error "negative description (%d, %d)" fingerprint deadline_ns;
-    (match decode_exn (String.sub body 16 (len - 16)) with
-     | Ack _ | Reliable _ | Traced _ | Described _ ->
-       frame_error "nested described envelope"
-     | inner ->
-       Described { tenant = id_field; fingerprint; deadline_ns; frame = inner })
+    (match inner_kind body 16 with
+     | '\x04' .. '\x07' -> frame_error "nested described envelope"
+     | _ ->
+       let frame = decode_exn (String.sub body 16 (len - 16)) in
+       Described { tenant = id_field; fingerprint; deadline_ns; frame })
   | c -> frame_error "unknown frame kind %C" c
 
 (* Total variant for untrusted input. *)
@@ -159,5 +168,3 @@ let decode (s : string) : (frame, Pbio.Err.t) result =
   match decode_exn s with
   | f -> Ok f
   | exception Frame_error msg -> Error (`Frame msg)
-
-let overhead = 9

@@ -60,6 +60,3 @@ val encode : frame -> string
 
 (** Total on untrusted input: malformed frames are [Error (`Frame _)]. *)
 val decode : string -> (frame, Pbio.Err.t) result
-
-(** Per-frame byte overhead. *)
-val overhead : int

@@ -38,7 +38,7 @@ let no_faults = { loss = 0.0; duplication = 0.0; reorder = 0.0; jitter_s = 0.0 }
 
 type handler = src:Contact.t -> string -> unit
 
-type node = { mutable handler : handler }
+type node = { handler : handler }
 
 type drop_reason =
   | Unknown_destination
@@ -193,18 +193,10 @@ let set_trace t f = t.trace <- f
 let trace t ev = match t.trace with Some f -> f ev | None -> ()
 
 exception Duplicate_node of Contact.t
-exception Unknown_node of Contact.t
 
 let add_node t (contact : Contact.t) (handler : handler) : unit =
   if Hashtbl.mem t.nodes contact then raise (Duplicate_node contact);
   Hashtbl.replace t.nodes contact { handler }
-
-let set_handler t contact handler =
-  match Hashtbl.find_opt t.nodes contact with
-  | Some n -> n.handler <- handler
-  | None -> raise (Unknown_node contact)
-
-let remove_node t contact = Hashtbl.remove t.nodes contact
 
 let set_link t ~src ~dst (state : link_state) =
   match state with

@@ -23,9 +23,6 @@ type config = {
   bandwidth_bytes_per_s : float;
 }
 
-(** 100 us latency, ~1 Gbit/s — the sort of LAN the paper's testbed used. *)
-val default_config : config
-
 (** Per-link fault profile.  Probabilities are per frame; [jitter_s] adds a
     uniform extra delay in [0, jitter_s]; a reordered frame escapes the
     link's FIFO ordering and lingers so later frames overtake it. *)
@@ -87,7 +84,6 @@ type trace_event =
 type t
 
 exception Duplicate_node of Contact.t
-exception Unknown_node of Contact.t
 
 (** [seed] drives the fault model's RNG; runs with equal seeds and equal
     fault profiles replay identically.  [metrics] mirrors {!stats} into an
@@ -100,8 +96,6 @@ val create : ?config:config -> ?seed:int -> ?metrics:Obs.t -> unit -> t
 val now : t -> float
 val stats : t -> stats
 val add_node : t -> Contact.t -> handler -> unit
-val set_handler : t -> Contact.t -> handler -> unit
-val remove_node : t -> Contact.t -> unit
 val set_link : t -> src:Contact.t -> dst:Contact.t -> link_state -> unit
 
 (** Fault injection: when set, every delivered payload passes through the
@@ -120,8 +114,6 @@ val set_link_capacity : t -> int option -> unit
 
 (** Observe every send, delivery, duplication, drop and timer firing. *)
 val set_trace : t -> (trace_event -> unit) option -> unit
-
-val link_up : t -> src:Contact.t -> dst:Contact.t -> bool
 
 (** Sever every link between the two groups during [start, stop) of
     simulated time (both directions).  Whether a frame crosses is decided
@@ -150,10 +142,6 @@ val send_arrival :
     the event queue with frames, so {!step}, {!run} and {!advance} drive
     them. *)
 val after : t -> float -> (unit -> unit) -> unit
-
-(** Deliver the next pending message or fire the next timer; [false] when
-    the queue is empty. *)
-val step : t -> bool
 
 type run_result = {
   steps : int;

@@ -14,8 +14,6 @@ exception Xml_decode_error of string
     measured by Figure 8). *)
 val encode : Ptype.record -> Value.t -> string
 
-val encode_into : Buffer.t -> Ptype.record -> Value.t -> unit
-
 (** Tree form, for the XSLT engine. *)
 val to_xml : Ptype.record -> Value.t -> Xml.t
 
@@ -28,6 +26,3 @@ val of_xml : Ptype.record -> Xml.t -> Value.t
 (** [decode fmt text] = parse, then {!of_xml}.  Failures — malformed XML or
     content that does not fit the format — are [Error (`Decode _)]. *)
 val decode : Ptype.record -> string -> (Value.t, Err.t) result
-
-(** Raw (unescaped) text for a basic value. *)
-val basic_to_string : Value.t -> string

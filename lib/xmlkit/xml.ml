@@ -32,9 +32,6 @@ let child_elements node =
 let find_child (e : element) tag =
   List.find_opt (fun (c : element) -> c.tag = tag) (child_elements (Element e))
 
-let find_children (e : element) tag =
-  List.filter (fun (c : element) -> c.tag = tag) (child_elements (Element e))
-
 (* The concatenated character data of a node, as XPath's string() does. *)
 let rec text_content = function
   | Text s -> s
@@ -59,8 +56,3 @@ let rec equal a b =
         let c1 = strip e1.children and c2 = strip e2.children in
         List.length c1 = List.length c2 && List.for_all2 equal c1 c2)
   | (Text _ | Element _), _ -> false
-
-(* Total number of nodes: a cheap proxy for document complexity in tests. *)
-let rec size = function
-  | Text _ -> 1
-  | Element e -> 1 + List.fold_left (fun acc c -> acc + size c) 0 e.children

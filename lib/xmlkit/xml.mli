@@ -21,7 +21,6 @@ val attr : element -> string -> string option
 val children : t -> t list
 val child_elements : t -> element list
 val find_child : element -> string -> element option
-val find_children : element -> string -> element list
 
 (** The concatenated character data of a node, as XPath's [string()]. *)
 val text_content : t -> string
@@ -31,6 +30,3 @@ val is_blank : string -> bool
 (** Structural equality ignoring pure-whitespace text nodes and attribute
     order. *)
 val equal : t -> t -> bool
-
-(** Total number of nodes. *)
-val size : t -> int

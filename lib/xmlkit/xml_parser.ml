@@ -236,8 +236,3 @@ let parse (src : string) : (Xml.t, string) result =
       error st.pos "trailing content after root element";
     Ok root
   with Error (msg, pos) -> Result.Error (Fmt.str "XML error at offset %d: %s" pos msg)
-
-let parse_exn src =
-  match parse src with
-  | Ok doc -> doc
-  | Error msg -> invalid_arg msg

@@ -6,6 +6,3 @@
 exception Error of string * int  (** message, byte offset *)
 
 val parse : string -> (Xml.t, string) result
-
-(** Raises [Invalid_argument] on malformed input. *)
-val parse_exn : string -> Xml.t

@@ -14,14 +14,6 @@ let escape_into buf s =
        | c -> Buffer.add_char buf c)
     s
 
-let escape s =
-  if String.exists (fun c -> c = '<' || c = '>' || c = '&' || c = '"' || c = '\'') s then begin
-    let buf = Buffer.create (String.length s + 8) in
-    escape_into buf s;
-    Buffer.contents buf
-  end
-  else s
-
 let add_attrs buf attrs =
   List.iter
     (fun (k, v) ->
@@ -52,8 +44,6 @@ let to_string (node : Xml.t) : string =
   let buf = Buffer.create 1024 in
   add_node buf node;
   Buffer.contents buf
-
-let to_buffer = add_node
 
 let rec add_indented buf depth (node : Xml.t) =
   let pad () = for _ = 1 to depth * 2 do Buffer.add_char buf ' ' done in

@@ -1,15 +1,9 @@
 (** XML serialisation. *)
 
-(** Escape the five XML-special characters for use in character data or
-    attribute values. *)
-val escape : string -> string
-
 val escape_into : Buffer.t -> string -> unit
 
 (** Compact single-line form — the wire form the benchmarks measure. *)
 val to_string : Xml.t -> string
-
-val to_buffer : Buffer.t -> Xml.t -> unit
 
 (** Human-readable, indented form. *)
 val to_string_indented : Xml.t -> string

@@ -23,11 +23,6 @@ type pattern = {
   tests : ptest list;  (** outermost first *)
 }
 
-val parse_pattern : string -> pattern
-
-(** Default priority: more specific patterns win, XSLT-style. *)
-val priority : pattern -> float
-
 type template = {
   pattern : pattern;
   prio : float;
@@ -37,12 +32,7 @@ type template = {
 
 type t
 
-val of_xml : Xml.t -> t
 val of_string : string -> t
-
-(** Does [pattern] match a node with the given tag ([None] for text) under
-    the given ancestor tags (nearest first)? *)
-val matches : pattern -> tag:string option -> ancestors:string list -> bool
 
 (** Best template for a node (templates are pre-sorted best-first). *)
 val find : t -> tag:string option -> ancestors:string list -> template option

@@ -327,15 +327,9 @@ type ctx = {
   vars : (string * string) list; (* xsl:variable bindings, innermost first *)
 }
 
-let node ?(ancestors = []) n = Node (n, ancestors)
-
 let string_of_item = function
   | Node (n, _) -> Xml.text_content n
   | Attr_item (_, v) -> v
-
-let item_ancestors = function
-  | Node (_, ancs) -> ancs
-  | Attr_item _ -> []
 
 (* Ancestor chain for the children of node [n] whose own chain is [ancs].
    The synthetic document node does not appear in ancestor chains. *)

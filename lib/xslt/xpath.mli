@@ -68,10 +68,6 @@ type ctx = {
   vars : (string * string) list;  (** variable bindings, innermost first *)
 }
 
-val node : ?ancestors:string list -> Xml.t -> item
-val string_of_item : item -> string
-val item_ancestors : item -> string list
-
 (** Evaluate a location path against a context. *)
 val select : ctx -> path -> item list
 

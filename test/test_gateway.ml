@@ -510,6 +510,27 @@ let test_gateway_shape_engines () =
   Alcotest.(check string) "staged bytes = interpretive reference" want
     (Codec.Interp.encode_payload ~endian:Codec.Little Helpers.response_v1 d.G.value)
 
+(* A receiver and the gateway decide paths by their own rules, but the
+   plan picks the engine, so both run one shape at the same one. *)
+let test_receiver_and_gateway_agree_on_engine () =
+  let a = Ptype_dsl.format_of_string_exn "format R { int x; string s; }" in
+  let b = Ptype_dsl.format_of_string_exn "format R { string s; int x; }" in
+  let rv = Value.record [ ("s", Value.String "q"); ("x", Value.Int 1) ] in
+  List.iter
+    (fun (name, meta, target, value, want) ->
+       let r = Morph.Receiver.create () in
+       Morph.Receiver.register r target ignore;
+       (match Morph.Receiver.plan r meta with
+        | Ok p -> Alcotest.check rung_t (name ^ ": receiver") want (Morph.Plan.kind p)
+        | Error e -> Alcotest.failf "%s: %s" name e);
+       let message = Wire.encode ~format_id:1 meta.Meta.body value in
+       Alcotest.check rung_t (name ^ ": gateway") want (shape_run ~target meta message).G.rung)
+    [ ("exact match", Meta.plain b, b, rv, G.Fused);
+      ("reordered match", Meta.plain a, b,
+       Value.record [ ("x", Value.Int 1); ("s", Value.String "q") ], G.Fused);
+      ("Fig. 5 loop chain", Helpers.response_v2_meta, Helpers.response_v1,
+       Helpers.sample_v2 3, G.Staged) ]
+
 let test_gateway_push_storm_compiles_once () =
   let net = mk_net () in
   let pops = [| pop_of_seed 42; pop_of_seed 7 |] in
@@ -906,4 +927,6 @@ let suite =
       test_gateway_observed_case;
     Alcotest.test_case "gateway: a traced delivery promotes nothing" `Quick
       test_gateway_traced_delivery;
+    Alcotest.test_case "gateway: a receiver runs each shape at the same engine" `Quick
+      test_receiver_and_gateway_agree_on_engine;
   ]

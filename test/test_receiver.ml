@@ -248,8 +248,8 @@ let test_explain () =
   let rb, _ = make_receiver b in
   Alcotest.(check string) "a structural conversion fuses"
     "deliver to R via reordered [fused]" (Receiver.explain rb (Meta.plain a));
-  Alcotest.(check string) "an exact match decodes staged"
-    "deliver to R via exact [staged, 0 hops]" (Receiver.explain rb (Meta.plain b));
+  Alcotest.(check string) "an exact match fuses"
+    "deliver to R via exact [fused]" (Receiver.explain rb (Meta.plain b));
   let chain =
     let v2 = fmt "format R { string s; int x; int y; }" in
     let v3 = fmt "format R { string s; int x; int y; int z; }" in
@@ -478,9 +478,22 @@ let test_quarantine_after_repeated_failures () =
   let s = Receiver.stats r in
   Alcotest.(check int) "failures counted" 3 s.Receiver.transform_failures;
   Alcotest.(check int) "quarantined once" 1 s.Receiver.quarantined;
-  (* from now on even good values hit the fast Reject — and no re-planning
-     happens: the poisoned pipeline stays cached *)
-  expect_reject "quarantined" (sample ~num:4 ~den:2);
+  (* from now on the open breaker turns even good values away, on the
+     value path and the wire path alike — and no re-planning happens: the
+     poisoned pipeline stays cached *)
+  let good = sample ~num:4 ~den:2 in
+  List.iter
+    (fun (path, o) ->
+       match o with
+       | Receiver.Rejected reason ->
+         Alcotest.(check string) path
+           "quarantined after 3 consecutive transformation failures" reason
+       | o -> Alcotest.failf "%s: expected rejection, got %a" path Receiver.pp_outcome o)
+    [ ("value path", Receiver.deliver r meta good);
+      ("wire path", Receiver.deliver_wire r meta (Wire.encode ~format_id:1 meta.Meta.body good)) ];
+  (match Receiver.breaker_state r meta with
+   | Some Morph.Breaker.Open -> ()
+   | _ -> Alcotest.fail "the breaker should stay open without a cooldown");
   Alcotest.(check int) "no handler deliveries" 0 (List.length !got);
   Alcotest.(check int) "planned exactly once" 1 s.Receiver.cold_paths
 
@@ -710,11 +723,11 @@ let lineage_head () =
 
 (* A receiver recording into a live registry, as every benchmark
    workload's does. *)
-let traced_receiver target =
+let traced_receiver ?(handler = ignore) target =
   let reg = Obs.create () in
   let config = Receiver.Config.v ~metrics:reg ~ctx:(Ctx.create ~metrics:reg ()) () in
   let r = Receiver.create ~config () in
-  Receiver.register r target ignore;
+  Receiver.register r target handler;
   (r, reg)
 
 let deliver_head r (head : Loadgen.Population.version) =
@@ -758,6 +771,24 @@ let test_traced_delivery_promotes_nothing () =
   in
   if per >= 1. then
     Alcotest.failf "a traced delivery promotes %.2f words to the major heap" per
+
+(* An exact match is a fused plan like any other: its wire delivery is
+   timed as [codec.fused_ns], with no staged decode and no morph. *)
+let test_exact_wire_delivery_fuses () =
+  let got = ref [] in
+  let r, reg = traced_receiver ~handler:(fun v -> got := v :: !got) Helpers.response_v2 in
+  let v = Helpers.sample_v2 2 in
+  (match
+     Receiver.deliver_wire r (Meta.plain Helpers.response_v2)
+       (Wire.encode ~format_id:1 Helpers.response_v2 v)
+   with
+   | Receiver.Delivered { via = Receiver.Exact; _ } -> ()
+   | o -> Alcotest.failf "expected an exact delivery, got %a" Receiver.pp_outcome o);
+  Alcotest.check Helpers.value "value untouched" v (List.hd !got);
+  Alcotest.(check int) "one fused delivery" 1 (Obs.Histogram.count reg "codec.fused_ns");
+  Alcotest.(check int) "no staged delivery" 0 (Obs.Histogram.count reg "codec.staged_ns");
+  Alcotest.(check int) "no staged decode" 0 (Obs.Counter.value reg "wire.decodes");
+  Alcotest.(check int) "no morph" 0 (Obs.Histogram.count reg "receiver.morph_ns")
 
 let last_span_attrs reg =
   match List.rev (Obs.Trace.spans reg) with
@@ -1136,4 +1167,6 @@ let suite =
       test_delivery_span_attrs;
     Helpers.qtest prop_deliver_total;
     Helpers.qtest prop_delivered_value_conforms;
+    Alcotest.test_case "telemetry: an exact wire delivery fuses" `Quick
+      test_exact_wire_delivery_fuses;
   ]

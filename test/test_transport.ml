@@ -228,6 +228,42 @@ let test_framing_traced () =
   | Error (`Frame _) -> ()
   | Error e -> Alcotest.failf "expected a `Frame error, got: %s" (Pbio.Err.to_string e)
 
+(* A stack of [depth] envelopes of one [kind] around a Data frame, built
+   byte by byte since [Framing.encode] refuses to nest them; [prefix] is
+   the envelope body's fixed part (16 bytes of context for Traced). *)
+let nested_envelopes ~kind ~prefix depth =
+  let leaf = Framing.encode (Framing.Data { format_id = 1; message = "x" }) in
+  let level = 9 + prefix in
+  let b = Buffer.create (String.length leaf + (depth * level)) in
+  for k = depth downto 1 do
+    Buffer.add_char b kind;
+    Buffer.add_int32_le b 0l;
+    Buffer.add_int32_le b (Int32.of_int (String.length leaf + (k * level) - 9));
+    Buffer.add_string b (String.make prefix '\x00')
+  done;
+  Buffer.add_string b leaf;
+  Buffer.contents b
+
+let test_framing_nested_envelopes () =
+  (* an envelope reads its inner frame's kind byte before decoding it, so
+     a hostile stack fails at its second level: no copy per level *)
+  List.iter
+    (fun (name, kind, prefix, depth, want) ->
+       let frame = nested_envelopes ~kind ~prefix depth in
+       let before = Gc.allocated_bytes () in
+       let got = Framing.decode frame in
+       let allocated = Gc.allocated_bytes () -. before in
+       (match got with
+        | Error (`Frame msg) -> Alcotest.(check string) name want msg
+        | Ok _ -> Alcotest.failf "%s: decoded" name
+        | Error e -> Alcotest.failf "%s: %s" name (Pbio.Err.to_string e));
+       Alcotest.(check bool)
+         (Fmt.str "%s (%d B): %.0f B allocated, under 1 MB" name (String.length frame)
+            allocated)
+         true (allocated < 1e6))
+    [ ("4,000 nested Traced", '\x06', 16, 4_000, "nested traced envelope");
+      ("11,000 nested Reliable", '\x05', 0, 11_000, "nested reliable envelope") ]
+
 (* --- connection protocol ---------------------------------------------------------- *)
 
 let fmt = Ptype_dsl.format_of_string_exn "format Ping { int seq; string tag; }"
@@ -568,4 +604,6 @@ let suite =
       `Quick test_reliable_traced_partition;
     Alcotest.test_case "conn: retransmit schedule is seed-deterministic" `Quick
       test_conn_retransmit_determinism;
+    Alcotest.test_case "framing: nested envelopes fail at the second level" `Quick
+      test_framing_nested_envelopes;
   ]
