@@ -89,10 +89,14 @@ let run_chain (hops : compiled list) : Value.t -> Value.t =
 (* --- collapse ------------------------------------------------------------- *)
 
 (* What one field of a chain format holds, as a function of the source
-   message: source field [i] through [steps], or a constant. *)
+   message: source field [i] through [steps], a constant, an array a loop
+   built from a source array, or the length field of such an array, which
+   only a length sync writes and nothing may read. *)
 type held =
   | Src of int * Codec.step list
   | Val of Value.t
+  | Each of Codec.each
+  | Count
 
 exception Fallback
 
@@ -104,11 +108,67 @@ let first_index (fields : Ptype.field array) name =
   in
   go 0
 
+(* The position of variable array [i]'s length field. *)
+let length_field (fields : Ptype.field array) i =
+  match fields.(i).Ptype.ftype with
+  | Ptype.Array { size = Length_field n; _ } -> first_index fields n
+  | Basic _ | Record _ | Array _ -> None
+
+(* Steps that keep an array length as it is: lengths are non-negative and
+   fit 32 bits. *)
+let same_count = function
+  | Codec.Coerce (_, (Coerce.To_int | To_uint)) -> true
+  | Coerce _ | Convert _ -> false
+
+let coerce_steps cs = List.map (fun (from, co) -> Codec.Coerce (from, co)) cs
+
+(* Whether [h] holds source array [i]'s length field, which precedes the
+   array, so [h] counts the array's decoded elements. *)
+let counted src_fields i (h : held) =
+  match h with
+  | Src (im, steps) ->
+    Some im = length_field src_fields i && im < i && List.for_all same_count steps
+  | Val _ | Each _ | Count -> false
+
+(* The source array a loop runs over: the loop's array must still be a
+   source array and its bound must still count that array's elements, so
+   the loop runs once per decoded element. *)
+let loop_array src_fields (input : held array) (e : Ecode.each) =
+  match input.(e.array) with
+  | Src (a, []) when counted src_fields a input.(e.count) -> a
+  | Src _ | Val _ | Each _ | Count -> raise Fallback
+
+(* A loop's element map over what its input holds: target element fields
+   start as the element default, then take the loop's element moves.  The
+   map reads source records and builds target records; a loop over an
+   array of anything else falls back. *)
+let element_map src_fields (input : held array) (elem_fmt : Ptype.t) (e : Ecode.each) fill :
+  Codec.each =
+  let array = loop_array src_fields input e in
+  match src_fields.(array).Ptype.ftype, elem_fmt with
+  | Ptype.Array { elem = Record _; _ }, Ptype.Record r ->
+    let elem =
+      Array.map (fun (en : Value.entry) -> Codec.Const en.Value.v)
+        (Value.entries (Value.default_record r))
+    in
+    List.iter
+      (fun ({ dst; rhs } : Ecode.move) ->
+         elem.(dst) <-
+           (match rhs with
+            | Ecode.Read (g, cs) -> Codec.Take (g, coerce_steps cs)
+            | Const v -> Codec.Const v
+            | Each _ -> raise Fallback))
+      fill;
+    { Codec.array; guard = Option.map (fun (p, cs) -> (p, coerce_steps cs)) e.guard; elem }
+  | _ -> raise Fallback
+
 (* One hop's stores over what its input fields hold.  Every field starts
    as the hop's output default; a later store to a field wins.  A store
    whose coercions can fail (into an enum) becomes a check, so it fails
-   the message in the same order even when no target field keeps it. *)
-let run_moves (input : held array) (out_fmt : Ptype.record) (moves : Ecode.move list) checks =
+   the message in the same order even when no target field keeps it.  A
+   built array moves whole; its count and any other use of it fall back. *)
+let run_moves src_fields (input : held array) (out_fmt : Ptype.record) (moves : Ecode.move list)
+    checks =
   let out =
     Array.map (fun (e : Value.entry) -> Val e.Value.v)
       (Value.entries (Value.default_record out_fmt))
@@ -120,6 +180,24 @@ let run_moves (input : held array) (out_fmt : Ptype.record) (moves : Ecode.move 
          | Ecode.Const v ->
            out.(dst) <- Val v;
            checks
+         | Each ({ fill = None; guard = None; _ } as e) ->
+           (* each element copied whole: the array itself, when the bound
+              counts its elements *)
+           out.(dst) <-
+             (match input.(e.array), input.(e.count) with
+              | Val (Value.Array { len; _ } as v), Val (Value.Int n | Value.Uint n) when n = len ->
+                Val v
+              | _ -> Src (loop_array src_fields input e, []));
+           checks
+         | Each ({ fill = Some fill; _ } as e) ->
+           let elem_fmt =
+             match (List.nth out_fmt.fields dst).Ptype.ftype with
+             | Ptype.Array { elem; _ } -> elem
+             | Basic _ | Record _ -> raise Fallback
+           in
+           out.(dst) <- Each (element_map src_fields input elem_fmt e fill);
+           checks
+         | Each { fill = None; guard = Some _; _ } -> raise Fallback
          | Read (g, cs) ->
            (match input.(g) with
             | Val v ->
@@ -129,11 +207,15 @@ let run_moves (input : held array) (out_fmt : Ptype.record) (moves : Ecode.move 
               out.(dst) <- Val v;
               checks
             | Src (i, steps) ->
-              let steps = steps @ List.map (fun (from, co) -> Codec.Coerce (from, co)) cs in
+              let steps = steps @ coerce_steps cs in
               out.(dst) <- Src (i, steps);
               if List.exists (function _, Coerce.To_enum _ -> true | _ -> false) cs then
                 (i, steps) :: checks
-              else checks))
+              else checks
+            | Each e when cs = [] ->
+              out.(dst) <- Each e;
+              checks
+            | Each _ | Count -> raise Fallback))
       checks moves
   in
   (out, checks)
@@ -142,10 +224,13 @@ let run_moves (input : held array) (out_fmt : Ptype.record) (moves : Ecode.move 
    the values the sync leaves them with: it runs over a stand-in whose
    other fields hold their type's default.  A variable array taken from the
    source must come with its length field, from the source array's own
-   length field, so the two still agree and the sync has nothing to do; a
-   constant array fixes its length field to a constant.  Anything else
-   falls back.  (A record or array taken whole from the source agrees with
-   its inner length fields, as the wire decoded it.) *)
+   length field, which precedes it, so the two still agree and the sync
+   has nothing to do; a constant array fixes its length field to a
+   constant.  A built array's length field becomes [Count]; one built
+   from every element of a source array keeps that array's length field
+   when it holds it.  Anything else falls back.  (A record or array taken
+   whole from the source agrees with its inner length fields, as the wire
+   decoded it.) *)
 let sync_hop (src_fields : Ptype.field array) (fmt : Ptype.record) (out : held array) =
   let fields = Array.of_list fmt.fields in
   let stand_in =
@@ -153,12 +238,17 @@ let sync_hop (src_fields : Ptype.field array) (fmt : Ptype.record) (out : held a
       (Array.mapi
          (fun j (f : Ptype.field) ->
             { Value.name = f.fname;
-              v = (match out.(j) with Val v -> Value.copy v | Src _ -> Value.default f.ftype) })
+              v =
+                (match out.(j) with
+                 | Val v -> Value.copy v
+                 | Src _ | Each _ | Count -> Value.default f.ftype) })
          fields)
   in
   Value.sync_lengths fmt stand_in;
   let es = Value.entries stand_in in
-  Array.iteri (fun j h -> match h with Val _ -> out.(j) <- Val es.(j).v | Src _ -> ()) out;
+  Array.iteri
+    (fun j h -> match h with Val _ -> out.(j) <- Val es.(j).v | Src _ | Each _ | Count -> ())
+    out;
   Array.iteri
     (fun j (f : Ptype.field) ->
        match f.ftype with
@@ -166,26 +256,17 @@ let sync_hop (src_fields : Ptype.field array) (fmt : Ptype.record) (out : held a
          let jn = match first_index fields n with Some jn -> jn | None -> raise Fallback in
          (match out.(j) with
           | Val _ -> out.(jn) <- Val es.(jn).v
-          | Src (i, []) ->
-            (match src_fields.(i).Ptype.ftype with
-             | Ptype.Array { size = Length_field m; _ } ->
-               let same_count = function
-                 | Codec.Coerce (_, (Coerce.To_int | To_uint)) -> true
-                 | Coerce _ | Convert _ -> false
-               in
-               (match out.(jn) with
-                | Src (im, steps)
-                  when Some im = first_index src_fields m && List.for_all same_count steps -> ()
-                | Src _ | Val _ -> raise Fallback)
-             | Basic _ | Record _ | Array _ -> raise Fallback)
-          | Src _ -> raise Fallback)
+          | Src (i, []) -> if not (counted src_fields i out.(jn)) then raise Fallback
+          | Each { array; guard = None; _ } when counted src_fields array out.(jn) -> ()
+          | Each _ -> out.(jn) <- Count
+          | Src _ | Count -> raise Fallback)
        | Basic _ | Record _ | Array _ -> ())
     fields
 
 (* The final structural conversion on top, by [Convert]'s rules: each
    target field from the first endpoint field of its name through
    [Convert.compile_type]; the target default for a missing name or
-   inconvertible types. *)
+   inconvertible types.  A built array or its count falls back. *)
 let convert_slots (endpoint : Ptype.record) (held : held array) (target : Ptype.record) =
   let fields = Array.of_list endpoint.fields in
   Array.of_list
@@ -204,7 +285,8 @@ let convert_slots (endpoint : Ptype.record) (held : held array) (target : Ptype.
                  | Ptype.Basic _ -> Ptype.equal_type from f.ftype
                  | Record _ | Array _ -> false
                in
-               Codec.Take (i, if identity then steps else steps @ [ Codec.Convert (from, f.ftype) ]))
+               Codec.Take (i, if identity then steps else steps @ [ Codec.Convert (from, f.ftype) ])
+             | Each _ | Count -> raise Fallback)
           | Some _ | None -> Codec.Const (Convert.field_default f ()))
        target.fields)
 
@@ -212,29 +294,40 @@ let collapse ~(source : Ptype.record) (hops : compiled list) ~(target : Ptype.re
   Codec.field_map option =
   let src_fields = Array.of_list source.fields in
   match
-    List.fold_left
-      (fun (held, checks) (h : compiled) ->
-         match h.moves with
-         | None -> raise Fallback
-         | Some moves ->
-           let out, checks = run_moves held h.spec.target moves checks in
-           sync_hop src_fields h.spec.target out;
-           (out, checks))
-      (Array.mapi (fun i _ -> Src (i, [])) src_fields, [])
-      hops
+    let held, checks =
+      List.fold_left
+        (fun (held, checks) (h : compiled) ->
+           match h.moves with
+           | None -> raise Fallback
+           | Some moves ->
+             let out, checks = run_moves src_fields held h.spec.target moves checks in
+             sync_hop src_fields h.spec.target out;
+             (out, checks))
+        (Array.mapi (fun i _ -> Src (i, [])) src_fields, [])
+        hops
+    in
+    let endpoint = List.fold_left (fun _ (h : compiled) -> h.spec.target) source hops in
+    let slots =
+      if Ptype.equal_record endpoint target then
+        Array.mapi
+          (fun j -> function
+             | Src (i, steps) -> Codec.Take (i, steps)
+             | Val v -> Codec.Const v
+             | Each e -> Codec.Each e
+             | Count ->
+               (* any value of the field's type: the plan's closing sync
+                  writes the count *)
+               Codec.Const (Value.default (List.nth target.fields j).Ptype.ftype))
+          held
+      else convert_slots endpoint held target
+    in
+    { Codec.slots; checks = List.rev checks }
   with
+  | map -> Some map
   | exception (Fallback | Value.Type_error _ | Coerce.Runtime_error _) ->
     (* a hop that fails at plan time (a constant its coercion rejects, a
        default its format cannot hold) fails every message: it runs *)
     None
-  | held, checks ->
-    let endpoint = List.fold_left (fun _ (h : compiled) -> h.spec.target) source hops in
-    let slots =
-      if Ptype.equal_record endpoint target then
-        Array.map (function Src (i, steps) -> Codec.Take (i, steps) | Val v -> Codec.Const v) held
-      else convert_slots endpoint held target
-    in
-    Some { Codec.slots; checks = List.rev checks }
 
 (* Convenience constructor for writer-side registration. *)
 let spec ?source ~(target : Ptype.record) (code : string) : spec =

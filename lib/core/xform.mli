@@ -63,9 +63,16 @@ val run_chain : compiled list -> Value.t -> Value.t
     through every coercion its hops apply, in order, then the conversion;
     or a constant, the hop's default or stored constant coerced at plan
     time.  Stores whose coercions can fail become the map's checks, in
-    the order the hops run them.  [None] (fall back to running the hops)
-    when a hop has no moves — loops, branches, calls, arithmetic, the
-    interpreted engine — when a plan-time coercion raises, or when a
+    the order the hops run them.  A Figure 5 loop ({!Ecode.compile_hop})
+    collapses when its array is still a source array whose length field
+    precedes it and its bound still holds that field: one that only
+    copies each element whole is that array, and any other becomes an
+    element map ({!Codec.each}) when the array holds records.  A later
+    hop may move a built array whole, but reading its count or looping
+    over it again falls back, as does a final conversion that takes
+    either.  [None] (fall back to running the hops)
+    when a hop has no moves — other loops, branches, calls, arithmetic,
+    the interpreted engine — when a plan-time coercion raises, or when a
     hop's length sync could change a value: a variable array must come
     with its length field from a matching source pair. *)
 val collapse :

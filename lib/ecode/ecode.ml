@@ -81,44 +81,271 @@ let compile ?ctx ~params src = Result.map snd (compile_typed ?ctx ~params src)
 type rhs =
   | Read of int * (Ptype.t * Coerce.t) list
   | Const of Value.t
+  | Each of each
 
-type move = {
+and each = {
+  array : int;
+  count : int;
+  guard : (int * (Ptype.t * Coerce.t) list) option;
+  fill : move list option;
+}
+
+and move = {
   dst : int;
   rhs : rhs;
 }
 
-(* A hop's typed body as stores, when it is nothing else: every top-level
-   statement is [old.f = e;] with [e] a read [new.g] under the checker's
-   assignment coercions only, or a constant, coerced now (a constant its
-   coercion rejects fails every message, so it is no move).  [new] and
-   [old] are parameters 0 and 1. *)
+(* What a top-level int local holds where the loop recogniser reads it: a
+   constant, the number of elements a loop appended to target field [c],
+   or nothing a recognised statement may read. *)
+type local =
+  | Known of int
+  | Count_of of int
+  | Spent
+
+exception Staged
+
+(* [e] as a read that [read] recognises, under the checker's coercions,
+   or a constant, coerced now (a constant its coercion rejects fails every
+   message, so it is no move). *)
+let rec rhs read (e : Typecheck.texpr) =
+  match read e with
+  | Some g -> Some (Read (g, []))
+  | None ->
+    (match e.n with
+     | Tconst v -> Some (Const v)
+     | Tcoerce (co, a) ->
+       (match rhs read a with
+        | Some (Read (g, cs)) -> Some (Read (g, cs @ [ (a.ty, co) ]))
+        | Some (Const v) ->
+          (match Coerce.compile ~from:a.ty co v with
+           | v -> Some (Const v)
+           | exception (Coerce.Runtime_error _ | Value.Type_error _) -> None)
+        | Some (Each _) | None -> None)
+     | _ -> None)
+
+(* [new.g]; [new] and [old] are parameters 0 and 1 *)
+let top_read (e : Typecheck.texpr) =
+  match e.n with Tfield ({ n = Tparam 0; _ }, g) -> Some g | _ -> None
+
+(* A hop's typed body as stores, when it is nothing else: top-level
+   stores [old.f = e;] with [e] a read [new.g] or a constant, int locals
+   set to constants, and Figure 5's loops [for (i = 0; i < new.N; i++)]
+   over the source's array [A].  Such a loop builds target arrays nothing
+   stored into before: [old.B[i].f = new.A[i].g;] appends one [B] element
+   per [A] element, and one guarded append per target, [if (new.A[i].p) {
+   old.C[k].f = new.A[i].g; ...; k++; }] with [k] a counter at 0, one [C]
+   element per [A] element whose [p] is non-zero.  Each becomes an element
+   map ([Each]), with no [fill] for a lone whole-element copy
+   [old.B[i] = new.A[i];] under no coercion.  After the loop, [k] may only
+   be stored into [C]'s length field, which the hop's closing sync
+   rewrites anyway.  Element stores read fields of [A]'s element under
+   coercions that cannot fail; a coercion into an enum, an [else], any
+   other statement or any other use of [i], [k] or [old] keeps the hop
+   staged.  Whether [N] is [A]'s length field and precedes it, so a
+   decoded [A] has exactly [N] elements, is [Xform.collapse]'s to check:
+   a chain may have changed either by then. *)
 let moves_of (prog : Typecheck.tprog) : move list option =
   let open Typecheck in
-  let rec rhs (e : texpr) =
+  let dst =
+    match prog.params with
+    | [ _; (_, Ptype.Record d) ] -> Array.of_list d.fields
+    | _ -> [||]
+  in
+  (* the position of target variable array [i]'s length field *)
+  let length_field i =
+    match dst.(i).Ptype.ftype with
+    | Ptype.Array { size = Length_field n; _ } ->
+      let rec go j =
+        if j >= Array.length dst then None
+        else if dst.(j).Ptype.fname = n then Some j
+        else go (j + 1)
+      in
+      go 0
+    | Basic _ | Record _ | Array _ -> None
+  in
+  let locals = Array.make prog.nlocals Spent in
+  let written = Array.make (Array.length dst) false in
+  (* [l = c;] for an int local, as a declaration initialises it *)
+  let rec constants = function
+    | TSexpr
+        { n =
+            Tassign
+              ( { base = Lbase_local l; steps = []; lty = Basic Int },
+                { n = Tconst (Value.Int c); _ } );
+          _ } ->
+      locals.(l) <- Known c;
+      true
+    | TSblock ss -> List.for_all constants ss
+    | _ -> false
+  in
+  (* [old.d = k;] where [k] counts a loop's appends to the array [d] is the
+     length field of: the hop's sync writes the same count *)
+  let count_store d (e : texpr) =
+    match e.n, dst.(d).Ptype.ftype with
+    | (Tlocal k | Tcoerce (To_uint, { n = Tlocal k; _ })), Basic (Int | Uint) ->
+      (match locals.(k) with
+       | Count_of c -> length_field c = Some d
+       | Known _ | Spent -> false)
+    | _ -> false
+  in
+  (* the int local [e] adds one to *)
+  let incremented (e : texpr) =
     match e.n with
-    | Tfield ({ n = Tparam 0; _ }, g) -> Some (Read (g, []))
-    | Tconst v -> Some (Const v)
-    | Tcoerce (co, a) ->
-      (match rhs a with
-       | Some (Read (g, cs)) -> Some (Read (g, cs @ [ (a.ty, co) ]))
-       | Some (Const v) ->
-         (match Coerce.compile ~from:a.ty co v with
-          | v -> Some (Const v)
-          | exception (Coerce.Runtime_error _ | Value.Type_error _) -> None)
-       | None -> None)
+    | Tincr { delta = 1; is_float = false; lv = { base = Lbase_local k; steps = []; _ }; _ } ->
+      Some k
+    | Tupdate
+        { lv = { base = Lbase_local k; steps = []; _ };
+          rhs = { n = Tconst (Value.Int 1); _ };
+          rslot;
+          cur;
+          value = { n = Tarith (Iadd, { n = Tlocal c; _ }, { n = Tlocal r; _ }); _ } }
+      when c = cur && r = rslot ->
+      Some k
     | _ -> None
+  in
+  let loop init cond step body =
+    let i, count =
+      match init, cond, step with
+      | Some
+          (TSexpr
+             { n =
+                 Tassign
+                   ( { base = Lbase_local i; steps = []; lty = Basic Int },
+                     { n = Tconst (Value.Int 0); _ } );
+               _ }),
+        Some { n = Tcmp (Clt, Kint, { n = Tlocal j; _ }, bound); _ },
+        Some step
+        when j = i && incremented step = Some i ->
+        (match bound with
+         | { n = Tfield ({ n = Tparam 0; _ }, n); ty = Basic Int }
+         | { n = Tcoerce (To_int, { n = Tfield ({ n = Tparam 0; _ }, n); ty = Basic Uint }); _ } ->
+           (i, n)
+         | _ -> raise Staged)
+      | _ -> raise Staged
+    in
+    (* [new.A[i]], noting [A] among the source arrays the body reads *)
+    let arrays = ref [] in
+    let elem (e : texpr) =
+      match e.n with
+      | Tindex ({ n = Tfield ({ n = Tparam 0; _ }, a); _ }, { n = Tlocal j; _ }) when j = i ->
+        arrays := a :: !arrays;
+        true
+      | _ -> false
+    in
+    let elem_read (e : texpr) =
+      match e.n with Tfield (x, g) when elem x -> Some g | _ -> None
+    in
+    let no_enum = List.for_all (function _, Coerce.To_enum _ -> false | _ -> true) in
+    (* one store [old.t[x].f = e;] or [old.t[x] = e;]: the target array and
+       what the store fills, [`Whole] a bare copy of the element *)
+    let store x (s : tstmt) =
+      match s with
+      | TSexpr
+          { n =
+              Tassign
+                ( { base = Lbase_param 1;
+                    steps = Sfield t :: Sindex ({ n = Tlocal y; _ }, ety) :: rest;
+                    _ },
+                  e );
+            _ }
+        when y = x ->
+        (match rest with
+         | [] when elem e -> (t, `Whole ety)
+         | [ Sfield f ] ->
+           (match rhs elem_read e with
+            | Some (Read (_, cs) as rhs) when no_enum cs -> (t, `Move { dst = f; rhs })
+            | Some (Const _ as rhs) -> (t, `Move { dst = f; rhs })
+            | Some (Read _ | Each _) | None -> raise Staged)
+         | _ -> raise Staged)
+      | _ -> raise Staged
+    in
+    (* a target's stores as element moves; a bare copy of a record element
+       moves every field *)
+    let fill stores =
+      List.concat_map
+        (function
+          | `Move m -> [ m ]
+          | `Whole (Ptype.Record r) ->
+            List.mapi (fun f _ -> { dst = f; rhs = Read (f, []) }) r.Ptype.fields
+          | `Whole (Ptype.Basic _ | Array _) -> raise Staged)
+        stores
+    in
+    (* [if (guard) { stores; k++; }]: the target, [k], the guard and the
+       stores *)
+    let append g ss =
+      let guard =
+        match rhs elem_read g with
+        | Some (Read (p, cs)) when no_enum cs -> (p, cs)
+        | Some (Read _ | Const _ | Each _) | None -> raise Staged
+      in
+      match List.rev ss with
+      | TSexpr incr :: (_ :: _ as rev_stores) ->
+        let k = match incremented incr with Some k when k <> i -> k | _ -> raise Staged in
+        let block = List.map (store k) (List.rev rev_stores) in
+        let c = fst (List.hd block) in
+        if List.exists (fun (t, _) -> t <> c) block then raise Staged;
+        (c, k, guard, List.map snd block)
+      | _ -> raise Staged
+    in
+    let body = match body with TSblock ss -> ss | s -> [ s ] in
+    let stores, guarded =
+      List.fold_left
+        (fun (stores, guarded) -> function
+           | TSnop -> (stores, guarded)
+           | TSif (g, TSblock ss, None) -> (stores, append g ss :: guarded)
+           | s -> (store i s :: stores, guarded))
+        ([], []) body
+    in
+    let stores = List.rev stores and guarded = List.rev guarded in
+    (* the unguarded stores by target *)
+    let plain =
+      List.map
+        (fun t -> (t, List.filter_map (fun (u, st) -> if u = t then Some st else None) stores))
+        (List.sort_uniq compare (List.map fst stores))
+    in
+    let a = match List.sort_uniq compare !arrays with [ a ] -> a | _ -> raise Staged in
+    let targets = List.map fst plain @ List.map (fun (c, _, _, _) -> c) guarded in
+    let counters = List.map (fun (_, k, _, _) -> k) guarded in
+    let distinct l = List.length (List.sort_uniq compare l) = List.length l in
+    if not (distinct targets && distinct counters) then raise Staged;
+    List.iter
+      (fun t ->
+         if written.(t) || length_field t = None then raise Staged;
+         written.(t) <- true)
+      targets;
+    List.iter (fun k -> if locals.(k) <> Known 0 then raise Staged) counters;
+    locals.(i) <- Spent;
+    List.iter (fun (c, k, _, _) -> locals.(k) <- Count_of c) guarded;
+    let each ?guard fill = Each { array = a; count; guard; fill } in
+    List.map
+      (fun (t, stores) ->
+         match stores with
+         | [ `Whole _ ] -> { dst = t; rhs = each None }
+         | _ -> { dst = t; rhs = each (Some (fill stores)) })
+      plain
+    @ List.map
+        (fun (c, _, guard, stores) -> { dst = c; rhs = each ~guard (Some (fill stores)) })
+        guarded
   in
   let rec go acc = function
-    | [] -> Some (List.rev acc)
+    | [] -> List.rev acc
     | TSnop :: rest -> go acc rest
-    | TSexpr { n = Tassign ({ base = Lbase_param 1; steps = [ Sfield dst ]; _ }, e); _ }
-      :: rest ->
-      (match rhs e with
-       | Some rhs -> go ({ dst; rhs } :: acc) rest
-       | None -> None)
-    | _ -> None
+    | TSexpr { n = Tassign ({ base = Lbase_param 1; steps = [ Sfield d ]; _ }, e); _ } :: rest ->
+      (match rhs top_read e with
+       | Some rhs ->
+         written.(d) <- true;
+         go ({ dst = d; rhs } :: acc) rest
+       | None when count_store d e -> go acc rest
+       | None -> raise Staged)
+    | TSfor (init, cond, step, body) :: rest ->
+      go (List.rev_append (loop init cond step body) acc) rest
+    | s :: rest when constants s -> go acc rest
+    | _ -> raise Staged
   in
-  go [] prog.body
+  match go [] prog.body with
+  | moves -> Some moves
+  | exception Staged -> None
 
 (* The paper's transformation shape: convert a [src]-format message into a
    fresh [dst]-format message.  Inside the snippet, [new] is the incoming

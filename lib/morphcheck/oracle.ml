@@ -342,18 +342,27 @@ let same fmt a b =
    differs from the target's default; and when the head has an enum field,
    half the cases add a newest version that widens it to int, whose
    rollback coerces back into the enum and fails on values no case
-   carries — also when a later hop drops the field.  The receiver's wire
+   carries — also when a later hop drops the field.  In half the cases
+   every hop copies its variable arrays with element-copy loops instead of
+   whole-array moves.  A third of all cases are Figure 5's shape instead:
+   a random element record with guard fields, rolled back by one loop
+   into a projected copy of its list and one or two filtered lists,
+   sometimes followed by a hop of moves.  The receiver's wire
    delivery of the head message, a decode followed by the compiled
    hop-by-hop chain, and the interpretive reference must give equal
-   values, or all fail.  Corrupted messages (a flipped byte, a truncated
-   payload, 1-4 bytes appended, each under a header that still fits) must
-   land in the same outcome class at the receiver as under reference
-   decode plus interpreted morph.  The interpreter does not check enum
-   coercions (the engines oracle leaves them out for that reason), so a
-   widened case takes the compiled hop-by-hop chain as its reference
-   morph instead.  [collapsed] counts the cases whose plan collapsed; a
-   campaign with none fails. *)
+   values, or all fail, and the delivered value must share no record,
+   entry or array between two places.  Corrupted messages (a flipped
+   byte, a truncated payload, 1-4 bytes appended, each under a header
+   that still fits) must land in the same outcome class at the receiver
+   as under reference decode plus interpreted morph.  The interpreter
+   checks no enum coercion and tests a float condition without
+   truncating it (the engines oracle leaves both out), so a widened case
+   or a float guard takes the compiled hop-by-hop chain as its reference
+   morph instead.  [collapsed] counts the cases whose plan collapsed,
+   [looped] those of them whose hops run loops; a campaign with none of
+   either fails. *)
 let collapsed = Atomic.make 0
+let looped = Atomic.make 0
 
 (* Version [k]'s declared defaults: distinct per version, of every
    top-level int, unsigned, float, bool and char field. *)
@@ -431,17 +440,213 @@ let wire_mutants msg st =
 let starts_with prefix s =
   String.length s >= String.length prefix && String.sub s 0 (String.length prefix) = prefix
 
+(* [s]'s rollback with each whole-array move of a variable array whose
+   length field precedes it written as an element-copy loop; [None] when
+   it moves no such array. *)
+let with_loops (s : Evolve.step) : Evolve.step option =
+  let renames = match s.op with Evolve.Rename { field; to_ } -> [ (field, to_) ] | _ -> [] in
+  let after = Array.of_list s.after.Ptype.fields in
+  let index name =
+    let rec go k =
+      if k >= Array.length after then None
+      else if after.(k).Ptype.fname = name then Some k
+      else go (k + 1)
+    in
+    go 0
+  in
+  let loops = ref false in
+  let lines =
+    List.filter_map
+      (fun (f : Ptype.field) ->
+         let src = Option.value (List.assoc_opt f.fname renames) ~default:f.fname in
+         Option.map
+           (fun k ->
+              match f.ftype, after.(k).Ptype.ftype with
+              | Ptype.Array { size = Length_field _; _ }, Ptype.Array { size = Length_field n; _ }
+                when Option.fold ~none:false ~some:(fun kn -> kn < k) (index n) ->
+                loops := true;
+                Printf.sprintf "for (i = 0; i < new.%s; i++) old.%s[i] = new.%s[i];" n f.fname src
+              | _ -> Printf.sprintf "old.%s = new.%s;" f.fname src)
+           (index src))
+      s.before.Ptype.fields
+  in
+  if !loops then Some { s with code = String.concat "\n" ("int i;" :: lines) } else None
+
+(* Figure 5's shape over a random element record [E] with one or two
+   guard fields: [Resp { tag; n; E list[n]; tail }] rolls back into a
+   projected copy of the list and one or two lists filtered by random
+   guards, each element a random subset of [E]'s field groups (basic
+   integers sometimes widened to float, sometimes plus a field no store
+   writes) or the whole element; sometimes a hop of moves follows.  The
+   chain, the head value with small guard values, the receiver's target,
+   and whether a guard is a float. *)
+let fig5_chain st =
+  let field = Ptype.field and var n r = Ptype.array_var n (Ptype.Record r) in
+  let sprintf = Printf.sprintf in
+  let base = Gen.record_sized 1 (Rgen.int_range 1 3 st) st in
+  let guards =
+    List.init (Rgen.int_range 1 2 st) (fun k ->
+        let ty = Rgen.oneofl [ Ptype.Int; Uint; Char; Bool; Float ] st in
+        field (sprintf "p%d" k) (Ptype.Basic ty))
+  in
+  let groups = Rgen.shuffle (Evolve.groups base @ List.map (fun g -> [ g ]) guards) st in
+  let elem = { Ptype.rname = "E"; fields = Evolve.ungroup groups } in
+  let project name =
+    if Rgen.int_range 0 3 st = 0 then (`Whole, elem)
+    else
+      let all = Evolve.groups elem in
+      let gs =
+        match List.filter (fun _ -> Rgen.bool st) all with [] -> [ Rgen.oneofl all st ] | gs -> gs
+      in
+      let widen (f : Ptype.field) =
+        match f.ftype with
+        | Ptype.Basic (Int | Uint | Char | Bool) when Rgen.int_range 0 3 st = 0 ->
+          { f with ftype = Ptype.float_ }
+        | _ -> f
+      in
+      let fields = List.concat_map (function [ f ] -> [ widen f ] | g -> g) gs in
+      let extra = if Rgen.bool st then [ field ~default:(Ptype.Cint 77) "x" Ptype.int_ ] else [] in
+      (`Fields, { Ptype.rname = name; fields = fields @ extra })
+  in
+  let all = project "P" in
+  (* (count, list, guard, projection) *)
+  let lists =
+    List.init (Rgen.int_range 1 2 st) (fun j ->
+        let g = Rgen.oneofl guards st in
+        let proj = project (sprintf "F%d" (j + 1)) in
+        (sprintf "c%d" (j + 1), sprintf "l%d" (j + 1), g.Ptype.fname, proj))
+  in
+  let src =
+    Ptype.record "Resp"
+      [ field "tag" Ptype.string_; field "n" Ptype.int_; field "list" (var "n" elem);
+        field "tail" Ptype.int_ ]
+  in
+  let resp lists =
+    Ptype.record "Resp"
+      ([ field "tag" Ptype.string_; field "n" Ptype.int_; field "all" (var "n" (snd all)) ]
+       @ List.concat_map (fun (c, l, _, (_, r)) -> [ field c Ptype.int_; field l (var c r) ]) lists)
+  in
+  let t = resp lists in
+  let incr k = Rgen.oneofl [ k ^ "++"; "++" ^ k; k ^ " += 1" ] st in
+  let stores list idx (kind, (r : Ptype.record)) =
+    match kind with
+    | `Whole -> [ sprintf "old.%s[%s] = new.list[i];" list idx ]
+    | `Fields ->
+      List.filter_map
+        (fun (f : Ptype.field) ->
+           if f.fname = "x" then None
+           else Some (sprintf "old.%s[%s].%s = new.list[i].%s;" list idx f.fname f.fname))
+        r.fields
+  in
+  let body =
+    Rgen.shuffle
+      (stores "all" "i" all
+       @ List.map
+           (fun (c, l, g, proj) ->
+              let k = "k" ^ String.sub c 1 1 in
+              let block = String.concat " " (stores l k proj) in
+              sprintf "if (new.list[i].%s) { %s %s; }" g block (incr k))
+           lists)
+      st
+  in
+  let count_n = if Rgen.bool st then [ "old.n = new.n;" ] else [] in
+  let loop = sprintf "for (i = 0; i < new.n; %s) {" (incr "i") in
+  let counts =
+    List.filter_map
+      (fun (c, _, _, _) ->
+         if Rgen.int_range 0 3 st = 0 then None
+         else Some (sprintf "old.%s = k%s;" c (String.sub c 1 1)))
+      lists
+  in
+  let code =
+    String.concat "\n"
+      (("int i, k1 = 0, k2 = 0;" :: "old.tag = new.tag;" :: count_n)
+       @ (loop :: body) @ ("}" :: counts))
+  in
+  let hop1 = { Evolve.before = t; after = src; op = Evolve.Reorder; code } in
+  let steps =
+    if Rgen.bool st then [ hop1 ]
+    else
+      (* moves into [t] less some filtered lists; moving a count reads what
+         the loop built, which keeps the chain staged *)
+      let kept = List.filter (fun _ -> Rgen.int_range 0 2 st > 0) lists in
+      let moves =
+        [ "old.tag = new.tag;"; "old.n = new.n;"; "old.all = new.all;" ]
+        @ List.concat_map
+            (fun (c, l, _, _) ->
+               (if Rgen.bool st then [ sprintf "old.%s = new.%s;" c c ] else [])
+               @ [ sprintf "old.%s = new.%s;" l l ])
+            kept
+      in
+      [ { Evolve.before = resp kept; after = t; op = Evolve.Reorder;
+          code = String.concat "\n" moves };
+        hop1 ]
+  in
+  let c = { Evolve.base = (List.hd steps).Evolve.before; steps } in
+  let v = Gen.value_for src st in
+  let small (f : Ptype.field) =
+    match f.ftype with
+    | Ptype.Basic Int -> Value.Int (Rgen.oneofl [ 0; 1; 2; -1 ] st)
+    | Basic Uint -> Value.Uint (Rgen.oneofl [ 0; 1; 2 ] st)
+    | Basic Char -> Value.Char (Rgen.oneofl [ '\000'; 'a' ] st)
+    | Basic Bool -> Value.Bool (Rgen.bool st)
+    | Basic Float -> Value.Float (Rgen.oneofl [ 0.; 0.5; -0.5; 1.5; 2. ] st)
+    | Basic (String | Enum _) | Record _ | Array _ -> Value.Int 0
+  in
+  let list = Value.get_field v "list" in
+  for e = 0 to Value.array_len list - 1 do
+    List.iter
+      (fun (g : Ptype.field) -> Value.set_field (Value.array_get list e) g.fname (small g))
+      guards
+  done;
+  let float_guard =
+    List.exists (fun (g : Ptype.field) -> Ptype.equal_type g.ftype Ptype.float_) guards
+  in
+  let target = if Rgen.int_range 0 3 st = 0 then structural_variant c.base st else c.base in
+  (c, v, target, float_guard)
+
+(* Where two places of a value share a mutable record, entry or array. *)
+let shared (v : Value.t) : bool =
+  let records = ref [] and entries = ref [] and arrays = ref [] in
+  let seen l x = List.memq x !l || (l := x :: !l; false) in
+  let rec go = function
+    | Value.Record es ->
+      seen records es
+      || Array.exists (fun (e : Value.entry) -> seen entries e || go e.v) es
+    | Array d ->
+      seen arrays d
+      || (let rec items k = k < d.Value.len && (go d.Value.items.(k) || items (k + 1)) in
+          items 0)
+    | Int _ | Uint _ | Float _ | Char _ | Bool _ | Enum _ | String _ -> false
+  in
+  go v
+
 let collapse_case st =
-  let base = Gen.record st in
-  let c, widened = widen_enum (Evolve.chain ~max_steps:8 base st) st in
-  let c = versioned c in
-  let target = if Rgen.bool st then c.Evolve.base else structural_variant c.Evolve.base st in
+  let c, v, target, compiled_ref, loops =
+    if Rgen.int_range 0 2 st = 0 then
+      let c, v, target, float_guard = fig5_chain st in
+      (c, v, target, float_guard, true)
+    else
+      let base = Gen.record st in
+      let c, widened = widen_enum (Evolve.chain ~max_steps:8 base st) st in
+      let c = versioned c in
+      let c, loops =
+        if Rgen.bool st then
+          let looped = List.map with_loops c.Evolve.steps in
+          ( { c with steps = List.map2 (fun s l -> Option.value l ~default:s) c.steps looped },
+            List.exists Option.is_some looped )
+        else (c, false)
+      in
+      let target = if Rgen.bool st then c.Evolve.base else structural_variant c.Evolve.base st in
+      let hd = Evolve.head c in
+      let v = Gen.value_for hd st in
+      (match widened with
+       | Some f -> Value.set_field v f (Value.Int (Rgen.oneofl [ 0; 1; 5; 2; 7 ] st))
+       | None -> ());
+      (c, v, target, widened <> None, loops)
+  in
   let meta = Evolve.meta_of_chain c in
   let hd = Evolve.head c in
-  let v = Gen.value_for hd st in
-  (match widened with
-   | Some f -> Value.set_field v f (Value.Int (Rgen.oneofl [ 0; 1; 5; 2; 7 ] st))
-   | None -> ());
   let endian = if Rgen.bool st then Wire.Little else Wire.Big in
   let msg = Wire.encode ~endian ~format_id:9 hd v in
   let got = ref None in
@@ -452,7 +657,8 @@ let collapse_case st =
   let plan = Morph.Receiver.plan recv meta in
   (match plan with
    | Ok p when Morph.Plan.kind p = Morph.Plan.Fused && Morph.Plan.hops p > 0 ->
-     Atomic.incr collapsed
+     Atomic.incr collapsed;
+     if loops then Atomic.incr looped
    | Ok _ | Error _ -> ());
   let show = function
     | `Delivered x -> "delivered " ^ Value.to_string x
@@ -489,7 +695,7 @@ let collapse_case st =
         ~pos:Codec.header_size hd m
     with
     | exception (Codec.Decode_error _ | Value.Type_error _) -> `Decode
-    | dv -> if widened = None then interpreted dv else chained dv
+    | dv -> if compiled_ref then chained dv else interpreted dv
   in
   let hops = List.length c.Evolve.steps in
   let agree what a b =
@@ -498,13 +704,18 @@ let collapse_case st =
     | `Decode, `Decode | `Transform, `Transform | `No_path, `No_path -> ()
     | _ ->
       fail "%s over %d hops [%a] into %s:@ receiver %s@ %s" what hops
-        (Fmt.list ~sep:Fmt.comma Evolve.pp_op)
-        (List.map (fun (s : Evolve.step) -> s.op) c.Evolve.steps)
+        (Fmt.list ~sep:Fmt.comma (fun ppf (s : Evolve.step) ->
+             Fmt.pf ppf "%a: %s" Evolve.pp_op s.op s.code))
+        c.Evolve.steps
         (Ptype.record_to_string target) (show a) (show b)
   in
   let delivered = receiver msg in
   agree "hop-by-hop chain" delivered (chained (Value.copy v));
   agree "reference" delivered (reference msg);
+  (match delivered with
+   | `Delivered x when shared x ->
+     fail "the delivered value shares a record, entry or array:@ %s" (Value.to_string x)
+   | _ -> ());
   List.iter (fun m -> agree "corrupted message" (receiver m) (reference m)) (wire_mutants msg st)
 
 (* --- fuzz targets --------------------------------------------------------- *)
@@ -637,10 +848,12 @@ let fuzz_names = List.filter (fun n -> String.length n > 5 && String.sub n 0 5 =
 
 (* The collapse campaign's verdict on its own tally. *)
 let collapse_report (r : report) =
-  let n = Atomic.get collapsed in
-  let r = { r with note = Fmt.str "%d collapsed" n } in
-  if n = 0 && r.cases > 0 then
-    { r with failures = r.failures @ [ { case = -1; detail = "no case collapsed" } ] }
+  let n = Atomic.get collapsed and m = Atomic.get looped in
+  let r = { r with note = Fmt.str "%d collapsed (%d with loops)" n m } in
+  let none what = { case = -1; detail = "no case collapsed" ^ what } in
+  if r.cases = 0 then r
+  else if n = 0 then { r with failures = r.failures @ [ none "" ] }
+  else if m = 0 then { r with failures = r.failures @ [ none " with loops" ] }
   else r
 
 let run ?names:(selected = names) ~seed ~count () : report list =
@@ -650,6 +863,7 @@ let run ?names:(selected = names) ~seed ~count () : report list =
        | None -> invalid_arg ("Oracle.run: unknown oracle " ^ name)
        | Some case ->
          Atomic.set collapsed 0;
+         Atomic.set looped 0;
          let r = run_cases ~oracle:name ~seed ~count case in
          if name = "collapse" then collapse_report r else r)
     selected

@@ -937,6 +937,13 @@ type step =
 type slot =
   | Take of int * step list
   | Const of Value.t
+  | Each of each
+
+and each = {
+  array : int;
+  guard : (int * step list) option;
+  elem : slot array;
+}
 
 type field_map = {
   slots : slot array;
@@ -990,6 +997,211 @@ let const_of (v : Value.t) : Value.t array -> Value.t =
   match v with
   | Record _ | Array _ -> fun _ -> Value.copy v
   | Int _ | Uint _ | Float _ | Char _ | Bool _ | Enum _ | String _ -> fun _ -> v
+
+(* A record of fields [names], field [j] pulled from a state array by
+   [g.(j)]; common small arities get straight-line literals. *)
+let record_builder (names : string array) (g : (Value.t array -> Value.t) array) :
+  Value.t array -> Value.t =
+  match g, names with
+  | [| g0 |], [| n0 |] -> fun st -> Value.Record [| { Value.name = n0; v = g0 st } |]
+  | [| g0; g1 |], [| n0; n1 |] ->
+    fun st ->
+      Value.Record
+        [| { Value.name = n0; v = g0 st }; { Value.name = n1; v = g1 st } |]
+  | [| g0; g1; g2 |], [| n0; n1; n2 |] ->
+    fun st ->
+      Value.Record
+        [| { Value.name = n0; v = g0 st }; { Value.name = n1; v = g1 st };
+           { Value.name = n2; v = g2 st } |]
+  | [| g0; g1; g2; g3 |], [| n0; n1; n2; n3 |] ->
+    fun st ->
+      Value.Record
+        [| { Value.name = n0; v = g0 st }; { Value.name = n1; v = g1 st };
+           { Value.name = n2; v = g2 st }; { Value.name = n3; v = g3 st } |]
+  | _ ->
+    let n = Array.length names in
+    fun st -> Value.Record (Array.init n (fun j -> { Value.name = names.(j); v = g.(j) st }))
+
+(* Read one record off the wire into [row], by field position: the fields
+   [want] marks are decoded, the rest skipped with a decode's checks (a
+   skipped field other arrays size from is still read). *)
+let comp_gather endian (r : Ptype.record) (want : bool array) : cursor -> Value.t array -> unit =
+  let fields, nf, nslots, slot_for_field, slot_for_name = record_layout r in
+  let lf = lf_of r slot_for_name in
+  if nslots = 0 && Array.for_all Fun.id want then begin
+    (* every field, none sizing another: one decoder call each, a closure
+       call per field fewer than the steps below (Fig. 5's elements take
+       this path, for 3-4% more channel-ecode messages) *)
+    let decs = Array.map (fun (f : Ptype.field) -> comp_decode_type endian lf f.ftype) fields in
+    fun cur row ->
+      for g = 0 to nf - 1 do
+        row.(g) <- decs.(g) cur no_lens
+      done
+  end
+  else begin
+    let raw =
+      List.init nf (fun g ->
+          let ty = fields.(g).Ptype.ftype in
+          match want.(g), slot_for_field g with
+          | false, None ->
+            (match fixed_span ty with
+             | Some n -> `Fskip n
+             | None ->
+               let sk = comp_skip_type endian lf ty in
+               `Step (fun cur lens _ -> sk cur lens))
+          | false, Some k ->
+            let dec = comp_decode_type endian lf ty in
+            `Step (fun cur lens _ -> lens.(k) <- dec cur lens)
+          | true, None ->
+            let dec = comp_decode_type endian lf ty in
+            `Step (fun cur lens row -> row.(g) <- dec cur lens)
+          | true, Some k ->
+            let dec = comp_decode_type endian lf ty in
+            `Step
+              (fun cur lens row ->
+                 let v = dec cur lens in
+                 lens.(k) <- v;
+                 row.(g) <- v))
+    in
+    let steps =
+      Array.of_list
+        (List.map
+           (function
+             | `Fskip n ->
+               fun cur _ _ ->
+                 need cur n;
+                 cur.pos <- cur.pos + n
+             | `Step f -> f)
+           (coalesce raw))
+    in
+    let ns = Array.length steps in
+    fun cur row ->
+      let lens = if nslots = 0 then no_lens else Array.make nslots (Value.Int 0) in
+      for s = 0 to ns - 1 do
+        steps.(s) cur lens row
+      done
+  end
+
+(* The read step of a source array of type [sty] that element maps take,
+   one element at a time.  [takers] are the maps with their target
+   position and target element record, in target order.  Each element's
+   fields that a map or guard reads are gathered into a row, the rest
+   skipped with a decode's checks; then every map whose guard holds
+   appends one element built from the row.  The first reader of a record
+   or array field takes the decoded value and every later one a copy, as
+   Ecode's assignment copies.  With [raw] >= 0 the array is also kept
+   whole at that state slot, and in length slot [lens_k], for the field's
+   other uses; its elements own the row, so every map copies.  No guard
+   or step can fail: an element map coerces into no enum. *)
+let comp_each endian lf (sty : Ptype.t) (takers : (int * Ptype.record * each) list) ~raw
+    ~lens_k : cursor -> Value.t array -> Value.t array -> unit =
+  let er, size =
+    match sty with
+    | Ptype.Array { elem = Record er; size } -> (er, size)
+    | Basic _ | Record _ | Array _ -> invalid_arg "Codec: an element map reads a non-record array"
+  in
+  let efields = Array.of_list er.fields in
+  let ne = Array.length efields in
+  let want = Array.make ne (raw >= 0) in
+  let reads (g, steps) =
+    if g < 0 || g >= ne then invalid_arg "Codec: an element map reads no such field";
+    let into_enum = function Coerce (_, Coerce.To_enum _) -> true | Coerce _ | Convert _ -> false in
+    if List.exists into_enum steps then invalid_arg "Codec: an element map coerces into an enum";
+    want.(g) <- true
+  in
+  List.iter
+    (fun (_, (r : Ptype.record), e) ->
+       if Array.length e.elem <> List.length r.fields then invalid_arg "Codec: element map arity";
+       Option.iter reads e.guard;
+       Array.iter
+         (function
+           | Take (g, steps) -> reads (g, steps)
+           | Const _ -> ()
+           | Each _ -> invalid_arg "Codec: an element map nests an element map")
+         e.elem)
+    takers;
+  let gather = comp_gather endian er want in
+  let taken = Array.make ne (raw >= 0) in
+  let getter = function
+    | Take (g, steps) ->
+      let copy =
+        taken.(g)
+        && match efields.(g).Ptype.ftype with Record _ | Array _ -> true | Basic _ -> false
+      in
+      taken.(g) <- true;
+      (match steps, copy with
+       | [], false -> fun row -> row.(g)
+       | [], true -> fun row -> Value.copy row.(g)
+       | _ :: _, _ ->
+         let f = compile_steps steps in
+         if copy then fun row -> f (Value.copy row.(g)) else fun row -> f row.(g))
+    | Const v -> const_of v
+    | Each _ -> invalid_arg "Codec: an element map nests an element map"
+  in
+  let names (r : Ptype.record) =
+    Array.of_list (List.map (fun (f : Ptype.field) -> f.Ptype.fname) r.fields)
+  in
+  let appenders =
+    Array.of_list
+      (List.mapi
+         (fun t (_, r, e) ->
+            let build = record_builder (names r) (Array.map getter e.elem) in
+            let append row (items : Value.t array array) counts =
+              let c = counts.(t) in
+              items.(t).(c) <- build row;
+              counts.(t) <- c + 1
+            in
+            match e.guard with
+            | None -> append
+            | Some (p, []) ->
+              fun row items counts ->
+                if (match row.(p) with Value.Bool b -> b | v -> Value.to_bool v) then
+                  append row items counts
+            | Some (p, steps) ->
+              let f = compile_steps steps in
+              fun row items counts -> if Value.to_bool (f row.(p)) then append row items counts)
+         takers)
+  in
+  let ntk = Array.length appenders in
+  let targets = Array.of_list (List.map (fun (j, _, _) -> j) takers) in
+  let models = Array.of_list (List.map (fun (_, r, _) -> Value.default_record r) takers) in
+  let whole = record_builder (names er) (Array.init ne (fun g row -> row.(g))) in
+  let emodel = Some (Value.default (Ptype.Record er)) in
+  let m = min_wire_size (Ptype.Record er) in
+  let getn, what =
+    match size with
+    | Ptype.Fixed k -> (fun _ -> k), "fixed-size array"
+    | Length_field nm -> lf nm, Printf.sprintf "%S" nm
+  in
+  fun cur lens st ->
+    let n = getn lens in
+    if n < 0 then decode_error "negative array length %d for %s" n what;
+    let remaining = cur.limit - cur.pos in
+    if (m > 0 && n > remaining / m) || (m = 0 && n > cur.limit) then
+      decode_error "array length %d for %s exceeds message size" n what;
+    let row = Array.make (max ne 1) (Value.Int 0) in
+    let items = Array.make ntk [||] in
+    for t = 0 to ntk - 1 do
+      items.(t) <- Array.make n models.(t)
+    done;
+    let counts = Array.make ntk 0 in
+    let kept = if raw >= 0 then Array.make n (Value.Int 0) else [||] in
+    for e = 0 to n - 1 do
+      gather cur row;
+      if raw >= 0 then kept.(e) <- whole row;
+      for t = 0 to ntk - 1 do
+        appenders.(t) row items counts
+      done
+    done;
+    for t = 0 to ntk - 1 do
+      st.(targets.(t)) <-
+        Value.Array { items = items.(t); len = counts.(t); model = Some models.(t) }
+    done;
+    if raw >= 0 then begin
+      let v = Value.Array { items = kept; len = n; model = emodel } in
+      st.(raw) <- v;
+      match lens_k with Some k -> lens.(k) <- v | None -> ()
+    end
 
 (* Fused type decoder: read a [src]-formatted value off the wire and build
    it directly in the [dst] layout, with no intermediate source-format
@@ -1082,13 +1294,24 @@ and comp_map_record endian (src : Ptype.record) (dst : Ptype.record) (map : fiel
   let in_range i =
     if i < 0 || i >= nf then invalid_arg "Codec: field map reads no such field"
   in
-  (* takers of each source field, in target order *)
+  (* takers of each source field, in target order: of the field itself,
+     and of its elements (with the target element record) *)
   let uses = Array.make (max nf 1) [] in
+  let each_uses = Array.make (max nf 1) [] in
   for j = nt - 1 downto 0 do
     match map.slots.(j) with
     | Take (i, steps) ->
       in_range i;
       uses.(i) <- (j, steps) :: uses.(i)
+    | Each e ->
+      in_range e.array;
+      let r =
+        match (List.nth dst.fields j).Ptype.ftype with
+        | Ptype.Array { elem = Record r; _ } -> r
+        | Basic _ | Record _ | Array _ ->
+          invalid_arg "Codec: an element map fills a non-record array"
+      in
+      each_uses.(e.array) <- (j, r, e) :: each_uses.(e.array)
     | Const _ -> ()
   done;
   let checked = Array.make (max nf 1) false in
@@ -1110,6 +1333,19 @@ and comp_map_record endian (src : Ptype.record) (dst : Ptype.record) (map : fiel
         let dec () = comp_decode_type endian lf sty in
         let wire_phase = List.for_all (function Convert _ -> true | Coerce _ -> false) in
         match uses.(i), checked.(i), slot_for_field i with
+        | uses_i, checked_i, lens_k when each_uses.(i) <> [] ->
+          (* an element-mapped array, also kept whole when anything else
+             takes it *)
+          let raw =
+            if uses_i = [] && (not checked_i) && lens_k = None then -1
+            else begin
+              let p = !nst in
+              incr nst;
+              kept.(i) <- p;
+              p
+            end
+          in
+          `Step (comp_each endian lf sty each_uses.(i) ~raw ~lens_k)
         | [], false, None ->
           (match fixed_span sty with
            | Some n -> `Fskip n
@@ -1206,33 +1442,12 @@ and comp_map_record endian (src : Ptype.record) (dst : Ptype.record) (map : fiel
   let prepare = Array.of_list (checks @ fills) in
   (* assembly closures resolved now: pull from the state or build the
      constant *)
-  let g =
-    Array.init (max nt 1) (fun j ->
-        if j >= nt then fun _ -> Value.Int 0
-        else
-          match map.slots.(j) with
-          | Take _ -> fun st -> st.(j)
-          | Const v -> const_of v)
-  in
-  let assemble : Value.t array -> Value.t =
-    match g, tnames with
-    | [| g0 |], [| n0 |] -> fun st -> Value.Record [| { Value.name = n0; v = g0 st } |]
-    | [| g0; g1 |], [| n0; n1 |] ->
-      fun st ->
-        Value.Record
-          [| { Value.name = n0; v = g0 st }; { Value.name = n1; v = g1 st } |]
-    | [| g0; g1; g2 |], [| n0; n1; n2 |] ->
-      fun st ->
-        Value.Record
-          [| { Value.name = n0; v = g0 st }; { Value.name = n1; v = g1 st };
-             { Value.name = n2; v = g2 st } |]
-    | [| g0; g1; g2; g3 |], [| n0; n1; n2; n3 |] ->
-      fun st ->
-        Value.Record
-          [| { Value.name = n0; v = g0 st }; { Value.name = n1; v = g1 st };
-             { Value.name = n2; v = g2 st }; { Value.name = n3; v = g3 st } |]
-    | _ ->
-      fun st -> Value.Record (Array.init nt (fun j -> { Value.name = tnames.(j); v = g.(j) st }))
+  let assemble =
+    record_builder tnames
+      (Array.init nt (fun j ->
+           match map.slots.(j) with
+           | Take _ | Each _ -> fun st -> st.(j)
+           | Const v -> const_of v))
   in
   let build =
     match prepare with

@@ -74,6 +74,22 @@ type slot =
   | Take of int * step list
       (** source field [i] (by position), through each step in order *)
   | Const of Value.t  (** a constant, copied per message when mutable *)
+  | Each of each
+      (** an array built from a source array of records, element by
+          element, as a Figure 5 loop builds one *)
+
+(** An element map: one target element per element of source array
+    [array] whose [guard] holds, or per element when there is none.  Each
+    target element field comes from [elem]: [Take (g, steps)] reads field
+    [g] of the source element, [Const] is the field's value when no store
+    writes it.  The guard is the source element's field [p] through its
+    steps, kept when {!Value.to_bool} of it holds.  No step may coerce
+    into an enum, so an element map cannot fail. *)
+and each = {
+  array : int;
+  guard : (int * step list) option;
+  elem : slot array;
+}
 
 (** One slot per target field, in order, plus [checks]: source fields and
     steps run for their failures alone, in order, before any slot — the
@@ -141,10 +157,15 @@ val morpher_in :
     into [cache]'s registry as a cached compile is.  Source fields taken
     through structural steps only decode straight into place, nested
     records and arrays by name; fields no slot or check takes are skipped
-    on the wire.  Checks and coercions run only once the whole message
-    has decoded and the trailing-bytes check has passed, so a malformed
-    message is a {!Decode_error}, never a coercion failure.  Raises
-    [Invalid_argument] when the map does not fit the formats. *)
+    on the wire.  A source array that element maps take is read one
+    element at a time, each map appending its own element as it goes;
+    the first list to take a record or array field keeps the decoded
+    value and every later one a copy.  Checks and coercions run only
+    once the whole message has decoded and the trailing-bytes check has
+    passed, so a malformed message is a {!Decode_error}, never a
+    coercion failure.  Raises [Invalid_argument] when the map does not
+    fit the formats (an element map builds an array of records from a
+    source array of records, with no step into an enum). *)
 val compile_map_in :
   cache -> endian:endian -> from_:Ptype.record -> into:Ptype.record -> field_map -> morpher
 

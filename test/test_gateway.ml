@@ -449,10 +449,22 @@ let test_gateway_recompile_after_eviction () =
     (c.PC.high_water <= 1);
   Alcotest.(check int) "all delivered regardless" 3 s.G.delivered
 
+(* Fig. 5's formats under a rollback with an [else] branch, which keeps
+   the chain staged.  (The gateway matches ECho 2.0's EventMsg to 1.0
+   structurally, so that chain never runs here.) *)
+let response_else_meta =
+  Morph.meta Helpers.response_v2
+    ~xforms:
+      [ Morph.xform ~target:Helpers.response_v1
+          "old.channel = new.channel;\n\
+           if (new.member_count > 0) old.member_count = new.member_count;\n\
+           else old.member_count = 0;" ]
+
 (* Each shape compiles once, at the engine it needs: a structural match
-   fuses decode and morph, a retro-transformation chain decodes staged
-   and runs its Ecode.  Either way the bytes equal an independent
-   interpretive reference, and the built-in parity check agrees. *)
+   fuses decode and morph, and so does Fig. 5's chain, whose loops
+   collapse; a chain with an [else] decodes staged and runs its Ecode.
+   Either way the bytes equal an independent interpretive reference, and
+   the built-in parity check agrees. *)
 let shape_run ~target (meta : Meta.format_meta) (message : string) =
   let net = mk_net () in
   let out = ref [] in
@@ -495,20 +507,23 @@ let test_gateway_shape_engines () =
   (* Ecode chain: the paper's Fig. 5 retro-transformation v2 -> v1 *)
   let v2 = Helpers.sample_v2 3 in
   let message = Wire.encode ~format_id:1 Helpers.response_v2 v2 in
-  let d = shape_run ~target:Helpers.response_v1 Helpers.response_v2_meta message in
-  Alcotest.check rung_t "chain shape decodes staged" G.Staged d.G.rung;
-  let want =
-    match
-      Morph.morph_to ~engine:Morph.Xform.Interpreted Helpers.response_v2_meta
-        ~target:Helpers.response_v1
-        (Codec.Interp.decode_payload ~endian:Codec.Little ~pos:Codec.header_size
-           Helpers.response_v2 message)
-    with
-    | Ok v -> Codec.Interp.encode_payload ~endian:Codec.Little Helpers.response_v1 v
-    | Error e -> Alcotest.failf "interpretive reference: %s" (Err.to_string e)
+  let chain_shape what rung meta =
+    let d = shape_run ~target:Helpers.response_v1 meta message in
+    Alcotest.check rung_t (what ^ " shape") rung d.G.rung;
+    let want =
+      match
+        Morph.morph_to ~engine:Morph.Xform.Interpreted meta ~target:Helpers.response_v1
+          (Codec.Interp.decode_payload ~endian:Codec.Little ~pos:Codec.header_size
+             Helpers.response_v2 message)
+      with
+      | Ok v -> Codec.Interp.encode_payload ~endian:Codec.Little Helpers.response_v1 v
+      | Error e -> Alcotest.failf "interpretive reference: %s" (Err.to_string e)
+    in
+    Alcotest.(check string) (what ^ " bytes = interpretive reference") want
+      (Codec.Interp.encode_payload ~endian:Codec.Little Helpers.response_v1 d.G.value)
   in
-  Alcotest.(check string) "staged bytes = interpretive reference" want
-    (Codec.Interp.encode_payload ~endian:Codec.Little Helpers.response_v1 d.G.value)
+  chain_shape "Fig. 5 chain fuses" G.Fused Helpers.response_v2_meta;
+  chain_shape "else-branch chain decodes staged" G.Staged response_else_meta
 
 (* A receiver and the gateway decide paths by their own rules, but the
    plan picks the engine, so both run one shape at the same one. *)
@@ -529,7 +544,9 @@ let test_receiver_and_gateway_agree_on_engine () =
       ("reordered match", Meta.plain a, b,
        Value.record [ ("x", Value.Int 1); ("s", Value.String "q") ], G.Fused);
       ("Fig. 5 loop chain", Helpers.response_v2_meta, Helpers.response_v1,
-       Helpers.sample_v2 3, G.Staged) ]
+       Helpers.sample_v2 3, G.Fused);
+      ("else-branch chain", response_else_meta, Helpers.response_v1, Helpers.sample_v2 3,
+       G.Staged) ]
 
 let test_gateway_push_storm_compiles_once () =
   let net = mk_net () in

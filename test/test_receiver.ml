@@ -240,7 +240,7 @@ let test_explain () =
   let r, _ = make_receiver Helpers.response_v1 in
   let s1 = Receiver.explain r Helpers.response_v2_meta in
   Alcotest.(check string) "explains morphing and names the plan"
-    "deliver to ChannelOpenResponse via morphed(ChannelOpenResponse) [staged, 1 hop]" s1;
+    "deliver to ChannelOpenResponse via morphed(ChannelOpenResponse) [fused, 1 hop]" s1;
   let s2 = Receiver.explain r (Meta.plain (fmt "format Unrelated { int q; }")) in
   Alcotest.(check bool) "explains rejection" true (Helpers.contains s2 "reject");
   let a = fmt "format R { int x; string s; }" in
@@ -433,11 +433,15 @@ let test_collapsed_failures_classified () =
   Alcotest.(check (list int)) "delivered, rejected, failures, quarantined"
     [ 2; 5; 3; 1 ]
     [ s.Receiver.delivered; s.rejected; s.transform_failures; s.quarantined ];
-  (* Fig. 5's loops keep the chain hop by hop *)
+  (* Fig. 5's loops collapse; an [else] keeps a chain hop by hop *)
   let r, _ = make_receiver Helpers.response_v1 in
-  Alcotest.(check string) "Fig. 5 stays staged"
-    "deliver to ChannelOpenResponse via morphed(ChannelOpenResponse) [staged, 1 hop]"
-    (Receiver.explain r Helpers.response_v2_meta)
+  Alcotest.(check string) "Fig. 5 fuses"
+    "deliver to ChannelOpenResponse via morphed(ChannelOpenResponse) [fused, 1 hop]"
+    (Receiver.explain r Helpers.response_v2_meta);
+  let r, _ = make_receiver Echo.Wire_formats.event_msg in
+  Alcotest.(check string) "an else branch stays staged"
+    "deliver to EventMsg via morphed(EventMsg) [staged, 1 hop]"
+    (Receiver.explain r Echo.Wire_formats.event_v2_meta)
 
 let test_check_meta () =
   Helpers.check_ok_err (Morph.check_meta Helpers.response_v2_meta);
@@ -815,7 +819,7 @@ let test_delivery_span_attrs () =
   Alcotest.check attrs_t "warm fused"
     (("cache", "hit") :: ("ecode", "reuse") :: ("convert", "fused") :: provenance)
     (last_span_attrs reg);
-  (* channel-ecode's shape: Fig. 5's Ecode has loops, so it runs staged *)
+  (* channel-ecode's shape: Fig. 5's loops collapse, so it runs fused *)
   let r, reg = traced_receiver Helpers.response_v1 in
   let message = Wire.encode ~format_id:1 Helpers.response_v2 (Helpers.sample_v2 3) in
   for _ = 1 to 2 do
@@ -823,10 +827,26 @@ let test_delivery_span_attrs () =
     | Receiver.Delivered _ -> ()
     | o -> Alcotest.failf "expected a delivery, got %a" Receiver.pp_outcome o
   done;
-  Alcotest.check attrs_t "warm staged chain"
-    [ ("cache", "hit"); ("ecode", "reuse"); ("source", "ChannelOpenResponse");
+  Alcotest.check attrs_t "warm fused Fig. 5 chain"
+    [ ("cache", "hit"); ("ecode", "reuse"); ("convert", "fused"); ("source", "ChannelOpenResponse");
       ("target", "ChannelOpenResponse"); ("via", "morphed(ChannelOpenResponse)");
       ("chain_hops", "1"); ("mismatch_ratio", "0.000") ]
+    (last_span_attrs reg);
+  (* an [else] branch keeps ECho 2.0's event rollback staged *)
+  let r, reg = traced_receiver Echo.Wire_formats.event_msg in
+  let message =
+    Wire.encode ~format_id:1 Echo.Wire_formats.event_msg_v2
+      (Echo.Wire_formats.event_v2_value ~channel:"c" ~seq:1 ~origin:("h", 1) ~priority:2
+         ~payload:"p")
+  in
+  for _ = 1 to 2 do
+    match Receiver.deliver_wire r Echo.Wire_formats.event_v2_meta message with
+    | Receiver.Delivered _ -> ()
+    | o -> Alcotest.failf "expected a delivery, got %a" Receiver.pp_outcome o
+  done;
+  Alcotest.check attrs_t "warm staged chain"
+    [ ("cache", "hit"); ("ecode", "reuse"); ("source", "EventMsg"); ("target", "EventMsg");
+      ("via", "morphed(EventMsg)"); ("chain_hops", "1"); ("mismatch_ratio", "0.000") ]
     (last_span_attrs reg);
   (* a Reject pipeline carries only the cache outcome *)
   let r, reg = traced_receiver (fmt "format Other { int x; }") in
@@ -1104,6 +1124,247 @@ let test_nan_default_plans_once () =
     (via_of (Receiver.deliver r (Meta.plain incoming) v) = Receiver.Exact);
   Alcotest.check Helpers.value "value untouched" v (List.hd !got)
 
+(* --- Figure 5's loops, collapsed ------------------------------------------ *)
+
+let path v steps =
+  List.fold_left
+    (fun v -> function
+       | `F name -> Value.get_field v name
+       | `I k -> Value.array_get v k)
+    v steps
+
+let port v steps = Value.to_int (path v (steps @ [ `F "info"; `F "port" ]))
+
+(* The one value [meta]'s wire [message] delivers at a receiver of
+   [target], which must explain its plan as [want]. *)
+let loop_delivery ~want meta target message =
+  let r, got = make_receiver target in
+  Alcotest.(check bool) ("plan " ^ want) true
+    (Helpers.contains (Receiver.explain r meta) ("[" ^ want ^ "]"));
+  match Receiver.deliver_wire r meta message with
+  | Receiver.Delivered _ -> List.hd !got
+  | o -> Alcotest.failf "expected a delivery, got %a" Receiver.pp_outcome o
+
+(* A fused Fig. 5 delivery gives each list its own [info], as C struct
+   assignment does: changing one list's copy leaves the others alone. *)
+let test_fig5_fused_copies () =
+  let v2 = Echo.Wire_formats.gen_response_v2_full 3 in
+  let v =
+    loop_delivery ~want:"fused, 1 hop" Helpers.response_v2_meta Helpers.response_v1
+      (Wire.encode ~format_id:1 Helpers.response_v2 v2)
+  in
+  (match Morph.morph_to Helpers.response_v2_meta ~target:Helpers.response_v1 v2 with
+   | Ok want -> Alcotest.check Helpers.value "as the hop-by-hop chain" want v
+   | Error e -> Alcotest.failf "morph_to: %a" Err.pp e);
+  Value.set_field (path v [ `F "src_list"; `I 0; `F "info" ]) "port" (Value.Int 1);
+  Alcotest.(check (list int)) "member and sink lists keep their port" [ 7000; 7000; 1 ]
+    [ port v [ `F "member_list"; `I 0 ]; port v [ `F "sink_list"; `I 0 ];
+      port v [ `F "src_list"; `I 0 ] ]
+
+(* Fig. 5's wire delivery is timed as a fused one: no staged decode, no
+   morph. *)
+let test_fig5_wire_delivery_fuses () =
+  let r, reg = traced_receiver Helpers.response_v1 in
+  (match
+     Receiver.deliver_wire r Helpers.response_v2_meta
+       (Wire.encode ~format_id:1 Helpers.response_v2 (Helpers.sample_v2 4))
+   with
+   | Receiver.Delivered { via = Receiver.Morphed _; _ } -> ()
+   | o -> Alcotest.failf "expected a morphed delivery, got %a" Receiver.pp_outcome o);
+  Alcotest.(check (list int)) "fused, staged, wire decodes, morphs" [ 1; 0; 0; 0 ]
+    [ Obs.Histogram.count reg "codec.fused_ns"; Obs.Histogram.count reg "codec.staged_ns";
+      Obs.Counter.value reg "wire.decodes"; Obs.Histogram.count reg "receiver.morph_ns" ]
+
+let loop_formats =
+  "record Info { string host; int port; }\n\
+   record M { Info info; int id; bool on; float w; int p; }\n"
+
+let loop_src = fmt (loop_formats ^ "format S { string tag; int n; M list[n]; int m; }")
+
+let loop_value ?(m = 3) members =
+  Value.record
+    [ ("tag", Value.String "t"); ("n", Value.Int (List.length members));
+      ("list",
+       Value.array_of_list
+         (List.map
+            (fun (id, on, w, p) ->
+               Value.record
+                 [ ("info",
+                    Value.record [ ("host", Value.String "h"); ("port", Value.Int (10 + id)) ]);
+                   ("id", Value.Int id); ("on", Value.Bool on); ("w", Value.Float w);
+                   ("p", Value.Int p) ])
+            members));
+      ("m", Value.Int m) ]
+
+(* A whole-element copy loop: the unguarded list moves whole, the guarded
+   one is an element map over the same array; neither shares an element
+   with the other. *)
+let test_whole_element_loop_copies () =
+  let t = fmt (loop_formats ^ "format T { int n; M all[n]; int c; M kept[c]; }") in
+  let meta =
+    Morph.meta loop_src
+      ~xforms:
+        [ Morph.xform ~target:t
+            "int i, k = 0;\n\
+             old.n = new.n;\n\
+             for (i = 0; i < new.n; i++) {\n\
+             \  old.all[i] = new.list[i];\n\
+             \  if (new.list[i].on) { old.kept[k] = new.list[i]; k++; }\n\
+             }\n\
+             old.c = k;" ]
+  in
+  let src = loop_value [ (1, true, 0., 0); (2, false, 0., 0); (3, true, 0., 0) ] in
+  let v = loop_delivery ~want:"fused, 1 hop" meta t (Wire.encode ~format_id:1 loop_src src) in
+  Alcotest.(check (list int)) "kept the guarded elements" [ 2; 11; 13 ]
+    [ Value.to_int (Value.get_field v "c"); port v [ `F "kept"; `I 0 ];
+      port v [ `F "kept"; `I 1 ] ];
+  Value.set_field (path v [ `F "kept"; `I 0; `F "info" ]) "port" (Value.Int 1);
+  Value.set_field (path v [ `F "all"; `I 2; `F "info" ]) "port" (Value.Int 2);
+  Alcotest.(check (list int)) "no element shared" [ 11; 13; 1; 2 ]
+    [ port v [ `F "all"; `I 0 ]; port v [ `F "kept"; `I 1 ]; port v [ `F "kept"; `I 0 ];
+      port v [ `F "all"; `I 2 ] ]
+
+(* A guard tests its field through the checker's coercions: a float
+   truncates first, so 0.5 keeps nothing, and any non-zero int keeps. *)
+let test_loop_guards () =
+  let t =
+    fmt (loop_formats ^ "record K { int id; } format T { int a; K byw[a]; int b; K byp[b]; }")
+  in
+  let meta =
+    Morph.meta loop_src
+      ~xforms:
+        [ Morph.xform ~target:t
+            "int i, a = 0, b = 0;\n\
+             for (i = 0; i < new.n; i++) {\n\
+             \  if (new.list[i].w) { old.byw[a].id = new.list[i].id; a++; }\n\
+             \  if (new.list[i].p) { old.byp[b].id = new.list[i].id; b += 1; }\n\
+             }\n\
+             old.a = a; old.b = b;" ]
+  in
+  let v =
+    loop_delivery ~want:"fused, 1 hop" meta t
+      (Wire.encode ~format_id:1 loop_src (loop_value [ (1, true, 0.5, 2); (2, true, 1.5, 0) ]))
+  in
+  Alcotest.check Helpers.value "0.5 keeps nothing, 2 keeps"
+    (Value.record
+       [ ("a", Value.Int 1); ("byw", Value.array_of_list [ Value.record [ ("id", Value.Int 2) ] ]);
+         ("b", Value.Int 1);
+         ("byp", Value.array_of_list [ Value.record [ ("id", Value.Int 1) ] ]) ])
+    v
+
+(* Shapes the recogniser leaves alone: each explains as staged and
+   delivers over the wire what decoding then interpreting gives, or fails
+   where that fails. *)
+let test_loop_shapes_stay_staged () =
+  let t =
+    fmt (loop_formats
+         ^ "record K { Info info; int id; } format T { int n; K all[n]; int c; K kept[c]; }")
+  in
+  let fig5 ?(decl = "int i, j, k = 0;") ?(bound = "new.n") ?(body = "") ?(append = "") () =
+    Printf.sprintf
+      "%s\nold.n = new.n;\nfor (i = 0; i < %s; i++) {\n\
+       \  old.all[i].info = new.list[i].info;\n%s\n\
+       \  if (new.list[i].on) { old.kept[k].id = new.list[i].id; k++; }%s\n}\nold.c = k;"
+      decl bound body append
+  in
+  (* one hop, built as a record: [Morph.meta] would reject the late
+     length field below *)
+  let hop src t code = { Meta.body = src; xforms = [ Morph.xform ~target:t code ] } in
+  let message =
+    Wire.encode ~format_id:1 loop_src
+      (loop_value ~m:2 [ (1, true, 0., 0); (2, false, 0., 0); (3, true, 0., 0) ])
+  in
+  (* the length field after its array: the wire decodes the array empty,
+     whatever the length field says *)
+  let late =
+    match Ptype.find_field loop_src "list" with
+    | Some { ftype = Ptype.Array { elem; _ }; _ } ->
+      Ptype.record "S"
+        [ Ptype.field "tag" Ptype.string_; Ptype.field "list" (Ptype.array_var "n" elem);
+          Ptype.field "n" Ptype.int_ ]
+    | _ -> Alcotest.fail "S has a list"
+  in
+  let late_message =
+    let m =
+      Wire.encode ~format_id:1 late
+        (Value.record
+           [ ("tag", Value.String "t"); ("list", Value.array_of_list []); ("n", Value.Int 0) ])
+    in
+    String.sub m 0 (String.length m - 4) ^ "\002\000\000\000"
+  in
+  let te =
+    fmt (loop_formats
+         ^ "enum E { A = 0, B = 1 } record K { Info info; E e; } format T { int n; K all[n]; }")
+  in
+  (* a second hop looping over the list the first one filtered *)
+  let u = fmt (loop_formats ^ "record K { Info info; int id; } format T { int m; K copy[m]; }") in
+  let twice =
+    { Meta.body = loop_src;
+      xforms =
+        [ Morph.xform ~target:t (fig5 ());
+          Morph.xform ~source:t ~target:u
+            "int i;\nold.m = new.c;\nfor (i = 0; i < new.c; i++) old.copy[i] = new.kept[i];" ] }
+  in
+  (* a second hop looping over a list whose length field another array
+     shares, which the first hop's sync left at 0, though [k] still holds
+     the list's length *)
+  let shared = fmt (loop_formats ^ "format T { int n; M list[n]; M extra[n]; int k; }") in
+  let w = fmt (loop_formats ^ "format T { int m; M copy[m]; }") in
+  let overwritten =
+    { Meta.body = loop_src;
+      xforms =
+        [ Morph.xform ~target:shared "old.n = new.n; old.list = new.list; old.k = new.n;";
+          Morph.xform ~source:shared ~target:w
+            "int i;\nold.m = new.k;\nfor (i = 0; i < new.n; i++) old.copy[i] = new.list[i];" ] }
+  in
+  (* a loop over an array of ints that also fills a list of records with
+     a constant: no element map reads anything but records *)
+  let ints = fmt "format S { int n; int a[n]; }" in
+  let tr = fmt "record R { int f; } format T { int n; int b[n]; int m; R c[m]; }" in
+  let ints_message =
+    Wire.encode ~format_id:1 ints
+      (Value.record
+         [ ("n", Value.Int 3); ("a", Value.array_of_list [ Value.Int 1; Value.Int 2; Value.Int 3 ]) ])
+  in
+  List.iter
+    (fun (name, meta, t, message) ->
+       let r, got = make_receiver t in
+       Alcotest.(check bool) (name ^ ": staged") true
+         (Helpers.contains (Receiver.explain r meta) "[staged, ");
+       let reference =
+         Morph.morph_to ~engine:Morph.Xform.Interpreted meta ~target:t
+           (Codec.Interp.decode_payload ~endian:Codec.Little ~pos:Codec.header_size meta.Meta.body
+              message)
+       in
+       match Receiver.deliver_wire r meta message, reference with
+       | Receiver.Delivered _, Ok want -> Alcotest.check Helpers.value name want (List.hd !got)
+       | Receiver.Rejected reason, Error _ when Helpers.contains reason "transformation failed" ->
+         ()
+       | o, _ ->
+         Alcotest.failf "%s: receiver %a, reference %s" name Receiver.pp_outcome o
+           (match reference with Ok _ -> "delivers" | Error e -> Err.to_string e))
+    [ ("a counter declared = 1", hop loop_src t (fig5 ~decl:"int i, k = 1;" ()), t, message);
+      ("an append with an else", hop loop_src t (fig5 ~append:" else { }" ()), t, message);
+      ("a read of old", hop loop_src t (fig5 ~body:"old.all[i].id = old.n;" ()), t, message);
+      ("a bound that is not the array's length field", hop loop_src t (fig5 ~bound:"new.m" ()), t,
+       message);
+      ("a length field after its array", hop late t (fig5 ()), t, late_message);
+      ("a nested loop",
+       hop loop_src t (fig5 ~body:"for (j = 0; j < new.n; j++) old.all[i].id = new.list[j].id;" ()),
+       t, message);
+      ("i used as a value", hop loop_src t (fig5 ~body:"old.all[i].id = i;" ()), t, message);
+      ("an enum coercion",
+       hop loop_src te
+         "int i;\nold.n = new.n;\nfor (i = 0; i < new.n; i++) { old.all[i].e = new.list[i].p; }",
+       te, message);
+      ("a loop over a list a loop built", twice, u, message);
+      ("a bound another array's length overwrote", overwritten, w, message);
+      ("a loop over an array of ints",
+       hop ints tr
+         "int i;\nold.n = new.n;\n\
+          for (i = 0; i < new.n; i++) { old.b[i] = new.a[i]; old.c[i].f = 3; }",
+       tr, ints_message) ]
+
 let suite =
   [
     Alcotest.test_case "exact match" `Quick test_exact_match;
@@ -1169,4 +1430,13 @@ let suite =
     Helpers.qtest prop_delivered_value_conforms;
     Alcotest.test_case "telemetry: an exact wire delivery fuses" `Quick
       test_exact_wire_delivery_fuses;
+    Alcotest.test_case "loops: a fused Fig. 5 delivery copies each info" `Quick
+      test_fig5_fused_copies;
+    Alcotest.test_case "loops: whole-element copies share nothing" `Quick
+      test_whole_element_loop_copies;
+    Alcotest.test_case "loops: guards test through the checker's coercions" `Quick
+      test_loop_guards;
+    Alcotest.test_case "loops: other shapes stay staged" `Quick test_loop_shapes_stay_staged;
+    Alcotest.test_case "telemetry: a Fig. 5 wire delivery fuses" `Quick
+      test_fig5_wire_delivery_fuses;
   ]
