@@ -106,14 +106,6 @@ type program = {
 
 type prog = program
 
-let pp_dtyp ppf = function
-  | Dint -> Fmt.string ppf "int"
-  | Duint -> Fmt.string ppf "unsigned"
-  | Dfloat -> Fmt.string ppf "float"
-  | Dchar -> Fmt.string ppf "char"
-  | Dbool -> Fmt.string ppf "bool"
-  | Dstring -> Fmt.string ppf "string"
-
 let binop_name = function
   | Add -> "+" | Sub -> "-" | Mul -> "*" | Div -> "/" | Mod -> "%"
   | Eq -> "==" | Ne -> "!=" | Lt -> "<" | Le -> "<=" | Gt -> ">" | Ge -> ">="

@@ -54,7 +54,7 @@ type rhs =
     none.  [count] is the field of [new] the loop's bound reads; a plan
     takes the map only where that is [array]'s length field and precedes
     it, so the loop runs once per decoded element.  The guard is field [p] of the source element under the checker's
-    coercions, as the [if] tests it (a float truncates first).  [fill]
+    coercions, as the [if] tests it (a float is non-zero, as in C).  [fill]
     are moves over one element: [dst] a field of the target element,
     [Read] a field of the source element; every other field keeps the
     target element's default.  A loop that only copies each element

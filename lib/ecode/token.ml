@@ -40,5 +40,3 @@ let pp ppf = function
   | Kw s -> Fmt.pf ppf "keyword %S" s
   | Op s -> Fmt.pf ppf "%S" s
   | Eof -> Fmt.string ppf "end of input"
-
-let to_string t = Fmt.str "%a" pp t

@@ -234,7 +234,8 @@ let rec coerce loc (e : texpr) (want : ty) : texpr =
       { ty = want; n = Tcoerce (To_uint, e) }
     | Basic (Int | Uint | Char | Bool | Enum _ | Float), Basic Float ->
       { ty = want; n = Tcoerce (To_float, e) }
-    | Basic Float, Basic (Int | Enum _ | Uint | Char | Bool) ->
+    | Basic Float, Basic Bool -> { ty = want; n = Tcoerce (To_bool, e) }
+    | Basic Float, Basic (Int | Enum _ | Uint | Char) ->
       let as_int = { ty = Ptype.int_; n = Tcoerce (To_int, e) } in
       if want = Ptype.int_ then as_int else coerce loc as_int want
     | Basic (Int | Uint | Bool | Enum _), Basic Char ->

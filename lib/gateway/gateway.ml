@@ -43,7 +43,6 @@ type rung = Plan.kind = Fused | Staged
 
 type config = {
   max_plans : int;
-  max_plan_cost : float;
   tenant_quota : int;
   admit_rate : float;
   admit_burst : float;
@@ -59,7 +58,6 @@ type config = {
 let default_config =
   {
     max_plans = 1024;
-    max_plan_cost = infinity;
     tenant_quota = 8;
     admit_rate = 0.;
     admit_burst = 16.;
@@ -148,7 +146,6 @@ type gmetrics = {
   gm_tenants : Obs.Gauge.h;
   gm_breakers_open : Obs.Gauge.h;
   gm_cache_entries : Obs.Gauge.h;
-  gm_cache_cost : Obs.Gauge.h;
   gm_pending : Obs.Gauge.h;
   (* dimensional families (docs/OBSERVABILITY.md): which tenant is being
      admitted or shed, and which engine deliveries run at.  Tenant
@@ -199,7 +196,6 @@ let make_gmetrics reg =
     gm_tenants = Obs.Gauge.make reg "gateway.tenants";
     gm_breakers_open = Obs.Gauge.make reg "gateway.breakers_open";
     gm_cache_entries = Obs.Gauge.make reg "gateway.plan_cache_entries";
-    gm_cache_cost = Obs.Gauge.make reg "gateway.plan_cache_cost";
     gm_pending = Obs.Gauge.make reg "gateway.pending_depth";
     gm_tenant_admitted =
       Obs.Labeled.counter reg ~cardinality:tenant_label_cardinality
@@ -317,8 +313,7 @@ let create ?(config = default_config) ?(metrics = Obs.null) ?(ctx = Ctx.default)
   let gov = Governor.create ~now:(Netsim.now net) config.governor in
   let t_ref = ref None in
   let cache =
-    Plan_cache.create ~max_entries:config.max_plans
-      ~max_cost:config.max_plan_cost ~tenant_quota:config.tenant_quota
+    Plan_cache.create ~max_entries:config.max_plans ~tenant_quota:config.tenant_quota
       ~on_evict:(fun ~tenant:_ ~key:_ ->
         match !t_ref with
         | Some t ->
@@ -427,10 +422,8 @@ let new_tenant t id target =
   ts
 
 let set_cache_gauges t =
-  if t.m.gm_on then begin
-    Obs.Gauge.set t.m.gm_cache_entries (float_of_int (Plan_cache.size t.cache));
-    Obs.Gauge.set t.m.gm_cache_cost (Plan_cache.cost t.cache)
-  end
+  if t.m.gm_on then
+    Obs.Gauge.set t.m.gm_cache_entries (float_of_int (Plan_cache.size t.cache))
 
 (* Detach the tenant's in-flight compiles, so later messages plan afresh
    instead of parking behind a compile whose result will be discarded.
@@ -682,9 +675,9 @@ and start_compile t (ts : tstate) ~fingerprint:fp (meta : Meta.format_meta)
     (target : Ptype.record) ~deadline_ns (message : string) : outcome =
   match plan_for t meta target with
   | Error msg ->
-    (* planning refusals are cached (cost 1) and immediate: there is no
-       artifact to compile, so nothing to wait for *)
-    Plan_cache.add t.cache ~tenant:ts.ts_id ~key:fp ~cost:1. (Refused msg);
+    (* planning refusals are cached and immediate: there is no artifact
+       to compile, so nothing to wait for *)
+    Plan_cache.add t.cache ~tenant:ts.ts_id ~key:fp (Refused msg);
     set_cache_gauges t;
     record_failure t ts msg
   | Ok plan ->
@@ -720,7 +713,7 @@ and start_compile t (ts : tstate) ~fingerprint:fp (meta : Meta.format_meta)
                   : outcome))
             q
         else begin
-          Plan_cache.add t.cache ~tenant:ts.ts_id ~key:fp ~cost (Ready plan);
+          Plan_cache.add t.cache ~tenant:ts.ts_id ~key:fp (Ready plan);
           set_cache_gauges t;
           Queue.iter
             (fun { pd_deadline_ns; pd_message } ->

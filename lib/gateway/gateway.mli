@@ -25,7 +25,6 @@ type rung = Morph.Plan.kind =
 
 type config = {
   max_plans : int;  (** shared plan-cache entry bound *)
-  max_plan_cost : float;  (** shared plan-cache cost bound *)
   tenant_quota : int;  (** per-tenant plan-cache entry quota *)
   admit_rate : float;
       (** per-tenant token-bucket refill, messages per simulated second;

@@ -1,10 +1,8 @@
-(* The gateway's shared plan cache: one bounded, cost-aware store across
-   every tenant.
+(* The gateway's shared plan cache: one bounded store across every
+   tenant.
 
-   Three limits interact:
+   Two limits interact:
      - [max_entries]: total live entries, the memory bound;
-     - [max_cost]: total cost units (compile weight) held, so a few huge
-       plans cannot crowd out hundreds of cheap ones unnoticed;
      - [tenant_quota]: per-tenant entry cap, so one tenant churning
        through formats evicts its own plans, not its neighbours'.
 
@@ -17,14 +15,12 @@ type 'v entry = {
   e_tenant : int;
   e_key : int;
   e_value : 'v;
-  e_cost : float;
   mutable e_tick : int;
   mutable e_alive : bool;
 }
 
 type stats = {
   entries : int;
-  cost : float;
   high_water : int;
   hits : int;
   misses : int;
@@ -34,14 +30,12 @@ type stats = {
 
 type 'v t = {
   max_entries : int;
-  max_cost : float;
   tenant_quota : int;
   on_evict : (tenant:int -> key:int -> unit) option;
   table : (int * int, 'v entry) Hashtbl.t;
   queue : ('v entry * int) Queue.t;
   by_tenant : (int, 'v entry list ref) Hashtbl.t;
   mutable count : int;
-  mutable total_cost : float;
   mutable clock : int;
   mutable high_water : int;
   mutable hits : int;
@@ -50,21 +44,17 @@ type 'v t = {
   mutable quota_evictions : int;
 }
 
-let create ?(max_entries = 1024) ?(max_cost = infinity) ?(tenant_quota = max_int)
-    ?on_evict () =
+let create ?(max_entries = 1024) ?(tenant_quota = max_int) ?on_evict () =
   if max_entries < 1 then invalid_arg "Plan_cache.create: max_entries must be >= 1";
   if tenant_quota < 1 then invalid_arg "Plan_cache.create: tenant_quota must be >= 1";
-  if not (max_cost > 0.) then invalid_arg "Plan_cache.create: max_cost must be > 0";
   {
     max_entries;
-    max_cost;
     tenant_quota;
     on_evict;
     table = Hashtbl.create 256;
     queue = Queue.create ();
     by_tenant = Hashtbl.create 64;
     count = 0;
-    total_cost = 0.;
     clock = 0;
     high_water = 0;
     hits = 0;
@@ -74,13 +64,11 @@ let create ?(max_entries = 1024) ?(max_cost = infinity) ?(tenant_quota = max_int
   }
 
 let size t = t.count
-let cost t = t.total_cost
 let high_water t = t.high_water
 
 let stats t =
   {
     entries = t.count;
-    cost = t.total_cost;
     high_water = t.high_water;
     hits = t.hits;
     misses = t.misses;
@@ -133,7 +121,6 @@ let delete t e ~evicted ~quota =
      | Some l -> l := List.filter (fun e' -> e' != e) !l
      | None -> ());
     t.count <- t.count - 1;
-    t.total_cost <- t.total_cost -. e.e_cost;
     if evicted then begin
       t.evictions <- t.evictions + 1;
       if quota then t.quota_evictions <- t.quota_evictions + 1;
@@ -179,25 +166,18 @@ let drop_tenant t tenant =
   Hashtbl.remove t.by_tenant tenant;
   List.length es
 
-let add t ~tenant ~key ~cost v =
-  if not (cost >= 0.) then invalid_arg "Plan_cache.add: cost must be >= 0";
+let add t ~tenant ~key v =
   remove t ~tenant ~key;
   (* per-tenant quota first: a tenant over quota pays with its own LRU
      entry, leaving the shared pool alone *)
   while tenant_count t tenant >= t.tenant_quota && evict_tenant_lru t tenant do
     ()
   done;
-  (* then the shared bounds *)
-  while
-    (t.count >= t.max_entries || (t.count > 0 && t.total_cost +. cost > t.max_cost))
-    && evict_lru t
-  do
+  (* then the shared bound *)
+  while t.count >= t.max_entries && evict_lru t do
     ()
   done;
-  let e =
-    { e_tenant = tenant; e_key = key; e_value = v; e_cost = cost; e_tick = 0;
-      e_alive = true }
-  in
+  let e = { e_tenant = tenant; e_key = key; e_value = v; e_tick = 0; e_alive = true } in
   Hashtbl.replace t.table (tenant, key) e;
   let l =
     match Hashtbl.find_opt t.by_tenant tenant with
@@ -209,6 +189,5 @@ let add t ~tenant ~key ~cost v =
   in
   l := e :: !l;
   t.count <- t.count + 1;
-  t.total_cost <- t.total_cost +. cost;
   if t.count > t.high_water then t.high_water <- t.count;
   touch t e

@@ -1,12 +1,11 @@
-(** Shared, bounded, cost-aware plan cache for the multi-tenant gateway.
+(** Shared, bounded plan cache for the multi-tenant gateway.
 
-    One store across every tenant, with three interacting limits:
-    [max_entries] (total live entries — the memory bound), [max_cost]
-    (total cost units held, so a few heavy plans cannot silently crowd
-    out hundreds of cheap ones) and [tenant_quota] (per-tenant entry cap,
-    so a tenant churning through formats evicts its own plans, not its
-    neighbours').  Eviction order is least-recently-used, via the same
-    lazy-deletion queue scheme as the {!Pbio.Codec} plan cache.
+    One store across every tenant, with two interacting limits:
+    [max_entries] (total live entries — the memory bound) and
+    [tenant_quota] (per-tenant entry cap, so a tenant churning through
+    formats evicts its own plans, not its neighbours').  Eviction order
+    is least-recently-used, via the same lazy-deletion queue scheme as the
+    {!Pbio.Codec} plan cache.
 
     Not thread-safe; the gateway runs on {!Transport.Netsim}'s
     single-threaded event loop. *)
@@ -15,7 +14,6 @@ type 'v t
 
 type stats = {
   entries : int;
-  cost : float;
   high_water : int;  (** most entries ever live at once *)
   hits : int;
   misses : int;
@@ -23,14 +21,13 @@ type stats = {
   quota_evictions : int;  (** evictions forced by a tenant's own quota *)
 }
 
-(** [create ()] — defaults: 1024 entries, unlimited cost, unlimited
-    per-tenant quota, no eviction hook.  [on_evict] fires on every
-    capacity eviction (not on explicit {!remove}/{!drop_tenant}), e.g. to
-    feed the gateway's eviction-storm governor.  Raises [Invalid_argument] on
-    non-positive limits. *)
+(** [create ()] — defaults: 1024 entries, unlimited per-tenant quota, no
+    eviction hook.  [on_evict] fires on every capacity eviction (not on
+    explicit {!remove}/{!drop_tenant}), e.g. to feed the gateway's
+    eviction-storm governor.  Raises [Invalid_argument] on non-positive
+    limits. *)
 val create :
   ?max_entries:int ->
-  ?max_cost:float ->
   ?tenant_quota:int ->
   ?on_evict:(tenant:int -> key:int -> unit) ->
   unit ->
@@ -42,14 +39,13 @@ val find : 'v t -> tenant:int -> key:int -> 'v option
 (** Insert (replacing any previous value under the same key without
     counting an eviction), evicting first the owning tenant's LRU entries
     down to quota, then the globally least-recently-used entries until
-    both shared bounds hold. *)
-val add : 'v t -> tenant:int -> key:int -> cost:float -> 'v -> unit
+    the entry bound holds. *)
+val add : 'v t -> tenant:int -> key:int -> 'v -> unit
 
 (** Remove every entry of one tenant (offboarding); returns how many. *)
 val drop_tenant : 'v t -> int -> int
 
 val size : 'v t -> int
-val cost : 'v t -> float
 val high_water : 'v t -> int
 val tenant_count : 'v t -> int -> int
 val stats : 'v t -> stats

@@ -584,8 +584,6 @@ let check_gateway (cfg : gateway_config) : (unit, Err.t) result =
     err "push times must be >= 0"
   else if g.Gateway.max_plans < 1 then
     err "max-plans must be >= 1 (got %d)" g.Gateway.max_plans
-  else if not (g.Gateway.max_plan_cost > 0.) then
-    err "max-plan-cost must be > 0 (got %g)" g.Gateway.max_plan_cost
   else if g.Gateway.tenant_quota < 1 then
     err "tenant-quota must be >= 1 (got %d)" g.Gateway.tenant_quota
   else if not (g.Gateway.admit_rate >= 0.) then
@@ -877,10 +875,10 @@ let gateway_summary (r : gateway_report) : string =
     s.Gateway.bad_frames s.Gateway.parity_mismatches;
   p "plans compiles=%d recompiles=%d coalesced=%d" s.Gateway.plan_compiles
     s.Gateway.plan_recompiles s.Gateway.singleflight_coalesced;
-  p "cache entries=%d high_water=%d cost=%g hits=%d misses=%d evictions=%d \
+  p "cache entries=%d high_water=%d hits=%d misses=%d evictions=%d \
      quota_evictions=%d"
     c.Gateway.Plan_cache.entries c.Gateway.Plan_cache.high_water
-    c.Gateway.Plan_cache.cost c.Gateway.Plan_cache.hits
+    c.Gateway.Plan_cache.hits
     c.Gateway.Plan_cache.misses c.Gateway.Plan_cache.evictions
     c.Gateway.Plan_cache.quota_evictions;
   p "breakers trips=%d recoveries=%d open_end=%d" s.Gateway.breaker_trips

@@ -355,9 +355,8 @@ let same fmt a b =
    byte, a truncated payload, 1-4 bytes appended, each under a header
    that still fits) must land in the same outcome class at the receiver
    as under reference decode plus interpreted morph.  The interpreter
-   checks no enum coercion and tests a float condition without
-   truncating it (the engines oracle leaves both out), so a widened case
-   or a float guard takes the compiled hop-by-hop chain as its reference
+   checks no enum coercion (the engines oracle leaves it out), so a
+   widened case takes the compiled hop-by-hop chain as its reference
    morph instead.  [collapsed] counts the cases whose plan collapsed,
    [looped] those of them whose hops run loops; a campaign with none of
    either fails. *)
@@ -478,8 +477,8 @@ let with_loops (s : Evolve.step) : Evolve.step option =
    guards, each element a random subset of [E]'s field groups (basic
    integers sometimes widened to float, sometimes plus a field no store
    writes) or the whole element; sometimes a hop of moves follows.  The
-   chain, the head value with small guard values, the receiver's target,
-   and whether a guard is a float. *)
+   chain, the head value with small guard values, and the receiver's
+   target. *)
 let fig5_chain st =
   let field = Ptype.field and var n r = Ptype.array_var n (Ptype.Record r) in
   let sprintf = Printf.sprintf in
@@ -599,11 +598,8 @@ let fig5_chain st =
       (fun (g : Ptype.field) -> Value.set_field (Value.array_get list e) g.fname (small g))
       guards
   done;
-  let float_guard =
-    List.exists (fun (g : Ptype.field) -> Ptype.equal_type g.ftype Ptype.float_) guards
-  in
   let target = if Rgen.int_range 0 3 st = 0 then structural_variant c.base st else c.base in
-  (c, v, target, float_guard)
+  (c, v, target)
 
 (* Where two places of a value share a mutable record, entry or array. *)
 let shared (v : Value.t) : bool =
@@ -624,8 +620,8 @@ let shared (v : Value.t) : bool =
 let collapse_case st =
   let c, v, target, compiled_ref, loops =
     if Rgen.int_range 0 2 st = 0 then
-      let c, v, target, float_guard = fig5_chain st in
-      (c, v, target, float_guard, true)
+      let c, v, target = fig5_chain st in
+      (c, v, target, false, true)
     else
       let base = Gen.record st in
       let c, widened = widen_enum (Evolve.chain ~max_steps:8 base st) st in

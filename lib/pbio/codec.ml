@@ -22,6 +22,17 @@
    to decode-then-convert; the morphcheck "codec" oracle enforces this
    differentially.
 
+   Each wire rule is stated once.  One record walker ([walk_record])
+   serves every reader that keeps only some of a record's fields — a
+   skip, an element map's gather, a fused map's read: the caller gives a
+   step per kept field, and the walker skips each dropped one with a
+   decode's checks, merging adjacent fixed-width spans into one step, or
+   reads it into the length slot a later array needs.  One count guard
+   ([array_count]) checks every array count a compiled plan reads, and
+   one array reader ([read_array]) builds the arrays that decode and
+   fused conversion fill.  One per-endian slot accessor ([per_endian])
+   fills every cached plan under the cache lock.
+
    Hostile input discipline is inherited from the interpreter: every
    length is bounds-checked before allocation, unknown enum values reject
    the message (even when the field is skipped), and decoding failures
@@ -629,13 +640,46 @@ let record_layout (r : Ptype.record) =
   in
   (fields, nf, nslots, slot_for_field, slot_for_name)
 
-(* Resolve a length-field name to a reader over the scope's slot array.
-   Slots start as [Int 0], reproducing the interpreter's placeholder
-   semantics when a hostile format references a not-yet-decoded field. *)
-let lf_of (r : Ptype.record) slot_for_name (nm : string) : Value.t array -> int =
-  match slot_for_name nm with
-  | Some k -> fun lens -> Value.to_int lens.(k)
-  | None -> fun _ -> decode_error "record %s: missing length field %S" r.rname nm
+(* The count guard: every compiled reader of an array (decode, skip, a
+   fused conversion, an element map) takes the element count from here
+   before it reads, skips or allocates one element.  Both size sources are
+   untrusted: length fields come off the wire and fixed sizes may come
+   from a hostile format description (shipped meta-data).  A length field
+   resolves to its slot in the scope's [lens]; slots start as [Int 0],
+   reproducing the interpreter's placeholder semantics when a hostile
+   format references a not-yet-decoded field, and a name the scope lacks
+   fails when its array is reached, as the interpreter's [length_of]
+   does. *)
+let array_count (r : Ptype.record) slot_for_name ({ elem; size } : Ptype.array_spec) :
+  cursor -> Value.t array -> int =
+  let m = min_wire_size elem in
+  let guard what cur n =
+    if n < 0 then decode_error "negative array length %d for %s" n what;
+    let remaining = cur.limit - cur.pos in
+    if (m > 0 && n > remaining / m) || (m = 0 && n > cur.limit) then
+      decode_error "array length %d for %s exceeds message size" n what;
+    n
+  in
+  match size with
+  | Ptype.Fixed k -> fun cur _ -> guard "fixed-size array" cur k
+  | Length_field nm ->
+    (match slot_for_name nm with
+     | Some k ->
+       let what = Printf.sprintf "%S" nm in
+       fun cur lens -> guard what cur (Value.to_int lens.(k))
+     | None -> fun _ _ -> decode_error "record %s: missing length field %S" r.rname nm)
+
+(* The array reader of decode and fused conversion: the count guard, then
+   [elem] once per element.  The model is shared across every array the
+   plan reads: growth fills copy it ([Value.fill_for]) and equality
+   ignores it. *)
+let read_array (count : cursor -> Value.t array -> int) elem (model : Value.t) :
+  cursor -> Value.t array -> Value.t =
+  let model = Some model in
+  fun cur lens ->
+    let n = count cur lens in
+    let items = Array.init n (fun _ -> elem cur lens) in
+    Value.Array { items; len = n; model }
 
 let no_lens : Value.t array = [||]
 let vtrue = Value.Bool true
@@ -645,8 +689,7 @@ let vfalse = Value.Bool false
    cursor advance) rather than calling the shared readers: one fewer
    indirect call per field, which is most of the interpreter's remaining
    per-field overhead once dispatch is gone. *)
-let rec comp_decode_type endian (lf : string -> Value.t array -> int) (ty : Ptype.t) :
-  cursor -> Value.t array -> Value.t =
+let rec comp_decode_type endian count (ty : Ptype.t) : cursor -> Value.t array -> Value.t =
   match ty with
   | Ptype.Basic Int ->
     (match endian with
@@ -723,33 +766,15 @@ let rec comp_decode_type endian (lf : string -> Value.t array -> int) (ty : Ptyp
   | Record r ->
     let sub = comp_decode_record endian r in
     fun cur _ -> sub cur
-  | Array { elem; size } ->
-    let m = min_wire_size elem in
-    let edec = comp_decode_type endian lf elem in
-    (* the model is shared across every array this plan decodes: growth
-       fills copy it ([Value.fill_for]) and equality ignores it *)
-    let model = Some (Value.default elem) in
-    let getn, what =
-      match size with
-      | Ptype.Fixed k -> (fun _ -> k), "fixed-size array"
-      | Length_field nm -> lf nm, Printf.sprintf "%S" nm
-    in
-    fun cur lens ->
-      let n = getn lens in
-      if n < 0 then decode_error "negative array length %d for %s" n what;
-      let remaining = cur.limit - cur.pos in
-      if (m > 0 && n > remaining / m) || (m = 0 && n > cur.limit) then
-        decode_error "array length %d for %s exceeds message size" n what;
-      let items = Array.init n (fun _ -> edec cur lens) in
-      Value.Array { items; len = n; model }
+  | Array a -> read_array (count a) (comp_decode_type endian count a.elem) (Value.default a.elem)
 
 and comp_decode_record endian (r : Ptype.record) : cursor -> Value.t =
   let fields, nf, nslots, slot_for_field, slot_for_name = record_layout r in
-  let lf = lf_of r slot_for_name in
+  let count = array_count r slot_for_name in
   let names = Array.map (fun (f : Ptype.field) -> f.fname) fields in
   let steps =
     Array.init nf (fun i ->
-        let base = comp_decode_type endian lf fields.(i).Ptype.ftype in
+        let base = comp_decode_type endian count fields.(i).Ptype.ftype in
         match slot_for_field i with
         | None -> base
         | Some k ->
@@ -809,113 +834,125 @@ and comp_decode_record endian (r : Ptype.record) : cursor -> Value.t =
   if nslots = 0 then fun cur -> build cur no_lens
   else fun cur -> build cur (Array.make nslots (Value.Int 0))
 
-(* Plan steps are either a closure or an [`Fskip n]: a field whose [n]
-   bytes are dropped unread.  Adjacent spans merge, so each run becomes
-   one step (a single bounds check and cursor bump).  Callers build that
-   step as a fresh closure over [n]: a partial application of a shared
-   skip function would cost an extra indirect call on every element. *)
+(* --- the record walker ------------------------------------------------------------ *)
+
+(* A walk step reads one field of a record, or a run of dropped ones: it
+   takes the cursor, the record scope's length slots and the state its
+   caller fills (an element's row, a fused map's state array; nothing
+   when skipping). *)
+type walk_step = cursor -> Value.t array -> Value.t array -> unit
+
+(* A dropped field whose [n] bytes are skipped unread is a [Span n].
+   Adjacent spans merge, so each run becomes one step (a single bounds
+   check and cursor bump). *)
+type piece =
+  | Span of int
+  | Step of walk_step
+
 let rec coalesce = function
-  | `Fskip a :: `Fskip b :: rest -> coalesce (`Fskip (a + b) :: rest)
+  | Span a :: Span b :: rest -> coalesce (Span (a + b) :: rest)
   | s :: rest -> s :: coalesce rest
   | [] -> []
+
+(* The one place a span becomes a step: a fresh closure over [n], since a
+   partial application of a shared skip function would cost an extra
+   indirect call on every element. *)
+let step_of = function
+  | Span n ->
+    fun cur _ _ ->
+      need cur n;
+      cur.pos <- cur.pos + n
+  | Step f -> f
+
+type walk = {
+  nslots : int;
+  steps : walk_step array;
+}
+
+(* Run a walk over one record.  Inlined where it is called, so a walk
+   costs its steps' calls and no call of its own. *)
+let[@inline] walk w cur st =
+  let lens = if w.nslots = 0 then no_lens else Array.make w.nslots (Value.Int 0) in
+  let steps = w.steps in
+  for i = 0 to Array.length steps - 1 do
+    steps.(i) cur lens st
+  done
 
 (* Skip a value on the wire without materialising it, enforcing the same
    guards as decoding (bounds, enum validity), so a fused plan accepts and
    rejects exactly the messages the staged path does. *)
-let rec comp_skip_type endian (lf : string -> Value.t array -> int) (ty : Ptype.t) :
-  cursor -> Value.t array -> unit =
-  match fixed_span ty with
-  | Some k ->
-    fun cur _ ->
-      need cur k;
-      cur.pos <- cur.pos + k
-  | None ->
-    (match ty with
-     | Ptype.Basic (Int | Uint) ->
-       fun cur _ ->
-         need cur 4;
-         cur.pos <- cur.pos + 4
-     | Basic Float ->
-       fun cur _ ->
-         need cur 8;
-         cur.pos <- cur.pos + 8
-     | Basic (Char | Bool) ->
-       fun cur _ ->
-         need cur 1;
-         cur.pos <- cur.pos + 1
-     | Basic (Enum e) ->
-       let rd = reader_i32 endian in
-       let tbl = enum_table e in
-       let ename = e.ename in
-       fun cur _ ->
-         let n = rd cur in
-         if not (Hashtbl.mem tbl n) then decode_error "enum %s: unknown value %d" ename n
-     | Basic String ->
-       let rd = reader_u32 endian in
-       fun cur _ ->
-         let n = rd cur in
-         if n > cur.limit - cur.pos then decode_error "string length %d exceeds message" n;
-         cur.pos <- cur.pos + n
-     | Record r ->
-       let sub = comp_skip_record endian r in
-       fun cur _ -> sub cur
-     | Array { elem; size } ->
-       let m = min_wire_size elem in
-       let espan = fixed_span elem in
-       let eskip = comp_skip_type endian lf elem in
-       let getn, what =
-         match size with
-         | Ptype.Fixed k -> (fun _ -> k), "fixed-size array"
-         | Length_field nm -> lf nm, Printf.sprintf "%S" nm
-       in
-       fun cur lens ->
-         let n = getn lens in
-         if n < 0 then decode_error "negative array length %d for %s" n what;
-         let remaining = cur.limit - cur.pos in
-         if (m > 0 && n > remaining / m) || (m = 0 && n > cur.limit) then
-           decode_error "array length %d for %s exceeds message size" n what;
-         (match espan with
-          | Some k ->
-            need cur (n * k);
-            cur.pos <- cur.pos + (n * k)
-          | None -> for _ = 1 to n do eskip cur lens done))
+let rec comp_skip_type endian count (ty : Ptype.t) : walk_step =
+  match fixed_span ty, ty with
+  | Some k, _ -> step_of (Span k)
+  | None, Basic (Enum e) ->
+    let rd = reader_i32 endian in
+    let tbl = enum_table e in
+    let ename = e.ename in
+    fun cur _ _ ->
+      let n = rd cur in
+      if not (Hashtbl.mem tbl n) then decode_error "enum %s: unknown value %d" ename n
+  | None, Basic _ ->
+    (* a string: every other basic type has a fixed span *)
+    let rd = reader_u32 endian in
+    fun cur _ _ ->
+      let n = rd cur in
+      if n > cur.limit - cur.pos then decode_error "string length %d exceeds message" n;
+      cur.pos <- cur.pos + n
+  | None, Record r ->
+    let w = walk_record endian r (fun _ _ _ _ -> None) in
+    fun cur _ st -> walk w cur st
+  | None, Array a ->
+    let n_of = count a in
+    (match fixed_span a.elem with
+     | Some k ->
+       fun cur lens _ ->
+         let n = n_of cur lens in
+         need cur (n * k);
+         cur.pos <- cur.pos + (n * k)
+     | None ->
+       let eskip = comp_skip_type endian count a.elem in
+       fun cur lens st ->
+         for _ = 1 to n_of cur lens do
+           eskip cur lens st
+         done)
 
-and comp_skip_record endian (r : Ptype.record) : cursor -> unit =
+(* The record walker: the steps that go through one record of [r] field
+   by field, shared by every reader that keeps only some fields (a skip,
+   an element map's gather, a fused map's read).  [keep count i ty slot]
+   is the step of field [i] when the caller reads it ([count] resolves
+   the scope's array counts, [slot] is the length slot the field fills
+   when a later array sizes from it), [None] when the caller drops it.
+   A dropped field is skipped with a decode's checks, or still read into
+   its length slot when a later array sizes from it; adjacent fixed-width
+   drops collapse into one span, since this runs per array element on
+   drop-heavy morphs, where a run of scalars (ints, bools) then costs one
+   bounds check, not one closure call each. *)
+and walk_record endian (r : Ptype.record) keep : walk =
   let fields, nf, nslots, slot_for_field, slot_for_name = record_layout r in
-  let lf = lf_of r slot_for_name in
-  (* adjacent fixed-width fields collapse into one span: this runs per
-     array element on drop-heavy morphs, so a run of scalars (ints,
-     bools) costs one bounds check, not one closure call each *)
-  let raw =
-    List.init nf (fun i ->
-        let ty = fields.(i).Ptype.ftype in
-        match slot_for_field i with
-        | Some k ->
-          (* a skipped field other arrays size from must still be read *)
-          let dec = comp_decode_type endian lf ty in
-          `Step (fun cur lens -> lens.(k) <- dec cur lens)
-        | None ->
-          (match fixed_span ty with
-           | Some n -> `Fskip n
-           | None -> `Step (comp_skip_type endian lf ty)))
+  let count = array_count r slot_for_name in
+  let piece i =
+    let ty = fields.(i).Ptype.ftype and slot = slot_for_field i in
+    match keep count i ty slot, slot with
+    | Some step, _ -> Step step
+    | None, Some k ->
+      let dec = comp_decode_type endian count ty in
+      Step (fun cur lens _ -> lens.(k) <- dec cur lens)
+    | None, None ->
+      (match fixed_span ty with
+       | Some n -> Span n
+       | None -> Step (comp_skip_type endian count ty))
   in
-  let steps =
-    Array.of_list
-      (List.map
-         (function
-           | `Fskip n ->
-             fun cur _ ->
-               need cur n;
-               cur.pos <- cur.pos + n
-           | `Step f -> f)
-         (coalesce raw))
-  in
-  let ns = Array.length steps in
-  fun cur ->
-    let lens = if nslots = 0 then no_lens else Array.make nslots (Value.Int 0) in
-    for i = 0 to ns - 1 do
-      steps.(i) cur lens
-    done
+  { nslots; steps = Array.of_list (List.map step_of (coalesce (List.init nf piece))) }
+
+(* A kept field's step: decode it into [st.(p)], and into its length slot
+   when a later array sizes from it. *)
+let store dec p = function
+  | None -> fun cur lens st -> st.(p) <- dec cur lens
+  | Some k ->
+    fun cur lens st ->
+      let v = dec cur lens in
+      lens.(k) <- v;
+      st.(p) <- v
 
 let compile_decode ~endian (r : Ptype.record) : decoder =
   { dfmt = r; drun = comp_decode_record endian r }
@@ -1023,63 +1060,26 @@ let record_builder (names : string array) (g : (Value.t array -> Value.t) array)
     fun st -> Value.Record (Array.init n (fun j -> { Value.name = names.(j); v = g.(j) st }))
 
 (* Read one record off the wire into [row], by field position: the fields
-   [want] marks are decoded, the rest skipped with a decode's checks (a
-   skipped field other arrays size from is still read). *)
+   [want] marks are decoded, the walker drops the rest. *)
 let comp_gather endian (r : Ptype.record) (want : bool array) : cursor -> Value.t array -> unit =
-  let fields, nf, nslots, slot_for_field, slot_for_name = record_layout r in
-  let lf = lf_of r slot_for_name in
+  let fields, nf, nslots, _, slot_for_name = record_layout r in
   if nslots = 0 && Array.for_all Fun.id want then begin
     (* every field, none sizing another: one decoder call each, a closure
-       call per field fewer than the steps below (Fig. 5's elements take
+       call per field fewer than the walker's steps (Fig. 5's elements take
        this path, for 3-4% more channel-ecode messages) *)
-    let decs = Array.map (fun (f : Ptype.field) -> comp_decode_type endian lf f.ftype) fields in
+    let count = array_count r slot_for_name in
+    let decs = Array.map (fun (f : Ptype.field) -> comp_decode_type endian count f.ftype) fields in
     fun cur row ->
       for g = 0 to nf - 1 do
         row.(g) <- decs.(g) cur no_lens
       done
   end
   else begin
-    let raw =
-      List.init nf (fun g ->
-          let ty = fields.(g).Ptype.ftype in
-          match want.(g), slot_for_field g with
-          | false, None ->
-            (match fixed_span ty with
-             | Some n -> `Fskip n
-             | None ->
-               let sk = comp_skip_type endian lf ty in
-               `Step (fun cur lens _ -> sk cur lens))
-          | false, Some k ->
-            let dec = comp_decode_type endian lf ty in
-            `Step (fun cur lens _ -> lens.(k) <- dec cur lens)
-          | true, None ->
-            let dec = comp_decode_type endian lf ty in
-            `Step (fun cur lens row -> row.(g) <- dec cur lens)
-          | true, Some k ->
-            let dec = comp_decode_type endian lf ty in
-            `Step
-              (fun cur lens row ->
-                 let v = dec cur lens in
-                 lens.(k) <- v;
-                 row.(g) <- v))
+    let w =
+      walk_record endian r (fun count g ty slot ->
+          if want.(g) then Some (store (comp_decode_type endian count ty) g slot) else None)
     in
-    let steps =
-      Array.of_list
-        (List.map
-           (function
-             | `Fskip n ->
-               fun cur _ _ ->
-                 need cur n;
-                 cur.pos <- cur.pos + n
-             | `Step f -> f)
-           (coalesce raw))
-    in
-    let ns = Array.length steps in
-    fun cur row ->
-      let lens = if nslots = 0 then no_lens else Array.make nslots (Value.Int 0) in
-      for s = 0 to ns - 1 do
-        steps.(s) cur lens row
-      done
+    fun cur row -> walk w cur row
   end
 
 (* The read step of a source array of type [sty] that element maps take,
@@ -1093,11 +1093,11 @@ let comp_gather endian (r : Ptype.record) (want : bool array) : cursor -> Value.
    whole at that state slot, and in length slot [lens_k], for the field's
    other uses; its elements own the row, so every map copies.  No guard
    or step can fail: an element map coerces into no enum. *)
-let comp_each endian lf (sty : Ptype.t) (takers : (int * Ptype.record * each) list) ~raw
-    ~lens_k : cursor -> Value.t array -> Value.t array -> unit =
-  let er, size =
+let comp_each endian count (sty : Ptype.t) (takers : (int * Ptype.record * each) list) ~raw
+    ~lens_k : walk_step =
+  let a, er =
     match sty with
-    | Ptype.Array { elem = Record er; size } -> (er, size)
+    | Ptype.Array ({ elem = Record er; _ } as a) -> (a, er)
     | Basic _ | Record _ | Array _ -> invalid_arg "Codec: an element map reads a non-record array"
   in
   let efields = Array.of_list er.fields in
@@ -1167,18 +1167,9 @@ let comp_each endian lf (sty : Ptype.t) (takers : (int * Ptype.record * each) li
   let models = Array.of_list (List.map (fun (_, r, _) -> Value.default_record r) takers) in
   let whole = record_builder (names er) (Array.init ne (fun g row -> row.(g))) in
   let emodel = Some (Value.default (Ptype.Record er)) in
-  let m = min_wire_size (Ptype.Record er) in
-  let getn, what =
-    match size with
-    | Ptype.Fixed k -> (fun _ -> k), "fixed-size array"
-    | Length_field nm -> lf nm, Printf.sprintf "%S" nm
-  in
+  let n_of = count a in
   fun cur lens st ->
-    let n = getn lens in
-    if n < 0 then decode_error "negative array length %d for %s" n what;
-    let remaining = cur.limit - cur.pos in
-    if (m > 0 && n > remaining / m) || (m = 0 && n > cur.limit) then
-      decode_error "array length %d for %s exceeds message size" n what;
+    let n = n_of cur lens in
     let row = Array.make (max ne 1) (Value.Int 0) in
     let items = Array.make ntk [||] in
     for t = 0 to ntk - 1 do
@@ -1210,84 +1201,66 @@ let comp_each endian lf (sty : Ptype.t) (takers : (int * Ptype.record * each) li
    materialises the target default).  Fusion recurses through records and
    arrays, by {!by_name} maps, so e.g. fields dropped from an array element
    are skipped on the wire instead of decoded and discarded. *)
-let rec comp_morph_type endian (lf : string -> Value.t array -> int) (src : Ptype.t)
-    (dst : Ptype.t) : (cursor -> Value.t array -> Value.t) option =
-  if Ptype.equal_type src dst then Some (comp_decode_type endian lf src)
+let rec comp_morph_type endian count (src : Ptype.t) (dst : Ptype.t) :
+  (cursor -> Value.t array -> Value.t) option =
+  if Ptype.equal_type src dst then Some (comp_decode_type endian count src)
   else
     match src, dst with
     | Ptype.Basic _, Ptype.Basic _ ->
       (match Convert.compile_type src dst with
        | None -> None
        | Some co ->
-         let dec = comp_decode_type endian lf src in
+         let dec = comp_decode_type endian count src in
          Some (fun cur lens -> co (dec cur lens)))
     | Record r1, Record r2 ->
       let read, build = comp_map_record endian r1 r2 (by_name ~from_:r1 ~into:r2) in
       Some (fun cur _ -> build (read cur))
     | Array a1, Array a2 ->
-      let m = min_wire_size a1.elem in
       (* like [Convert.compile_type]: an inconvertible element becomes a
          copy of the target default, but the source bytes must still be
          consumed (and validated) *)
       let elem =
-        match comp_morph_type endian lf a1.elem a2.elem with
+        match comp_morph_type endian count a1.elem a2.elem with
         | Some f -> f
         | None ->
-          let sk = comp_skip_type endian lf a1.elem in
+          let sk = comp_skip_type endian count a1.elem in
           let d = Value.default a2.elem in
           fun cur lens ->
-            sk cur lens;
+            sk cur lens no_lens;
             Value.copy d
       in
       let dmodel = Value.default a2.elem in
-      let getn, what =
-        match a1.size with
-        | Ptype.Fixed k -> (fun _ -> k), "fixed-size array"
-        | Length_field nm -> lf nm, Printf.sprintf "%S" nm
-      in
-      let check cur lens =
-        let n = getn lens in
-        if n < 0 then decode_error "negative array length %d for %s" n what;
-        let remaining = cur.limit - cur.pos in
-        if (m > 0 && n > remaining / m) || (m = 0 && n > cur.limit) then
-          decode_error "array length %d for %s exceeds message size" n what;
-        n
-      in
       (match a2.size with
-       | Ptype.Length_field _ ->
-         Some
-           (fun cur lens ->
-              let n = check cur lens in
-              let items = Array.init n (fun _ -> elem cur lens) in
-              Value.Array { items; len = n; model = Some dmodel })
+       | Ptype.Length_field _ -> Some (read_array (count a1) elem dmodel)
        | Fixed k ->
-         let eskip = comp_skip_type endian lf a1.elem in
+         let n_of = count a1 in
+         let eskip = comp_skip_type endian count a1.elem in
          Some
            (fun cur lens ->
-              let n = check cur lens in
+              let n = n_of cur lens in
               let take = if k < n then k else n in
               let items =
                 Array.init k (fun i ->
                     if i < take then elem cur lens else Value.copy dmodel)
               in
               for _ = take + 1 to n do
-                eskip cur lens
+                eskip cur lens no_lens
               done;
               Value.Array { items; len = k; model = Some dmodel }))
     | (Basic _ | Record _ | Array _), _ -> None
 
 (* A field map compiled over one record scope, in two phases.  [read]
-   consumes the source fields in wire order into a state array: the first
+   walks the source fields in wire order into a state array: the first
    [nt] entries hold target fields decoded straight into place (a source
    field with one taker, no check and structural steps only, which cannot
    fail), the rest hold source values kept for [build].  [build] runs the
    checks in order, then the kept values' steps, then assembles the target
-   record.  Unused fields are skipped on the wire, or only read when other
-   arrays size from them. *)
+   record.  The walker skips unused fields on the wire, or only reads them
+   when other arrays size from them. *)
 and comp_map_record endian (src : Ptype.record) (dst : Ptype.record) (map : field_map) :
   (cursor -> Value.t array) * (Value.t array -> Value.t) =
-  let fields, nf, nslots, slot_for_field, slot_for_name = record_layout src in
-  let lf = lf_of src slot_for_name in
+  let fields = Array.of_list src.fields in
+  let nf = Array.length fields in
   let tnames = Array.of_list (List.map (fun (f : Ptype.field) -> f.Ptype.fname) dst.fields) in
   let nt = Array.length tnames in
   if Array.length map.slots <> nt then invalid_arg "Codec: field map arity";
@@ -1322,95 +1295,45 @@ and comp_map_record endian (src : Ptype.record) (dst : Ptype.record) (map : fiel
     map.checks;
   let kept = Array.make (max nf 1) (-1) in
   let nst = ref nt in
-  (* a step closure per source field; [Fskip n] marks a field whose bytes
-     are dropped with a statically known span; adjacent ones coalesce into
-     a single bounds check and cursor bump (e.g. two bools dropped from an
-     array element cost one 2-byte skip per element, not two closure
-     calls) *)
-  let raw =
-    List.init nf (fun i ->
-        let sty = fields.(i).Ptype.ftype in
-        let dec () = comp_decode_type endian lf sty in
-        let wire_phase = List.for_all (function Convert _ -> true | Coerce _ -> false) in
-        match uses.(i), checked.(i), slot_for_field i with
-        | uses_i, checked_i, lens_k when each_uses.(i) <> [] ->
-          (* an element-mapped array, also kept whole when anything else
-             takes it *)
-          let raw =
-            if uses_i = [] && (not checked_i) && lens_k = None then -1
-            else begin
-              let p = !nst in
-              incr nst;
-              kept.(i) <- p;
-              p
-            end
-          in
-          `Step (comp_each endian lf sty each_uses.(i) ~raw ~lens_k)
-        | [], false, None ->
-          (match fixed_span sty with
-           | Some n -> `Fskip n
-           | None ->
-             let sk = comp_skip_type endian lf sty in
-             `Step (fun cur lens _ -> sk cur lens))
-        | [], false, Some k ->
-          (* a dropped field other arrays size from must still be read *)
-          let dec = dec () in
-          `Step (fun cur lens _ -> lens.(k) <- dec cur lens)
-        | [ (j, steps) ], false, None when wire_phase steps ->
-          let dec =
-            match steps with
-            | [] -> dec ()
-            | [ Convert (s, t) ] when Ptype.equal_type s sty ->
-              (match comp_morph_type endian lf sty t with
-               | Some dec -> dec
-               | None -> invalid_arg "Codec: a field map converts between inconvertible types")
-            | _ ->
-              let dec = dec () and f = compile_steps steps in
-              fun cur lens -> f (dec cur lens)
-          in
-          `Step (fun cur lens st -> st.(j) <- dec cur lens)
-        | [ (j, steps) ], false, Some k when wire_phase steps ->
-          (* length-referenced AND taken: the lens needs the source-formed
-             value, so convert it separately like the staged path *)
+  let keep_at i =
+    let p = !nst in
+    incr nst;
+    kept.(i) <- p;
+    p
+  in
+  let wire_phase = List.for_all (function Convert _ -> true | Coerce _ -> false) in
+  let keep count i sty lens_k =
+    let dec () = comp_decode_type endian count sty in
+    match uses.(i), checked.(i) with
+    | uses_i, checked_i when each_uses.(i) <> [] ->
+      (* an element-mapped array, also kept whole when anything else
+         takes it *)
+      let raw = if uses_i = [] && (not checked_i) && lens_k = None then -1 else keep_at i in
+      Some (comp_each endian count sty each_uses.(i) ~raw ~lens_k)
+    | [], false -> None
+    | [ (j, steps) ], false when wire_phase steps && (steps = [] || lens_k = None) ->
+      (* one taker, no check, structural steps: decoded straight into
+         place.  A length-referenced field with steps is kept for [build]
+         instead, since its length slot needs the source-formed value *)
+      let dec =
+        match steps with
+        | [] -> dec ()
+        | [ Convert (s, t) ] when Ptype.equal_type s sty ->
+          (match comp_morph_type endian count sty t with
+           | Some dec -> dec
+           | None -> invalid_arg "Codec: a field map converts between inconvertible types")
+        | _ ->
           let dec = dec () and f = compile_steps steps in
-          `Step
-            (fun cur lens st ->
-               let v = dec cur lens in
-               lens.(k) <- v;
-               st.(j) <- f v)
-        | _, _, lens_slot ->
-          let p = !nst in
-          incr nst;
-          kept.(i) <- p;
-          let dec = dec () in
-          (match lens_slot with
-           | None -> `Step (fun cur lens st -> st.(p) <- dec cur lens)
-           | Some k ->
-             `Step
-               (fun cur lens st ->
-                  let v = dec cur lens in
-                  lens.(k) <- v;
-                  st.(p) <- v)))
+          fun cur lens -> f (dec cur lens)
+      in
+      Some (store dec j lens_k)
+    | _ -> Some (store (dec ()) (keep_at i) lens_k)
   in
-  let steps =
-    Array.of_list
-      (List.map
-         (function
-           | `Fskip n ->
-             fun cur _ _ ->
-               need cur n;
-               cur.pos <- cur.pos + n
-           | `Step f -> f)
-         (coalesce raw))
-  in
-  let ns = Array.length steps in
+  let w = walk_record endian src keep in
   let nst = max !nst 1 in
   let read cur =
-    let lens = if nslots = 0 then no_lens else Array.make nslots (Value.Int 0) in
     let st = Array.make nst (Value.Int 0) in
-    for i = 0 to ns - 1 do
-      steps.(i) cur lens st
-    done;
+    walk w cur st;
     st
   in
   (* build phase: the checks, for their failures alone, then the kept
@@ -1493,24 +1416,28 @@ let morph_payload (m : morpher) ?(pos = 0) (data : string) : Value.t =
    formats cannot flush the hot ones.  Evictions tick
    [codec.plan_evictions]. *)
 
-(* Per-endian plan slots, filled on demand.  The slots are plain mutable
-   options rather than [Lazy.t]: every write happens under the cache
-   lock, so two domains can never race a force (which would raise
-   [Lazy.Undefined] on a shared lazy).  A reader outside the lock that
-   observes a stale [None] simply falls through to the locked
-   double-check; one that observes [Some plan] sees a fully-initialised
-   immutable closure tree, which is safe to run anywhere. *)
-type plans = {
-  mutable enc_le : encoder option;
-  mutable enc_be : encoder option;
-  mutable dec_le : decoder option;
-  mutable dec_be : decoder option;
+(* Per-endian plan slots, filled on demand from [key], what the plans
+   compile from.  The slots are plain mutable options rather than
+   [Lazy.t]: every write happens under the cache lock, so two domains can
+   never race a force (which would raise [Lazy.Undefined] on a shared
+   lazy).  A reader outside the lock that observes a stale [None] simply
+   falls through to the locked double-check; one that observes [Some plan]
+   sees a fully-initialised immutable closure tree, which is safe to run
+   anywhere. *)
+type ('k, 'p) per_endian = {
+  key : 'k;
+  mutable le : 'p option;
+  mutable be : 'p option;
 }
 
-type mplans = {
-  mutable mor_le : morpher option;
-  mutable mor_be : morpher option;
+let unfilled key = { key; le = None; be = None }
+
+type plans = {
+  enc : (Ptype.record, encoder) per_endian;
+  dec : (Ptype.record, decoder) per_endian;
 }
+
+type mplans = (Ptype.record * Ptype.record, morpher) per_endian
 
 (* A plan cache: the codec part of a [Pbio.Ctx.t] capability.  One mutex
    guards both tables; plan compilation also runs under it, which
@@ -1540,12 +1467,6 @@ let create_cache ?(metrics = Obs.null) () : cache =
 let plan_cache_size ~cache =
   Mutex.protect cache.lock (fun () -> Lru.size cache.ptbl + Lru.size cache.mtbl)
 
-let note_evictions (c : cache) n =
-  if n > 0 then begin
-    let m = c.cmetrics in
-    if m.mon then Obs.Counter.add m.evictions n
-  end
-
 let hit (c : cache) =
   let m = c.cmetrics in
   if m.mon then Obs.Counter.incr m.cache_hits
@@ -1561,6 +1482,20 @@ let timed_compile (c : cache) (f : unit -> 'a) : 'a =
     Obs.Histogram.observe m.compile_ns (Obs.now m.mreg -. t0);
     p
   end
+
+(* The entry for [key] in [tbl], added when missing. *)
+let entry (c : cache) tbl ~hash key make =
+  Mutex.protect c.lock (fun () ->
+      match Lru.find tbl ~hash key with
+      | Some p ->
+        hit c;
+        p
+      | None ->
+        let p = make key in
+        let evicted = Lru.add tbl ~hash key p in
+        let m = c.cmetrics in
+        if evicted > 0 && m.mon then Obs.Counter.add m.evictions evicted;
+        p)
 
 (* One-slot physical-identity memo in front of the hashed tables:
    almost every caller passes the same statically-defined [Ptype.record]
@@ -1587,54 +1522,11 @@ let plans_for (c : cache) (r : Ptype.record) : plans =
     hit c;
     p
   | _ ->
-    let h = Ptype.hash_record r in
     let p =
-      Mutex.protect c.lock (fun () ->
-          match Lru.find c.ptbl ~hash:h r with
-          | Some p ->
-            hit c;
-            p
-          | None ->
-            let p = { enc_le = None; enc_be = None; dec_le = None; dec_be = None } in
-            note_evictions c (Lru.add c.ptbl ~hash:h r p);
-            p)
+      entry c c.ptbl ~hash:(Ptype.hash_record r) r (fun r -> { enc = unfilled r; dec = unfilled r })
     in
     memo.lp <- Some (c, r, p);
     p
-
-let encoder_for ~cache ~endian (r : Ptype.record) : encoder =
-  let p = plans_for cache r in
-  match (endian, p.enc_le, p.enc_be) with
-  | Little, Some e, _ | Big, _, Some e -> e
-  | _ ->
-    Mutex.protect cache.lock (fun () ->
-        match (endian, p.enc_le, p.enc_be) with
-        | Little, Some e, _ | Big, _, Some e -> e
-        | Little, None, _ ->
-          let e = timed_compile cache (fun () -> compile_encode ~endian r) in
-          p.enc_le <- Some e;
-          e
-        | Big, _, None ->
-          let e = timed_compile cache (fun () -> compile_encode ~endian r) in
-          p.enc_be <- Some e;
-          e)
-
-let decoder_for ~cache ~endian (r : Ptype.record) : decoder =
-  let p = plans_for cache r in
-  match (endian, p.dec_le, p.dec_be) with
-  | Little, Some d, _ | Big, _, Some d -> d
-  | _ ->
-    Mutex.protect cache.lock (fun () ->
-        match (endian, p.dec_le, p.dec_be) with
-        | Little, Some d, _ | Big, _, Some d -> d
-        | Little, None, _ ->
-          let d = timed_compile cache (fun () -> compile_decode ~endian r) in
-          p.dec_le <- Some d;
-          d
-        | Big, _, None ->
-          let d = timed_compile cache (fun () -> compile_decode ~endian r) in
-          p.dec_be <- Some d;
-          d)
 
 let mplans_for (c : cache) ~(from_ : Ptype.record) ~(into : Ptype.record) : mplans =
   let memo = Domain.DLS.get local_memo_key in
@@ -1643,38 +1535,37 @@ let mplans_for (c : cache) ~(from_ : Ptype.record) ~(into : Ptype.record) : mpla
     hit c;
     p
   | _ ->
+    let key = (from_, into) in
     let h = ((Ptype.hash_record from_ * 31) + Ptype.hash_record into) land max_int in
-    let p =
-      Mutex.protect c.lock (fun () ->
-          match Lru.find c.mtbl ~hash:h (from_, into) with
-          | Some p ->
-            hit c;
-            p
-          | None ->
-            let p = { mor_le = None; mor_be = None } in
-            note_evictions c (Lru.add c.mtbl ~hash:h (from_, into) p);
-            p)
-    in
-    memo.lm <- Some (c, (from_, into), p);
+    let p = entry c c.mtbl ~hash:h key unfilled in
+    memo.lm <- Some (c, key, p);
     p
+
+(* The plan for [endian] in [slots], compiled under the cache lock on
+   first use: the one locked double-check behind every cached plan. *)
+let per_endian (c : cache) (slots : ('k, 'p) per_endian) endian
+    (compile : endian:endian -> 'k -> 'p) : 'p =
+  match endian, slots.le, slots.be with
+  | Little, Some p, _ | Big, _, Some p -> p
+  | _ ->
+    Mutex.protect c.lock (fun () ->
+        match endian, slots.le, slots.be with
+        | Little, Some p, _ | Big, _, Some p -> p
+        | _ ->
+          let p = timed_compile c (fun () -> compile ~endian slots.key) in
+          (match endian with Little -> slots.le <- Some p | Big -> slots.be <- Some p);
+          p)
+
+let encoder_for ~cache ~endian (r : Ptype.record) : encoder =
+  per_endian cache (plans_for cache r).enc endian compile_encode
+
+let decoder_for ~cache ~endian (r : Ptype.record) : decoder =
+  per_endian cache (plans_for cache r).dec endian compile_decode
 
 let morpher_in (cache : cache) ~endian ~(from_ : Ptype.record)
     ~(into : Ptype.record) : morpher =
-  let p = mplans_for cache ~from_ ~into in
-  match (endian, p.mor_le, p.mor_be) with
-  | Little, Some m, _ | Big, _, Some m -> m
-  | _ ->
-    Mutex.protect cache.lock (fun () ->
-        match (endian, p.mor_le, p.mor_be) with
-        | Little, Some m, _ | Big, _, Some m -> m
-        | Little, None, _ ->
-          let m = timed_compile cache (fun () -> compile_morph ~endian ~from_ ~into) in
-          p.mor_le <- Some m;
-          m
-        | Big, _, None ->
-          let m = timed_compile cache (fun () -> compile_morph ~endian ~from_ ~into) in
-          p.mor_be <- Some m;
-          m)
+  per_endian cache (mplans_for cache ~from_ ~into) endian (fun ~endian (from_, into) ->
+      compile_morph ~endian ~from_ ~into)
 
 (* Collapsed chains compile one map per plan; nothing shares them. *)
 let compile_map_in (cache : cache) ~endian ~from_ ~into map : morpher =

@@ -17,6 +17,17 @@
     Fused plans are observationally identical to decode-then-convert; the
     morphcheck "codec" oracle enforces this differentially.
 
+    Every reader shares two rules.  A record whose fields a plan keeps
+    only some of (a skipped record, an element read by an element map, a
+    fused map's source) is read by one record walker: dropped fields are
+    skipped with a decode's checks, adjacent fixed-width ones in a single
+    bounds check, and a dropped field a later array sizes from is still
+    read.  Every array count — decoded, skipped, converted or
+    element-mapped — passes one guard before any element is read or
+    allocated: a negative count, or one the rest of the message cannot
+    hold at the element's minimum wire size, raises {!Decode_error} with
+    the interpreter's text.
+
     [Wire] re-exports the message-level API as thin wrappers over the
     {!encoder_for}/{!decoder_for} plan cache; [Morph.Receiver] caches
     {!morpher_in} plans alongside its match pipelines.  The interpretive

@@ -136,28 +136,52 @@ let test_fused_skipped_length_field_still_sizes () =
 (* --- hostile lengths ------------------------------------------------------ *)
 
 let test_hostile_length_rejected_cheaply () =
-  (* a length field claiming far more elements than the message holds must
-     be rejected by the min-wire-size guard on both paths, including for
-     nested (array-of-record-of-array) elements *)
+  (* a negative count, or a length field claiming far more elements than
+     the message holds, must be rejected by every reader's count guard,
+     which runs before any element is allocated: decode, a skip (a fused
+     morph that drops the array), a nested fused conversion (the element
+     record changed) and an element map (Figure 5 as one fused wire plan),
+     each with the interpreter's error text, including for nested
+     (array-of-record-of-array) counts *)
   let r = fmt "format R { int n; float xs[n]; }" in
   let nested = fmt "record Row { int m; int ys[m]; } format R { int n; Row rows[n]; }" in
+  let drops_array = fmt "format R { int n; }" in
+  let row_changed = fmt "record Row { int m; } format R { int n; Row rows[n]; }" in
+  let hostile = [ -1; 0x1000000 ] in
+  let patch endian payload off n =
+    let b = Bytes.of_string payload in
+    (match endian with
+     | Codec.Little -> Bytes.set_int32_le b off (Int32.of_int n)
+     | Codec.Big -> Bytes.set_int32_be b off (Int32.of_int n));
+    Bytes.to_string b
+  in
+  let interp_error ?pos endian src bad =
+    match Codec.Interp.decode_payload ~endian ?pos src bad with
+    | _ -> Alcotest.fail "the interpreter accepts a hostile count"
+    | exception Codec.Decode_error m -> m
+  in
+  let same_error what want f =
+    match f () with
+    | _ -> Alcotest.failf "%s accepts a hostile count (want %S)" what want
+    | exception Codec.Decode_error m -> Alcotest.(check string) what want m
+  in
   both_endians (fun endian ->
-      let patch payload n =
-        let b = Bytes.of_string payload in
-        (match endian with
-         | Codec.Little -> Bytes.set_int32_le b 0 (Int32.of_int n)
-         | Codec.Big -> Bytes.set_int32_be b 0 (Int32.of_int n));
-        Bytes.to_string b
+      let readers src targets bad =
+        let want = interp_error endian src bad in
+        same_error "decode" want (fun () ->
+            Codec.decode_payload (Codec.compile_decode ~endian src) bad);
+        List.iter
+          (fun (what, into) ->
+             same_error what want (fun () ->
+                 Codec.morph_payload (Codec.compile_morph ~endian ~from_:src ~into) bad))
+          targets
       in
       let good =
         Codec.encode_payload
           (Codec.compile_encode ~endian r)
           (Value.record [ ("n", Value.Int 1); ("xs", Value.array_of_list [ Value.Float 1. ]) ])
       in
-      let bad = patch good 0x1000000 in
-      expect_decode_error (fun () ->
-          Codec.decode_payload (Codec.compile_decode ~endian r) bad);
-      expect_decode_error (fun () -> Codec.Interp.decode_payload ~endian r bad);
+      List.iter (fun n -> readers r [ ("skip", drops_array) ] (patch endian good 0 n)) hostile;
       let goodn =
         Codec.encode_payload
           (Codec.compile_encode ~endian nested)
@@ -169,11 +193,37 @@ let test_hostile_length_rejected_cheaply () =
                        [ ("m", Value.Int 1); ("ys", Value.array_of_list [ Value.Int 9 ]) ] ] )
              ])
       in
-      let badn = patch goodn 0x1000000 in
-      expect_decode_error (fun () ->
-          Codec.decode_payload (Codec.compile_decode ~endian nested) badn);
-      expect_decode_error (fun () ->
-          Codec.Interp.decode_payload ~endian nested badn))
+      (* the outer count, then the first row's [m] *)
+      let nested_readers = [ ("skip", drops_array); ("nested conversion", row_changed) ] in
+      List.iter
+        (fun off ->
+           List.iter (fun n -> readers nested nested_readers (patch endian goodn off n)) hostile)
+        [ 0; 4 ];
+      (* Figure 5 at a v1.0 receiver: the member list read through its
+         element maps, whose count comes after the channel name *)
+      let recv = Morph.Receiver.create () in
+      Morph.Receiver.register recv Helpers.response_v1 (fun _ -> ());
+      let v = Helpers.sample_v2 3 in
+      let message = Wire.encode ~endian ~format_id:5 Helpers.response_v2 v in
+      let at =
+        Codec.header_size + 4 + String.length (Value.to_string_exn (Value.get_field v "channel"))
+      in
+      List.iter
+        (fun n ->
+           let bad = patch endian message at n in
+           let want =
+             "wire decode failed: decode: "
+             ^ interp_error ~pos:Codec.header_size endian Helpers.response_v2 bad
+           in
+           match Morph.Receiver.deliver_wire recv Helpers.response_v2_meta bad with
+           | Morph.Receiver.Rejected got -> Alcotest.(check string) "element map" want got
+           | o -> Alcotest.failf "element map: %a" Morph.Receiver.pp_outcome o)
+        hostile;
+      Alcotest.(check string) "Figure 5 runs one fused plan" "fused, 1 hop"
+        (match Morph.Receiver.plan recv Helpers.response_v2_meta with
+         | Ok p when Morph.Plan.kind p = Morph.Plan.Fused ->
+           Printf.sprintf "fused, %d hop" (Morph.Plan.hops p)
+         | Ok _ | Error _ -> "not fused"))
 
 (* --- coalesced skips under truncation ------------------------------------- *)
 

@@ -655,6 +655,29 @@ let test_group_aliased_params () =
   Alcotest.(check (list int)) "ks copied, then stored into" [ 9; 2 ] (ints p0 "ks");
   Alcotest.(check (list int)) "r1.ks untouched" [ 1; 2 ] (ints c "r1.ks")
 
+(* A float tests non-zero, as in C, both as a bare condition and stored
+   into a bool: 0.5 and -0.25 are true and 0.0 false on both engines. *)
+let test_float_conditions () =
+  let code =
+    {| io.b1 = io.x1;
+       if (io.x1) io.i1 = 1;
+       if (io.x2) io.i2 = 1;
+       if (!io.r1.y && io.x1) io.n = 1;
+       io.r2.b = -0.25; |}
+  in
+  let setup () =
+    let v = fresh () in
+    Value.set_field v "x1" (Value.Float 0.5);
+    v
+  in
+  let c = run_with ~engine:`Compiled ~fmt:scratch_fmt code (setup ()) in
+  let i = run_with ~engine:`Interp ~fmt:scratch_fmt code (setup ()) in
+  check_value "engines agree" i c;
+  Alcotest.(check (list bool)) "0.5 stored, -0.25 stored" [ true; true ]
+    [ getb c "b1"; getb (getv c "r2") "b" ];
+  Alcotest.(check (list int)) "if (0.5), if (0.0), if (!0.0 && 0.5)" [ 1; 0; 1 ]
+    [ geti c "i1"; geti c "i2"; geti c "n" ]
+
 (* --- equivalence property ---------------------------------------------------- *)
 
 (* Random programs over the scratch format: straight-line arithmetic,
@@ -885,4 +908,6 @@ let suite =
         test_group_index_out_of_range;
       Alcotest.test_case "element stores: one value for two parameters" `Quick
         test_group_aliased_params;
+      Alcotest.test_case "float conditions and bool stores, both engines" `Quick
+        test_float_conditions;
     ]

@@ -74,12 +74,12 @@ let test_plan_cache_lru_and_stats () =
       ~on_evict:(fun ~tenant ~key -> evicted := (tenant, key) :: !evicted)
       ()
   in
-  PC.add c ~tenant:1 ~key:10 ~cost:1. "a";
-  PC.add c ~tenant:1 ~key:11 ~cost:1. "b";
-  PC.add c ~tenant:2 ~key:12 ~cost:1. "c";
+  PC.add c ~tenant:1 ~key:10 "a";
+  PC.add c ~tenant:1 ~key:11 "b";
+  PC.add c ~tenant:2 ~key:12 "c";
   (* touch 10 so 11 becomes the LRU *)
   Alcotest.(check (option string)) "hit" (Some "a") (PC.find c ~tenant:1 ~key:10);
-  PC.add c ~tenant:2 ~key:13 ~cost:1. "d";
+  PC.add c ~tenant:2 ~key:13 "d";
   Alcotest.(check (list (pair int int))) "11 evicted" [ (1, 11) ] !evicted;
   Alcotest.(check (option string)) "evictee gone" None (PC.find c ~tenant:1 ~key:11);
   let s = PC.stats c in
@@ -91,10 +91,10 @@ let test_plan_cache_lru_and_stats () =
 
 let test_plan_cache_tenant_quota () =
   let c = PC.create ~max_entries:100 ~tenant_quota:2 () in
-  PC.add c ~tenant:7 ~key:1 ~cost:1. "a";
-  PC.add c ~tenant:8 ~key:2 ~cost:1. "n";
-  PC.add c ~tenant:7 ~key:3 ~cost:1. "b";
-  PC.add c ~tenant:7 ~key:4 ~cost:1. "c";
+  PC.add c ~tenant:7 ~key:1 "a";
+  PC.add c ~tenant:8 ~key:2 "n";
+  PC.add c ~tenant:7 ~key:3 "b";
+  PC.add c ~tenant:7 ~key:4 "c";
   (* tenant 7 paid with its own LRU entry; tenant 8 is untouched *)
   Alcotest.(check int) "tenant 7 at quota" 2 (PC.tenant_count c 7);
   Alcotest.(check (option string)) "7's oldest gone" None (PC.find c ~tenant:7 ~key:1);
@@ -104,27 +104,16 @@ let test_plan_cache_tenant_quota () =
   Alcotest.(check int) "quota eviction counted" 1 s.PC.quota_evictions;
   Alcotest.(check int) "also a plain eviction" 1 s.PC.evictions
 
-let test_plan_cache_cost_bound () =
-  let c = PC.create ~max_entries:100 ~max_cost:10. () in
-  PC.add c ~tenant:1 ~key:1 ~cost:4. "a";
-  PC.add c ~tenant:1 ~key:2 ~cost:4. "b";
-  (* 4 + 4 + 6 > 10: evicts until the newcomer fits *)
-  PC.add c ~tenant:1 ~key:3 ~cost:6. "c";
-  Alcotest.(check bool) "cost within bound" true (PC.cost c <= 10.);
-  Alcotest.(check (option string)) "oldest evicted" None (PC.find c ~tenant:1 ~key:1);
-  Alcotest.(check (option string)) "newcomer cached" (Some "c")
-    (PC.find c ~tenant:1 ~key:3)
-
 let test_plan_cache_replace_and_drop () =
   let evictions = ref 0 in
   let c = PC.create ~max_entries:10 ~on_evict:(fun ~tenant:_ ~key:_ -> incr evictions) () in
-  PC.add c ~tenant:1 ~key:1 ~cost:1. "a";
-  PC.add c ~tenant:1 ~key:1 ~cost:2. "a2";
+  PC.add c ~tenant:1 ~key:1 "a";
+  PC.add c ~tenant:1 ~key:1 "a2";
   Alcotest.(check int) "replace is not an eviction" 0 !evictions;
   Alcotest.(check (option string)) "replaced" (Some "a2") (PC.find c ~tenant:1 ~key:1);
   Alcotest.(check int) "one entry" 1 (PC.size c);
-  PC.add c ~tenant:1 ~key:2 ~cost:1. "b";
-  PC.add c ~tenant:2 ~key:3 ~cost:1. "z";
+  PC.add c ~tenant:1 ~key:2 "b";
+  PC.add c ~tenant:2 ~key:3 "z";
   Alcotest.(check int) "drop removes the tenant's entries" 2 (PC.drop_tenant c 1);
   Alcotest.(check int) "offboarding is not an eviction" 0 !evictions;
   Alcotest.(check int) "neighbour remains" 1 (PC.size c)
@@ -897,7 +886,6 @@ let suite =
       test_plan_cache_lru_and_stats;
     Alcotest.test_case "plan cache: tenant quota isolates neighbours" `Quick
       test_plan_cache_tenant_quota;
-    Alcotest.test_case "plan cache: cost bound" `Quick test_plan_cache_cost_bound;
     Alcotest.test_case "plan cache: replace and offboard" `Quick
       test_plan_cache_replace_and_drop;
     Alcotest.test_case "governor: eviction storm overloads" `Quick

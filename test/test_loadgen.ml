@@ -342,7 +342,6 @@ let test_check_gateway_rejects_bad_flags () =
   bad "dist" { dg with L.g_dist = D.Constant 0. } "distribution";
   let g = dg.L.g_gateway in
   bad "max-plans" (gw { g with Gateway.max_plans = 0 }) "max-plans";
-  bad "max-plan-cost" (gw { g with Gateway.max_plan_cost = 0. }) "max-plan-cost";
   bad "tenant-quota" (gw { g with Gateway.tenant_quota = 0 }) "tenant-quota";
   bad "admit-rate" (gw { g with Gateway.admit_rate = -2. }) "admit-rate";
   bad "admit-burst"

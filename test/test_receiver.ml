@@ -1225,7 +1225,7 @@ let test_whole_element_loop_copies () =
       port v [ `F "all"; `I 2 ] ]
 
 (* A guard tests its field through the checker's coercions: a float
-   truncates first, so 0.5 keeps nothing, and any non-zero int keeps. *)
+   tests non-zero, as in C, so 0.5 keeps, and any non-zero int keeps. *)
 let test_loop_guards () =
   let t =
     fmt (loop_formats ^ "record K { int id; } format T { int a; K byw[a]; int b; K byp[b]; }")
@@ -1245,9 +1245,12 @@ let test_loop_guards () =
     loop_delivery ~want:"fused, 1 hop" meta t
       (Wire.encode ~format_id:1 loop_src (loop_value [ (1, true, 0.5, 2); (2, true, 1.5, 0) ]))
   in
-  Alcotest.check Helpers.value "0.5 keeps nothing, 2 keeps"
+  Alcotest.check Helpers.value "0.5 keeps, 2 keeps"
     (Value.record
-       [ ("a", Value.Int 1); ("byw", Value.array_of_list [ Value.record [ ("id", Value.Int 2) ] ]);
+       [ ("a", Value.Int 2);
+         ( "byw",
+           Value.array_of_list
+             [ Value.record [ ("id", Value.Int 1) ]; Value.record [ ("id", Value.Int 2) ] ] );
          ("b", Value.Int 1);
          ("byp", Value.array_of_list [ Value.record [ ("id", Value.Int 1) ] ]) ])
     v
