@@ -48,7 +48,6 @@ type stats = {
   mutable defaulted : int;
   mutable transform_failures : int;
   mutable quarantined : int;
-  mutable recovered : int;
 }
 
 type accept = {
@@ -78,10 +77,8 @@ type cache_entry = {
   pipeline : pipeline;
   breaker : Breaker.t;
   (* counts run-time transform failures since the last success; tripping
-     quarantines the pipeline.  Without a cooldown (the default) the
-     breaker stays open for good and turns every later delivery away; with
-     [quarantine_cooldown_s] it re-admits a probe delivery after the
-     cooldown (closed / open / half-open). *)
+     quarantines the pipeline.  It has no cooldown, so it stays open for
+     good and turns every later delivery away. *)
 }
 
 (* All the knobs a receiver is created with, collapsed into one record so
@@ -89,11 +86,7 @@ type cache_entry = {
 module Config = struct
   type t = {
     thresholds : Maxmatch.thresholds;
-    weights : Weighted.t option;
-    (* when set, MaxMatch runs importance-weighted: the thresholds are
-       interpreted on the weighted scale *)
     quarantine_after : int;
-    quarantine_cooldown_s : float option;
     metrics : Obs.t;
     ctx : Ctx.t;
     (* capability context for plans: they compile their wire closures
@@ -107,19 +100,16 @@ module Config = struct
   let default =
     {
       thresholds = Maxmatch.default_thresholds;
-      weights = None;
       quarantine_after = 3;
-      quarantine_cooldown_s = None;
       metrics = Obs.null;
       ctx = Ctx.default;
       flight = None;
     }
 
-  let v ?(thresholds = default.thresholds) ?weights
-      ?(quarantine_after = default.quarantine_after) ?quarantine_cooldown_s
-      ?(metrics = Obs.null) ?(ctx = default.ctx) ?flight () =
-    { thresholds; weights; quarantine_after; quarantine_cooldown_s; metrics;
-      ctx; flight }
+  let v ?(thresholds = default.thresholds)
+      ?(quarantine_after = default.quarantine_after) ?(metrics = Obs.null)
+      ?(ctx = default.ctx) ?flight () =
+    { thresholds; quarantine_after; metrics; ctx; flight }
 end
 
 (* Handles into the configured Obs registry; [rm_on] gates the clock reads
@@ -134,7 +124,6 @@ type rmetrics = {
   rm_defaulted : Obs.Counter.h;
   rm_transform_failures : Obs.Counter.h;
   rm_quarantined : Obs.Counter.h;
-  rm_recovered : Obs.Counter.h;
   rm_structural_lookups : Obs.Counter.h;
   rm_maxmatch_ns : Obs.Histogram.h;
   rm_plan_ns : Obs.Histogram.h;
@@ -156,7 +145,6 @@ let make_rmetrics reg =
     rm_defaulted = Obs.Counter.make reg "receiver.defaulted";
     rm_transform_failures = Obs.Counter.make reg "receiver.transform_failures";
     rm_quarantined = Obs.Counter.make reg "receiver.quarantined";
-    rm_recovered = Obs.Counter.make reg "receiver.recovered";
     rm_structural_lookups = Obs.Counter.make reg "receiver.structural_lookups";
     rm_maxmatch_ns = Obs.Histogram.make reg ~unit_:"ns" "receiver.maxmatch_ns";
     rm_plan_ns = Obs.Histogram.make reg ~unit_:"ns" "receiver.plan_ns";
@@ -205,10 +193,6 @@ type t = {
 let create ?(config = Config.default) () =
   if config.Config.quarantine_after < 1 then
     invalid_arg "Receiver.create: quarantine_after";
-  (match config.Config.quarantine_cooldown_s with
-   | Some c when not (c > 0.) ->
-     invalid_arg "Receiver.create: quarantine_cooldown_s"
-   | _ -> ());
   {
     config;
     m = make_rmetrics config.Config.metrics;
@@ -220,7 +204,7 @@ let create ?(config = Config.default) () =
     next_slot = 0;
     stats =
       { cache_hits = 0; cold_paths = 0; delivered = 0; rejected = 0; defaulted = 0;
-        transform_failures = 0; quarantined = 0; recovered = 0 };
+        transform_failures = 0; quarantined = 0 };
   }
 
 let register t (fmt : Ptype.record) (handler : handler) : unit =
@@ -250,35 +234,17 @@ let handler_for t (fmt : Ptype.record) : handler option =
 
 (* --- planning (the cold path) ------------------------------------------- *)
 
-(* MaxMatch under the receiver's configuration: plain Algorithm 1 scale, or
-   the importance-weighted generalisation when weights are set.  Either way
-   the result is reduced to the (f1, f2, perfect?) the planner needs. *)
+(* MaxMatch (Algorithm 1) under the receiver's thresholds, reduced to the
+   (f1, f2, perfect?, ratio) the planner needs. *)
 let run_max_match t (set1 : Ptype.record list) (set2 : Ptype.record list) :
   (Ptype.record * Ptype.record * bool * float) option =
-  let cfg = t.config in
   let t0 = if t.m.rm_on then Obs.now t.m.rm_reg else 0. in
   let result =
-    match cfg.Config.weights with
-    | None ->
-      Option.map
-        (fun (m : Maxmatch.match_result) ->
-           Obs.Histogram.observe t.m.rm_mismatch_ratio m.Maxmatch.ratio;
-           (m.f1, m.f2, Maxmatch.is_perfect m, m.Maxmatch.ratio))
-        (Maxmatch.max_match ~thresholds:cfg.Config.thresholds set1 set2)
-    | Some w ->
-      let thresholds =
-        { Weighted.diff_threshold =
-            float_of_int cfg.Config.thresholds.Maxmatch.diff_threshold;
-          mismatch_threshold = cfg.Config.thresholds.Maxmatch.mismatch_threshold }
-      in
-      Option.map
-        (fun (m : Weighted.match_result) ->
-           Obs.Histogram.observe t.m.rm_mismatch_ratio m.Weighted.ratio;
-           ( m.f1,
-             m.f2,
-             m.Weighted.diff12 = 0.0 && m.Weighted.diff21 = 0.0,
-             m.Weighted.ratio ))
-        (Weighted.max_match ~weights:w ~thresholds set1 set2)
+    Option.map
+      (fun (m : Maxmatch.match_result) ->
+         Obs.Histogram.observe t.m.rm_mismatch_ratio m.Maxmatch.ratio;
+         (m.f1, m.f2, Maxmatch.is_perfect m, m.Maxmatch.ratio))
+      (Maxmatch.max_match ~thresholds:t.config.Config.thresholds set1 set2)
   in
   if t.m.rm_on then
     Obs.Histogram.observe t.m.rm_maxmatch_ns (Obs.now t.m.rm_reg -. t0);
@@ -406,10 +372,7 @@ let find_cached t (meta : Meta.format_meta) : cache_entry option =
   Lru.find t.cache ~hash:(Meta.hash meta) meta
 
 let cache_pipeline t (meta : Meta.format_meta) (p : pipeline) : cache_entry =
-  let breaker =
-    Breaker.create ~threshold:t.config.Config.quarantine_after
-      ?cooldown_s:t.config.Config.quarantine_cooldown_s ()
-  in
+  let breaker = Breaker.create ~threshold:t.config.Config.quarantine_after () in
   let entry = { key = meta; pipeline = p; breaker } in
   ignore (Lru.add t.cache ~hash:(Meta.hash meta) meta entry : int);
   entry
@@ -424,16 +387,11 @@ let quarantined_reason (entry : cache_entry) =
   Fmt.str "quarantined after %d consecutive transformation failures"
     (Breaker.consecutive_failures entry.breaker)
 
-(* The registry clock ticks nanoseconds; breakers count seconds. *)
-let breaker_now t = Obs.now t.m.rm_reg *. 1e-9
-
 (* A transformation that keeps failing at run time is quarantined: its
    breaker trips, and the breaker alone gates the pipeline from then on.
-   Without a cooldown (the default) it stays open for good, so a
-   poisonous format neither crashes the receiver nor pays planning or
-   transformation work on every further message.  With
-   [quarantine_cooldown_s] it is open until the cooldown elapses, then a
-   half-open probe decides whether to close or re-open the circuit. *)
+   It stays open for good, so a poisonous format neither crashes the
+   receiver nor pays planning or transformation work on every further
+   message. *)
 let quarantine t (entry : cache_entry) : unit =
   t.stats.quarantined <- t.stats.quarantined + 1;
   Obs.Counter.incr t.m.rm_quarantined;
@@ -445,18 +403,15 @@ let quarantine t (entry : cache_entry) : unit =
    | None -> ())
 
 (* The one admission rule for every Accept delivery — value, fused wire or
-   staged wire — checked before its plan runs.  A closed breaker admits
-   without reading the clock.  An open one fast-fails without paying the
-   transform: for good without a cooldown, until the cooldown elapses
-   with one. *)
-let admit t (entry : cache_entry) : bool =
+   staged wire — checked before its plan runs: a tripped breaker fast-fails
+   without paying the transform. *)
+let admit (entry : cache_entry) : bool =
   match entry.pipeline with
   | Reject _ -> false
   | Accept _ ->
     (match Breaker.state entry.breaker with
      | Breaker.Closed -> true
-     | Breaker.Open | Breaker.Half_open ->
-       Breaker.admit entry.breaker ~now:(breaker_now t))
+     | Breaker.Open | Breaker.Half_open -> false)
 
 let reject t reason : outcome =
   t.stats.rejected <- t.stats.rejected + 1;
@@ -480,14 +435,10 @@ let reject_or_default t (meta : Meta.format_meta) (v : Value.t) reason : outcome
   | None -> reject t reason
 
 (* An admitted delivery's value, in the target layout, reaches its handler;
-   a success in half-open state is the probe that closes the circuit.
-   Handler exceptions propagate: they are application bugs, not message
-   faults. *)
+   the success ends the breaker's failure streak.  Handler exceptions
+   propagate: they are application bugs, not message faults. *)
 let hand_over t (entry : cache_entry) (a : accept) (v' : Value.t) : outcome =
-  if Breaker.record_success entry.breaker then begin
-    t.stats.recovered <- t.stats.recovered + 1;
-    Obs.Counter.incr t.m.rm_recovered
-  end;
+  ignore (Breaker.record_success entry.breaker : bool);
   a.handler v';
   t.stats.delivered <- t.stats.delivered + 1;
   Obs.Counter.incr t.m.rm_delivered;
@@ -503,7 +454,8 @@ let transform_failed t (entry : cache_entry) msg : outcome =
   t.stats.transform_failures <- t.stats.transform_failures + 1;
   Obs.Counter.incr t.m.rm_rejected;
   Obs.Counter.incr t.m.rm_transform_failures;
-  if Breaker.record_failure entry.breaker ~now:(breaker_now t) then quarantine t entry;
+  (* without a cooldown the breaker never reads its trip time *)
+  if Breaker.record_failure entry.breaker ~now:0. then quarantine t entry;
   let o = Rejected (Fmt.str "transformation failed: %s" msg) in
   probe t None o;
   o
@@ -583,7 +535,7 @@ let lookup t (meta : Meta.format_meta) : bool * cache_entry =
 
 let deliver t (meta : Meta.format_meta) (v : Value.t) : outcome =
   let hit, entry = lookup t meta in
-  deliver_step t ~hit entry meta (if admit t entry then Transform v else Turn_away v)
+  deliver_step t ~hit entry meta (if admit entry then Transform v else Turn_away v)
 
 let reject_wire t e = reject t (Fmt.str "wire decode failed: %s" (Err.to_string e))
 
@@ -601,7 +553,7 @@ let reject_wire t e = reject t (Fmt.str "wire decode failed: %s" (Err.to_string 
 let deliver_wire t (meta : Meta.format_meta) (message : string) : outcome =
   let hit, entry = lookup t meta in
   match entry.pipeline with
-  | Accept { plan; _ } when admit t entry ->
+  | Accept { plan; _ } when admit entry ->
     let t0 = if t.m.rm_on then Obs.now t.m.rm_reg else 0. in
     (match Plan.decode plan message with
      | exception Codec.Decode_error msg -> reject_wire t (`Decode msg)

@@ -40,9 +40,6 @@ type stats = {
   mutable defaulted : int;
   mutable transform_failures : int;  (** run-time transformation errors *)
   mutable quarantined : int;  (** breaker trips (pipelines quarantined) *)
-  mutable recovered : int;
-      (** half-open probe deliveries that closed a tripped breaker again
-          (only with [quarantine_cooldown_s]) *)
 }
 
 type t
@@ -53,20 +50,11 @@ type t
 module Config : sig
   type t = {
     thresholds : Maxmatch.thresholds;
-    weights : Weighted.t option;
-        (** when set, MaxMatch runs importance-weighted and the thresholds
-            apply on the weighted scale *)
     quarantine_after : int;
         (** consecutive run-time transformation failures after which a
-            cached pipeline's {!Breaker} trips — without a cooldown it
-            stays open, so the breaker turns every later delivery away
-            before any transformation work (see docs/FAULTS.md); must be
-            >= 1 *)
-    quarantine_cooldown_s : float option;
-        (** when set, a quarantined pipeline's breaker re-admits a probe
-            delivery after this many seconds of registry time — probe
-            success recovers the pipeline, probe failure re-opens it (closed / open / half-open, docs/GATEWAY.md);
-            must be > 0 when given *)
+            cached pipeline's {!Breaker} trips — it stays open, so the
+            breaker turns every later delivery away before any
+            transformation work (see docs/FAULTS.md); must be >= 1 *)
     metrics : Obs.t;
         (** registry receiving the [receiver.*] counters and histograms
             (see docs/OBSERVABILITY.md) *)
@@ -82,13 +70,11 @@ module Config : sig
             capture (kind ["quarantine"]) for post-mortem analysis *)
   }
 
-  (** Keyword-argument builder: default thresholds, no weights,
-      quarantine after 3, [Obs.null] metrics, {!Ctx.default}. *)
+  (** Keyword-argument builder: default thresholds, quarantine after 3,
+      [Obs.null] metrics, {!Ctx.default}. *)
   val v :
     ?thresholds:Maxmatch.thresholds ->
-    ?weights:Weighted.t ->
     ?quarantine_after:int ->
-    ?quarantine_cooldown_s:float ->
     ?metrics:Obs.t ->
     ?ctx:Ctx.t ->
     ?flight:Obs.Flight.recorder ->

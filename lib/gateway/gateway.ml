@@ -1,14 +1,14 @@
 (* The broker-side morphing gateway: thousands of tenants, one process.
 
    Each tenant owns a format registry (fingerprint -> meta, fed by
-   Described{Meta} pushes) and a target format its deliveries morph into
-   (the first pushed lineage base, or whatever [add_tenant] pinned).  The
+   Described{Meta} pushes) and a target format its deliveries morph into,
+   pinned by the first push, which onboards it: the lineage base.  The
    robustness machinery around the morphing core:
 
      - admission: a deadline carried in the Described envelope (work past
        its deadline is shed before any decode), a per-tenant token
        bucket, and a per-tenant circuit breaker over delivery failures;
-     - one bounded, cost-aware plan cache shared across tenants
+     - one bounded plan cache shared across tenants
        (Plan_cache: LRU + per-tenant quotas), with singleflight compile
        coalescing so a mass schema push compiles each (tenant, format)
        plan once, not once per queued message;
@@ -241,7 +241,7 @@ let bucket_admit b ~now =
 
 type tstate = {
   ts_id : int;
-  mutable ts_target : Ptype.record option;
+  ts_target : Ptype.record;
   ts_registry : (int, Meta.format_meta) Hashtbl.t;
   ts_breaker : Breaker.t;
   ts_bucket : bucket option;
@@ -370,7 +370,6 @@ let create ?(config = default_config) ?(metrics = Obs.null) ?(ctx = Ctx.default)
 
 let stats t = t.stats
 let cache_stats t = Plan_cache.stats t.cache
-let tenant_count t = Hashtbl.length t.tenants
 
 let breaker_state t tenant =
   Option.map (fun ts -> Breaker.state ts.ts_breaker)
@@ -382,7 +381,7 @@ let breakers_open t =
        if Breaker.state ts.ts_breaker <> Breaker.Closed then acc + 1 else acc)
     t.tenants 0
 
-let new_tenant t id target =
+let new_tenant t id (target : Ptype.record) =
   let ts =
     {
       ts_id = id;
@@ -424,44 +423,6 @@ let new_tenant t id target =
 let set_cache_gauges t =
   if t.m.gm_on then
     Obs.Gauge.set t.m.gm_cache_entries (float_of_int (Plan_cache.size t.cache))
-
-(* Detach the tenant's in-flight compiles, so later messages plan afresh
-   instead of parking behind a compile whose result will be discarded.
-   The detached queues stay counted in [pending_depth] until their
-   compiles complete (see [start_compile]). *)
-let forget_inflight t id =
-  Hashtbl.filter_map_inplace
-    (fun (tid, _) q -> if tid = id then None else Some q)
-    t.inflight
-
-let add_tenant t ~id ?target () =
-  if id < 0 then invalid_arg "Gateway.add_tenant: negative tenant id";
-  match Hashtbl.find_opt t.tenants id, target with
-  | None, _ -> ignore (new_tenant t id target : tstate)
-  | Some _, None -> ()
-  | Some ts, Some tg ->
-    (match ts.ts_target with
-     | Some old when not (Ptype.equal_record old tg) ->
-       (* a re-pin: plans for the old target are stale, not evicted, and
-          the next compile for a format is a first compile again *)
-       ignore (Plan_cache.drop_tenant t.cache id : int);
-       set_cache_gauges t;
-       Hashtbl.reset ts.ts_compiled;
-       forget_inflight t id
-     | _ -> ());
-    ts.ts_target <- target
-
-let drop_tenant t id =
-  match Hashtbl.find_opt t.tenants id with
-  | None -> false
-  | Some _ ->
-    Hashtbl.remove t.tenants id;
-    ignore (Plan_cache.drop_tenant t.cache id : int);
-    set_cache_gauges t;
-    forget_inflight t id;
-    if t.m.gm_on then
-      Obs.Gauge.set t.m.gm_tenants (float_of_int (Hashtbl.length t.tenants));
-    true
 
 (* --- planning -------------------------------------------------------------- *)
 
@@ -624,56 +585,13 @@ let unpark t =
   t.pending_depth <- t.pending_depth - 1;
   if t.m.gm_on then Obs.Gauge.add t.m.gm_pending (-1.)
 
-(* [ts] is still the tenant registered under its id: neither dropped nor
-   dropped and re-added. *)
-let registered t (ts : tstate) =
-  match Hashtbl.find_opt t.tenants ts.ts_id with
-  | Some cur -> cur == ts
-  | None -> false
-
-let pinned_to (ts : tstate) (target : Ptype.record) =
-  match ts.ts_target with
-  | Some tg -> Ptype.equal_record tg target
-  | None -> false
-
-(* Route one admitted data message: deliver on a cached plan, park behind
-   an in-flight compile, or start one. *)
-let rec handle_data t (ts : tstate) ~fingerprint:fp ~deadline_ns (message : string) :
-  outcome =
-  match Plan_cache.find t.cache ~tenant:ts.ts_id ~key:fp with
-  | Some (Ready plan) -> deliver_now t ts plan ~fingerprint:fp ~deadline_ns message
-  | Some (Refused msg) -> record_failure t ts msg
-  | None ->
-    (match Hashtbl.find_opt t.inflight (ts.ts_id, fp) with
-     | Some q ->
-       (* singleflight: a compile for this (tenant, format) is already in
-          flight; park behind it rather than compiling again *)
-       if Queue.length q >= t.config.pending_cap then
-         shed t ~tenant:ts.ts_id Overload
-       else begin
-         park t q ~deadline_ns message;
-         t.stats.singleflight_coalesced <- t.stats.singleflight_coalesced + 1;
-         if t.m.gm_on then Obs.Counter.incr t.m.gm_coalesced;
-         Parked
-       end
-     | None ->
-       (match Hashtbl.find_opt ts.ts_registry fp, ts.ts_target with
-        | None, _ | _, None -> shed t ~tenant:ts.ts_id No_meta
-        | Some meta, Some target ->
-          if Governor.overloaded t.gov ~now:(now_s t) then
-            shed t ~tenant:ts.ts_id Overload
-          else start_compile t ts ~fingerprint:fp meta target ~deadline_ns message))
-
 (* Singleflight compile for (tenant, fingerprint): the first message
    starts the simulated compile and parks; every further message while it
    is in flight parks behind it (coalesced).  Completion caches the plan
-   and drains the parked queue, re-checking each message's deadline —
-   unless the tenant was dropped meanwhile (its parked messages are shed
-   as [Unknown_tenant]) or re-pinned to another target (they are routed
-   again, against the new target). *)
-and start_compile t (ts : tstate) ~fingerprint:fp (meta : Meta.format_meta)
-    (target : Ptype.record) ~deadline_ns (message : string) : outcome =
-  match plan_for t meta target with
+   and drains the parked queue, re-checking each message's deadline. *)
+let start_compile t (ts : tstate) ~fingerprint:fp (meta : Meta.format_meta)
+    ~deadline_ns (message : string) : outcome =
+  match plan_for t meta ts.ts_target with
   | Error msg ->
     (* planning refusals are cached and immediate: there is no artifact
        to compile, so nothing to wait for *)
@@ -694,40 +612,49 @@ and start_compile t (ts : tstate) ~fingerprint:fp (meta : Meta.format_meta)
     end
     else Hashtbl.replace ts.ts_compiled fp ();
     Netsim.after t.net (t.config.compile_s_per_unit *. cost) (fun () ->
-        (match Hashtbl.find_opt t.inflight key with
-         | Some cur when cur == q -> Hashtbl.remove t.inflight key
-         | _ -> ());
-        if not (registered t ts) then
-          Queue.iter
-            (fun _ ->
-               unpark t;
-               ignore (shed t ~tenant:ts.ts_id Unknown_tenant : outcome))
-            q
-        else if not (pinned_to ts target) then
-          Queue.iter
-            (fun { pd_deadline_ns; pd_message } ->
-               unpark t;
+        Hashtbl.remove t.inflight key;
+        Plan_cache.add t.cache ~tenant:ts.ts_id ~key:fp (Ready plan);
+        set_cache_gauges t;
+        Queue.iter
+          (fun { pd_deadline_ns; pd_message } ->
+             unpark t;
+             if pd_deadline_ns > 0 && now_ns t > float_of_int pd_deadline_ns
+             then ignore (shed t ~tenant:ts.ts_id Deadline : outcome)
+             else
                ignore
-                 (handle_data t ts ~fingerprint:fp ~deadline_ns:pd_deadline_ns
-                    pd_message
+                 (deliver_now t ts plan ~fingerprint:fp
+                    ~deadline_ns:pd_deadline_ns pd_message
                   : outcome))
-            q
-        else begin
-          Plan_cache.add t.cache ~tenant:ts.ts_id ~key:fp (Ready plan);
-          set_cache_gauges t;
-          Queue.iter
-            (fun { pd_deadline_ns; pd_message } ->
-               unpark t;
-               if pd_deadline_ns > 0 && now_ns t > float_of_int pd_deadline_ns
-               then ignore (shed t ~tenant:ts.ts_id Deadline : outcome)
-               else
-                 ignore
-                   (deliver_now t ts plan ~fingerprint:fp
-                      ~deadline_ns:pd_deadline_ns pd_message
-                    : outcome))
-            q
-        end);
+          q);
     Parked
+
+(* Route one admitted data message: deliver on a cached plan, park behind
+   an in-flight compile, or start one. *)
+let handle_data t (ts : tstate) ~fingerprint:fp ~deadline_ns (message : string) :
+  outcome =
+  match Plan_cache.find t.cache ~tenant:ts.ts_id ~key:fp with
+  | Some (Ready plan) -> deliver_now t ts plan ~fingerprint:fp ~deadline_ns message
+  | Some (Refused msg) -> record_failure t ts msg
+  | None ->
+    (match Hashtbl.find_opt t.inflight (ts.ts_id, fp) with
+     | Some q ->
+       (* singleflight: a compile for this (tenant, format) is already in
+          flight; park behind it rather than compiling again *)
+       if Queue.length q >= t.config.pending_cap then
+         shed t ~tenant:ts.ts_id Overload
+       else begin
+         park t q ~deadline_ns message;
+         t.stats.singleflight_coalesced <- t.stats.singleflight_coalesced + 1;
+         if t.m.gm_on then Obs.Counter.incr t.m.gm_coalesced;
+         Parked
+       end
+     | None ->
+       (match Hashtbl.find_opt ts.ts_registry fp with
+        | None -> shed t ~tenant:ts.ts_id No_meta
+        | Some meta ->
+          if Governor.overloaded t.gov ~now:(now_s t) then
+            shed t ~tenant:ts.ts_id Overload
+          else start_compile t ts ~fingerprint:fp meta ~deadline_ns message))
 
 let handle_meta t ~tenant ~fingerprint:fp (encoded : string) : outcome =
   match Meta.decode encoded with
@@ -746,15 +673,11 @@ let handle_meta t ~tenant ~fingerprint:fp (encoded : string) : outcome =
         | Some ts -> ts
         | None ->
           (* self-describing onboarding: the first push creates the
-             tenant, and its lineage base becomes the delivery target *)
-          new_tenant t tenant None
+             tenant and pins its target.  Senders push their base (v0)
+             before evolving, so deliveries morph back to it *)
+          new_tenant t tenant meta.Meta.body
       in
       Hashtbl.replace ts.ts_registry want meta;
-      (* the first pushed format pins the tenant's target: senders push
-         their base (v0) before evolving, so deliveries morph back to it *)
-      (match ts.ts_target with
-       | None -> ts.ts_target <- Some meta.Meta.body
-       | Some _ -> ());
       t.stats.meta_pushes <- t.stats.meta_pushes + 1;
       if t.m.gm_on then Obs.Counter.incr t.m.gm_meta_pushes;
       Onboarded

@@ -56,9 +56,7 @@ type shed_reason =
   | Breaker  (** tenant circuit open *)
   | Overload
       (** new plan work during an eviction storm, or pending queue full *)
-  | Unknown_tenant
-      (** data before any meta push for this tenant, or for a tenant
-          dropped while its message was parked *)
+  | Unknown_tenant  (** data before any meta push for this tenant *)
   | No_meta  (** fingerprint never pushed by this tenant *)
 
 type outcome =
@@ -141,20 +139,6 @@ val attach : t -> unit
     anything else is [Ignored]. *)
 val handle_frame : t -> Transport.Framing.frame -> outcome
 
-(** Pre-provision a tenant, optionally pinning its delivery target
-    format.  Without this, a tenant's first meta push onboards it and
-    the pushed lineage base becomes the target.  Re-pinning a known
-    tenant to a different target drops its cached plans (not counted as
-    evictions) and re-plans messages parked behind compiles for the old
-    target. *)
-val add_tenant : t -> id:int -> ?target:Pbio.Ptype.record -> unit -> unit
-
-(** Offboard: forget the tenant and drop its cached plans.  Messages
-    parked behind its in-flight compiles are shed as [Unknown_tenant]
-    when those compiles complete, and nothing they compiled is cached.
-    [false] if unknown. *)
-val drop_tenant : t -> int -> bool
-
 (** The routing fingerprint of a format description: what senders put in
     their {!Transport.Framing.Described} envelopes. *)
 val fingerprint : Pbio.Meta.format_meta -> int
@@ -169,8 +153,6 @@ val envelope :
 
 val stats : t -> stats
 val cache_stats : t -> Plan_cache.stats
-
-val tenant_count : t -> int
 
 (** [None] for an unknown tenant. *)
 val breaker_state : t -> int -> Morph.Breaker.state option

@@ -160,12 +160,6 @@ let remove t ~tenant ~key =
   | Some e -> delete t e ~evicted:false ~quota:false
   | None -> ()
 
-let drop_tenant t tenant =
-  let es = tenant_entries t tenant in
-  List.iter (fun e -> delete t e ~evicted:false ~quota:false) es;
-  Hashtbl.remove t.by_tenant tenant;
-  List.length es
-
 let add t ~tenant ~key v =
   remove t ~tenant ~key;
   (* per-tenant quota first: a tenant over quota pays with its own LRU

@@ -22,8 +22,8 @@ type stats = {
 }
 
 (** [create ()] — defaults: 1024 entries, unlimited per-tenant quota, no
-    eviction hook.  [on_evict] fires on every capacity eviction (not on
-    explicit {!remove}/{!drop_tenant}), e.g. to feed the gateway's
+    eviction hook.  [on_evict] fires on every capacity eviction (not when
+    {!add} replaces a key), e.g. to feed the gateway's
     eviction-storm governor.  Raises [Invalid_argument] on non-positive
     limits. *)
 val create :
@@ -41,9 +41,6 @@ val find : 'v t -> tenant:int -> key:int -> 'v option
     down to quota, then the globally least-recently-used entries until
     the entry bound holds. *)
 val add : 'v t -> tenant:int -> key:int -> 'v -> unit
-
-(** Remove every entry of one tenant (offboarding); returns how many. *)
-val drop_tenant : 'v t -> int -> int
 
 val size : 'v t -> int
 val high_water : 'v t -> int

@@ -50,7 +50,7 @@ type entry = { ename : string; eunit : string option; data : data }
 type family = {
   fam_name : string;
   fam_keys : string list;
-  fam_kind : string; (* "counter" | "gauge" | "histogram" *)
+  fam_kind : string; (* "counter" | "histogram" *)
   fam_unit : string option;
   fam_buckets : float list; (* histogram families only *)
   fam_cap : int;
@@ -673,12 +673,11 @@ module Labeled = struct
   let default_cardinality = 64
   let overflow_value = "other"
 
-  (* One representation for all three kinds; the mli exposes them as
-     distinct abstract types so a counter family cannot hand out gauge
+  (* One representation for both kinds; the mli exposes them as distinct
+     abstract types so a counter family cannot hand out histogram
      handles.  [lf = None] is the inert family from {!null}. *)
   type fh = { lt : t; lf : family option }
   type counter = fh
-  type gauge = fh
   type histogram = fh
 
   let make_family (t : t) ?unit_ ?(cardinality = default_cardinality) ~kind
@@ -738,9 +737,6 @@ module Labeled = struct
   let counter t ?unit_ ?cardinality ~keys name : counter =
     make_family t ?unit_ ?cardinality ~kind:"counter" ~buckets:[] ~keys name
 
-  let gauge t ?unit_ ?cardinality ~keys name : gauge =
-    make_family t ?unit_ ?cardinality ~kind:"gauge" ~buckets:[] ~keys name
-
   let histogram t ?unit_ ?(buckets = default_latency_buckets) ?cardinality
       ~keys name : histogram =
     make_family t ?unit_ ?cardinality ~kind:"histogram" ~buckets ~keys name
@@ -748,7 +744,6 @@ module Labeled = struct
   let fresh_of fam () =
     match fam.fam_kind with
     | "counter" -> Dcounter { n = 0 }
-    | "gauge" -> Dgauge { g = 0.; gset = false; gdelta = false }
     | _ -> Dhist (Histogram.fresh_cell fam.fam_buckets)
 
   (* Series lookup: under the cap a new tuple interns a fresh entry;
@@ -798,14 +793,6 @@ module Labeled = struct
       | Dcounter c -> { Counter.on = true; cell = c }
       | _ -> assert false)
 
-  let gauge_series (h : gauge) values : Gauge.h =
-    match resolve h values with
-    | None -> Gauge.inert
-    | Some e -> (
-      match e.data with
-      | Dgauge g -> { Gauge.on = true; cell = g }
-      | _ -> assert false)
-
   let histogram_series (h : histogram) values : Histogram.h =
     match resolve h values with
     | None -> Histogram.inert
@@ -818,8 +805,6 @@ module Labeled = struct
      series handle instead (one hashtable probe + string build each). *)
   let incr h values = Counter.incr (counter_series h values)
   let add h values k = Counter.add (counter_series h values) k
-  let set h values v = Gauge.set (gauge_series h values) v
-  let gauge_add h values d = Gauge.add (gauge_series h values) d
   let observe h values v = Histogram.observe (histogram_series h values) v
 
   let series_count (t : t) name =

@@ -165,7 +165,6 @@ end
 
 module Labeled : sig
   type counter
-  type gauge
   type histogram
 
   val counter :
@@ -175,10 +174,6 @@ module Labeled : sig
       family [name] with label keys [keys] (non-empty, [A-Za-z0-9_]).
       Raises [Invalid_argument] on a kind or key-tuple clash with an
       existing family of the same name. *)
-
-  val gauge :
-    t -> ?unit_:string -> ?cardinality:int -> keys:string list -> string ->
-    gauge
 
   val histogram :
     t ->
@@ -200,8 +195,6 @@ module Labeled : sig
   (** One-shot [resolve + incr] for cold paths. *)
 
   val add : counter -> string list -> int -> unit
-  val set : gauge -> string list -> float -> unit
-  val gauge_add : gauge -> string list -> float -> unit
   val observe : histogram -> string list -> float -> unit
 
   val series_count : t -> string -> int

@@ -1,19 +1,13 @@
 (* A deterministic discrete-event network simulator (DESIGN.md, substitution
    S3).  Message delivery costs a per-link latency plus a serialisation
-   delay proportional to message size; links can be taken down for failure
-   injection.  Time is simulated seconds.
+   delay proportional to message size.  Time is simulated seconds.
 
-   Beyond the binary link-up/link-down model, every link can run under a
-   seeded probabilistic fault profile — frame loss, duplication, reordering
-   and latency jitter — and node groups can be partitioned for a timed
-   window of simulated time.  Each drop is accounted under its reason, and
-   an optional trace hook observes every send, delivery, duplication and
-   drop.  The same event queue also drives virtual-clock timers, which is
-   what the connection layer's retransmission and backoff logic runs on. *)
-
-type link_state =
-  | Up
-  | Down
+   The network runs under one seeded probabilistic fault profile — frame
+   loss, duplication, reordering and latency jitter — and node groups can
+   be partitioned for a timed window of simulated time.  Each drop is
+   accounted under its reason.  The same event queue also drives
+   virtual-clock timers, which is what the connection layer's
+   retransmission and backoff logic runs on. *)
 
 type config = {
   latency_s : float;           (* one-way propagation delay *)
@@ -23,10 +17,10 @@ type config = {
 let default_config = { latency_s = 100e-6; bandwidth_bytes_per_s = 125_000_000. }
 (* 100us / ~1 Gbit: the sort of LAN the paper's testbed used *)
 
-(* Per-link fault profile.  Probabilities are per frame; [jitter_s] adds a
-   uniform extra delay in [0, jitter_s].  A reordered frame escapes the
-   link's FIFO clamp and takes a random multiple of its nominal delay, so
-   later frames can overtake it. *)
+(* The network's fault profile.  Probabilities are per frame; [jitter_s]
+   adds a uniform extra delay in [0, jitter_s].  A reordered frame escapes
+   the link's FIFO clamp and takes a random multiple of its nominal delay,
+   so later frames can overtake it. *)
 type faults = {
   loss : float;
   duplication : float;
@@ -42,15 +36,8 @@ type node = { handler : handler }
 
 type drop_reason =
   | Unknown_destination
-  | Link_down       (* downed link or active partition *)
+  | Link_down       (* active partition *)
   | Injected_loss
-  | Queue_overflow
-
-let pp_drop_reason ppf = function
-  | Unknown_destination -> Fmt.string ppf "unknown-destination"
-  | Link_down -> Fmt.string ppf "link-down"
-  | Injected_loss -> Fmt.string ppf "injected-loss"
-  | Queue_overflow -> Fmt.string ppf "queue-overflow"
 
 type stats = {
   mutable messages : int;
@@ -59,18 +46,10 @@ type stats = {
   mutable drops_unknown_dst : int;
   mutable drops_link_down : int;
   mutable drops_loss : int;
-  mutable drops_overflow : int;
 }
 
 let dropped (s : stats) : int =
-  s.drops_unknown_dst + s.drops_link_down + s.drops_loss + s.drops_overflow
-
-type trace_event =
-  | Trace_sent of { src : Contact.t; dst : Contact.t; bytes : int; arrival : float }
-  | Trace_delivered of { src : Contact.t; dst : Contact.t; bytes : int }
-  | Trace_dropped of { src : Contact.t; dst : Contact.t; reason : drop_reason }
-  | Trace_duplicated of { src : Contact.t; dst : Contact.t }
-  | Trace_timer_fired of { at : float }
+  s.drops_unknown_dst + s.drops_link_down + s.drops_loss
 
 type partition = {
   group_a : Contact.t list;
@@ -96,13 +75,12 @@ type metrics = {
   m_drops_unknown_dst : Obs.Counter.h;
   m_drops_link_down : Obs.Counter.h;
   m_drops_loss : Obs.Counter.h;
-  m_drops_overflow : Obs.Counter.h;
   m_timers : Obs.Counter.h;
 }
 
 let make_metrics reg =
   (* per-reason drops are one labeled family so an exposition shows the
-     breakdown as netsim_drops{reason="..."}; the four series handles
+     breakdown as netsim_drops{reason="..."}; the three series handles
      are resolved once here, keeping the drop paths handle-speed *)
   let drops = Obs.Labeled.counter reg ~keys:[ "reason" ] "netsim.drops" in
   let drop_series reason = Obs.Labeled.counter_series drops [ reason ] in
@@ -113,7 +91,6 @@ let make_metrics reg =
     m_drops_unknown_dst = drop_series "unknown_dst";
     m_drops_link_down = drop_series "link_down";
     m_drops_loss = drop_series "loss";
-    m_drops_overflow = drop_series "overflow";
     m_timers = Obs.Counter.make reg "netsim.timers_fired";
   }
 
@@ -125,19 +102,13 @@ type t = {
   mutable now : float;
   queue : queued Pqueue.t;
   nodes : (Contact.t, node) Hashtbl.t;
-  down_links : (Contact.t * Contact.t, unit) Hashtbl.t;
   last_arrival : (Contact.t * Contact.t, float) Hashtbl.t;
   (* links are FIFO, like the stream connections PBIO runs over: a message
      never overtakes an earlier one on the same (src, dst) link — unless the
      fault model explicitly reorders it *)
-  mutable default_faults : faults;
-  link_faults : (Contact.t * Contact.t, faults) Hashtbl.t;
+  mutable faults : faults;
   mutable partitions : partition list;
-  mutable link_capacity : int option;
-  (* max frames in flight per (src, dst) link; None = unbounded *)
-  in_flight : (Contact.t * Contact.t, int) Hashtbl.t;
   rng : Random.State.t;
-  mutable trace : (trace_event -> unit) option;
   stats : stats;
 }
 
@@ -149,15 +120,10 @@ let create ?(config = default_config) ?(seed = 0) ?(metrics = Obs.null) () =
     now = 0.0;
     queue = Pqueue.create ();
     nodes = Hashtbl.create 16;
-    down_links = Hashtbl.create 4;
     last_arrival = Hashtbl.create 16;
-    default_faults = no_faults;
-    link_faults = Hashtbl.create 4;
+    faults = no_faults;
     partitions = [];
-    link_capacity = None;
-    in_flight = Hashtbl.create 16;
     rng = Random.State.make [| 0x6e65747369; seed |];
-    trace = None;
     stats =
       {
         messages = 0;
@@ -166,7 +132,6 @@ let create ?(config = default_config) ?(seed = 0) ?(metrics = Obs.null) () =
         drops_unknown_dst = 0;
         drops_link_down = 0;
         drops_loss = 0;
-        drops_overflow = 0;
       };
   }
 
@@ -177,33 +142,13 @@ let stats t = t.stats
    passes through [f] first. *)
 let set_corruption t f = t.corrupt <- f
 
-let set_faults t faults = t.default_faults <- faults
-
-let set_link_faults t ~src ~dst = function
-  | Some faults -> Hashtbl.replace t.link_faults (src, dst) faults
-  | None -> Hashtbl.remove t.link_faults (src, dst)
-
-let faults_for t ~src ~dst =
-  Option.value ~default:t.default_faults (Hashtbl.find_opt t.link_faults (src, dst))
-
-let set_link_capacity t cap = t.link_capacity <- cap
-
-let set_trace t f = t.trace <- f
-
-let trace t ev = match t.trace with Some f -> f ev | None -> ()
+let set_faults t faults = t.faults <- faults
 
 exception Duplicate_node of Contact.t
 
 let add_node t (contact : Contact.t) (handler : handler) : unit =
   if Hashtbl.mem t.nodes contact then raise (Duplicate_node contact);
   Hashtbl.replace t.nodes contact { handler }
-
-let set_link t ~src ~dst (state : link_state) =
-  match state with
-  | Down -> Hashtbl.replace t.down_links (src, dst) ()
-  | Up -> Hashtbl.remove t.down_links (src, dst)
-
-let link_up t ~src ~dst = not (Hashtbl.mem t.down_links (src, dst))
 
 (* Sever every link between the two groups during [start, stop) of simulated
    time; whether a frame crosses is decided at send time. *)
@@ -220,9 +165,6 @@ let partitioned t ~src ~dst =
     t.partitions
 
 (* --- the event queue ------------------------------------------------------- *)
-
-let in_flight_count t link =
-  Option.value ~default:0 (Hashtbl.find_opt t.in_flight link)
 
 let enqueue_frame t ~src ~dst ~(faults : faults) (payload : string) : float =
   let jitter =
@@ -247,14 +189,12 @@ let enqueue_frame t ~src ~dst ~(faults : faults) (payload : string) : float =
       a
     end
   in
-  Hashtbl.replace t.in_flight (src, dst) (in_flight_count t (src, dst) + 1);
-  trace t (Trace_sent { src; dst; bytes = String.length payload; arrival });
   Pqueue.push t.queue arrival (Frame { dst; src; payload });
   arrival
 
-(* Queue a message for delivery.  Unknown destinations, downed or
-   partitioned links, injected losses and full link queues drop silently
-   (like UDP), each counted under its reason.  Returns the scheduled
+(* Queue a message for delivery.  Unknown destinations, partitioned links
+   and injected losses drop silently (like UDP), each counted under its
+   reason.  Returns the scheduled
    arrival time of the (first copy of the) frame, or [None] when it was
    dropped — which is how the connection layer times its hop spans. *)
 let send_arrival t ~(src : Contact.t) ~(dst : Contact.t) (payload : string) :
@@ -269,36 +209,23 @@ let send_arrival t ~(src : Contact.t) ~(dst : Contact.t) (payload : string) :
        Obs.Counter.incr t.m.m_drops_link_down
      | Injected_loss ->
        t.stats.drops_loss <- t.stats.drops_loss + 1;
-       Obs.Counter.incr t.m.m_drops_loss
-     | Queue_overflow ->
-       t.stats.drops_overflow <- t.stats.drops_overflow + 1;
-       Obs.Counter.incr t.m.m_drops_overflow);
-    trace t (Trace_dropped { src; dst; reason });
+       Obs.Counter.incr t.m.m_drops_loss);
     None
   in
+  let faults = t.faults in
   if not (Hashtbl.mem t.nodes dst) then drop Unknown_destination
-  else if (not (link_up t ~src ~dst)) || partitioned t ~src ~dst then drop Link_down
+  else if partitioned t ~src ~dst then drop Link_down
+  else if faults.loss > 0.0 && Random.State.float t.rng 1.0 < faults.loss then
+    drop Injected_loss
   else begin
-    let faults = faults_for t ~src ~dst in
-    if faults.loss > 0.0 && Random.State.float t.rng 1.0 < faults.loss then
-      drop Injected_loss
-    else
-      match t.link_capacity with
-      | Some cap when in_flight_count t (src, dst) >= cap -> drop Queue_overflow
-      | _ ->
-        let arrival = enqueue_frame t ~src ~dst ~faults payload in
-        if faults.duplication > 0.0
-           && Random.State.float t.rng 1.0 < faults.duplication
-           && (match t.link_capacity with
-               | Some cap -> in_flight_count t (src, dst) < cap
-               | None -> true)
-        then begin
-          t.stats.duplicated <- t.stats.duplicated + 1;
-          Obs.Counter.incr t.m.m_duplicated;
-          trace t (Trace_duplicated { src; dst });
-          ignore (enqueue_frame t ~src ~dst ~faults payload : float)
-        end;
-        Some arrival
+    let arrival = enqueue_frame t ~src ~dst ~faults payload in
+    if faults.duplication > 0.0 && Random.State.float t.rng 1.0 < faults.duplication
+    then begin
+      t.stats.duplicated <- t.stats.duplicated + 1;
+      Obs.Counter.incr t.m.m_duplicated;
+      ignore (enqueue_frame t ~src ~dst ~faults payload : float)
+    end;
+    Some arrival
   end
 
 let send t ~(src : Contact.t) ~(dst : Contact.t) (payload : string) : unit =
@@ -319,25 +246,17 @@ let step t : bool =
     (match item with
      | Timer f ->
        Obs.Counter.incr t.m.m_timers;
-       trace t (Trace_timer_fired { at = t.now });
        f ()
      | Frame ev ->
-       let link = (ev.src, ev.dst) in
-       Hashtbl.replace t.in_flight link (max 0 (in_flight_count t link - 1));
        (match Hashtbl.find_opt t.nodes ev.dst with
         | None ->
           t.stats.drops_unknown_dst <- t.stats.drops_unknown_dst + 1;
-          Obs.Counter.incr t.m.m_drops_unknown_dst;
-          trace t
-            (Trace_dropped { src = ev.src; dst = ev.dst; reason = Unknown_destination })
+          Obs.Counter.incr t.m.m_drops_unknown_dst
         | Some node ->
           t.stats.messages <- t.stats.messages + 1;
           t.stats.bytes <- t.stats.bytes + String.length ev.payload;
           Obs.Counter.incr t.m.m_delivered;
           Obs.Counter.add t.m.m_bytes (String.length ev.payload);
-          trace t
-            (Trace_delivered
-               { src = ev.src; dst = ev.dst; bytes = String.length ev.payload });
           let payload =
             match t.corrupt with Some f -> f ev.payload | None -> ev.payload
           in
@@ -370,5 +289,3 @@ let advance t (dt : float) : int =
   let n = go 0 in
   t.now <- Float.max t.now target;
   n
-
-let pending t = Pqueue.length t.queue

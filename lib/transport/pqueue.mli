@@ -6,7 +6,6 @@ type 'a t
 
 val create : unit -> 'a t
 val is_empty : 'a t -> bool
-val length : 'a t -> int
 val push : 'a t -> float -> 'a -> unit
 
 (** Remove and return the minimum-priority entry. *)

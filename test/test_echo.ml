@@ -174,12 +174,15 @@ let test_link_failure_drops_but_system_survives () =
   Node.subscribe_events sink "ch" (fun _ -> incr got);
   Node.join sink ~creator:(Node.contact creator) "ch" ~as_source:false ~as_sink:true;
   ignore (Echo.settle net);
-  (* sever creator -> sink; events are lost but nothing crashes *)
-  Netsim.set_link net ~src:(Node.contact creator) ~dst:(Node.contact sink) Netsim.Down;
+  (* sever creator <-> sink for a second; events are lost but nothing
+     crashes *)
+  let t0 = Netsim.now net in
+  Netsim.add_partition net ~group_a:[ Node.contact creator ] ~group_b:[ Node.contact sink ]
+    ~start:t0 ~stop:(t0 +. 1.0);
   Node.publish creator "ch" "lost";
   ignore (Echo.settle net);
   Alcotest.(check int) "event lost" 0 !got;
-  Netsim.set_link net ~src:(Node.contact creator) ~dst:(Node.contact sink) Netsim.Up;
+  ignore (Netsim.advance net 1.0 : int);
   Node.publish creator "ch" "recovered";
   ignore (Echo.settle net);
   Alcotest.(check int) "flows again" 1 !got

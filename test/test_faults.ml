@@ -1,6 +1,6 @@
 (* Tests for the lossy-network fault model and the machinery that survives
-   it: seeded per-link faults, virtual-clock timers, timed partitions and
-   link capacities in Netsim; the reliable envelope, Meta_request backoff,
+   it: seeded faults, virtual-clock timers and timed partitions in
+   Netsim; the reliable envelope, Meta_request backoff,
    bounded parking and peer-failure detection in Conn; dead-sink eviction
    in ECho. *)
 
@@ -152,30 +152,53 @@ let test_netsim_jitter () =
   Alcotest.(check int) "delivered" 1 (List.length !got);
   Alcotest.(check bool) "jitter added latency" true (Netsim.now net > 0.001)
 
-let test_netsim_per_link_faults () =
-  (* only the overridden link loses frames; the default stays clean *)
+(* The fault profile is one network-wide setting, decided per frame at
+   send time: installing a profile replaces the previous one outright, and
+   going back to [no_faults] restores clean links. *)
+let test_netsim_fault_profile_replaced () =
   let net = Netsim.create ~seed:5 () in
-  let a = Contact.make "a" 1 and b = Contact.make "b" 2 and c = Contact.make "c" 3 in
-  let got_b = ref 0 and got_c = ref 0 in
-  Netsim.add_node net a (fun ~src:_ _ -> ());
-  Netsim.add_node net b (fun ~src:_ _ -> incr got_b);
-  Netsim.add_node net c (fun ~src:_ _ -> incr got_c);
-  Netsim.set_link_faults net ~src:a ~dst:b
-    (Some { Netsim.no_faults with Netsim.loss = 1.0 });
-  for _ = 1 to 5 do
-    Netsim.send net ~src:a ~dst:b "x";
-    Netsim.send net ~src:a ~dst:c "x"
-  done;
+  let a, b, got = pair net in
+  Netsim.set_faults net { Netsim.no_faults with Netsim.loss = 1.0 };
+  for _ = 1 to 5 do Netsim.send net ~src:a ~dst:b "lost" done;
+  Netsim.set_faults net { Netsim.no_faults with Netsim.duplication = 1.0 };
+  Netsim.send net ~src:a ~dst:b "twice";
+  Netsim.set_faults net Netsim.no_faults;
+  Netsim.send net ~src:a ~dst:b "once";
   ignore (Netsim.run net);
-  Alcotest.(check int) "lossy link starves" 0 !got_b;
-  Alcotest.(check int) "clean link delivers" 5 !got_c;
-  (* clearing the override restores the default *)
-  Netsim.set_link_faults net ~src:a ~dst:b None;
-  Netsim.send net ~src:a ~dst:b "x";
-  ignore (Netsim.run net);
-  Alcotest.(check int) "healthy again" 1 !got_b
+  Alcotest.(check (list string)) "each frame under the profile it was sent with"
+    [ "once"; "twice"; "twice" ] !got;
+  let s = Netsim.stats net in
+  Alcotest.(check int) "losses" 5 s.Netsim.drops_loss;
+  Alcotest.(check int) "the duplication profile no longer applies" 1 s.Netsim.duplicated
 
-(* --- netsim: timers, advance, partitions, capacity -------------------------- *)
+(* A metrics-enabled simulator mirrors deliveries, bytes, duplicates,
+   partition drops and fired timers, and agrees with its stats record. *)
+let test_netsim_metrics_mirror_stats () =
+  let metrics = Obs.create () in
+  let net = Netsim.create ~seed:2 ~metrics () in
+  let a, b, _ = pair net in
+  Netsim.set_faults net { Netsim.no_faults with Netsim.duplication = 1.0 };
+  Netsim.send net ~src:a ~dst:b "abc";
+  Netsim.set_faults net Netsim.no_faults;
+  Netsim.send net ~src:a ~dst:b "de";
+  Netsim.add_partition net ~group_a:[ a ] ~group_b:[ b ] ~start:0.0 ~stop:1.0;
+  Netsim.send net ~src:a ~dst:b "cut";
+  Netsim.after net 0.001 (fun () -> ());
+  Netsim.after net 0.002 (fun () -> ());
+  ignore (Netsim.run net);
+  let s = Netsim.stats net in
+  let counter = Obs.Counter.value metrics in
+  Alcotest.(check int) "delivered" 3 s.Netsim.messages;
+  Alcotest.(check int) "delivered mirrored" s.Netsim.messages (counter "netsim.delivered");
+  Alcotest.(check int) "bytes" 8 s.Netsim.bytes;
+  Alcotest.(check int) "bytes mirrored" s.Netsim.bytes (counter "netsim.bytes");
+  Alcotest.(check int) "duplicates mirrored" 1 (counter "netsim.duplicated");
+  Alcotest.(check int) "partition drop mirrored" s.Netsim.drops_link_down
+    (counter {|netsim.drops{reason="link_down"}|});
+  Alcotest.(check int) "one partition drop" 1 s.Netsim.drops_link_down;
+  Alcotest.(check int) "timers fired" 2 (counter "netsim.timers_fired")
+
+(* --- netsim: timers, advance, partitions ------------------------------------ *)
 
 let test_netsim_timers_and_advance () =
   let net = Netsim.create () in
@@ -224,39 +247,42 @@ let test_netsim_partition () =
   ignore (Netsim.run net);
   Alcotest.(check (list string)) "healed" [ "after" ] !got
 
-let test_netsim_link_capacity () =
+(* A partition cuts only the links between its two groups: nodes on the
+   same side, and nodes in neither group, still reach each other. *)
+let test_netsim_partition_spares_other_links () =
   let net = Netsim.create () in
-  let a, b, got = pair net in
-  Netsim.set_link_capacity net (Some 2);
-  for i = 1 to 5 do Netsim.send net ~src:a ~dst:b (string_of_int i) done;
-  Alcotest.(check int) "overflow counted" 3 (Netsim.stats net).Netsim.drops_overflow;
+  let a, b, got_b = pair net in
+  let c = Contact.make "c" 3 and d = Contact.make "d" 4 in
+  let got_c = ref [] in
+  Netsim.add_node net c (fun ~src:_ p -> got_c := p :: !got_c);
+  Netsim.add_node net d (fun ~src:_ _ -> ());
+  Netsim.add_partition net ~group_a:[ a; c ] ~group_b:[ b ] ~start:0.0 ~stop:1.0;
+  Netsim.send net ~src:a ~dst:b "a->b";
+  Netsim.send net ~src:c ~dst:b "c->b";
+  Netsim.send net ~src:b ~dst:c "b->c";
+  Netsim.send net ~src:a ~dst:c "a->c";
+  Netsim.send net ~src:d ~dst:b "d->b";
   ignore (Netsim.run net);
-  Alcotest.(check (list string)) "first two made it" [ "2"; "1" ] !got
+  Alcotest.(check (list string)) "only the outsider reaches b" [ "d->b" ] !got_b;
+  Alcotest.(check (list string)) "same side still connected" [ "a->c" ] !got_c;
+  Alcotest.(check int) "three links cut" 3 (Netsim.stats net).Netsim.drops_link_down
 
-let test_netsim_trace_hook () =
-  let net = Netsim.create ~seed:6 () in
-  let a, b, _ = pair net in
-  let sent = ref 0 and delivered = ref 0 and droppedn = ref 0 and timers = ref 0 in
-  Netsim.set_trace net
-    (Some
-       (function
-         | Netsim.Trace_sent _ -> incr sent
-         | Netsim.Trace_delivered _ -> incr delivered
-         | Netsim.Trace_dropped _ -> incr droppedn
-         | Netsim.Trace_duplicated _ -> ()
-         | Netsim.Trace_timer_fired _ -> incr timers));
-  Netsim.send net ~src:a ~dst:b "x";
-  Netsim.send net ~src:a ~dst:(Contact.make "ghost" 9) "x";
-  Netsim.after net 0.001 (fun () -> ());
+(* Whether a frame crosses is decided when it is sent: a frame already on
+   the wire when the window opens still arrives inside it, and one sent
+   inside the window is lost even though it would land after it closes. *)
+let test_netsim_partition_decided_at_send () =
+  let config = { Netsim.latency_s = 0.15; bandwidth_bytes_per_s = infinity } in
+  let net = Netsim.create ~config () in
+  let a, b, got = pair net in
+  Netsim.add_partition net ~group_a:[ a ] ~group_b:[ b ] ~start:0.1 ~stop:0.2;
+  Netsim.send net ~src:a ~dst:b "before";
+  Alcotest.(check int) "nothing due yet" 0 (Netsim.advance net 0.12);
+  Netsim.send net ~src:a ~dst:b "inside";
   ignore (Netsim.run net);
-  Alcotest.(check int) "sent traced" 1 !sent;
-  Alcotest.(check int) "delivery traced" 1 !delivered;
-  Alcotest.(check int) "drop traced" 1 !droppedn;
-  Alcotest.(check int) "timer traced" 1 !timers;
-  Netsim.set_trace net None;
-  Netsim.send net ~src:a ~dst:b "x";
-  ignore (Netsim.run net);
-  Alcotest.(check int) "hook cleared" 1 !sent
+  Alcotest.(check (list string)) "the frame sent before the window lands" [ "before" ] !got;
+  Alcotest.(check (float 1e-9)) "it landed inside the window" 0.15 (Netsim.now net);
+  Alcotest.(check int) "the frame sent inside is dropped" 1
+    (Netsim.stats net).Netsim.drops_link_down
 
 (* --- conn: Meta_request retry with backoff ---------------------------------- *)
 
@@ -400,16 +426,16 @@ let test_conn_reliable_peer_failure () =
   ignore b;
   let failed = ref [] in
   Conn.set_on_peer_failure a (fun c -> failed := c :: !failed);
-  let dst = Contact.make "b" 2 in
-  Netsim.set_link net ~src:(Contact.make "a" 1) ~dst Netsim.Down;
+  let src = Contact.make "a" 1 and dst = Contact.make "b" 2 in
+  Netsim.add_partition net ~group_a:[ src ] ~group_b:[ dst ] ~start:0.0 ~stop:1.0;
   Conn.send a ~dst (Meta.plain fmt) (ping 1);
   ignore (Netsim.run net);
   Alcotest.(check int) "failure reported once" 1 (List.length !failed);
   Alcotest.(check bool) "for the right peer" true (Contact.equal dst (List.hd !failed));
   Alcotest.(check int) "pending frames purged" 0 (Conn.unacked_frames a);
   Alcotest.(check int) "counted" 1 (Conn.stats a).Conn.peer_failures;
-  (* a fresh send gives the peer another chance *)
-  Netsim.set_link net ~src:(Contact.make "a" 1) ~dst Netsim.Up;
+  (* a fresh send after the partition heals gives the peer another chance *)
+  ignore (Netsim.advance net 1.0 : int);
   let got = ref 0 in
   Conn.set_handler b (fun ~src:_ _ _ -> incr got);
   Conn.send a ~dst (Meta.plain fmt) (ping 2);
@@ -432,8 +458,9 @@ let test_echo_evicts_dead_sink () =
     (List.length (Echo.Node.channel_members creator "chan"));
   (* the sink drops off the network; forwarded events miss their acks until
      the retransmit budget runs out, and the creator evicts the member *)
-  Netsim.set_link net ~src:(Echo.Node.contact creator)
-    ~dst:(Echo.Node.contact sink) Netsim.Down;
+  let t0 = Netsim.now net in
+  Netsim.add_partition net ~group_a:[ Echo.Node.contact creator ]
+    ~group_b:[ Echo.Node.contact sink ] ~start:t0 ~stop:(t0 +. 10.0);
   Echo.Node.publish creator "chan" "are you alive?";
   ignore (Netsim.run net);
   let members = Echo.Node.channel_members creator "chan" in
@@ -457,14 +484,18 @@ let suite =
     Alcotest.test_case "netsim: duplication" `Quick test_netsim_duplication;
     Alcotest.test_case "netsim: reordering" `Quick test_netsim_reordering;
     Alcotest.test_case "netsim: latency jitter" `Quick test_netsim_jitter;
-    Alcotest.test_case "netsim: per-link fault profiles" `Quick
-      test_netsim_per_link_faults;
+    Alcotest.test_case "netsim: a new fault profile replaces the old" `Quick
+      test_netsim_fault_profile_replaced;
+    Alcotest.test_case "netsim: metrics mirror the stats" `Quick
+      test_netsim_metrics_mirror_stats;
     Alcotest.test_case "netsim: timers and advance" `Quick test_netsim_timers_and_advance;
     Alcotest.test_case "netsim: run reports max-steps exhaustion" `Quick
       test_netsim_run_max_steps;
     Alcotest.test_case "netsim: timed partition" `Quick test_netsim_partition;
-    Alcotest.test_case "netsim: link capacity overflow" `Quick test_netsim_link_capacity;
-    Alcotest.test_case "netsim: trace hook" `Quick test_netsim_trace_hook;
+    Alcotest.test_case "netsim: a partition spares links outside its groups" `Quick
+      test_netsim_partition_spares_other_links;
+    Alcotest.test_case "netsim: a partition is decided at send time" `Quick
+      test_netsim_partition_decided_at_send;
     Alcotest.test_case "conn: lost meta reply is retried with backoff" `Quick
       test_conn_meta_reply_lost_then_retried;
     Alcotest.test_case "conn: meta retry budget drops parked messages" `Quick

@@ -1,8 +1,8 @@
 (* The multi-tenant morphing gateway: circuit breaker, shared plan cache,
    eviction-storm governor, Described-envelope admission, singleflight
-   compile coalescing, one plan per shape at its engine, tenant drop and
-   re-pin during in-flight compiles, and the 1k-tenant overload
-   acceptance run (docs/GATEWAY.md). *)
+   compile coalescing and its drain, one plan per shape at its engine,
+   targets pinned by a tenant's first meta push, and the 1k-tenant
+   overload acceptance run (docs/GATEWAY.md). *)
 
 open Pbio
 module G = Gateway
@@ -104,19 +104,14 @@ let test_plan_cache_tenant_quota () =
   Alcotest.(check int) "quota eviction counted" 1 s.PC.quota_evictions;
   Alcotest.(check int) "also a plain eviction" 1 s.PC.evictions
 
-let test_plan_cache_replace_and_drop () =
+let test_plan_cache_replace () =
   let evictions = ref 0 in
   let c = PC.create ~max_entries:10 ~on_evict:(fun ~tenant:_ ~key:_ -> incr evictions) () in
   PC.add c ~tenant:1 ~key:1 "a";
   PC.add c ~tenant:1 ~key:1 "a2";
   Alcotest.(check int) "replace is not an eviction" 0 !evictions;
   Alcotest.(check (option string)) "replaced" (Some "a2") (PC.find c ~tenant:1 ~key:1);
-  Alcotest.(check int) "one entry" 1 (PC.size c);
-  PC.add c ~tenant:1 ~key:2 "b";
-  PC.add c ~tenant:2 ~key:3 "z";
-  Alcotest.(check int) "drop removes the tenant's entries" 2 (PC.drop_tenant c 1);
-  Alcotest.(check int) "offboarding is not an eviction" 0 !evictions;
-  Alcotest.(check int) "neighbour remains" 1 (PC.size c)
+  Alcotest.(check int) "one entry" 1 (PC.size c)
 
 (* --- eviction-storm governor --------------------------------------------------- *)
 
@@ -267,7 +262,7 @@ let test_gateway_onboard_and_deliver () =
   send (meta_frame ~tenant:3 pvs.(0));
   send (meta_frame ~tenant:3 pvs.(2));
   ignore (Netsim.run net);
-  Alcotest.(check int) "tenant onboarded" 1 (G.tenant_count gw);
+  Alcotest.(check int) "tenant onboarded" 1 (G.stats gw).G.onboarded;
   send (data_frame ~tenant:3 pvs.(0));
   send (data_frame ~tenant:3 pvs.(2));
   ignore (Netsim.run net);
@@ -414,6 +409,72 @@ let test_gateway_pending_cap_sheds () =
   ignore (Netsim.run net);
   Alcotest.(check int) "capped queue delivered" 4 (G.stats gw).G.delivered
 
+(* The first meta push onboards a tenant and pins its target for good:
+   formats pushed later are senders' versions to morph from, never a new
+   target, so two tenants pushing the same versions in opposite orders
+   receive in different layouts. *)
+let test_gateway_first_push_pins_target () =
+  let pop = pop_of_seed 42 in
+  let pvs = P.versions pop in
+  let v0 = pvs.(0).P.format and v2 = pvs.(2).P.format in
+  let conforms target (d : G.delivery) = Value.conforms (Ptype.Record target) d.G.value in
+  let net = mk_net () in
+  let out = ref [] in
+  let config = { G.default_config with G.parity = true } in
+  let gw = G.create ~config ~net (Contact.make "gw" 1) (fun d -> out := d :: !out) in
+  let push tenant v = ignore (G.handle_frame gw (meta_frame ~tenant v) : G.outcome) in
+  push 1 pvs.(0);
+  push 1 pvs.(2);
+  push 2 pvs.(2);
+  push 2 pvs.(0);
+  Alcotest.(check int) "two tenants onboarded" 2 (G.stats gw).G.onboarded;
+  ignore (G.handle_frame gw (data_frame ~tenant:1 pvs.(2)) : G.outcome);
+  ignore (G.handle_frame gw (data_frame ~tenant:2 pvs.(2)) : G.outcome);
+  ignore (Netsim.run net);
+  let delivery tenant =
+    match List.filter (fun (d : G.delivery) -> d.G.tenant = tenant) !out with
+    | [ d ] -> d
+    | ds -> Alcotest.failf "tenant %d: expected one delivery, got %d" tenant (List.length ds)
+  in
+  Alcotest.(check bool) "tenant 1 morphs v2 back to its v0 target" true
+    (conforms v0 (delivery 1));
+  Alcotest.(check bool) "not into the later push" false (conforms v2 (delivery 1));
+  Alcotest.(check bool) "tenant 2 keeps its v2 target" true (conforms v2 (delivery 2));
+  Alcotest.(check int) "parity clean" 0 (G.stats gw).G.parity_mismatches
+
+(* A compile's completion drains its parked queue and re-checks each
+   message's deadline: work that expired while it waited is shed then,
+   the rest delivers, and the pending-depth gauge returns to zero. *)
+let test_gateway_deadline_rechecked_at_drain () =
+  let pop = pop_of_seed 42 in
+  let pvs = P.versions pop in
+  let net = mk_net () in
+  let reg = Obs.create ~label:"drain" () in
+  let config = { G.default_config with G.compile_s_per_unit = 1e-3 } in
+  let gw = G.create ~config ~metrics:reg ~net (Contact.make "gw" 1) (fun _ -> ()) in
+  ignore (G.handle_frame gw (meta_frame ~tenant:5 pvs.(2)) : G.outcome);
+  let expect_parked what frame =
+    match G.handle_frame gw frame with
+    | G.Parked -> ()
+    | _ -> Alcotest.failf "%s should park behind the compile" what
+  in
+  (* a 1 ns deadline is still ahead at admission (the clock reads 0) but
+     long past when the compile lands *)
+  expect_parked "the short-deadline message" (data_frame ~deadline_ns:1 ~tenant:5 pvs.(2));
+  expect_parked "the undated message" (data_frame ~tenant:5 pvs.(2));
+  Alcotest.(check int) "two parked" 2 (G.pending_depth gw);
+  Alcotest.(check (option (float 0.))) "pending gauge while parked" (Some 2.)
+    (Obs.Gauge.value reg "gateway.pending_depth");
+  ignore (Netsim.run net);
+  let s = G.stats gw in
+  Alcotest.(check int) "both admitted" 2 s.G.admitted;
+  Alcotest.(check int) "the expired one is shed at drain" 1 s.G.shed_deadline;
+  Alcotest.(check int) "the other delivers" 1 s.G.delivered;
+  Alcotest.(check int) "one compile" 1 s.G.plan_compiles;
+  Alcotest.(check int) "pending depth exact" 0 (G.pending_depth gw);
+  Alcotest.(check (option (float 0.))) "pending gauge exact" (Some 0.)
+    (Obs.Gauge.value reg "gateway.pending_depth")
+
 let test_gateway_recompile_after_eviction () =
   let net = mk_net () in
   let pop = pop_of_seed 42 in
@@ -459,13 +520,17 @@ let shape_run ~target (meta : Meta.format_meta) (message : string) =
   let out = ref [] in
   let config = { G.default_config with G.parity = true } in
   let gw = G.create ~config ~net (Contact.make "gw" 1) (fun d -> out := d :: !out) in
-  G.add_tenant gw ~id:1 ~target ();
+  let push m =
+    ignore
+      (G.handle_frame gw
+         (G.envelope ~tenant:1 ~fingerprint:(G.fingerprint m)
+            (Framing.Meta { format_id = 1; meta = Meta.encode m }))
+       : G.outcome)
+  in
+  (* the first push onboards the tenant and pins its target *)
+  push (Meta.plain target);
+  push meta;
   let fp = G.fingerprint meta in
-  ignore
-    (G.handle_frame gw
-       (G.envelope ~tenant:1 ~fingerprint:fp
-          (Framing.Meta { format_id = 1; meta = Meta.encode meta }))
-     : G.outcome);
   ignore
     (G.handle_frame gw
        (G.envelope ~tenant:1 ~fingerprint:fp (Framing.Data { format_id = 1; message }))
@@ -578,93 +643,6 @@ let test_gateway_push_storm_compiles_once () =
   Alcotest.(check int) "parity clean" 0 s.G.parity_mismatches;
   Alcotest.(check int) "queue drained" 0 (G.pending_depth gw)
 
-(* Dropping a tenant while its first message is parked behind a compile:
-   the compile's result is discarded and the message shed, never
-   delivered — also when the same id is re-added before the compile
-   lands, whose own messages plan afresh instead of parking behind the
-   stale compile. *)
-let test_gateway_drop_during_compile () =
-  let pop = pop_of_seed 42 in
-  let pvs = P.versions pop in
-  let run ~readd =
-    let net = mk_net () in
-    let reg = Obs.create ~label:"drop" () in
-    let delivered = ref 0 in
-    let config = { G.default_config with G.compile_s_per_unit = 1e-3 } in
-    let gw =
-      G.create ~config ~metrics:reg ~net (Contact.make "gw" 1) (fun _ -> incr delivered)
-    in
-    ignore (G.handle_frame gw (meta_frame ~tenant:5 pvs.(2)) : G.outcome);
-    (match G.handle_frame gw (data_frame ~tenant:5 pvs.(2)) with
-     | G.Parked -> ()
-     | _ -> Alcotest.fail "the first message should park behind its compile");
-    Alcotest.(check bool) "dropped" true (G.drop_tenant gw 5);
-    if readd then begin
-      ignore (G.handle_frame gw (meta_frame ~tenant:5 pvs.(2)) : G.outcome);
-      ignore (G.handle_frame gw (data_frame ~tenant:5 pvs.(2)) : G.outcome)
-    end;
-    ignore (Netsim.run net);
-    let s = G.stats gw in
-    let live = if readd then 1 else 0 in
-    Alcotest.(check int) "only the live tenant's message is delivered" live !delivered;
-    Alcotest.(check int) "the parked message is shed as unknown tenant" 1
-      s.G.shed_unknown;
-    Alcotest.(check int) "only the live tenant's plan is cached" live
-      (G.cache_stats gw).PC.entries;
-    Alcotest.(check int) "pending depth exact" 0 (G.pending_depth gw);
-    Alcotest.(check (option (float 0.))) "pending gauge exact" (Some 0.)
-      (Obs.Gauge.value reg "gateway.pending_depth")
-  in
-  run ~readd:false;
-  run ~readd:true
-
-(* Re-pinning a tenant's target drops the plans compiled for the old one:
-   the next delivery conforms to the new target, and neither the dropped
-   plans nor the fresh compile count as evictions or recompiles. *)
-let test_gateway_repin_target () =
-  let pop = pop_of_seed 42 in
-  let pvs = P.versions pop in
-  let v0 = pvs.(0).P.format and v2 = pvs.(2).P.format in
-  let conforms target (d : G.delivery) = Value.conforms (Ptype.Record target) d.G.value in
-  let setup () =
-    let net = mk_net () in
-    let out = ref [] in
-    let config = { G.default_config with G.compile_s_per_unit = 1e-3; parity = true } in
-    let gw = G.create ~config ~net (Contact.make "gw" 1) (fun d -> out := d :: !out) in
-    G.add_tenant gw ~id:7 ~target:v0 ();
-    ignore (G.handle_frame gw (meta_frame ~tenant:7 pvs.(2)) : G.outcome);
-    (gw, net, out)
-  in
-  (* re-pin between deliveries *)
-  let gw, net, out = setup () in
-  ignore (G.handle_frame gw (data_frame ~tenant:7 pvs.(2)) : G.outcome);
-  ignore (Netsim.run net);
-  Alcotest.(check bool) "first delivery conforms to v0" true (conforms v0 (List.hd !out));
-  G.add_tenant gw ~id:7 ~target:v2 ();
-  Alcotest.(check int) "stale plans dropped" 0 (G.cache_stats gw).PC.entries;
-  ignore (G.handle_frame gw (data_frame ~tenant:7 pvs.(2)) : G.outcome);
-  ignore (Netsim.run net);
-  Alcotest.(check bool) "after the re-pin, conforms to v2" true
-    (conforms v2 (List.hd !out));
-  let s = G.stats gw in
-  Alcotest.(check int) "two first compiles" 2 s.G.plan_compiles;
-  Alcotest.(check int) "not a recompile" 0 s.G.plan_recompiles;
-  Alcotest.(check int) "not an eviction" 0 (G.cache_stats gw).PC.evictions;
-  (* re-pin while the old target's compile is in flight *)
-  let gw, net, out = setup () in
-  ignore (G.handle_frame gw (data_frame ~tenant:7 pvs.(2)) : G.outcome);
-  G.add_tenant gw ~id:7 ~target:v2 ();
-  ignore (Netsim.run net);
-  ignore (G.handle_frame gw (data_frame ~tenant:7 pvs.(2)) : G.outcome);
-  ignore (Netsim.run net);
-  Alcotest.(check int) "both delivered" 2 (List.length !out);
-  List.iter
-    (fun d -> Alcotest.(check bool) "every delivery conforms to v2" true (conforms v2 d))
-    !out;
-  Alcotest.(check int) "queue drained" 0 (G.pending_depth gw);
-  Alcotest.(check int) "one plan, for the new target" 1 (G.cache_stats gw).PC.entries;
-  Alcotest.(check int) "parity clean" 0 (G.stats gw).G.parity_mismatches
-
 (* The fingerprint covers every hop of a chain: a tenant that fixes the
    fourth hop and re-pushes its meta gets a plan for the fixed chain, not
    the one cached for the first push. *)
@@ -686,15 +664,18 @@ let test_gateway_repush_fixed_fourth_hop () =
   let net = mk_net () in
   let out = ref [] in
   let gw = G.create ~net (Contact.make "gw" 1) (fun d -> out := d :: !out) in
-  G.add_tenant gw ~id:1 ~target:(r 0) ();
+  let send m frame =
+    ignore
+      (G.handle_frame gw (G.envelope ~tenant:1 ~fingerprint:(G.fingerprint m) frame)
+       : G.outcome)
+  in
+  let push m = send m (Framing.Meta { format_id = 1; meta = Meta.encode m }) in
+  (* the first push onboards the tenant and pins R0 as its target *)
+  push (Meta.plain (r 0));
   let push_and_deliver m =
-    let fingerprint = G.fingerprint m in
-    let send frame =
-      ignore (G.handle_frame gw (G.envelope ~tenant:1 ~fingerprint frame) : G.outcome)
-    in
     let before = List.length !out in
-    send (Framing.Meta { format_id = 1; meta = Meta.encode m });
-    send (Framing.Data { format_id = 1; message });
+    push m;
+    send m (Framing.Data { format_id = 1; message });
     ignore (Netsim.run net);
     match !out with
     | d :: _ when List.length !out = before + 1 -> d.G.value
@@ -886,8 +867,8 @@ let suite =
       test_plan_cache_lru_and_stats;
     Alcotest.test_case "plan cache: tenant quota isolates neighbours" `Quick
       test_plan_cache_tenant_quota;
-    Alcotest.test_case "plan cache: replace and offboard" `Quick
-      test_plan_cache_replace_and_drop;
+    Alcotest.test_case "plan cache: replace is not an eviction" `Quick
+      test_plan_cache_replace;
     Alcotest.test_case "governor: eviction storm overloads" `Quick
       test_governor_eviction_storm;
     Alcotest.test_case "governor: decay clears overload" `Quick
@@ -907,16 +888,16 @@ let suite =
       test_gateway_singleflight;
     Alcotest.test_case "gateway: pending cap sheds overflow" `Quick
       test_gateway_pending_cap_sheds;
+    Alcotest.test_case "gateway: a drained compile re-checks deadlines" `Quick
+      test_gateway_deadline_rechecked_at_drain;
+    Alcotest.test_case "gateway: the first meta push pins the target" `Quick
+      test_gateway_first_push_pins_target;
     Alcotest.test_case "gateway: eviction then recompile, bounded cache" `Quick
       test_gateway_recompile_after_eviction;
     Alcotest.test_case "gateway: each shape delivers at its engine" `Quick
       test_gateway_shape_engines;
     Alcotest.test_case "gateway: a push storm compiles each (tenant, format) once"
       `Quick test_gateway_push_storm_compiles_once;
-    Alcotest.test_case "gateway: drop during an in-flight compile" `Quick
-      test_gateway_drop_during_compile;
-    Alcotest.test_case "gateway: re-pinned target drops stale plans" `Quick
-      test_gateway_repin_target;
     Alcotest.test_case "gateway: re-push with a fixed fourth hop replans" `Quick
       test_gateway_repush_fixed_fourth_hop;
     Alcotest.test_case "gateway: a push over the transformation cap is ignored" `Quick

@@ -57,13 +57,8 @@ let test_labeled_counter_basics () =
   Alcotest.(check int) "handle shares the series" 3
     (Obs.Counter.value t {|gw.shed{tenant="7",reason="quota"}|})
 
-let test_labeled_gauge_and_histogram () =
+let test_labeled_histogram () =
   let t = Obs.create () in
-  let g = Obs.Labeled.gauge t ~keys:[ "rung" ] "gw.depth" in
-  Obs.Labeled.set g [ "fused" ] 4.;
-  Obs.Labeled.gauge_add g [ "fused" ] 1.;
-  Alcotest.(check (option (float 0.))) "gauge series" (Some 5.)
-    (Obs.Gauge.value t {|gw.depth{rung="fused"}|});
   let h =
     Obs.Labeled.histogram t ~buckets:[ 1.; 10. ] ~keys:[ "rung" ] "gw.lat"
   in
@@ -82,7 +77,7 @@ let test_labeled_validation () =
    with Invalid_argument _ -> ());
   (* kind clash on the same family name *)
   (try
-     ignore (Obs.Labeled.gauge t ~keys:[ "tenant" ] "v.c");
+     ignore (Obs.Labeled.histogram t ~keys:[ "tenant" ] "v.c");
      Alcotest.fail "expected Invalid_argument on kind clash"
    with Invalid_argument _ -> ());
   (* bad key names *)
@@ -197,7 +192,7 @@ let test_merge_labeled_kind_clash () =
   let a = Obs.create () in
   let b = Obs.create () in
   ignore (Obs.Labeled.counter a ~keys:[ "k" ] "clash.fam");
-  ignore (Obs.Labeled.gauge b ~keys:[ "k" ] "clash.fam");
+  ignore (Obs.Labeled.histogram b ~keys:[ "k" ] "clash.fam");
   (try
      Obs.merge_into ~into:a b;
      Alcotest.fail "expected Invalid_argument on family kind clash"
@@ -352,8 +347,7 @@ let suite =
       test_gauge_merge_semantics;
     Alcotest.test_case "labeled counter basics" `Quick
       test_labeled_counter_basics;
-    Alcotest.test_case "labeled gauge and histogram" `Quick
-      test_labeled_gauge_and_histogram;
+    Alcotest.test_case "labeled histogram" `Quick test_labeled_histogram;
     Alcotest.test_case "labeled validation" `Quick test_labeled_validation;
     Alcotest.test_case "cap spills to other" `Quick
       test_labeled_cap_spills_to_other;

@@ -536,105 +536,91 @@ let test_quarantine_threshold_configurable () =
      Alcotest.fail "expected Invalid_argument"
    with Invalid_argument _ -> ())
 
-(* With a cooldown the quarantine is a circuit, not a death sentence: the
-   pipeline survives the trip, re-admits a probe after the cooldown on the
-   registry clock, and a probe success recovers it (docs/GATEWAY.md). *)
-let test_quarantine_cooldown_recovers () =
+(* Each pipeline has its own breaker: quarantining one sender's format
+   leaves another format for the same registered target delivering. *)
+let test_quarantine_is_per_pipeline () =
   let registered = fmt "format Telemetry { int q; }" in
-  let meta = quarantine_meta registered in
-  let now_ns = ref 0. in
-  let metrics = Obs.create () in
-  Obs.set_registry_clock metrics (fun () -> !now_ns);
-  let r =
-    Receiver.create
-      ~config:
-        (Receiver.Config.v ~quarantine_after:2 ~quarantine_cooldown_s:0.05
-           ~metrics ())
-      ()
-  in
-  let got = ref 0 in
-  Receiver.register r registered (fun _ -> incr got);
-  (* two failures trip the circuit *)
-  ignore (Receiver.deliver r meta (sample ~num:1 ~den:0));
-  ignore (Receiver.deliver r meta (sample ~num:2 ~den:0));
-  Alcotest.(check int) "tripped" 1 (Receiver.stats r).Receiver.quarantined;
-  (match Receiver.breaker_state r meta with
-   | Some Morph.Breaker.Open -> ()
-   | s ->
-     Alcotest.failf "expected an open breaker, got %a"
-       Fmt.(option Morph.Breaker.pp_state)
-       s);
-  (* inside the cooldown even good values fast-fail as quarantined *)
-  (match Receiver.deliver r meta (sample ~num:6 ~den:3) with
-   | Receiver.Rejected reason ->
-     Alcotest.(check bool) "mentions quarantine" true
-       (Helpers.contains reason "quarantined")
-   | o -> Alcotest.failf "expected rejection, got %a" Receiver.pp_outcome o);
-  Alcotest.(check int) "nothing delivered yet" 0 !got;
-  (* past the cooldown the next good value is the half-open probe: it
-     delivers and closes the circuit again *)
-  now_ns := 0.06 *. 1e9;
-  (match Receiver.deliver r meta (sample ~num:6 ~den:3) with
+  let poisoned = quarantine_meta registered in
+  let healthy = Meta.plain (fmt "format Telemetry { int q; int extra; }") in
+  let r, got = make_receiver registered in
+  for num = 1 to 3 do
+    ignore (Receiver.deliver r poisoned (sample ~num ~den:0))
+  done;
+  Alcotest.(check int) "one pipeline tripped" 1 (Receiver.stats r).Receiver.quarantined;
+  (match
+     Receiver.deliver r healthy
+       (Value.record [ ("q", Value.Int 5); ("extra", Value.Int 0) ])
+   with
    | Receiver.Delivered _ -> ()
-   | o -> Alcotest.failf "probe should deliver, got %a" Receiver.pp_outcome o);
-  let s = Receiver.stats r in
-  Alcotest.(check int) "recovery counted" 1 s.Receiver.recovered;
-  (match Receiver.breaker_state r meta with
-   | Some Morph.Breaker.Closed -> ()
-   | _ -> Alcotest.fail "breaker should be closed after the probe");
-  (* the recovered pipeline keeps working, and no re-planning happened *)
-  (match Receiver.deliver r meta (sample ~num:8 ~den:4) with
-   | Receiver.Delivered _ -> ()
-   | o -> Alcotest.failf "expected delivery, got %a" Receiver.pp_outcome o);
-  Alcotest.(check int) "handler ran twice" 2 !got;
-  Alcotest.(check int) "planned exactly once" 1 s.Receiver.cold_paths
+   | o -> Alcotest.failf "the healthy format should deliver, got %a" Receiver.pp_outcome o);
+  (match Receiver.breaker_state r poisoned, Receiver.breaker_state r healthy with
+   | Some Morph.Breaker.Open, Some Morph.Breaker.Closed -> ()
+   | _ -> Alcotest.fail "expected the poisoned breaker open and the healthy one closed");
+  Alcotest.(check int) "q arrived" 5 (Value.to_int (Value.get_field (List.hd !got) "q"))
 
-let test_quarantine_cooldown_probe_failure_reopens () =
+(* A trip is visible outside the receiver: the [receiver.*] counters count
+   it once (deliveries turned away later are rejections, not new trips),
+   and a flight recorder captures one "quarantine" incident. *)
+let test_quarantine_counted_and_captured () =
   let registered = fmt "format Telemetry { int q; }" in
   let meta = quarantine_meta registered in
-  let now_ns = ref 0. in
   let metrics = Obs.create () in
-  Obs.set_registry_clock metrics (fun () -> !now_ns);
+  let flight = Obs.Flight.create metrics in
   let r =
     Receiver.create
-      ~config:
-        (Receiver.Config.v ~quarantine_after:2 ~quarantine_cooldown_s:0.05
-           ~metrics ())
+      ~config:(Receiver.Config.v ~quarantine_after:2 ~metrics ~flight ())
       ()
   in
   Receiver.register r registered (fun _ -> ());
   ignore (Receiver.deliver r meta (sample ~num:1 ~den:0));
   ignore (Receiver.deliver r meta (sample ~num:2 ~den:0));
-  (* the probe itself fails: the circuit re-opens for another cooldown *)
-  now_ns := 0.06 *. 1e9;
-  ignore (Receiver.deliver r meta (sample ~num:3 ~den:0));
-  Alcotest.(check int) "tripped twice" 2 (Receiver.stats r).Receiver.quarantined;
-  (match Receiver.breaker_state r meta with
-   | Some Morph.Breaker.Open -> ()
-   | _ -> Alcotest.fail "breaker should be open again");
-  (* still quarantined inside the second cooldown window *)
-  (match Receiver.deliver r meta (sample ~num:6 ~den:3) with
-   | Receiver.Rejected _ -> ()
-   | o -> Alcotest.failf "expected rejection, got %a" Receiver.pp_outcome o);
-  Alcotest.(check int) "no recovery" 0 (Receiver.stats r).Receiver.recovered
+  ignore (Receiver.deliver r meta (sample ~num:6 ~den:3));
+  ignore (Receiver.deliver r meta (sample ~num:8 ~den:4));
+  let counter = Obs.Counter.value metrics in
+  Alcotest.(check int) "two transformation failures" 2 (counter "receiver.transform_failures");
+  Alcotest.(check int) "one trip" 1 (counter "receiver.quarantined");
+  Alcotest.(check int) "four rejections" 4 (counter "receiver.rejected");
+  Alcotest.(check int) "nothing delivered" 0 (counter "receiver.delivered");
+  match Obs.Flight.incidents flight with
+  | [ inc ] ->
+    Alcotest.(check string) "incident kind" "quarantine" inc.Obs.Flight.kind;
+    Alcotest.(check bool) "the reason names the streak" true
+      (Helpers.contains inc.Obs.Flight.reason
+         "quarantined after 2 consecutive transformation failures")
+  | incs -> Alcotest.failf "expected one incident, got %d" (List.length incs)
+
+(* Deliveries an open breaker turns away take Algorithm 2's fallback like
+   unmatched formats do: with a default handler set they reach it, with
+   the sender's value, instead of being rejected. *)
+let test_quarantine_turns_away_to_default () =
+  let registered = fmt "format Telemetry { int q; }" in
+  let meta = quarantine_meta registered in
+  let r, got = make_receiver registered in
+  let defaulted = ref [] in
+  Receiver.set_default_handler r (fun _ v -> defaulted := v :: !defaulted);
+  for num = 1 to 3 do
+    match Receiver.deliver r meta (sample ~num ~den:0) with
+    | Receiver.Rejected _ -> ()
+    | o -> Alcotest.failf "a failed transformation rejects, got %a" Receiver.pp_outcome o
+  done;
+  let good = sample ~num:6 ~den:3 in
+  (match Receiver.deliver r meta good with
+   | Receiver.Defaulted -> ()
+   | o -> Alcotest.failf "expected the default handler, got %a" Receiver.pp_outcome o);
+  Alcotest.(check (list Helpers.value)) "the sender's value reached it" [ good ] !defaulted;
+  Alcotest.(check int) "the registered handler never ran" 0 (List.length !got);
+  let s = Receiver.stats r in
+  Alcotest.(check int) "counted as defaulted" 1 s.Receiver.defaulted;
+  Alcotest.(check int) "still one trip" 1 s.Receiver.quarantined
 
 (* Every Accept delivery passes the same breaker: a fused wire delivery
    (a structural conversion decoded straight into the target) is refused
-   while the circuit is open, and its half-open probe counts as the
-   recovery. *)
+   once the circuit is open. *)
 let test_quarantine_gates_fused_wire () =
   let target = fmt "format Q { int q; int a; int b; int c; int d; int e; }" in
   let body = fmt "format Q { uint q; int a; int b; int c; int d; int e; int extra; }" in
   let meta = Meta.plain body in
-  let now_ns = ref 0. in
-  let metrics = Obs.create () in
-  Obs.set_registry_clock metrics (fun () -> !now_ns);
-  let r =
-    Receiver.create
-      ~config:
-        (Receiver.Config.v ~quarantine_after:2 ~quarantine_cooldown_s:0.05 ~metrics ())
-      ()
-  in
+  let r = Receiver.create ~config:(Receiver.Config.v ~quarantine_after:2 ()) () in
   let got = ref 0 in
   Receiver.register r target (fun _ -> incr got);
   let value q =
@@ -642,12 +628,17 @@ let test_quarantine_gates_fused_wire () =
       (("q", q)
        :: List.map (fun f -> (f, Value.Int 1)) [ "a"; "b"; "c"; "d"; "e"; "extra" ])
   in
+  let good = value (Value.Uint 7) in
+  let message = Wire.encode ~format_id:1 body good in
+  (* while the circuit is closed the wire delivery runs the fused plan *)
+  (match Receiver.deliver_wire r meta message with
+   | Receiver.Delivered { via = Receiver.Converted; _ } -> ()
+   | o -> Alcotest.failf "expected delivery via converted, got %a" Receiver.pp_outcome o);
+  Alcotest.(check int) "delivered once" 1 !got;
   (* a string where the uint belongs fails the coercion: two trip it *)
   ignore (Receiver.deliver r meta (value (Value.String "x")));
   ignore (Receiver.deliver r meta (value (Value.String "x")));
   Alcotest.(check int) "tripped" 1 (Receiver.stats r).Receiver.quarantined;
-  let good = value (Value.Uint 7) in
-  let message = Wire.encode ~format_id:1 body good in
   let expect_quarantined o =
     match o with
     | Receiver.Rejected reason ->
@@ -656,20 +647,11 @@ let test_quarantine_gates_fused_wire () =
   in
   expect_quarantined (Receiver.deliver r meta good);
   expect_quarantined (Receiver.deliver_wire r meta message);
-  Alcotest.(check int) "nothing delivered inside the cooldown" 0 !got;
+  expect_quarantined (Receiver.deliver_wire r meta message);
+  Alcotest.(check int) "nothing delivered after the trip" 1 !got;
   (match Receiver.breaker_state r meta with
    | Some Morph.Breaker.Open -> ()
-   | _ -> Alcotest.fail "the refused wire delivery must leave the breaker open");
-  (* past the cooldown the wire delivery is the probe that recovers *)
-  now_ns := 0.06 *. 1e9;
-  (match Receiver.deliver_wire r meta message with
-   | Receiver.Delivered { via = Receiver.Converted; _ } -> ()
-   | o -> Alcotest.failf "probe should deliver via converted, got %a" Receiver.pp_outcome o);
-  Alcotest.(check int) "recovery counted" 1 (Receiver.stats r).Receiver.recovered;
-  (match Receiver.breaker_state r meta with
-   | Some Morph.Breaker.Closed -> ()
-   | _ -> Alcotest.fail "breaker should be closed after the probe");
-  Alcotest.(check int) "delivered once" 1 !got
+   | _ -> Alcotest.fail "the refused wire deliveries must leave the breaker open")
 
 let test_delivery_probe_observes_outcomes () =
   let registered = fmt "format Telemetry { int q; }" in
@@ -1414,10 +1396,12 @@ let suite =
       test_quarantine_success_resets_streak;
     Alcotest.test_case "quarantine: threshold configurable" `Quick
       test_quarantine_threshold_configurable;
-    Alcotest.test_case "quarantine: cooldown probe recovers" `Quick
-      test_quarantine_cooldown_recovers;
-    Alcotest.test_case "quarantine: failed probe re-opens" `Quick
-      test_quarantine_cooldown_probe_failure_reopens;
+    Alcotest.test_case "quarantine: one pipeline's trip spares other formats" `Quick
+      test_quarantine_is_per_pipeline;
+    Alcotest.test_case "quarantine: a trip is counted and captured" `Quick
+      test_quarantine_counted_and_captured;
+    Alcotest.test_case "quarantine: turned-away deliveries reach the default handler"
+      `Quick test_quarantine_turns_away_to_default;
     Alcotest.test_case "quarantine: breaker gates fused wire deliveries" `Quick
       test_quarantine_gates_fused_wire;
     Alcotest.test_case "delivery probe observes outcomes" `Quick

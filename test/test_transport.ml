@@ -36,6 +36,29 @@ let test_pqueue_ordering () =
   Alcotest.(check string) "then c" "c" (pop ());
   Alcotest.(check bool) "empty" true (Pqueue.pop q = None)
 
+(* A popped entry must not stay reachable from a slot the heap vacated:
+   in Netsim the entries are delivered frames' payloads and fired timers'
+   closures. *)
+let test_pqueue_releases_popped () =
+  let q = Pqueue.create () in
+  let n = 100 in
+  let weak = Weak.create n in
+  for i = 0 to n - 1 do
+    let payload = Bytes.make 64 'x' in
+    Weak.set weak i (Some payload);
+    Pqueue.push q (float_of_int (i * 37 mod n)) payload
+  done;
+  for _ = 1 to n do
+    ignore (Pqueue.pop q : (float * Bytes.t) option)
+  done;
+  Gc.full_major ();
+  let live = ref 0 in
+  for i = 0 to n - 1 do
+    if Weak.check weak i then incr live
+  done;
+  Alcotest.(check bool) "drained" true (Pqueue.is_empty q);
+  Alcotest.(check int) "no popped payload stays reachable" 0 !live
+
 let prop_pqueue_sorted =
   QCheck.Test.make ~name:"pqueue drains in priority order" ~count:200
     QCheck.(list (float_bound_inclusive 100.0))
@@ -50,6 +73,34 @@ let prop_pqueue_sorted =
        let out = drain [] in
        out = List.stable_sort Float.compare prios)
 
+(* Pushes ([Some p]) interleaved with pops ([None]) against a model that
+   keeps (priority, insertion order) pairs: every pop must return the
+   model's least pair, so slots refilled after a pop keep heap order and
+   FIFO ties.  Small integer priorities make ties common. *)
+let prop_pqueue_interleaved =
+  QCheck.Test.make ~name:"pqueue interleaved pushes and pops match a stable model"
+    ~count:200
+    QCheck.(list (option (int_bound 5)))
+    (fun ops ->
+       let q = Pqueue.create () in
+       let model = ref [] and seq = ref 0 in
+       List.for_all
+         (function
+           | Some p ->
+             Pqueue.push q (float_of_int p) !seq;
+             model := (float_of_int p, !seq) :: !model;
+             incr seq;
+             true
+           | None ->
+             (match Pqueue.pop q, List.sort compare !model with
+              | None, [] -> true
+              | Some got, least :: rest ->
+                model := rest;
+                got = least
+              | _ -> false))
+         ops
+       && Pqueue.is_empty q = (!model = []))
+
 let test_netsim_delivery_and_latency () =
   let config = { Netsim.latency_s = 0.001; bandwidth_bytes_per_s = 1000.0 } in
   let net = Netsim.create ~config () in
@@ -58,7 +109,7 @@ let test_netsim_delivery_and_latency () =
   Netsim.add_node net a (fun ~src:_ _ -> ());
   Netsim.add_node net b (fun ~src payload -> got := (src, payload) :: !got);
   Netsim.send net ~src:a ~dst:b (String.make 100 'x');
-  Alcotest.(check int) "queued" 1 (Netsim.pending net);
+  Alcotest.(check int) "queued, not yet delivered" 0 (List.length !got);
   ignore (Netsim.run net);
   Alcotest.(check int) "delivered" 1 (List.length !got);
   (* 1ms latency + 100 bytes / 1000 B/s = 0.101 s *)
@@ -88,14 +139,14 @@ let test_netsim_drops () =
   Netsim.send net ~src:a ~dst:(Contact.make "ghost" 9) "x";
   Alcotest.(check int) "dropped unknown" 1
     (Netsim.stats net).Netsim.drops_unknown_dst;
-  (* downed link *)
-  Netsim.set_link net ~src:a ~dst:b Netsim.Down;
+  (* partitioned link *)
+  Netsim.add_partition net ~group_a:[ a ] ~group_b:[ b ] ~start:0.0 ~stop:1.0;
   Netsim.send net ~src:a ~dst:b "x";
-  Alcotest.(check int) "dropped on down link" 1
+  Alcotest.(check int) "dropped on a partitioned link" 1
     (Netsim.stats net).Netsim.drops_link_down;
   Alcotest.(check int) "total drops" 2 (Netsim.dropped (Netsim.stats net));
-  (* link back up *)
-  Netsim.set_link net ~src:a ~dst:b Netsim.Up;
+  (* the partition heals at t = 1 *)
+  ignore (Netsim.advance net 1.0 : int);
   Netsim.send net ~src:a ~dst:b "x";
   ignore (Netsim.run net);
   Alcotest.(check int) "delivered after repair" 1 (Netsim.stats net).Netsim.messages
@@ -124,6 +175,71 @@ let test_netsim_cascading () =
   let result = Netsim.run net in
   Alcotest.(check int) "ping-pong until length 5" 5 result.Netsim.steps;
   Alcotest.(check bool) "quiesced" true result.Netsim.quiesced
+
+let test_netsim_send_arrival () =
+  let config = { Netsim.latency_s = 0.001; bandwidth_bytes_per_s = 1000.0 } in
+  let net = Netsim.create ~config () in
+  let a = Contact.make "a" 1 and b = Contact.make "b" 2 and c = Contact.make "c" 3 in
+  List.iter (fun n -> Netsim.add_node net n (fun ~src:_ _ -> ())) [ a; b; c ];
+  let arrival = Alcotest.(option (float 1e-9)) in
+  (* 1 ms latency + 10 bytes / 1000 B/s *)
+  Alcotest.check arrival "latency plus serialisation" (Some 0.011)
+    (Netsim.send_arrival net ~src:a ~dst:b (String.make 10 'x'));
+  (* the link is FIFO: a smaller frame sent next lands no earlier *)
+  Alcotest.check arrival "queued behind the first" (Some 0.011)
+    (Netsim.send_arrival net ~src:a ~dst:b "y");
+  Alcotest.check arrival "another link is not held back" (Some 0.002)
+    (Netsim.send_arrival net ~src:a ~dst:c "z");
+  Alcotest.check arrival "unknown destination" None
+    (Netsim.send_arrival net ~src:a ~dst:(Contact.make "ghost" 9) "x");
+  Netsim.add_partition net ~group_a:[ a ] ~group_b:[ b ] ~start:0.0 ~stop:1.0;
+  Alcotest.check arrival "partitioned link" None (Netsim.send_arrival net ~src:a ~dst:b "x");
+  Netsim.set_faults net { Netsim.no_faults with Netsim.loss = 1.0 };
+  Alcotest.check arrival "injected loss" None (Netsim.send_arrival net ~src:a ~dst:c "x");
+  ignore (Netsim.run net);
+  Alcotest.(check int) "the three scheduled frames arrive" 3
+    (Netsim.stats net).Netsim.messages;
+  Alcotest.(check int) "the three dropped ones are counted" 3
+    (Netsim.dropped (Netsim.stats net));
+  Alcotest.(check (float 1e-9)) "the clock stops at the last arrival" 0.011 (Netsim.now net)
+
+(* Nothing the simulator is done with stays reachable from it: neither a
+   delivered frame's payload nor a fired timer's closure (and what it
+   captured). *)
+let test_netsim_releases_delivered () =
+  let net = Netsim.create () in
+  let a = Contact.make "a" 1 and b = Contact.make "b" 2 in
+  let got = ref 0 and fired = ref 0 in
+  Netsim.add_node net a (fun ~src:_ _ -> ());
+  Netsim.add_node net b (fun ~src:_ _ -> incr got);
+  let n = 50 in
+  let payloads = Weak.create n and captured = Weak.create n in
+  for i = 0 to n - 1 do
+    let payload = String.make 64 'p' in
+    Weak.set payloads i (Some payload);
+    Netsim.send net ~src:a ~dst:b payload;
+    let state = Bytes.make 64 't' in
+    Weak.set captured i (Some state);
+    Netsim.after net (float_of_int (i * 7 mod n) *. 1e-3) (fun () ->
+        fired := !fired + Bytes.length state / 64)
+  done;
+  ignore (Netsim.run net);
+  Gc.full_major ();
+  let live w =
+    let k = ref 0 in
+    for i = 0 to n - 1 do
+      if Weak.check w i then incr k
+    done;
+    !k
+  in
+  Alcotest.(check int) "all delivered" n !got;
+  Alcotest.(check int) "all timers fired" n !fired;
+  Alcotest.(check int) "no delivered payload stays reachable" 0 (live payloads);
+  Alcotest.(check int) "no fired timer's state stays reachable" 0 (live captured);
+  (* the simulator itself stayed live across the collection *)
+  Netsim.send net ~src:a ~dst:b "after";
+  ignore (Netsim.run net);
+  Alcotest.(check int) "still delivering" (n + 1) (Netsim.stats net).Netsim.messages
 
 (* --- framing -------------------------------------------------------------------- *)
 
@@ -385,12 +501,13 @@ let test_conn_mid_stream_link_drop () =
   Conn.send a ~dst (Meta.plain fmt) (ping 1);
   ignore (Netsim.run net);
   Alcotest.(check int) "established" 1 !got;
-  Netsim.set_link net ~src ~dst:dst Netsim.Down;
+  let t0 = Netsim.now net in
+  Netsim.add_partition net ~group_a:[ src ] ~group_b:[ dst ] ~start:t0 ~stop:(t0 +. 1.0);
   Conn.send a ~dst (Meta.plain fmt) (ping 2);
   Conn.send a ~dst (Meta.plain fmt) (ping 3);
   ignore (Netsim.run net);
   Alcotest.(check int) "nothing crosses a down link" 1 !got;
-  Netsim.set_link net ~src ~dst:dst Netsim.Up;
+  ignore (Netsim.advance net 1.0 : int);
   Conn.send a ~dst (Meta.plain fmt) (ping 4);
   ignore (Netsim.run net);
   Alcotest.(check int) "stream resumes after repair" 2 !got;
@@ -502,86 +619,64 @@ let test_reliable_traced_partition () =
     Alcotest.(check int) "one root" 1 (List.length tr.Obs.Trace.roots)
   | l -> Alcotest.failf "expected one assembled trace, got %d" (List.length l)
 
-let contains_sub hay needle =
-  let nl = String.length needle and hl = String.length hay in
-  let rec go i = i + nl <= hl && (String.sub hay i nl = needle || go (i + 1)) in
-  go 0
-
 (* Retry-backoff determinism: the retransmit schedule is a pure function
    of the seed.  Two identically-seeded runs under loss plus a timed
-   partition must produce the same event trace — same sends, same
-   retransmit timers, same arrival times — or seeded soak results could
-   not be replayed for debugging. *)
-let retransmit_schedule ~seed () : string list * Conn.stats =
+   partition must deliver the same records at the same simulated times,
+   with the same connection and network counters, or seeded soak results
+   could not be replayed for debugging. *)
+let retransmit_schedule ~seed () : (float * int) list * Conn.stats * Netsim.stats =
   let net = Netsim.create ~seed () in
   let dst_c = Contact.make "b" 2 in
   let src_c = Contact.make "a" 1 in
-  let events = ref [] in
-  let record ev =
-    let now = Netsim.now net in
-    let line =
-      match ev with
-      | Netsim.Trace_sent { src; dst; bytes; arrival } ->
-        Printf.sprintf "%.9f sent %s->%s %dB arr=%.9f" now
-          (Contact.to_string src) (Contact.to_string dst) bytes arrival
-      | Netsim.Trace_delivered { src; dst; bytes } ->
-        Printf.sprintf "%.9f delivered %s->%s %dB" now (Contact.to_string src)
-          (Contact.to_string dst) bytes
-      | Netsim.Trace_dropped { src; dst; reason } ->
-        Printf.sprintf "%.9f dropped %s->%s %s" now (Contact.to_string src)
-          (Contact.to_string dst)
-          (Format.asprintf "%a" Netsim.pp_drop_reason reason)
-      | Netsim.Trace_duplicated { src; dst } ->
-        Printf.sprintf "%.9f duplicated %s->%s" now (Contact.to_string src)
-          (Contact.to_string dst)
-      | Netsim.Trace_timer_fired { at } ->
-        Printf.sprintf "%.9f timer at=%.9f" now at
-    in
-    events := line :: !events
-  in
-  Netsim.set_trace net (Some record);
   Netsim.set_faults net
     { Netsim.loss = 0.25; duplication = 0.05; reorder = 0.1; jitter_s = 0.0005 };
   Netsim.add_partition net ~group_a:[ src_c ] ~group_b:[ dst_c ] ~start:0.01
     ~stop:0.03;
   let a = Conn.create ~reliable:true net src_c in
   let b = Conn.create ~reliable:true net dst_c in
-  let got = ref 0 in
-  Conn.set_handler b (fun ~src:_ _ _ -> incr got);
+  let got = ref [] in
+  Conn.set_handler b (fun ~src:_ _ v ->
+      got := (Netsim.now net, Value.to_int (Value.get_field v "seq")) :: !got);
   for i = 1 to 20 do
     Netsim.after net (float_of_int i *. 0.003) (fun () ->
         Conn.send a ~dst:dst_c (Meta.plain fmt) (ping i))
   done;
   ignore (Netsim.run net);
-  (List.rev !events, Conn.stats a)
+  (List.rev !got, Conn.stats a, Netsim.stats net)
 
 let test_conn_retransmit_determinism () =
-  let trace1, stats1 = retransmit_schedule ~seed:97 () in
-  let trace2, stats2 = retransmit_schedule ~seed:97 () in
+  let got1, stats1, net1 = retransmit_schedule ~seed:97 () in
+  let got2, stats2, net2 = retransmit_schedule ~seed:97 () in
   (* loss + the partition force real retransmits, so the comparison has
      teeth *)
   Alcotest.(check bool) "retransmits happened" true (stats1.Conn.retransmits > 0);
-  Alcotest.(check bool) "something was lost" true
-    (List.exists (fun l -> contains_sub l "dropped") trace1);
-  Alcotest.(check int) "same retransmit count" stats1.Conn.retransmits
-    stats2.Conn.retransmits;
-  Alcotest.(check int) "same acks" stats1.Conn.acks_received stats2.Conn.acks_received;
-  Alcotest.(check (list string)) "identical event schedules" trace1 trace2;
-  (* a different seed must not reproduce the schedule (the trace really
-     depends on the seed, not just the config) *)
-  let trace3, _ = retransmit_schedule ~seed:98 () in
-  Alcotest.(check bool) "different seed, different schedule" false (trace1 = trace3)
+  Alcotest.(check bool) "something was lost" true (Netsim.dropped net1 > 0);
+  Alcotest.(check int) "all 20 delivered" 20 (List.length got1);
+  Alcotest.(check (list (pair (float 0.0) int))) "identical delivery schedules" got1 got2;
+  Alcotest.(check bool) "same connection stats" true (stats1 = stats2);
+  Alcotest.(check bool) "same network stats" true (net1 = net2);
+  (* a different seed must not reproduce the schedule (it really depends
+     on the seed, not just the config) *)
+  let got3, _, _ = retransmit_schedule ~seed:98 () in
+  Alcotest.(check bool) "different seed, different schedule" false (got1 = got3)
 
 let suite =
   [
     Alcotest.test_case "contact parse/print" `Quick test_contact;
     Alcotest.test_case "pqueue ordering" `Quick test_pqueue_ordering;
+    Alcotest.test_case "pqueue releases popped entries" `Quick
+      test_pqueue_releases_popped;
     Helpers.qtest prop_pqueue_sorted;
+    Helpers.qtest prop_pqueue_interleaved;
     Alcotest.test_case "netsim: delivery and latency" `Quick test_netsim_delivery_and_latency;
     Alcotest.test_case "netsim: fifo per link" `Quick test_netsim_ordering;
     Alcotest.test_case "netsim: drops and link failure" `Quick test_netsim_drops;
     Alcotest.test_case "netsim: duplicate node" `Quick test_netsim_duplicate_node;
     Alcotest.test_case "netsim: cascading handlers" `Quick test_netsim_cascading;
+    Alcotest.test_case "netsim: send_arrival reports the arrival or a drop" `Quick
+      test_netsim_send_arrival;
+    Alcotest.test_case "netsim: delivered frames and fired timers are released" `Quick
+      test_netsim_releases_delivered;
     Alcotest.test_case "framing roundtrip" `Quick test_framing_roundtrip;
     Alcotest.test_case "framing errors" `Quick test_framing_errors;
     Alcotest.test_case "framing: truncated frames are errors" `Quick

@@ -93,37 +93,29 @@ let test_weighted_thresholds () =
   Alcotest.(check bool) "loose threshold accepts" true
     (Weighted.max_match ~weights:w ~thresholds:loose [ a ] [ b ] <> None)
 
-let test_weighted_receiver_end_to_end () =
-  (* a receiver configured with weights: declaring the extra fields
-     irrelevant makes a strict deployment accept the near-miss that the
-     unweighted strict receiver rejects *)
+(* A weighting at work for a deployment that accepts only perfect
+   matches: declaring the sender's extra field irrelevant admits the
+   near-miss that plain MaxMatch, and the uniform weighting, turn away. *)
+let test_zero_weight_admits_strict_near_miss () =
   let incoming = fmt "format T { int key; int debug_hint; }" in
   let registered = fmt "format T { int key; }" in
-  let strict = Morph.Maxmatch.strict_thresholds in
-  let plain =
-    Morph.Receiver.create
-      ~config:(Morph.Receiver.Config.v ~thresholds:strict ()) ()
-  in
-  Morph.Receiver.register plain registered (fun _ -> ());
-  (match Morph.Receiver.deliver plain (Pbio.Meta.plain incoming)
-           (Value.record [ ("key", Value.Int 1); ("debug_hint", Value.Int 9) ]) with
-   | Morph.Receiver.Rejected _ -> ()
-   | o -> Alcotest.failf "expected rejection, got %a" Morph.Receiver.pp_outcome o);
-  let weighted =
-    Morph.Receiver.create
-      ~config:
-        (Morph.Receiver.Config.v ~thresholds:strict
-           ~weights:(Weighted.make [ ("debug_hint", 0.0) ]) ())
-      ()
-  in
-  let got = ref [] in
-  Morph.Receiver.register weighted registered (fun v -> got := v :: !got);
-  (match Morph.Receiver.deliver weighted (Pbio.Meta.plain incoming)
-           (Value.record [ ("key", Value.Int 1); ("debug_hint", Value.Int 9) ]) with
-   | Morph.Receiver.Delivered _ -> ()
-   | o -> Alcotest.failf "expected delivery, got %a" Morph.Receiver.pp_outcome o);
-  Alcotest.(check int) "key arrived" 1
-    (Value.to_int (Value.get_field (List.hd !got) "key"))
+  Alcotest.(check bool) "plain strict MaxMatch rejects" true
+    (Morph.Maxmatch.max_match ~thresholds:Morph.Maxmatch.strict_thresholds [ incoming ]
+       [ registered ]
+     = None);
+  let strict = { Weighted.diff_threshold = 0.0; mismatch_threshold = 0.0 } in
+  Alcotest.(check bool) "uniform weighted strict rejects" true
+    (Weighted.max_match ~thresholds:strict [ incoming ] [ registered ] = None);
+  match
+    Weighted.max_match
+      ~weights:(Weighted.make [ ("debug_hint", 0.0) ])
+      ~thresholds:strict [ incoming ] [ registered ]
+  with
+  | Some m ->
+    Alcotest.check Helpers.record_t "matched the registered format" registered
+      m.Weighted.f2;
+    Alcotest.(check (float 1e-9)) "the ignored field costs nothing" 0.0 m.Weighted.diff12
+  | None -> Alcotest.fail "expected the zero weight to admit the near-miss"
 
 let test_invalid_weights_rejected () =
   (try
@@ -162,8 +154,8 @@ let suite =
     Alcotest.test_case "weighted MaxMatch changes the winner" `Quick
       test_weighted_maxmatch_changes_winner;
     Alcotest.test_case "weighted thresholds" `Quick test_weighted_thresholds;
-    Alcotest.test_case "weighted receiver end-to-end" `Quick
-      test_weighted_receiver_end_to_end;
+    Alcotest.test_case "zero weight admits a strict near-miss" `Quick
+      test_zero_weight_admits_strict_near_miss;
     Alcotest.test_case "invalid weights rejected" `Quick test_invalid_weights_rejected;
     Helpers.qtest prop_uniform_equals_plain;
     Helpers.qtest prop_weighted_diff_bounded;

@@ -47,6 +47,17 @@ let test_parse_cdata_comments_pi_doctype () =
   in
   Alcotest.(check string) "cdata verbatim" "<raw>&amp;" (Xml.text_content doc)
 
+let test_parse_mixed_content () =
+  let doc = parse {|<a x="1">hi<b/>bye</a>|} in
+  Alcotest.check Helpers.xml "tree"
+    (Xml.element "a" ~attrs:[ ("x", "1") ]
+       [ Xml.text "hi"; Xml.element "b" []; Xml.text "bye" ])
+    doc;
+  match Xml.children doc with
+  | [ Xml.Text "hi"; Xml.Element { tag = "b"; attrs = []; children = [] }; Xml.Text "bye" ]
+    -> ()
+  | cs -> Alcotest.failf "children out of document order (%d nodes)" (List.length cs)
+
 let test_parse_errors () =
   parse_err "";
   parse_err "no markup";
@@ -79,57 +90,6 @@ let test_equal_ignores_blank_text () =
   let a = parse "<a><b>x</b></a>" in
   let b = parse "<a>\n  <b>x</b>\n</a>" in
   Alcotest.(check bool) "blank-insensitive" true (Xml.equal a b)
-
-(* --- SAX pull parser ----------------------------------------------------------- *)
-
-module Sax = Xmlkit.Xml_sax
-
-let test_sax_events () =
-  let events = Helpers.check_ok (Sax.fold "<a x=\"1\">hi<b/>bye</a>" ~init:[] ~f:(fun acc e -> e :: acc)) in
-  match List.rev events with
-  | [ Sax.Start_element { tag = "a"; attrs = [ ("x", "1") ]; self_closing = false };
-      Sax.Chars "hi";
-      Sax.Start_element { tag = "b"; self_closing = true; attrs = [] };
-      Sax.End_element "b";
-      Sax.Chars "bye";
-      Sax.End_element "a" ] ->
-    ()
-  | evs -> Alcotest.failf "unexpected event stream (%d events)" (List.length evs)
-
-let test_sax_constant_memory_count () =
-  (* count member_list elements without building a tree *)
-  let xml = Pbio_xml.encode Helpers.response_v2 (Helpers.sample_v2 37) in
-  let count =
-    Helpers.check_ok
-      (Sax.fold xml ~init:0 ~f:(fun acc -> function
-         | Sax.Start_element { tag = "member_list"; _ } -> acc + 1
-         | _ -> acc))
-  in
-  Alcotest.(check int) "streamed count" 37 count
-
-let test_sax_tree_agrees_with_dom_parser () =
-  let docs =
-    [ "<a><b>x</b><c k='v'/>t&amp;t</a>";
-      "<?xml version=\"1.0\"?><!-- c --><r><![CDATA[<raw>]]></r>";
-      Pbio_xml.encode Helpers.response_v2 (Helpers.sample_v2 5) ]
-  in
-  List.iter
-    (fun src ->
-       let dom = Helpers.check_ok (Xml_parser.parse src) in
-       let sax = Helpers.check_ok (Sax.to_tree src) in
-       Alcotest.check Helpers.xml "same tree" dom sax)
-    docs
-
-let test_sax_errors () =
-  let expect_err src =
-    match Sax.to_tree src with
-    | Ok _ -> Alcotest.failf "expected SAX error for %S" src
-    | Error _ -> ()
-  in
-  expect_err "<a>";
-  expect_err "<a></b>";
-  expect_err "";
-  expect_err "<a></a>junk"
 
 (* --- PBIO value <-> XML ------------------------------------------------------- *)
 
@@ -170,6 +130,19 @@ let test_pbio_xml_arrays_and_counts () =
   Alcotest.(check int) "resynced count" 2 (Value.to_int (Value.get_field v "n"));
   Alcotest.(check int) "len" 2 (Value.array_len (Value.get_field v "xs"))
 
+(* The Figs 8-10 XML baselines parse a Fig. 5 message into one element
+   per array member, after the element that carries the count. *)
+let test_pbio_xml_one_element_per_member () =
+  let doc = parse (Pbio_xml.encode Helpers.response_v2 (Helpers.sample_v2 37)) in
+  let named tag =
+    List.filter (fun (e : Xml.element) -> e.Xml.tag = tag) (Xml.child_elements doc)
+  in
+  Alcotest.(check int) "member elements" 37 (List.length (named "member_list"));
+  match named "member_count" with
+  | [ count ] ->
+    Alcotest.(check string) "count element" "37" (Xml.text_content (Xml.Element count))
+  | es -> Alcotest.failf "expected one member_count element, got %d" (List.length es)
+
 let test_pbio_xml_bad_scalars () =
   let fmt = Ptype_dsl.format_of_string_exn "format F { int x; }" in
   (match Pbio_xml.decode fmt "<F><x>notanint</x></F>" with
@@ -204,15 +177,6 @@ let rec char_free_type (t : Ptype.t) =
 and char_free (r : Ptype.record) =
   List.for_all (fun f -> char_free_type f.Ptype.ftype) r.Ptype.fields
 
-let prop_sax_dom_agree =
-  QCheck.Test.make ~name:"SAX tree equals DOM parse on generated documents" ~count:150
-    Helpers.arb_format_and_value (fun (r, v) ->
-        QCheck.assume (char_free r);
-        let src = Pbio_xml.encode r v in
-        match Xml_parser.parse src, Sax.to_tree src with
-        | Ok a, Ok b -> Xml.equal a b
-        | _ -> false)
-
 let prop_pbio_xml_roundtrip =
   QCheck.Test.make ~name:"pbio-xml roundtrip for random formats" ~count:200
     Helpers.arb_format_and_value (fun (r, v) ->
@@ -237,15 +201,12 @@ let suite =
     Alcotest.test_case "parse: entities" `Quick test_parse_entities;
     Alcotest.test_case "parse: cdata/comments/pi/doctype" `Quick
       test_parse_cdata_comments_pi_doctype;
+    Alcotest.test_case "parse: mixed content in document order" `Quick
+      test_parse_mixed_content;
     Alcotest.test_case "parse: errors" `Quick test_parse_errors;
     Alcotest.test_case "print/parse roundtrip" `Quick test_print_roundtrip;
     Alcotest.test_case "indented printing parses back" `Quick test_indented_parses_back;
     Alcotest.test_case "equality ignores blank text" `Quick test_equal_ignores_blank_text;
-    Alcotest.test_case "sax: event stream" `Quick test_sax_events;
-    Alcotest.test_case "sax: constant-memory counting" `Quick test_sax_constant_memory_count;
-    Alcotest.test_case "sax: agrees with DOM parser" `Quick test_sax_tree_agrees_with_dom_parser;
-    Alcotest.test_case "sax: errors" `Quick test_sax_errors;
-    Helpers.qtest prop_sax_dom_agree;
     Alcotest.test_case "pbio-xml: roundtrip" `Quick test_pbio_xml_roundtrip;
     Alcotest.test_case "pbio-xml: tree and string agree" `Quick
       test_pbio_xml_tree_and_string_agree;
@@ -254,6 +215,8 @@ let suite =
     Alcotest.test_case "pbio-xml: unknown elements ignored" `Quick
       test_pbio_xml_unknown_elements_ignored;
     Alcotest.test_case "pbio-xml: array counts resync" `Quick test_pbio_xml_arrays_and_counts;
+    Alcotest.test_case "pbio-xml: one element per array member" `Quick
+      test_pbio_xml_one_element_per_member;
     Alcotest.test_case "pbio-xml: bad scalars rejected" `Quick test_pbio_xml_bad_scalars;
     Alcotest.test_case "pbio-xml: escaping" `Quick test_pbio_xml_escaping;
     Alcotest.test_case "xml size blowup (Table 1 shape)" `Quick test_xml_size_blowup;

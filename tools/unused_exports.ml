@@ -1,5 +1,8 @@
 (* Lists every [val] of lib/*/*.mli that no other source file uses, one
    per line as "file: Module.path.name", and exits 1 when it lists any.
+   Then, under its own heading, it lists the vals whose only callers are
+   under test/: the scan without test/ minus the scan with it.  That
+   second list is for review and does not set the exit code.
 
    Usage, from the repository root: dune exec tools/unused_exports.exe
 
@@ -255,12 +258,24 @@ let () =
          u.paths;
        List.iter (fun (_, v) -> if passed_to_functor u v then use file v) exported)
     files;
-  let unused =
+  (* the exports no file that [counts] accepts uses, besides their own *)
+  let unused_by counts =
     List.filter
       (fun (mli, v) ->
          let own = Filename.remove_extension mli in
-         not (List.exists (fun f -> f <> own) (Hashtbl.find users v)))
+         not (List.exists (fun f -> f <> own && counts f) (Hashtbl.find users v)))
       exported
   in
-  List.iter (fun (mli, v) -> Printf.printf "%s: %s\n" mli (String.concat "." v)) unused;
+  let print =
+    List.iter (fun (mli, v) -> Printf.printf "%s: %s\n" mli (String.concat "." v))
+  in
+  let unused = unused_by (fun _ -> true) in
+  let test_only =
+    List.filter
+      (fun e -> not (List.mem e unused))
+      (unused_by (fun f -> not (String.starts_with ~prefix:"test/" f)))
+  in
+  print unused;
+  Printf.printf "exports only test/ uses (%d):\n" (List.length test_only);
+  print test_only;
   exit (if unused = [] then 0 else 1)
