@@ -57,6 +57,8 @@ type accept = {
   (* [Plan.transform plan], built with the plan: what a value delivery
      runs, and what a staged wire delivery runs after its decode *)
   handler : handler;
+  delivered : outcome;
+  (* what every delivery on this plan returns, built with it *)
   span_hit : (string * string) list;
   span_miss : (string * string) list;
   span_hit_fused : (string * string) list;
@@ -289,6 +291,7 @@ let plan_uninstrumented ?engine t (meta : Meta.format_meta) : pipeline =
           plan;
           transform = Plan.transform plan;
           handler = Option.get (handler_for t target);
+          delivered = Delivered { format_name = target.Ptype.rname; via };
           span_hit;
           span_miss;
           span_hit_fused;
@@ -442,9 +445,8 @@ let hand_over t (entry : cache_entry) (a : accept) (v' : Value.t) : outcome =
   a.handler v';
   t.stats.delivered <- t.stats.delivered + 1;
   Obs.Counter.incr t.m.rm_delivered;
-  let o = Delivered { format_name = (Plan.target a.plan).Ptype.rname; via = a.via } in
-  probe t (Some v') o;
-  o
+  probe t (Some v') a.delivered;
+  a.delivered
 
 (* A transformation that fails at run time on values its code never
    anticipated (hostile or corrupt input) rejects the message rather than

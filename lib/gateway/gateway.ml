@@ -78,7 +78,7 @@ type shed_reason =
   | Breaker  (* tenant circuit open *)
   | Overload  (* eviction storm, or pending queue full *)
   | Unknown_tenant
-  | No_meta  (* fingerprint never pushed *)
+  | No_meta  (* fingerprint never pushed, or evicted from the tenant's formats *)
 
 type outcome =
   | Delivered of rung
@@ -239,15 +239,26 @@ let bucket_admit b ~now =
   end
   else false
 
+(* One format a tenant pushed, under its fingerprint. *)
+type tformat = {
+  mutable tf_meta : Meta.format_meta;  (* a re-push replaces it *)
+  mutable tf_compiled : bool;
+      (* a plan was compiled for it: a later compile is a recompile (its
+         plan was evicted) *)
+}
+
+(* The formats one tenant holds: a sender pushing fresh formats without
+   end evicts its least recently used ones, whose data frames shed
+   [No_meta] until pushed again.  Far above any lineage the loadgen or a
+   campaign pushes (gateway-churn's tenants push 6 versions each). *)
+let formats_per_tenant = 256
+
 type tstate = {
   ts_id : int;
   ts_target : Ptype.record;
-  ts_registry : (int, Meta.format_meta) Hashtbl.t;
+  ts_formats : (int, tformat) Lru.t;
   ts_breaker : Breaker.t;
   ts_bucket : bucket option;
-  ts_compiled : (int, unit) Hashtbl.t;
-      (* fingerprints that ever had a plan compiled: a later compile for
-         one of these is a recompile (its plan was evicted) *)
   ts_m_admitted : Obs.Counter.h;
       (* this tenant's series of gateway.tenant.admitted, resolved once
          at onboarding so per-message admission stays handle-speed *)
@@ -386,7 +397,7 @@ let new_tenant t id (target : Ptype.record) =
     {
       ts_id = id;
       ts_target = target;
-      ts_registry = Hashtbl.create 8;
+      ts_formats = Lru.create ~equal:Int.equal ~cap:formats_per_tenant;
       ts_breaker =
         Breaker.create ~threshold:t.config.breaker_threshold
           ?cooldown_s:t.config.breaker_cooldown_s
@@ -407,7 +418,6 @@ let new_tenant t id (target : Ptype.record) =
              { b_rate = t.config.admit_rate; b_burst = t.config.admit_burst;
                b_tokens = t.config.admit_burst; b_last = Netsim.now t.net }
          else None);
-      ts_compiled = Hashtbl.create 8;
       ts_m_admitted =
         Obs.Labeled.counter_series t.m.gm_tenant_admitted
           [ string_of_int id ];
@@ -589,9 +599,9 @@ let unpark t =
    starts the simulated compile and parks; every further message while it
    is in flight parks behind it (coalesced).  Completion caches the plan
    and drains the parked queue, re-checking each message's deadline. *)
-let start_compile t (ts : tstate) ~fingerprint:fp (meta : Meta.format_meta)
-    ~deadline_ns (message : string) : outcome =
-  match plan_for t meta ts.ts_target with
+let start_compile t (ts : tstate) ~fingerprint:fp (tf : tformat) ~deadline_ns
+    (message : string) : outcome =
+  match plan_for t tf.tf_meta ts.ts_target with
   | Error msg ->
     (* planning refusals are cached and immediate: there is no artifact
        to compile, so nothing to wait for *)
@@ -606,11 +616,11 @@ let start_compile t (ts : tstate) ~fingerprint:fp (meta : Meta.format_meta)
     let cost = compile_cost plan in
     t.stats.plan_compiles <- t.stats.plan_compiles + 1;
     if t.m.gm_on then Obs.Counter.incr t.m.gm_compiles;
-    if Hashtbl.mem ts.ts_compiled fp then begin
+    if tf.tf_compiled then begin
       t.stats.plan_recompiles <- t.stats.plan_recompiles + 1;
       if t.m.gm_on then Obs.Counter.incr t.m.gm_recompiles
     end
-    else Hashtbl.replace ts.ts_compiled fp ();
+    else tf.tf_compiled <- true;
     Netsim.after t.net (t.config.compile_s_per_unit *. cost) (fun () ->
         Hashtbl.remove t.inflight key;
         Plan_cache.add t.cache ~tenant:ts.ts_id ~key:fp (Ready plan);
@@ -649,12 +659,12 @@ let handle_data t (ts : tstate) ~fingerprint:fp ~deadline_ns (message : string) 
          Parked
        end
      | None ->
-       (match Hashtbl.find_opt ts.ts_registry fp with
+       (match Lru.find ts.ts_formats ~hash:fp fp with
         | None -> shed t ~tenant:ts.ts_id No_meta
-        | Some meta ->
+        | Some tf ->
           if Governor.overloaded t.gov ~now:(now_s t) then
             shed t ~tenant:ts.ts_id Overload
-          else start_compile t ts ~fingerprint:fp meta ~deadline_ns message))
+          else start_compile t ts ~fingerprint:fp tf ~deadline_ns message))
 
 let handle_meta t ~tenant ~fingerprint:fp (encoded : string) : outcome =
   match Meta.decode encoded with
@@ -677,7 +687,11 @@ let handle_meta t ~tenant ~fingerprint:fp (encoded : string) : outcome =
              before evolving, so deliveries morph back to it *)
           new_tenant t tenant meta.Meta.body
       in
-      Hashtbl.replace ts.ts_registry want meta;
+      (match Lru.find ts.ts_formats ~hash:want want with
+       | Some tf -> tf.tf_meta <- meta
+       | None ->
+         ignore
+           (Lru.add ts.ts_formats ~hash:want want { tf_meta = meta; tf_compiled = false } : int));
       t.stats.meta_pushes <- t.stats.meta_pushes + 1;
       if t.m.gm_on then Obs.Counter.incr t.m.gm_meta_pushes;
       Onboarded

@@ -57,7 +57,9 @@ type shed_reason =
   | Overload
       (** new plan work during an eviction storm, or pending queue full *)
   | Unknown_tenant  (** data before any meta push for this tenant *)
-  | No_meta  (** fingerprint never pushed by this tenant *)
+  | No_meta
+      (** fingerprint never pushed by this tenant, or evicted: a tenant
+          holds its 256 most recently used formats *)
 
 type outcome =
   | Delivered of rung  (** handed to the delivery handler by this engine *)

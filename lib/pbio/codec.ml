@@ -22,21 +22,40 @@
    to decode-then-convert; the morphcheck "codec" oracle enforces this
    differentially.
 
+   A record is read in straight-line closures, as a hand-written decoder
+   would read it.  A dropped value is skipped in pieces ([skip_pieces]):
+   a record with no length slots of its own contributes its fields'
+   pieces, adjacent fixed spans merge, and a span after a string merges
+   into the string's skip, so an ECho member is skipped by one call.  A
+   nested record whose by-name map takes source fields in wire order
+   ([ordered_record]) reads each target field with one reader that also
+   skips the dropped fields around it, into a record allocated once.  One
+   record builder ([record_of]) builds decoded and converted records
+   alike.  The length slots of the record scope being read live in the
+   cursor, so a reader is a one-argument closure (a two-argument call to
+   an unknown closure goes through [caml_apply2]), and states of up to 4
+   slots are array literals ([fresh]), not [caml_make_vect] calls.
+
    Each wire rule is stated once.  One record walker ([walk_record])
-   serves every reader that keeps only some of a record's fields — a
-   skip, an element map's gather, a fused map's read: the caller gives a
-   step per kept field, and the walker skips each dropped one with a
-   decode's checks, merging adjacent fixed-width spans into one step, or
-   reads it into the length slot a later array needs.  One count guard
-   ([array_count]) checks every array count a compiled plan reads, and
-   one array reader ([read_array]) builds the arrays that decode and
-   fused conversion fill.  One per-endian slot accessor ([per_endian])
-   fills every cached plan under the cache lock.
+   serves every reader that keeps only some of a record's fields in two
+   phases — a skip of a record with length slots, an element map's
+   gather, a fused map's read into a state: the caller gives a step per
+   kept field, and the walker skips each dropped one with a decode's
+   checks, or reads it into the length slot a later array needs.  One
+   count guard ([array_count]) checks every array count a compiled plan
+   reads, and one array reader ([read_array]) builds the arrays that
+   decode and fused conversion fill.  One per-endian slot accessor
+   ([per_endian]) fills every cached plan under the cache lock.
 
    Hostile input discipline is inherited from the interpreter: every
    length is bounds-checked before allocation, unknown enum values reject
    the message (even when the field is skipped), and decoding failures
-   raise [Decode_error], which the [Wire] wrappers turn into [Error]. *)
+   raise [Decode_error], which the [Wire] wrappers turn into [Error].  A
+   compiled plan accepts and rejects exactly what the interpreter does,
+   with the same values and in the same order of checks; only a
+   truncation error's text may differ, since a merged skip (within a
+   record or across nested ones) names its whole span where the
+   interpreter names the first missing field. *)
 
 type endian = Little | Big
 
@@ -120,15 +139,24 @@ let w_f64 = function
 
 (* --- primitive readers ------------------------------------------------- *)
 
+(* [lens] holds the length slots of the record scope a compiled plan is
+   reading (the interpreter does not use it). *)
 type cursor = {
   data : string;
   mutable pos : int;
   limit : int;
+  mutable lens : Value.t array;
 }
+
+let no_lens : Value.t array = [||]
 
 let need cur n =
   if cur.pos + n > cur.limit then
     decode_error "truncated message: need %d bytes at offset %d (limit %d)" n cur.pos cur.limit
+
+let[@inline] skip cur n =
+  need cur n;
+  cur.pos <- cur.pos + n
 
 let read_i32 endian cur =
   need cur 4;
@@ -181,12 +209,6 @@ let reader_i32 = function
       let x = String.get_int32_be cur.data cur.pos in
       cur.pos <- cur.pos + 4;
       Int32.to_int x
-
-let reader_u32 endian =
-  let rd = reader_i32 endian in
-  fun cur ->
-    let n = rd cur in
-    if n < 0 then n + uint32_max + 1 else n
 
 
 (* --- enum lookup tables -------------------------------------------------- *)
@@ -268,9 +290,21 @@ let rec fixed_span (ty : Ptype.t) : int option =
 
 (* --- header ---------------------------------------------------------------- *)
 
+let rec magic_from data i = i = 4 || (data.[i] = magic.[i] && magic_from data (i + 1))
+
+let u32_at endian data off =
+  let n =
+    Int32.to_int
+      (match endian with
+       | Little -> String.get_int32_le data off
+       | Big -> String.get_int32_be data off)
+  in
+  if n < 0 then n + uint32_max + 1 else n
+
+(* In place: the header record is all a read allocates. *)
 let read_header (data : string) : header =
   if String.length data < header_size then decode_error "message shorter than header";
-  if String.sub data 0 4 <> magic then decode_error "bad magic";
+  if not (magic_from data 0) then decode_error "bad magic";
   let endian =
     match data.[4] with
     | '\x00' -> Little
@@ -279,9 +313,8 @@ let read_header (data : string) : header =
   in
   let v = Char.code data.[5] in
   if v <> wire_version then decode_error "unsupported wire version %d" v;
-  let cur = { data; pos = 8; limit = String.length data } in
-  let format_id = read_u32 endian cur in
-  let payload_len = read_u32 endian cur in
+  let format_id = u32_at endian data 8 in
+  let payload_len = u32_at endian data 12 in
   if header_size + payload_len <> String.length data then
     decode_error "payload length %d does not match message size %d"
       payload_len (String.length data - header_size);
@@ -437,7 +470,7 @@ module Interp = struct
 
   let decode_payload ~endian ?(pos = 0) (r : Ptype.record) (data : string) : Value.t =
     let msize = ref [] in
-    let cur = { data; pos; limit = String.length data } in
+    let cur = { data; pos; limit = String.length data; lens = no_lens } in
     let v = decode_record_inner endian cur r ~msize in
     if cur.pos <> cur.limit then
       decode_error "trailing garbage: %d bytes left after record %s"
@@ -591,9 +624,13 @@ let encode_message (enc : encoder) ~format_id (v : Value.t) : string =
 
 (* --- compiled decode plans ------------------------------------------------------ *)
 
+(* A reader decodes one value at the cursor, within the record scope
+   whose length slots the cursor holds. *)
+type reader = cursor -> Value.t
+
 type decoder = {
   dfmt : Ptype.record;
-  drun : cursor -> Value.t;
+  drun : reader;
 }
 
 (* One record scope: which fields back length slots.  A slot is assigned to
@@ -645,13 +682,13 @@ let record_layout (r : Ptype.record) =
    before it reads, skips or allocates one element.  Both size sources are
    untrusted: length fields come off the wire and fixed sizes may come
    from a hostile format description (shipped meta-data).  A length field
-   resolves to its slot in the scope's [lens]; slots start as [Int 0],
+   resolves to its slot in the cursor's [lens]; slots start as [Int 0],
    reproducing the interpreter's placeholder semantics when a hostile
    format references a not-yet-decoded field, and a name the scope lacks
    fails when its array is reached, as the interpreter's [length_of]
    does. *)
 let array_count (r : Ptype.record) slot_for_name ({ elem; size } : Ptype.array_spec) :
-  cursor -> Value.t array -> int =
+  cursor -> int =
   let m = min_wire_size elem in
   let guard what cur n =
     if n < 0 then decode_error "negative array length %d for %s" n what;
@@ -661,46 +698,124 @@ let array_count (r : Ptype.record) slot_for_name ({ elem; size } : Ptype.array_s
     n
   in
   match size with
-  | Ptype.Fixed k -> fun cur _ -> guard "fixed-size array" cur k
+  | Ptype.Fixed k -> fun cur -> guard "fixed-size array" cur k
   | Length_field nm ->
     (match slot_for_name nm with
      | Some k ->
        let what = Printf.sprintf "%S" nm in
-       fun cur lens -> guard what cur (Value.to_int lens.(k))
-     | None -> fun _ _ -> decode_error "record %s: missing length field %S" r.rname nm)
+       fun cur -> guard what cur (Value.to_int cur.lens.(k))
+     | None -> fun _ -> decode_error "record %s: missing length field %S" r.rname nm)
 
 (* The array reader of decode and fused conversion: the count guard, then
    [elem] once per element.  The model is shared across every array the
    plan reads: growth fills copy it ([Value.fill_for]) and equality
    ignores it. *)
-let read_array (count : cursor -> Value.t array -> int) elem (model : Value.t) :
-  cursor -> Value.t array -> Value.t =
+let read_array (count : cursor -> int) (elem : reader) (model : Value.t) : reader =
   let model = Some model in
-  fun cur lens ->
-    let n = count cur lens in
-    let items = Array.init n (fun _ -> elem cur lens) in
+  fun cur ->
+    let n = count cur in
+    let items = Array.init n (fun _ -> elem cur) in
     Value.Array { items; len = n; model }
 
-let no_lens : Value.t array = [||]
 let vtrue = Value.Bool true
 let vfalse = Value.Bool false
+let zero = Value.Int 0
+
+(* A fresh state of [n] slots: a scope's length slots, a fused map's
+   state, an element's row.  Up to 4 slots it is an array literal,
+   allocated inline; [Array.make] is a runtime call ([caml_make_vect]). *)
+let[@inline] fresh n : Value.t array =
+  match n with
+  | 0 -> no_lens
+  | 1 -> [| zero |]
+  | 2 -> [| zero; zero |]
+  | 3 -> [| zero; zero; zero |]
+  | 4 -> [| zero; zero; zero; zero |]
+  | n -> Array.make n zero
+
+let hole = { Value.name = ""; v = zero }
+
+(* The one record builder: a record of fields [names], field [j] the
+   value of [rd.(j) a] ([a] a cursor, or a state to assemble from).
+   Each field is bound with [let], in order, so fields read off the wire
+   are read in wire order, and the record is allocated once with its
+   final values (initializing stores, no placeholder values). *)
+let record_of (names : string array) (rd : ('a -> Value.t) array) : 'a -> Value.t =
+  match rd, names with
+  | [| r0 |], [| n0 |] -> fun a -> Value.Record [| { Value.name = n0; v = r0 a } |]
+  | [| r0; r1 |], [| n0; n1 |] ->
+    fun a ->
+      let v0 = r0 a in
+      let v1 = r1 a in
+      Value.Record [| { Value.name = n0; v = v0 }; { Value.name = n1; v = v1 } |]
+  | [| r0; r1; r2 |], [| n0; n1; n2 |] ->
+    fun a ->
+      let v0 = r0 a in
+      let v1 = r1 a in
+      let v2 = r2 a in
+      Value.Record
+        [| { Value.name = n0; v = v0 }; { Value.name = n1; v = v1 };
+           { Value.name = n2; v = v2 } |]
+  | [| r0; r1; r2; r3 |], [| n0; n1; n2; n3 |] ->
+    fun a ->
+      let v0 = r0 a in
+      let v1 = r1 a in
+      let v2 = r2 a in
+      let v3 = r3 a in
+      Value.Record
+        [| { Value.name = n0; v = v0 }; { Value.name = n1; v = v1 };
+           { Value.name = n2; v = v2 }; { Value.name = n3; v = v3 } |]
+  | [| r0; r1; r2; r3; r4 |], [| n0; n1; n2; n3; n4 |] ->
+    fun a ->
+      let v0 = r0 a in
+      let v1 = r1 a in
+      let v2 = r2 a in
+      let v3 = r3 a in
+      let v4 = r4 a in
+      Value.Record
+        [| { Value.name = n0; v = v0 }; { Value.name = n1; v = v1 };
+           { Value.name = n2; v = v2 }; { Value.name = n3; v = v3 };
+           { Value.name = n4; v = v4 } |]
+  | _ ->
+    let n = Array.length names in
+    fun a ->
+      let es = Array.make n hole in
+      for j = 0 to n - 1 do
+        es.(j) <- { Value.name = names.(j); v = rd.(j) a }
+      done;
+      Value.Record es
+
+(* A reader of one record scope.  With length slots of its own it reads
+   with fresh ones in the cursor, then gives the cursor back its caller's;
+   without, it leaves its caller's there, which none of its fields reads
+   or writes (a length field resolves in its own record only), and costs
+   no closure call of its own. *)
+let scoped nslots (rd : reader) : reader =
+  if nslots = 0 then rd
+  else
+    fun cur ->
+      let outer = cur.lens in
+      cur.lens <- fresh nslots;
+      let v = rd cur in
+      cur.lens <- outer;
+      v
 
 (* Step closures inline the primitive read (bounds check, byte extraction,
    cursor advance) rather than calling the shared readers: one fewer
    indirect call per field, which is most of the interpreter's remaining
    per-field overhead once dispatch is gone. *)
-let rec comp_decode_type endian count (ty : Ptype.t) : cursor -> Value.t array -> Value.t =
+let rec comp_decode_type endian count (ty : Ptype.t) : reader =
   match ty with
   | Ptype.Basic Int ->
     (match endian with
      | Little ->
-       fun cur _ ->
+       fun cur ->
          need cur 4;
          let x = String.get_int32_le cur.data cur.pos in
          cur.pos <- cur.pos + 4;
          Value.Int (Int32.to_int x)
      | Big ->
-       fun cur _ ->
+       fun cur ->
          need cur 4;
          let x = String.get_int32_be cur.data cur.pos in
          cur.pos <- cur.pos + 4;
@@ -708,13 +823,13 @@ let rec comp_decode_type endian count (ty : Ptype.t) : cursor -> Value.t array -
   | Basic Uint ->
     (match endian with
      | Little ->
-       fun cur _ ->
+       fun cur ->
          need cur 4;
          let x = Int32.to_int (String.get_int32_le cur.data cur.pos) in
          cur.pos <- cur.pos + 4;
          Value.Uint (if x < 0 then x + uint32_max + 1 else x)
      | Big ->
-       fun cur _ ->
+       fun cur ->
          need cur 4;
          let x = Int32.to_int (String.get_int32_be cur.data cur.pos) in
          cur.pos <- cur.pos + 4;
@@ -722,25 +837,25 @@ let rec comp_decode_type endian count (ty : Ptype.t) : cursor -> Value.t array -
   | Basic Float ->
     (match endian with
      | Little ->
-       fun cur _ ->
+       fun cur ->
          need cur 8;
          let bits = String.get_int64_le cur.data cur.pos in
          cur.pos <- cur.pos + 8;
          Value.Float (Int64.float_of_bits bits)
      | Big ->
-       fun cur _ ->
+       fun cur ->
          need cur 8;
          let bits = String.get_int64_be cur.data cur.pos in
          cur.pos <- cur.pos + 8;
          Value.Float (Int64.float_of_bits bits))
   | Basic Char ->
-    fun cur _ ->
+    fun cur ->
       need cur 1;
       let c = String.unsafe_get cur.data cur.pos in
       cur.pos <- cur.pos + 1;
       Value.Char c
   | Basic Bool ->
-    fun cur _ ->
+    fun cur ->
       need cur 1;
       let c = String.unsafe_get cur.data cur.pos in
       cur.pos <- cur.pos + 1;
@@ -749,26 +864,24 @@ let rec comp_decode_type endian count (ty : Ptype.t) : cursor -> Value.t array -
     let rd = reader_i32 endian in
     let tbl = enum_table e in
     let ename = e.ename in
-    fun cur _ ->
+    fun cur ->
       let n = rd cur in
       (match Hashtbl.find_opt tbl n with
        | Some case -> Value.Enum (case, n)
        | None -> decode_error "enum %s: unknown value %d" ename n)
   | Basic String ->
     let rd = reader_i32 endian in
-    fun cur _ ->
+    fun cur ->
       let n0 = rd cur in
       let n = if n0 < 0 then n0 + uint32_max + 1 else n0 in
       if n > cur.limit - cur.pos then decode_error "string length %d exceeds message" n;
       let s = String.sub cur.data cur.pos n in
       cur.pos <- cur.pos + n;
       Value.String s
-  | Record r ->
-    let sub = comp_decode_record endian r in
-    fun cur _ -> sub cur
+  | Record r -> comp_decode_record endian r
   | Array a -> read_array (count a) (comp_decode_type endian count a.elem) (Value.default a.elem)
 
-and comp_decode_record endian (r : Ptype.record) : cursor -> Value.t =
+and comp_decode_record endian (r : Ptype.record) : reader =
   let fields, nf, nslots, slot_for_field, slot_for_name = record_layout r in
   let count = array_count r slot_for_name in
   let names = Array.map (fun (f : Ptype.field) -> f.fname) fields in
@@ -778,187 +891,178 @@ and comp_decode_record endian (r : Ptype.record) : cursor -> Value.t =
         match slot_for_field i with
         | None -> base
         | Some k ->
-          fun cur lens ->
-            let v = base cur lens in
-            lens.(k) <- v;
+          fun cur ->
+            let v = base cur in
+            cur.lens.(k) <- v;
             v)
   in
-  (* Entries are built with their final values (initializing stores, no
-     placeholder pass and no write barriers); common small arities get
-     straight-line closures.  The lets force wire-order evaluation. *)
-  let build : cursor -> Value.t array -> Value.t =
-    match steps, names with
-    | [| s0 |], [| n0 |] ->
-      fun cur lens -> Value.Record [| { Value.name = n0; v = s0 cur lens } |]
-    | [| s0; s1 |], [| n0; n1 |] ->
-      fun cur lens ->
-        let v0 = s0 cur lens in
-        let v1 = s1 cur lens in
-        Value.Record [| { Value.name = n0; v = v0 }; { Value.name = n1; v = v1 } |]
-    | [| s0; s1; s2 |], [| n0; n1; n2 |] ->
-      fun cur lens ->
-        let v0 = s0 cur lens in
-        let v1 = s1 cur lens in
-        let v2 = s2 cur lens in
-        Value.Record
-          [| { Value.name = n0; v = v0 }; { Value.name = n1; v = v1 };
-             { Value.name = n2; v = v2 } |]
-    | [| s0; s1; s2; s3 |], [| n0; n1; n2; n3 |] ->
-      fun cur lens ->
-        let v0 = s0 cur lens in
-        let v1 = s1 cur lens in
-        let v2 = s2 cur lens in
-        let v3 = s3 cur lens in
-        Value.Record
-          [| { Value.name = n0; v = v0 }; { Value.name = n1; v = v1 };
-             { Value.name = n2; v = v2 }; { Value.name = n3; v = v3 } |]
-    | [| s0; s1; s2; s3; s4 |], [| n0; n1; n2; n3; n4 |] ->
-      fun cur lens ->
-        let v0 = s0 cur lens in
-        let v1 = s1 cur lens in
-        let v2 = s2 cur lens in
-        let v3 = s3 cur lens in
-        let v4 = s4 cur lens in
-        Value.Record
-          [| { Value.name = n0; v = v0 }; { Value.name = n1; v = v1 };
-             { Value.name = n2; v = v2 }; { Value.name = n3; v = v3 };
-             { Value.name = n4; v = v4 } |]
-    | _ ->
-      fun cur lens ->
-        let es = Array.init nf (fun i -> { Value.name = names.(i); v = Value.Int 0 }) in
-        for i = 0 to nf - 1 do
-          es.(i).Value.v <- steps.(i) cur lens
-        done;
-        Value.Record es
-  in
-  if nslots = 0 then fun cur -> build cur no_lens
-  else fun cur -> build cur (Array.make nslots (Value.Int 0))
+  scoped nslots (record_of names steps)
 
 (* --- the record walker ------------------------------------------------------------ *)
 
 (* A walk step reads one field of a record, or a run of dropped ones: it
-   takes the cursor, the record scope's length slots and the state its
-   caller fills (an element's row, a fused map's state array; nothing
-   when skipping). *)
-type walk_step = cursor -> Value.t array -> Value.t array -> unit
+   takes the cursor and the state its caller fills (an element's row, a
+   fused map's state array; nothing when skipping). *)
+type walk_step = cursor -> Value.t array -> unit
 
-(* A dropped field whose [n] bytes are skipped unread is a [Span n].
-   Adjacent spans merge, so each run becomes one step (a single bounds
-   check and cursor bump). *)
+(* The pieces a dropped value is skipped in.  [Span n] is [n] bytes
+   skipped unread; [Str n] a length-prefixed string, then [n] bytes.
+   Adjacent spans merge, and a span merges into the string before it, so
+   each run becomes one step: one closure call, one bounds check per
+   string and one for the fixed bytes around it. *)
 type piece =
   | Span of int
+  | Str of int
   | Step of walk_step
 
 let rec coalesce = function
   | Span a :: Span b :: rest -> coalesce (Span (a + b) :: rest)
+  | Str a :: Span b :: rest -> coalesce (Str (a + b) :: rest)
   | s :: rest -> s :: coalesce rest
   | [] -> []
 
-(* The one place a span becomes a step: a fresh closure over [n], since a
-   partial application of a shared skip function would cost an extra
+(* Skip the string whose raw 32-bit length [s] the cursor is at, then [n]
+   bytes, with a decode's checks. *)
+let[@inline] skip_string cur s n =
+  cur.pos <- cur.pos + 4;
+  let len = if s < 0 then s + uint32_max + 1 else s in
+  if len > cur.limit - cur.pos then decode_error "string length %d exceeds message" len;
+  cur.pos <- cur.pos + len;
+  skip cur n
+
+(* The one place a piece becomes a step: a fresh closure over [n], since
+   a partial application of a shared skip function would cost an extra
    indirect call on every element. *)
-let step_of = function
-  | Span n ->
-    fun cur _ _ ->
-      need cur n;
-      cur.pos <- cur.pos + n
+let step_of endian = function
+  | Span n -> fun cur _ -> skip cur n
+  | Str n ->
+    (match endian with
+     | Little ->
+       fun cur _ ->
+         need cur 4;
+         skip_string cur (Int32.to_int (String.get_int32_le cur.data cur.pos)) n
+     | Big ->
+       fun cur _ ->
+         need cur 4;
+         skip_string cur (Int32.to_int (String.get_int32_be cur.data cur.pos)) n)
   | Step f -> f
+
+let steps_of endian pieces = Array.of_list (List.map (step_of endian) (coalesce pieces))
 
 type walk = {
   nslots : int;
   steps : walk_step array;
 }
 
-(* Run a walk over one record.  Inlined where it is called, so a walk
-   costs its steps' calls and no call of its own. *)
-let[@inline] walk w cur st =
-  let lens = if w.nslots = 0 then no_lens else Array.make w.nslots (Value.Int 0) in
-  let steps = w.steps in
+let[@inline] run_steps (steps : walk_step array) cur st =
   for i = 0 to Array.length steps - 1 do
-    steps.(i) cur lens st
+    steps.(i) cur st
   done
 
-(* Skip a value on the wire without materialising it, enforcing the same
-   guards as decoding (bounds, enum validity), so a fused plan accepts and
-   rejects exactly the messages the staged path does. *)
-let rec comp_skip_type endian count (ty : Ptype.t) : walk_step =
+(* Run a walk over one record, in its own length slots when it has any.
+   Inlined where it is called, so a walk costs its steps' calls and no
+   call of its own. *)
+let[@inline] walk w cur st =
+  if w.nslots = 0 then run_steps w.steps cur st
+  else begin
+    let outer = cur.lens in
+    cur.lens <- fresh w.nslots;
+    run_steps w.steps cur st;
+    cur.lens <- outer
+  end
+
+(* The pieces that skip a value on the wire without materialising it,
+   enforcing the same guards as decoding (bounds, enum validity), so a
+   fused plan accepts and rejects exactly the messages the staged path
+   does.  A record with no length slots of its own contributes its
+   fields' pieces, so fixed spans merge across record boundaries; enum
+   checks, arrays and records with length slots keep their own steps. *)
+let rec skip_pieces endian count (ty : Ptype.t) : piece list =
   match fixed_span ty, ty with
-  | Some k, _ -> step_of (Span k)
+  | Some k, _ -> [ Span k ]
   | None, Basic (Enum e) ->
     let rd = reader_i32 endian in
     let tbl = enum_table e in
     let ename = e.ename in
-    fun cur _ _ ->
-      let n = rd cur in
-      if not (Hashtbl.mem tbl n) then decode_error "enum %s: unknown value %d" ename n
-  | None, Basic _ ->
-    (* a string: every other basic type has a fixed span *)
-    let rd = reader_u32 endian in
-    fun cur _ _ ->
-      let n = rd cur in
-      if n > cur.limit - cur.pos then decode_error "string length %d exceeds message" n;
-      cur.pos <- cur.pos + n
+    [ Step
+        (fun cur _ ->
+           let n = rd cur in
+           if not (Hashtbl.mem tbl n) then decode_error "enum %s: unknown value %d" ename n) ]
+  | None, Basic _ -> [ Str 0 ] (* a string: every other basic type has a fixed span *)
   | None, Record r ->
-    let w = walk_record endian r (fun _ _ _ _ -> None) in
-    fun cur _ st -> walk w cur st
+    let fields, _, nslots, _, slot_for_name = record_layout r in
+    if nslots = 0 then begin
+      let count = array_count r slot_for_name in
+      List.concat_map (fun (f : Ptype.field) -> skip_pieces endian count f.ftype)
+        (Array.to_list fields)
+    end
+    else begin
+      let w = walk_record endian r (fun _ _ _ _ -> None) in
+      [ Step (fun cur st -> walk w cur st) ]
+    end
   | None, Array a ->
     let n_of = count a in
     (match fixed_span a.elem with
      | Some k ->
-       fun cur lens _ ->
-         let n = n_of cur lens in
-         need cur (n * k);
-         cur.pos <- cur.pos + (n * k)
+       [ Step (fun cur _ -> skip cur (n_of cur * k)) ]
      | None ->
        let eskip = comp_skip_type endian count a.elem in
-       fun cur lens st ->
-         for _ = 1 to n_of cur lens do
-           eskip cur lens st
-         done)
+       [ Step
+           (fun cur st ->
+              for _ = 1 to n_of cur do
+                eskip cur st
+              done) ])
+
+(* One step that skips a value: an ECho member ({info{host; port}; ID;
+   is_source; is_sink}) is one string then 10 bytes, one call. *)
+and comp_skip_type endian count (ty : Ptype.t) : walk_step =
+  match steps_of endian (skip_pieces endian count ty) with
+  | [| s |] -> s
+  | ss -> fun cur st -> run_steps ss cur st
+
+(* A dropped field of a record scope: still read into its length slot
+   [k] when a later array sizes from it, skipped otherwise. *)
+and drop_pieces endian count (ty : Ptype.t) (slot : int option) : piece list =
+  match slot with
+  | Some k ->
+    let dec = comp_decode_type endian count ty in
+    [ Step (fun cur _ -> cur.lens.(k) <- dec cur) ]
+  | None -> skip_pieces endian count ty
 
 (* The record walker: the steps that go through one record of [r] field
-   by field, shared by every reader that keeps only some fields (a skip,
-   an element map's gather, a fused map's read).  [keep count i ty slot]
-   is the step of field [i] when the caller reads it ([count] resolves
-   the scope's array counts, [slot] is the length slot the field fills
-   when a later array sizes from it), [None] when the caller drops it.
-   A dropped field is skipped with a decode's checks, or still read into
-   its length slot when a later array sizes from it; adjacent fixed-width
-   drops collapse into one span, since this runs per array element on
-   drop-heavy morphs, where a run of scalars (ints, bools) then costs one
-   bounds check, not one closure call each. *)
+   by field, shared by every reader that keeps only some fields in two
+   phases (a skip of a record with length slots, an element map's
+   gather, a fused map's read).  [keep count i ty slot] is the step of
+   field [i] when the caller reads it ([count] resolves the scope's
+   array counts, [slot] is the length slot the field fills when a later
+   array sizes from it), [None] when the caller drops it.  A dropped
+   field becomes its [drop_pieces], merged with its neighbours. *)
 and walk_record endian (r : Ptype.record) keep : walk =
   let fields, nf, nslots, slot_for_field, slot_for_name = record_layout r in
   let count = array_count r slot_for_name in
-  let piece i =
+  let pieces i =
     let ty = fields.(i).Ptype.ftype and slot = slot_for_field i in
-    match keep count i ty slot, slot with
-    | Some step, _ -> Step step
-    | None, Some k ->
-      let dec = comp_decode_type endian count ty in
-      Step (fun cur lens _ -> lens.(k) <- dec cur lens)
-    | None, None ->
-      (match fixed_span ty with
-       | Some n -> Span n
-       | None -> Step (comp_skip_type endian count ty))
+    match keep count i ty slot with
+    | Some step -> [ Step step ]
+    | None -> drop_pieces endian count ty slot
   in
-  { nslots; steps = Array.of_list (List.map step_of (coalesce (List.init nf piece))) }
+  { nslots; steps = steps_of endian (List.concat (List.init nf pieces)) }
 
 (* A kept field's step: decode it into [st.(p)], and into its length slot
    when a later array sizes from it. *)
-let store dec p = function
-  | None -> fun cur lens st -> st.(p) <- dec cur lens
+let store (dec : reader) p = function
+  | None -> fun cur st -> st.(p) <- dec cur
   | Some k ->
-    fun cur lens st ->
-      let v = dec cur lens in
-      lens.(k) <- v;
+    fun cur st ->
+      let v = dec cur in
+      cur.lens.(k) <- v;
       st.(p) <- v
 
 let compile_decode ~endian (r : Ptype.record) : decoder =
   { dfmt = r; drun = comp_decode_record endian r }
 
 let decode_payload (d : decoder) ?(pos = 0) (data : string) : Value.t =
-  let cur = { data; pos; limit = String.length data } in
+  let cur = { data; pos; limit = String.length data; lens = no_lens } in
   let v = d.drun cur in
   if cur.pos <> cur.limit then
     decode_error "trailing garbage: %d bytes left after record %s"
@@ -1030,34 +1134,12 @@ let compile_steps (steps : step list) : Value.t -> Value.t =
   | [ f; g ] -> fun v -> g (f v)
   | f :: rest -> List.fold_left (fun acc g v -> g (acc v)) f rest
 
-let const_of (v : Value.t) : Value.t array -> Value.t =
+(* A constant field, copied per message when mutable; it reads nothing,
+   so it takes the place of a reader or of a state getter alike. *)
+let const_of (v : Value.t) : 'a -> Value.t =
   match v with
   | Record _ | Array _ -> fun _ -> Value.copy v
   | Int _ | Uint _ | Float _ | Char _ | Bool _ | Enum _ | String _ -> fun _ -> v
-
-(* A record of fields [names], field [j] pulled from a state array by
-   [g.(j)]; common small arities get straight-line literals. *)
-let record_builder (names : string array) (g : (Value.t array -> Value.t) array) :
-  Value.t array -> Value.t =
-  match g, names with
-  | [| g0 |], [| n0 |] -> fun st -> Value.Record [| { Value.name = n0; v = g0 st } |]
-  | [| g0; g1 |], [| n0; n1 |] ->
-    fun st ->
-      Value.Record
-        [| { Value.name = n0; v = g0 st }; { Value.name = n1; v = g1 st } |]
-  | [| g0; g1; g2 |], [| n0; n1; n2 |] ->
-    fun st ->
-      Value.Record
-        [| { Value.name = n0; v = g0 st }; { Value.name = n1; v = g1 st };
-           { Value.name = n2; v = g2 st } |]
-  | [| g0; g1; g2; g3 |], [| n0; n1; n2; n3 |] ->
-    fun st ->
-      Value.Record
-        [| { Value.name = n0; v = g0 st }; { Value.name = n1; v = g1 st };
-           { Value.name = n2; v = g2 st }; { Value.name = n3; v = g3 st } |]
-  | _ ->
-    let n = Array.length names in
-    fun st -> Value.Record (Array.init n (fun j -> { Value.name = names.(j); v = g.(j) st }))
 
 (* Read one record off the wire into [row], by field position: the fields
    [want] marks are decoded, the walker drops the rest. *)
@@ -1071,7 +1153,7 @@ let comp_gather endian (r : Ptype.record) (want : bool array) : cursor -> Value.
     let decs = Array.map (fun (f : Ptype.field) -> comp_decode_type endian count f.ftype) fields in
     fun cur row ->
       for g = 0 to nf - 1 do
-        row.(g) <- decs.(g) cur no_lens
+        row.(g) <- decs.(g) cur
       done
   end
   else begin
@@ -1145,7 +1227,7 @@ let comp_each endian count (sty : Ptype.t) (takers : (int * Ptype.record * each)
     Array.of_list
       (List.mapi
          (fun t (_, r, e) ->
-            let build = record_builder (names r) (Array.map getter e.elem) in
+            let build = record_of (names r) (Array.map getter e.elem) in
             let append row (items : Value.t array array) counts =
               let c = counts.(t) in
               items.(t).(c) <- build row;
@@ -1165,12 +1247,12 @@ let comp_each endian count (sty : Ptype.t) (takers : (int * Ptype.record * each)
   let ntk = Array.length appenders in
   let targets = Array.of_list (List.map (fun (j, _, _) -> j) takers) in
   let models = Array.of_list (List.map (fun (_, r, _) -> Value.default_record r) takers) in
-  let whole = record_builder (names er) (Array.init ne (fun g row -> row.(g))) in
+  let whole = record_of (names er) (Array.init ne (fun g row -> row.(g))) in
   let emodel = Some (Value.default (Ptype.Record er)) in
   let n_of = count a in
-  fun cur lens st ->
-    let n = n_of cur lens in
-    let row = Array.make (max ne 1) (Value.Int 0) in
+  fun cur st ->
+    let n = n_of cur in
+    let row = fresh ne in
     let items = Array.make ntk [||] in
     for t = 0 to ntk - 1 do
       items.(t) <- Array.make n models.(t)
@@ -1191,8 +1273,38 @@ let comp_each endian count (sty : Ptype.t) (takers : (int * Ptype.record * each)
     if raw >= 0 then begin
       let v = Value.Array { items = kept; len = n; model = emodel } in
       st.(raw) <- v;
-      match lens_k with Some k -> lens.(k) <- v | None -> ()
+      match lens_k with Some k -> cur.lens.(k) <- v | None -> ()
     end
+
+(* [rd] with the dropped fields before it folded in front of its read,
+   or those after it folded behind; a lone span is inlined. *)
+let fold_before endian pieces (rd : reader) : reader =
+  match coalesce pieces with
+  | [] -> rd
+  | [ Span n ] ->
+    fun cur ->
+      skip cur n;
+      rd cur
+  | ps ->
+    let steps = steps_of endian ps in
+    fun cur ->
+      run_steps steps cur no_lens;
+      rd cur
+
+let fold_after endian pieces (rd : reader) : reader =
+  match coalesce pieces with
+  | [] -> rd
+  | [ Span n ] ->
+    fun cur ->
+      let v = rd cur in
+      skip cur n;
+      v
+  | ps ->
+    let steps = steps_of endian ps in
+    fun cur ->
+      let v = rd cur in
+      run_steps steps cur no_lens;
+      v
 
 (* Fused type decoder: read a [src]-formatted value off the wire and build
    it directly in the [dst] layout, with no intermediate source-format
@@ -1201,8 +1313,7 @@ let comp_each endian count (sty : Ptype.t) (takers : (int * Ptype.record * each)
    materialises the target default).  Fusion recurses through records and
    arrays, by {!by_name} maps, so e.g. fields dropped from an array element
    are skipped on the wire instead of decoded and discarded. *)
-let rec comp_morph_type endian count (src : Ptype.t) (dst : Ptype.t) :
-  (cursor -> Value.t array -> Value.t) option =
+let rec comp_morph_type endian count (src : Ptype.t) (dst : Ptype.t) : reader option =
   if Ptype.equal_type src dst then Some (comp_decode_type endian count src)
   else
     match src, dst with
@@ -1211,10 +1322,14 @@ let rec comp_morph_type endian count (src : Ptype.t) (dst : Ptype.t) :
        | None -> None
        | Some co ->
          let dec = comp_decode_type endian count src in
-         Some (fun cur lens -> co (dec cur lens)))
+         Some (fun cur -> co (dec cur)))
     | Record r1, Record r2 ->
-      let read, build = comp_map_record endian r1 r2 (by_name ~from_:r1 ~into:r2) in
-      Some (fun cur _ -> build (read cur))
+      let map = by_name ~from_:r1 ~into:r2 in
+      (match ordered_record endian r1 r2 map with
+       | Some rd -> Some rd
+       | None ->
+         let read, build = comp_map_record endian r1 r2 map in
+         Some (fun cur -> build (read cur)))
     | Array a1, Array a2 ->
       (* like [Convert.compile_type]: an inconvertible element becomes a
          copy of the target default, but the source bytes must still be
@@ -1225,8 +1340,8 @@ let rec comp_morph_type endian count (src : Ptype.t) (dst : Ptype.t) :
         | None ->
           let sk = comp_skip_type endian count a1.elem in
           let d = Value.default a2.elem in
-          fun cur lens ->
-            sk cur lens no_lens;
+          fun cur ->
+            sk cur no_lens;
             Value.copy d
       in
       let dmodel = Value.default a2.elem in
@@ -1236,18 +1351,96 @@ let rec comp_morph_type endian count (src : Ptype.t) (dst : Ptype.t) :
          let n_of = count a1 in
          let eskip = comp_skip_type endian count a1.elem in
          Some
-           (fun cur lens ->
-              let n = n_of cur lens in
+           (fun cur ->
+              let n = n_of cur in
               let take = if k < n then k else n in
               let items =
                 Array.init k (fun i ->
-                    if i < take then elem cur lens else Value.copy dmodel)
+                    if i < take then elem cur else Value.copy dmodel)
               in
               for _ = take + 1 to n do
-                eskip cur lens no_lens
+                eskip cur no_lens
               done;
               Value.Array { items; len = k; model = Some dmodel }))
     | (Basic _ | Record _ | Array _), _ -> None
+
+(* A source field of type [ty] read through structural [steps]; a single
+   conversion fuses into the read. *)
+and converted endian count (ty : Ptype.t) (steps : step list) : reader =
+  match steps with
+  | [] -> comp_decode_type endian count ty
+  | [ Convert (s, t) ] when Ptype.equal_type s ty ->
+    (match comp_morph_type endian count ty t with
+     | Some dec -> dec
+     | None -> invalid_arg "Codec: a field map converts between inconvertible types")
+  | _ ->
+    let dec = comp_decode_type endian count ty and f = compile_steps steps in
+    fun cur -> f (dec cur)
+
+(* An ordered map, read in one pass as a hand-written decoder would: a
+   map that takes source fields in wire order, each at most once,
+   through [Convert] steps only and with no checks (every {!by_name} map
+   whose target keeps the source's field order).  Each target field's
+   reader runs in target order, which is wire order: it first skips the
+   dropped fields before its own, or reads them into the length slots a
+   later array needs, and the last reader also goes through the fields
+   after its own.  The target record is allocated once, with its final
+   values.  A taken length field stores its source value in its slot,
+   then converts.  [None] for any other map, which reads in two phases
+   ([comp_map_record]). *)
+and ordered_record endian (src : Ptype.record) (dst : Ptype.record) (map : field_map) :
+  reader option =
+  let takes =
+    List.filter_map (function Take (i, _) -> Some i | Const _ | Each _ -> None)
+      (Array.to_list map.slots)
+  in
+  let rec rising = function a :: (b :: _ as rest) -> a < b && rising rest | [ _ ] | [] -> true in
+  let structural = function
+    | Take (_, steps) -> List.for_all (function Convert _ -> true | Coerce _ -> false) steps
+    | Const _ -> true
+    | Each _ -> false
+  in
+  if map.checks <> [] || takes = [] || (not (rising takes))
+     || not (Array.for_all structural map.slots)
+  then None
+  else begin
+    let fields, nf, nslots, slot_for_field, slot_for_name = record_layout src in
+    let count = array_count src slot_for_name in
+    let taker = Array.make nf None in
+    Array.iteri
+      (fun j -> function Take (i, steps) -> taker.(i) <- Some (j, steps) | Const _ | Each _ -> ())
+      map.slots;
+    let readers = Array.map (function Const v -> const_of v | Take _ | Each _ -> const_of zero) map.slots in
+    let pending = ref [] and last = ref 0 in
+    for i = 0 to nf - 1 do
+      let ty = fields.(i).Ptype.ftype and slot = slot_for_field i in
+      match taker.(i) with
+      | None -> pending := !pending @ drop_pieces endian count ty slot
+      | Some (j, steps) ->
+        let rd =
+          match slot, steps with
+          | None, _ -> converted endian count ty steps
+          | Some k, [] ->
+            let dec = comp_decode_type endian count ty in
+            fun cur ->
+              let v = dec cur in
+              cur.lens.(k) <- v;
+              v
+          | Some k, _ ->
+            let dec = comp_decode_type endian count ty and f = compile_steps steps in
+            fun cur ->
+              let v = dec cur in
+              cur.lens.(k) <- v;
+              f v
+        in
+        readers.(j) <- fold_before endian !pending rd;
+        pending := [];
+        last := j
+    done;
+    readers.(!last) <- fold_after endian !pending readers.(!last);
+    let tnames = Array.of_list (List.map (fun (f : Ptype.field) -> f.Ptype.fname) dst.fields) in
+    Some (scoped nslots (record_of tnames readers))
+  end
 
 (* A field map compiled over one record scope, in two phases.  [read]
    walks the source fields in wire order into a state array: the first
@@ -1315,24 +1508,13 @@ and comp_map_record endian (src : Ptype.record) (dst : Ptype.record) (map : fiel
       (* one taker, no check, structural steps: decoded straight into
          place.  A length-referenced field with steps is kept for [build]
          instead, since its length slot needs the source-formed value *)
-      let dec =
-        match steps with
-        | [] -> dec ()
-        | [ Convert (s, t) ] when Ptype.equal_type s sty ->
-          (match comp_morph_type endian count sty t with
-           | Some dec -> dec
-           | None -> invalid_arg "Codec: a field map converts between inconvertible types")
-        | _ ->
-          let dec = dec () and f = compile_steps steps in
-          fun cur lens -> f (dec cur lens)
-      in
-      Some (store dec j lens_k)
+      Some (store (converted endian count sty steps) j lens_k)
     | _ -> Some (store (dec ()) (keep_at i) lens_k)
   in
   let w = walk_record endian src keep in
-  let nst = max !nst 1 in
+  let nst = !nst in
   let read cur =
-    let st = Array.make nst (Value.Int 0) in
+    let st = fresh nst in
     walk w cur st;
     st
   in
@@ -1366,7 +1548,7 @@ and comp_map_record endian (src : Ptype.record) (dst : Ptype.record) (map : fiel
   (* assembly closures resolved now: pull from the state or build the
      constant *)
   let assemble =
-    record_builder tnames
+    record_of tnames
       (Array.init nt (fun j ->
            match map.slots.(j) with
            | Take _ | Each _ -> fun st -> st.(j)
@@ -1400,7 +1582,7 @@ let compile_map ~endian ~(from_ : Ptype.record) ~(into : Ptype.record) (map : fi
 let compile_morph ~endian ~from_ ~into = compile_map ~endian ~from_ ~into (by_name ~from_ ~into)
 
 let morph_payload (m : morpher) ?(pos = 0) (data : string) : Value.t =
-  let cur = { data; pos; limit = String.length data } in
+  let cur = { data; pos; limit = String.length data; lens = no_lens } in
   let st = m.mread cur in
   if cur.pos <> cur.limit then
     decode_error "trailing garbage: %d bytes left after record %s"

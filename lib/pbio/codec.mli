@@ -19,10 +19,12 @@
 
     Every reader shares two rules.  A record whose fields a plan keeps
     only some of (a skipped record, an element read by an element map, a
-    fused map's source) is read by one record walker: dropped fields are
-    skipped with a decode's checks, adjacent fixed-width ones in a single
-    bounds check, and a dropped field a later array sizes from is still
-    read.  Every array count — decoded, skipped, converted or
+    fused map's source) drops the rest with a decode's checks: adjacent
+    fixed-width fields, across nested records too, in a single bounds
+    check, a string and the fixed bytes after it in one step, and a
+    dropped field a later array sizes from is still read.  A nested
+    record converted by name, in its own field order, is read in one
+    pass straight into its target record.  Every array count — decoded, skipped, converted or
     element-mapped — passes one guard before any element is read or
     allocated: a negative count, or one the rest of the message cannot
     hold at the element's minimum wire size, raises {!Decode_error} with

@@ -111,24 +111,26 @@ let rec encode (f : frame) : string =
   Buffer.add_string buf body;
   Buffer.contents buf
 
-(* The kind byte of the frame enveloped at [off] of [body], or ['\x00'],
-   no frame's kind, when no whole frame header is there to read it from;
-   the byte alone decides the inner frame's constructor.  Envelopes check
-   it before decoding the inner frame, so legal nesting recurses at most
-   three levels and a hostile stack of envelopes fails at its second
-   level instead of recursing through, and copying, every level. *)
-let inner_kind body off = if String.length body - off >= 9 then body.[off] else '\x00'
+(* The kind byte of the [size]-byte frame enveloped at [off] of [s], or
+   ['\x00'], no frame's kind, when no whole frame header is there to read
+   it from; the byte alone decides the inner frame's constructor.
+   Envelopes check it before decoding the inner frame, so legal nesting
+   recurses at most three levels and a hostile stack of envelopes fails
+   at its second level instead of recursing through every level. *)
+let inner_kind s off size = if size >= 9 then s.[off] else '\x00'
 
-let rec decode_exn (s : string) : frame =
-  if String.length s < 9 then frame_error "short frame (%d bytes)" (String.length s);
-  let id_field = Int32.to_int (String.get_int32_le s 1) in
-  let len = Int32.to_int (String.get_int32_le s 5) in
-  if len < 0 || 9 + len <> String.length s then
-    frame_error "frame length %d does not match size %d" len (String.length s);
-  let body = String.sub s 9 len in
-  match s.[0] with
-  | '\x01' -> Meta { format_id = id_field; meta = body }
-  | '\x02' -> Data { format_id = id_field; message = body }
+(* The frame occupying the [size] bytes at [off] of [s].  An envelope's
+   inner frame is parsed where it lies in [s]: only a leaf's body is
+   copied out. *)
+let rec decode_exn (s : string) off size : frame =
+  if size < 9 then frame_error "short frame (%d bytes)" size;
+  let id_field = Int32.to_int (String.get_int32_le s (off + 1)) in
+  let len = Int32.to_int (String.get_int32_le s (off + 5)) in
+  if len < 0 || 9 + len <> size then frame_error "frame length %d does not match size %d" len size;
+  let body = off + 9 in
+  match s.[off] with
+  | '\x01' -> Meta { format_id = id_field; meta = String.sub s body len }
+  | '\x02' -> Data { format_id = id_field; message = String.sub s body len }
   | '\x03' -> Meta_request { format_id = id_field }
   | '\x04' ->
     if len <> 0 then frame_error "ack frame with a %d-byte body" len;
@@ -136,35 +138,34 @@ let rec decode_exn (s : string) : frame =
     Ack { seq = id_field }
   | '\x05' ->
     if id_field < 0 then frame_error "negative sequence number %d" id_field;
-    (match inner_kind body 0 with
+    (match inner_kind s body len with
      | '\x04' | '\x05' -> frame_error "nested reliable envelope"
-     | _ -> Reliable { seq = id_field; frame = decode_exn body })
+     | _ -> Reliable { seq = id_field; frame = decode_exn s body len })
   | '\x06' ->
     if len < 16 then frame_error "traced frame with a %d-byte body" len;
-    let trace_id = Int64.to_int (String.get_int64_le body 0) in
-    let parent_span = Int64.to_int (String.get_int64_le body 8) in
+    let trace_id = Int64.to_int (String.get_int64_le s body) in
+    let parent_span = Int64.to_int (String.get_int64_le s (body + 8)) in
     if trace_id < 0 || parent_span < 0 then
       frame_error "negative trace context (%d, %d)" trace_id parent_span;
-    (match inner_kind body 16 with
+    (match inner_kind s (body + 16) (len - 16) with
      | '\x04' | '\x05' | '\x06' -> frame_error "nested traced envelope"
-     | _ ->
-       Traced { trace_id; parent_span; frame = decode_exn (String.sub body 16 (len - 16)) })
+     | _ -> Traced { trace_id; parent_span; frame = decode_exn s (body + 16) (len - 16) })
   | '\x07' ->
     if len < 16 then frame_error "described frame with a %d-byte body" len;
     if id_field < 0 then frame_error "negative tenant id %d" id_field;
-    let fingerprint = Int64.to_int (String.get_int64_le body 0) in
-    let deadline_ns = Int64.to_int (String.get_int64_le body 8) in
+    let fingerprint = Int64.to_int (String.get_int64_le s body) in
+    let deadline_ns = Int64.to_int (String.get_int64_le s (body + 8)) in
     if fingerprint < 0 || deadline_ns < 0 then
       frame_error "negative description (%d, %d)" fingerprint deadline_ns;
-    (match inner_kind body 16 with
+    (match inner_kind s (body + 16) (len - 16) with
      | '\x04' .. '\x07' -> frame_error "nested described envelope"
      | _ ->
-       let frame = decode_exn (String.sub body 16 (len - 16)) in
+       let frame = decode_exn s (body + 16) (len - 16) in
        Described { tenant = id_field; fingerprint; deadline_ns; frame })
   | c -> frame_error "unknown frame kind %C" c
 
 (* Total variant for untrusted input. *)
 let decode (s : string) : (frame, Pbio.Err.t) result =
-  match decode_exn s with
+  match decode_exn s 0 (String.length s) with
   | f -> Ok f
   | exception Frame_error msg -> Error (`Frame msg)

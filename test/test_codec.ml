@@ -264,6 +264,115 @@ let test_truncated_coalesced_skip_rejected () =
            expect_decode_error (fun () -> staged trunc))
         [ port + 2; port + 4 + 3 ])
 
+(* --- one-pass and two-phase nested records --------------------------------- *)
+
+(* Nested records a fused plan converts by name, each inside [S] beside a
+   trailing field: [enum_at] is the offset of an enum word inside the
+   record the conversion drops. *)
+let nested_cases =
+  let inner = "enum color { red = 1, blue = 2 } record Inner { string s; color c; }" in
+  let value ?(row = []) () =
+    let inner = Value.record [ ("s", Value.String "xy"); ("c", Value.Enum ("blue", 2)) ] in
+    Value.record
+      [ ( "row",
+          Value.record
+            (match row with
+             | [] -> [ ("a", Value.Int 1); ("gone", inner); ("b", Value.Int 2) ]
+             | fields -> fields) );
+        ("tail", Value.Int 9) ]
+  in
+  let sized_inner =
+    Value.record
+      [ ("n", Value.Int 2); ("xs", Value.array_of_list [ Value.Int 5; Value.Int 6 ]);
+        ("c", Value.Enum ("red", 1)) ]
+  in
+  [ ( "ordered: a dropped record with a string and an enum between kept fields",
+      fmt (inner ^ " record Row { int a; Inner gone; int b; } format S { Row row; int tail; }"),
+      fmt "record Row { int a; int b; } format S { Row row; int tail; }",
+      value (), 10 );
+    ( "two-phase: the same target with its fields swapped",
+      fmt (inner ^ " record Row { int a; Inner gone; int b; } format S { Row row; int tail; }"),
+      fmt "record Row { int b; int a; } format S { Row row; int tail; }",
+      value (), 10 );
+    ( "a dropped record with its own length slot",
+      fmt
+        "enum color { red = 1, blue = 2 } record Inner { int n; int xs[n]; color c; } \
+         record Row { int a; Inner gone; int b; } format S { Row row; int tail; }",
+      fmt "record Row { int a; int b; } format S { Row row; int tail; }",
+      value
+        ~row:[ ("a", Value.Int 1); ("gone", sized_inner); ("b", Value.Int 2) ]
+        (),
+      16 );
+    ( "a kept length field with a Convert step",
+      fmt
+        (inner
+         ^ " record Row { int n; Inner gone; int xs[n]; } format S { Row row; int tail; }"),
+      fmt "record Row { uint n; int xs[n]; } format S { Row row; int tail; }",
+      value
+        ~row:
+          [ ("n", Value.Int 3);
+            ( "gone",
+              Value.record [ ("s", Value.String "xy"); ("c", Value.Enum ("blue", 2)) ] );
+            ("xs", Value.array_of_list [ Value.Int 7; Value.Int 8; Value.Int 9 ]) ]
+        (),
+      10 ) ]
+
+let test_nested_maps_agree_with_interp () =
+  (* each fused plan accepts exactly what the interpreter's decode accepts,
+     at every cut of the encoding and with an unknown enum in the record
+     it skips, and delivers Convert's value *)
+  List.iter
+    (fun (what, src, dst, v, enum_at) ->
+       both_endians (fun endian ->
+           let fused = Codec.compile_morph ~endian ~from_:src ~into:dst in
+           let agree where payload =
+             let staged =
+               match Codec.Interp.decode_payload ~endian src payload with
+               | d -> Some (Helpers.check_ok_err (Convert.convert ~from_:src ~into:dst d))
+               | exception Codec.Decode_error _ -> None
+             in
+             let got =
+               match Codec.morph_payload fused payload with
+               | x -> Some x
+               | exception Codec.Decode_error _ -> None
+             in
+             Alcotest.(check (option Helpers.value)) (what ^ where) staged got
+           in
+           let payload = Codec.Interp.encode_payload ~endian src v in
+           Alcotest.check Helpers.value what
+             (Helpers.check_ok_err (Convert.convert ~from_:src ~into:dst v))
+             (Codec.morph_payload fused payload);
+           for cut = 0 to String.length payload - 1 do
+             agree (Printf.sprintf ", cut at %d" cut) (String.sub payload 0 cut)
+           done;
+           let bad = Bytes.of_string payload in
+           (match endian with
+            | Codec.Little -> Bytes.set_int32_le bad enum_at 99l
+            | Codec.Big -> Bytes.set_int32_be bad enum_at 99l);
+           agree ", an unknown enum" (Bytes.to_string bad);
+           expect_decode_error (fun () -> Codec.morph_payload fused (Bytes.to_string bad))))
+    nested_cases
+
+let test_fused_keep_alloc_budget () =
+  (* the channel-keep morph of a 255-member ChannelOpenResponse: each
+     member is read in one pass into its record, with no state array *)
+  let keep =
+    Ptype.record "ChannelOpenResponse"
+      [ Ptype.field "channel" Ptype.string_; Ptype.field "member_count" Ptype.int_;
+        Ptype.field "member_list"
+          (Ptype.array_var "member_count" (Ptype.Record Echo.Wire_formats.member_v1)) ]
+  in
+  let payload =
+    Codec.Interp.encode_payload ~endian:Codec.Little Helpers.response_v2 (Helpers.sample_v2 255)
+  in
+  let m = Codec.compile_morph ~endian:Codec.Little ~from_:Helpers.response_v2 ~into:keep in
+  let words =
+    Helpers.alloc_per_call (fun () -> ignore (Codec.morph_payload m payload))
+    /. float_of_int (Sys.word_size / 8)
+  in
+  if words > 8_500. then
+    Alcotest.failf "the fused keep morph allocates %.0f words (budget 8,500)" words
+
 (* --- plan cache metrics --------------------------------------------------- *)
 
 (* A fresh context's plan cache, with the registry its compile, hit and
@@ -357,6 +466,10 @@ let suite =
       test_hostile_length_rejected_cheaply;
     Alcotest.test_case "truncated coalesced skips rejected" `Quick
       test_truncated_coalesced_skip_rejected;
+    Alcotest.test_case "nested maps agree with the interpreter" `Quick
+      test_nested_maps_agree_with_interp;
+    Alcotest.test_case "fused keep morph allocation budget" `Quick
+      test_fused_keep_alloc_budget;
     Alcotest.test_case "plan cache compiles once" `Quick test_plan_cache_compiles_once;
     Alcotest.test_case "fused plans cached" `Quick test_morph_plan_cached;
     Alcotest.test_case "lru keeps the hot format under churn" `Quick

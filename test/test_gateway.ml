@@ -717,6 +717,58 @@ let test_gateway_meta_xform_cap () =
 (* A chain of straight-line hops collapses into one fused plan: it
    delivers on the fused rung, and the parity check against the
    hop-by-hop transform stays clean. *)
+let test_gateway_tenant_formats_bounded () =
+  (* a sender pushing fresh formats without end: the tenant holds at most
+     256 of them, the least recently used go, an evicted fingerprint sheds
+     No_meta, and a re-push delivers again *)
+  let net = mk_net () in
+  let delivered = ref 0 in
+  let gw = G.create ~net (Contact.make "gw" 1) (fun _ -> incr delivered) in
+  let format i =
+    Ptype_dsl.format_of_string_exn
+      (if i = 0 then "format T { int a; }" else Printf.sprintf "format T { int a; int f%d; }" i)
+  in
+  let meta_of i = Meta.plain (format i) in
+  let push i =
+    let m = meta_of i in
+    G.handle_frame gw
+      (G.envelope ~tenant:1 ~fingerprint:(G.fingerprint m)
+         (Framing.Meta { format_id = i; meta = Meta.encode m }))
+  in
+  let data i =
+    let r = format i in
+    let v =
+      Value.record
+        (("a", Value.Int i) :: (if i = 0 then [] else [ (Printf.sprintf "f%d" i, Value.Int i) ]))
+    in
+    G.handle_frame gw
+      (G.envelope ~tenant:1 ~fingerprint:(G.fingerprint (meta_of i))
+         (Framing.Data { format_id = i; message = Wire.encode ~format_id:i r v }))
+  in
+  let pushes = 2_000 in
+  for i = 0 to pushes do
+    match push i with
+    | G.Onboarded -> ()
+    | _ -> Alcotest.failf "push %d was not onboarded" i
+  done;
+  let held = ref 0 in
+  for i = 0 to pushes do
+    match data i with
+    | G.Shed G.No_meta -> ()
+    | _ -> incr held
+  done;
+  ignore (Netsim.run net);
+  Alcotest.(check int) "the newest 256 formats are held" 256 !held;
+  Alcotest.(check int) "the rest shed for want of meta" (pushes + 1 - 256)
+    (G.stats gw).G.shed_no_meta;
+  Alcotest.(check int) "each held format delivers" 256 !delivered;
+  (* the first evolved format was evicted; pushed again, it delivers *)
+  Alcotest.(check bool) "evicted" true (data 1 = G.Shed G.No_meta);
+  Alcotest.(check bool) "re-pushed" true (push 1 = G.Onboarded);
+  ignore (data 1 : G.outcome);
+  ignore (Netsim.run net);
+  Alcotest.(check int) "delivered after the re-push" 257 !delivered
+
 let test_gateway_collapsed_chain_fuses () =
   let v0 = Ptype_dsl.format_of_string_exn "format Tick { int a; string b; }" in
   let v1 = Ptype_dsl.format_of_string_exn "format Tick { float a; string b; }" in
@@ -902,6 +954,8 @@ let suite =
       test_gateway_repush_fixed_fourth_hop;
     Alcotest.test_case "gateway: a push over the transformation cap is ignored" `Quick
       test_gateway_meta_xform_cap;
+    Alcotest.test_case "gateway: a tenant's formats are bounded" `Quick
+      test_gateway_tenant_formats_bounded;
     Alcotest.test_case "gateway: a straight-line chain delivers fused" `Quick
       test_gateway_collapsed_chain_fuses;
     Alcotest.test_case "gateway: 1k tenants at 3x with a schema-push storm" `Slow

@@ -1082,6 +1082,28 @@ let test_slots_alloc_flat () =
     Alcotest.failf "an alternating pair allocates %.0f B against %.0f B (A,A) and \
                     %.0f B (B,B)" ab aa bb
 
+let test_wire_delivery_alloc_budget () =
+  (* a steady-state wire delivery allocates its header record and its
+     value, and nothing planning could build: the header is read in place
+     and the outcome is the pipeline's own *)
+  let body = fmt "format A { int x; }" in
+  let message = Wire.encode ~format_id:1 body (Value.record [ ("x", Value.Int 3) ]) in
+  let header = Helpers.alloc_per_call ~reps:100 (fun () -> ignore (Codec.read_header message)) in
+  if header > 40. then Alcotest.failf "reading a header allocates %.0f B (budget 40)" header;
+  let r = Receiver.create () in
+  Receiver.register r body ignore;
+  let meta = Meta.plain body in
+  let per_delivery =
+    Helpers.alloc_per_call ~reps:100 (fun () ->
+        match Receiver.deliver_wire r meta message with
+        | Receiver.Delivered { via = Receiver.Exact; _ } -> ()
+        | o -> Alcotest.failf "expected exact delivery, got %a" Receiver.pp_outcome o)
+  in
+  (* 249 B; a header read through a cursor and a copy of the magic, and
+     an outcome built per delivery, would add 72 B *)
+  if per_delivery > 256. then
+    Alcotest.failf "an exact wire delivery allocates %.0f B (budget 256)" per_delivery
+
 let test_nan_default_plans_once () =
   (* a NaN float default equals itself, so decoded copies of its meta find
      the planned pipeline instead of planning (and caching) one each *)
@@ -1374,6 +1396,8 @@ let suite =
       test_slots_more_metas_than_slots;
     Alcotest.test_case "cache: delivery allocation flat in the meta" `Quick
       test_slots_alloc_flat;
+    Alcotest.test_case "a wire delivery allocates its header and value" `Quick
+      test_wire_delivery_alloc_budget;
     Alcotest.test_case "cache: nan default plans once" `Quick
       test_nan_default_plans_once;
     Alcotest.test_case "cache: pipeline table bounded at 512" `Quick

@@ -294,6 +294,34 @@ let test_framing_decode_result () =
        | Error e -> Alcotest.failf "rejected a well-formed frame: %s" (Pbio.Err.to_string e))
     frames
 
+let test_framing_envelopes_in_place () =
+  (* a Reliable(Traced(Described(Data))) frame round-trips, every strict
+     prefix of it is an error, and its decode copies the leaf's body once:
+     each envelope's inner frame is parsed where it lies in the frame *)
+  let message = String.make 9_000 'm' in
+  let f =
+    Framing.Reliable
+      { seq = 7;
+        frame =
+          Framing.Traced
+            { trace_id = 11; parent_span = 3;
+              frame =
+                Framing.Described
+                  { tenant = 4; fingerprint = 99; deadline_ns = 5;
+                    frame = Framing.Data { format_id = 2; message } } } }
+  in
+  let enc = Framing.encode f in
+  Alcotest.(check bool) "roundtrip" true (Helpers.check_ok_err (Framing.decode enc) = f);
+  for n = 0 to String.length enc - 1 do
+    match Framing.decode (String.sub enc 0 n) with
+    | Ok _ -> Alcotest.failf "accepted a %d-byte prefix" n
+    | Error _ -> ()
+  done;
+  let per_decode = Helpers.alloc_per_call (fun () -> ignore (Framing.decode enc)) in
+  if per_decode > float_of_int (String.length message + 256) then
+    Alcotest.failf "decoding a %d-byte body in three envelopes allocates %.0f B"
+      (String.length message) per_decode
+
 let test_framing_garbage_kinds () =
   (* an unknown kind byte with an otherwise plausible header is an error *)
   List.iter
@@ -682,6 +710,8 @@ let suite =
     Alcotest.test_case "framing: truncated frames are errors" `Quick
       test_framing_decode_result;
     Alcotest.test_case "framing: garbage kind bytes" `Quick test_framing_garbage_kinds;
+    Alcotest.test_case "framing: envelopes decode in place" `Quick
+      test_framing_envelopes_in_place;
     Alcotest.test_case "framing: traced envelope" `Quick test_framing_traced;
     Alcotest.test_case "conn: meta pushed once" `Quick test_conn_meta_sent_once;
     Alcotest.test_case "conn: meta carries transformations" `Quick
