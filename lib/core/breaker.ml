@@ -80,8 +80,3 @@ let record_failure t ~now =
   | Half_open -> trip ()
   | Closed when t.consecutive_failures >= t.threshold -> trip ()
   | Closed | Open -> false
-
-let reset t =
-  t.state <- Closed;
-  t.consecutive_failures <- 0;
-  t.opened_at <- neg_infinity

@@ -44,6 +44,3 @@ val consecutive_failures : t -> int
 
 (** Times the breaker tripped open over its lifetime. *)
 val trips : t -> int
-
-(** Force the breaker closed and clear the failure streak. *)
-val reset : t -> unit

@@ -16,9 +16,9 @@ type t = {
   specs : Xform.spec list;
   target : Ptype.record;
   ctx : Ctx.t; (* its cache compiles the wire closures; its registry records *)
-  map : Codec.field_map option;
-  (* a collapsed chain's composed map, compiled per plan; a structural
-     fused plan takes the by-name morpher from the cache *)
+  map : Codec.checked option;
+  (* a collapsed chain's composed and checked map, compiled per plan; a
+     structural fused plan takes the by-name morpher from the cache *)
   mutable transform : (Value.t -> Value.t) option;
   (* what a staged plan runs after its decode; a fused plan's morpher
      converts on its own, so it builds this on the first [transform] *)
@@ -31,7 +31,7 @@ let compile_wire p endian =
   match p.kind, p.map with
   | Fused, None -> Morph (Codec.morpher_in cache ~endian ~from_:p.source ~into:p.target)
   | Fused, Some map ->
-    Morph (Codec.compile_map_in cache ~endian ~from_:p.source ~into:p.target map)
+    Morph (Codec.compile_map_in cache ~endian map)
   | Staged, _ -> Decode (Codec.decoder_for ~cache ~endian p.source)
 
 let make ~ctx ~kind ~source ~specs ~target ?map transform =

@@ -9,7 +9,9 @@
     first message in that order.  A structural plan's closure comes from
     that context's codec cache (users of one context share compiled
     code); a collapsed chain's is compiled for the plan alone, timed into
-    the same cache's registry.  Later messages consult no cache.
+    the same cache's registry, from a map checked when the plan was
+    compiled, so compiling it cannot fail.  Later messages consult no
+    cache.
     The Ecode hops and structural conversions the plan compiles are
     recorded into the context's registry ([ecode.*], [convert.*]; the
     [convert] = [compiled] trace attribute).  A plan is used by one
@@ -19,7 +21,8 @@ open Pbio
 
 (** [Fused] decodes straight into the target layout; [Staged] decodes the
     sender's value tree, then transforms it.  A chain of straight-line
-    hops fuses too: collapsed into one field map ({!Xform.collapse}). *)
+    hops fuses too: collapsed into one checked field map
+    ({!Xform.collapse}). *)
 type kind = Fused | Staged
 
 type t
@@ -30,10 +33,11 @@ type t
     builds its value-tree conversion on the first {!transform}.  With hops
     it compiles them (with [engine], default compiled closures), then a
     structural conversion from their last target into [target] unless
-    that is the same format.  When every hop is straight-line moves, the
-    hops and the conversion collapse into one field map and the plan is
-    [Fused]: a wire message decodes straight into [target] (never with
-    the interpreted engine).  Any other chain is [Staged].  A hop that
+    that is the same format.  When every hop is straight-line stores, the
+    hops and the conversion collapse into one field map and, when
+    {!Pbio.Codec.check_map} accepts it, the plan is [Fused]: a wire
+    message decodes straight into [target] (never with the interpreted
+    engine).  Any other chain is [Staged].  A hop that
     fails to compile is the error. *)
 val compile :
   ?engine:Xform.engine ->

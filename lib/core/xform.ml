@@ -15,8 +15,8 @@ type compiled = {
   source : Ptype.record;
   spec : spec;
   run : Value.t -> Value.t;
-  moves : Ecode.move list option;
-  (* the hop's typed body as moves, when it is straight-line stores; the
+  hop : Ecode.hop option;
+  (* the hop as a field map, when it is straight-line stores; the
      interpreted engine keeps none *)
 }
 
@@ -40,7 +40,7 @@ let compile ?(engine = Compiled) ?ctx ~(source : Ptype.record) (spec : spec) :
       (`Xform
         (Fmt.str "transformation %s -> %s: %s"
            source.Ptype.rname spec.target.Ptype.rname e))
-  | Ok (run, moves) -> Ok { source; spec; run; moves }
+  | Ok (run, hop) -> Ok { source; spec; run; hop }
 
 (* The formats a meta's transformations reach from its body, including
    multi-hop chains: a spec whose source is a previously reachable format
@@ -89,29 +89,17 @@ let run_chain (hops : compiled list) : Value.t -> Value.t =
 (* --- collapse ------------------------------------------------------------- *)
 
 (* What one field of a chain format holds, as a function of the source
-   message: source field [i] through [steps], a constant, an array a loop
-   built from a source array, or the length field of such an array, which
-   only a length sync writes and nothing may read. *)
-type held =
-  | Src of int * Codec.step list
-  | Val of Value.t
-  | Each of Codec.each
-  | Count
+   message: a slot over the source, or [None] for the length field of an
+   array a loop built, which only a length sync writes and nothing may
+   read. *)
+type held = Codec.slot option
 
 exception Fallback
 
-let first_index (fields : Ptype.field array) name =
-  let rec go i =
-    if i >= Array.length fields then None
-    else if fields.(i).Ptype.fname = name then Some i
-    else go (i + 1)
-  in
-  go 0
-
 (* The position of variable array [i]'s length field. *)
-let length_field (fields : Ptype.field array) i =
-  match fields.(i).Ptype.ftype with
-  | Ptype.Array { size = Length_field n; _ } -> first_index fields n
+let length_field (r : Ptype.record) i =
+  match (List.nth r.fields i).Ptype.ftype with
+  | Ptype.Array { size = Length_field n; _ } -> Ptype.field_index r n
   | Basic _ | Record _ | Array _ -> None
 
 (* Steps that keep an array length as it is: lengths are non-negative and
@@ -120,105 +108,45 @@ let same_count = function
   | Codec.Coerce (_, (Coerce.To_int | To_uint)) -> true
   | Coerce _ | Convert _ -> false
 
-let coerce_steps cs = List.map (fun (from, co) -> Codec.Coerce (from, co)) cs
-
 (* Whether [h] holds source array [i]'s length field, which precedes the
    array, so [h] counts the array's decoded elements. *)
-let counted src_fields i (h : held) =
+let counted source i (h : held) =
   match h with
-  | Src (im, steps) ->
-    Some im = length_field src_fields i && im < i && List.for_all same_count steps
-  | Val _ | Each _ | Count -> false
+  | Some (Take (im, steps)) ->
+    Some im = length_field source i && im < i && List.for_all same_count steps
+  | Some (Const _ | Each _) | None -> false
 
-(* The source array a loop runs over: the loop's array must still be a
-   source array and its bound must still count that array's elements, so
-   the loop runs once per decoded element. *)
-let loop_array src_fields (input : held array) (e : Ecode.each) =
-  match input.(e.array) with
-  | Src (a, []) when counted src_fields a input.(e.count) -> a
-  | Src _ | Val _ | Each _ | Count -> raise Fallback
+(* Whether a loop over [array] bounded by [bound] runs once per element of
+   what [array] holds: a source array its bound still counts, or a
+   constant array whose bound holds its length. *)
+let loop_runs source (input : held array) (bound, array) =
+  match input.(array), input.(bound) with
+  | Some (Const (Value.Array { len; _ })), Some (Const (Value.Int n | Value.Uint n)) -> n = len
+  | Some (Take (a, [])), h -> counted source a h
+  | _ -> false
 
-(* A loop's element map over what its input holds: target element fields
-   start as the element default, then take the loop's element moves.  The
-   map reads source records and builds target records; a loop over an
-   array of anything else falls back. *)
-let element_map src_fields (input : held array) (elem_fmt : Ptype.t) (e : Ecode.each) fill :
-  Codec.each =
-  let array = loop_array src_fields input e in
-  match src_fields.(array).Ptype.ftype, elem_fmt with
-  | Ptype.Array { elem = Record _; _ }, Ptype.Record r ->
-    let elem =
-      Array.map (fun (en : Value.entry) -> Codec.Const en.Value.v)
-        (Value.entries (Value.default_record r))
-    in
-    List.iter
-      (fun ({ dst; rhs } : Ecode.move) ->
-         elem.(dst) <-
-           (match rhs with
-            | Ecode.Read (g, cs) -> Codec.Take (g, coerce_steps cs)
-            | Const v -> Codec.Const v
-            | Each _ -> raise Fallback))
-      fill;
-    { Codec.array; guard = Option.map (fun (p, cs) -> (p, coerce_steps cs)) e.guard; elem }
-  | _ -> raise Fallback
-
-(* One hop's stores over what its input fields hold.  Every field starts
-   as the hop's output default; a later store to a field wins.  A store
-   whose coercions can fail (into an enum) becomes a check, so it fails
-   the message in the same order even when no target field keeps it.  A
-   built array moves whole; its count and any other use of it fall back. *)
-let run_moves src_fields (input : held array) (out_fmt : Ptype.record) (moves : Ecode.move list)
-    checks =
-  let out =
-    Array.map (fun (e : Value.entry) -> Val e.Value.v)
-      (Value.entries (Value.default_record out_fmt))
-  in
-  let checks =
-    List.fold_left
-      (fun checks ({ dst; rhs } : Ecode.move) ->
-         match rhs with
-         | Ecode.Const v ->
-           out.(dst) <- Val v;
-           checks
-         | Each ({ fill = None; guard = None; _ } as e) ->
-           (* each element copied whole: the array itself, when the bound
-              counts its elements *)
-           out.(dst) <-
-             (match input.(e.array), input.(e.count) with
-              | Val (Value.Array { len; _ } as v), Val (Value.Int n | Value.Uint n) when n = len ->
-                Val v
-              | _ -> Src (loop_array src_fields input e, []));
-           checks
-         | Each ({ fill = Some fill; _ } as e) ->
-           let elem_fmt =
-             match (List.nth out_fmt.fields dst).Ptype.ftype with
-             | Ptype.Array { elem; _ } -> elem
-             | Basic _ | Record _ -> raise Fallback
-           in
-           out.(dst) <- Each (element_map src_fields input elem_fmt e fill);
-           checks
-         | Each { fill = None; guard = Some _; _ } -> raise Fallback
-         | Read (g, cs) ->
-           (match input.(g) with
-            | Val v ->
-              let v =
-                List.fold_left (fun v (from, co) -> Coerce.compile ~from co v) v cs
-              in
-              out.(dst) <- Val v;
-              checks
-            | Src (i, steps) ->
-              let steps = steps @ coerce_steps cs in
-              out.(dst) <- Src (i, steps);
-              if List.exists (function _, Coerce.To_enum _ -> true | _ -> false) cs then
-                (i, steps) :: checks
-              else checks
-            | Each e when cs = [] ->
-              out.(dst) <- Each e;
-              checks
-            | Each _ | Count -> raise Fallback))
-      checks moves
-  in
-  (out, checks)
+(* One slot of a hop's map over what its input fields hold: a read takes
+   the held slot through its own steps, at plan time when that is a
+   constant; a built array moves whole; an element map must still read a
+   source array.  Anything else falls back. *)
+let substitute (input : held array) : Codec.slot -> Codec.slot = function
+  | Const _ as c -> c
+  | Take (g, steps) ->
+    (match input.(g), steps with
+     | Some (Const v), _ ->
+       Const
+         (List.fold_left
+            (fun v -> function
+               | Codec.Coerce (from, co) -> Coerce.compile ~from co v
+               | Convert _ -> raise Fallback)
+            v steps)
+     | Some (Take (i, s)), _ -> Take (i, s @ steps)
+     | Some (Each _ as e), [] -> e
+     | Some (Each _), _ :: _ | None, _ -> raise Fallback)
+  | Each e ->
+    (match input.(e.array) with
+     | Some (Take (a, [])) -> Each { e with array = a }
+     | Some (Take _ | Const _ | Each _) | None -> raise Fallback)
 
 (* The hop's closing [Value.compile_sync], at plan time.  Constants take
    the values the sync leaves them with: it runs over a stand-in whose
@@ -226,12 +154,12 @@ let run_moves src_fields (input : held array) (out_fmt : Ptype.record) (moves : 
    source must come with its length field, from the source array's own
    length field, which precedes it, so the two still agree and the sync
    has nothing to do; a constant array fixes its length field to a
-   constant.  A built array's length field becomes [Count]; one built
+   constant.  A built array's length field becomes [None]; one built
    from every element of a source array keeps that array's length field
    when it holds it.  Anything else falls back.  (A record or array taken
    whole from the source agrees with its inner length fields, as the wire
    decoded it.) *)
-let sync_hop (src_fields : Ptype.field array) (fmt : Ptype.record) (out : held array) =
+let sync_hop source (fmt : Ptype.record) (out : held array) =
   let fields = Array.of_list fmt.fields in
   let stand_in =
     Value.Record
@@ -240,26 +168,26 @@ let sync_hop (src_fields : Ptype.field array) (fmt : Ptype.record) (out : held a
             { Value.name = f.fname;
               v =
                 (match out.(j) with
-                 | Val v -> Value.copy v
-                 | Src _ | Each _ | Count -> Value.default f.ftype) })
+                 | Some (Const v) -> Value.copy v
+                 | Some (Take _ | Each _) | None -> Value.default f.ftype) })
          fields)
   in
   Value.sync_lengths fmt stand_in;
   let es = Value.entries stand_in in
   Array.iteri
-    (fun j h -> match h with Val _ -> out.(j) <- Val es.(j).v | Src _ | Each _ | Count -> ())
+    (fun j (h : held) -> match h with Some (Const _) -> out.(j) <- Some (Const es.(j).v) | _ -> ())
     out;
   Array.iteri
     (fun j (f : Ptype.field) ->
        match f.ftype with
        | Ptype.Array { size = Length_field n; _ } ->
-         let jn = match first_index fields n with Some jn -> jn | None -> raise Fallback in
+         let jn = match Ptype.field_index fmt n with Some jn -> jn | None -> raise Fallback in
          (match out.(j) with
-          | Val _ -> out.(jn) <- Val es.(jn).v
-          | Src (i, []) -> if not (counted src_fields i out.(jn)) then raise Fallback
-          | Each { array; guard = None; _ } when counted src_fields array out.(jn) -> ()
-          | Each _ -> out.(jn) <- Count
-          | Src _ | Count -> raise Fallback)
+          | Some (Const _) -> out.(jn) <- Some (Const es.(jn).v)
+          | Some (Take (i, [])) -> if not (counted source i out.(jn)) then raise Fallback
+          | Some (Each { array; guard = None; _ }) when counted source array out.(jn) -> ()
+          | Some (Each _) -> out.(jn) <- None
+          | Some (Take _) | None -> raise Fallback)
        | Basic _ | Record _ | Array _ -> ())
     fields
 
@@ -272,12 +200,12 @@ let convert_slots (endpoint : Ptype.record) (held : held array) (target : Ptype.
   Array.of_list
     (List.map
        (fun (f : Ptype.field) ->
-          match first_index fields f.fname with
+          match Ptype.field_index endpoint f.fname with
           | Some k when Convert.convertible fields.(k).Ptype.ftype f.ftype ->
             let from = fields.(k).Ptype.ftype in
             (match held.(k) with
-             | Val v -> Codec.Const (Option.get (Convert.compile_type from f.ftype) v)
-             | Src (i, steps) ->
+             | Some (Const v) -> Codec.Const (Option.get (Convert.compile_type from f.ftype) v)
+             | Some (Take (i, steps)) ->
                (* equal basic types convert by the identity; equal records
                   and arrays are rebuilt, fixed sizes included *)
                let identity =
@@ -286,24 +214,39 @@ let convert_slots (endpoint : Ptype.record) (held : held array) (target : Ptype.
                  | Record _ | Array _ -> false
                in
                Codec.Take (i, if identity then steps else steps @ [ Codec.Convert (from, f.ftype) ])
-             | Each _ | Count -> raise Fallback)
+             | Some (Each _) | None -> raise Fallback)
           | Some _ | None -> Codec.Const (Convert.field_default f ()))
        target.fields)
 
 let collapse ~(source : Ptype.record) (hops : compiled list) ~(target : Ptype.record) :
-  Codec.field_map option =
-  let src_fields = Array.of_list source.fields in
+  Codec.checked option =
   match
     let held, checks =
       List.fold_left
         (fun (held, checks) (h : compiled) ->
-           match h.moves with
+           match h.hop with
            | None -> raise Fallback
-           | Some moves ->
-             let out, checks = run_moves src_fields held h.spec.target moves checks in
-             sync_hop src_fields h.spec.target out;
-             (out, checks))
-        (Array.mapi (fun i _ -> Src (i, [])) src_fields, [])
+           | Some { Ecode.map; loops } ->
+             (* every loop, also one whose list a later store overwrote:
+                the hop-by-hop chain still runs it; and every element map
+                fits the hop's own formats, also one a later hop drops (a
+                map without loops has none, and fits) *)
+             if not (List.for_all (loop_runs source held) loops) then raise Fallback;
+             let fits () = Result.is_ok (Codec.check_map ~from_:h.source ~into:h.spec.target map) in
+             if loops <> [] && not (fits ()) then raise Fallback;
+             let out = Array.map (fun s -> Some (substitute held s)) map.slots in
+             (* a check over a constant ran at plan time *)
+             let hop_checks =
+               List.filter_map
+                 (fun (g, steps) ->
+                    match substitute held (Take (g, steps)) with
+                    | Take (i, steps) -> Some (i, steps)
+                    | Const _ | Each _ -> None)
+                 map.checks
+             in
+             sync_hop source h.spec.target out;
+             (out, checks @ hop_checks))
+        (Array.init (List.length source.fields) (fun i -> Some (Codec.Take (i, []))), [])
         hops
     in
     let endpoint = List.fold_left (fun _ (h : compiled) -> h.spec.target) source hops in
@@ -311,20 +254,18 @@ let collapse ~(source : Ptype.record) (hops : compiled list) ~(target : Ptype.re
       if Ptype.equal_record endpoint target then
         Array.mapi
           (fun j -> function
-             | Src (i, steps) -> Codec.Take (i, steps)
-             | Val v -> Codec.Const v
-             | Each e -> Codec.Each e
-             | Count ->
+             | Some s -> s
+             | None ->
                (* any value of the field's type: the plan's closing sync
                   writes the count *)
                Codec.Const (Value.default (List.nth target.fields j).Ptype.ftype))
           held
       else convert_slots endpoint held target
     in
-    { Codec.slots; checks = List.rev checks }
+    Codec.check_map ~from_:source ~into:target { slots; checks }
   with
-  | map -> Some map
-  | exception (Fallback | Value.Type_error _ | Coerce.Runtime_error _) ->
+  | Ok map -> Some map
+  | Error _ | (exception (Fallback | Value.Type_error _ | Coerce.Runtime_error _)) ->
     (* a hop that fails at plan time (a constant its coercion rejects, a
        default its format cannot hold) fails every message: it runs *)
     None

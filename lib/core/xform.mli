@@ -1,6 +1,8 @@
 (** Retro-transformations: the Ecode snippets a writer associates with a
     new format so receivers can convert messages into older formats
-    (paper, Figure 1). *)
+    (paper, Figure 1).  A compiled hop keeps its closure and, when it is
+    straight-line stores, its field map; {!collapse} composes a chain of
+    such maps by substitution into one map the codec compiles. *)
 
 open Pbio
 
@@ -16,8 +18,8 @@ type compiled = {
   source : Ptype.record;
   spec : spec;
   run : Value.t -> Value.t;
-  moves : Ecode.move list option;
-      (** the hop's typed body as moves ({!Ecode.compile_hop}) when it is
+  hop : Ecode.hop option;
+      (** the hop as a field map ({!Ecode.compile_hop}) when it is
           straight-line stores; always [None] from the interpreter *)
 }
 
@@ -59,24 +61,27 @@ val run_chain : compiled list -> Value.t -> Value.t
 
 (** Compose straight-line hops from [source] messages, and a final
     structural conversion into [target] unless that is the last hop's
-    target, into one field map: each target field is a source field
-    through every coercion its hops apply, in order, then the conversion;
-    or a constant, the hop's default or stored constant coerced at plan
-    time.  Stores whose coercions can fail become the map's checks, in
-    the order the hops run them.  A Figure 5 loop ({!Ecode.compile_hop})
-    collapses when its array is still a source array whose length field
-    precedes it and its bound still holds that field: one that only
-    copies each element whole is that array, and any other becomes an
-    element map ({!Codec.each}) when the array holds records.  A later
-    hop may move a built array whole, but reading its count or looping
-    over it again falls back, as does a final conversion that takes
-    either.  [None] (fall back to running the hops)
-    when a hop has no moves — other loops, branches, calls, arithmetic,
-    the interpreted engine — when a plan-time coercion raises, or when a
-    hop's length sync could change a value: a variable array must come
-    with its length field from a matching source pair. *)
+    target, into one checked field map.  The chain state is one slot per
+    field of the current format, over the source; each hop's map
+    ({!Ecode.compile_hop}) is substituted into it: a read becomes the
+    slot it reads through the hop's coercions, run at plan time on a
+    constant.  The hops' checks follow, in the order the hops run them.
+    A Figure 5 loop collapses when its array still holds a source array
+    whose length field precedes it and its bound still holds that field
+    (or a constant array and its length): a whole-element copy is that
+    array, and an element map reads it.  A later hop may move a built
+    array whole, but reading its count or looping over it again falls
+    back, as does a final conversion that takes either.
+    {!Codec.check_map} checks each hop's map over the hop's formats when
+    the hop has loops, so an element map a later hop drops must fit too,
+    and last the composed map.  [None] (fall back to
+    running the hops) when a hop has no map — other loops, branches,
+    calls, arithmetic, the interpreted engine — when a plan-time coercion
+    raises, when a hop's length sync could change a value (a variable
+    array must come with its length field from a matching source pair),
+    or when the check refuses a map. *)
 val collapse :
-  source:Ptype.record -> compiled list -> target:Ptype.record -> Codec.field_map option
+  source:Ptype.record -> compiled list -> target:Ptype.record -> Codec.checked option
 
 (** Validate without keeping the compiled form: writers call this at
     registration time so broken snippets fail at the sender, not at some

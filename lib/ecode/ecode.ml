@@ -78,21 +78,9 @@ let compile_typed ?(ctx = Ctx.default) ~(params : (string * Ptype.t) list) (src 
    order. *)
 let compile ?ctx ~params src = Result.map snd (compile_typed ?ctx ~params src)
 
-type rhs =
-  | Read of int * (Ptype.t * Coerce.t) list
-  | Const of Value.t
-  | Each of each
-
-and each = {
-  array : int;
-  count : int;
-  guard : (int * (Ptype.t * Coerce.t) list) option;
-  fill : move list option;
-}
-
-and move = {
-  dst : int;
-  rhs : rhs;
+type hop = {
+  map : Codec.field_map;
+  loops : (int * int) list;
 }
 
 (* What a top-level int local holds where the loop recogniser reads it: a
@@ -105,67 +93,73 @@ type local =
 
 exception Staged
 
-(* [e] as a read that [read] recognises, under the checker's coercions,
-   or a constant, coerced now (a constant its coercion rejects fails every
-   message, so it is no move). *)
-let rec rhs read (e : Typecheck.texpr) =
+(* [e] as a slot: a read that [read] recognises, under the checker's
+   coercions, or a constant, coerced now (a constant its coercion rejects
+   fails every message, so it is no slot). *)
+let rec slot_of read (e : Typecheck.texpr) : Codec.slot option =
   match read e with
-  | Some g -> Some (Read (g, []))
+  | Some g -> Some (Codec.Take (g, []))
   | None ->
     (match e.n with
-     | Tconst v -> Some (Const v)
+     | Tconst v -> Some (Codec.Const v)
      | Tcoerce (co, a) ->
-       (match rhs read a with
-        | Some (Read (g, cs)) -> Some (Read (g, cs @ [ (a.ty, co) ]))
+       (match slot_of read a with
+        | Some (Take (g, steps)) -> Some (Codec.Take (g, steps @ [ Codec.Coerce (a.ty, co) ]))
         | Some (Const v) ->
           (match Coerce.compile ~from:a.ty co v with
-           | v -> Some (Const v)
+           | v -> Some (Codec.Const v)
            | exception (Coerce.Runtime_error _ | Value.Type_error _) -> None)
         | Some (Each _) | None -> None)
      | _ -> None)
+
+(* Whether [steps] can fail: a coercion into an enum can. *)
+let can_fail steps =
+  List.exists (function Codec.Coerce (_, Coerce.To_enum _) -> true | _ -> false) steps
 
 (* [new.g]; [new] and [old] are parameters 0 and 1 *)
 let top_read (e : Typecheck.texpr) =
   match e.n with Tfield ({ n = Tparam 0; _ }, g) -> Some g | _ -> None
 
-(* A hop's typed body as stores, when it is nothing else: top-level
-   stores [old.f = e;] with [e] a read [new.g] or a constant, int locals
-   set to constants, and Figure 5's loops [for (i = 0; i < new.N; i++)]
-   over the source's array [A].  Such a loop builds target arrays nothing
-   stored into before: [old.B[i].f = new.A[i].g;] appends one [B] element
-   per [A] element, and one guarded append per target, [if (new.A[i].p) {
-   old.C[k].f = new.A[i].g; ...; k++; }] with [k] a counter at 0, one [C]
-   element per [A] element whose [p] is non-zero.  Each becomes an element
-   map ([Each]), with no [fill] for a lone whole-element copy
-   [old.B[i] = new.A[i];] under no coercion.  After the loop, [k] may only
-   be stored into [C]'s length field, which the hop's closing sync
-   rewrites anyway.  Element stores read fields of [A]'s element under
-   coercions that cannot fail; a coercion into an enum, an [else], any
-   other statement or any other use of [i], [k] or [old] keeps the hop
-   staged.  Whether [N] is [A]'s length field and precedes it, so a
-   decoded [A] has exactly [N] elements, is [Xform.collapse]'s to check:
-   a chain may have changed either by then. *)
-let moves_of (prog : Typecheck.tprog) : move list option =
+(* Every field of [r] as its default, for stores to overwrite. *)
+let defaults (r : Ptype.record) =
+  Array.map
+    (fun (e : Value.entry) -> Codec.Const e.Value.v)
+    (Value.entries (Value.default_record r))
+
+(* A hop's typed body as a field map over [new] into [dst], when it is
+   nothing else: top-level stores [old.f = e;] with [e] a read [new.g] or
+   a constant, int locals set to constants, and Figure 5's loops [for (i
+   = 0; i < new.N; i++)] over the source's array [A].  Each field starts
+   as [dst]'s default and the last store wins; a store whose coercion can
+   fail (into an enum) is also a check, so it fails the message even when
+   a later store overwrites its field.  Such a loop builds target arrays
+   nothing stored into before: [old.B[i].f = new.A[i].g;] appends one [B]
+   element per [A] element, and one guarded append per target, [if
+   (new.A[i].p) { old.C[k].f = new.A[i].g; ...; k++; }] with [k] a
+   counter at 0, one [C] element per [A] element whose [p] is non-zero.
+   Each becomes an element map ([Each]); a lone whole-element copy
+   [old.B[i] = new.A[i];] under no coercion is [A] itself.  After the
+   loop, [k] may only be stored into [C]'s length field, which the hop's
+   closing sync rewrites anyway.  Element stores and guards coerce into
+   no enum: an element map has no checks, so a failing store a later
+   store overwrites, in the element or over the whole list, would fail
+   no message.  Such a coercion, any other statement or any other use of
+   [i], [k] or [old] keeps the hop staged.  Whether [N] is [A]'s length
+   field and precedes it, so a decoded [A] has exactly [N] elements, is
+   [Xform.collapse]'s to check: a chain may have changed either by then,
+   so each loop's (N, A) travels beside the map. *)
+let hop_of (dst : Ptype.record) (prog : Typecheck.tprog) : hop option =
   let open Typecheck in
-  let dst =
-    match prog.params with
-    | [ _; (_, Ptype.Record d) ] -> Array.of_list d.fields
-    | _ -> [||]
-  in
+  let fields = Array.of_list dst.fields in
   (* the position of target variable array [i]'s length field *)
   let length_field i =
-    match dst.(i).Ptype.ftype with
-    | Ptype.Array { size = Length_field n; _ } ->
-      let rec go j =
-        if j >= Array.length dst then None
-        else if dst.(j).Ptype.fname = n then Some j
-        else go (j + 1)
-      in
-      go 0
+    match fields.(i).Ptype.ftype with
+    | Ptype.Array { size = Length_field n; _ } -> Ptype.field_index dst n
     | Basic _ | Record _ | Array _ -> None
   in
+  let slots = defaults dst and checks = ref [] and loops = ref [] in
   let locals = Array.make prog.nlocals Spent in
-  let written = Array.make (Array.length dst) false in
+  let written = Array.make (Array.length fields) false in
   (* [l = c;] for an int local, as a declaration initialises it *)
   let rec constants = function
     | TSexpr
@@ -182,7 +176,7 @@ let moves_of (prog : Typecheck.tprog) : move list option =
   (* [old.d = k;] where [k] counts a loop's appends to the array [d] is the
      length field of: the hop's sync writes the same count *)
   let count_store d (e : texpr) =
-    match e.n, dst.(d).Ptype.ftype with
+    match e.n, fields.(d).Ptype.ftype with
     | (Tlocal k | Tcoerce (To_uint, { n = Tlocal k; _ })), Basic (Int | Uint) ->
       (match locals.(k) with
        | Count_of c -> length_field c = Some d
@@ -236,7 +230,6 @@ let moves_of (prog : Typecheck.tprog) : move list option =
     let elem_read (e : texpr) =
       match e.n with Tfield (x, g) when elem x -> Some g | _ -> None
     in
-    let no_enum = List.for_all (function _, Coerce.To_enum _ -> false | _ -> true) in
     (* one store [old.t[x].f = e;] or [old.t[x] = e;]: the target array and
        what the store fills, [`Whole] a bare copy of the element *)
     let store x (s : tstmt) =
@@ -245,39 +238,28 @@ let moves_of (prog : Typecheck.tprog) : move list option =
           { n =
               Tassign
                 ( { base = Lbase_param 1;
-                    steps = Sfield t :: Sindex ({ n = Tlocal y; _ }, ety) :: rest;
+                    steps = Sfield t :: Sindex ({ n = Tlocal y; _ }, _) :: rest;
                     _ },
                   e );
             _ }
         when y = x ->
         (match rest with
-         | [] when elem e -> (t, `Whole ety)
+         | [] when elem e -> (t, `Whole)
          | [ Sfield f ] ->
-           (match rhs elem_read e with
-            | Some (Read (_, cs) as rhs) when no_enum cs -> (t, `Move { dst = f; rhs })
-            | Some (Const _ as rhs) -> (t, `Move { dst = f; rhs })
-            | Some (Read _ | Each _) | None -> raise Staged)
+           (match slot_of elem_read e with
+            | Some (Take (_, steps)) when can_fail steps -> raise Staged
+            | Some s -> (t, `Move (f, s))
+            | None -> raise Staged)
          | _ -> raise Staged)
       | _ -> raise Staged
-    in
-    (* a target's stores as element moves; a bare copy of a record element
-       moves every field *)
-    let fill stores =
-      List.concat_map
-        (function
-          | `Move m -> [ m ]
-          | `Whole (Ptype.Record r) ->
-            List.mapi (fun f _ -> { dst = f; rhs = Read (f, []) }) r.Ptype.fields
-          | `Whole (Ptype.Basic _ | Array _) -> raise Staged)
-        stores
     in
     (* [if (guard) { stores; k++; }]: the target, [k], the guard and the
        stores *)
     let append g ss =
       let guard =
-        match rhs elem_read g with
-        | Some (Read (p, cs)) when no_enum cs -> (p, cs)
-        | Some (Read _ | Const _ | Each _) | None -> raise Staged
+        match slot_of elem_read g with
+        | Some (Take (p, steps)) when not (can_fail steps) -> (p, steps)
+        | Some (Take _ | Const _ | Each _) | None -> raise Staged
       in
       match List.rev ss with
       | TSexpr incr :: (_ :: _ as rev_stores) ->
@@ -317,53 +299,69 @@ let moves_of (prog : Typecheck.tprog) : move list option =
     List.iter (fun k -> if locals.(k) <> Known 0 then raise Staged) counters;
     locals.(i) <- Spent;
     List.iter (fun (c, k, _, _) -> locals.(k) <- Count_of c) guarded;
-    let each ?guard fill = Each { array = a; count; guard; fill } in
-    List.map
+    (* target [t]'s element map: each element field its default, then the
+       stores; a bare copy of the element takes every field *)
+    let each ?guard t stores =
+      match fields.(t).Ptype.ftype with
+      | Ptype.Array { elem = Record r; _ } ->
+        let elem = defaults r in
+        List.iter
+          (function
+            | `Move (f, s) -> elem.(f) <- s
+            | `Whole -> Array.iteri (fun f _ -> elem.(f) <- Codec.Take (f, [])) elem)
+          stores;
+        Codec.Each { array = a; guard; elem }
+      | Basic _ | Record _ | Array _ -> raise Staged
+    in
+    loops := (count, a) :: !loops;
+    List.iter
       (fun (t, stores) ->
-         match stores with
-         | [ `Whole _ ] -> { dst = t; rhs = each None }
-         | _ -> { dst = t; rhs = each (Some (fill stores)) })
-      plain
-    @ List.map
-        (fun (c, _, guard, stores) -> { dst = c; rhs = each ~guard (Some (fill stores)) })
-        guarded
+         slots.(t) <- (match stores with [ `Whole ] -> Codec.Take (a, []) | _ -> each t stores))
+      plain;
+    List.iter (fun (c, _, guard, stores) -> slots.(c) <- each ~guard c stores) guarded
   in
-  let rec go acc = function
-    | [] -> List.rev acc
-    | TSnop :: rest -> go acc rest
+  let rec go = function
+    | [] -> ()
+    | TSnop :: rest -> go rest
     | TSexpr { n = Tassign ({ base = Lbase_param 1; steps = [ Sfield d ]; _ }, e); _ } :: rest ->
-      (match rhs top_read e with
-       | Some rhs ->
+      (match slot_of top_read e with
+       | Some s ->
          written.(d) <- true;
-         go ({ dst = d; rhs } :: acc) rest
-       | None when count_store d e -> go acc rest
+         slots.(d) <- s;
+         (match s with
+          | Take (g, steps) when can_fail steps -> checks := (g, steps) :: !checks
+          | Take _ | Const _ | Each _ -> ());
+         go rest
+       | None when count_store d e -> go rest
        | None -> raise Staged)
     | TSfor (init, cond, step, body) :: rest ->
-      go (List.rev_append (loop init cond step body) acc) rest
-    | s :: rest when constants s -> go acc rest
+      loop init cond step body;
+      go rest
+    | s :: rest when constants s -> go rest
     | _ -> raise Staged
   in
-  match go [] prog.body with
-  | moves -> Some moves
+  match go prog.body with
+  | () -> Some { map = { slots; checks = List.rev !checks }; loops = !loops }
   | exception Staged -> None
 
 (* The paper's transformation shape: convert a [src]-format message into a
    fresh [dst]-format message.  Inside the snippet, [new] is the incoming
    message and [old] the outgoing one. *)
 let compile_hop ?ctx ~(src : Ptype.record) ~(dst : Ptype.record) (code : string) :
-  ((Value.t -> Value.t) * move list option, string) result =
+  ((Value.t -> Value.t) * hop option, string) result =
   let params = [ ("new", Ptype.Record src); ("old", Ptype.Record dst) ] in
   match compile_typed ?ctx ~params code with
   | Error _ as e -> e
   | Ok (tprog, run) ->
     let sync = Value.compile_sync dst in
+    let hop = match hop_of dst tprog with h -> h | exception Value.Type_error _ -> None in
     Ok
       ( (fun input ->
           let output = Value.default_record dst in
           run [| input; output |];
           sync output;
           output),
-        moves_of tprog )
+        hop )
 
 let compile_xform ?ctx ~src ~dst code = Result.map fst (compile_hop ?ctx ~src ~dst code)
 

@@ -5,7 +5,10 @@
 
     The conventional entry point for message morphing is {!compile_xform}:
     the snippet sees the incoming message as [new] and the outgoing message
-    as [old], exactly as in the paper's Figure 5 code. *)
+    as [old], exactly as in the paper's Figure 5 code.  {!compile_hop} also
+    reads a straight-line hop as a {!Pbio.Codec.field_map} over its source,
+    the one form in which plans compose hops and the codec compiles
+    them. *)
 
 module Token : module type of Token
 module Lexer : module type of Lexer
@@ -40,59 +43,41 @@ val compile_xform :
   ?ctx:Ctx.t ->
   src:Ptype.record -> dst:Ptype.record -> string -> (Value.t -> Value.t, string) result
 
-(** How a hop fills one field of its target. *)
-type rhs =
-  | Read of int * (Ptype.t * Coerce.t) list
-      (** field [g] of [new], then each assignment coercion, innermost
-          first, from a value of the given type *)
-  | Const of Value.t  (** a constant, its coercions already applied *)
-  | Each of each
-      (** an array a Figure 5 loop builds, element by element *)
-
-(** A loop's element map: one target element per element of [new]'s
-    array [array] whose [guard] is non-zero, or per element when there is
-    none.  [count] is the field of [new] the loop's bound reads; a plan
-    takes the map only where that is [array]'s length field and precedes
-    it, so the loop runs once per decoded element.  The guard is field [p] of the source element under the checker's
-    coercions, as the [if] tests it (a float is non-zero, as in C).  [fill]
-    are moves over one element: [dst] a field of the target element,
-    [Read] a field of the source element; every other field keeps the
-    target element's default.  A loop that only copies each element
-    whole, under no coercion, has no [fill] and no guard: it copies the
-    array.  Nothing in an element map can fail. *)
-and each = {
-  array : int;
-  count : int;
-  guard : (int * (Ptype.t * Coerce.t) list) option;
-  fill : move list option;
+(** A hop as a field map over its source ({!Codec.field_map}): one slot
+    per target field, each the target's default ([Const]) until a store
+    overwrites it, the last store winning; a store whose coercion can
+    fail (into an enum) is also one of the map's [checks].  A Figure 5
+    loop's target is an element map ([Each]), and a lone whole-element
+    copy is the source array itself ([Take (A, [])]).  [loops] holds each
+    loop's bound and array, fields of the source: a plan takes the map
+    only where the bound is the array's length field and precedes it, so
+    the loop runs once per decoded element ({!Xform.collapse} checks it,
+    since a chain may have changed either field by then). *)
+type hop = {
+  map : Codec.field_map;
+  loops : (int * int) list;
 }
 
-(** One store into the target: [dst] is the field's position in the
-    target format. *)
-and move = {
-  dst : int;
-  rhs : rhs;
-}
-
-(** {!compile_xform}, plus the hop's typed body as moves, in program
-    order, when it is nothing but top-level stores [old.f = e;], each [e]
-    a read [new.g] under the checker's assignment coercions or a
-    constant.  The hop may also declare int locals with constants and
-    run Figure 5's loops: [for (i = 0; i < new.N; i++)] over [new]'s
-    array [A], whose body only appends to target arrays nothing stored
-    into before, by element stores [old.B[i].f = new.A[i].g;] (or whole
-    elements, [old.B[i] = new.A[i];]) and guarded appends
-    [if (new.A[i].p) { old.C[k].f = new.A[i].g; ...; k++; }] with [k] a
-    counter at 0 read afterwards only by [old.X = k;], [X] [C]'s length
-    field.  Each such target is an {!Each} move.  Any other statement or
-    shape — an [else], [break], nested loop, call, arithmetic, a read of
-    [old], [i] or a counter used as a value, a coercion into an enum
-    inside a loop — makes it [None]; so does a constant its coercion
-    rejects.  The snippet is parsed and checked once for both. *)
+(** {!compile_xform}, plus the hop's typed body as a field map, when it
+    is nothing but top-level stores [old.f = e;], each [e] a read [new.g]
+    under the checker's assignment coercions or a constant.  The hop
+    may also declare int locals with constants and run Figure 5's loops:
+    [for (i = 0; i < new.N; i++)] over [new]'s array [A], whose body only
+    appends to target arrays nothing stored into before, by element
+    stores [old.B[i].f = new.A[i].g;] (or whole elements, [old.B[i] =
+    new.A[i];]) and guarded appends [if (new.A[i].p) { old.C[k].f =
+    new.A[i].g; ...; k++; }] with [k] a counter at 0 read afterwards only
+    by [old.X = k;], [X] [C]'s length field.  Element stores and guards
+    coerce into no enum: an element map has no checks, so a failing
+    coercion a later store overwrites would fail no message.  Any other
+    statement or shape — an [else], [break], nested loop, call,
+    arithmetic, a read of [old], [i] or a counter used as a value — makes
+    it [None]; so does a constant its coercion rejects.  The snippet is
+    parsed and checked once for both. *)
 val compile_hop :
   ?ctx:Ctx.t ->
   src:Ptype.record -> dst:Ptype.record -> string ->
-  ((Value.t -> Value.t) * move list option, string) result
+  ((Value.t -> Value.t) * hop option, string) result
 
 (** Interpreted variant of {!compile_xform}; same semantics, no code
     generation. *)

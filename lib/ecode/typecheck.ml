@@ -262,6 +262,12 @@ let to_string_expr (e : texpr) : texpr =
 
 (* --- expressions --------------------------------------------------------- *)
 
+(* Field [fname] of [r]: its position and type. *)
+let field loc (r : Ptype.record) fname =
+  match Ptype.field_index r fname with
+  | Some i -> (i, (List.nth r.fields i).Ptype.ftype)
+  | None -> error loc "record %s has no field %S" r.Ptype.rname fname
+
 let rec check_expr env (e : Ast.expr) : texpr =
   let loc = e.Ast.eloc in
   match e.Ast.e with
@@ -279,13 +285,7 @@ let rec check_expr env (e : Ast.expr) : texpr =
     let tb = check_expr env base in
     (match tb.ty with
      | Record r ->
-       let rec find i = function
-         | [] ->
-           error loc "record %s has no field %S" r.Ptype.rname fname
-         | (f : Ptype.field) :: rest ->
-           if f.fname = fname then (i, f.ftype) else find (i + 1) rest
-       in
-       let idx, fty = find 0 r.Ptype.fields in
+       let idx, fty = field loc r fname in
        { ty = fty; n = Tfield (tb, idx) }
      | ty -> error loc "field access %S on non-record %a" fname Ptype.pp_type ty)
   | Index (base, idx) ->
@@ -548,12 +548,7 @@ and check_lval env (e : Ast.expr) : tlval =
       let b, steps, ty = go base in
       (match ty with
        | Record r ->
-         let rec find i = function
-           | [] -> error loc "record %s has no field %S" r.Ptype.rname fname
-           | (f : Ptype.field) :: rest ->
-             if f.fname = fname then (i, f.ftype) else find (i + 1) rest
-         in
-         let idx, fty = find 0 r.Ptype.fields in
+         let idx, fty = field loc r fname in
          (b, steps @ [ Sfield idx ], fty)
        | _ -> error loc "field access %S on non-record" fname)
     | Index (base, idx) ->

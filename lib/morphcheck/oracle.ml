@@ -18,6 +18,8 @@
      collapse   a chain collapsed into one fused plan delivers what the
                 hop-by-hop chain and the interpreter deliver, and fails
                 corrupted messages the same way
+     near-miss  a loop hop one defect away from collapsing plans staged
+                and delivers what the interpreter delivers
 
    The fuzz targets corrupt encoded buffers and require structured [Error]s
    (never an escaping exception) from the wire, meta, framing and receiver
@@ -490,14 +492,7 @@ let starts_with prefix s =
 let with_loops (s : Evolve.step) : Evolve.step option =
   let renames = match s.op with Evolve.Rename { field; to_ } -> [ (field, to_) ] | _ -> [] in
   let after = Array.of_list s.after.Ptype.fields in
-  let index name =
-    let rec go k =
-      if k >= Array.length after then None
-      else if after.(k).Ptype.fname = name then Some k
-      else go (k + 1)
-    in
-    go 0
-  in
+  let index = Ptype.field_index s.after in
   let loops = ref false in
   let lines =
     List.filter_map
@@ -662,6 +657,53 @@ let shared (v : Value.t) : bool =
   in
   go v
 
+(* How a delivery ended: the campaigns compare outcome classes. *)
+let show = function
+  | `Delivered x -> "delivered " ^ Value.to_string x
+  | `Decode -> "decode failure"
+  | `Transform -> "transformation failure"
+  | `No_path -> "no path"
+
+let same_outcome target a b =
+  match a, b with
+  | `Delivered x, `Delivered y -> same target x y
+  | `Decode, `Decode | `Transform, `Transform | `No_path, `No_path -> true
+  | _ -> false
+
+(* A receiver of [target] that never quarantines, and its wire delivery
+   of [meta]'s messages as an outcome. *)
+let wire_receiver meta target =
+  let got = ref None in
+  let recv =
+    Morph.Receiver.create ~config:(Morph.Receiver.Config.v ~quarantine_after:max_int ()) ()
+  in
+  Morph.Receiver.register recv target (fun x -> got := Some x);
+  let deliver m =
+    got := None;
+    match Morph.Receiver.deliver_wire recv meta m, !got with
+    | Morph.Receiver.Delivered _, Some x -> `Delivered x
+    | Rejected r, _ when starts_with "wire decode failed" r -> `Decode
+    | Rejected r, _ when starts_with "transformation failed" r -> `Transform
+    | _ -> `No_path
+  in
+  (recv, deliver)
+
+(* [meta]'s hops run by the interpreter, then converted into [target]. *)
+let interpreted meta target dv =
+  match Morph.morph_to ~engine:Morph.Xform.Interpreted meta ~target dv with
+  | Ok x -> `Delivered x
+  | Error (`No_match r) when starts_with "transformation failed" r -> `Transform
+  | Error _ -> `No_path
+
+(* Reference decode of a message of [meta]'s body, then [morph]. *)
+let reference (meta : Meta.format_meta) morph m =
+  match
+    Codec.Interp.decode_payload ~endian:(Codec.read_header m).Codec.endian
+      ~pos:Codec.header_size meta.Meta.body m
+  with
+  | exception (Codec.Decode_error _ | Value.Type_error _) -> `Decode
+  | dv -> morph dv
+
 let collapse_case st =
   let c, v, target, compiled_ref, loops =
     if Rgen.int_range 0 2 st = 0 then
@@ -690,31 +732,13 @@ let collapse_case st =
   let hd = Evolve.head c in
   let endian = if Rgen.bool st then Wire.Little else Wire.Big in
   let msg = Wire.encode ~endian ~format_id:9 hd v in
-  let got = ref None in
-  let recv =
-    Morph.Receiver.create ~config:(Morph.Receiver.Config.v ~quarantine_after:max_int ()) ()
-  in
-  Morph.Receiver.register recv target (fun x -> got := Some x);
+  let recv, receiver = wire_receiver meta target in
   let plan = Morph.Receiver.plan recv meta in
   (match plan with
    | Ok p when Morph.Plan.kind p = Morph.Plan.Fused && Morph.Plan.hops p > 0 ->
      Atomic.incr collapsed;
      if loops then Atomic.incr looped
    | Ok _ | Error _ -> ());
-  let show = function
-    | `Delivered x -> "delivered " ^ Value.to_string x
-    | `Decode -> "decode failure"
-    | `Transform -> "transformation failure"
-    | `No_path -> "no path"
-  in
-  let receiver m =
-    got := None;
-    match Morph.Receiver.deliver_wire recv meta m, !got with
-    | Morph.Receiver.Delivered _, Some x -> `Delivered x
-    | Rejected r, _ when starts_with "wire decode failed" r -> `Decode
-    | Rejected r, _ when starts_with "transformation failed" r -> `Transform
-    | _ -> `No_path
-  in
   (* decode, then the compiled hop-by-hop chain *)
   let chained dv =
     match plan with
@@ -724,26 +748,10 @@ let collapse_case st =
        | x -> `Delivered x
        | exception (Value.Type_error _ | Ecode.Compile.Runtime_error _) -> `Transform)
   in
-  let interpreted dv =
-    match Morph.morph_to ~engine:Morph.Xform.Interpreted meta ~target dv with
-    | Ok x -> `Delivered x
-    | Error (`No_match r) when starts_with "transformation failed" r -> `Transform
-    | Error _ -> `No_path
-  in
-  let reference m =
-    match
-      Codec.Interp.decode_payload ~endian:(Codec.read_header m).Codec.endian
-        ~pos:Codec.header_size hd m
-    with
-    | exception (Codec.Decode_error _ | Value.Type_error _) -> `Decode
-    | dv -> if compiled_ref then chained dv else interpreted dv
-  in
+  let reference = reference meta (if compiled_ref then chained else interpreted meta target) in
   let hops = List.length c.Evolve.steps in
   let agree what a b =
-    match a, b with
-    | `Delivered x, `Delivered y when same target x y -> ()
-    | `Decode, `Decode | `Transform, `Transform | `No_path, `No_path -> ()
-    | _ ->
+    if not (same_outcome target a b) then
       fail "%s over %d hops [%a] into %s:@ receiver %s@ %s" what hops
         (Fmt.list ~sep:Fmt.comma (fun ppf (s : Evolve.step) ->
              Fmt.pf ppf "%a: %s" Evolve.pp_op s.op s.code))
@@ -758,6 +766,176 @@ let collapse_case st =
      fail "the delivered value shares a record, entry or array:@ %s" (Value.to_string x)
    | _ -> ());
   List.iter (fun m -> agree "corrupted message" (receiver m) (reference m)) (wire_mutants msg st)
+
+(* Near misses: loop hops one defect away from collapsing.  Each case
+   writes a hop over [S { tag; n; E list[n]; m }], with [E] a random
+   element record plus an int [q], an int [x] and a guard [p], of Figure
+   5's shape (a projected copy of [list] and a copy filtered by [p]) or
+   of [with_loops]' (each element copied whole), with one defect: a loop
+   over an array of ints that also fills a list of records, a bound that
+   is not the array's length field ([new.m]), a bound that a shared
+   length field overwrote (an earlier hop leaves [n] at 0 beside a
+   second array), a length field after its array, a nested loop, an enum
+   coercion inside a loop, one a later store overwrites (an element store
+   over its field, or the whole list stored over after the loop), a
+   counter that does not start at 0, an [else], a read of [old], or [i]
+   used as a value.  Each must plan staged, and the receiver's wire
+   delivery must equal reference decode plus the interpreter, or fail in
+   the same outcome class.  [near_misses] counts the cases; a campaign
+   with none fails. *)
+let near_misses = Atomic.make 0
+
+let defects =
+  [ "ints"; "bound"; "overwritten"; "late"; "nested"; "old"; "i"; "enum"; "hidden"; "counter";
+    "else" ]
+
+let near_miss_case st =
+  let field = Ptype.field and var n ty = Ptype.array_var n ty in
+  let sprintf = Printf.sprintf in
+  let defect = Rgen.oneofl defects st in
+  (* the last three need Figure 5's guarded append or field stores; a
+     list of ints has neither *)
+  let fig5 =
+    match defect with
+    | "enum" | "counter" | "else" -> true
+    | "ints" | "hidden" -> false
+    | _ -> Rgen.bool st
+  in
+  let guard = field "p" (Ptype.Basic (Rgen.oneofl [ Ptype.Int; Uint; Char; Bool; Float ] st)) in
+  let base = Gen.record_sized 1 (Rgen.int_range 1 3 st) st in
+  let enum = Ptype.enum "C" [ ("a", 0); ("b", 1); ("c", 2) ] in
+  let elem =
+    { Ptype.rname = "E";
+      fields =
+        Evolve.ungroup
+          (Rgen.shuffle
+             (Evolve.groups base
+              @ [ [ guard ]; [ field "q" Ptype.int_ ]; [ field "x" Ptype.int_ ] ]
+              @ if defect = "hidden" then [ [ field "e" enum ] ] else [])
+             st) }
+  in
+  (* the copies' element record and the stores that fill one copy *)
+  let copy, stores =
+    if not fig5 then (elem, fun l k -> [ sprintf "old.%s[%s] = new.list[i];" l k ])
+    else
+      let gs = List.filter (fun _ -> Rgen.bool st) (Evolve.groups elem) in
+      let fs =
+        List.filter (fun (f : Ptype.field) -> f.fname <> "x") (Evolve.ungroup gs)
+        @ [ field "x" Ptype.int_ ]
+        @ if defect = "enum" then [ field "e" enum ] else []
+      in
+      ( { Ptype.rname = "P"; fields = fs },
+        fun l k ->
+          List.filter_map
+            (fun (f : Ptype.field) ->
+               if f.fname = "e" then None
+               else Some (sprintf "old.%s[%s].%s = new.list[i].%s;" l k f.fname f.fname))
+            fs )
+  in
+  let ints = Ptype.Basic (Rgen.oneofl [ Ptype.Int; Uint; Float; Char; Bool ] st) in
+  let list_elem = if defect = "ints" then ints else Ptype.Record elem in
+  let src =
+    Ptype.record "S"
+      (if defect = "late" then
+         [ field "tag" Ptype.string_; field "list" (var "n" list_elem); field "n" Ptype.int_;
+           field "m" Ptype.int_ ]
+       else
+         [ field "tag" Ptype.string_; field "n" Ptype.int_; field "list" (var "n" list_elem);
+           field "m" Ptype.int_ ])
+  in
+  let kept r = [ field "c" Ptype.int_; field "kept" (var "c" (Ptype.Record r)) ] in
+  let t =
+    Ptype.record "T"
+      (if defect = "ints" then
+         [ field "n" Ptype.int_; field "all" (var "n" ints) ]
+         @ kept (Ptype.record "R" [ field "x" Ptype.int_ ])
+       else
+         [ field "n" Ptype.int_; field "all" (var "n" (Ptype.Record copy)) ]
+         @ if fig5 then kept copy else [])
+  in
+  let extra =
+    match defect with
+    | "ints" ->
+      [ "old.all[i] = new.list[i];"; sprintf "old.kept[i].x = %d;" (Rgen.int_range 0 9 st) ]
+    | "nested" -> [ "for (j = 0; j < new.n; j++) old.all[i].x = new.list[j].q;" ]
+    | "old" -> [ "old.all[i].x = old.n;" ]
+    | "i" -> [ "old.all[i].x = i;" ]
+    | "enum" -> [ "old.all[i].e = new.list[i].q;" ]
+    | "hidden" ->
+      "old.all[i].e = new.list[i].q;" :: (if Rgen.bool st then [ "old.all[i].e = 0;" ] else [])
+    | _ -> []
+  in
+  (* the whole list stored over when no element store hides the enum's *)
+  let after =
+    if defect = "hidden" && List.length extra = 1 then [ "old.all = new.list;" ] else []
+  in
+  let body =
+    (if defect = "ints" then extra else stores "all" "i" @ extra)
+    @
+    if fig5 then
+      [ sprintf "if (new.list[i].p) { %s k++; }%s" (String.concat " " (stores "kept" "k"))
+          (if defect = "else" then " else { }" else "") ]
+    else []
+  in
+  let code =
+    String.concat "\n"
+      ([ sprintf "int i, j, k = %d;" (if defect = "counter" then 1 else 0); "old.n = new.n;";
+         sprintf "for (i = 0; i < new.%s; i++) {" (if defect = "bound" then "m" else "n") ]
+       @ body
+       @ ("}" :: after)
+       @ if fig5 then [ "old.c = k;" ] else [])
+  in
+  (* a first hop whose sync leaves [n] at 0: [extra] shares it, empty *)
+  let shared =
+    Ptype.record "S"
+      [ field "n" Ptype.int_; field "list" (var "n" list_elem); field "extra" (var "n" list_elem);
+        field "k" Ptype.int_ ]
+  in
+  let xforms =
+    if defect = "overwritten" then
+      [ Morph.xform ~target:shared "old.n = new.n; old.list = new.list; old.k = new.n;";
+        Morph.xform ~source:shared ~target:t code ]
+    else [ Morph.xform ~target:t code ]
+  in
+  (* built as a record: [Morph.meta] refuses a length field after its array *)
+  let meta = { Meta.body = src; xforms } in
+  let v = Gen.value_for src st in
+  let list = Value.get_field v "list" in
+  for e = 0 to Value.array_len list - 1 do
+    match Value.array_get list e with
+    | Value.Record _ as r ->
+      Value.set_field r "q" (Value.Int (Rgen.int_range 0 2 st));
+      Value.set_field r "p"
+        (match guard.ftype with
+         | Ptype.Basic Float -> Value.Float (Rgen.oneofl [ 0.; 0.5; -1.5 ] st)
+         | ty -> Coerce.box_int ty (Rgen.int_range 0 2 st))
+    | _ -> ()
+  done;
+  Value.set_field v "m" (Value.Int (Rgen.int_range 0 (Value.array_len list + 1) st));
+  let endian = if Rgen.bool st then Wire.Little else Wire.Big in
+  let msg =
+    if defect <> "late" then Wire.encode ~endian ~format_id:9 src v
+    else begin
+      (* an empty list under a length field that says otherwise *)
+      Value.set_field v "list" (Value.array_of_list []);
+      Value.set_field v "n" (Value.Int 0);
+      let b = Bytes.of_string (Wire.encode ~endian ~format_id:9 src v) in
+      let at = Bytes.length b - 8 and n = Int32.of_int (Rgen.int_range 1 3 st) in
+      (match endian with
+       | Wire.Little -> Bytes.set_int32_le b at n
+       | Wire.Big -> Bytes.set_int32_be b at n);
+      Bytes.to_string b
+    end
+  in
+  let recv, receiver = wire_receiver meta t in
+  let what = sprintf "%s (%s) [%s]" defect (if fig5 then "Fig. 5" else "whole copies") code in
+  (match Morph.Receiver.plan recv meta with
+   | Ok p when Morph.Plan.kind p = Morph.Plan.Staged -> Atomic.incr near_misses
+   | Ok p -> fail "%s:@ planned %a" what Morph.Plan.pp p
+   | Error e -> fail "%s:@ %s" what e);
+  let delivered = receiver msg and want = reference meta (interpreted meta t) msg in
+  if not (same_outcome t delivered want) then
+    fail "%s:@ receiver %s@ reference %s" what (show delivered) (show want)
 
 (* --- fuzz targets --------------------------------------------------------- *)
 
@@ -876,6 +1054,7 @@ let oracles : (string * (Random.State.t -> unit)) list =
     ("weighted", weighted_case);
     ("codec", codec_case);
     ("collapse", collapse_case);
+    ("near-miss", near_miss_case);
     ("fuzz-wire", fuzz_wire_case);
     ("fuzz-codec", fuzz_codec_case);
     ("fuzz-meta", fuzz_meta_case);
@@ -897,6 +1076,16 @@ let collapse_report (r : report) =
   else if m = 0 then { r with failures = r.failures @ [ none " with loops" ] }
   else r
 
+(* The near-miss campaign's verdict on its own tally: every case that
+   passed planned staged. *)
+let near_miss_report (r : report) =
+  let n = Atomic.get near_misses in
+  let staged = if n = r.cases then "all" else string_of_int n in
+  let r = { r with note = Fmt.str "%d near misses, %s staged" r.cases staged } in
+  if r.cases > 0 && n = 0 then
+    { r with failures = r.failures @ [ { case = -1; detail = "no near miss generated" } ] }
+  else r
+
 let run ?names:(selected = names) ~seed ~count () : report list =
   List.map
     (fun name ->
@@ -905,8 +1094,12 @@ let run ?names:(selected = names) ~seed ~count () : report list =
        | Some case ->
          Atomic.set collapsed 0;
          Atomic.set looped 0;
+         Atomic.set near_misses 0;
          let r = run_cases ~oracle:name ~seed ~count case in
-         if name = "collapse" then collapse_report r else r)
+         match name with
+         | "collapse" -> collapse_report r
+         | "near-miss" -> near_miss_report r
+         | _ -> r)
     selected
 
 let pp_report ppf (r : report) =

@@ -545,21 +545,13 @@ let rec comp_encode_type endian (ty : Ptype.t) : Buffer.t -> Value.t -> unit =
 and comp_encode_record endian (r : Ptype.record) : Buffer.t -> Value.t -> unit =
   let fields = Array.of_list r.fields in
   let nf = Array.length fields in
-  let first_index name =
-    let rec go i =
-      if i >= nf then None
-      else if fields.(i).Ptype.fname = name then Some i
-      else go (i + 1)
-    in
-    go 0
-  in
   let steps =
     Array.map
       (fun (f : Ptype.field) ->
          let w = comp_encode_type endian f.ftype in
          let lcheck =
            match f.ftype with
-           | Ptype.Array { size = Ptype.Length_field lf; _ } -> Some (lf, first_index lf)
+           | Ptype.Array { size = Ptype.Length_field lf; _ } -> Some (lf, Ptype.field_index r lf)
            | _ -> None
          in
          (f.fname, lcheck, w))
@@ -656,17 +648,11 @@ let record_layout (r : Ptype.record) =
   let referenced =
     Array.fold_left (fun acc (f : Ptype.field) -> refs acc f.ftype) [] fields
   in
-  let first_index nm =
-    let rec go i =
-      if i >= nf then None
-      else if fields.(i).Ptype.fname = nm then Some i
-      else go (i + 1)
-    in
-    go 0
-  in
   let slots =
     List.mapi (fun k (nm, i) -> (nm, i, k))
-      (List.filter_map (fun nm -> Option.map (fun i -> (nm, i)) (first_index nm)) referenced)
+      (List.filter_map
+         (fun nm -> Option.map (fun i -> (nm, i)) (Ptype.field_index r nm))
+         referenced)
   in
   let nslots = List.length slots in
   let slot_for_field i =
@@ -1091,6 +1077,69 @@ type field_map = {
   checks : (int * step list) list;
 }
 
+type checked = {
+  cfrom : Ptype.record;
+  cinto : Ptype.record;
+  cmap : field_map;
+}
+
+(* Every rule a map must obey for [comp_map_record] to compile it, in one
+   place: one slot per target field; every field a slot, a check or an
+   element map reads exists; every [Convert] step converts; an element map
+   reads a source array of records into a target array of records, one
+   slot per target element field, with no step into an enum (so it cannot
+   fail) and no element map inside. *)
+let check_map ~(from_ : Ptype.record) ~(into : Ptype.record) (map : field_map) :
+  (checked, string) result =
+  let exception Refused of string in
+  let refuse fmt = Fmt.kstr (fun s -> raise (Refused s)) fmt in
+  let rec steps_fit ~elem = function
+    | [] -> ()
+    | Convert (s, t) :: _ when not (Convert.convertible s t) ->
+      refuse "a Convert step from %a to %a does not convert" Ptype.pp_type s Ptype.pp_type t
+    | Coerce (_, Coerce.To_enum _) :: _ when elem -> refuse "an element map coerces into an enum"
+    | (Coerce _ | Convert _) :: rest -> steps_fit ~elem rest
+  in
+  (* field [i] of a record of [n] fields, through [steps] *)
+  let read n ~elem i steps =
+    if i < 0 || i >= n then refuse "a map reads no field %d" i;
+    steps_fit ~elem steps
+  in
+  (* the number of fields of an array's record elements *)
+  let records what = function
+    | Ptype.Array { elem = Record r; _ } -> List.length r.fields
+    | Basic _ | Record _ | Array _ -> refuse "an element map %s" what
+  in
+  let nf = List.length from_.fields in
+  let slot (f : Ptype.field) = function
+    | Take (i, steps) -> read nf ~elem:false i steps
+    | Const _ -> ()
+    | Each e ->
+      read nf ~elem:false e.array [];
+      let ne =
+        records "reads a source array of no records" (List.nth from_.fields e.array).ftype
+      in
+      let nt = records "fills a target array of no records" f.ftype in
+      if Array.length e.elem <> nt then
+        refuse "an element map has %d slots for %d fields" (Array.length e.elem) nt;
+      Option.iter (fun (p, steps) -> read ne ~elem:true p steps) e.guard;
+      Array.iter
+        (function
+          | Take (g, steps) -> read ne ~elem:true g steps
+          | Const _ -> ()
+          | Each _ -> refuse "an element map nests an element map")
+        e.elem
+  in
+  match
+    if Array.length map.slots <> List.length into.fields then
+      refuse "a map has %d slots for %d fields" (Array.length map.slots)
+        (List.length into.fields);
+    List.iteri (fun j f -> slot f map.slots.(j)) into.fields;
+    List.iter (fun (i, steps) -> read nf ~elem:false i steps) map.checks
+  with
+  | () -> Ok { cfrom = from_; cinto = into; cmap = map }
+  | exception Refused why -> Error why
+
 type morpher = {
   mfrom : Ptype.record;
   mread : cursor -> Value.t array;
@@ -1106,13 +1155,8 @@ type morpher = {
    convert. *)
 let by_name ~(from_ : Ptype.record) ~(into : Ptype.record) : field_map =
   let src = Array.of_list from_.fields in
-  let rec first_index name i =
-    if i >= Array.length src then None
-    else if src.(i).Ptype.fname = name then Some i
-    else first_index name (i + 1)
-  in
   let slot (f : Ptype.field) =
-    match first_index f.fname 0 with
+    match Ptype.field_index from_ f.fname with
     | Some i when Ptype.equal_type src.(i).Ptype.ftype f.ftype -> Take (i, [])
     | Some i when Convert.convertible src.(i).Ptype.ftype f.ftype ->
       Take (i, [ Convert (src.(i).Ptype.ftype, f.ftype) ])
@@ -1123,9 +1167,7 @@ let by_name ~(from_ : Ptype.record) ~(into : Ptype.record) : field_map =
 let compile_step = function
   | Coerce (from, co) -> Coerce.compile ~from co
   | Convert (s, t) ->
-    (match Convert.compile_type s t with
-     | Some conv -> conv
-     | None -> invalid_arg "Codec: a field map converts between inconvertible types")
+    (match Convert.compile_type s t with Some conv -> conv | None -> assert false)
 
 let compile_steps (steps : step list) : Value.t -> Value.t =
   match List.map compile_step steps with
@@ -1174,33 +1216,21 @@ let comp_gather endian (r : Ptype.record) (want : bool array) : cursor -> Value.
    Ecode's assignment copies.  With [raw] >= 0 the array is also kept
    whole at that state slot, and in length slot [lens_k], for the field's
    other uses; its elements own the row, so every map copies.  No guard
-   or step can fail: an element map coerces into no enum. *)
+   or step can fail: a checked element map coerces into no enum. *)
 let comp_each endian count (sty : Ptype.t) (takers : (int * Ptype.record * each) list) ~raw
     ~lens_k : walk_step =
   let a, er =
     match sty with
     | Ptype.Array ({ elem = Record er; _ } as a) -> (a, er)
-    | Basic _ | Record _ | Array _ -> invalid_arg "Codec: an element map reads a non-record array"
+    | Basic _ | Record _ | Array _ -> assert false
   in
   let efields = Array.of_list er.fields in
   let ne = Array.length efields in
   let want = Array.make ne (raw >= 0) in
-  let reads (g, steps) =
-    if g < 0 || g >= ne then invalid_arg "Codec: an element map reads no such field";
-    let into_enum = function Coerce (_, Coerce.To_enum _) -> true | Coerce _ | Convert _ -> false in
-    if List.exists into_enum steps then invalid_arg "Codec: an element map coerces into an enum";
-    want.(g) <- true
-  in
   List.iter
-    (fun (_, (r : Ptype.record), e) ->
-       if Array.length e.elem <> List.length r.fields then invalid_arg "Codec: element map arity";
-       Option.iter reads e.guard;
-       Array.iter
-         (function
-           | Take (g, steps) -> reads (g, steps)
-           | Const _ -> ()
-           | Each _ -> invalid_arg "Codec: an element map nests an element map")
-         e.elem)
+    (fun (_, _, e) ->
+       Option.iter (fun (g, _) -> want.(g) <- true) e.guard;
+       Array.iter (function Take (g, _) -> want.(g) <- true | Const _ | Each _ -> ()) e.elem)
     takers;
   let gather = comp_gather endian er want in
   let taken = Array.make ne (raw >= 0) in
@@ -1218,7 +1248,7 @@ let comp_each endian count (sty : Ptype.t) (takers : (int * Ptype.record * each)
          let f = compile_steps steps in
          if copy then fun row -> f (Value.copy row.(g)) else fun row -> f row.(g))
     | Const v -> const_of v
-    | Each _ -> invalid_arg "Codec: an element map nests an element map"
+    | Each _ -> assert false
   in
   let names (r : Ptype.record) =
     Array.of_list (List.map (fun (f : Ptype.field) -> f.Ptype.fname) r.fields)
@@ -1370,9 +1400,7 @@ and converted endian count (ty : Ptype.t) (steps : step list) : reader =
   match steps with
   | [] -> comp_decode_type endian count ty
   | [ Convert (s, t) ] when Ptype.equal_type s ty ->
-    (match comp_morph_type endian count ty t with
-     | Some dec -> dec
-     | None -> invalid_arg "Codec: a field map converts between inconvertible types")
+    (match comp_morph_type endian count ty t with Some dec -> dec | None -> assert false)
   | _ ->
     let dec = comp_decode_type endian count ty and f = compile_steps steps in
     fun cur -> f (dec cur)
@@ -1449,43 +1477,30 @@ and ordered_record endian (src : Ptype.record) (dst : Ptype.record) (map : field
    fail), the rest hold source values kept for [build].  [build] runs the
    checks in order, then the kept values' steps, then assembles the target
    record.  The walker skips unused fields on the wire, or only reads them
-   when other arrays size from them. *)
+   when other arrays size from them.  The map is a checked one
+   ([check_map]) or a by-name one, which fits by construction. *)
 and comp_map_record endian (src : Ptype.record) (dst : Ptype.record) (map : field_map) :
   (cursor -> Value.t array) * (Value.t array -> Value.t) =
   let fields = Array.of_list src.fields in
   let nf = Array.length fields in
   let tnames = Array.of_list (List.map (fun (f : Ptype.field) -> f.Ptype.fname) dst.fields) in
   let nt = Array.length tnames in
-  if Array.length map.slots <> nt then invalid_arg "Codec: field map arity";
-  let in_range i =
-    if i < 0 || i >= nf then invalid_arg "Codec: field map reads no such field"
-  in
   (* takers of each source field, in target order: of the field itself,
      and of its elements (with the target element record) *)
   let uses = Array.make (max nf 1) [] in
   let each_uses = Array.make (max nf 1) [] in
   for j = nt - 1 downto 0 do
     match map.slots.(j) with
-    | Take (i, steps) ->
-      in_range i;
-      uses.(i) <- (j, steps) :: uses.(i)
+    | Take (i, steps) -> uses.(i) <- (j, steps) :: uses.(i)
     | Each e ->
-      in_range e.array;
-      let r =
-        match (List.nth dst.fields j).Ptype.ftype with
-        | Ptype.Array { elem = Record r; _ } -> r
-        | Basic _ | Record _ | Array _ ->
-          invalid_arg "Codec: an element map fills a non-record array"
-      in
-      each_uses.(e.array) <- (j, r, e) :: each_uses.(e.array)
+      (match (List.nth dst.fields j).Ptype.ftype with
+       | Ptype.Array { elem = Record r; _ } ->
+         each_uses.(e.array) <- (j, r, e) :: each_uses.(e.array)
+       | Basic _ | Record _ | Array _ -> assert false)
     | Const _ -> ()
   done;
   let checked = Array.make (max nf 1) false in
-  List.iter
-    (fun (i, _) ->
-       in_range i;
-       checked.(i) <- true)
-    map.checks;
+  List.iter (fun (i, _) -> checked.(i) <- true) map.checks;
   let kept = Array.make (max nf 1) (-1) in
   let nst = ref nt in
   let keep_at i =
@@ -1750,5 +1765,5 @@ let morpher_in (cache : cache) ~endian ~(from_ : Ptype.record)
       compile_morph ~endian ~from_ ~into)
 
 (* Collapsed chains compile one map per plan; nothing shares them. *)
-let compile_map_in (cache : cache) ~endian ~from_ ~into map : morpher =
-  timed_compile cache (fun () -> compile_map ~endian ~from_ ~into map)
+let compile_map_in (cache : cache) ~endian (c : checked) : morpher =
+  timed_compile cache (fun () -> compile_map ~endian ~from_:c.cfrom ~into:c.cinto c.cmap)

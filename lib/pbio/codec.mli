@@ -15,7 +15,10 @@
     through the {!Convert} coercion when types differ, and missing target
     fields take defaults — one pass, no intermediate source-format value.
     Fused plans are observationally identical to decode-then-convert; the
-    morphcheck "codec" oracle enforces this differentially.
+    morphcheck "codec" oracle enforces this differentially.  Every fused
+    plan is compiled from a {!field_map}, and a map from outside the codec
+    compiles only once {!check_map} has accepted it, so the map compiler
+    has no failure path of its own.
 
     Every reader shares two rules.  A record whose fields a plan keeps
     only some of (a skipped record, an element read by an element map, a
@@ -72,8 +75,11 @@ val compile_decode : endian:endian -> Ptype.record -> decoder
     constant it holds.  A structural conversion has Convert's map: each
     target field from the first source field of its name, converted when
     the types differ, and the target's default for a missing name or
-    inconvertible types.  A collapsed retro-transformation chain gives a
-    map whose steps are its hops' Ecode coercions. *)
+    inconvertible types.  A field map is also the one form of a
+    retro-transformation hop ([Ecode.compile_hop] reads one out of a
+    hop's code) and of a chain of them ([Xform.collapse] composes hops by
+    substituting each one's slots into the last), whose steps are the
+    hops' Ecode coercions.  Only a map {!check_map} accepts compiles. *)
 
 (** One step applied to a source field's value. *)
 type step =
@@ -97,7 +103,7 @@ type slot =
     [g] of the source element, [Const] is the field's value when no store
     writes it.  The guard is the source element's field [p] through its
     steps, kept when {!Value.to_bool} of it holds.  No step may coerce
-    into an enum, so an element map cannot fail. *)
+    into an enum ({!check_map}), so an element map cannot fail. *)
 and each = {
   array : int;
   guard : (int * step list) option;
@@ -106,11 +112,25 @@ and each = {
 
 (** One slot per target field, in order, plus [checks]: source fields and
     steps run for their failures alone, in order, before any slot — the
-    coercions of stores whose value no target field keeps. *)
+    stores whose coercion can fail (into an enum), so a message fails as
+    its hops would fail it even where no target field keeps the value. *)
 type field_map = {
   slots : slot array;
   checks : (int * step list) list;
 }
+
+(** A map {!check_map} accepted, with the formats it was checked
+    against. *)
+type checked
+
+(** Every rule a map must obey to compile, checked in one place: one slot
+    per target field; every field a slot, check or element map reads
+    exists; every [Convert] step converts; an element map reads a source
+    array of records into a target array of records, with one slot per
+    target element field, no step into an enum and no element map inside.
+    [Error] names the rule the map breaks. *)
+val check_map :
+  from_:Ptype.record -> into:Ptype.record -> field_map -> (checked, string) result
 
 (** The fused plan of a structural conversion: bytes of [from_] in,
     value laid out as [into] out, then [into]'s length fields synced.
@@ -166,8 +186,9 @@ val decoder_for : cache:cache -> endian:endian -> Ptype.record -> decoder
 val morpher_in :
   cache -> endian:endian -> from_:Ptype.record -> into:Ptype.record -> morpher
 
-(** Compile a fused plan from a field map, afresh and not cached, timed
-    into [cache]'s registry as a cached compile is.  Source fields taken
+(** Compile a fused plan from a checked field map, afresh and not cached,
+    timed into [cache]'s registry as a cached compile is: bytes of the
+    map's source format in, a value of its target out.  Source fields taken
     through structural steps only decode straight into place, nested
     records and arrays by name; fields no slot or check takes are skipped
     on the wire.  A source array that element maps take is read one
@@ -176,11 +197,8 @@ val morpher_in :
     value and every later one a copy.  Checks and coercions run only
     once the whole message has decoded and the trailing-bytes check has
     passed, so a malformed message is a {!Decode_error}, never a
-    coercion failure.  Raises [Invalid_argument] when the map does not
-    fit the formats (an element map builds an array of records from a
-    source array of records, with no step into an enum). *)
-val compile_map_in :
-  cache -> endian:endian -> from_:Ptype.record -> into:Ptype.record -> field_map -> morpher
+    coercion failure. *)
+val compile_map_in : cache -> endian:endian -> checked -> morpher
 
 (** Live entries across both plan tables. *)
 val plan_cache_size : cache:cache -> int

@@ -115,17 +115,9 @@ and compile_record (src : Ptype.record) (dst : Ptype.record) : conv =
   (* One slot per target field: either pull-and-convert from a source index,
      or materialise the default. *)
   let src_fields = Array.of_list src.fields in
-  let src_index name =
-    let rec go i =
-      if i >= Array.length src_fields then None
-      else if src_fields.(i).Ptype.fname = name then Some i
-      else go (i + 1)
-    in
-    go 0
-  in
   let slot (f : Ptype.field) : int * (Value.t -> Value.t) option * (unit -> Value.t) =
     let default = field_default f in
-    match src_index f.fname with
+    match Ptype.field_index src f.fname with
     | None -> (-1, None, default)
     | Some i ->
       (match compile_type src_fields.(i).Ptype.ftype f.ftype with

@@ -87,6 +87,13 @@ and weight r =
 
 let find_field r fname = List.find_opt (fun f -> f.fname = fname) r.fields
 
+let field_index r fname =
+  let rec go i = function
+    | [] -> None
+    | f :: rest -> if f.fname = fname then Some i else go (i + 1) rest
+  in
+  go 0 r.fields
+
 (* Structural equality, used for format identity (registry dedup, receiver
    caches).  Field order matters: two formats listing the same fields in a
    different order are distinct wire formats. *)

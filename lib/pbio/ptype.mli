@@ -97,6 +97,11 @@ val weight_of_type : t -> int
 
 val find_field : record -> string -> field option
 
+(** The position of the first field of [record] with the given name: the
+    one field-by-name rule that decoders, conversions, Ecode and length
+    syncs share. *)
+val field_index : record -> string -> int option
+
 (** {1 Identity}
 
     Structural equality and hashing over whole formats; receiver caches and

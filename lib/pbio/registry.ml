@@ -2,9 +2,8 @@
 
    A writer-side registry assigns small integer ids to formats (the id that
    travels in each message header) and remembers the meta-data to push
-   out-of-band.  A reader-side registry maps the ids announced by a peer
-   back to meta-data.  Registration is idempotent: structurally identical
-   meta registers once. *)
+   out-of-band.  Registration is idempotent: structurally identical meta
+   registers once. *)
 
 type fmt = {
   id : int;
@@ -37,16 +36,6 @@ let register t (meta : Meta.format_meta) : fmt =
     let prev = Option.value ~default:[] (Hashtbl.find_opt t.by_hash h) in
     Hashtbl.replace t.by_hash h (f :: prev);
     f
-
-(* Import a peer's format under the peer's id (reader side). *)
-let import t ~id (meta : Meta.format_meta) : fmt =
-  let f = { id; meta } in
-  Hashtbl.replace t.by_id id f;
-  let h = Meta.hash meta in
-  let prev = Option.value ~default:[] (Hashtbl.find_opt t.by_hash h) in
-  if not (List.exists (fun g -> g.id = id) prev) then
-    Hashtbl.replace t.by_hash h (f :: prev);
-  f
 
 let find t id = Hashtbl.find_opt t.by_id id
 

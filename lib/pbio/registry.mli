@@ -2,9 +2,8 @@
 
     A writer-side registry assigns small integer ids to formats (the id
     that travels in each message header) and remembers the meta-data to
-    push out-of-band.  A reader-side registry maps the ids announced by a
-    peer back to meta-data.  Registration is idempotent: structurally
-    identical meta registers once. *)
+    push out-of-band.  Registration is idempotent: structurally identical
+    meta registers once. *)
 
 type fmt = {
   id : int;
@@ -18,10 +17,6 @@ val create : unit -> t
 (** Register local meta-data, allocating a fresh id unless structurally
     identical meta is already present. *)
 val register : t -> Meta.format_meta -> fmt
-
-(** Record a peer's format under the {e peer's} id (reader side);
-    idempotent per id. *)
-val import : t -> id:int -> Meta.format_meta -> fmt
 
 val find : t -> int -> fmt option
 

@@ -311,14 +311,15 @@ let rec conforms (ty : Ptype.t) (v : t) : bool =
    alone, so syncing a message whose lengths agree allocates nothing. *)
 
 (* The entry holding length field [name]: position [j] from the format
-   when the value agrees with it, else a lookup by name ([j] is [-1] when
-   the format itself has no such field). *)
+   when the value agrees with it, else a lookup by name ([j] is [None]
+   when the format itself has no such field). *)
 let length_entry es j name =
-  if j >= 0 && j < Array.length es && String.equal es.(j).name name then es.(j)
-  else
-    match field_index es name with
-    | Some j -> es.(j)
-    | None -> type_error "missing length field %S" name
+  match j with
+  | Some j when j < Array.length es && String.equal es.(j).name name -> es.(j)
+  | Some _ | None ->
+    (match field_index es name with
+     | Some j -> es.(j)
+     | None -> type_error "missing length field %S" name)
 
 let set_length e n =
   match e.v with
@@ -328,13 +329,6 @@ let set_length e n =
   | _ -> e.v <- Int n
 
 let rec record_sync (r : Ptype.record) : (entry array -> unit) option =
-  let position name =
-    let rec go i = function
-      | [] -> -1
-      | (f : Ptype.field) :: rest -> if f.fname = name then i else go (i + 1) rest
-    in
-    go 0 r.fields
-  in
   let field_steps i (f : Ptype.field) =
     match f.ftype with
     | Basic _ -> []
@@ -347,7 +341,7 @@ let rec record_sync (r : Ptype.record) : (entry array -> unit) option =
         match size with
         | Fixed _ -> []
         | Length_field name ->
-          let j = position name in
+          let j = Ptype.field_index r name in
           [ (fun es -> set_length (length_entry es j name) (array_len es.(i).v)) ]
       in
       let elems =

@@ -4,6 +4,3 @@ val escape_into : Buffer.t -> string -> unit
 
 (** Compact single-line form — the wire form the benchmarks measure. *)
 val to_string : Xml.t -> string
-
-(** Human-readable, indented form. *)
-val to_string_indented : Xml.t -> string

@@ -224,8 +224,7 @@ let apply_to_element (sheet : Stylesheet.t) (doc : Xml.t) : Xml.t =
   match apply sheet doc with
   | [ n ] -> n
   | [] -> error "stylesheet produced no output"
-  | n :: _ ->
+  | nodes ->
     (* multiple roots: wrap as a fragment, mirroring libxslt's behaviour of
        tolerating fragments in memory *)
-    ignore n;
-    Xml.element "result" (apply sheet doc)
+    Xml.element "result" nodes

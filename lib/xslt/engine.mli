@@ -5,10 +5,7 @@ module Xml = Xmlkit.Xml
 
 exception Error of string
 
-(** Apply the stylesheet; returns the result nodes (usually one element).
-    Built-in rules recurse through unmatched elements and copy text out. *)
-val apply : Stylesheet.t -> Xml.t -> Xml.t list
-
-(** Like {!apply} but expects (at least) one root element; multiple roots
-    are wrapped in a [<result>] fragment. *)
+(** Apply the stylesheet to a document.  Built-in rules recurse through
+    unmatched elements and copy text out.  One result node is returned as
+    is; several are wrapped, in order, in a [<result>] fragment. *)
 val apply_to_element : Stylesheet.t -> Xml.t -> Xml.t

@@ -14,6 +14,30 @@ let response_v2_meta = Echo.Wire_formats.response_v2_meta
 
 let sample_v2 n = Echo.Wire_formats.gen_response_v2 n
 
+(* A chain whose map [Codec.check_map] refuses: a loop that fills a list
+   of records while it copies an array of ints (an element map over no
+   records), then a hop of moves.  The source shares no field name with
+   the target, so only the chain reaches it. *)
+let refused_src = Ptype_dsl.format_of_string_exn "format T { int n; int a[n]; }"
+
+let refused_target = Ptype_dsl.format_of_string_exn "format T { int m; int b[m]; }"
+
+let refused_meta =
+  let mid =
+    Ptype_dsl.format_of_string_exn
+      "record R { int f; } format T { int m; int b[m]; int k; R c[k]; }"
+  in
+  Morph.meta refused_src
+    ~xforms:
+      [ Morph.xform ~target:mid
+          "int i;\nold.m = new.n;\n\
+           for (i = 0; i < new.n; i++) { old.b[i] = new.a[i]; old.c[i].f = 3; }";
+        Morph.xform ~source:mid ~target:refused_target "old.m = new.m; old.b = new.b;" ]
+
+let refused_value =
+  Value.record
+    [ ("n", Value.Int 3); ("a", Value.array_of_list [ Value.Int 1; Value.Int 2; Value.Int 3 ]) ]
+
 (* --- Alcotest testables ----------------------------------------------------- *)
 
 let value : Value.t Alcotest.testable = Alcotest.testable Value.pp Value.equal

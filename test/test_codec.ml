@@ -448,8 +448,81 @@ let test_plan_cache_lru_keeps_hot_format () =
       Alcotest.(check int) "hot format never recompiled" before
         (Obs.Counter.value reg "codec.plan_compiles"))
 
+(* --- the field-map check ---------------------------------------------------- *)
+
+(* One map per rule, each breaking only that rule: [check_map] refuses it
+   and names the rule.  The map that breaks none compiles, and reads the
+   source's list into a filtered list of projected elements. *)
+let test_check_map_rules () =
+  let src =
+    fmt "record E { int id; bool on; } \
+         format S { int n; E list[n]; int m; int xs[m]; string s; }"
+  in
+  let dst =
+    fmt "record K { int id; int on; } format T { int n; string s; int c; K kept[c]; }"
+  in
+  let take i = Codec.Take (i, []) and zero = Codec.Const (Value.Int 0) in
+  let on = Codec.Take (1, [ Codec.Coerce (Ptype.bool_, Coerce.To_int) ]) in
+  let each ?(array = 1) elem = Codec.Each { array; guard = Some (1, []); elem } in
+  let map ?(checks = []) slots = { Codec.slots; checks } in
+  let slots = [| take 0; take 4; zero; each [| take 0; on |] |] in
+  (* [slots] with slot [j] replaced by [s] *)
+  let with_ j s =
+    let a = Array.copy slots in
+    a.(j) <- s;
+    map a
+  in
+  let into_enum =
+    Codec.Coerce (Ptype.bool_, Coerce.To_enum { ename = "C"; cases = [ ("A", 0) ] })
+  in
+  List.iter
+    (fun (rule, m, want) ->
+       match Codec.check_map ~from_:src ~into:dst m with
+       | Ok _ -> Alcotest.failf "%s: accepted" rule
+       | Error why ->
+         Alcotest.(check bool) (rule ^ ": " ^ why) true (Helpers.contains why want))
+    [ ("arity", map (Array.sub slots 0 3), "3 slots for 4 fields");
+      ("a slot reads no field", with_ 1 (take 9), "reads no field 9");
+      ("a check reads no field", map ~checks:[ (7, []) ] slots, "reads no field 7");
+      ("an element reads no field", with_ 3 (each [| take 5; on |]), "reads no field 5");
+      ("a Convert step converts",
+       with_ 1 (Codec.Take (4, [ Codec.Convert (Ptype.string_, Ptype.int_) ])),
+       "does not convert");
+      ("a source array of records", with_ 3 (each ~array:3 [| zero; zero |]),
+       "source array of no records");
+      ("a target array of records", with_ 0 (each [| take 0; on |]), "target array of no records");
+      ("one slot per element field", with_ 3 (each [| take 0 |]), "1 slots for 2 fields");
+      ("no enum in an element map", with_ 3 (each [| take 0; Codec.Take (1, [ into_enum ]) |]),
+       "coerces into an enum");
+      ("no nested element map", with_ 3 (each [| take 0; each [| take 0; on |] |]),
+       "nests an element map") ];
+  let checked =
+    match Codec.check_map ~from_:src ~into:dst (map slots) with
+    | Ok c -> c
+    | Error why -> Alcotest.failf "the good map: %s" why
+  in
+  let v =
+    Value.record
+      [ ("n", Value.Int 3);
+        ( "list",
+          Value.array_of_list
+            (List.map
+               (fun (id, b) -> Value.record [ ("id", Value.Int id); ("on", Value.Bool b) ])
+               [ (1, true); (2, false); (3, true) ]) );
+        ("m", Value.Int 1); ("xs", Value.array_of_list [ Value.Int 5 ]); ("s", Value.String "z") ]
+  in
+  both_endians (fun endian ->
+      let m = Codec.compile_map_in (Codec.create_cache ()) ~endian checked in
+      let elem id = Value.record [ ("id", Value.Int id); ("on", Value.Int 1) ] in
+      Alcotest.check Helpers.value "the good map reads the filtered list"
+        (Value.record
+           [ ("n", Value.Int 3); ("s", Value.String "z"); ("c", Value.Int 2);
+             ("kept", Value.array_of_list [ elem 1; elem 3 ]) ])
+        (Codec.morph_payload m (Codec.Interp.encode_payload ~endian src v)))
+
 let suite =
   [
+    Alcotest.test_case "check_map names the rule a map breaks" `Quick test_check_map_rules;
     Alcotest.test_case "compiled = interpretive on fixtures" `Quick
       test_fixture_equivalence;
     Alcotest.test_case "unknown enum value rejected on both paths" `Quick

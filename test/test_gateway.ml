@@ -62,8 +62,7 @@ let test_breaker_no_cooldown_stays_open () =
   let b = Breaker.create ~threshold:1 () in
   Alcotest.(check bool) "trips" true (Breaker.record_failure b ~now:0.);
   Alcotest.(check bool) "never half-opens" false (Breaker.admit b ~now:1e9);
-  Breaker.reset b;
-  Alcotest.check state_t "reset closes" Breaker.Closed (Breaker.state b)
+  Alcotest.check state_t "still open" Breaker.Open (Breaker.state b)
 
 (* --- shared plan cache -------------------------------------------------------- *)
 
@@ -602,6 +601,20 @@ let test_receiver_and_gateway_agree_on_engine () =
       ("else-branch chain", response_else_meta, Helpers.response_v1, Helpers.sample_v2 3,
        G.Staged) ]
 
+(* A chain whose map the check refuses runs staged at the gateway too,
+   and delivers what the interpreter gives. *)
+let test_gateway_refused_map_stays_staged () =
+  let d =
+    shape_run ~target:Helpers.refused_target Helpers.refused_meta
+      (Wire.encode ~format_id:1 Helpers.refused_src Helpers.refused_value)
+  in
+  Alcotest.check rung_t "refused map decodes staged" G.Staged d.G.rung;
+  Alcotest.check Helpers.value "as the interpreter"
+    (Helpers.check_ok_err
+       (Morph.morph_to ~engine:Morph.Xform.Interpreted Helpers.refused_meta
+          ~target:Helpers.refused_target Helpers.refused_value))
+    d.G.value
+
 let test_gateway_push_storm_compiles_once () =
   let net = mk_net () in
   let pops = [| pop_of_seed 42; pop_of_seed 7 |] in
@@ -969,4 +982,6 @@ let suite =
       test_gateway_traced_delivery;
     Alcotest.test_case "gateway: a receiver runs each shape at the same engine" `Quick
       test_receiver_and_gateway_agree_on_engine;
+    Alcotest.test_case "gateway: a chain the map check refuses decodes staged" `Quick
+      test_gateway_refused_map_stays_staged;
   ]

@@ -144,17 +144,6 @@ let test_registry_find () =
   Alcotest.(check int) "find_by_name none" 0
     (List.length (Registry.find_by_name reg "Nope"))
 
-let test_registry_import () =
-  let reg = Registry.create () in
-  let f = Registry.import reg ~id:77 (Meta.plain Helpers.contact) in
-  Alcotest.(check int) "imported id preserved" 77 f.Registry.id;
-  (match Registry.find reg 77 with
-   | Some _ -> ()
-   | None -> Alcotest.fail "imported not findable");
-  (* idempotent *)
-  ignore (Registry.import reg ~id:77 (Meta.plain Helpers.contact));
-  Alcotest.(check int) "no duplicates" 1 (Registry.size reg)
-
 (* --- properties ------------------------------------------------------------------ *)
 
 let prop_meta_roundtrip =
@@ -183,7 +172,6 @@ let suite =
     Alcotest.test_case "meta: hash covers every hop" `Quick test_meta_hash_covers_every_hop;
     Alcotest.test_case "registry: structural dedup" `Quick test_registry_dedup;
     Alcotest.test_case "registry: find" `Quick test_registry_find;
-    Alcotest.test_case "registry: import" `Quick test_registry_import;
     Helpers.qtest prop_meta_roundtrip;
     Helpers.qtest prop_meta_hash_consistent;
   ]

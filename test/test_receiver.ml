@@ -1259,6 +1259,42 @@ let test_loop_guards () =
          ("byp", Value.array_of_list [ Value.record [ ("id", Value.Int 1) ] ]) ])
     v
 
+(* A hop may store a 4-element array in a fixed-3 field, as Ecode's
+   assignment takes any array of the same element shape; the final
+   conversion's rebuild is what truncates it, fused as hop by hop. *)
+let test_collapsed_conversion_rebuilds () =
+  let src = fmt "format S { int b[4]; int x; }" in
+  let mid = fmt "format S { int a[3]; int x; }" in
+  let target = fmt "format S { int a[3]; }" in
+  let meta = Morph.meta src ~xforms:[ Morph.xform ~target:mid "old.a = new.b; old.x = new.x;" ] in
+  let v =
+    Value.record
+      [ ("b", Value.array_of_list (List.map (fun i -> Value.Int i) [ 1; 2; 3; 4 ]));
+        ("x", Value.Int 9) ]
+  in
+  let got = loop_delivery ~want:"fused, 1 hop" meta target (Wire.encode ~format_id:1 src v) in
+  let want =
+    Helpers.check_ok_err (Morph.morph_to ~engine:Morph.Xform.Interpreted meta ~target v)
+  in
+  Alcotest.check Helpers.value "as the interpreter" want got;
+  Alcotest.check Helpers.value "three elements"
+    (Value.record
+       [ ("a", Value.array_of_list (List.map (fun i -> Value.Int i) [ 1; 2; 3 ])) ])
+    got
+
+(* A chain whose map the check refuses plans staged and delivers what the
+   interpreter gives, raising nothing. *)
+let test_refused_map_stays_staged () =
+  let got =
+    loop_delivery ~want:"staged, 2 hops" Helpers.refused_meta Helpers.refused_target
+      (Wire.encode ~format_id:1 Helpers.refused_src Helpers.refused_value)
+  in
+  Alcotest.check Helpers.value "as the interpreter"
+    (Helpers.check_ok_err
+       (Morph.morph_to ~engine:Morph.Xform.Interpreted Helpers.refused_meta
+          ~target:Helpers.refused_target Helpers.refused_value))
+    got
+
 (* Shapes the recogniser leaves alone: each explains as staged and
    delivers over the wire what decoding then interpreting gives, or fails
    where that fails. *)
@@ -1303,6 +1339,41 @@ let test_loop_shapes_stay_staged () =
     fmt (loop_formats
          ^ "enum E { A = 0, B = 1 } record K { Info info; E e; } format T { int n; K all[n]; }")
   in
+  (* the enum coercion's list dropped by a second hop: the chain still
+     runs the coercion on every element *)
+  let enum_code =
+    "int i;\nold.n = new.n;\nfor (i = 0; i < new.n; i++) { old.all[i].e = new.list[i].p; }"
+  in
+  (* an enum coercion's failure a later store would hide: an element store
+     over its field, or the whole list stored over after the loop; [p] is 5,
+     which no case of [E] has *)
+  let hidden =
+    "int i;\nold.n = new.n;\n\
+     for (i = 0; i < new.n; i++) { old.all[i].e = new.list[i].p; old.all[i].e = 0; }"
+  in
+  let p5_message = Wire.encode ~format_id:1 loop_src (loop_value ~m:2 [ (1, true, 0., 5) ]) in
+  let sk =
+    fmt "enum E { A = 0, B = 1 } record R { int p; } record K { E e; }\n\
+         format S { int n; R list[n]; K ks[n]; }"
+  in
+  let tk = fmt "enum E { A = 0, B = 1 } record K { E e; } format T { int n; K all[n]; }" in
+  let stored_over =
+    "int i;\nold.n = new.n;\n\
+     for (i = 0; i < new.n; i++) { old.all[i].e = new.list[i].p; }\nold.all = new.ks;"
+  in
+  let sk_message =
+    Wire.encode ~format_id:1 sk
+      (Value.record
+         [ ("n", Value.Int 1);
+           ("list", Value.array_of_list [ Value.record [ ("p", Value.Int 5) ] ]);
+           ("ks", Value.array_of_list [ Value.record [ ("e", Value.Enum ("A", 0)) ] ]) ])
+  in
+  let tn = fmt "format T { int n; }" in
+  let enum_dropped =
+    { Meta.body = loop_src;
+      xforms =
+        [ Morph.xform ~target:te enum_code; Morph.xform ~source:te ~target:tn "old.n = new.n;" ] }
+  in
   (* a second hop looping over the list the first one filtered *)
   let u = fmt (loop_formats ^ "record K { Info info; int id; } format T { int m; K copy[m]; }") in
   let twice =
@@ -1333,23 +1404,24 @@ let test_loop_shapes_stay_staged () =
       (Value.record
          [ ("n", Value.Int 3); ("a", Value.array_of_list [ Value.Int 1; Value.Int 2; Value.Int 3 ]) ])
   in
-  List.iter
-    (fun (name, meta, t, message) ->
-       let r, got = make_receiver t in
-       Alcotest.(check bool) (name ^ ": staged") true
-         (Helpers.contains (Receiver.explain r meta) "[staged, ");
-       let reference =
-         Morph.morph_to ~engine:Morph.Xform.Interpreted meta ~target:t
-           (Codec.Interp.decode_payload ~endian:Codec.Little ~pos:Codec.header_size meta.Meta.body
-              message)
-       in
-       match Receiver.deliver_wire r meta message, reference with
-       | Receiver.Delivered _, Ok want -> Alcotest.check Helpers.value name want (List.hd !got)
-       | Receiver.Rejected reason, Error _ when Helpers.contains reason "transformation failed" ->
-         ()
-       | o, _ ->
-         Alcotest.failf "%s: receiver %a, reference %s" name Receiver.pp_outcome o
-           (match reference with Ok _ -> "delivers" | Error e -> Err.to_string e))
+  let staged ?(engine = Morph.Xform.Interpreted) (name, meta, t, message) =
+    let r, got = make_receiver t in
+    Alcotest.(check bool) (name ^ ": staged") true
+      (Helpers.contains (Receiver.explain r meta) "[staged, ");
+    let reference =
+      Morph.morph_to ~engine meta ~target:t
+        (Codec.Interp.decode_payload ~endian:Codec.Little ~pos:Codec.header_size meta.Meta.body
+           message)
+    in
+    match Receiver.deliver_wire r meta message, reference with
+    | Receiver.Delivered _, Ok want -> Alcotest.check Helpers.value name want (List.hd !got)
+    | Receiver.Rejected reason, Error _ when Helpers.contains reason "transformation failed" ->
+      ()
+    | o, _ ->
+      Alcotest.failf "%s: receiver %a, reference %s" name Receiver.pp_outcome o
+        (match reference with Ok _ -> "delivers" | Error e -> Err.to_string e)
+  in
+  List.iter staged
     [ ("a counter declared = 1", hop loop_src t (fig5 ~decl:"int i, k = 1;" ()), t, message);
       ("an append with an else", hop loop_src t (fig5 ~append:" else { }" ()), t, message);
       ("a read of old", hop loop_src t (fig5 ~body:"old.all[i].id = old.n;" ()), t, message);
@@ -1360,17 +1432,22 @@ let test_loop_shapes_stay_staged () =
        hop loop_src t (fig5 ~body:"for (j = 0; j < new.n; j++) old.all[i].id = new.list[j].id;" ()),
        t, message);
       ("i used as a value", hop loop_src t (fig5 ~body:"old.all[i].id = i;" ()), t, message);
-      ("an enum coercion",
-       hop loop_src te
-         "int i;\nold.n = new.n;\nfor (i = 0; i < new.n; i++) { old.all[i].e = new.list[i].p; }",
-       te, message);
+      ("an enum coercion", hop loop_src te enum_code, te, message);
+      ("an enum coercion in a list a later hop drops", enum_dropped, tn, message);
       ("a loop over a list a loop built", twice, u, message);
       ("a bound another array's length overwrote", overwritten, w, message);
       ("a loop over an array of ints",
        hop ints tr
          "int i;\nold.n = new.n;\n\
           for (i = 0; i < new.n; i++) { old.b[i] = new.a[i]; old.c[i].f = 3; }",
-       tr, ints_message) ]
+       tr, ints_message) ];
+  (* the interpreter stores an int no case has as an anonymous case
+     ([Interp]), so the compiled hop-by-hop chain is the reference here *)
+  List.iter
+    (staged ~engine:Morph.Xform.Compiled)
+    [ ("an enum coercion a later element store overwrites", hop loop_src te hidden, te, p5_message);
+      ("an enum coercion in a list a later store overwrites", hop sk tk stored_over, tk, sk_message)
+    ]
 
 let suite =
   [
@@ -1411,6 +1488,10 @@ let suite =
     Alcotest.test_case "explain" `Quick test_explain;
     Alcotest.test_case "collapsed chain builds no intermediate value" `Quick
       test_collapsed_chain;
+    Alcotest.test_case "collapsed chain: the final conversion rebuilds arrays" `Quick
+      test_collapsed_conversion_rebuilds;
+    Alcotest.test_case "a chain the map check refuses stays staged" `Quick
+      test_refused_map_stays_staged;
     Alcotest.test_case "collapsed chain classifies failures as staged" `Quick
       test_collapsed_failures_classified;
     Alcotest.test_case "check_meta validates snippets" `Quick test_check_meta;

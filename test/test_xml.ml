@@ -81,11 +81,6 @@ let test_print_roundtrip () =
   let s = Xml_print.to_string doc in
   Alcotest.check Helpers.xml "roundtrip" doc (parse s)
 
-let test_indented_parses_back () =
-  let doc = Pbio_xml.to_xml Helpers.response_v2 (Helpers.sample_v2 2) in
-  let s = Xml_print.to_string_indented doc in
-  Alcotest.check Helpers.xml "indented roundtrip" doc (parse s)
-
 let test_equal_ignores_blank_text () =
   let a = parse "<a><b>x</b></a>" in
   let b = parse "<a>\n  <b>x</b>\n</a>" in
@@ -205,7 +200,6 @@ let suite =
       test_parse_mixed_content;
     Alcotest.test_case "parse: errors" `Quick test_parse_errors;
     Alcotest.test_case "print/parse roundtrip" `Quick test_print_roundtrip;
-    Alcotest.test_case "indented printing parses back" `Quick test_indented_parses_back;
     Alcotest.test_case "equality ignores blank text" `Quick test_equal_ignores_blank_text;
     Alcotest.test_case "pbio-xml: roundtrip" `Quick test_pbio_xml_roundtrip;
     Alcotest.test_case "pbio-xml: tree and string agree" `Quick

@@ -310,9 +310,17 @@ let test_builtin_rules () =
   (* with no matching templates, built-ins recurse and copy text through *)
   let sheet = Stylesheet.of_string "<xsl:stylesheet></xsl:stylesheet>" in
   let doc = Helpers.check_ok (Xml_parser.parse "<a>x<b>y</b>z</a>") in
-  let out = Engine.apply sheet doc in
   Alcotest.(check string) "text through" "xyz"
-    (String.concat "" (List.map Xml.text_content out))
+    (Xml.text_content (Engine.apply_to_element sheet doc))
+
+(* Several result roots come back under one [<result>], in order, from one
+   run of the stylesheet. *)
+let test_several_roots_wrapped () =
+  Alcotest.check Helpers.xml "both roots, in order"
+    (Helpers.check_ok (Xml_parser.parse "<result><x n=\"1\"/><y>t</y></result>"))
+    (apply
+       {|<xsl:stylesheet><xsl:template match="/"><x n="1"/><y>t</y></xsl:template></xsl:stylesheet>|}
+       "<a/>")
 
 let test_unsupported_instruction_errors () =
   (try
@@ -429,6 +437,8 @@ let suite =
       test_copy_of_element_attribute;
     Alcotest.test_case "engine: variables" `Quick test_variables;
     Alcotest.test_case "engine: built-in rules" `Quick test_builtin_rules;
+    Alcotest.test_case "engine: several roots wrapped in order" `Quick
+      test_several_roots_wrapped;
     Alcotest.test_case "engine: unsupported instructions" `Quick
       test_unsupported_instruction_errors;
     Alcotest.test_case "Figure 5: XSLT equals Ecode morphing" `Quick
