@@ -6,7 +6,7 @@
      table1-sizes     Table 1: ChannelOpenResponse sizes per representation
      fig10-evolution  Figure 10: decoding + format evolution,
                       PBIO morphing vs XML/XSLT
-     abl1-dcg         compiled Ecode closures vs naive interpreter
+     abl1-dcg         compiled Ecode closures vs the tree-walking interpreter
      abl2-cache       cold (MaxMatch + codegen) vs cached receiver path
      abl3-maxmatch    MaxMatch cost vs number of candidate formats
      abl4-b2b         broker-side XSLT vs receiver-side morphing (Figs 6/7)
@@ -219,7 +219,8 @@ let fig10 points =
 let abl1 () =
   H.section "abl1-dcg"
     "Ablation: the Figure 5 transformation via compiled closures (the DCG \
-     analogue) vs the naive tree-walking interpreter (10 KB message)";
+     analogue) vs the tree-walking interpreter, both over one checked program \
+     (10 KB message)";
   let p = make_point 10_000 in
   let get = function Ok f -> f | Error e -> failwith e in
   let compiled =
@@ -240,7 +241,7 @@ let abl1 () =
     H.measure_alloc ~name:"abl1/interpreted" (fun () -> ignore (interpreted p.v2_value))
   in
   H.row "   compiled closures:   %s  %.0f B/op\n" (ns c) c_bytes;
-  H.row "   naive interpreter:   %s  %.0f B/op\n" (ns i) i_bytes;
+  H.row "   interpreter:         %s  %.0f B/op\n" (ns i) i_bytes;
   H.row "   codegen speedup:     %.1fx\n" (i /. c)
 
 (* --- Ablation 2: cold path vs cached hot path -------------------------------------- *)

@@ -77,24 +77,6 @@ let () =
   deliver ~label:"strict deployment (perfect matches only)"
     Morph.Maxmatch.strict_thresholds;
 
-  (* Importance weighting (the future-work extension): the operator declares
-     the detail fields irrelevant, making the match pristine even under a
-     tight weighted threshold. *)
-  let weights =
-    Morph.Weighted.make
-      [ ("iowait", 0.0); ("temperature", 0.0); ("firmware", 0.0);
-        ("n", 0.0); ("per_core", 0.0) ]
-  in
-  (match
-     Morph.Weighted.max_match ~weights
-       ~thresholds:{ Morph.Weighted.diff_threshold = 0.0; mismatch_threshold = 0.0 }
-       [ telemetry_v3 ] [ telemetry_v1 ]
-   with
-   | Some m ->
-     Format.printf "@.weighted MaxMatch (detail fields weighted 0): %a@."
-       Morph.Weighted.pp_match m
-   | None -> print_endline "weighted MaxMatch: no match");
-
   print_endline
-    "\nOK: optional detail no longer breaks old clients; thresholds and \
-     importance weights set the policy."
+    "\nOK: optional detail no longer breaks old clients; thresholds set the \
+     policy."

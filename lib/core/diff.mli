@@ -20,8 +20,3 @@ val perfect_match : Ptype.record -> Ptype.record -> bool
 (** M{_r}(f1, f2) = diff(f2, f1) / W{_f2}: the fraction of [f2]'s fields a
     message of format [f1] cannot supply.  In [0, 1]. *)
 val mismatch_ratio : Ptype.record -> Ptype.record -> float
-
-(** {1 Internals shared with weighted matching} *)
-
-val same_basic : Ptype.basic -> Ptype.basic -> bool
-val find_complex : string -> [ `Record | `Array ] -> Ptype.record -> Ptype.t option

@@ -24,7 +24,6 @@ module Breaker = Breaker
 module Diff = Diff
 module Pool = Pool
 module Maxmatch = Maxmatch
-module Weighted = Weighted
 module Xform = Xform
 module Plan = Plan
 module Receiver = Receiver
@@ -86,6 +85,5 @@ let morph_to ?(thresholds = Maxmatch.default_thresholds) ?engine
   | Ok p ->
     (match Plan.transform p value with
      | v -> Ok v
-     | exception
-         (Value.Type_error msg | Ecode.Compile.Runtime_error msg | Ecode.Interp.Runtime_error msg)
-       -> Error (`No_match (Fmt.str "transformation failed: %s" msg)))
+     | exception Plan.Failed (Transform msg) ->
+       Error (`No_match (Fmt.str "transformation failed: %s" msg)))

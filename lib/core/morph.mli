@@ -24,7 +24,6 @@ module Breaker : module type of Breaker
 module Diff : module type of Diff
 module Pool : module type of Pool
 module Maxmatch : module type of Maxmatch
-module Weighted : module type of Weighted
 module Xform : module type of Xform
 module Plan : module type of Plan
 module Receiver : module type of Receiver

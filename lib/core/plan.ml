@@ -6,9 +6,15 @@ open Pbio
 
 type kind = Fused | Staged
 
+type failure =
+  | Decode of Err.t
+  | Transform of string
+
+exception Failed of failure
+
 type wire =
-  | Morph of Codec.morpher
-  | Decode of Codec.decoder
+  | Morpher of Codec.morpher
+  | Decoder of Codec.decoder
 
 type t = {
   kind : kind;
@@ -29,14 +35,21 @@ type t = {
 let compile_wire p endian =
   let cache = Ctx.codecs p.ctx in
   match p.kind, p.map with
-  | Fused, None -> Morph (Codec.morpher_in cache ~endian ~from_:p.source ~into:p.target)
+  | Fused, None -> Morpher (Codec.morpher_in cache ~endian ~from_:p.source ~into:p.target)
   | Fused, Some map ->
-    Morph (Codec.compile_map_in cache ~endian map)
-  | Staged, _ -> Decode (Codec.decoder_for ~cache ~endian p.source)
+    Morpher (Codec.compile_map_in cache ~endian map)
+  | Staged, _ -> Decoder (Codec.decoder_for ~cache ~endian p.source)
+
+(* A value transform whose failures are the plan's: whatever a hop or
+   the conversion raises on a value. *)
+let guarded f v =
+  match f v with
+  | v -> v
+  | exception (Value.Type_error msg | Coerce.Runtime_error msg) -> raise (Failed (Transform msg))
 
 let make ~ctx ~kind ~source ~specs ~target ?map transform =
   let rec p =
-    { kind; source; specs; target; ctx; map; transform;
+    { kind; source; specs; target; ctx; map; transform = Option.map guarded transform;
       le = lazy (compile_wire p Little);
       be = lazy (compile_wire p Big) }
   in
@@ -88,16 +101,25 @@ let transform p =
   | None ->
     let f =
       if Ptype.equal_record p.source p.target then Fun.id
-      else convert p.ctx ~from_:p.source ~into:p.target
+      else guarded (convert p.ctx ~from_:p.source ~into:p.target)
     in
     p.transform <- Some f;
     f
 
-let step p (message : string) : Value.t =
+let read p (message : string) : Value.t =
   let h = Codec.read_header message in
   match Lazy.force (match h.endian with Little -> p.le | Big -> p.be) with
-  | Morph m -> Codec.morph_payload m ~pos:Codec.header_size message
-  | Decode d -> Codec.decode_payload d ~pos:Codec.header_size message
+  | Morpher m -> Codec.morph_payload m ~pos:Codec.header_size message
+  | Decoder d -> Codec.decode_payload d ~pos:Codec.header_size message
+
+(* The wire step, its failures classified: a malformed message, or a
+   fused plan's coercion, which runs once the whole message has read. *)
+let step p message =
+  match read p message with
+  | v -> v
+  | exception Codec.Decode_error msg -> raise (Failed (Decode (`Decode msg)))
+  | exception Value.Type_error msg -> raise (Failed (Decode (`Type msg)))
+  | exception Coerce.Runtime_error msg -> raise (Failed (Transform msg))
 
 let run p message =
   match p.kind with

@@ -25,6 +25,19 @@ open Pbio
     ({!Xform.collapse}). *)
 type kind = Fused | Staged
 
+(** How a delivery failed: the wire message is malformed ([Decode]: the
+    codec's decode error, or a value of the wrong shape met while
+    reading), or a hop, the final conversion or a fused plan's coercion
+    failed on it ([Transform]). *)
+type failure =
+  | Decode of Err.t
+  | Transform of string
+
+(** The one exception {!run}, {!decode} and {!transform}'s function raise
+    for a message.  Each front end catches it and keeps its own policy
+    and texts. *)
+exception Failed of failure
+
 type t
 
 (** Compile a plan from [source] messages through the hops [specs] into
@@ -56,19 +69,22 @@ val target : t -> Ptype.record
 val hops : t -> int
 
 (** From a [source] value to a [target] value: for a chain, collapsed or
-    not, its hops run one after another, then the conversion. *)
+    not, its hops run one after another, then the conversion.  Whatever
+    they raise ({!Pbio.Value.Type_error}, {!Pbio.Coerce.Runtime_error})
+    is [Failed (Transform _)]. *)
 val transform : t -> Value.t -> Value.t
 
 (** Decode and transform one complete wire message of the [source]
-    format, allocating only the header read and the values built.  Raises
-    {!Pbio.Codec.Decode_error} or {!Pbio.Value.Type_error} on a malformed
-    message, and whatever the hops raise — a collapsed chain's coercions
-    only once the whole message has decoded. *)
+    format, allocating only the header read and the values built.  A
+    malformed message is [Failed (Decode _)]; a hop, or a collapsed
+    chain's coercion (checked only once the whole message has decoded),
+    that fails is [Failed (Transform _)]. *)
 val run : t -> string -> Value.t
 
 (** The wire step of {!run}: a staged plan's decode into the [source]
     layout, recorded into the plan's context as {!Pbio.Wire.decode}
-    records it; a fused plan's whole {!run}, unrecorded. *)
+    records it; a fused plan's whole {!run}, unrecorded.  It fails as
+    {!run} fails. *)
 val decode : t -> string -> Value.t
 
 (** [fused], [fused, N hops] for a collapsed chain, or [staged, N hops]. *)

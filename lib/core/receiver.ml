@@ -466,7 +466,7 @@ let transform_failed t (entry : cache_entry) msg : outcome =
 type step =
   | Transform of Value.t (* admitted: run the transform on the sender's value, then the handler *)
   | Hand_over of Value.t (* admitted, and a fused wire plan already built the target value *)
-  | Failed of string (* admitted, and a fused wire plan's coercion failed *)
+  | Failed of string (* admitted, and the plan failed on the message *)
   | Turn_away of Value.t (* a Reject pipeline, or a breaker that refused admission *)
 
 let run_step t (entry : cache_entry) (meta : Meta.format_meta) step : outcome =
@@ -482,9 +482,7 @@ let run_step t (entry : cache_entry) (meta : Meta.format_meta) step : outcome =
      | v' ->
        if t.m.rm_on then Obs.Histogram.observe t.m.rm_morph_ns (Obs.now t.m.rm_reg -. t0);
        hand_over t entry a v'
-     | exception
-         (Value.Type_error msg | Ecode.Compile.Runtime_error msg | Ecode.Interp.Runtime_error msg)
-       -> transform_failed t entry msg)
+     | exception Plan.Failed (Transform msg) -> transform_failed t entry msg)
 
 let reject_hit = [ ("cache", "hit") ]
 let reject_miss = [ ("cache", "miss") ]
@@ -558,9 +556,8 @@ let deliver_wire t (meta : Meta.format_meta) (message : string) : outcome =
   | Accept { plan; _ } when admit entry ->
     let t0 = if t.m.rm_on then Obs.now t.m.rm_reg else 0. in
     (match Plan.decode plan message with
-     | exception Codec.Decode_error msg -> reject_wire t (`Decode msg)
-     | exception Value.Type_error msg -> reject_wire t (`Type msg)
-     | exception Ecode.Compile.Runtime_error msg -> deliver_step t ~hit entry meta (Failed msg)
+     | exception Plan.Failed (Decode e) -> reject_wire t e
+     | exception Plan.Failed (Transform msg) -> deliver_step t ~hit entry meta (Failed msg)
      | v when Plan.kind plan = Plan.Fused ->
        (* the decode's end is the span's start: one clock read *)
        let start_ns =

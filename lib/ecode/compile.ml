@@ -21,11 +21,10 @@
 open Pbio
 open Typecheck
 
-(* A coercion's failure ({!Pbio.Coerce.Runtime_error}) is a run-time error
-   like any other: one exception, whichever engine part raised it. *)
-exception Runtime_error = Coerce.Runtime_error
-
-let runtime_error fmt = Fmt.kstr (fun s -> raise (Runtime_error s)) fmt
+(* A run-time failure of compiled code (a division by zero, a parameter
+   count) raises {!Pbio.Coerce.Runtime_error}, as a coercion's does: one
+   exception for both engines and every part of them. *)
+let runtime_error fmt = Fmt.kstr (fun s -> raise (Coerce.Runtime_error s)) fmt
 
 (* Locals of type [int] live in [ints], every other local in [locals], both
    indexed by slot.  A slot's type never changes (a declared local's, or a

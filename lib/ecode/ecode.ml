@@ -1,7 +1,8 @@
 (* Ecode: the C-subset transformation language of the paper (Section 3.2,
    Figure 5), with both a closure compiler (the dynamic-code-generation
-   analogue used in production paths) and a naive interpreter (the ablation
-   baseline).
+   analogue used in production paths) and an interpreter of the same
+   checked program (the reference compiled code is checked against, and
+   the ablation baseline).
 
    The conventional entry point for message morphing is {!compile_xform}:
    the snippet sees the incoming message as [new] and the outgoing message
@@ -10,10 +11,6 @@
 module Token = Token
 module Lexer = Lexer
 module Ast = Ast
-module Parser = Parser
-module Typecheck = Typecheck
-module Compile = Compile
-module Interp = Interp
 module Pp = Pp
 
 open Pbio
@@ -77,6 +74,25 @@ let compile_typed ?(ctx = Ctx.default) ~(params : (string * Ptype.t) list) (src 
 (* The resulting function takes the parameter values in declaration
    order. *)
 let compile ?ctx ~params src = Result.map snd (compile_typed ?ctx ~params src)
+
+(* The same checked program, run by the interpreter: no compile, and so
+   nothing recorded. *)
+let interpret ~params src =
+  match parse src with
+  | Error _ as e -> e
+  | Ok prog -> Result.map Interp.run (typecheck ~params prog)
+
+(* A hop's function: [run] over [new] and a fresh [old], then [dst]'s
+   length sync. *)
+let hop_fn (dst : Ptype.record) run =
+  let sync = Value.compile_sync dst in
+  fun input ->
+    let output = Value.default_record dst in
+    run [| input; output |];
+    sync output;
+    output
+
+let hop_params ~src ~dst = [ ("new", Ptype.Record src); ("old", Ptype.Record dst) ]
 
 type hop = {
   map : Codec.field_map;
@@ -349,34 +365,17 @@ let hop_of (dst : Ptype.record) (prog : Typecheck.tprog) : hop option =
    message and [old] the outgoing one. *)
 let compile_hop ?ctx ~(src : Ptype.record) ~(dst : Ptype.record) (code : string) :
   ((Value.t -> Value.t) * hop option, string) result =
-  let params = [ ("new", Ptype.Record src); ("old", Ptype.Record dst) ] in
-  match compile_typed ?ctx ~params code with
+  match compile_typed ?ctx ~params:(hop_params ~src ~dst) code with
   | Error _ as e -> e
   | Ok (tprog, run) ->
-    let sync = Value.compile_sync dst in
     let hop = match hop_of dst tprog with h -> h | exception Value.Type_error _ -> None in
-    Ok
-      ( (fun input ->
-          let output = Value.default_record dst in
-          run [| input; output |];
-          sync output;
-          output),
-        hop )
+    Ok (hop_fn dst run, hop)
 
 let compile_xform ?ctx ~src ~dst code = Result.map fst (compile_hop ?ctx ~src ~dst code)
 
-(* Interpreted variant of {!compile_xform}; same semantics, no code
-   generation.  Used by the A1 ablation benchmark. *)
+(* Interpreted variant of {!compile_xform}: the same checked program, no
+   code generation.  The reference the oracles check compiled hops
+   against, and the A1 ablation's baseline. *)
 let interpret_xform ~(src : Ptype.record) ~(dst : Ptype.record) (code : string) :
   (Value.t -> Value.t, string) result =
-  ignore src;
-  match parse code with
-  | Error _ as e -> e
-  | Ok prog ->
-    let sync = Value.compile_sync dst in
-    Ok
-      (fun input ->
-         let output = Value.default_record dst in
-         Interp.run ~params:[ ("new", input); ("old", output) ] prog;
-         sync output;
-         output)
+  Result.map (hop_fn dst) (interpret ~params:(hop_params ~src ~dst) code)

@@ -1,23 +1,32 @@
 (** Ecode: the C-subset transformation language of the paper (Section 3.2,
     Figure 5), with both a closure compiler (the dynamic-code-generation
-    analogue used in production paths) and a naive interpreter (the A1
-    ablation baseline).
+    analogue used in production paths) and an interpreter of the same
+    checked program (the reference compiled code is checked against, and
+    the A1 ablation baseline).
 
     The conventional entry point for message morphing is {!compile_xform}:
     the snippet sees the incoming message as [new] and the outgoing message
     as [old], exactly as in the paper's Figure 5 code.  {!compile_hop} also
     reads a straight-line hop as a {!Pbio.Codec.field_map} over its source,
     the one form in which plans compose hops and the codec compiles
-    them. *)
+    them.
+
+    Both engines run one checked program: a program the checker refuses
+    is refused by both, with the checker's text, and a failure at run
+    time raises {!Pbio.Coerce.Runtime_error}, or {!Pbio.Value.Type_error}
+    from a value accessor, on both. *)
+
+(** {1 Test seam}
+
+    The lexer, the syntax tree and the pretty-printer, for the syntax
+    tests (docs/TESTING.md); nothing outside test/ uses them. *)
 
 module Token : module type of Token
 module Lexer : module type of Lexer
 module Ast : module type of Ast
-module Parser : module type of Parser
-module Typecheck : module type of Typecheck
-module Compile : module type of Compile
-module Interp : module type of Interp
 module Pp : module type of Pp
+
+(** {1 Programs} *)
 
 open Pbio
 
@@ -32,6 +41,11 @@ val parse : string -> (program, string) result
     latency and [ecode.stmt_count]. *)
 val compile :
   ?ctx:Ctx.t ->
+  params:(string * Ptype.t) list -> string -> (Value.t array -> unit, string) result
+
+(** {!compile}'s program, parsed and checked the same way, run by the
+    tree-walking interpreter; nothing is recorded. *)
+val interpret :
   params:(string * Ptype.t) list -> string -> (Value.t array -> unit, string) result
 
 (** The paper's transformation shape: convert a [src]-format message into a
@@ -79,7 +93,8 @@ val compile_hop :
   src:Ptype.record -> dst:Ptype.record -> string ->
   ((Value.t -> Value.t) * hop option, string) result
 
-(** Interpreted variant of {!compile_xform}; same semantics, no code
-    generation. *)
+(** Interpreted variant of {!compile_xform}: the same checked program, no
+    code generation.  An ill-typed snippet is refused as {!compile_xform}
+    refuses it. *)
 val interpret_xform :
   src:Ptype.record -> dst:Ptype.record -> string -> (Value.t -> Value.t, string) result

@@ -1,405 +1,268 @@
-(* A naive tree-walking interpreter for Ecode.
+(* A tree-walking interpreter over the checked program ({!Typecheck.tprog}).
 
-   Deliberately unspecialised — names are resolved through hash tables and
-   operators dispatch on runtime value shapes on every execution — so that
-   it serves as the "no code generation" baseline for the ablation
-   benchmark (DESIGN.md, A1).  Semantics match {!Compile} on well-typed
-   programs; equivalence is property-tested.
+   It runs what {!Compile} compiles: the same typed tree, so the same
+   coercions ({!Pbio.Coerce}), operand classes, builtins and array stores,
+   in the same order.  The two engines differ only in when they dispatch:
+   this walk matches every node each time it runs, where {!Compile}
+   matches each node once and builds closures.  That per-node dispatch is
+   the baseline the A1 ablation times (DESIGN.md).
 
-   One approximation: assigning a plain integer into an enum-typed field
-   keeps the target's current case name when the numeric value is unchanged
-   and otherwise stores an anonymous case.  The compiled version, which
-   knows the enum declaration, resolves the proper case name.  Transform
-   code that assigns enums from enums is unaffected. *)
+   Locals live in one [Value.t array] per call, parameters are read by
+   slot and user functions by index.  An int local holds a boxed int, as
+   compiled code's unboxed slot reads back.  A failure raises what
+   compiled code raises: {!Pbio.Coerce.Runtime_error}, or
+   {!Pbio.Value.Type_error} from an accessor.  [break], [continue] and
+   [return] unwind by {!Compile}'s exceptions.
+
+   Evaluation order is Compile's: an assignment resolves its path, then
+   evaluates its right-hand side, then stores; a path step evaluates its
+   container before its index, a read its index before its base; a binary
+   operator or builtin evaluates its right operand first (OCaml evaluates
+   the compiled closures' operands right to left); a user function's
+   arguments run left to right. *)
 
 open Pbio
+open Typecheck
 
-exception Runtime_error of string
-
-let runtime_error fmt = Fmt.kstr (fun s -> raise (Runtime_error s)) fmt
-
-exception Brk
-exception Cont
-exception Ret
-exception Retv of Value.t
-
-type scope = (string, Value.t ref) Hashtbl.t
-
-type env = {
-  mutable scopes : scope list;
-  funs : (string, Ast.fundef) Hashtbl.t;
+type frame = {
+  locals : Value.t array;
+  params : Value.t array;
+  funs : tfun array;
 }
 
-let enter env = env.scopes <- Hashtbl.create 8 :: env.scopes
+let int = Value.to_int
+let float = Value.to_float
 
-let leave env =
-  match env.scopes with
-  | [] -> assert false
-  | _ :: rest -> env.scopes <- rest
+let set_local f slot (ty : Ptype.t) v =
+  let v = match ty with Basic Int -> Value.Int (int v) | _ -> v in
+  f.locals.(slot) <- v;
+  v
 
-let lookup env name : Value.t ref =
-  let rec go = function
-    | [] -> runtime_error "unknown variable %S" name
-    | s :: rest ->
-      (match Hashtbl.find_opt s name with Some r -> r | None -> go rest)
-  in
-  go env.scopes
+(* Where an lvalue's path ends: a slot, a record field, or an array
+   element with its element type (the fill of a store past the end). *)
+type place =
+  | Local of int * Ptype.t
+  | Param of int
+  | At of Value.t * int
+  | Elem of Value.t * int * Ptype.t
 
-let declare env name v =
-  match env.scopes with
-  | s :: _ -> Hashtbl.replace s name (ref v)
-  | [] -> assert false
+let get f = function
+  | Local (s, _) -> f.locals.(s)
+  | Param s -> f.params.(s)
+  | At (c, i) -> Value.field_at c i
+  | Elem (c, i, _) -> Value.array_get c i
 
-(* --- dynamic operator semantics ------------------------------------------ *)
+let store f p v =
+  match p with
+  | Local (s, ty) -> set_local f s ty v
+  | Param s ->
+    f.params.(s) <- v;
+    v
+  | At (c, i) ->
+    Value.set_at c i v;
+    v
+  | Elem (c, i, ety) ->
+    Value.array_set ~fill:(Value.default ety) c i v;
+    v
 
-let is_float = function Value.Float _ -> true | _ -> false
-let is_string = function Value.String _ -> true | _ -> false
-
-let arith op (a : Value.t) (b : Value.t) : Value.t =
+(* Whether [op] holds of two operands that compare as [c]. *)
+let holds op c =
   match op with
-  | Ast.Add when is_string a || is_string b ->
-    Value.String (Coerce.string_of_value a ^ Coerce.string_of_value b)
-  | Add | Sub | Mul | Div ->
-    if is_float a || is_float b then begin
-      let x = Value.to_float a and y = Value.to_float b in
-      Value.Float
-        (match op with
-         | Add -> x +. y | Sub -> x -. y | Mul -> x *. y | Div -> x /. y
-         | _ -> assert false)
-    end
-    else begin
-      let x = Value.to_int a and y = Value.to_int b in
-      if (op = Div) && y = 0 then runtime_error "division by zero";
-      Value.Int
-        (match op with
-         | Add -> x + y | Sub -> x - y | Mul -> x * y | Div -> x / y
-         | _ -> assert false)
-    end
-  | Mod ->
-    let y = Value.to_int b in
-    if y = 0 then runtime_error "modulo by zero";
-    Value.Int (Value.to_int a mod y)
-  | Band -> Value.Int (Value.to_int a land Value.to_int b)
-  | Bor -> Value.Int (Value.to_int a lor Value.to_int b)
-  | Bxor -> Value.Int (Value.to_int a lxor Value.to_int b)
-  | Shl -> Value.Int (Value.to_int a lsl (Value.to_int b land 63))
-  | Shr -> Value.Int (Value.to_int a asr (Value.to_int b land 63))
-  | Eq | Ne | Lt | Le | Gt | Ge | And | Or -> assert false
+  | Ceq -> c = 0 | Cne -> c <> 0 | Clt -> c < 0
+  | Cle -> c <= 0 | Cgt -> c > 0 | Cge -> c >= 0
 
-let compare_values op (a : Value.t) (b : Value.t) : bool =
-  match a, b with
-  | (Value.Record _ | Value.Array _), _ | _, (Value.Record _ | Value.Array _) ->
-    (match op with
-     | Ast.Eq -> Value.equal a b
-     | Ne -> not (Value.equal a b)
-     | _ -> runtime_error "only == and != apply to structured values")
-  | Value.String x, Value.String y ->
-    (match op with
-     | Ast.Eq -> x = y | Ne -> x <> y | Lt -> x < y
-     | Le -> x <= y | Gt -> x > y | Ge -> x >= y
-     | _ -> assert false)
-  | _ ->
-    if is_float a || is_float b then begin
-      let x = Value.to_float a and y = Value.to_float b in
-      match op with
-      | Ast.Eq -> x = y | Ne -> x <> y | Lt -> x < y
-      | Le -> x <= y | Gt -> x > y | Ge -> x >= y
-      | _ -> assert false
-    end
-    else begin
-      let x = Value.to_int a and y = Value.to_int b in
-      match op with
-      | Ast.Eq -> x = y | Ne -> x <> y | Lt -> x < y
-      | Le -> x <= y | Gt -> x > y | Ge -> x >= y
-      | _ -> assert false
-    end
-
-(* Coerce [v] so that it fits where [model] (the location's current value)
-   lives — the dynamic analogue of the typed assignment conversions. *)
-let coerce_to_model (model : Value.t) (v : Value.t) : Value.t =
-  match model, v with
-  | Value.Int _, _ -> Value.Int (match v with
-      | Value.Float x -> int_of_float x
-      | _ -> Value.to_int v)
-  | Value.Uint _, _ ->
-    let n = match v with Value.Float x -> int_of_float x | _ -> Value.to_int v in
-    Value.Uint (n land 0xFFFF_FFFF)
-  | Value.Float _, _ -> Value.Float (Value.to_float v)
-  | Value.Char _, _ ->
-    (match v with
-     | Value.Char _ -> v
-     | _ -> Value.Char (Char.chr (Value.to_int v land 0xff)))
-  | Value.Bool _, _ -> Value.Bool (Value.to_bool v)
-  | Value.String _, Value.String _ -> v
-  | Value.String _, _ -> runtime_error "cannot assign non-string to string"
-  | Value.Enum (case, n), _ ->
-    (match v with
-     | Value.Enum _ -> v
-     | _ ->
-       let m = Value.to_int v in
-       if m = n then Value.Enum (case, n) else Value.Enum ("", m))
-  | (Value.Record _ | Value.Array _), (Value.Record _ | Value.Array _) -> Value.copy v
-  | (Value.Record _ | Value.Array _), _ ->
-    runtime_error "cannot assign scalar to structured value"
-
-let default_for_dtyp : Ast.dtyp -> Value.t = function
-  | Dint -> Value.Int 0
-  | Duint -> Value.Uint 0
-  | Dfloat -> Value.Float 0.0
-  | Dchar -> Value.Char '\x00'
-  | Dbool -> Value.Bool false
-  | Dstring -> Value.String ""
-
-(* --- lvalues ------------------------------------------------------------- *)
-
-(* Resolve an lvalue expression to (get, set) against the live data.
-   Containers along the path are evaluated in lvalue context: indexing one
-   past the end of an array grows it (using the array's model element), so
-   code like [old.list[n].f = x] extends the list just as the compiled
-   engine does. *)
-let rec resolve_lval env (e : Ast.expr) : (unit -> Value.t) * (Value.t -> unit) =
-  match e.Ast.e with
-  | Ident name ->
-    let r = lookup env name in
-    ((fun () -> !r), fun v -> r := coerce_to_model !r v)
-  | Field (base, fname) ->
-    let container = eval_container env base in
-    ( (fun () -> Value.get_field container fname),
-      fun v ->
-        let model = Value.get_field container fname in
-        Value.set_field container fname (coerce_to_model model v) )
-  | Index (base, ix) ->
-    let container = eval_container env base in
-    let i = Value.to_int (eval env ix) in
-    ( (fun () -> Value.array_get container i),
-      fun v ->
-        let model =
-          if i < Value.array_len container then Value.array_get container i
-          else Option.value (Value.dyn container).Value.model ~default:v
-        in
-        Value.array_set container i (coerce_to_model model v) )
-  | _ -> runtime_error "expression is not assignable"
-
-(* Evaluate the container part of an lvalue path, growing arrays when an
-   index step lands one past the end. *)
-and eval_container env (e : Ast.expr) : Value.t =
-  match e.Ast.e with
-  | Field (base, fname) -> Value.get_field (eval_container env base) fname
-  | Index (base, ix) ->
-    let container = eval_container env base in
-    let i = Value.to_int (eval env ix) in
-    if i = Value.array_len container then
-      Value.array_set container i (Value.fill_for (Value.dyn container));
-    Value.array_get container i
-  | _ -> eval env e
-
-(* --- expressions ---------------------------------------------------------- *)
-
-and eval env (e : Ast.expr) : Value.t =
-  match e.Ast.e with
-  | Int_lit n -> Value.Int n
-  | Float_lit x -> Value.Float x
-  | Char_lit c -> Value.Char c
-  | String_lit s -> Value.String s
-  | Bool_lit b -> Value.Bool b
-  | Ident name -> !(lookup env name)
-  | Field (base, fname) -> Value.get_field (eval env base) fname
-  | Index (base, ix) -> Value.array_get (eval env base) (Value.to_int (eval env ix))
-  | Unop (Neg, a) ->
-    (match eval env a with
-     | Value.Float x -> Value.Float (-.x)
-     | v -> Value.Int (-Value.to_int v))
-  | Unop (Not, a) -> Value.Bool (not (Value.to_bool (eval env a)))
-  | Unop (Bnot, a) -> Value.Int (lnot (Value.to_int (eval env a)))
-  | Binop (And, a, b) ->
-    Value.Bool (Value.to_bool (eval env a) && Value.to_bool (eval env b))
-  | Binop (Or, a, b) ->
-    Value.Bool (Value.to_bool (eval env a) || Value.to_bool (eval env b))
-  | Binop ((Eq | Ne | Lt | Le | Gt | Ge) as op, a, b) ->
-    Value.Bool (compare_values op (eval env a) (eval env b))
-  | Binop (op, a, b) -> arith op (eval env a) (eval env b)
-  | Cond (c, a, b) -> if Value.to_bool (eval env c) then eval env a else eval env b
-  | Call (name, args) ->
-    (match Hashtbl.find_opt env.funs name with
-     | Some f -> eval_user_call env f (List.map (eval env) args)
-     | None -> eval_call env name (List.map (eval env) args))
-  | Assign (op, lhs, rhs) ->
-    let get, set = resolve_lval env lhs in
-    let v = eval env rhs in
-    let v =
-      match op with
-      | Set -> v
-      | Add_eq -> arith Ast.Add (get ()) v
-      | Sub_eq -> arith Ast.Sub (get ()) v
-      | Mul_eq -> arith Ast.Mul (get ()) v
-      | Div_eq -> arith Ast.Div (get ()) v
-      | Mod_eq -> arith Ast.Mod (get ()) v
-    in
-    set v;
-    get ()
-  | Incr (kind, lhs) ->
-    let get, set = resolve_lval env lhs in
-    let old = get () in
-    let delta = match kind with Pre_incr | Post_incr -> 1 | Pre_decr | Post_decr -> -1 in
+let rec eval f (e : texpr) : Value.t =
+  match e.n with
+  | Tconst v -> (match v with Record _ | Array _ -> Value.copy v | _ -> v)
+  | Tlocal s -> f.locals.(s)
+  | Tparam s -> f.params.(s)
+  | Tfield (b, i) -> Value.field_at (eval f b) i
+  | Tindex (b, ix) ->
+    let k = int (eval f ix) in
+    Value.array_get (eval f b) k
+  | Tarith (op, a, b) -> arith f op a b
+  | Tcmp (op, kind, a, b) -> Value.Bool (compare f op kind a b)
+  | Tand (a, b) -> Value.Bool (cond f a && cond f b)
+  | Tor (a, b) -> Value.Bool (cond f a || cond f b)
+  | Tnot a -> Value.Bool (not (cond f a))
+  | Tneg a -> Value.Int (-int (eval f a))
+  | Tfneg a -> Value.Float (-.float (eval f a))
+  | Tbnot a -> Value.Int (lnot (int (eval f a)))
+  | Tcond (c, a, b) -> if cond f c then eval f a else eval f b
+  | Tcall (bi, args) -> call f bi args
+  | Tcoerce (co, a) -> Coerce.compile ~from:a.ty co (eval f a)
+  | Tufcall (i, args) -> ufcall f.funs f.funs.(i) (List.map (eval f) args)
+  | Tassign (lv, rhs) ->
+    let p = place f lv in
+    let v = eval f rhs in
+    store f p (match lv.lty with Record _ | Array _ -> Value.copy v | Basic _ -> v)
+  | Tupdate { lv; rhs; rslot; cur; value } ->
+    let p = place f lv in
+    ignore (set_local f rslot rhs.ty (eval f rhs));
+    ignore (set_local f cur lv.lty (get f p));
+    store f p (eval f value)
+  | Tincr { pre; delta; is_float; lv } ->
+    let p = place f lv in
+    let old = get f p in
     let nv =
-      match old with
-      | Value.Float x -> Value.Float (x +. float_of_int delta)
-      | v -> Value.Int (Value.to_int v + delta)
+      if is_float then Value.Float (float old +. float_of_int delta)
+      else Coerce.box_int lv.lty (int old + delta)
     in
-    set nv;
-    (match kind with
-     | Pre_incr | Pre_decr -> get ()
-     | Post_incr | Post_decr -> old)
+    ignore (store f p nv);
+    if pre then nv else old
 
-and eval_user_call env (f : Ast.fundef) (args : Value.t list) : Value.t =
-  if List.length args <> List.length f.Ast.fparams then
-    runtime_error "%s expects %d arguments, got %d" f.Ast.fdname
-      (List.length f.Ast.fparams) (List.length args);
-  let fenv = { scopes = [ Hashtbl.create 8 ]; funs = env.funs } in
-  List.iter2
-    (fun (d, name) arg -> declare fenv name (coerce_to_model (default_for_dtyp d) arg))
-    f.Ast.fparams args;
-  let fallthrough =
-    match f.Ast.fret with
-    | Some d -> default_for_dtyp d
-    | None -> Value.Int 0 (* void: never observed *)
+and cond f e = Value.to_bool (eval f e)
+
+and arith f op a b : Value.t =
+  match op with
+  | Idiv | Imod ->
+    let d = int (eval f b) in
+    if d = 0 then Compile.runtime_error (if op = Idiv then "division by zero" else "modulo by zero");
+    let n = int (eval f a) in
+    Value.Int (if op = Idiv then n / d else n mod d)
+  | Iadd | Isub | Imul | Iband | Ibor | Ibxor | Ishl | Ishr ->
+    let y = int (eval f b) in
+    let x = int (eval f a) in
+    Value.Int
+      (match op with
+       | Iadd -> x + y | Isub -> x - y | Imul -> x * y
+       | Iband -> x land y | Ibor -> x lor y | Ibxor -> x lxor y
+       | Ishl -> x lsl (y land 63) | _ -> x asr (y land 63))
+  | Fadd | Fsub | Fmul | Fdiv ->
+    let y = float (eval f b) in
+    let x = float (eval f a) in
+    Value.Float
+      (match op with Fadd -> x +. y | Fsub -> x -. y | Fmul -> x *. y | _ -> x /. y)
+  | Sconcat ->
+    let y = Coerce.string_of_value (eval f b) in
+    Value.String (Coerce.string_of_value (eval f a) ^ y)
+
+and compare f op kind a b : bool =
+  match kind with
+  | Kint ->
+    let y = int (eval f b) in
+    holds op (Int.compare (int (eval f a)) y)
+  | Kfloat ->
+    let y = float (eval f b) in
+    let x = float (eval f a) in
+    (* IEEE comparisons: every test but != is false against a nan *)
+    (match op with
+     | Ceq -> x = y | Cne -> x <> y | Clt -> x < y
+     | Cle -> x <= y | Cgt -> x > y | Cge -> x >= y)
+  | Kstring ->
+    let y = Value.to_string_exn (eval f b) in
+    holds op (String.compare (Value.to_string_exn (eval f a)) y)
+  | Kvalue ->
+    let y = eval f b in
+    let eq = Value.equal (eval f a) y in
+    if op = Ceq then eq else not eq
+
+and call f bi args : Value.t =
+  let one conv = conv (eval f (List.hd args)) in
+  let two conv k =
+    match args with
+    | [ a; b ] ->
+      let y = conv (eval f b) in
+      k (conv (eval f a)) y
+    | _ -> assert false
   in
-  try
-    List.iter (exec fenv) f.Ast.fbody;
-    fallthrough
-  with
-  | Ret -> fallthrough
-  | Retv v ->
-    (match f.Ast.fret with
-     | Some d -> coerce_to_model (default_for_dtyp d) v
-     | None -> fallthrough)
+  match bi with
+  | Bstrlen -> Value.Int (String.length (one Value.to_string_exn))
+  | Blen -> Value.Int (one Value.array_len)
+  | Babs -> Value.Int (abs (one int))
+  | Bfabs -> Value.Float (Float.abs (one float))
+  | Bmin_int -> Value.Int (two int min)
+  | Bmax_int -> Value.Int (two int max)
+  | Bmin_float -> Value.Float (two float Float.min)
+  | Bmax_float -> Value.Float (two float Float.max)
+  | Bfloor -> Value.Float (Float.floor (one float))
+  | Bceil -> Value.Float (Float.ceil (one float))
+  | Bsqrt -> Value.Float (Float.sqrt (one float))
+  | Bpow -> Value.Float (two float Float.pow)
 
-and eval_call env name (args : Value.t list) : Value.t =
-  ignore env;
+(* A call gets its own frame; parameters occupy its first local slots. *)
+and ufcall funs (tf : tfun) (args : Value.t list) : Value.t =
+  let f = { locals = Array.make (max 1 tf.tf_nlocals) (Value.Int 0); params = [||]; funs } in
+  List.iteri (fun j (ty, v) -> ignore (set_local f j ty v)) (List.combine tf.tf_params args);
+  let fallthrough = match tf.tf_ret with Some ty -> Value.default ty | None -> Value.Int 0 in
+  match List.iter (exec f) tf.tf_body with
+  | () -> fallthrough
+  | exception Compile.Ret -> fallthrough
+  | exception Compile.Retv v -> v
 
-  match name, args with
-  | ("int" | "long"), [ v ] ->
-    Value.Int (match v with Value.Float x -> int_of_float x | _ -> Value.to_int v)
-  | "unsigned", [ v ] ->
-    let n = match v with Value.Float x -> int_of_float x | _ -> Value.to_int v in
-    Value.Uint (n land 0xFFFF_FFFF)
-  | ("float" | "double"), [ v ] -> Value.Float (Value.to_float v)
-  | "char", [ v ] -> Value.Char (Char.chr (Value.to_int v land 0xff))
-  | "bool", [ v ] -> Value.Bool (Value.to_bool v)
-  | "string", [ v ] -> Value.String (Coerce.string_of_value v)
-  | "strlen", [ Value.String s ] -> Value.Int (String.length s)
-  | "len", [ (Value.Array _ as v) ] -> Value.Int (Value.array_len v)
-  | "len", [ Value.String s ] -> Value.Int (String.length s)
-  | "abs", [ Value.Float x ] -> Value.Float (Float.abs x)
-  | "abs", [ v ] -> Value.Int (abs (Value.to_int v))
-  | "fabs", [ v ] -> Value.Float (Float.abs (Value.to_float v))
-  | "min", [ a; b ] when is_float a || is_float b ->
-    Value.Float (Float.min (Value.to_float a) (Value.to_float b))
-  | "min", [ a; b ] -> Value.Int (min (Value.to_int a) (Value.to_int b))
-  | "max", [ a; b ] when is_float a || is_float b ->
-    Value.Float (Float.max (Value.to_float a) (Value.to_float b))
-  | "max", [ a; b ] -> Value.Int (max (Value.to_int a) (Value.to_int b))
-  | "floor", [ v ] -> Value.Float (Float.floor (Value.to_float v))
-  | "ceil", [ v ] -> Value.Float (Float.ceil (Value.to_float v))
-  | "sqrt", [ v ] -> Value.Float (Float.sqrt (Value.to_float v))
-  | "pow", [ a; b ] -> Value.Float (Float.pow (Value.to_float a) (Value.to_float b))
-  | _, _ -> runtime_error "unknown function %S (arity %d)" name (List.length args)
+(* An lvalue's path, resolved once.  Each index step grows a variable
+   array by one element of its type when the index lands one past the
+   end, so [old.list[n].f = x] appends, as {!Compile}'s navigation does. *)
+and place f (lv : tlval) : place =
+  let rec go c = function
+    | [ Sfield i ] -> At (c, i)
+    | [ Sindex (ix, ety) ] -> Elem (c, int (eval f ix), ety)
+    | Sfield i :: rest -> go (Value.field_at c i) rest
+    | Sindex (ix, ety) :: rest ->
+      let i = int (eval f ix) in
+      if i = Value.array_len c then Value.array_push c (Value.default ety);
+      go (Value.array_get c i) rest
+    | [] -> assert false
+  in
+  match lv.base, lv.steps with
+  | Lbase_local s, [] -> Local (s, lv.lty)
+  | Lbase_param s, [] -> Param s
+  | Lbase_local s, steps -> go f.locals.(s) steps
+  | Lbase_param s, steps -> go f.params.(s) steps
 
-(* --- statements ------------------------------------------------------------ *)
-
-and exec env (s : Ast.stmt) : unit =
-  match s.Ast.s with
-  | Empty -> ()
-  | Expr e -> ignore (eval env e)
-  | Decl (dt, decls) ->
-    List.iter
-      (fun (d : Ast.decl) ->
-         let v =
-           match d.dinit with
-           | None -> default_for_dtyp dt
-           | Some e -> coerce_to_model (default_for_dtyp dt) (eval env e)
-         in
-         declare env d.dname v)
-      decls
-  | If (c, t, e) ->
-    if Value.to_bool (eval env c) then scoped env t
-    else Option.iter (scoped env) e
-  | While (c, body) ->
+and exec f (s : tstmt) : unit =
+  match s with
+  | TSnop -> ()
+  | TSexpr e -> ignore (eval f e)
+  | TSif (c, t, e) -> if cond f c then exec f t else Option.iter (exec f) e
+  | TSwhile (c, body) ->
     (try
-       while Value.to_bool (eval env c) do
-         try scoped env body with Cont -> ()
+       while cond f c do
+         try exec f body with Compile.Cont -> ()
        done
-     with Brk -> ())
-  | Do_while (body, c) ->
+     with Compile.Brk -> ())
+  | TSdo (body, c) ->
     (try
-       let continue_ = ref true in
-       while !continue_ do
-         (try scoped env body with Cont -> ());
-         continue_ := Value.to_bool (eval env c)
+       let again = ref true in
+       while !again do
+         (try exec f body with Compile.Cont -> ());
+         again := cond f c
        done
-     with Brk -> ())
-  | For (init, cond, step, body) ->
-    enter env;
-    Option.iter (exec env) init;
+     with Compile.Brk -> ())
+  | TSfor (init, c, step, body) ->
+    Option.iter (exec f) init;
     (try
-       let check () = match cond with Some e -> Value.to_bool (eval env e) | None -> true in
-       while check () do
-         (try scoped env body with Cont -> ());
-         Option.iter (fun e -> ignore (eval env e)) step
+       while match c with Some c -> cond f c | None -> true do
+         (try exec f body with Compile.Cont -> ());
+         Option.iter (fun e -> ignore (eval f e)) step
        done
-     with Brk -> ());
-    leave env
-  | Switch (scrutinee, arms) ->
-    let v = Value.to_int (eval env scrutinee) in
-    let n = List.length arms in
-    let idx =
-      let rec by_label i = function
-        | [] -> None
-        | (a : Ast.switch_arm) :: rest ->
-          if List.mem v a.labels then Some i else by_label (i + 1) rest
-      in
-      match by_label 0 arms with
-      | Some i -> Some i
-      | None ->
-        let rec by_default i = function
-          | [] -> None
-          | (a : Ast.switch_arm) :: rest ->
-            if a.has_default then Some i else by_default (i + 1) rest
-        in
-        by_default 0 arms
+     with Compile.Brk -> ())
+  | TSswitch (scrutinee, arms) ->
+    let v = int (eval f scrutinee) in
+    let rec from p = function
+      | [] -> None
+      | (a :: _) as arms when p a -> Some arms
+      | _ :: rest -> from p rest
     in
-    (match idx with
-     | None -> ()
-     | Some start ->
-       enter env;
-       let finish () = leave env in
-       (try
-          for j = start to n - 1 do
-            List.iter (exec env) (List.nth arms j).Ast.body
-          done;
-          finish ()
-        with
-        | Brk -> finish ()
-        | e -> finish (); raise e))
-  | Block ss ->
-    enter env;
-    (try List.iter (exec env) ss with e -> leave env; raise e);
-    leave env
-  | Return e ->
-    (match e with
-     | None -> raise Ret
-     | Some e -> raise (Retv (eval env e)))
-  | Break -> raise Brk
-  | Continue -> raise Cont
+    let start =
+      match from (fun a -> List.mem v a.t_labels) arms with
+      | Some _ as s -> s
+      | None -> from (fun a -> a.t_default) arms
+    in
+    Option.iter
+      (fun arms -> try List.iter (fun a -> List.iter (exec f) a.t_body) arms with Compile.Brk -> ())
+      start
+  | TSblock ss -> List.iter (exec f) ss
+  | TSreturn None -> raise Compile.Ret
+  | TSreturn (Some e) -> raise (Compile.Retv (eval f e))
+  | TSbreak -> raise Compile.Brk
+  | TScontinue -> raise Compile.Cont
 
-and scoped env s =
-  enter env;
-  (try exec env s with e -> leave env; raise e);
-  leave env
-
-let run ~(params : (string * Value.t) list) (prog : Ast.prog) : unit =
-  let funs = Hashtbl.create 8 in
-  List.iter (fun (f : Ast.fundef) -> Hashtbl.replace funs f.Ast.fdname f) prog.Ast.funs;
-  let env = { scopes = [ Hashtbl.create 8 ]; funs } in
-  List.iter (fun (name, v) -> declare env name v) params;
-  try List.iter (exec env) prog.Ast.main with Ret | Retv _ -> ()
+(* Run the program against an array of parameter values, in the order of
+   the [params] it was checked against. *)
+let run (prog : tprog) (params : Value.t array) : unit =
+  let nparams = List.length prog.params in
+  if Array.length params <> nparams then
+    Compile.runtime_error "expected %d parameters, got %d" nparams (Array.length params);
+  let f = { locals = Array.make (max 1 prog.nlocals) (Value.Int 0); params; funs = prog.tfuns } in
+  try List.iter (exec f) prog.body with Compile.Ret | Compile.Retv _ -> ()

@@ -71,7 +71,7 @@ and tnode =
       (* [lv op= rhs]: the path of [lv] is resolved once, then [rhs] is
          evaluated into the hidden local [rslot], the current value of
          [lv] read into the hidden local [cur], and [value] (computed from
-         those two locals) stored — the interpreter's order *)
+         those two locals) stored *)
   | Tincr of { pre : bool; delta : int; is_float : bool; lv : tlval }
   | Tufcall of int * texpr list (* user-defined function, by index *)
 

@@ -537,13 +537,9 @@ let deliver_now t (ts : tstate) (plan : Plan.t) ~fingerprint:fp ~deadline_ns
     end
     else t.on_delivery d;
     Delivered rung
-  | exception Codec.Decode_error msg ->
-    record_failure t ts (Fmt.str "decode failed: %s" msg)
-  | exception Value.Type_error msg ->
-    record_failure t ts (Fmt.str "transformation failed: %s" msg)
-  | exception Ecode.Compile.Runtime_error msg ->
-    record_failure t ts (Fmt.str "transformation failed: %s" msg)
-  | exception Ecode.Interp.Runtime_error msg ->
+  | exception Plan.Failed (Decode e) ->
+    record_failure t ts (Fmt.str "decode failed: %s" (Err.message e))
+  | exception Plan.Failed (Transform msg) ->
     record_failure t ts (Fmt.str "transformation failed: %s" msg)
 
 let shed t ~tenant (reason : shed_reason) : outcome =

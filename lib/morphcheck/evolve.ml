@@ -18,11 +18,12 @@
        oracle demand value equality even when the receiver short-circuits
        part of the chain);
      - retype moves are limited so the *rollback* coercion (new type back to
-       old type) is one on which the compiled and interpreted Ecode engines
-       agree: within {int, uint, char, bool} anything goes, anything coerces
-       to float, and float coerces to int/uint only — float-to-char and
-       float-to-bool differ between engines, and enum and string coercions
-       are partial. *)
+       old type) is total: within {int, uint, char, bool} anything goes,
+       anything coerces to float, and float coerces to int/uint only; enum
+       and string coercions are partial.  (Float-to-char and float-to-bool
+       were left out when the two Ecode engines disagreed on them; they no
+       longer do, but widening the policy would change every campaign's
+       cases at a given seed.) *)
 
 open Pbio
 

@@ -7,12 +7,12 @@
 
    The differential oracles:
      roundtrip  wire encode/decode is the identity on conforming values
-     engines    compiled and interpreted Ecode agree on evolution rollbacks
+     engines    compiled and interpreted Ecode deliver, fail or refuse
+                alike on evolution rollbacks, enum stores, float conditions
+                and ill-typed mutants
      chain      a receiver morphing v_n -> v_0 through a spec chain, by
                 value and over the wire in both byte orders, equals the
                 direct composition of the generated hop transformations
-     weighted   uniform-weight Weighted matching reproduces the plain
-                integer Diff / Maxmatch quantities and selections
      codec      compiled and fused codec plans equal the interpretive
                 reference
      collapse   a chain collapsed into one fused plan delivers what the
@@ -91,28 +91,79 @@ let roundtrip_case st =
     if not (Value.equal v v') then fail "payload roundtrip mismatch on format %s"
         (Ptype.record_to_string r)
 
+(* The engines campaign's tally: cases both engines delivered alike,
+   failed alike, and refused alike at compile time. *)
+let engines_delivered = Atomic.make 0
+let engines_failed = Atomic.make 0
+let engines_refused = Atomic.make 0
+
+(* A generated rollback, or one of three variants of it, run by both
+   engines: an int stored into an enum field, drawn in and out of the
+   enum's range; a float tested as a condition and stored into a bool; or
+   an ill-typed mutant (a read of a field the source lacks, a string into
+   a number), which both must refuse at compile time.  Each case expects
+   one outcome: an out-of-range enum store fails, a mutant is refused, and
+   everything else delivers.  Both engines must give it, with equal values
+   or the same text. *)
 let engines_case st =
   let before = Gen.record st in
   let s = Evolve.step before st in
   let v = Gen.value_for s.Evolve.after st in
-  let compiled =
-    match Ecode.compile_xform ~src:s.Evolve.after ~dst:s.Evolve.before s.Evolve.code with
-    | Ok f -> f
-    | Error e ->
-      fail "generated rollback rejected by compiler (%a): %s@ code:@ %s"
-        Evolve.pp_op s.Evolve.op e s.Evolve.code
+  let extend (r : Ptype.record) fs = { r with fields = r.fields @ fs } in
+  let with_field name x =
+    Value.Record (Array.append (Value.entries v) [| { Value.name; v = x } |])
   in
-  let interpreted =
-    match Ecode.interpret_xform ~src:s.Evolve.after ~dst:s.Evolve.before s.Evolve.code with
-    | Ok f -> f
-    | Error e ->
-      fail "generated rollback rejected by interpreter (%a): %s" Evolve.pp_op s.Evolve.op e
+  let variant = Rgen.int_range 0 3 st in
+  let src, dst, code, v, expect =
+    match variant with
+    | 0 -> (s.after, s.before, s.code, v, `Delivered)
+    | 1 ->
+      let enum = Ptype.Basic (Enum { ename = "C"; cases = [ ("a", 0); ("b", 1); ("c", 2) ] }) in
+      let wide = Rgen.oneofl [ 0; 2; 3; -1 ] st in
+      ( extend s.after [ Ptype.field "wide" Ptype.int_ ],
+        extend s.before [ Ptype.field "wide" enum ],
+        s.code ^ "old.wide = new.wide;",
+        with_field "wide" (Value.Int wide),
+        if wide = 0 || wide = 2 then `Delivered else `Failed )
+    | 2 ->
+      ( extend s.after [ Ptype.field "fc" Ptype.float_ ],
+        extend s.before [ Ptype.field "hit" Ptype.int_; Ptype.field "truth" Ptype.bool_ ],
+        s.code ^ "if (new.fc) old.hit = 1; else old.hit = 2;\nold.truth = !new.fc;",
+        with_field "fc" (Value.Float (Rgen.oneofl [ 0.; -0.; 0.5; -1.5 ] st)),
+        `Delivered )
+    | _ ->
+      ( s.after,
+        extend s.before [ Ptype.field "mutant" Ptype.int_ ],
+        s.code ^ Rgen.oneofl [ "old.mutant = new.missing;"; "old.mutant = \"s\";" ] st,
+        v,
+        `Refused )
   in
-  let a = compiled (Value.copy v) in
-  let b = interpreted (Value.copy v) in
-  if not (Value.equal a b) then
-    fail "engines disagree on %a:@ input %s@ compiled %s@ interpreted %s"
-      Evolve.pp_op s.Evolve.op (Value.to_string v) (Value.to_string a) (Value.to_string b)
+  let outcome make =
+    match make ~src ~dst code with
+    | Error e -> `Refused e
+    | Ok f ->
+      (match f (Value.copy v) with
+       | x -> `Delivered x
+       | exception (Value.Type_error m | Coerce.Runtime_error m) -> `Failed m)
+  in
+  let show = function
+    | `Delivered x -> "delivered " ^ Value.to_string x
+    | `Failed m -> "failed: " ^ m
+    | `Refused e -> "refused: " ^ e
+  in
+  let compiled = outcome (Ecode.compile_xform ?ctx:None) in
+  let interpreted = outcome Ecode.interpret_xform in
+  let kind = match compiled with `Delivered _ -> `Delivered | `Failed _ -> `Failed | `Refused _ -> `Refused in
+  if kind <> expect then
+    fail "compiled %s (%a):@ code:@ %s@ input %s" (show compiled) Evolve.pp_op s.op code
+      (Value.to_string v);
+  match compiled, interpreted with
+  | `Delivered a, `Delivered b when Value.equal a b -> Atomic.incr engines_delivered
+  | `Failed a, `Failed b when a = b -> Atomic.incr engines_failed
+  | `Refused a, `Refused b when a = b -> Atomic.incr engines_refused
+  | _ ->
+    fail "engines disagree on %a:@ code:@ %s@ input %s@ compiled %s@ interpreted %s"
+      Evolve.pp_op s.op code (Value.to_string v) (show compiled) (show interpreted)
 
 let chain_case st =
   let base = Gen.record st in
@@ -157,59 +208,6 @@ let chain_case st =
        | Morph.Receiver.Delivered _, Some x -> check (if little then "wire LE" else "wire BE") x
        | o, _ -> fail "wire delivery of a valid %d-hop chain: %a" hops Morph.Receiver.pp_outcome o)
     [ first; not first ]
-
-let weighted_case st =
-  let open Morph in
-  let n1 = Rgen.int_range 1 3 st in
-  let n2 = Rgen.int_range 1 3 st in
-  let set1 = List.init n1 (fun _ -> Gen.record st) in
-  let set2 = List.init n2 (fun _ -> Gen.record st) in
-  let feq a b = Float.abs (a -. b) <= 1e-9 in
-  List.iter
-    (fun f1 ->
-       List.iter
-         (fun f2 ->
-            let d = float_of_int (Diff.diff f1 f2) in
-            let wd = Weighted.diff Weighted.uniform f1 f2 in
-            if not (feq d wd) then
-              fail "uniform weighted diff %g, plain diff %g (%s vs %s)" wd d
-                f1.Ptype.rname f2.Ptype.rname;
-            let r = Diff.mismatch_ratio f1 f2 in
-            let wr = Weighted.mismatch_ratio Weighted.uniform f1 f2 in
-            if not (feq r wr) then
-              fail "uniform weighted Mr %g, plain Mr %g (%s vs %s)" wr r
-                f1.Ptype.rname f2.Ptype.rname)
-         set2)
-    set1;
-  let plain = Maxmatch.max_match ~thresholds:Maxmatch.default_thresholds set1 set2 in
-  let weighted =
-    Weighted.max_match ~weights:Weighted.uniform
-      ~thresholds:
-        { Weighted.diff_threshold =
-            float_of_int Maxmatch.default_thresholds.Maxmatch.diff_threshold;
-          mismatch_threshold = Maxmatch.default_thresholds.Maxmatch.mismatch_threshold }
-      set1 set2
-  in
-  match plain, weighted with
-  | None, None -> ()
-  | Some m, None ->
-    fail "plain MaxMatch selects %s -> %s, weighted finds nothing"
-      m.Maxmatch.f1.Ptype.rname m.Maxmatch.f2.Ptype.rname
-  | None, Some m ->
-    fail "weighted MaxMatch selects %s -> %s, plain finds nothing"
-      m.Weighted.f1.Ptype.rname m.Weighted.f2.Ptype.rname
-  | Some m, Some w ->
-    if not (Ptype.equal_record m.Maxmatch.f1 w.Weighted.f1
-            && Ptype.equal_record m.Maxmatch.f2 w.Weighted.f2) then
-      fail "MaxMatch selections differ: plain %s -> %s, weighted %s -> %s"
-        m.Maxmatch.f1.Ptype.rname m.Maxmatch.f2.Ptype.rname
-        w.Weighted.f1.Ptype.rname w.Weighted.f2.Ptype.rname;
-    if not (feq (float_of_int m.Maxmatch.diff12) w.Weighted.diff12
-            && feq (float_of_int m.Maxmatch.diff21) w.Weighted.diff21
-            && feq m.Maxmatch.ratio w.Weighted.ratio) then
-      fail "MaxMatch quantities differ: plain (%d, %d, %.3f), weighted (%.1f, %.1f, %.3f)"
-        m.Maxmatch.diff12 m.Maxmatch.diff21 m.Maxmatch.ratio
-        w.Weighted.diff12 w.Weighted.diff21 w.Weighted.ratio
 
 (* An evolved-looking sibling of [r]: same format name, a field dropped
    and/or an extra one appended.  That is the shape MaxMatch resolves with
@@ -401,10 +399,9 @@ let same fmt a b =
    entry or array between two places.  Corrupted messages (a flipped
    byte, a truncated payload, 1-4 bytes appended, each under a header
    that still fits) must land in the same outcome class at the receiver
-   as under reference decode plus interpreted morph.  The interpreter
-   checks no enum coercion (the engines oracle leaves it out), so a
-   widened case takes the compiled hop-by-hop chain as its reference
-   morph instead.  [collapsed] counts the cases whose plan collapsed,
+   as under reference decode plus interpreted morph; a widened enum's
+   value is drawn in and out of the enum's range.  [collapsed] counts the
+   cases whose plan collapsed,
    [looped] those of them whose hops run loops; a campaign with none of
    either fails. *)
 let collapsed = Atomic.make 0
@@ -705,10 +702,10 @@ let reference (meta : Meta.format_meta) morph m =
   | dv -> morph dv
 
 let collapse_case st =
-  let c, v, target, compiled_ref, loops =
+  let c, v, target, loops =
     if Rgen.int_range 0 2 st = 0 then
       let c, v, target = fig5_chain st in
-      (c, v, target, false, true)
+      (c, v, target, true)
     else
       let base = Gen.record st in
       let c, widened = widen_enum (Evolve.chain ~max_steps:8 base st) st in
@@ -726,7 +723,7 @@ let collapse_case st =
       (match widened with
        | Some f -> Value.set_field v f (Value.Int (Rgen.oneofl [ 0; 1; 5; 2; 7 ] st))
        | None -> ());
-      (c, v, target, widened <> None, loops)
+      (c, v, target, loops)
   in
   let meta = Evolve.meta_of_chain c in
   let hd = Evolve.head c in
@@ -746,9 +743,9 @@ let collapse_case st =
     | Ok p ->
       (match Morph.Plan.transform p dv with
        | x -> `Delivered x
-       | exception (Value.Type_error _ | Ecode.Compile.Runtime_error _) -> `Transform)
+       | exception Morph.Plan.Failed _ -> `Transform)
   in
-  let reference = reference meta (if compiled_ref then chained else interpreted meta target) in
+  let reference = reference meta (interpreted meta target) in
   let hops = List.length c.Evolve.steps in
   let agree what a b =
     if not (same_outcome target a b) then
@@ -904,7 +901,8 @@ let near_miss_case st =
   for e = 0 to Value.array_len list - 1 do
     match Value.array_get list e with
     | Value.Record _ as r ->
-      Value.set_field r "q" (Value.Int (Rgen.int_range 0 2 st));
+      (* in and out of the range of [C], which [q] is stored into *)
+      Value.set_field r "q" (Value.Int (Rgen.int_range 0 4 st));
       Value.set_field r "p"
         (match guard.ftype with
          | Ptype.Basic Float -> Value.Float (Rgen.oneofl [ 0.; 0.5; -1.5 ] st)
@@ -1051,7 +1049,6 @@ let oracles : (string * (Random.State.t -> unit)) list =
     ("roundtrip", roundtrip_case);
     ("engines", engines_case);
     ("chain", chain_case);
-    ("weighted", weighted_case);
     ("codec", codec_case);
     ("collapse", collapse_case);
     ("near-miss", near_miss_case);
@@ -1065,6 +1062,23 @@ let oracles : (string * (Random.State.t -> unit)) list =
 let names = List.map fst oracles
 
 let fuzz_names = List.filter (fun n -> String.length n > 5 && String.sub n 0 5 = "fuzz-") names
+
+(* The engines campaign's verdict on its own tally: a campaign where no
+   case failed alike, or none was refused by both, checked nothing of
+   that kind. *)
+let engines_report (r : report) =
+  let d = Atomic.get engines_delivered
+  and f = Atomic.get engines_failed
+  and m = Atomic.get engines_refused in
+  let r =
+    { r with
+      note = Fmt.str "%d cases: %d delivered, %d failed alike, %d refused by both" r.cases d f m }
+  in
+  let none what = { case = -1; detail = "no case " ^ what } in
+  if r.cases = 0 then r
+  else if f = 0 then { r with failures = r.failures @ [ none "failed alike" ] }
+  else if m = 0 then { r with failures = r.failures @ [ none "refused by both" ] }
+  else r
 
 (* The collapse campaign's verdict on its own tally. *)
 let collapse_report (r : report) =
@@ -1092,11 +1106,12 @@ let run ?names:(selected = names) ~seed ~count () : report list =
        match List.assoc_opt name oracles with
        | None -> invalid_arg ("Oracle.run: unknown oracle " ^ name)
        | Some case ->
-         Atomic.set collapsed 0;
-         Atomic.set looped 0;
-         Atomic.set near_misses 0;
+         List.iter
+           (fun c -> Atomic.set c 0)
+           [ collapsed; looped; near_misses; engines_delivered; engines_failed; engines_refused ];
          let r = run_cases ~oracle:name ~seed ~count case in
          match name with
+         | "engines" -> engines_report r
          | "collapse" -> collapse_report r
          | "near-miss" -> near_miss_report r
          | _ -> r)

@@ -447,7 +447,7 @@ module Interp = struct
         | Length_field name -> check_len ~what:(Printf.sprintf "%S" name) (length_of name)
       in
       let items = Array.init n (fun _ -> decode_type endian cur elem ~length_of ~msize) in
-      Value.Array { items; len = n; model = Some (Value.default elem) }
+      Value.Array { items; len = n }
 
   and decode_record_inner endian cur (r : Ptype.record)
       ~(msize : (Ptype.t * int) list ref) : Value.t =
@@ -693,15 +693,11 @@ let array_count (r : Ptype.record) slot_for_name ({ elem; size } : Ptype.array_s
      | None -> fun _ -> decode_error "record %s: missing length field %S" r.rname nm)
 
 (* The array reader of decode and fused conversion: the count guard, then
-   [elem] once per element.  The model is shared across every array the
-   plan reads: growth fills copy it ([Value.fill_for]) and equality
-   ignores it. *)
-let read_array (count : cursor -> int) (elem : reader) (model : Value.t) : reader =
-  let model = Some model in
+   [elem] once per element. *)
+let read_array (count : cursor -> int) (elem : reader) : reader =
   fun cur ->
     let n = count cur in
-    let items = Array.init n (fun _ -> elem cur) in
-    Value.Array { items; len = n; model }
+    Value.Array { items = Array.init n (fun _ -> elem cur); len = n }
 
 let vtrue = Value.Bool true
 let vfalse = Value.Bool false
@@ -865,7 +861,7 @@ let rec comp_decode_type endian count (ty : Ptype.t) : reader =
       cur.pos <- cur.pos + n;
       Value.String s
   | Record r -> comp_decode_record endian r
-  | Array a -> read_array (count a) (comp_decode_type endian count a.elem) (Value.default a.elem)
+  | Array a -> read_array (count a) (comp_decode_type endian count a.elem)
 
 and comp_decode_record endian (r : Ptype.record) : reader =
   let fields, nf, nslots, slot_for_field, slot_for_name = record_layout r in
@@ -1276,16 +1272,14 @@ let comp_each endian count (sty : Ptype.t) (takers : (int * Ptype.record * each)
   in
   let ntk = Array.length appenders in
   let targets = Array.of_list (List.map (fun (j, _, _) -> j) takers) in
-  let models = Array.of_list (List.map (fun (_, r, _) -> Value.default_record r) takers) in
   let whole = record_of (names er) (Array.init ne (fun g row -> row.(g))) in
-  let emodel = Some (Value.default (Ptype.Record er)) in
   let n_of = count a in
   fun cur st ->
     let n = n_of cur in
     let row = fresh ne in
     let items = Array.make ntk [||] in
     for t = 0 to ntk - 1 do
-      items.(t) <- Array.make n models.(t)
+      items.(t) <- Array.make n zero
     done;
     let counts = Array.make ntk 0 in
     let kept = if raw >= 0 then Array.make n (Value.Int 0) else [||] in
@@ -1297,11 +1291,10 @@ let comp_each endian count (sty : Ptype.t) (takers : (int * Ptype.record * each)
       done
     done;
     for t = 0 to ntk - 1 do
-      st.(targets.(t)) <-
-        Value.Array { items = items.(t); len = counts.(t); model = Some models.(t) }
+      st.(targets.(t)) <- Value.Array { items = items.(t); len = counts.(t) }
     done;
     if raw >= 0 then begin
-      let v = Value.Array { items = kept; len = n; model = emodel } in
+      let v = Value.Array { items = kept; len = n } in
       st.(raw) <- v;
       match lens_k with Some k -> cur.lens.(k) <- v | None -> ()
     end
@@ -1374,10 +1367,10 @@ let rec comp_morph_type endian count (src : Ptype.t) (dst : Ptype.t) : reader op
             sk cur no_lens;
             Value.copy d
       in
-      let dmodel = Value.default a2.elem in
       (match a2.size with
-       | Ptype.Length_field _ -> Some (read_array (count a1) elem dmodel)
+       | Ptype.Length_field _ -> Some (read_array (count a1) elem)
        | Fixed k ->
+         let d = Value.default a2.elem in
          let n_of = count a1 in
          let eskip = comp_skip_type endian count a1.elem in
          Some
@@ -1386,12 +1379,12 @@ let rec comp_morph_type endian count (src : Ptype.t) (dst : Ptype.t) : reader op
               let take = if k < n then k else n in
               let items =
                 Array.init k (fun i ->
-                    if i < take then elem cur else Value.copy dmodel)
+                    if i < take then elem cur else Value.copy d)
               in
               for _ = take + 1 to n do
                 eskip cur no_lens
               done;
-              Value.Array { items; len = k; model = Some dmodel }))
+              Value.Array { items; len = k }))
     | (Basic _ | Record _ | Array _), _ -> None
 
 (* A source field of type [ty] read through structural [steps]; a single

@@ -14,7 +14,8 @@ type t =
   | To_enum of Ptype.enum
 
 (** A coercion with no valid result: an integer no case of the target
-    enum carries.  [Ecode.Compile.Runtime_error] is this exception. *)
+    enum carries.  Both Ecode engines also raise it for their own
+    run-time failures, such as a division by zero. *)
 exception Runtime_error of string
 
 (** [compile ~from c] converts values of type [from] by [c], resolved

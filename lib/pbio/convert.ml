@@ -99,7 +99,7 @@ let rec compile_type (src : Ptype.t) (dst : Ptype.t) : conv option =
          (fun v ->
             let n = Value.array_len v in
             let items = Array.init n (fun i -> elem_conv (Value.array_get v i)) in
-            Value.Array { items; len = n; model = Some (Value.default a2.elem) })
+            Value.Array { items; len = n })
      | Fixed k ->
        Some
          (fun v ->
@@ -108,7 +108,7 @@ let rec compile_type (src : Ptype.t) (dst : Ptype.t) : conv option =
               Array.init k (fun i ->
                   if i < n then elem_conv (Value.array_get v i) else fill ())
             in
-            Value.Array { items; len = k; model = Some (Value.default a2.elem) }))
+            Value.Array { items; len = k }))
   | (Basic _ | Record _ | Array _), _ -> None
 
 and compile_record (src : Ptype.record) (dst : Ptype.record) : conv =

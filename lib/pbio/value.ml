@@ -24,10 +24,6 @@ and entry = {
 and dynarray = {
   mutable items : t array;
   mutable len : int;
-  mutable model : t option;
-  (* A model element used to fill gaps when the array grows and no explicit
-     fill is supplied (e.g. by the untyped Ecode interpreter); [default]
-     seeds it from the element type. *)
 }
 
 exception Type_error of string
@@ -40,10 +36,7 @@ let record fields = Record (Array.of_list (List.map (fun (name, v) -> { name; v 
 
 let array_of_list vs =
   let items = Array.of_list vs in
-  let model = if Array.length items > 0 then Some (items.(0)) else None in
-  Array { items; len = Array.length items; model }
-
-let empty_array ?model () = Array { items = [||]; len = 0; model }
+  Array { items; len = Array.length items }
 
 (* Accessors *)
 
@@ -127,8 +120,7 @@ let rec copy = function
       Record out
     end
   | Array d ->
-    let items = Array.init d.len (fun i -> copy d.items.(i)) in
-    Array { items; len = d.len; model = Option.map copy d.model }
+    Array { items = Array.init d.len (fun i -> copy d.items.(i)); len = d.len }
 
 and copy_entry e = { e with v = copy e.v }
 
@@ -157,16 +149,13 @@ let array_push v x =
   d.items.(d.len) <- x;
   d.len <- d.len + 1
 
-let fill_for d =
-  match d.model with
-  | Some m -> copy m
-  | None -> if d.len > 0 then copy d.items.(d.len - 1) else Int 0
-
-let array_set ?fill v i x =
+(* An index no OCaml array can reach is refused before anything grows: a
+   store a sender's code makes must not raise [Invalid_argument]. *)
+let array_set ~fill v i x =
   let d = dyn v in
   if i < 0 then type_error "negative array index %d" i;
+  if i >= Sys.max_array_length then type_error "array index %d exceeds the largest array length" i;
   if i >= d.len then begin
-    let fill = match fill with Some f -> f | None -> fill_for d in
     grow d fill (i + 1);
     (* each gap slot its own copy, so a store through one shows in no
        other *)
@@ -263,9 +252,8 @@ let rec default (ty : Ptype.t) : t =
   | Basic b -> zero_basic b
   | Record r -> default_record r
   | Array { size = Fixed n; elem } ->
-    let items = Array.init n (fun _ -> default elem) in
-    Array { items; len = n; model = Some (default elem) }
-  | Array { size = Length_field _; elem } -> empty_array ~model:(default elem) ()
+    Array { items = Array.init n (fun _ -> default elem); len = n }
+  | Array { size = Length_field _; _ } -> Array { items = [||]; len = 0 }
 
 and default_record (r : Ptype.record) : t =
   let entry (f : Ptype.field) =

@@ -22,13 +22,11 @@ and entry = {
   mutable v : t;
 }
 
+(** The first [len] of [items] are the elements; slots past [len] are
+    spare capacity and hold nothing an accessor returns. *)
 and dynarray = {
   mutable items : t array;
   mutable len : int;
-  mutable model : t option;
-      (** a model element used to fill gaps when the array grows and no
-          explicit fill is supplied; {!default} seeds it from the element
-          type *)
 }
 
 (** Raised by accessors applied to values of the wrong shape. *)
@@ -40,8 +38,7 @@ exception Type_error of string
     order. *)
 val record : (string * t) list -> t
 
-(** [array_of_list vs] builds an array value; the first element (if any)
-    becomes the growth model. *)
+(** [array_of_list vs] builds an array value. *)
 val array_of_list : t list -> t
 
 (** {1 Scalar accessors}
@@ -74,17 +71,15 @@ val dyn : t -> dynarray
 val array_len : t -> int
 val array_get : t -> int -> t
 
-(** [array_set a i x] stores [x] at index [i], growing the array when [i]
-    is at or past the end; each gap slot gets its own copy of [fill] if
-    given (the first slot [fill] itself), else of the array's model
-    element. *)
-val array_set : ?fill:t -> t -> int -> t -> unit
+(** [array_set ~fill a i x] stores [x] at index [i], growing the array
+    when [i] is at or past the end; each gap slot gets its own copy of
+    [fill] (the first slot [fill] itself).  Both Ecode engines store an
+    element through it.  Raises {!Type_error} for an index below 0 or at
+    or past [Sys.max_array_length], before the array grows. *)
+val array_set : fill:t -> t -> int -> t -> unit
 
 val array_push : t -> t -> unit
 val array_truncate : t -> int -> unit
-
-(** The fill element {!array_set} would use for a growing write. *)
-val fill_for : dynarray -> t
 
 (** {1 Deep operations} *)
 
@@ -105,8 +100,7 @@ val of_const : Ptype.const -> ty:Ptype.basic -> t
 val zero_basic : Ptype.basic -> t
 
 (** The default value of a type: explicit field defaults where declared,
-    zeros elsewhere; fixed arrays filled, variable arrays empty (with their
-    element model set). *)
+    zeros elsewhere; fixed arrays filled, variable arrays empty. *)
 val default : Ptype.t -> t
 
 val default_record : Ptype.record -> t

@@ -1,25 +1,23 @@
 (* Execution-semantics tests for Ecode, run against BOTH engines — the
-   closure compiler (the DCG analogue) and the naive interpreter — plus
-   property tests that the two agree. *)
+   closure compiler (the DCG analogue) and the interpreter, over one
+   checked program — plus property tests that the two agree. *)
 
 open Pbio
+
+(* An engine's entry point: both parse and check the program the same way. *)
+let build engine =
+  match engine with
+  | `Compiled -> Ecode.compile ?ctx:None
+  | `Interp -> Ecode.interpret
 
 (* Run [code] with a single in/out record parameter [io] of format [fmt],
    under the given engine; returns the (mutated) record. *)
 let run_with ~engine ~(fmt : Ptype.record) (code : string) (io : Value.t) : Value.t =
-  match engine with
-  | `Compiled ->
-    (match Ecode.compile ~params:[ ("io", Ptype.Record fmt) ] code with
-     | Ok f ->
-       f [| io |];
-       io
-     | Error e -> Alcotest.failf "compile failed: %s" e)
-  | `Interp ->
-    (match Ecode.parse code with
-     | Ok prog ->
-       Ecode.Interp.run ~params:[ ("io", io) ] prog;
-       io
-     | Error e -> Alcotest.failf "parse failed: %s" e)
+  match build engine ~params:[ ("io", Ptype.Record fmt) ] code with
+  | Ok f ->
+    f [| io |];
+    io
+  | Error e -> Alcotest.failf "compile failed: %s" e
 
 let scratch_fmt =
   Ptype_dsl.format_of_string_exn
@@ -493,13 +491,13 @@ let test_division_by_zero_compiled () =
     ignore
       (run_with ~engine:`Compiled ~fmt:scratch_fmt "io.i1 = 1 / (io.i2);" (fresh ()));
     Alcotest.fail "expected Runtime_error"
-  with Ecode.Compile.Runtime_error _ -> ()
+  with Coerce.Runtime_error _ -> ()
 
 let test_division_by_zero_interp () =
   try
     ignore (run_with ~engine:`Interp ~fmt:scratch_fmt "io.i1 = 1 / (io.i2);" (fresh ()));
     Alcotest.fail "expected Runtime_error"
-  with Ecode.Interp.Runtime_error _ -> ()
+  with Coerce.Runtime_error _ -> ()
 
 (* --- the paper's Figure 5 transformation ----------------------------------- *)
 
@@ -551,19 +549,11 @@ let test_fig5_alloc_budget () =
    to [io] after the first run; each run's exception is kept. *)
 let run_twice code ~(between : Value.t -> unit) engine : Value.t * string list =
   let io = fresh () in
-  let run =
-    match engine with
-    | `Compiled ->
-      let f = Helpers.check_ok (Ecode.compile ~params:[ ("io", Ptype.Record scratch_fmt) ] code) in
-      fun () -> f [| io |]
-    | `Interp ->
-      let prog = Helpers.check_ok (Ecode.parse code) in
-      fun () -> Ecode.Interp.run ~params:[ ("io", io) ] prog
-  in
+  let f = Helpers.check_ok (build engine ~params:[ ("io", Ptype.Record scratch_fmt) ] code) in
   let attempt () =
-    match run () with
+    match f [| io |] with
     | () -> "ok"
-    | exception (Ecode.Compile.Runtime_error m | Ecode.Interp.Runtime_error m) -> "runtime: " ^ m
+    | exception Coerce.Runtime_error m -> "runtime: " ^ m
     | exception Value.Type_error m -> "type: " ^ m
   in
   let first = attempt () in
@@ -607,8 +597,7 @@ let test_group_index_out_of_range () =
            match run_with ~engine ~fmt:scratch_fmt code io with
            | _ -> "ok"
            | exception Value.Type_error m -> m
-           | exception (Ecode.Compile.Runtime_error m | Ecode.Interp.Runtime_error m) ->
-             "runtime: " ^ m
+           | exception Coerce.Runtime_error m -> "runtime: " ^ m
          in
          (io, err)
        in
@@ -641,12 +630,9 @@ let test_group_aliased_params () =
     v
   in
   let c = setup () and i = setup () in
-  let f =
-    Helpers.check_ok
-      (Ecode.compile ~params:[ ("a", Ptype.Record scratch_fmt); ("b", Ptype.Record scratch_fmt) ] code)
-  in
-  f [| c; c |];
-  Ecode.Interp.run ~params:[ ("a", i); ("b", i) ] (Helpers.check_ok (Ecode.parse code));
+  let params = [ ("a", Ptype.Record scratch_fmt); ("b", Ptype.Record scratch_fmt) ] in
+  (Helpers.check_ok (Ecode.compile ~params code)) [| c; c |];
+  (Helpers.check_ok (Ecode.interpret ~params code)) [| i; i |];
   check_value "engines agree" i c;
   let p0 = Value.array_get (getv c "ps") 0 in
   Alcotest.(check (float 0.)) "y read x through the alias" 4.5 (getf p0 "y");
@@ -677,6 +663,78 @@ let test_float_conditions () =
     [ getb c "b1"; getb (getv c "r2") "b" ];
   Alcotest.(check (list int)) "if (0.5), if (0.0), if (!0.0 && 0.5)" [ 1; 0; 1 ]
     [ geti c "i1"; geti c "i2"; geti c "n" ]
+
+(* --- one checked program ----------------------------------------------------- *)
+
+(* Each call has its own frame: a local set before a recursive call still
+   holds its value after it returns. *)
+let frame_cases =
+  both "functions: each call has its own locals"
+    {| int f(int n) {
+         int k = n * 10;
+         if (n > 0) { int r = f(n - 1); k = k + r; }
+         return k + n;
+       }
+       io.i1 = f(3); |}
+    (fun v -> Alcotest.(check int) "f(3) = 30 + f(2) + 3" 66 (geti v "i1"))
+
+(* What the checker refuses, both engines refuse at compile time, with the
+   checker's text. *)
+let test_refused_alike () =
+  let refusal build src =
+    match build src with
+    | Ok _ -> Alcotest.failf "expected %S to be refused" src
+    | Error e -> e
+  in
+  let params = [ ("io", Ptype.Record scratch_fmt) ] in
+  List.iter
+    (fun src ->
+       Alcotest.(check string) src
+         (refusal (build `Compiled ~params) src)
+         (refusal (build `Interp ~params) src))
+    [ "io.i1 = io.zz;"; "io.i1 = \"s\";"; "io.s1 = io.i1 + io.x1;"; "io.i1 = g(1);";
+      "int f(int a) { return a; } io.i1 = f();"; "io.i1 = ;" ]
+
+(* An enum store runs the checker's coercion on both engines: a value a
+   case carries becomes that case, any other fails with one text. *)
+let test_enum_stores_alike () =
+  let s = Ptype_dsl.format_of_string_exn "format S { int p; }" in
+  let t = Ptype_dsl.format_of_string_exn "enum E { A = 0, B = 1 } format T { E e; }" in
+  let run xform p =
+    let f = Helpers.check_ok (xform ~src:s ~dst:t "old.e = new.p;") in
+    match f (Value.record [ ("p", Value.Int p) ]) with
+    | v -> Value.to_string v
+    | exception Coerce.Runtime_error m -> "runtime: " ^ m
+  in
+  List.iter
+    (fun (p, want) ->
+       Alcotest.(check string) (Printf.sprintf "compiled, p = %d" p) want
+         (run (Ecode.compile_xform ?ctx:None) p);
+       Alcotest.(check string) (Printf.sprintf "interp, p = %d" p) want
+         (run Ecode.interpret_xform p))
+    [ (0, "{e=A(0)}"); (1, "{e=B(1)}"); (-1, "runtime: no case of enum E has value -1") ]
+
+(* A store at an index no array can reach fails alike on both engines,
+   before the array grows: 2^60 - 1, and the first index past the largest
+   array, into an int array and into an array of records. *)
+let test_store_past_largest_array () =
+  List.iter
+    (fun (store, index) ->
+       let code = Printf.sprintf "io.xs[0] = 1; io.ps[0].x = 1; %s" (Printf.sprintf store index) in
+       let run engine =
+         let io = fresh () in
+         match run_with ~engine ~fmt:scratch_fmt code io with
+         | _ -> (io, "ok")
+         | exception Value.Type_error m -> (io, m)
+       in
+       let c, c_err = run `Compiled and i, i_err = run `Interp in
+       Alcotest.(check string) "same error" c_err i_err;
+       Alcotest.(check bool) c_err true (Helpers.contains c_err "exceeds the largest array length");
+       check_value "same io" i c;
+       Alcotest.(check (list int)) "xs unchanged" [ 1 ] (ints c "xs");
+       Alcotest.(check int) "ps unchanged" 1 (Value.array_len (getv c "ps")))
+    [ ("io.xs[%d] = 2;", 1152921504606846975); ("io.xs[%d] = 2;", Sys.max_array_length);
+      ("io.ps[%d] = io.r1;", Sys.max_array_length) ]
 
 (* --- equivalence property ---------------------------------------------------- *)
 
@@ -910,4 +968,11 @@ let suite =
         test_group_aliased_params;
       Alcotest.test_case "float conditions and bool stores, both engines" `Quick
         test_float_conditions;
+    ]
+  @ frame_cases
+  @ [
+      Alcotest.test_case "refused programs: one text, both engines" `Quick test_refused_alike;
+      Alcotest.test_case "enum stores: one coercion, both engines" `Quick test_enum_stores_alike;
+      Alcotest.test_case "element stores: past the largest array, both engines" `Quick
+        test_store_past_largest_array;
     ]

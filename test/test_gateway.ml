@@ -615,6 +615,29 @@ let test_gateway_refused_map_stays_staged () =
           ~target:Helpers.refused_target Helpers.refused_value))
     d.G.value
 
+(* A sender's hop that stores past the largest array fails its message at
+   the gateway: the frame is rejected and the breaker records the
+   failure (one trips it here), and the event loop runs on. *)
+let test_gateway_hostile_store_rejected () =
+  let src = Ptype_dsl.format_of_string_exn "format S { int a; }" in
+  let t = Ptype_dsl.format_of_string_exn "format T { int n; int l[n]; }" in
+  let meta = Morph.meta src ~xforms:[ Morph.xform ~target:t "old.l[1152921504606846975] = 1;" ] in
+  let net = mk_net () in
+  let config = { G.default_config with G.breaker_threshold = 1 } in
+  let gw = G.create ~config ~net (Contact.make "gw" 1) (fun _ -> ()) in
+  let frame m body =
+    G.handle_frame gw (G.envelope ~tenant:1 ~fingerprint:(G.fingerprint m) body)
+  in
+  ignore (frame (Meta.plain t) (Framing.Meta { format_id = 1; meta = Meta.encode (Meta.plain t) }));
+  ignore (frame meta (Framing.Meta { format_id = 2; meta = Meta.encode meta }));
+  let message = Wire.encode ~format_id:2 src (Value.record [ ("a", Value.Int 1) ]) in
+  ignore (frame meta (Framing.Data { format_id = 2; message }) : G.outcome);
+  ignore (Netsim.run net);
+  let s = G.stats gw in
+  Alcotest.(check (pair int int)) "delivered, rejected" (0, 1) (s.G.delivered, s.G.rejected);
+  Alcotest.(check int) "breaker failure recorded" 1 s.G.breaker_trips;
+  Alcotest.check (Alcotest.option state_t) "open" (Some Breaker.Open) (G.breaker_state gw 1)
+
 let test_gateway_push_storm_compiles_once () =
   let net = mk_net () in
   let pops = [| pop_of_seed 42; pop_of_seed 7 |] in
@@ -984,4 +1007,6 @@ let suite =
       test_receiver_and_gateway_agree_on_engine;
     Alcotest.test_case "gateway: a chain the map check refuses decodes staged" `Quick
       test_gateway_refused_map_stays_staged;
+    Alcotest.test_case "gateway: a store past the largest array is a recorded failure" `Quick
+      test_gateway_hostile_store_rejected;
   ]

@@ -15,7 +15,6 @@ let () =
       ("ecode syntax", Test_ecode_syntax.suite);
       ("ecode exec", Test_ecode_exec.suite);
       ("diff+maxmatch", Test_diff_maxmatch.suite);
-      ("weighted", Test_weighted.suite);
       ("obs", Test_obs.suite);
       ("obs labeled", Test_obs_labeled.suite);
       ("obs catalog", Test_obs_catalog.suite);

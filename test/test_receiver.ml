@@ -200,6 +200,157 @@ let test_interpreted_engine_equivalent () =
   Alcotest.check Helpers.value "receiver and compiled agree" (List.hd !got) compiled;
   Alcotest.check Helpers.value "engines agree" compiled (morph Morph.Xform.Interpreted)
 
+(* One Ecode semantics: each probe gives the same outcome, with the same
+   text, through [Morph.morph_to] on both engines.  An enum store no case
+   carries fails the message; a read of a field the source lacks, a
+   string into an int and a number into a string are refused at compile
+   time, with the checker's text; an index below 0, or past the largest
+   array, fails the message. *)
+let test_engines_same_outcome () =
+  let outcome engine (src, dst, code, v) =
+    let dst = fmt dst in
+    let meta = Morph.meta (fmt src) ~xforms:[ Morph.xform ~target:dst code ] in
+    match Morph.morph_to ~engine meta ~target:dst v with
+    | Ok x -> "delivered " ^ Value.to_string x
+    | Error e -> Err.to_string e
+  in
+  let s = "format S { int a; float f; }" in
+  let v = Value.record [ ("a", Value.Int 0); ("f", Value.Float 1.5) ] in
+  List.iter
+    (fun (probe, want) ->
+       let c = outcome Morph.Xform.Compiled probe in
+       Alcotest.(check string) "interpreted as compiled" c (outcome Morph.Xform.Interpreted probe);
+       Alcotest.(check bool) (Printf.sprintf "%S in %S" want c) true (Helpers.contains c want))
+    [ ( ( "format S { int p; }", "enum E { A = 0, B = 1 } format T { E e; }", "old.e = new.p;",
+          Value.record [ ("p", Value.Int 5) ] ),
+        "transformation failed: no case of enum E has value 5" );
+      ((s, "format T { int x; }", "old.x = new.zz;", v), "type error at 1:");
+      ((s, "format T { int x; }", "old.x = \"s\";", v), "cannot convert string to int");
+      ((s, "format T { string x; }", "old.x = new.a + new.f;", v), "cannot assign float to string");
+      ( (s, "format T { int n; int l[n]; }", "old.l[new.a - 1] = 3;", v),
+        "transformation failed: negative array index -1" );
+      ( (s, "format T { int n; int l[n]; }", "old.l[1152921504606846975] = 1;", v),
+        "transformation failed: array index 1152921504606846975 exceeds the largest array length" )
+    ]
+
+(* A sender's hop that stores past the largest array fails its message,
+   by value and over the wire, and counts as a transform failure; nothing
+   escapes the receiver. *)
+let test_hostile_store_rejected () =
+  let src = fmt "format S { int a; }" and t = fmt "format T { int n; int l[n]; }" in
+  let meta = Morph.meta src ~xforms:[ Morph.xform ~target:t "old.l[1152921504606846975] = 1;" ] in
+  let r, got = make_receiver t in
+  Alcotest.(check bool) "staged" true
+    (Helpers.contains (Receiver.explain r meta) "[staged, 1 hop]");
+  let v = Value.record [ ("a", Value.Int 1) ] in
+  let rejected what o failures =
+    (match o with
+     | Receiver.Rejected reason when Helpers.contains reason "transformation failed: " -> ()
+     | o -> Alcotest.failf "%s: %a" what Receiver.pp_outcome o);
+    Alcotest.(check int) (what ^ ": transform failures") failures
+      (Receiver.stats r).Receiver.transform_failures
+  in
+  rejected "wire" (Receiver.deliver_wire r meta (Wire.encode ~format_id:1 src v)) 1;
+  rejected "value" (Receiver.deliver r meta v) 2;
+  Alcotest.(check int) "nothing delivered" 0 (List.length !got)
+
+(* How a plan ends a message, as the front ends see it: the value, or
+   the class of its [Plan.Failed] and the message. *)
+let plan_outcome f x =
+  match f x with
+  | v -> "ok " ^ Value.to_string v
+  | exception Morph.Plan.Failed (Decode e) -> "decode: " ^ Err.message e
+  | exception Morph.Plan.Failed (Transform msg) -> "transform: " ^ msg
+
+let compile_plan ?engine ~source ~target specs =
+  let p =
+    Helpers.check_ok_err (Morph.Plan.compile ?engine ~ctx:(Ctx.create ()) ~source ~specs ~target ())
+  in
+  (p, Fmt.str "%a" Morph.Plan.pp p)
+
+(* A malformed message is a decode failure on every kind of plan, from
+   [run] and from [decode]. *)
+let test_plan_decode_failure () =
+  let s = fmt "format S { int a; string s; }" and t = fmt "format T { int a; }" in
+  let v = Value.record [ ("a", Value.Int 3); ("s", Value.String "hello") ] in
+  let message = Wire.encode ~format_id:1 s v in
+  let cut = String.sub message 0 (String.length message - 2) in
+  List.iter
+    (fun (name, target, specs, kind) ->
+       let p, shape = compile_plan ~source:s ~target specs in
+       Alcotest.(check string) (name ^ ": plan") kind shape;
+       Alcotest.(check bool) (name ^ ": whole message runs") true
+         (String.starts_with ~prefix:"ok " (plan_outcome (Morph.Plan.run p) message));
+       List.iter
+         (fun (entry, f) ->
+            let o = plan_outcome f cut in
+            Alcotest.(check bool) (Printf.sprintf "%s: %s: %s" name entry o) true
+              (String.starts_with ~prefix:"decode: " o))
+         [ ("run", Morph.Plan.run p); ("decode", Morph.Plan.decode p) ])
+    [ ("exact", s, [], "fused");
+      ("structural", t, [], "fused");
+      ("collapsed", t, [ Morph.xform ~target:t "old.a = new.a;" ], "fused, 1 hop");
+      ( "staged", t,
+        [ Morph.xform ~target:t "if (new.a > 0) old.a = 1; else old.a = 2;" ],
+        "staged, 1 hop" ) ]
+
+(* A hop that fails on a message is a transform failure, by value and over
+   the wire, on both engines; the staged decode itself succeeds. *)
+let test_plan_hop_failure () =
+  let s = fmt "format S { int a; }" and t = fmt "format T { int n; int l[n]; }" in
+  let v = Value.record [ ("a", Value.Int 0) ] in
+  let message = Wire.encode ~format_id:1 s v in
+  List.iter
+    (fun engine ->
+       let p, shape =
+         compile_plan ~engine ~source:s ~target:t [ Morph.xform ~target:t "old.l[new.a - 1] = 3;" ]
+       in
+       Alcotest.(check string) "plan" "staged, 1 hop" shape;
+       Alcotest.(check string) "decode" "ok {a=0}" (plan_outcome (Morph.Plan.decode p) message);
+       List.iter
+         (fun (entry, o) ->
+            Alcotest.(check string) entry "transform: negative array index -1" o)
+         [ ("transform", plan_outcome (Morph.Plan.transform p) v);
+           ("run", plan_outcome (Morph.Plan.run p) message) ])
+    [ Morph.Xform.Compiled; Morph.Xform.Interpreted ]
+
+(* An enum coercion a message fails is a transform failure, never a
+   decode failure: from the collapsed chain's fused read (compiled), from
+   the staged hop (interpreted) and from the value path, with one text. *)
+let test_plan_coercion_failure () =
+  let s = fmt "format S { int p; }" and t = fmt "enum E { A = 0, B = 1 } format T { E e; }" in
+  let specs = [ Morph.xform ~target:t "old.e = new.p;" ] in
+  let value p = Value.record [ ("p", Value.Int p) ] in
+  List.iter
+    (fun (engine, kind) ->
+       let p, shape = compile_plan ~engine ~source:s ~target:t specs in
+       Alcotest.(check string) "plan" kind shape;
+       Alcotest.(check string) (kind ^ ": in range") "ok {e=B(1)}"
+         (plan_outcome (Morph.Plan.run p) (Wire.encode ~format_id:1 s (value 1)));
+       List.iter
+         (fun (entry, o) ->
+            Alcotest.(check string) (kind ^ ": " ^ entry)
+              "transform: no case of enum E has value 5" o)
+         [ ("run", plan_outcome (Morph.Plan.run p) (Wire.encode ~format_id:1 s (value 5)));
+           ("transform", plan_outcome (Morph.Plan.transform p) (value 5)) ])
+    [ (Morph.Xform.Compiled, "fused, 1 hop"); (Morph.Xform.Interpreted, "staged, 1 hop") ]
+
+(* A structural conversion that meets a value of the wrong shape is a
+   transform failure too: the plan builds its conversion on the first
+   [transform] and guards it as it guards a chain. *)
+let test_plan_conversion_failure () =
+  let s = fmt "format S { int a; string s; }" and t = fmt "format T { float a; }" in
+  let p, shape = compile_plan ~source:s ~target:t [] in
+  Alcotest.(check string) "plan" "fused" shape;
+  Alcotest.check Helpers.value "well shaped"
+    (Value.record [ ("a", Value.Float 3.) ])
+    (Morph.Plan.transform p (Value.record [ ("a", Value.Int 3); ("s", Value.String "x") ]));
+  let o =
+    plan_outcome (Morph.Plan.transform p)
+      (Value.record [ ("a", Value.String "3"); ("s", Value.String "x") ])
+  in
+  Alcotest.(check bool) o true (String.starts_with ~prefix:"transform: " o)
+
 let test_morph_to_facade () =
   let out =
     Helpers.check_ok_err
@@ -1404,12 +1555,12 @@ let test_loop_shapes_stay_staged () =
       (Value.record
          [ ("n", Value.Int 3); ("a", Value.array_of_list [ Value.Int 1; Value.Int 2; Value.Int 3 ]) ])
   in
-  let staged ?(engine = Morph.Xform.Interpreted) (name, meta, t, message) =
+  let staged (name, meta, t, message) =
     let r, got = make_receiver t in
     Alcotest.(check bool) (name ^ ": staged") true
       (Helpers.contains (Receiver.explain r meta) "[staged, ");
     let reference =
-      Morph.morph_to ~engine meta ~target:t
+      Morph.morph_to ~engine:Morph.Xform.Interpreted meta ~target:t
         (Codec.Interp.decode_payload ~endian:Codec.Little ~pos:Codec.header_size meta.Meta.body
            message)
     in
@@ -1440,12 +1591,8 @@ let test_loop_shapes_stay_staged () =
        hop ints tr
          "int i;\nold.n = new.n;\n\
           for (i = 0; i < new.n; i++) { old.b[i] = new.a[i]; old.c[i].f = 3; }",
-       tr, ints_message) ];
-  (* the interpreter stores an int no case has as an anonymous case
-     ([Interp]), so the compiled hop-by-hop chain is the reference here *)
-  List.iter
-    (staged ~engine:Morph.Xform.Compiled)
-    [ ("an enum coercion a later element store overwrites", hop loop_src te hidden, te, p5_message);
+       tr, ints_message);
+      ("an enum coercion a later element store overwrites", hop loop_src te hidden, te, p5_message);
       ("an enum coercion in a list a later store overwrites", hop sk tk stored_over, tk, sk_message)
     ]
 
@@ -1531,4 +1678,15 @@ let suite =
     Alcotest.test_case "loops: other shapes stay staged" `Quick test_loop_shapes_stay_staged;
     Alcotest.test_case "telemetry: a Fig. 5 wire delivery fuses" `Quick
       test_fig5_wire_delivery_fuses;
+    Alcotest.test_case "engines: same outcome and text on every probe" `Quick
+      test_engines_same_outcome;
+    Alcotest.test_case "a store past the largest array is a transform failure" `Quick
+      test_hostile_store_rejected;
+    Alcotest.test_case "plan: a malformed message is a decode failure" `Quick
+      test_plan_decode_failure;
+    Alcotest.test_case "plan: a failing hop is a transform failure" `Quick test_plan_hop_failure;
+    Alcotest.test_case "plan: a failing enum coercion is a transform failure" `Quick
+      test_plan_coercion_failure;
+    Alcotest.test_case "plan: a failing conversion is a transform failure" `Quick
+      test_plan_conversion_failure;
   ]

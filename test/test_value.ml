@@ -45,12 +45,17 @@ let test_array_ops () =
   Alcotest.(check int) "get" 2 (Value.to_int (Value.array_get a 1));
   Value.array_push a (Value.Int 3);
   Alcotest.(check int) "push len" 3 (Value.array_len a);
-  Value.array_set a 1 (Value.Int 20);
+  Value.array_set ~fill:(Value.Int 0) a 1 (Value.Int 20);
   Alcotest.(check int) "set" 20 (Value.to_int (Value.array_get a 1));
   (* growth beyond the end fills the gap *)
-  Value.array_set a 5 (Value.Int 50);
+  Value.array_set ~fill:(Value.Int 7) a 5 (Value.Int 50);
   Alcotest.(check int) "grown len" 6 (Value.array_len a);
   Alcotest.(check int) "grown end" 50 (Value.to_int (Value.array_get a 5));
+  Alcotest.(check int) "gap filled" 7 (Value.to_int (Value.array_get a 4));
+  (* an index no array can reach is refused before anything grows *)
+  (match Value.array_set ~fill:(Value.Int 0) a Sys.max_array_length (Value.Int 1) with
+   | () -> Alcotest.fail "expected a refused index"
+   | exception Value.Type_error _ -> Alcotest.(check int) "len unchanged" 6 (Value.array_len a));
   Value.array_truncate a 2;
   Alcotest.(check int) "truncated" 2 (Value.array_len a);
   (try
@@ -58,34 +63,12 @@ let test_array_ops () =
      Alcotest.fail "expected out of bounds"
    with Value.Type_error _ -> ())
 
-let test_array_growth_uses_model () =
-  (* the default of a variable array carries the element type as a model;
-     growth without an explicit fill produces well-shaped fresh elements *)
-  let fmt =
-    Ptype.record "R"
-      [
-        Ptype.field "n" Ptype.int_;
-        Ptype.field "xs" (Ptype.array_var "n" (Ptype.Record Helpers.contact));
-      ]
-  in
-  let v = Value.default_record fmt in
-  let xs = Value.get_field v "xs" in
-  let elem = Value.fill_for (Value.dyn xs) in
-  Value.array_set xs 2 elem;
-  Alcotest.(check int) "grown to 3" 3 (Value.array_len xs);
-  (* the gap elements are records with the contact shape *)
-  let gap = Value.array_get xs 0 in
-  Alcotest.(check bool) "gap conforms" true
-    (Value.conforms (Ptype.Record Helpers.contact) gap);
-  Value.sync_lengths fmt v;
-  Alcotest.(check int) "length resynced" 3 (Value.to_int (Value.get_field v "n"))
-
 let test_copy_is_deep () =
   let inner = Value.record [ ("x", Value.Int 1) ] in
   let v = Value.record [ ("inner", inner); ("xs", Value.array_of_list [ Value.Int 5 ]) ] in
   let c = Value.copy v in
   Value.set_field inner "x" (Value.Int 99);
-  Value.array_set (Value.get_field v "xs") 0 (Value.Int 50);
+  Value.array_set ~fill:(Value.Int 0) (Value.get_field v "xs") 0 (Value.Int 50);
   Alcotest.(check int) "nested record isolated" 1
     (Value.to_int (Value.get_field (Value.get_field c "inner") "x"));
   Alcotest.(check int) "array isolated" 5
@@ -279,7 +262,6 @@ let suite =
     Alcotest.test_case "accessor type errors" `Quick test_accessor_type_errors;
     Alcotest.test_case "record fields" `Quick test_record_fields;
     Alcotest.test_case "array operations" `Quick test_array_ops;
-    Alcotest.test_case "array growth model" `Quick test_array_growth_uses_model;
     Alcotest.test_case "copy is deep" `Quick test_copy_is_deep;
     Alcotest.test_case "equality" `Quick test_equal;
     Alcotest.test_case "defaults" `Quick test_defaults;
