@@ -156,8 +156,9 @@ let make_rmetrics reg =
     rm_chain_depth =
       Obs.Histogram.make reg ~buckets:[ 0.; 1.; 2.; 3.; 4.; 6.; 8. ]
         "receiver.chain_depth";
-    (* wire-to-delivery latency split by path, so the fused win shows up
-       in [stats] next to the staged decode-then-convert baseline *)
+    (* bytes to target value, split by path, so the fused win shows up in
+       [stats] next to the staged decode-then-transform baseline: each
+       stops where the value is built, before the handler *)
     rm_fused_ns = Obs.Histogram.make reg ~unit_:"ns" "codec.fused_ns";
     rm_staged_ns = Obs.Histogram.make reg ~unit_:"ns" "codec.staged_ns";
   }
@@ -469,6 +470,24 @@ type step =
   | Failed of string (* admitted, and the plan failed on the message *)
   | Turn_away of Value.t (* a Reject pipeline, or a breaker that refused admission *)
 
+(* An admitted transform, then the handler.  [start] is the span's start,
+   which is also the morph's (unread when the registry is off).  A staged
+   wire delivery passes its decode's start as [staged_from]: the
+   transform's end closes [receiver.morph_ns] and [codec.staged_ns] with
+   one clock read. *)
+let transform_step ?staged_from t ~start (entry : cache_entry) (a : accept) v : outcome =
+  match a.transform v with
+  | v' ->
+    if t.m.rm_on then begin
+      let stop = Obs.now t.m.rm_reg in
+      Obs.Histogram.observe t.m.rm_morph_ns (stop -. start);
+      match staged_from with
+      | Some t0 -> Obs.Histogram.observe t.m.rm_staged_ns (stop -. t0)
+      | None -> ()
+    end;
+    hand_over t entry a v'
+  | exception Plan.Failed (Transform msg) -> transform_failed t entry msg
+
 let run_step t (entry : cache_entry) (meta : Meta.format_meta) step : outcome =
   match entry.pipeline, step with
   | Reject reason, (Transform v | Hand_over v | Turn_away v) -> reject_or_default t meta v reason
@@ -476,22 +495,19 @@ let run_step t (entry : cache_entry) (meta : Meta.format_meta) step : outcome =
   | Accept _, Turn_away v -> reject_or_default t meta v (quarantined_reason entry)
   | Accept a, Hand_over v -> hand_over t entry a v
   | Accept _, Failed msg -> transform_failed t entry msg
-  | Accept a, Transform v ->
-    let t0 = if t.m.rm_on then Obs.now t.m.rm_reg else 0. in
-    (match a.transform v with
-     | v' ->
-       if t.m.rm_on then Obs.Histogram.observe t.m.rm_morph_ns (Obs.now t.m.rm_reg -. t0);
-       hand_over t entry a v'
-     | exception Plan.Failed (Transform msg) -> transform_failed t entry msg)
+  | Accept a, Transform v -> transform_step t ~start:0. entry a v
 
 let reject_hit = [ ("cache", "hit") ]
 let reject_miss = [ ("cache", "miss") ]
 
 (* [run_step] under a trace-only span (no histogram, so the flat [span:*]
    metric names stay unchanged) carrying the morph provenance of this
-   message.  [start_ns] is a clock read the caller has just made. *)
-let deliver_step ?start_ns t ~hit (entry : cache_entry) (meta : Meta.format_meta) step :
-  outcome =
+   message.  [start_ns] is a clock read the caller has just made.  An
+   admitted transform is timed from the span's start, read here when the
+   caller made none; every other step passes the caller's read through,
+   so a fused delivery allocates nothing for the morph's timing. *)
+let deliver_step ?start_ns ?staged_from t ~hit (entry : cache_entry)
+    (meta : Meta.format_meta) step : outcome =
   if not t.m.rm_on then run_step t entry meta step
   else begin
     let attrs =
@@ -500,8 +516,14 @@ let deliver_step ?start_ns t ~hit (entry : cache_entry) (meta : Meta.format_meta
       | Accept a, (Transform _ | Turn_away _) -> if hit then a.span_hit else a.span_miss
       | Reject _, _ -> if hit then reject_hit else reject_miss
     in
-    Obs.Trace.with_span ?start_ns ~attrs t.m.rm_reg "morph.deliver" (fun () ->
-        run_step t entry meta step)
+    match entry.pipeline, step with
+    | Accept a, Transform v ->
+      let start = match start_ns with Some s -> s | None -> Obs.now t.m.rm_reg in
+      Obs.Trace.with_span ~start_ns:start ~attrs t.m.rm_reg "morph.deliver" (fun () ->
+          transform_step ?staged_from t ~start entry a v)
+    | _ ->
+      Obs.Trace.with_span ?start_ns ~attrs t.m.rm_reg "morph.deliver" (fun () ->
+          run_step t entry meta step)
   end
 
 let count_hit t =
@@ -570,12 +592,9 @@ let deliver_wire t (meta : Meta.format_meta) (message : string) : outcome =
        in
        deliver_step ?start_ns t ~hit entry meta (Hand_over v)
      | v ->
-       let o = deliver_step t ~hit entry meta (Transform v) in
-       (match o with
-        | Delivered _ when t.m.rm_on ->
-          Obs.Histogram.observe t.m.rm_staged_ns (Obs.now t.m.rm_reg -. t0)
-        | _ -> ());
-       o)
+       (* the decode's end starts the span and the morph, and the
+          transform's end stops [codec.staged_ns] *)
+       deliver_step ~staged_from:t0 t ~hit entry meta (Transform v))
   | Accept _ | Reject _ ->
     (match Wire.decode ~ctx:t.config.Config.ctx meta.Meta.body message with
      | Ok v -> deliver_step t ~hit entry meta (Turn_away v)

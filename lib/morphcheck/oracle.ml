@@ -296,6 +296,58 @@ let nested_variant (r : Ptype.record) st : Ptype.record =
    process default's cache, which the context-free entry points share. *)
 let codecs = Ctx.codecs Ctx.default
 
+(* [r] without its top-level lists, as channel-drop's header-only
+   receiver takes a ChannelOpenResponse; [None] when [r] has none.  Both
+   codec campaigns also morph into it, so every case with a list skips
+   one. *)
+let without_lists (r : Ptype.record) : Ptype.record option =
+  let keep =
+    List.filter
+      (fun (f : Ptype.field) ->
+         match f.ftype with Ptype.Array _ -> false | Basic _ | Record _ -> true)
+      r.Ptype.fields
+  in
+  if List.compare_lengths keep r.Ptype.fields = 0 then None
+  else Some (Ptype.record r.Ptype.rname keep)
+
+(* The codec campaigns' tally: cases whose target drops a list of
+   string-led records, which a fused plan skips in one loop per list.
+   A record is string-led when the codec skips it as one length-prefixed
+   string then fixed bytes: its first field a string or a string-led
+   record, every later field of fixed size.  A list is dropped when it is
+   a top-level source field whose name the target lacks.  A campaign
+   with no such case fails. *)
+let string_led_lists = Atomic.make 0
+
+let rec fixed_size (ty : Ptype.t) =
+  match ty with
+  | Ptype.Basic (Int | Uint | Float | Char | Bool) -> true
+  | Basic (Enum _ | String) | Array { size = Length_field _; _ } -> false
+  | Record r -> List.for_all (fun (f : Ptype.field) -> fixed_size f.ftype) r.Ptype.fields
+  | Array { elem; size = Fixed k } -> k >= 0 && fixed_size elem
+
+let rec string_led (r : Ptype.record) =
+  match r.Ptype.fields with
+  | [] -> false
+  | first :: rest ->
+    (match first.ftype with
+     | Ptype.Basic String -> true
+     | Record r -> string_led r
+     | Basic _ | Array _ -> false)
+    && List.for_all (fun (f : Ptype.field) -> fixed_size f.ftype) rest
+
+let drops_string_led_list (from_ : Ptype.record) (into : Ptype.record) =
+  List.exists
+    (fun (f : Ptype.field) ->
+       match f.ftype with
+       | Ptype.Array { elem = Record er; _ } ->
+         string_led er && Ptype.find_field into f.fname = None
+       | Basic _ | Record _ | Array _ -> false)
+    from_.Ptype.fields
+
+let tally_string_led_lists (from_ : Ptype.record) (targets : Ptype.record list) =
+  if List.exists (drops_string_led_list from_) targets then Atomic.incr string_led_lists
+
 let codec_case st =
   let r, v = Gen.format_and_value st in
   let endian = if Rgen.bool st then Codec.Little else Codec.Big in
@@ -317,7 +369,8 @@ let codec_case st =
   if not (Value.equal cv iv) then
     fail "compiled decode differs from interpretive:@ format %s@ interp %s@ compiled %s"
       (Ptype.record_to_string r) (Value.to_string iv) (Value.to_string cv);
-  (* fused = staged, against an unrelated target and an evolved sibling *)
+  (* fused = staged, against an unrelated target, an evolved sibling and
+     the source without its lists *)
   let check_target (tgt : Ptype.record) =
     let staged =
       match Convert.convert ~from_:r ~into:tgt iv with
@@ -335,9 +388,11 @@ let codec_case st =
         (Ptype.record_to_string r) (Ptype.record_to_string tgt)
         (Value.to_string staged) (Value.to_string fused)
   in
-  check_target (Gen.record st);
+  let unrelated = Gen.record st in
   let tgt = nested_variant (structural_variant r st) st in
-  check_target tgt;
+  let targets = unrelated :: tgt :: Option.to_list (without_lists r) in
+  tally_string_led_lists r targets;
+  List.iter check_target targets;
   (* receiver level: a wire delivery (fused when the pipeline allows) must
      agree with decode-then-deliver on a twin receiver, in both byte
      orders through the one receiver [ra] *)
@@ -1006,28 +1061,32 @@ let fuzz_codec_case st =
    | Error _, Error _ -> ()
    | Ok _, Error m -> fail "compiled rejects what the interpreter accepts: %s" m
    | Error m, Ok _ -> fail "compiled accepts what the interpreter rejects (interp: %s)" m);
-  let tgt = nested_variant (structural_variant r st) st in
-  let staged =
-    match interp with
-    | Error m -> Error m
-    | Ok a ->
-      (match Convert.convert ~from_:r ~into:tgt a with
-       | Ok x -> Ok x
-       | Error e -> Error (Err.to_string e))
+  let check_target tgt =
+    let staged =
+      match interp with
+      | Error m -> Error m
+      | Ok a ->
+        (match Convert.convert ~from_:r ~into:tgt a with
+         | Ok x -> Ok x
+         | Error e -> Error (Err.to_string e))
+    in
+    let fused =
+      catch (fun () ->
+          Codec.morph_payload
+            (Codec.morpher_in codecs ~endian ~from_:r ~into:tgt) bad)
+    in
+    match staged, fused with
+    | Ok a, Ok b ->
+      if not (same tgt a b) then
+        fail "staged and fused accept mutated payload with different values:@ staged %s@ fused %s"
+          (Value.to_string a) (Value.to_string b)
+    | Error _, Error _ -> ()
+    | Ok _, Error m -> fail "fused rejects what the staged path accepts: %s" m
+    | Error m, Ok _ -> fail "fused accepts what the staged path rejects (staged: %s)" m
   in
-  let fused =
-    catch (fun () ->
-        Codec.morph_payload
-          (Codec.morpher_in codecs ~endian ~from_:r ~into:tgt) bad)
-  in
-  match staged, fused with
-  | Ok a, Ok b ->
-    if not (same tgt a b) then
-      fail "staged and fused accept mutated payload with different values:@ staged %s@ fused %s"
-        (Value.to_string a) (Value.to_string b)
-  | Error _, Error _ -> ()
-  | Ok _, Error m -> fail "fused rejects what the staged path accepts: %s" m
-  | Error m, Ok _ -> fail "fused accepts what the staged path rejects (staged: %s)" m
+  let targets = nested_variant (structural_variant r st) st :: Option.to_list (without_lists r) in
+  tally_string_led_lists r targets;
+  List.iter check_target targets
 
 let fuzz_receiver_case st =
   let base = Gen.record st in
@@ -1090,6 +1149,14 @@ let collapse_report (r : report) =
   else if m = 0 then { r with failures = r.failures @ [ none " with loops" ] }
   else r
 
+(* The codec campaigns' verdict on their own tally. *)
+let codec_report (r : report) =
+  let n = Atomic.get string_led_lists in
+  let r = { r with note = Fmt.str "%d drop a string-led list" n } in
+  if r.cases > 0 && n = 0 then
+    { r with failures = r.failures @ [ { case = -1; detail = "no case dropped a string-led list" } ] }
+  else r
+
 (* The near-miss campaign's verdict on its own tally: every case that
    passed planned staged. *)
 let near_miss_report (r : report) =
@@ -1108,12 +1175,14 @@ let run ?names:(selected = names) ~seed ~count () : report list =
        | Some case ->
          List.iter
            (fun c -> Atomic.set c 0)
-           [ collapsed; looped; near_misses; engines_delivered; engines_failed; engines_refused ];
+           [ collapsed; looped; near_misses; engines_delivered; engines_failed; engines_refused;
+             string_led_lists ];
          let r = run_cases ~oracle:name ~seed ~count case in
          match name with
          | "engines" -> engines_report r
          | "collapse" -> collapse_report r
          | "near-miss" -> near_miss_report r
+         | "codec" | "fuzz-codec" -> codec_report r
          | _ -> r)
     selected
 

@@ -26,7 +26,10 @@
    would read it.  A dropped value is skipped in pieces ([skip_pieces]):
    a record with no length slots of its own contributes its fields'
    pieces, adjacent fixed spans merge, and a span after a string merges
-   into the string's skip, so an ECho member is skipped by one call.  A
+   into the string's skip, so an ECho member is one string then 10 bytes.
+   A dropped list of such string-led elements is skipped in one loop
+   ([skip_elems]), one iteration per element and no call, and every read's
+   bounds check ([need]) inlines to a compare and a branch.  A
    nested record whose by-name map takes source fields in wire order
    ([ordered_record]) reads each target field with one reader that also
    skips the dropped fields around it, into a record allocated once.  One
@@ -150,9 +153,16 @@ type cursor = {
 
 let no_lens : Value.t array = [||]
 
-let need cur n =
-  if cur.pos + n > cur.limit then
-    decode_error "truncated message: need %d bytes at offset %d (limit %d)" n cur.pos cur.limit
+(* The bounds errors, out of line: a formatted raise would keep [need]
+   and the string-skip rule from inlining. *)
+let[@inline never] truncated cur n =
+  decode_error "truncated message: need %d bytes at offset %d (limit %d)" n cur.pos cur.limit
+
+let[@inline never] string_overrun len = decode_error "string length %d exceeds message" len
+
+(* The bounds check of every read: a compare and a branch where it is
+   called. *)
+let[@inline] need cur n = if cur.pos + n > cur.limit then truncated cur n
 
 let[@inline] skip cur n =
   need cur n;
@@ -426,7 +436,7 @@ module Interp = struct
        | None -> decode_error "enum %s: unknown value %d" e.ename n)
     | Basic String ->
       let n = read_u32 endian cur in
-      if n > cur.limit - cur.pos then decode_error "string length %d exceeds message" n;
+      if n > cur.limit - cur.pos then string_overrun n;
       Value.String (read_bytes cur n)
     | Record r -> decode_record_inner endian cur r ~msize
     | Array { elem; size } ->
@@ -856,7 +866,7 @@ let rec comp_decode_type endian count (ty : Ptype.t) : reader =
     fun cur ->
       let n0 = rd cur in
       let n = if n0 < 0 then n0 + uint32_max + 1 else n0 in
-      if n > cur.limit - cur.pos then decode_error "string length %d exceeds message" n;
+      if n > cur.limit - cur.pos then string_overrun n;
       let s = String.sub cur.data cur.pos n in
       cur.pos <- cur.pos + n;
       Value.String s
@@ -903,14 +913,44 @@ let rec coalesce = function
   | s :: rest -> s :: coalesce rest
   | [] -> []
 
-(* Skip the string whose raw 32-bit length [s] the cursor is at, then [n]
-   bytes, with a decode's checks. *)
-let[@inline] skip_string cur s n =
-  cur.pos <- cur.pos + 4;
+(* The string-skip rule, stated once: at [pos], a string's 32-bit length
+   prefix, the string, then [n] fixed bytes, each checked in bounds as a
+   decode checks it; the position after them.  [cur.pos] is written only
+   before a raise, so that a caller may keep the position in a local.
+   Called with a constant [endian], the byte order resolves where it is
+   inlined. *)
+let[@inline] skip_str endian cur pos n =
+  if pos + 4 > cur.limit then begin
+    cur.pos <- pos;
+    truncated cur 4
+  end;
+  let s =
+    Int32.to_int
+      (match endian with
+       | Little -> String.get_int32_le cur.data pos
+       | Big -> String.get_int32_be cur.data pos)
+  in
+  let pos = pos + 4 in
   let len = if s < 0 then s + uint32_max + 1 else s in
-  if len > cur.limit - cur.pos then decode_error "string length %d exceeds message" len;
-  cur.pos <- cur.pos + len;
-  skip cur n
+  if len > cur.limit - pos then begin
+    cur.pos <- pos;
+    string_overrun len
+  end;
+  let pos = pos + len in
+  if pos + n > cur.limit then begin
+    cur.pos <- pos;
+    truncated cur n
+  end;
+  pos + n
+
+(* [c] elements, each a string then [n] fixed bytes, skipped in one loop
+   with the position in a local: no call per element. *)
+let[@inline] skip_strs endian cur c n =
+  let pos = ref cur.pos in
+  for _ = 1 to c do
+    pos := skip_str endian cur !pos n
+  done;
+  cur.pos <- !pos
 
 (* The one place a piece becomes a step: a fresh closure over [n], since
    a partial application of a shared skip function would cost an extra
@@ -919,14 +959,8 @@ let step_of endian = function
   | Span n -> fun cur _ -> skip cur n
   | Str n ->
     (match endian with
-     | Little ->
-       fun cur _ ->
-         need cur 4;
-         skip_string cur (Int32.to_int (String.get_int32_le cur.data cur.pos)) n
-     | Big ->
-       fun cur _ ->
-         need cur 4;
-         skip_string cur (Int32.to_int (String.get_int32_be cur.data cur.pos)) n)
+     | Little -> fun cur _ -> cur.pos <- skip_str Little cur cur.pos n
+     | Big -> fun cur _ -> cur.pos <- skip_str Big cur cur.pos n)
   | Step f -> f
 
 let steps_of endian pieces = Array.of_list (List.map (step_of endian) (coalesce pieces))
@@ -952,6 +986,13 @@ let[@inline] walk w cur st =
     run_steps w.steps cur st;
     cur.lens <- outer
   end
+
+(* One step that runs [pieces]: an ECho member ({info{host; port}; ID;
+   is_source; is_sink}) is one string then 10 bytes, one call. *)
+let skip_step endian pieces : walk_step =
+  match steps_of endian pieces with
+  | [| s |] -> s
+  | ss -> fun cur st -> run_steps ss cur st
 
 (* The pieces that skip a value on the wire without materialising it,
    enforcing the same guards as decoding (bounds, enum validity), so a
@@ -983,24 +1024,26 @@ let rec skip_pieces endian count (ty : Ptype.t) : piece list =
       [ Step (fun cur st -> walk w cur st) ]
     end
   | None, Array a ->
-    let n_of = count a in
-    (match fixed_span a.elem with
-     | Some k ->
-       [ Step (fun cur _ -> skip cur (n_of cur * k)) ]
-     | None ->
-       let eskip = comp_skip_type endian count a.elem in
-       [ Step
-           (fun cur st ->
-              for _ = 1 to n_of cur do
-                eskip cur st
-              done) ])
+    let n_of = count a and skip_n = skip_elems endian count a.elem in
+    [ Step (fun cur _ -> skip_n cur (n_of cur)) ]
 
-(* One step that skips a value: an ECho member ({info{host; port}; ID;
-   is_source; is_sink}) is one string then 10 bytes, one call. *)
-and comp_skip_type endian count (ty : Ptype.t) : walk_step =
-  match steps_of endian (skip_pieces endian count ty) with
-  | [| s |] -> s
-  | ss -> fun cur st -> run_steps ss cur st
+(* Skip [c] elements of type [elem], their count already guarded: fixed
+   ones in one span; string-led ones (pieces a lone [Str n], as an ECho
+   member) in one loop, written once per byte order; any other shape by
+   its own step, once per element. *)
+and skip_elems endian count (elem : Ptype.t) : cursor -> int -> unit =
+  match fixed_span elem with
+  | Some k -> fun cur c -> skip cur (c * k)
+  | None ->
+    (match coalesce (skip_pieces endian count elem), endian with
+     | [ Str n ], Little -> fun cur c -> skip_strs Little cur c n
+     | [ Str n ], Big -> fun cur c -> skip_strs Big cur c n
+     | pieces, _ ->
+       let eskip = skip_step endian pieces in
+       fun cur c ->
+         for _ = 1 to c do
+           eskip cur no_lens
+         done)
 
 (* A dropped field of a record scope: still read into its length slot
    [k] when a later array sizes from it, skipped otherwise. *)
@@ -1361,7 +1404,7 @@ let rec comp_morph_type endian count (src : Ptype.t) (dst : Ptype.t) : reader op
         match comp_morph_type endian count a1.elem a2.elem with
         | Some f -> f
         | None ->
-          let sk = comp_skip_type endian count a1.elem in
+          let sk = skip_step endian (skip_pieces endian count a1.elem) in
           let d = Value.default a2.elem in
           fun cur ->
             sk cur no_lens;
@@ -1372,7 +1415,7 @@ let rec comp_morph_type endian count (src : Ptype.t) (dst : Ptype.t) : reader op
        | Fixed k ->
          let d = Value.default a2.elem in
          let n_of = count a1 in
-         let eskip = comp_skip_type endian count a1.elem in
+         let skip_n = skip_elems endian count a1.elem in
          Some
            (fun cur ->
               let n = n_of cur in
@@ -1381,9 +1424,7 @@ let rec comp_morph_type endian count (src : Ptype.t) (dst : Ptype.t) : reader op
                 Array.init k (fun i ->
                     if i < take then elem cur else Value.copy d)
               in
-              for _ = take + 1 to n do
-                eskip cur no_lens
-              done;
+              skip_n cur (n - take);
               Value.Array { items; len = k }))
     | (Basic _ | Record _ | Array _), _ -> None
 

@@ -37,6 +37,14 @@ let expect_decode_error f =
     Alcotest.fail "expected Decode_error"
   with Codec.Decode_error _ -> ()
 
+(* [payload] with the 32-bit word at [off] set to [n]. *)
+let patch endian payload off n =
+  let b = Bytes.of_string payload in
+  (match endian with
+   | Codec.Little -> Bytes.set_int32_le b off (Int32.of_int n)
+   | Codec.Big -> Bytes.set_int32_be b off (Int32.of_int n));
+  Bytes.to_string b
+
 (* --- enum handling -------------------------------------------------------- *)
 
 let enum_fmt = fmt "enum level { low = 1, high = 5 } format E { level l; }"
@@ -148,13 +156,6 @@ let test_hostile_length_rejected_cheaply () =
   let drops_array = fmt "format R { int n; }" in
   let row_changed = fmt "record Row { int m; } format R { int n; Row rows[n]; }" in
   let hostile = [ -1; 0x1000000 ] in
-  let patch endian payload off n =
-    let b = Bytes.of_string payload in
-    (match endian with
-     | Codec.Little -> Bytes.set_int32_le b off (Int32.of_int n)
-     | Codec.Big -> Bytes.set_int32_be b off (Int32.of_int n));
-    Bytes.to_string b
-  in
   let interp_error ?pos endian src bad =
     match Codec.Interp.decode_payload ~endian ?pos src bad with
     | _ -> Alcotest.fail "the interpreter accepts a hostile count"
@@ -232,20 +233,38 @@ let response_v2_header =
     [ Ptype.field "channel" Ptype.string_; Ptype.field "member_count" Ptype.int_ ]
 
 let test_truncated_coalesced_skip_rejected () =
-  (* the header-only target drops every member, so the fused plan skips
-     each one's ID/is_source/is_sink as a single 6-byte span; a cut inside
-     that span, or inside the member's info.port, must reject on the fused
-     and the staged path alike *)
+  (* The header-only target drops every member, so the fused plan skips
+     each one as its host string then a 10-byte tail (info.port, ID,
+     is_source, is_sink), and must reject what the staged path rejects,
+     with the texts below in both byte orders.  The staged path names the
+     first field it misses, the fused plan the whole tail.  Members start
+     at offset 22 and take 36 bytes each.  The count guard runs before any
+     member and wants at least 14 bytes a member, so a cut anywhere in the
+     first member fails there; the last member's cuts reach the skip's
+     length-prefix and tail checks, and the first member's patched host
+     length its string check. *)
   let v = Helpers.sample_v2 3 in
   let members = Value.get_field v "member_list" in
   let last = Value.array_get members (Value.array_len members - 1) in
   let host = Value.to_string_exn (Value.get_field (Value.get_field last "info") "host") in
+  let guard = "array length 3 for \"member_count\" exceeds message size" in
+  let truncated need at limit =
+    Printf.sprintf "truncated message: need %d bytes at offset %d (limit %d)" need at limit
+  in
+  let error_text what f =
+    match f () with
+    | _ -> Alcotest.failf "%s: delivered" what
+    | exception Codec.Decode_error m -> m
+  in
   both_endians (fun endian ->
       let payload = Codec.Interp.encode_payload ~endian Helpers.response_v2 v in
       let member_len =
         String.length (Codec.Interp.encode_payload ~endian Helpers.member_v2 last)
       in
-      let port = String.length payload - member_len + 4 + String.length host in
+      let first = String.length payload - (3 * member_len) in
+      let last = String.length payload - member_len in
+      let port = last + 4 + String.length host in
+      let cut n = String.sub payload 0 n in
       let fused p =
         Codec.morph_payload
           (Codec.compile_morph ~endian ~from_:Helpers.response_v2 ~into:response_v2_header)
@@ -257,12 +276,25 @@ let test_truncated_coalesced_skip_rejected () =
       in
       Alcotest.check Helpers.value "whole payload: fused = staged"
         (Helpers.check_ok_err (staged payload)) (fused payload);
+      let empty = Codec.Interp.encode_payload ~endian Helpers.response_v2 (Helpers.sample_v2 0) in
+      Alcotest.check Helpers.value "an empty member list: fused = staged"
+        (Helpers.check_ok_err (staged empty)) (fused empty);
       List.iter
-        (fun cut ->
-           let trunc = String.sub payload 0 cut in
-           expect_decode_error (fun () -> fused trunc);
-           expect_decode_error (fun () -> staged trunc))
-        [ port + 2; port + 4 + 3 ])
+        (fun (what, bad, want_fused, want_staged) ->
+           Alcotest.(check string) (what ^ ", fused") want_fused (error_text what (fun () -> fused bad));
+           Alcotest.(check string) (what ^ ", staged") want_staged
+             (error_text what (fun () -> staged bad)))
+        [ ( "a cut in the last member's port", cut (port + 2),
+            truncated 10 port (port + 2), truncated 4 port (port + 2) );
+          ( "a cut in the last member's ID", cut (port + 4 + 3),
+            truncated 10 port (port + 7), truncated 4 (port + 4) (port + 7) );
+          ( "a cut in the last member's host length prefix", cut (last + 2),
+            truncated 4 last (last + 2), truncated 4 last (last + 2) );
+          ("a cut in the first member's host length prefix", cut (first + 2), guard, guard);
+          ( "the first member's host length past the end", patch endian payload first 1000,
+            "string length 1000 exceeds message", "string length 1000 exceeds message" );
+          ( "a cut in the first member's tail", cut (first + 4 + String.length host + 5),
+            guard, guard ) ])
 
 (* --- one-pass and two-phase nested records --------------------------------- *)
 

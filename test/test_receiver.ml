@@ -897,6 +897,48 @@ let test_fused_delivery_clock_reads () =
     Alcotest.(check (float 0.)) "and ends at the last read" 3000. s.Obs.Trace.end_ns
   | l -> Alcotest.failf "expected one span, got %d" (List.length l)
 
+(* A warm staged delivery (ECho 2.0's event rollback) reads the clock once
+   per boundary: before the decode, the staged decode's own two reads
+   ([wire.decode_ns]), after the decode (the span's and the morph's
+   start), after the transform (the end of [receiver.morph_ns] and of
+   [codec.staged_ns]), and at the span's end.  So [codec.staged_ns] stops
+   where [codec.fused_ns] does, before the handler. *)
+let test_staged_delivery_clock_reads () =
+  let clock = ref 0. and reads = ref 0 in
+  let handler _ = clock := !clock +. 1e6 in
+  let r, reg = traced_receiver ~handler Echo.Wire_formats.event_msg in
+  let message =
+    Wire.encode ~format_id:1 Echo.Wire_formats.event_msg_v2
+      (Echo.Wire_formats.event_v2_value ~channel:"c" ~seq:1 ~origin:("h", 1) ~priority:2
+         ~payload:"p")
+  in
+  let deliver () =
+    match Receiver.deliver_wire r Echo.Wire_formats.event_v2_meta message with
+    | Receiver.Delivered _ -> ()
+    | o -> Alcotest.failf "expected a delivery, got %a" Receiver.pp_outcome o
+  in
+  deliver ();
+  clock := 0.;
+  Obs.set_registry_clock reg (fun () ->
+      incr reads;
+      clock := !clock +. 1000.;
+      !clock);
+  Obs.Trace.clear reg;
+  let staged0 = Obs.Histogram.sum reg "codec.staged_ns"
+  and morph0 = Obs.Histogram.sum reg "receiver.morph_ns" in
+  deliver ();
+  Alcotest.(check int) "six clock reads" 6 !reads;
+  Alcotest.(check (float 0.)) "codec.staged_ns ends with the transform" 4000.
+    (Obs.Histogram.sum reg "codec.staged_ns" -. staged0);
+  Alcotest.(check (float 0.)) "receiver.morph_ns is the transform alone" 1000.
+    (Obs.Histogram.sum reg "receiver.morph_ns" -. morph0);
+  match Obs.Trace.spans reg with
+  | [ s ] ->
+    Alcotest.(check string) "the delivery span" "morph.deliver" s.Obs.Trace.name;
+    Alcotest.(check (float 0.)) "the span starts at the decode's end" 4000. s.Obs.Trace.start_ns;
+    Alcotest.(check (float 0.)) "and ends after the handler" 1_006_000. s.Obs.Trace.end_ns
+  | l -> Alcotest.failf "expected one span, got %d" (List.length l)
+
 (* A traced delivery keeps nothing alive: once the trace ring has wrapped,
    each span it buffers is scalars plus the plan's own attribute list, so
    a minor collection promotes next to nothing. *)
@@ -1661,6 +1703,8 @@ let suite =
     Alcotest.test_case "metrics counters mirror stats" `Quick test_metrics_counters;
     Alcotest.test_case "telemetry: a fused delivery reads the clock 3 times" `Quick
       test_fused_delivery_clock_reads;
+    Alcotest.test_case "telemetry: staged delivery reads the clock once per boundary" `Quick
+      test_staged_delivery_clock_reads;
     Alcotest.test_case "telemetry: a traced delivery promotes nothing" `Quick
       test_traced_delivery_promotes_nothing;
     Alcotest.test_case "telemetry: exact delivery span attributes" `Quick
