@@ -956,10 +956,13 @@ let parse_args () : opts =
 
 let () =
   let opts = parse_args () in
+  (* a filter picks the sections whose key it is part of ([abl] picks
+     every ablation), or the one whose printed name it is ([abl2-cache]) *)
   let want name =
     match opts.filters with
     | [] -> true
-    | names -> List.exists (fun n -> contains name n) names
+    | names ->
+      List.exists (fun n -> contains name n || String.starts_with ~prefix:name n) names
   in
   let sizes = if opts.quick then quick_sizes else full_sizes in
   Printf.printf

@@ -370,19 +370,19 @@ let fill_slot t (meta : Meta.format_meta) (entry : cache_entry) : unit =
   t.slots.(t.next_slot) <- Some { slot_meta = meta; slot_entry = entry };
   t.next_slot <- (t.next_slot + 1) mod identity_slots
 
-(* The pipeline for [meta] by structure ([Meta.hash], then [Meta.equal]),
-   refreshed as the table's most recently used. *)
-let find_cached t (meta : Meta.format_meta) : cache_entry option =
-  Lru.find t.cache ~hash:(Meta.hash meta) meta
+(* The pipeline for [meta] by structure ([hash], its [Meta.hash], then
+   [Meta.equal]), refreshed as the table's most recently used. *)
+let find_cached t ~hash (meta : Meta.format_meta) : cache_entry option =
+  Lru.find t.cache ~hash meta
 
-let cache_pipeline t (meta : Meta.format_meta) (p : pipeline) : cache_entry =
+let cache_pipeline t ~hash (meta : Meta.format_meta) (p : pipeline) : cache_entry =
   let breaker = Breaker.create ~threshold:t.config.Config.quarantine_after () in
   let entry = { key = meta; pipeline = p; breaker } in
-  ignore (Lru.add t.cache ~hash:(Meta.hash meta) meta entry : int);
+  ignore (Lru.add t.cache ~hash meta entry : int);
   entry
 
 let breaker_state t (meta : Meta.format_meta) : Breaker.state option =
-  Option.map (fun e -> Breaker.state e.breaker) (find_cached t meta)
+  Option.map (fun e -> Breaker.state e.breaker) (find_cached t ~hash:(Meta.hash meta) meta)
 
 let probe t (v : Value.t option) (o : outcome) : unit =
   match t.probe with Some f -> f v o | None -> ()
@@ -534,7 +534,8 @@ let count_hit t =
    structural table, planning and caching the pipeline on a miss.  Whatever
    a slot miss finds or plans takes the next slot, keyed by the meta value
    delivered, so the next message carrying that value skips the
-   structural key. *)
+   structural key.  A slot miss hashes the meta once, for the lookup and
+   for the insert. *)
 let lookup t (meta : Meta.format_meta) : bool * cache_entry =
   match find_slot t meta 0 with
   | Some entry ->
@@ -542,15 +543,16 @@ let lookup t (meta : Meta.format_meta) : bool * cache_entry =
     (true, entry)
   | None ->
     Obs.Counter.incr t.m.rm_structural_lookups;
+    let hash = Meta.hash meta in
     let hit, entry =
-      match find_cached t meta with
+      match find_cached t ~hash meta with
       | Some entry ->
         count_hit t;
         (true, entry)
       | None ->
         t.stats.cold_paths <- t.stats.cold_paths + 1;
         Obs.Counter.incr t.m.rm_cache_misses;
-        (false, cache_pipeline t meta (plan_pipeline t meta))
+        (false, cache_pipeline t ~hash meta (plan_pipeline t meta))
     in
     fill_slot t meta entry;
     (hit, entry)

@@ -1,6 +1,7 @@
 (* Hand-written lexer for Ecode.  Characters are read with an explicit end
-   check and matched directly; keywords and operators come from tables
-   built once, so lexing allocates only the tokens it returns. *)
+   check and matched directly; one-character operators and keywords come
+   from tables built once, so lexing allocates only the tokens it
+   returns. *)
 
 exception Error of string * Token.loc
 
@@ -19,37 +20,16 @@ let loc st : Token.loc = { line = st.line; col = st.pos - st.bol + 1 }
 (* Is the character [k] places ahead [c]?  False past the end. *)
 let[@inline] ahead_is st k c = st.pos + k < st.len && st.src.[st.pos + k] = c
 
-let advance st =
+let[@inline] advance st =
   if ahead_is st 0 '\n' then begin
     st.line <- st.line + 1;
     st.bol <- st.pos + 1
   end;
   st.pos <- st.pos + 1
 
-let is_digit c = c >= '0' && c <= '9'
-let is_ident_start c = (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') || c = '_'
-let is_ident c = is_ident_start c || is_digit c
-
-(* Multi-character operators, longest first. *)
-let operators3 = [ "<<="; ">>=" ]
-
-let operators2 =
-  [ "=="; "!="; "<="; ">="; "&&"; "||"; "++"; "--"; "+="; "-="; "*="; "/="; "%=";
-    "<<"; ">>"; "&="; "|="; "^=" ]
-
-let operators1 =
-  [ "+"; "-"; "*"; "/"; "%"; "="; "<"; ">"; "!"; "."; ","; ";"; "("; ")"; "{"; "}";
-    "["; "]"; "?"; ":"; "&"; "|"; "^"; "~" ]
-
-(* The operators by first character, longest first. *)
-let operator_table : string list array =
-  let t = Array.make 256 [] in
-  List.iter
-    (fun op ->
-       let i = Char.code op.[0] in
-       t.(i) <- t.(i) @ [ op ])
-    (operators3 @ operators2 @ operators1);
-  t
+let[@inline] is_digit c = match c with '0' .. '9' -> true | _ -> false
+let[@inline] is_ident c =
+  match c with 'a' .. 'z' | 'A' .. 'Z' | '_' | '0' .. '9' -> true | _ -> false
 
 module Names = Hashtbl.Make (String)
 
@@ -58,35 +38,35 @@ let keyword_table : unit Names.t =
   List.iter (fun k -> Names.replace t k ()) Token.keywords;
   t
 
-let skip_ws_and_comments st =
-  let rec go () =
-    if st.pos < st.len then
-      match st.src.[st.pos] with
-      | ' ' | '\t' | '\r' | '\n' ->
-        advance st;
-        go ()
-      | '/' when ahead_is st 1 '/' ->
-        while st.pos < st.len && st.src.[st.pos] <> '\n' do advance st done;
-        go ()
-      | '/' when ahead_is st 1 '*' ->
-        let start = loc st in
-        advance st;
-        advance st;
-        while not (ahead_is st 0 '*' && ahead_is st 1 '/') do
-          if st.pos >= st.len then error start "unterminated comment";
-          advance st
-        done;
-        advance st;
-        advance st;
-        go ()
-      | _ -> ()
-  in
-  go ()
+let rec skip_ws_and_comments st =
+  if st.pos < st.len then
+    match st.src.[st.pos] with
+    | ' ' | '\t' | '\r' | '\n' ->
+      advance st;
+      skip_ws_and_comments st
+    | '/' when ahead_is st 1 '/' ->
+      while st.pos < st.len && st.src.[st.pos] <> '\n' do advance st done;
+      skip_ws_and_comments st
+    | '/' when ahead_is st 1 '*' ->
+      let line = st.line and col = st.pos - st.bol + 1 in
+      advance st;
+      advance st;
+      while not (ahead_is st 0 '*' && ahead_is st 1 '/') do
+        if st.pos >= st.len then error ({ line; col } : Token.loc) "unterminated comment";
+        advance st
+      done;
+      advance st;
+      advance st;
+      skip_ws_and_comments st
+    | _ -> ()
 
 let skip_digits st =
   while st.pos < st.len && is_digit st.src.[st.pos] do advance st done
 
-let lex_number st : Token.t =
+(* A literal [int_of_string] or [float_of_string] cannot read (past
+   [max_int], or an exponent with no digits) is an error at [where], the
+   literal's start. *)
+let lex_number st where : Token.t =
   let start = st.pos in
   skip_digits st;
   let is_float =
@@ -102,10 +82,17 @@ let lex_number st : Token.t =
       advance st;
       if ahead_is st 0 '+' || ahead_is st 0 '-' then advance st;
       skip_digits st
-    end;
-    Token.Float_lit (float_of_string (String.sub st.src start (st.pos - start)))
-  end
-  else Token.Int_lit (int_of_string (String.sub st.src start (st.pos - start)))
+    end
+  end;
+  let text = String.sub st.src start (st.pos - start) in
+  if is_float then
+    match float_of_string_opt text with
+    | Some x -> Token.Float_lit x
+    | None -> error where "malformed float literal %s" text
+  else
+    match int_of_string_opt text with
+    | Some n -> Token.Int_lit n
+    | None -> error where "integer literal %s out of range" text
 
 let lex_escape st where =
   if st.pos >= st.len then error where "unterminated escape";
@@ -118,8 +105,7 @@ let lex_escape st where =
   | '0' -> '\x00'
   | c -> c (* a backslash, a quote or any other character: itself *)
 
-let lex_char st : Token.t =
-  let where = loc st in
+let lex_char st where : Token.t =
   advance st; (* opening quote *)
   if st.pos >= st.len then error where "unterminated character literal";
   let c =
@@ -135,37 +121,61 @@ let lex_char st : Token.t =
   advance st;
   Token.Char_lit c
 
-let lex_string st : Token.t =
-  let where = loc st in
+let rec string_body st where buf =
+  if st.pos >= st.len then error where "unterminated string literal";
+  match st.src.[st.pos] with
+  | '"' -> advance st
+  | '\\' ->
+    advance st;
+    Buffer.add_char buf (lex_escape st where);
+    string_body st where buf
+  | c ->
+    advance st;
+    Buffer.add_char buf c;
+    string_body st where buf
+
+let lex_string st where : Token.t =
   advance st; (* opening quote *)
   let buf = Buffer.create 16 in
-  let rec go () =
-    if st.pos >= st.len then error where "unterminated string literal";
-    match st.src.[st.pos] with
-    | '"' -> advance st
-    | '\\' ->
-      advance st;
-      Buffer.add_char buf (lex_escape st where);
-      go ()
-    | c ->
-      advance st;
-      Buffer.add_char buf c;
-      go ()
-  in
-  go ();
+  string_body st where buf;
   Token.String_lit (Buffer.contents buf)
 
-let starts_with st op =
-  let n = String.length op in
-  let rec eq i = i >= n || (st.src.[st.pos + i] = op.[i] && eq (i + 1)) in
-  st.pos + n <= st.len && eq 0
+(* The one-character operators, each as its token's string; [""] for a
+   character that starts no operator. *)
+let operators1 : string array =
+  let t = Array.make 256 "" in
+  String.iter (fun c -> t.(Char.code c) <- String.make 1 c) "+-*/%=<>!.,;(){}[]?:&|^~";
+  t
 
-let lex_operator st : Token.t =
-  let rec first = function
-    | op :: rest -> if starts_with st op then op else first rest
-    | [] -> error (loc st) "unexpected character %C" st.src.[st.pos]
+(* The operator at [st.pos], longest first: three characters, then two,
+   then one. *)
+let lex_operator st where : Token.t =
+  let next = if st.pos + 1 < st.len then st.src.[st.pos + 1] else '\000' in
+  let op =
+    match st.src.[st.pos], next with
+    | '<', '<' -> if ahead_is st 2 '=' then "<<=" else "<<"
+    | '>', '>' -> if ahead_is st 2 '=' then ">>=" else ">>"
+    | '=', '=' -> "=="
+    | '!', '=' -> "!="
+    | '<', '=' -> "<="
+    | '>', '=' -> ">="
+    | '&', '&' -> "&&"
+    | '|', '|' -> "||"
+    | '+', '+' -> "++"
+    | '-', '-' -> "--"
+    | '+', '=' -> "+="
+    | '-', '=' -> "-="
+    | '*', '=' -> "*="
+    | '/', '=' -> "/="
+    | '%', '=' -> "%="
+    | '&', '=' -> "&="
+    | '|', '=' -> "|="
+    | '^', '=' -> "^="
+    | c, _ ->
+      (match operators1.(Char.code c) with
+       | "" -> error where "unexpected character %C" c
+       | op -> op)
   in
-  let op = first operator_table.(Char.code st.src.[st.pos]) in
   st.pos <- st.pos + String.length op;
   Token.Op op
 
@@ -184,11 +194,11 @@ let tokenize (src : string) : Token.spanned list =
     else
       let tok =
         match st.src.[st.pos] with
-        | c when is_digit c -> lex_number st
-        | c when is_ident_start c -> lex_word st
-        | '\'' -> lex_char st
-        | '"' -> lex_string st
-        | _ -> lex_operator st
+        | '0' .. '9' -> lex_number st l
+        | 'a' .. 'z' | 'A' .. 'Z' | '_' -> lex_word st
+        | '\'' -> lex_char st l
+        | '"' -> lex_string st l
+        | _ -> lex_operator st l
       in
       go ({ Token.tok; loc = l } :: acc)
   in

@@ -51,6 +51,29 @@ let assign_op_of = function
   | "%=" -> Some Ast.Mod_eq
   | _ -> None
 
+(* The binary operators: precedence (1 binds loosest, 10 tightest) and
+   node.  Every level is left associative. *)
+let binop_of : string -> (int * Ast.binop) option = function
+  | "||" -> Some (1, Or)
+  | "&&" -> Some (2, And)
+  | "|" -> Some (3, Bor)
+  | "^" -> Some (4, Bxor)
+  | "&" -> Some (5, Band)
+  | "==" -> Some (6, Eq)
+  | "!=" -> Some (6, Ne)
+  | "<" -> Some (7, Lt)
+  | "<=" -> Some (7, Le)
+  | ">" -> Some (7, Gt)
+  | ">=" -> Some (7, Ge)
+  | "<<" -> Some (8, Shl)
+  | ">>" -> Some (8, Shr)
+  | "+" -> Some (9, Add)
+  | "-" -> Some (9, Sub)
+  | "*" -> Some (10, Mul)
+  | "/" -> Some (10, Div)
+  | "%" -> Some (10, Mod)
+  | _ -> None
+
 let rec parse_expr st : Ast.expr =
   (* assignment, right associative, lowest precedence *)
   let lhs = parse_cond st in
@@ -65,7 +88,7 @@ let rec parse_expr st : Ast.expr =
   | _ -> lhs
 
 and parse_cond st : Ast.expr =
-  let c = parse_or st in
+  let c = parse_binary st 1 in
   if eat_op st "?" then begin
     let a = parse_expr st in
     expect_op st ":";
@@ -74,40 +97,20 @@ and parse_cond st : Ast.expr =
   end
   else c
 
-and parse_or st = parse_left st [ ("||", Ast.Or) ] parse_and
-and parse_and st = parse_left st [ ("&&", Ast.And) ] parse_bor
-and parse_bor st = parse_left st [ ("|", Ast.Bor) ] parse_bxor
-and parse_bxor st = parse_left st [ ("^", Ast.Bxor) ] parse_band
-and parse_band st = parse_left st [ ("&", Ast.Band) ] parse_equality
+(* Precedence climbing: an operand, then every binary operator that binds
+   at least [min_prec], each right operand parsed one level tighter. *)
+and parse_binary st min_prec : Ast.expr = climb st min_prec (parse_unary st)
 
-and parse_equality st = parse_left st [ ("==", Ast.Eq); ("!=", Ast.Ne) ] parse_relational
-
-and parse_relational st =
-  parse_left st
-    [ ("<", Ast.Lt); ("<=", Ast.Le); (">", Ast.Gt); (">=", Ast.Ge) ]
-    parse_shift
-
-and parse_shift st = parse_left st [ ("<<", Ast.Shl); (">>", Ast.Shr) ] parse_additive
-
-and parse_additive st = parse_left st [ ("+", Ast.Add); ("-", Ast.Sub) ] parse_multiplicative
-
-and parse_multiplicative st =
-  parse_left st [ ("*", Ast.Mul); ("/", Ast.Div); ("%", Ast.Mod) ] parse_unary
-
-and parse_left st table parse_next : Ast.expr =
-  let lhs = parse_next st in
-  let rec go lhs =
-    match peek_tok st with
-    | Op o ->
-      (match List.assoc_opt o table with
-       | Some op ->
-         let t = next st in
-         let rhs = parse_next st in
-         go { Ast.e = Binop (op, lhs, rhs); eloc = t.Token.loc }
-       | None -> lhs)
-    | _ -> lhs
-  in
-  go lhs
+and climb st min_prec lhs : Ast.expr =
+  match peek_tok st with
+  | Op o ->
+    (match binop_of o with
+     | Some (prec, op) when prec >= min_prec ->
+       let t = next st in
+       let rhs = parse_binary st (prec + 1) in
+       climb st min_prec { Ast.e = Binop (op, lhs, rhs); eloc = t.Token.loc }
+     | Some _ | None -> lhs)
+  | _ -> lhs
 
 and parse_unary st : Ast.expr =
   let t = peek st in
@@ -176,17 +179,16 @@ and parse_primary st : Ast.expr =
   | Kw "true" -> mk (Bool_lit true)
   | Kw "false" -> mk (Bool_lit false)
   | Ident name ->
-    if peek_tok st = Op "(" then begin
-      ignore (next st);
+    if eat_op st "(" then begin
       let args =
-        if peek_tok st = Op ")" then []
-        else begin
+        match peek_tok st with
+        | Op ")" -> []
+        | _ ->
           let rec go acc =
             let a = parse_expr st in
             if eat_op st "," then go (a :: acc) else List.rev (a :: acc)
           in
           go []
-        end
       in
       expect_op st ")";
       mk (Call (name, args))
@@ -215,13 +217,7 @@ let rec parse_stmt st : Ast.stmt =
     mk Empty
   | Op "{" ->
     ignore (next st);
-    let rec go acc =
-      if peek_tok st = Op "}" then begin
-        ignore (next st);
-        List.rev acc
-      end
-      else go (parse_stmt st :: acc)
-    in
+    let rec go acc = if eat_op st "}" then List.rev acc else go (parse_stmt st :: acc) in
     mk (Block (go []))
   | Kw "if" ->
     ignore (next st);
@@ -230,11 +226,11 @@ let rec parse_stmt st : Ast.stmt =
     expect_op st ")";
     let then_ = parse_stmt st in
     let else_ =
-      if peek_tok st = Kw "else" then begin
+      match peek_tok st with
+      | Kw "else" ->
         ignore (next st);
         Some (parse_stmt st)
-      end
-      else None
+      | _ -> None
     in
     mk (If (c, then_, else_))
   | Kw "while" ->
@@ -258,19 +254,16 @@ let rec parse_stmt st : Ast.stmt =
     ignore (next st);
     expect_op st "(";
     let init =
-      if peek_tok st = Op ";" then begin
-        ignore (next st);
-        None
-      end
+      if eat_op st ";" then None
       else begin
         let s = parse_simple_stmt st in
         expect_op st ";";
         Some s
       end
     in
-    let cond = if peek_tok st = Op ";" then None else Some (parse_expr st) in
+    let cond = match peek_tok st with Op ";" -> None | _ -> Some (parse_expr st) in
     expect_op st ";";
-    let step = if peek_tok st = Op ")" then None else Some (parse_expr st) in
+    let step = match peek_tok st with Op ")" -> None | _ -> Some (parse_expr st) in
     expect_op st ")";
     mk (For (init, cond, step, parse_stmt st))
   | Kw "switch" ->
@@ -303,10 +296,7 @@ let rec parse_stmt st : Ast.stmt =
       | _ -> false
     in
     let rec arms acc =
-      if peek_tok st = Op "}" then begin
-        ignore (next st);
-        List.rev acc
-      end
+      if eat_op st "}" then List.rev acc
       else begin
         let rec labels ls has_default =
           match parse_label () with
@@ -318,8 +308,9 @@ let rec parse_stmt st : Ast.stmt =
         in
         let ls, has_default = labels [] false in
         let rec body acc =
-          if at_label () || peek_tok st = Op "}" then List.rev acc
-          else body (parse_stmt st :: acc)
+          match peek_tok st with
+          | Kw ("case" | "default") | Op "}" -> List.rev acc
+          | _ -> body (parse_stmt st :: acc)
         in
         let stmts = body [] in
         arms ({ Ast.labels = ls; has_default; body = stmts } :: acc)
@@ -328,7 +319,7 @@ let rec parse_stmt st : Ast.stmt =
     mk (Switch (scrutinee, arms []))
   | Kw "return" ->
     ignore (next st);
-    let e = if peek_tok st = Op ";" then None else Some (parse_expr st) in
+    let e = match peek_tok st with Op ";" -> None | _ -> Some (parse_expr st) in
     expect_op st ";";
     mk (Return e)
   | Kw "break" ->
@@ -435,10 +426,11 @@ let parse_program (src : string) : (Ast.prog, string) result =
   try
     let st = { toks = Lexer.tokenize src } in
     let rec go funs stmts =
-      if peek_tok st = Eof then
-        { Ast.funs = List.rev funs; main = List.rev stmts }
-      else if looks_like_fundef st then go (parse_fundef st :: funs) stmts
-      else go funs (parse_stmt st :: stmts)
+      match peek_tok st with
+      | Eof -> { Ast.funs = List.rev funs; main = List.rev stmts }
+      | _ ->
+        if looks_like_fundef st then go (parse_fundef st :: funs) stmts
+        else go funs (parse_stmt st :: stmts)
     in
     Ok (go [] [])
   with

@@ -6,15 +6,18 @@
      - [tenant_quota]: per-tenant entry cap, so one tenant churning
        through formats evicts its own plans, not its neighbours'.
 
-   Recency is a lazy-deletion LRU (same scheme as the [Codec] plan cache):
-   each touch stamps the entry and pushes it on a queue; eviction pops
-   until a stamp still matches.  Per-tenant eviction scans only that
-   tenant's entries (at most [tenant_quota] of them). *)
+   Recency is a lazy-deletion LRU: each touch stamps the entry with a new
+   tick and pushes (entry, tick) on a ring; eviction pops until a tick
+   still matches.  The ring is two arrays (entries and ticks), grown by
+   doubling and compacted in place once it holds more than 4 x entries +
+   64 pairs, so a hit allocates nothing of its own.  Per-tenant eviction
+   scans only that tenant's entries (at most [tenant_quota] of them). *)
 
 type 'v entry = {
   e_tenant : int;
   e_key : int;
-  e_value : 'v;
+  mutable e_value : 'v option;
+      (* [None] once deleted, so a stale ring slot keeps no value alive *)
   mutable e_tick : int;
   mutable e_alive : bool;
 }
@@ -33,7 +36,10 @@ type 'v t = {
   tenant_quota : int;
   on_evict : (tenant:int -> key:int -> unit) option;
   table : (int * int, 'v entry) Hashtbl.t;
-  queue : ('v entry * int) Queue.t;
+  mutable ring : 'v entry array; (* touches, oldest at [head], [len] of them *)
+  mutable ticks : int array; (* each touch's tick, at its entry's index *)
+  mutable head : int;
+  mutable len : int;
   by_tenant : (int, 'v entry list ref) Hashtbl.t;
   mutable count : int;
   mutable clock : int;
@@ -52,7 +58,10 @@ let create ?(max_entries = 1024) ?(tenant_quota = max_int) ?on_evict () =
     tenant_quota;
     on_evict;
     table = Hashtbl.create 256;
-    queue = Queue.create ();
+    ring = [||];
+    ticks = [||];
+    head = 0;
+    len = 0;
     by_tenant = Hashtbl.create 64;
     count = 0;
     clock = 0;
@@ -87,26 +96,54 @@ let tenant_entries t tenant =
 
 let tenant_count t tenant = List.length (tenant_entries t tenant)
 
+(* The ring index [k] places after the head. *)
+let[@inline] slot t k =
+  let i = t.head + k in
+  if i >= Array.length t.ring then i - Array.length t.ring else i
+
+(* Double the ring, unwrapped to start at 0; [e] fills the new slots. *)
+let grow t e =
+  let cap = max 16 (2 * Array.length t.ring) in
+  let ring = Array.make cap e and ticks = Array.make cap 0 in
+  for k = 0 to t.len - 1 do
+    ring.(k) <- t.ring.(slot t k);
+    ticks.(k) <- t.ticks.(slot t k)
+  done;
+  t.ring <- ring;
+  t.ticks <- ticks;
+  t.head <- 0
+
+(* Keep only the pairs whose tick is still their entry's, in order. *)
 let compact t =
-  let q' = Queue.create () in
-  Queue.iter
-    (fun ((e, tk) as pair) -> if e.e_alive && e.e_tick = tk then Queue.push pair q')
-    t.queue;
-  Queue.clear t.queue;
-  Queue.transfer q' t.queue
+  let kept = ref 0 in
+  for k = 0 to t.len - 1 do
+    let i = slot t k in
+    let e = t.ring.(i) and tk = t.ticks.(i) in
+    if e.e_alive && e.e_tick = tk then begin
+      let j = slot t !kept in
+      t.ring.(j) <- e;
+      t.ticks.(j) <- tk;
+      incr kept
+    end
+  done;
+  t.len <- !kept
 
 let touch t e =
   t.clock <- t.clock + 1;
   e.e_tick <- t.clock;
-  Queue.push (e, t.clock) t.queue;
-  if Queue.length t.queue > (4 * t.count) + 64 then compact t
+  if t.len = Array.length t.ring then grow t e;
+  let i = slot t t.len in
+  t.ring.(i) <- e;
+  t.ticks.(i) <- t.clock;
+  t.len <- t.len + 1;
+  if t.len > (4 * t.count) + 64 then compact t
 
 let find t ~tenant ~key =
   match Hashtbl.find_opt t.table (tenant, key) with
   | Some e when e.e_alive ->
     t.hits <- t.hits + 1;
     touch t e;
-    Some e.e_value
+    e.e_value
   | _ ->
     t.misses <- t.misses + 1;
     None
@@ -116,6 +153,7 @@ let find t ~tenant ~key =
 let delete t e ~evicted ~quota =
   if e.e_alive then begin
     e.e_alive <- false;
+    e.e_value <- None;
     Hashtbl.remove t.table (e.e_tenant, e.e_key);
     (match Hashtbl.find_opt t.by_tenant e.e_tenant with
      | Some l -> l := List.filter (fun e' -> e' != e) !l
@@ -131,18 +169,18 @@ let delete t e ~evicted ~quota =
   end
 
 (* Evict the globally least-recently-used entry; [false] when empty. *)
-let evict_lru t =
-  let rec go () =
-    match Queue.take_opt t.queue with
-    | None -> false
-    | Some (e, tk) ->
-      if e.e_alive && e.e_tick = tk then begin
-        delete t e ~evicted:true ~quota:false;
-        true
-      end
-      else go ()
-  in
-  go ()
+let rec evict_lru t =
+  if t.len = 0 then false
+  else begin
+    let e = t.ring.(t.head) and tk = t.ticks.(t.head) in
+    t.head <- slot t 1;
+    t.len <- t.len - 1;
+    if e.e_alive && e.e_tick = tk then begin
+      delete t e ~evicted:true ~quota:false;
+      true
+    end
+    else evict_lru t
+  end
 
 (* Evict [tenant]'s least-recently-used entry (a quota eviction). *)
 let evict_tenant_lru t tenant =
@@ -171,7 +209,7 @@ let add t ~tenant ~key v =
   while t.count >= t.max_entries && evict_lru t do
     ()
   done;
-  let e = { e_tenant = tenant; e_key = key; e_value = v; e_tick = 0; e_alive = true } in
+  let e = { e_tenant = tenant; e_key = key; e_value = Some v; e_tick = 0; e_alive = true } in
   Hashtbl.replace t.table (tenant, key) e;
   let l =
     match Hashtbl.find_opt t.by_tenant tenant with

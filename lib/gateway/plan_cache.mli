@@ -4,8 +4,9 @@
     [max_entries] (total live entries — the memory bound) and
     [tenant_quota] (per-tenant entry cap, so a tenant churning through
     formats evicts its own plans, not its neighbours').  Eviction order
-    is least-recently-used, via the same lazy-deletion queue scheme as the
-    {!Pbio.Codec} plan cache.
+    is least-recently-used, kept by lazy deletion: every touch pushes an
+    (entry, tick) pair on a ring of two arrays, compacted in place, so a hit
+    allocates nothing beyond its table lookup.
 
     Not thread-safe; the gateway runs on {!Transport.Netsim}'s
     single-threaded event loop. *)

@@ -96,3 +96,42 @@ let inflate_slot (s : string) : string t =
     let by = Bytes.of_string s in
     Bytes.set_int32_le by i (Int32.of_int v);
     return (Bytes.to_string by)
+
+(* --- source hostility ------------------------------------------------------
+
+   Ecode snippets travel in sender meta-data, so the lexer and parser see
+   whatever a sender writes.  This mutator splices a hostile fragment in
+   between two tokens, where the front end must meet it. *)
+
+(* Literals the lexer cannot read as their type (past [max_int], an
+   exponent with no digits) or reads at an edge ([max_int], infinity,
+   zero), a long identifier, unbalanced brackets, and an unterminated
+   string, character or comment. *)
+let hostile_fragments =
+  [ "99999999999999999999"; "4611686018427387904"; "4611686018427387903"; "1.5e"; "1e+"; "2E-";
+    "1e99999"; "5e-400"; String.make 300 'z'; "(("; ")"; "[["; "]]"; "{"; "}}"; "\"open"; "'";
+    "/*" ]
+
+let is_separator = function
+  | ' ' | '\t' | '\n' | '\r' | ';' | ',' | '(' | ')' | '{' | '}' | '[' | ']' | '=' | '+' | '-'
+  | '*' | '/' | '%' | '<' | '>' | '!' | '?' | ':' | '.' | '&' | '|' | '^' | '~' ->
+    true
+  | _ -> false
+
+(* [s] with a hostile fragment at a token boundary (the start, the end,
+   or next to whitespace or punctuation), as a statement of its own after
+   a [;] or a [}], or as the first operand of an assignment's value. *)
+let splice_hostile (s : string) : string t =
+  let n = String.length s in
+  let at p = List.filter p (List.init (n + 1) Fun.id) in
+  let between = at (fun i -> i = 0 || i = n || is_separator s.[i - 1] || is_separator s.[i]) in
+  let statement = at (fun i -> i = 0 || s.[i - 1] = ';' || s.[i - 1] = '}') in
+  let operand = at (fun i -> i >= 3 && String.sub s (i - 3) 3 = " = ") in
+  let* frag = oneofl hostile_fragments in
+  let* spots, frag =
+    oneofl
+      ([ (between, frag); (statement, "\n" ^ frag ^ ";") ]
+       @ if operand = [] then [] else [ (operand, frag ^ " + ") ])
+  in
+  let* i = oneofl spots in
+  return (String.sub s 0 i ^ frag ^ String.sub s i (n - i))

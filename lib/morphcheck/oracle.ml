@@ -23,7 +23,8 @@
 
    The fuzz targets corrupt encoded buffers and require structured [Error]s
    (never an escaping exception) from the wire, meta, framing and receiver
-   decode paths. *)
+   decode paths; [fuzz-ecode] corrupts shipped Ecode source and requires
+   the same of the Ecode front end. *)
 
 open Pbio
 
@@ -1101,6 +1102,50 @@ let fuzz_receiver_case st =
   (* any outcome is fine — Rejected included — but no exception may escape *)
   ignore (Morph.Receiver.deliver_wire recv meta bad)
 
+let ecode_parsed = Atomic.make 0
+let ecode_compiled = Atomic.make 0
+
+(* A snippet a sender ships, with the formats it runs over: a generated
+   evolution hop, Figure 5's rollback or ECho's event rollback. *)
+let shipped_snippet st =
+  let open Echo.Wire_formats in
+  match Rgen.int_range 0 4 st with
+  | 0 -> (channel_open_response_v2, channel_open_response_v1, response_v2_to_v1_code)
+  | 1 -> (event_msg_v2, event_msg, event_v2_to_v1_code)
+  | _ ->
+    let s = Evolve.step (Gen.record st) st in
+    (s.Evolve.after, s.Evolve.before, s.Evolve.code)
+
+(* Mutated Ecode source, byte-level or with a hostile fragment spliced
+   between tokens: parsing it and compiling it with either engine returns
+   [Ok] or [Error], never an exception, and both engines accept or refuse
+   alike. *)
+let fuzz_ecode_case st =
+  let src, dst, code = shipped_snippet st in
+  let bad =
+    Rgen.frequencyl
+      [ (1, Fuzz.mutate code); (3, Fuzz.splice_hostile code);
+        (1, Rgen.bind (Fuzz.mutate code) Fuzz.splice_hostile) ]
+      st st
+  in
+  let total what f =
+    match f () with
+    | Ok _ -> true
+    | Error _ -> false
+    | exception e -> fail "%s raised %s on@ %S" what (Printexc.to_string e) bad
+  in
+  if total "Ecode.parse" (fun () -> Ecode.parse bad) then Atomic.incr ecode_parsed;
+  let compiled = total "Ecode.compile_xform" (fun () -> Ecode.compile_xform ~src ~dst bad) in
+  let interpreted =
+    total "Ecode.interpret_xform" (fun () -> Ecode.interpret_xform ~src ~dst bad)
+  in
+  if compiled then Atomic.incr ecode_compiled;
+  if compiled <> interpreted then
+    fail "compile_xform %s what interpret_xform %s:@ %S"
+      (if compiled then "accepts" else "refuses")
+      (if interpreted then "accepts" else "refuses")
+      bad
+
 (* --- campaign ------------------------------------------------------------- *)
 
 let oracles : (string * (Random.State.t -> unit)) list =
@@ -1116,6 +1161,7 @@ let oracles : (string * (Random.State.t -> unit)) list =
     ("fuzz-meta", fuzz_meta_case);
     ("fuzz-framing", fuzz_framing_case);
     ("fuzz-receiver", fuzz_receiver_case);
+    ("fuzz-ecode", fuzz_ecode_case);
   ]
 
 let names = List.map fst oracles
@@ -1157,6 +1203,18 @@ let codec_report (r : report) =
     { r with failures = r.failures @ [ { case = -1; detail = "no case dropped a string-led list" } ] }
   else r
 
+(* The fuzz-ecode campaign's verdict on its own tally: a campaign where
+   no mutant parsed, or none compiled, never reached the checker or the
+   compilers. *)
+let ecode_report (r : report) =
+  let n = Atomic.get ecode_parsed and m = Atomic.get ecode_compiled in
+  let r = { r with note = Fmt.str "%d parsed, %d compiled" n m } in
+  let none what = { case = -1; detail = "no case " ^ what } in
+  if r.cases = 0 then r
+  else if n = 0 then { r with failures = r.failures @ [ none "parsed" ] }
+  else if m = 0 then { r with failures = r.failures @ [ none "compiled" ] }
+  else r
+
 (* The near-miss campaign's verdict on its own tally: every case that
    passed planned staged. *)
 let near_miss_report (r : report) =
@@ -1176,13 +1234,14 @@ let run ?names:(selected = names) ~seed ~count () : report list =
          List.iter
            (fun c -> Atomic.set c 0)
            [ collapsed; looped; near_misses; engines_delivered; engines_failed; engines_refused;
-             string_led_lists ];
+             string_led_lists; ecode_parsed; ecode_compiled ];
          let r = run_cases ~oracle:name ~seed ~count case in
          match name with
          | "engines" -> engines_report r
          | "collapse" -> collapse_report r
          | "near-miss" -> near_miss_report r
          | "codec" | "fuzz-codec" -> codec_report r
+         | "fuzz-ecode" -> ecode_report r
          | _ -> r)
     selected
 

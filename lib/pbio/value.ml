@@ -104,21 +104,29 @@ let has_field v name = field_index (entries v) name <> None
 let field_at v i = (entries v).(i).v
 let set_at v i x = (entries v).(i).v <- x
 
-(* Deep copy (also used to fill growing arrays).  Records are copied by a
-   plain loop: a closure passed to [Array.map] would capture [copy] and
-   cost an allocation per record. *)
+(* Deep copy (also used to fill growing arrays).  A record of up to 4
+   fields is copied into an array literal, allocated inline, as
+   [Codec.record_of] builds records; [Array.make] is a runtime call
+   ([caml_make_vect]).  Larger records are copied by a plain loop: a
+   closure passed to [Array.map] would capture [copy] and cost an
+   allocation per record. *)
 let rec copy = function
   | (Int _ | Uint _ | Float _ | Char _ | Bool _ | Enum _ | String _) as v -> v
   | Record es ->
-    let n = Array.length es in
-    if n = 0 then Record [||]
-    else begin
-      let out = Array.make n (copy_entry es.(0)) in
-      for i = 1 to n - 1 do
-        out.(i) <- copy_entry es.(i)
-      done;
-      Record out
-    end
+    (match es with
+     | [||] -> Record [||]
+     | [| e0 |] -> Record [| copy_entry e0 |]
+     | [| e0; e1 |] -> Record [| copy_entry e0; copy_entry e1 |]
+     | [| e0; e1; e2 |] -> Record [| copy_entry e0; copy_entry e1; copy_entry e2 |]
+     | [| e0; e1; e2; e3 |] ->
+       Record [| copy_entry e0; copy_entry e1; copy_entry e2; copy_entry e3 |]
+     | es ->
+       let n = Array.length es in
+       let out = Array.make n (copy_entry es.(0)) in
+       for i = 1 to n - 1 do
+         out.(i) <- copy_entry es.(i)
+       done;
+       Record out)
   | Array d ->
     Array { items = Array.init d.len (fun i -> copy d.items.(i)); len = d.len }
 

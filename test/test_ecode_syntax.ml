@@ -7,11 +7,6 @@ let parse_ok src =
   | Ok p -> p
   | Error e -> Alcotest.failf "parse failed: %s" e
 
-let parse_err src =
-  match Ecode.parse src with
-  | Ok _ -> Alcotest.failf "expected parse error for %S" src
-  | Error _ -> ()
-
 let check_err ~params src =
   match Ecode.compile ~params src with
   | Ok _ -> Alcotest.failf "expected type error for %S" src
@@ -119,7 +114,17 @@ let test_lexer_error_messages () =
       ("'\\", "1:1 unterminated escape");
       ("int x = $;", "1:9 unexpected character '$'");
       ("a\n  @", "2:3 unexpected character '@'");
-    ]
+      ("x = 99999999999999999999;", "1:5 integer literal 99999999999999999999 out of range");
+      ("x = 4611686018427387904;", "1:5 integer literal 4611686018427387904 out of range");
+      ("x = 1.5e;", "1:5 malformed float literal 1.5e");
+      ("x = 1e+;", "1:5 malformed float literal 1e+");
+      ("/* a */\n  y = 2E-", "2:7 malformed float literal 2E-");
+    ];
+  (* the largest int and a float past the largest float still lex *)
+  let toks = Ecode.Lexer.tokenize "4611686018427387903 1e99999" in
+  Alcotest.(check (list string)) "max_int, infinity"
+    [ "integer 4611686018427387903"; "float inf"; "end of input" ]
+    (List.map (fun (t : Ecode.Token.spanned) -> Fmt.str "%a" Ecode.Token.pp t.tok) toks)
 
 let test_parser_statements () =
   ignore (parse_ok "int x = 1, y; x = y;");
@@ -134,14 +139,26 @@ let test_parser_statements () =
   ignore (parse_ok "x = a ? b : c;");
   ignore (parse_ok "v.field[3].sub = f(1, 2) % 3;")
 
+(* Parse errors: message and location. *)
 let test_parser_errors () =
-  parse_err "int = 3;";
-  parse_err "x = ;";
-  parse_err "if x) y = 1;";
-  parse_err "for (i = 0; i < 10; i++ { }";
-  parse_err "x = (1 + 2;";
-  parse_err "x = a ? b;";
-  parse_err "do { } while (1)" (* missing ; *)
+  List.iter
+    (fun (src, want) ->
+       let got = match Ecode.parse src with Ok _ -> "ok" | Error e -> e in
+       Alcotest.(check string) src want got)
+    [
+      ("int = 3;", "parse error at 1:5: expected \"(\", got \"=\"");
+      ("x = ;", "parse error at 1:5: expected expression, got \";\"");
+      ("if x) y = 1;", "parse error at 1:4: expected \"(\", got identifier \"x\"");
+      ("for (i = 0; i < 10; i++ { }", "parse error at 1:25: expected \")\", got \"{\"");
+      ("x = (1 + 2;", "parse error at 1:11: expected \")\", got \";\"");
+      ("x = a ? b;", "parse error at 1:10: expected \":\", got \";\"");
+      ("do { } while (1)", "parse error at 1:17: expected \";\", got end of input");
+      ("x = a + ;", "parse error at 1:9: expected expression, got \";\"");
+      ("x = a * (b - ) / c;", "parse error at 1:14: expected expression, got \")\"");
+      ("x = a || b &&\n  ;", "parse error at 2:3: expected expression, got \";\"");
+      ("x = a b;", "parse error at 1:7: expected \";\", got identifier \"b\"");
+      ("x = a == = b;", "parse error at 1:10: expected expression, got \"=\"");
+    ]
 
 let test_precedence_shape () =
   (* 1 + 2 * 3 parses as 1 + (2 * 3) *)
@@ -151,6 +168,75 @@ let test_precedence_shape () =
      | Binop (Mul, _, _) -> ()
      | _ -> Alcotest.fail "expected multiplication on the right")
   | _ -> Alcotest.fail "unexpected parse shape"
+
+(* What the parser builds, pinned by the fully parenthesised [Ecode.Pp]
+   text.  The expected shapes come from C's table here, not from the
+   parser: a later level binds tighter, and every level is left
+   associative. *)
+let binary_levels =
+  [ [ "||" ]; [ "&&" ]; [ "|" ]; [ "^" ]; [ "&" ]; [ "=="; "!=" ]; [ "<"; "<="; ">"; ">=" ];
+    [ "<<"; ">>" ]; [ "+"; "-" ]; [ "*"; "/"; "%" ] ]
+
+let level op =
+  let rec go i = function
+    | ops :: rest -> if List.mem op ops then i else go (i + 1) rest
+    | [] -> Alcotest.failf "no level for %s" op
+  in
+  go 0 binary_levels
+
+let reprint src = Ecode.Pp.program_to_string (parse_ok src)
+
+let test_parser_shapes_pinned () =
+  let ops = List.concat binary_levels in
+  (* every ordered pair, [a op op' c] with op = op' included *)
+  List.iter
+    (fun o1 ->
+       List.iter
+         (fun o2 ->
+            let src = Printf.sprintf "a %s b %s c;" o1 o2 in
+            let want =
+              if level o1 >= level o2 then Printf.sprintf "((a %s b) %s c);" o1 o2
+              else Printf.sprintf "(a %s (b %s c));" o1 o2
+            in
+            Alcotest.(check string) src want (reprint src))
+         ops)
+    ops;
+  List.iter
+    (fun (src, want) -> Alcotest.(check string) src want (reprint src))
+    [
+      (* unary and postfix operators under binary ones *)
+      ("-a * b;", "((-a) * b);");
+      ("a * -b;", "(a * (-b));");
+      ("!a && b;", "((!a) && b);");
+      ("~a | b ^ c;", "((~a) | (b ^ c));");
+      ("a - -b;", "(a - (-b));");
+      ("- - a;", "(-(-a));");
+      ("+a * b;", "(a * b);");
+      ("++a * b;", "((++a) * b);");
+      ("a++ + b;", "((a++) + b);");
+      ("a-- - --b;", "((a--) - (--b));");
+      ("-a.f[i] * b;", "((-a.f[i]) * b);");
+      ("!f(b + c) == d;", "((!f((b + c))) == d);");
+      ("a[i + j] << b.c >> 1;", "((a[(i + j)] << b.c) >> 1);");
+      ("(a + b) * c;", "((a + b) * c);");
+      ("a * (b + c) % d;", "((a * (b + c)) % d);");
+      ("x = int(a) + float(b) * 2;", "(x = (int(a) + (float(b) * 2)));");
+      (* four levels at once, in both directions *)
+      ("a || b && c | d ^ e & f == g < h << i + j * k;",
+       "(a || (b && (c | (d ^ (e & (f == (g < (h << (i + (j * k))))))))));");
+      ("a * b + c << d < e == f & g ^ h | i && j || k;",
+       "((((((((((a * b) + c) << d) < e) == f) & g) ^ h) | i) && j) || k);");
+      (* ?: and assignment chains *)
+      ("a = b = c;", "(a = (b = c));");
+      ("a += b -= c *= d /= e %= f;", "(a += (b -= (c *= (d /= (e %= f)))));");
+      ("x = a ? b : c;", "(x = (a ? b : c));");
+      ("a ? b : c ? d : e;", "(a ? b : (c ? d : e));");
+      ("a ? b ? c : d : e;", "(a ? (b ? c : d) : e);");
+      ("a || b ? c + d : e && f;", "((a || b) ? (c + d) : (e && f));");
+      ("a ? b = c : d;", "(a ? (b = c) : d);");
+      ("x = a < b ? a : b;", "(x = ((a < b) ? a : b));");
+      ("a ? b : c = d;", "((a ? b : c) = d);");
+    ]
 
 (* --- typechecking ----------------------------------------------------------- *)
 
@@ -199,7 +285,7 @@ let test_record_assignment_shapes () =
    fixed point, and the reprint executes identically. *)
 let corpus =
   [
-    Echo.Wire_formats.response_v2_to_v1_code;
+    Echo.Wire_formats.response_v2_to_v1_code; (* Figure 5's rollback *)
     Echo.Wire_formats.event_v2_to_v1_code;
     B2b.Formats.retail_to_supplier_order_code;
     B2b.Formats.supplier_to_retail_status_code;
@@ -211,6 +297,9 @@ let corpus =
        switch (acc % 3) { case 0: acc = 1; case 1: acc = 2; break; default: acc = 3; }
        string s = "q\"x" + 'y' + 1.5 + true;
        acc = (acc > 0) ? -acc : ~acc; |};
+    (* a lineage head hop, as loadgen's population ships it *)
+    "old.kind = new.kind;\nold.tag = new.g2752;\nold.count = new.count;\n\
+     old.g8974 = new.g8974;\nold.gauge = new.gauge;\n";
   ]
 
 let test_pp_fixed_point () =
@@ -249,6 +338,7 @@ let suite =
     Alcotest.test_case "parser: statement forms" `Quick test_parser_statements;
     Alcotest.test_case "parser: errors" `Quick test_parser_errors;
     Alcotest.test_case "parser: precedence" `Quick test_precedence_shape;
+    Alcotest.test_case "parser: shapes pinned" `Quick test_parser_shapes_pinned;
     Alcotest.test_case "typecheck: accepts valid programs" `Quick test_typecheck_ok;
     Alcotest.test_case "typecheck: rejects invalid programs" `Quick test_typecheck_errors;
     Alcotest.test_case "typecheck: scoping" `Quick test_scoping;

@@ -86,7 +86,54 @@ let test_plan_cache_lru_and_stats () =
   Alcotest.(check int) "high water" 3 s.PC.high_water;
   Alcotest.(check int) "evictions" 1 s.PC.evictions;
   Alcotest.(check int) "hits" 1 s.PC.hits;
-  Alcotest.(check int) "misses" 1 s.PC.misses
+  Alcotest.(check int) "misses" 1 s.PC.misses;
+  (* 70-130 hits between evictions, more than the recency record holds
+     before it compacts (4 x entries + 64 = 76), so it wraps and compacts
+     between evictions; each eviction still takes the least recently used
+     entry *)
+  let evicted = ref [] in
+  let c = PC.create ~max_entries:3 ~on_evict:(fun ~tenant:_ ~key -> evicted := key :: !evicted) () in
+  let order = ref [] (* least recently used first *) in
+  let use k = order := List.filter (fun k' -> k' <> k) !order @ [ k ] in
+  for key = 0 to 2 do
+    PC.add c ~tenant:1 ~key (string_of_int key);
+    use key
+  done;
+  let rng = Random.State.make [| 5 |] in
+  let hits = ref 0 in
+  for key = 3 to 40 do
+    for _ = 1 to 70 + Random.State.int rng 61 do
+      let k = List.nth !order (Random.State.int rng 3) in
+      Alcotest.(check (option string)) "hit" (Some (string_of_int k)) (PC.find c ~tenant:1 ~key:k);
+      incr hits;
+      use k
+    done;
+    let lru = List.hd !order in
+    PC.add c ~tenant:1 ~key (string_of_int key);
+    Alcotest.(check (list int)) (Printf.sprintf "adding %d evicts %d" key lru) [ lru ]
+      [ List.hd !evicted ];
+    order := List.tl !order;
+    use key
+  done;
+  let s = PC.stats c in
+  Alcotest.(check (pair int int)) "hits, evictions" (!hits, 38) (s.PC.hits, s.PC.evictions)
+
+(* A hit allocates its table key and the table's option, nothing more:
+   the recency record is a ring of two arrays, not a queue of pairs. *)
+let test_plan_cache_hit_alloc () =
+  let c = PC.create ~max_entries:4 () in
+  PC.add c ~tenant:1 ~key:1 "a";
+  PC.add c ~tenant:2 ~key:1 "b";
+  let hit () =
+    ignore (Sys.opaque_identity (PC.find c ~tenant:1 ~key:1));
+    ignore (Sys.opaque_identity (PC.find c ~tenant:2 ~key:1))
+  in
+  (* the ring reaches its size before the count *)
+  for _ = 1 to 500 do hit () done;
+  let words = Helpers.alloc_per_call ~reps:1000 hit /. 2. /. float_of_int (Sys.word_size / 8) in
+  (* 5 words (key 3, option 2), plus the few words the counter reads
+     themselves allocate, spread over 2,000 hits *)
+  Alcotest.(check bool) (Printf.sprintf "%.2f words per hit < 5.5" words) true (words < 5.5)
 
 let test_plan_cache_tenant_quota () =
   let c = PC.create ~max_entries:100 ~tenant_quota:2 () in
@@ -638,6 +685,33 @@ let test_gateway_hostile_store_rejected () =
   Alcotest.(check int) "breaker failure recorded" 1 s.G.breaker_trips;
   Alcotest.check (Alcotest.option state_t) "open" (Some Breaker.Open) (G.breaker_state gw 1)
 
+(* A sender's hop with a numeric literal the lexer cannot read is a
+   planning refusal at the gateway: the frame is rejected with the lexical
+   error, the breaker records the failure (one trips it here), and the
+   event loop runs on. *)
+let test_gateway_bad_literal_rejected () =
+  let src = Ptype_dsl.format_of_string_exn "format S { int a; }" in
+  let t = Ptype_dsl.format_of_string_exn "format T { float a; int b; }" in
+  let meta = Morph.meta src ~xforms:[ Morph.xform ~target:t "old.b = new.a;\nold.a = 1e+;" ] in
+  let net = mk_net () in
+  let config = { G.default_config with G.breaker_threshold = 1 } in
+  let gw = G.create ~config ~net (Contact.make "gw" 1) (fun _ -> ()) in
+  let frame m body =
+    G.handle_frame gw (G.envelope ~tenant:1 ~fingerprint:(G.fingerprint m) body)
+  in
+  ignore (frame (Meta.plain t) (Framing.Meta { format_id = 1; meta = Meta.encode (Meta.plain t) }));
+  ignore (frame meta (Framing.Meta { format_id = 2; meta = Meta.encode meta }));
+  let message = Wire.encode ~format_id:2 src (Value.record [ ("a", Value.Int 1) ]) in
+  (match frame meta (Framing.Data { format_id = 2; message }) with
+   | G.Rejected msg when Helpers.contains msg "lexical error at 2:9: malformed float literal 1e+" -> ()
+   | G.Rejected msg -> Alcotest.failf "rejected for another reason: %s" msg
+   | _ -> Alcotest.fail "the frame was not rejected");
+  ignore (Netsim.run net);
+  let s = G.stats gw in
+  Alcotest.(check (pair int int)) "delivered, rejected" (0, 1) (s.G.delivered, s.G.rejected);
+  Alcotest.(check int) "breaker failure recorded" 1 s.G.breaker_trips;
+  Alcotest.check (Alcotest.option state_t) "open" (Some Breaker.Open) (G.breaker_state gw 1)
+
 let test_gateway_push_storm_compiles_once () =
   let net = mk_net () in
   let pops = [| pop_of_seed 42; pop_of_seed 7 |] in
@@ -953,6 +1027,8 @@ let suite =
       test_breaker_no_cooldown_stays_open;
     Alcotest.test_case "plan cache: lru order and stats" `Quick
       test_plan_cache_lru_and_stats;
+    Alcotest.test_case "plan cache: a hit allocates only its lookup" `Quick
+      test_plan_cache_hit_alloc;
     Alcotest.test_case "plan cache: tenant quota isolates neighbours" `Quick
       test_plan_cache_tenant_quota;
     Alcotest.test_case "plan cache: replace is not an eviction" `Quick
@@ -1007,6 +1083,8 @@ let suite =
       test_receiver_and_gateway_agree_on_engine;
     Alcotest.test_case "gateway: a chain the map check refuses decodes staged" `Quick
       test_gateway_refused_map_stays_staged;
+    Alcotest.test_case "gateway: a numeric literal past its type is a recorded failure" `Quick
+      test_gateway_bad_literal_rejected;
     Alcotest.test_case "gateway: a store past the largest array is a recorded failure" `Quick
       test_gateway_hostile_store_rejected;
   ]

@@ -28,7 +28,7 @@ let test_oracle_selection () =
   (match O.run ~names:[ "roundtrip" ] ~seed:1 ~count:5 () with
    | [ r ] -> Alcotest.(check string) "name" "roundtrip" r.O.oracle
    | rs -> Alcotest.failf "expected one report, got %d" (List.length rs));
-  Alcotest.(check int) "five fuzz targets" 5 (List.length O.fuzz_names);
+  Alcotest.(check int) "six fuzz targets" 6 (List.length O.fuzz_names);
   try
     ignore (O.run ~names:[ "nope" ] ~seed:1 ~count:1 ());
     Alcotest.fail "expected Invalid_argument"

@@ -254,6 +254,37 @@ let test_hostile_store_rejected () =
   rejected "value" (Receiver.deliver r meta v) 2;
   Alcotest.(check int) "nothing delivered" 0 (List.length !got)
 
+(* A numeric literal the lexer cannot read is a lexical error in the
+   sender's hop: every delivery of the format is rejected with it, by
+   value and over the wire, [Morph.check_meta] reports it, and nothing
+   escapes. *)
+let test_bad_literal_rejected () =
+  let src = fmt "format S { int a; }" and t = fmt "format T { int b; float f; }" in
+  let v = Value.record [ ("a", Value.Int 1) ] in
+  List.iter
+    (fun (code, want) ->
+       let meta = Morph.meta src ~xforms:[ Morph.xform ~target:t code ] in
+       let r, got = make_receiver t in
+       let rejected what o =
+         match o with
+         | Receiver.Rejected reason when Helpers.contains reason want -> ()
+         | o -> Alcotest.failf "%s, %s: %a" code what Receiver.pp_outcome o
+       in
+       rejected "first wire" (Receiver.deliver_wire r meta (Wire.encode ~format_id:1 src v));
+       rejected "second wire" (Receiver.deliver_wire r meta (Wire.encode ~format_id:1 src v));
+       rejected "value" (Receiver.deliver r meta v);
+       Alcotest.(check int) "nothing delivered" 0 (List.length !got);
+       match Morph.check_meta meta with
+       | Error e when Helpers.contains (Err.to_string e) want -> ()
+       | Error e -> Alcotest.failf "%s, check_meta: %s" code (Err.to_string e)
+       | Ok () -> Alcotest.failf "%s, check_meta: accepted" code)
+    [ ("old.b = 99999999999999999999;",
+       "lexical error at 1:9: integer literal 99999999999999999999 out of range");
+      ("old.b = 4611686018427387904;",
+       "lexical error at 1:9: integer literal 4611686018427387904 out of range");
+      ("old.f = 1.5e;", "lexical error at 1:9: malformed float literal 1.5e");
+      ("old.b = 1;\nold.f = 1e+;", "lexical error at 2:9: malformed float literal 1e+") ]
+
 (* How a plan ends a message, as the front ends see it: the value, or
    the class of its [Plan.Failed] and the message. *)
 let plan_outcome f x =
@@ -1724,6 +1755,8 @@ let suite =
       test_fig5_wire_delivery_fuses;
     Alcotest.test_case "engines: same outcome and text on every probe" `Quick
       test_engines_same_outcome;
+    Alcotest.test_case "a numeric literal past its type is a rejected format" `Quick
+      test_bad_literal_rejected;
     Alcotest.test_case "a store past the largest array is a transform failure" `Quick
       test_hostile_store_rejected;
     Alcotest.test_case "plan: a malformed message is a decode failure" `Quick

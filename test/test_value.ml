@@ -72,7 +72,45 @@ let test_copy_is_deep () =
   Alcotest.(check int) "nested record isolated" 1
     (Value.to_int (Value.get_field (Value.get_field c "inner") "x"));
   Alcotest.(check int) "array isolated" 5
-    (Value.to_int (Value.array_get (Value.get_field c "xs") 0))
+    (Value.to_int (Value.array_get (Value.get_field c "xs") 0));
+  (* records of 0 to 6 fields, each field a record holding a nested
+     record and an array: every arity [copy] builds a record at, each
+     isolated in both directions *)
+  let name i = Printf.sprintf "f%d" i in
+  let field i =
+    ( name i,
+      Value.record
+        [ ("r", Value.record [ ("x", Value.Int i) ]); ("xs", Value.array_of_list [ Value.Int i ]) ] )
+  in
+  let poke v i k =
+    let f = Value.get_field v (name i) in
+    Value.set_field (Value.get_field f "r") "x" (Value.Int k);
+    Value.array_set ~fill:(Value.Int 0) (Value.get_field f "xs") 0 (Value.Int k)
+  in
+  let peek v i =
+    let f = Value.get_field v (name i) in
+    ( Value.to_int (Value.get_field (Value.get_field f "r") "x"),
+      Value.to_int (Value.array_get (Value.get_field f "xs") 0) )
+  in
+  let names v = Array.to_list (Array.map (fun (e : Value.entry) -> e.name) (Value.entries v)) in
+  for n = 0 to 6 do
+    let what s = Printf.sprintf "%d fields: %s" n s in
+    let v = Value.record (List.init n field) in
+    let c = Value.copy v in
+    Alcotest.(check bool) (what "equal") true (Value.equal v c);
+    Alcotest.(check (list string)) (what "names") (names v) (names c);
+    for i = 0 to n - 1 do poke v i 99 done;
+    for i = 0 to n - 1 do
+      Alcotest.(check (pair int int)) (what "copy isolated from the original") (i, i) (peek c i)
+    done;
+    for i = 0 to n - 1 do
+      poke c i 77;
+      Value.set_field c (name i) (Value.Int i)
+    done;
+    for i = 0 to n - 1 do
+      Alcotest.(check (pair int int)) (what "original isolated from the copy") (99, 99) (peek v i)
+    done
+  done
 
 let test_equal () =
   let v1 = Helpers.sample_v2 3 in
