@@ -12,6 +12,11 @@
        (Plan_cache: LRU + per-tenant quotas), with singleflight compile
        coalescing so a mass schema push compiles each (tenant, format)
        plan once, not once per queued message;
+     - under the per-tenant state, content-addressed memos: pushed
+       meta-data is decoded once per distinct encoding, and a plan is
+       built once per distinct (meta, target), whichever tenants push
+       it.  Only the CPU work is shared: each tenant still parks, waits
+       its virtual compile time and holds its own cache entry;
      - one compiled plan per (tenant, format), at the engine its shape
        needs: a fused decode->morph plan for a structural match or a
        chain of straight-line hops collapsed into one, a staged decoder
@@ -100,6 +105,7 @@ type delivery = {
 
 type stats = {
   mutable meta_pushes : int;
+  mutable meta_shared : int;
   mutable onboarded : int;
   mutable admitted : int;
   mutable delivered : int;
@@ -115,6 +121,7 @@ type stats = {
   mutable bad_frames : int;
   mutable plan_compiles : int;
   mutable plan_recompiles : int;
+  mutable plan_shared : int;
   mutable singleflight_coalesced : int;
   mutable parity_mismatches : int;
   mutable breaker_trips : int;
@@ -129,6 +136,7 @@ type gmetrics = {
   gm_on : bool;
   gm_reg : Obs.t;
   gm_meta_pushes : Obs.Counter.h;
+  gm_meta_shared : Obs.Counter.h;
   gm_admitted : Obs.Counter.h;
   gm_delivered : Obs.Counter.h;
   gm_shed : Obs.Counter.h;
@@ -139,6 +147,7 @@ type gmetrics = {
   gm_rejected : Obs.Counter.h;
   gm_compiles : Obs.Counter.h;
   gm_recompiles : Obs.Counter.h;
+  gm_plan_shared : Obs.Counter.h;
   gm_coalesced : Obs.Counter.h;
   gm_evictions : Obs.Counter.h;
   gm_parity_mismatches : Obs.Counter.h;
@@ -179,6 +188,7 @@ let make_gmetrics reg =
     gm_on = Obs.enabled reg;
     gm_reg = reg;
     gm_meta_pushes = Obs.Counter.make reg "gateway.meta_pushes";
+    gm_meta_shared = Obs.Counter.make reg "gateway.meta_shared";
     gm_admitted = Obs.Counter.make reg "gateway.admitted";
     gm_delivered = Obs.Counter.make reg "gateway.delivered";
     gm_shed = Obs.Counter.make reg "gateway.shed";
@@ -189,6 +199,7 @@ let make_gmetrics reg =
     gm_rejected = Obs.Counter.make reg "gateway.rejected";
     gm_compiles = Obs.Counter.make reg "gateway.plan_compiles";
     gm_recompiles = Obs.Counter.make reg "gateway.plan_recompiles";
+    gm_plan_shared = Obs.Counter.make reg "gateway.plan_shared";
     gm_coalesced = Obs.Counter.make reg "gateway.singleflight_coalesced";
     gm_evictions = Obs.Counter.make reg "gateway.plan_evictions";
     gm_parity_mismatches = Obs.Counter.make reg "gateway.parity_mismatches";
@@ -220,6 +231,19 @@ let make_gmetrics reg =
 type cached =
   | Ready of Plan.t
   | Refused of string
+
+(* A pushed encoding, decoded: the memo's value. *)
+type pushed = { pu_meta : Meta.format_meta; pu_fp : int }
+
+(* What a plan is a function of, besides the gateway's fixed thresholds
+   and ctx: the pushed meta and the tenant's target. *)
+type plan_key = { pk_meta : Meta.format_meta; pk_target : Ptype.record }
+
+(* Physical equality first: identical pushes share one decoded meta, and
+   a lineage's tenants one target. *)
+let same_plan_key a b =
+  (a.pk_meta == b.pk_meta || Meta.equal a.pk_meta b.pk_meta)
+  && (a.pk_target == b.pk_target || Ptype.equal_record a.pk_target b.pk_target)
 
 (* --- tenants -------------------------------------------------------------- *)
 
@@ -256,6 +280,7 @@ let formats_per_tenant = 256
 type tstate = {
   ts_id : int;
   ts_target : Ptype.record;
+  ts_target_hash : int;  (* [Ptype.hash_record ts_target], for the plan memo *)
   ts_formats : (int, tformat) Lru.t;
   ts_breaker : Breaker.t;
   ts_bucket : bucket option;
@@ -271,13 +296,27 @@ type tstate = {
 
 type pending = { pd_deadline_ns : int; pd_message : string }
 
+(* Tenants by id, hashed and compared as ints: no generic hash or
+   compare on the per-message lookup. *)
+module Tenants = Hashtbl.Make (struct
+  type t = int
+  let equal = Int.equal
+  let hash (id : int) = id land max_int
+end)
+
 type t = {
   config : config;
   net : Netsim.t;
   contact : Contact.t;
   m : gmetrics;
-  tenants : (int, tstate) Hashtbl.t;
+  tenants : tstate Tenants.t;
   cache : cached Plan_cache.t;
+  metas : (string, pushed) Lru.t;  (* pushed bytes -> their decode *)
+  plans : (plan_key, cached) Lru.t;  (* what [plan_for] gave each key *)
+      (* Both memos are capped at [max_plans], so the plan memo never
+         holds more plans than the cache it serves.  The gateway is
+         driven from one domain (Netsim's event loop), so plain [Lru]s
+         suffice. *)
   gov : Governor.t;
   inflight : (int * int, pending Queue.t) Hashtbl.t;
   ctx : Ctx.t;
@@ -353,8 +392,10 @@ let create ?(config = default_config) ?(metrics = Obs.null) ?(ctx = Ctx.default)
       net;
       contact;
       m;
-      tenants = Hashtbl.create 256;
+      tenants = Tenants.create 256;
       cache;
+      metas = Lru.create ~equal:String.equal ~cap:config.max_plans;
+      plans = Lru.create ~equal:same_plan_key ~cap:config.max_plans;
       gov;
       inflight = Hashtbl.create 64;
       ctx;
@@ -367,11 +408,12 @@ let create ?(config = default_config) ?(metrics = Obs.null) ?(ctx = Ctx.default)
       fl_evict_win_n = 0;
       stats =
         {
-          meta_pushes = 0; onboarded = 0; admitted = 0; delivered = 0;
-          delivered_fused = 0; delivered_staged = 0; shed_deadline = 0;
-          shed_quota = 0; shed_breaker = 0; shed_overload = 0;
-          shed_unknown = 0; shed_no_meta = 0; rejected = 0; bad_frames = 0;
-          plan_compiles = 0; plan_recompiles = 0; singleflight_coalesced = 0;
+          meta_pushes = 0; meta_shared = 0; onboarded = 0; admitted = 0;
+          delivered = 0; delivered_fused = 0; delivered_staged = 0;
+          shed_deadline = 0; shed_quota = 0; shed_breaker = 0;
+          shed_overload = 0; shed_unknown = 0; shed_no_meta = 0;
+          rejected = 0; bad_frames = 0; plan_compiles = 0;
+          plan_recompiles = 0; plan_shared = 0; singleflight_coalesced = 0;
           parity_mismatches = 0; breaker_trips = 0; breaker_recoveries = 0;
         };
     }
@@ -384,10 +426,10 @@ let cache_stats t = Plan_cache.stats t.cache
 
 let breaker_state t tenant =
   Option.map (fun ts -> Breaker.state ts.ts_breaker)
-    (Hashtbl.find_opt t.tenants tenant)
+    (Tenants.find_opt t.tenants tenant)
 
 let breakers_open t =
-  Hashtbl.fold
+  Tenants.fold
     (fun _ ts acc ->
        if Breaker.state ts.ts_breaker <> Breaker.Closed then acc + 1 else acc)
     t.tenants 0
@@ -397,6 +439,7 @@ let new_tenant t id (target : Ptype.record) =
     {
       ts_id = id;
       ts_target = target;
+      ts_target_hash = Ptype.hash_record target;
       ts_formats = Lru.create ~equal:Int.equal ~cap:formats_per_tenant;
       ts_breaker =
         Breaker.create ~threshold:t.config.breaker_threshold
@@ -424,10 +467,10 @@ let new_tenant t id (target : Ptype.record) =
       ts_span_attrs = [ ("gateway.tenant", string_of_int id) ];
     }
   in
-  Hashtbl.replace t.tenants id ts;
+  Tenants.replace t.tenants id ts;
   t.stats.onboarded <- t.stats.onboarded + 1;
   if t.m.gm_on then
-    Obs.Gauge.set t.m.gm_tenants (float_of_int (Hashtbl.length t.tenants));
+    Obs.Gauge.set t.m.gm_tenants (float_of_int (Tenants.length t.tenants));
   ts
 
 let set_cache_gauges t =
@@ -510,6 +553,10 @@ let record_failure t (ts : tstate) msg : outcome =
   end;
   Rejected msg
 
+(* A delivery's outcome, built once rather than per message. *)
+let delivered_fused = Delivered Fused
+let delivered_staged = Delivered Staged
+
 let deliver_now t (ts : tstate) (plan : Plan.t) ~fingerprint:fp ~deadline_ns
     (message : string) : outcome =
   match Plan.run plan message with
@@ -522,13 +569,17 @@ let deliver_now t (ts : tstate) (plan : Plan.t) ~fingerprint:fp ~deadline_ns
     end;
     t.stats.delivered <- t.stats.delivered + 1;
     let rung = Plan.kind plan in
-    (match rung with
-     | Fused ->
-       t.stats.delivered_fused <- t.stats.delivered_fused + 1;
-       Obs.Counter.incr t.m.gm_rung_fused
-     | Staged ->
-       t.stats.delivered_staged <- t.stats.delivered_staged + 1;
-       Obs.Counter.incr t.m.gm_rung_staged);
+    let outcome =
+      match rung with
+      | Fused ->
+        t.stats.delivered_fused <- t.stats.delivered_fused + 1;
+        Obs.Counter.incr t.m.gm_rung_fused;
+        delivered_fused
+      | Staged ->
+        t.stats.delivered_staged <- t.stats.delivered_staged + 1;
+        Obs.Counter.incr t.m.gm_rung_staged;
+        delivered_staged
+    in
     let d = { tenant = ts.ts_id; fingerprint = fp; deadline_ns; rung; value = v } in
     if t.m.gm_on then begin
       Obs.Counter.incr t.m.gm_delivered;
@@ -536,7 +587,7 @@ let deliver_now t (ts : tstate) (plan : Plan.t) ~fingerprint:fp ~deadline_ns
         (fun () -> t.on_delivery d)
     end
     else t.on_delivery d;
-    Delivered rung
+    outcome
   | exception Plan.Failed (Decode e) ->
     record_failure t ts (Fmt.str "decode failed: %s" (Err.message e))
   | exception Plan.Failed (Transform msg) ->
@@ -591,20 +642,40 @@ let unpark t =
   t.pending_depth <- t.pending_depth - 1;
   if t.m.gm_on then Obs.Gauge.add t.m.gm_pending (-1.)
 
+(* [plan_for]'s answer for the tenant's format, from the plan memo when
+   another tenant (or this one, before an eviction) already asked it;
+   [true] when it did.  The hash mixes the format's fingerprint with the
+   target's, computed when the tenant onboarded. *)
+let planned t (ts : tstate) ~fingerprint:fp (tf : tformat) : cached * bool =
+  let key = { pk_meta = tf.tf_meta; pk_target = ts.ts_target } in
+  let hash = Hashtbl.seeded_hash ts.ts_target_hash fp in
+  match Lru.find t.plans ~hash key with
+  | Some c -> (c, true)
+  | None ->
+    let c =
+      match plan_for t tf.tf_meta ts.ts_target with
+      | Ok plan -> Ready plan
+      | Error msg -> Refused msg
+    in
+    ignore (Lru.add t.plans ~hash key c : int);
+    (c, false)
+
 (* Singleflight compile for (tenant, fingerprint): the first message
    starts the simulated compile and parks; every further message while it
    is in flight parks behind it (coalesced).  Completion caches the plan
-   and drains the parked queue, re-checking each message's deadline. *)
+   and drains the parked queue, re-checking each message's deadline.  A
+   plan the memo shares still waits its virtual compile time, so the
+   tenant parks exactly as if it had built it. *)
 let start_compile t (ts : tstate) ~fingerprint:fp (tf : tformat) ~deadline_ns
     (message : string) : outcome =
-  match plan_for t tf.tf_meta ts.ts_target with
-  | Error msg ->
+  match planned t ts ~fingerprint:fp tf with
+  | Refused msg, _ ->
     (* planning refusals are cached and immediate: there is no artifact
        to compile, so nothing to wait for *)
     Plan_cache.add t.cache ~tenant:ts.ts_id ~key:fp (Refused msg);
     set_cache_gauges t;
     record_failure t ts msg
-  | Ok plan ->
+  | Ready plan, shared ->
     let key = (ts.ts_id, fp) in
     let q = Queue.create () in
     Hashtbl.replace t.inflight key q;
@@ -612,6 +683,10 @@ let start_compile t (ts : tstate) ~fingerprint:fp (tf : tformat) ~deadline_ns
     let cost = compile_cost plan in
     t.stats.plan_compiles <- t.stats.plan_compiles + 1;
     if t.m.gm_on then Obs.Counter.incr t.m.gm_compiles;
+    if shared then begin
+      t.stats.plan_shared <- t.stats.plan_shared + 1;
+      if t.m.gm_on then Obs.Counter.incr t.m.gm_plan_shared
+    end;
     if tf.tf_compiled then begin
       t.stats.plan_recompiles <- t.stats.plan_recompiles + 1;
       if t.m.gm_on then Obs.Counter.incr t.m.gm_recompiles
@@ -662,20 +737,35 @@ let handle_data t (ts : tstate) ~fingerprint:fp ~deadline_ns (message : string) 
             shed t ~tenant:ts.ts_id Overload
           else start_compile t ts ~fingerprint:fp tf ~deadline_ns message))
 
+(* A push's meta and fingerprint, decoded once per distinct encoding;
+   [true] when these bytes were decoded before.  Identical pushes hand
+   every tenant the same meta value, which is immutable.  A decode error
+   is never stored. *)
+let decode_push t (encoded : string) : (pushed * bool, Err.t) result =
+  let hash = Hashtbl.hash encoded in
+  match Lru.find t.metas ~hash encoded with
+  | Some p -> Ok (p, true)
+  | None ->
+    Result.map
+      (fun meta ->
+         let p = { pu_meta = meta; pu_fp = fingerprint meta } in
+         ignore (Lru.add t.metas ~hash encoded p : int);
+         (p, false))
+      (Meta.decode encoded)
+
 let handle_meta t ~tenant ~fingerprint:fp (encoded : string) : outcome =
-  match Meta.decode encoded with
+  match decode_push t encoded with
   | Error e ->
     t.stats.bad_frames <- t.stats.bad_frames + 1;
     Ignored (Fmt.str "bad meta push: %s" (Err.to_string e))
-  | Ok meta ->
-    let want = fingerprint meta in
+  | Ok ({ pu_meta = meta; pu_fp = want }, shared) ->
     if fp <> 0 && fp <> want then begin
       t.stats.bad_frames <- t.stats.bad_frames + 1;
       Ignored (Fmt.str "meta push fingerprint %d does not match content %d" fp want)
     end
     else begin
       let ts =
-        match Hashtbl.find_opt t.tenants tenant with
+        match Tenants.find_opt t.tenants tenant with
         | Some ts -> ts
         | None ->
           (* self-describing onboarding: the first push creates the
@@ -690,6 +780,10 @@ let handle_meta t ~tenant ~fingerprint:fp (encoded : string) : outcome =
            (Lru.add ts.ts_formats ~hash:want want { tf_meta = meta; tf_compiled = false } : int));
       t.stats.meta_pushes <- t.stats.meta_pushes + 1;
       if t.m.gm_on then Obs.Counter.incr t.m.gm_meta_pushes;
+      if shared then begin
+        t.stats.meta_shared <- t.stats.meta_shared + 1;
+        if t.m.gm_on then Obs.Counter.incr t.m.gm_meta_shared
+      end;
       Onboarded
     end
 
@@ -698,16 +792,21 @@ let handle_described t ~tenant ~fingerprint:fp ~deadline_ns
   match frame with
   | Framing.Meta { meta; _ } -> handle_meta t ~tenant ~fingerprint:fp meta
   | Framing.Data { message; _ } ->
-    (match Hashtbl.find_opt t.tenants tenant with
-     | None -> shed t ~tenant Unknown_tenant
-     | Some ts ->
+    (match Tenants.find t.tenants tenant with
+     | exception Not_found -> shed t ~tenant Unknown_tenant
+     | ts ->
        (* admission control, strictly before any decode work: deadline
           first (expired work helps nobody), then the circuit, then the
-          tenant's rate quota *)
+          tenant's rate quota.  A closed circuit admits whatever the
+          time, so only an open or half-open one reads the clock *)
        if deadline_ns > 0 && now_ns t > float_of_int deadline_ns then
          shed t ~tenant Deadline
-       else if not (Breaker.admit ts.ts_breaker ~now:(now_s t)) then
-         shed t ~tenant Breaker
+       else if
+         match Breaker.state ts.ts_breaker with
+         | Breaker.Closed -> false
+         | Breaker.Open | Breaker.Half_open ->
+           not (Breaker.admit ts.ts_breaker ~now:(now_s t))
+       then shed t ~tenant Breaker
        else if
          match ts.ts_bucket with
          | Some b -> not (bucket_admit b ~now:(now_s t))

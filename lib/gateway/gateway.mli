@@ -9,7 +9,10 @@
     bounded {!Plan_cache} (singleflight-coalesced compiles).  Each plan
     is a {!Morph.Plan.t}, compiled once at the engine its shape needs;
     while the cache thrashes, the {!Governor} sheds messages that need a
-    new plan. *)
+    new plan.  Pushed meta-data is decoded once per distinct encoding,
+    and a plan built once per distinct (meta, target), shared by every
+    tenant that pushes it; each tenant still waits its own virtual
+    compile time. *)
 
 module Plan_cache = Plan_cache
 module Governor = Governor
@@ -79,6 +82,9 @@ type delivery = {
 
 type stats = {
   mutable meta_pushes : int;
+  mutable meta_shared : int;
+      (** accepted pushes whose bytes were already decoded: the decode
+          memo served them *)
   mutable onboarded : int;  (** tenants created *)
   mutable admitted : int;  (** data messages past all admission gates *)
   mutable delivered : int;
@@ -96,6 +102,10 @@ type stats = {
   mutable plan_recompiles : int;
       (** compiles for a (tenant, format) that had a plan before — the
           recompile-storm signal *)
+  mutable plan_shared : int;
+      (** compiles the plan memo served with a plan built for the same
+          (meta, target) before, often another tenant's; real plan builds
+          are [plan_compiles - plan_shared] *)
   mutable singleflight_coalesced : int;
       (** messages parked behind an already-in-flight compile *)
   mutable parity_mismatches : int;

@@ -11,7 +11,22 @@
    still matches.  The ring is two arrays (entries and ticks), grown by
    doubling and compacted in place once it holds more than 4 x entries +
    64 pairs, so a hit allocates nothing of its own.  Per-tenant eviction
-   scans only that tenant's entries (at most [tenant_quota] of them). *)
+   scans only that tenant's entries (at most [tenant_quota] of them).
+
+   Both indexes hash and compare ints only: an entry sits in the bucket
+   of its (tenant, key) pair mixed into one int, so a lookup calls
+   neither the generic hash nor the generic compare, and a hit allocates
+   nothing at all. *)
+
+module Itbl = Hashtbl.Make (struct
+  type t = int
+  let equal = Int.equal
+  let hash (k : int) = k land max_int
+end)
+
+(* Distinct tenants with one key land in distinct buckets; the key is a
+   format fingerprint, itself a hash. *)
+let[@inline] mix ~tenant ~key = (tenant * 0x9E3779B1) + key
 
 type 'v entry = {
   e_tenant : int;
@@ -35,12 +50,12 @@ type 'v t = {
   max_entries : int;
   tenant_quota : int;
   on_evict : (tenant:int -> key:int -> unit) option;
-  table : (int * int, 'v entry) Hashtbl.t;
+  table : 'v entry list Itbl.t; (* by [mix], live entries only *)
   mutable ring : 'v entry array; (* touches, oldest at [head], [len] of them *)
   mutable ticks : int array; (* each touch's tick, at its entry's index *)
   mutable head : int;
   mutable len : int;
-  by_tenant : (int, 'v entry list ref) Hashtbl.t;
+  by_tenant : 'v entry list ref Itbl.t;
   mutable count : int;
   mutable clock : int;
   mutable high_water : int;
@@ -57,12 +72,12 @@ let create ?(max_entries = 1024) ?(tenant_quota = max_int) ?on_evict () =
     max_entries;
     tenant_quota;
     on_evict;
-    table = Hashtbl.create 256;
+    table = Itbl.create 256;
     ring = [||];
     ticks = [||];
     head = 0;
     len = 0;
-    by_tenant = Hashtbl.create 64;
+    by_tenant = Itbl.create 64;
     count = 0;
     clock = 0;
     high_water = 0;
@@ -86,7 +101,7 @@ let stats t =
   }
 
 let tenant_entries t tenant =
-  match Hashtbl.find_opt t.by_tenant tenant with
+  match Itbl.find_opt t.by_tenant tenant with
   | None -> []
   | Some l ->
     (* prune dead entries while we are here *)
@@ -138,13 +153,22 @@ let touch t e =
   t.len <- t.len + 1;
   if t.len > (4 * t.count) + 64 then compact t
 
+let rec find_in t ~tenant ~key = function
+  | [] ->
+    t.misses <- t.misses + 1;
+    None
+  | e :: rest ->
+    if e.e_tenant = tenant && e.e_key = key then begin
+      t.hits <- t.hits + 1;
+      touch t e;
+      e.e_value
+    end
+    else find_in t ~tenant ~key rest
+
 let find t ~tenant ~key =
-  match Hashtbl.find_opt t.table (tenant, key) with
-  | Some e when e.e_alive ->
-    t.hits <- t.hits + 1;
-    touch t e;
-    e.e_value
-  | _ ->
+  match Itbl.find t.table (mix ~tenant ~key) with
+  | bucket -> find_in t ~tenant ~key bucket
+  | exception Not_found ->
     t.misses <- t.misses + 1;
     None
 
@@ -154,8 +178,11 @@ let delete t e ~evicted ~quota =
   if e.e_alive then begin
     e.e_alive <- false;
     e.e_value <- None;
-    Hashtbl.remove t.table (e.e_tenant, e.e_key);
-    (match Hashtbl.find_opt t.by_tenant e.e_tenant with
+    let h = mix ~tenant:e.e_tenant ~key:e.e_key in
+    (match List.filter (fun e' -> e' != e) (Itbl.find t.table h) with
+     | [] -> Itbl.remove t.table h
+     | rest -> Itbl.replace t.table h rest);
+    (match Itbl.find_opt t.by_tenant e.e_tenant with
      | Some l -> l := List.filter (fun e' -> e' != e) !l
      | None -> ());
     t.count <- t.count - 1;
@@ -194,8 +221,11 @@ let evict_tenant_lru t tenant =
     true
 
 let remove t ~tenant ~key =
-  match Hashtbl.find_opt t.table (tenant, key) with
-  | Some e -> delete t e ~evicted:false ~quota:false
+  match Itbl.find_opt t.table (mix ~tenant ~key) with
+  | Some bucket ->
+    List.iter
+      (fun e -> if e.e_tenant = tenant && e.e_key = key then delete t e ~evicted:false ~quota:false)
+      bucket
   | None -> ()
 
 let add t ~tenant ~key v =
@@ -210,13 +240,15 @@ let add t ~tenant ~key v =
     ()
   done;
   let e = { e_tenant = tenant; e_key = key; e_value = Some v; e_tick = 0; e_alive = true } in
-  Hashtbl.replace t.table (tenant, key) e;
+  let h = mix ~tenant ~key in
+  Itbl.replace t.table h
+    (e :: Option.value ~default:[] (Itbl.find_opt t.table h));
   let l =
-    match Hashtbl.find_opt t.by_tenant tenant with
+    match Itbl.find_opt t.by_tenant tenant with
     | Some l -> l
     | None ->
       let l = ref [] in
-      Hashtbl.replace t.by_tenant tenant l;
+      Itbl.replace t.by_tenant tenant l;
       l
   in
   l := e :: !l;

@@ -5,8 +5,9 @@
     [tenant_quota] (per-tenant entry cap, so a tenant churning through
     formats evicts its own plans, not its neighbours').  Eviction order
     is least-recently-used, kept by lazy deletion: every touch pushes an
-    (entry, tick) pair on a ring of two arrays, compacted in place, so a hit
-    allocates nothing beyond its table lookup.
+    (entry, tick) pair on a ring of two arrays, compacted in place.  The
+    table hashes and compares its (tenant, key) pairs as ints, so a hit
+    allocates nothing.
 
     Not thread-safe; the gateway runs on {!Transport.Netsim}'s
     single-threaded event loop. *)

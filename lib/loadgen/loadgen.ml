@@ -873,8 +873,8 @@ let gateway_summary (r : gateway_report) : string =
     s.Gateway.shed_no_meta;
   p "rejected=%d bad_frames=%d parity_mismatches=%d" s.Gateway.rejected
     s.Gateway.bad_frames s.Gateway.parity_mismatches;
-  p "plans compiles=%d recompiles=%d coalesced=%d" s.Gateway.plan_compiles
-    s.Gateway.plan_recompiles s.Gateway.singleflight_coalesced;
+  p "plans compiles=%d recompiles=%d coalesced=%d shared=%d" s.Gateway.plan_compiles
+    s.Gateway.plan_recompiles s.Gateway.singleflight_coalesced s.Gateway.plan_shared;
   p "cache entries=%d high_water=%d hits=%d misses=%d evictions=%d \
      quota_evictions=%d"
     c.Gateway.Plan_cache.entries c.Gateway.Plan_cache.high_water

@@ -40,6 +40,15 @@ type data =
 
 type entry = { ename : string; eunit : string option; data : data }
 
+(* A [with_span] path, resolved the first time it is entered: its
+   ["span:" ^ path] histogram's [observe], and the paths one name
+   deeper. *)
+type span_node = {
+  sn_path : string;
+  sn_observe : float -> unit;
+  sn_children : (string, span_node) Hashtbl.t;
+}
+
 (* A labeled-metric family: one registration covering many {e series},
    each keyed by a tuple of label values.  A series is an ordinary
    registry entry whose name is the composed ["family{k=\"v\",...}"]
@@ -157,7 +166,8 @@ type t = {
   mutable ovf_cell : counter_cell option; (* obs.label_overflow *)
   mutable selftr_cells : (counter_cell * gauge_cell) option;
       (* obs.spans_dropped, obs.trace_buffer_depth *)
-  mutable spans : string list; (* innermost first *)
+  mutable spans : span_node list; (* open [with_span] paths, innermost first *)
+  span_roots : (string, span_node) Hashtbl.t; (* top-level paths by name *)
   (* trace ring buffer: [tr_head] indexes the oldest stored span,
      [tr_len] counts stored spans, writes go to (head + len) mod cap.
      [tr_ring] starts small and doubles up to [tr_cap] slots; it only
@@ -183,6 +193,7 @@ let create ?(label = "main") () =
     ovf_cell = None;
     selftr_cells = None;
     spans = [];
+    span_roots = Hashtbl.create 8;
     tr_cap = default_trace_capacity;
     tr_ring = empty_ring;
     tr_head = 0;
@@ -202,6 +213,7 @@ let null =
     ovf_cell = None;
     selftr_cells = None;
     spans = [];
+    span_roots = Hashtbl.create 1;
     tr_cap = 0;
     tr_ring = empty_ring;
     tr_head = 0;
@@ -815,21 +827,44 @@ module Labeled = struct
   let overflowed (t : t) = Counter.value t label_overflow_name
 end
 
+(* The path [name] opens under the innermost open one: found by one
+   probe of its parent's children once entered, so only the first call
+   builds its path and interns its histogram. *)
+let span_node t name =
+  let children = match t.spans with [] -> t.span_roots | p :: _ -> p.sn_children in
+  match Hashtbl.find children name with
+  | n -> n
+  | exception Not_found ->
+    let path = match t.spans with [] -> name | p :: _ -> p.sn_path ^ "/" ^ name in
+    let h = Histogram.make t ~unit_:"ns" ("span:" ^ path) in
+    let n =
+      { sn_path = path; sn_observe = Histogram.observe h; sn_children = Hashtbl.create 4 }
+    in
+    Hashtbl.add children name n;
+    n
+
+let close_span t n sp ~parents t0 =
+  let t1 = now t in
+  n.sn_observe (t1 -. t0);
+  close_trace_span t sp t1;
+  t.spans <- parents
+
 let with_span (t : t) name f =
   if not t.on then f ()
   else begin
-    t.spans <- name :: t.spans;
-    let path = String.concat "/" (List.rev t.spans) in
-    let h = Histogram.make t ~unit_:"ns" ("span:" ^ path) in
+    let n = span_node t name in
+    let parents = t.spans in
+    t.spans <- n :: parents;
     let t0 = now t in
     let sp = open_trace_span t name ~attrs:[] t0 in
-    Fun.protect
-      ~finally:(fun () ->
-        let t1 = now t in
-        Histogram.observe h (t1 -. t0);
-        close_trace_span t sp t1;
-        match t.spans with [] -> () | _ :: rest -> t.spans <- rest)
-      f
+    match f () with
+    | v ->
+      close_span t n sp ~parents t0;
+      v
+    | exception e ->
+      let bt = Printexc.get_raw_backtrace () in
+      close_span t n sp ~parents t0;
+      Printexc.raise_with_backtrace e bt
   end
 
 (* --- rendering --------------------------------------------------------- *)
@@ -1115,7 +1150,14 @@ module Trace = struct
     else begin
       let t0 = match start_ns with Some t0 -> t0 | None -> now t in
       let sp = open_trace_span ?ctx t name ~attrs t0 in
-      Fun.protect ~finally:(fun () -> close_trace_span t sp (now t)) f
+      match f () with
+      | v ->
+        close_trace_span t sp (now t);
+        v
+      | exception e ->
+        let bt = Printexc.get_raw_backtrace () in
+        close_trace_span t sp (now t);
+        Printexc.raise_with_backtrace e bt
     end
 
   let record ?ctx ?(attrs = []) t name ~start_ns ~end_ns =

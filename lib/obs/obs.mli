@@ -214,8 +214,10 @@ val with_span : t -> string -> (unit -> 'a) -> 'a
     into the histogram ["span:" ^ path] where [path] joins the names of
     all open spans with ["/"].  It {e also} records a trace span (see
     {!Trace}) as a child of the innermost open trace span.  The
-    duration is recorded (and the span popped) even when [f] raises.
-    On {!null} this is just [f ()]. *)
+    duration is recorded (and the span popped) even when [f] raises,
+    and the exception is re-raised with its backtrace.  A path's
+    histogram is resolved the first time the path is entered, so a
+    later call builds no string.  On {!null} this is just [f ()]. *)
 
 (** {1 Distributed tracing}
 

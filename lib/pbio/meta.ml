@@ -28,6 +28,11 @@ let plain body = { body; xforms = [] }
    make that work arbitrarily large. *)
 let max_xforms = 64
 
+(* The most bytes an encoded meta may take.  Shipped metas are far below
+   it (ECho's largest, [response_v2_meta], is 1,305 B); it bounds what a
+   decode memo can pin and what parsing a shipped snippet can cost. *)
+let max_bytes = 65_536
+
 let meta_magic = "PBIM"
 
 exception Meta_error of string
@@ -177,6 +182,9 @@ and take_record cur : Ptype.record =
 
 let decode (data : string) : (format_meta, Err.t) result =
   try
+    if String.length data > max_bytes then
+      meta_error "%d bytes of meta-data, more than the %d a meta may take"
+        (String.length data) max_bytes;
     let cur = { data; pos = 0 } in
     if take cur 4 <> meta_magic then meta_error "bad meta magic";
     let body = take_record cur in

@@ -32,6 +32,10 @@ val plain : Ptype.record -> format_meta
     more, naming the count, and [Morph.meta] refuses to build more. *)
 val max_xforms : int
 
+(** The most bytes an encoded meta may take: 64 KiB.  {!decode} rejects
+    longer input before reading it, naming its length and the limit. *)
+val max_bytes : int
+
 exception Meta_error of string
 
 (** Serialise to the out-of-band wire form. *)

@@ -14,6 +14,17 @@ let response_v2_meta = Echo.Wire_formats.response_v2_meta
 
 let sample_v2 n = Echo.Wire_formats.gen_response_v2 n
 
+(* A plain meta, [R { int x; }] under a record name padded so that its
+   encoding takes exactly [n] bytes (at least 24): the size cap's
+   fixture. *)
+let meta_of_size n =
+  let meta name =
+    Meta.plain
+      { Ptype.rname = name;
+        fields = [ { Ptype.fname = "x"; ftype = Ptype.Basic Ptype.Int; fdefault = None } ] }
+  in
+  meta (String.make (n - String.length (Meta.encode (meta ""))) 'R')
+
 (* A chain whose map [Codec.check_map] refuses: a loop that fills a list
    of records while it copies an array of ints (an element map over no
    records), then a hop of moves.  The source shares no field name with

@@ -118,8 +118,9 @@ let test_plan_cache_lru_and_stats () =
   let s = PC.stats c in
   Alcotest.(check (pair int int)) "hits, evictions" (!hits, 38) (s.PC.hits, s.PC.evictions)
 
-(* A hit allocates its table key and the table's option, nothing more:
-   the recency record is a ring of two arrays, not a queue of pairs. *)
+(* A hit allocates nothing: the table hashes and compares its (tenant,
+   key) pairs as ints, with no key tuple or option to build, and the
+   recency record is a ring of two arrays, not a queue of pairs. *)
 let test_plan_cache_hit_alloc () =
   let c = PC.create ~max_entries:4 () in
   PC.add c ~tenant:1 ~key:1 "a";
@@ -131,9 +132,9 @@ let test_plan_cache_hit_alloc () =
   (* the ring reaches its size before the count *)
   for _ = 1 to 500 do hit () done;
   let words = Helpers.alloc_per_call ~reps:1000 hit /. 2. /. float_of_int (Sys.word_size / 8) in
-  (* 5 words (key 3, option 2), plus the few words the counter reads
-     themselves allocate, spread over 2,000 hits *)
-  Alcotest.(check bool) (Printf.sprintf "%.2f words per hit < 5.5" words) true (words < 5.5)
+  (* the few words the counter reads themselves allocate, spread over
+     2,000 hits *)
+  Alcotest.(check bool) (Printf.sprintf "%.2f words per hit < 0.5" words) true (words < 0.5)
 
 let test_plan_cache_tenant_quota () =
   let c = PC.create ~max_entries:100 ~tenant_quota:2 () in
@@ -723,10 +724,18 @@ let test_gateway_push_storm_compiles_once () =
   let out = ref [] in
   let gw = G.create ~config ~net (Contact.make "gw" 1) (fun d -> out := d :: !out) in
   let tenants = 6 in
+  (* what the memos may share: pushes of one encoding, and compiles of
+     one meta against one target (a tenant's target is its lineage base) *)
+  let encodings = ref [] and plan_keys = ref [] in
   for tenant = 1 to tenants do
+    let pop = pops.(tenant mod 2) in
     Array.iter
-      (fun v -> ignore (G.handle_frame gw (meta_frame ~tenant v) : G.outcome))
-      (P.versions pops.(tenant mod 2))
+      (fun v ->
+         let meta = Meta.encode v.P.meta in
+         encodings := meta :: !encodings;
+         plan_keys := (meta, Meta.encode (Meta.plain (P.base pop))) :: !plan_keys;
+         ignore (G.handle_frame gw (meta_frame ~tenant v) : G.outcome))
+      (P.versions pop)
   done;
   let sent = ref 0 in
   for _ = 1 to 4 do
@@ -751,7 +760,13 @@ let test_gateway_push_storm_compiles_once () =
   Alcotest.(check int) "the rest coalesced" (!sent - List.length pairs)
     s.G.singleflight_coalesced;
   Alcotest.(check int) "parity clean" 0 s.G.parity_mismatches;
-  Alcotest.(check int) "queue drained" 0 (G.pending_depth gw)
+  Alcotest.(check int) "queue drained" 0 (G.pending_depth gw);
+  let distinct l = List.length (List.sort_uniq compare l) in
+  Alcotest.(check int) "a plan per distinct (meta, target), shared by the rest"
+    (List.length pairs - distinct !plan_keys) s.G.plan_shared;
+  Alcotest.(check int) "a decode per distinct encoding, shared by the rest"
+    (List.length !encodings - distinct !encodings) s.G.meta_shared;
+  Alcotest.(check int) "every push accepted" (List.length !encodings) s.G.meta_pushes
 
 (* The fingerprint covers every hop of a chain: a tenant that fixes the
    fourth hop and re-pushes its meta gets a plan for the fixed chain, not
@@ -799,6 +814,146 @@ let test_gateway_repush_fixed_fourth_hop () =
     (push_and_deliver fixed);
   Alcotest.(check int) "one plan per pushed meta" 2 (G.stats gw).G.plan_compiles
 
+(* The memos share only what is equal.  Tenants 1 and 2 push metas that
+   differ only in the fourth hop's code: neither gets the other's plan.
+   Tenants 3 and 4 push tenant 1's meta against targets R0 and R1: 3
+   gets tenant 1's plan, 4 one of its own.  Each value is its own
+   chain's, in its own target, and parity stays clean. *)
+let test_gateway_sharing_never_crosses_what_differs () =
+  let r k =
+    Ptype_dsl.format_of_string_exn
+      (if k = 0 then "format R0 { int x; }" else Fmt.str "format R%d { int a%d; }" k k)
+  in
+  let meta last =
+    Morph.meta (r 4)
+      ~xforms:
+        [ Morph.xform ~target:(r 3) "old.a3 = new.a4;";
+          Morph.xform ~source:(r 3) ~target:(r 2) "old.a2 = new.a3;";
+          Morph.xform ~source:(r 2) ~target:(r 1) "old.a1 = new.a2;";
+          Morph.xform ~source:(r 1) ~target:(r 0) last ]
+  in
+  let first = meta "old.x = new.a1;" and fixed = meta "old.x = new.a1 + 1000;" in
+  let v = Value.record [ ("a4", Value.Int 5) ] in
+  let message = Wire.encode ~format_id:1 (r 4) v in
+  let net = mk_net () in
+  let out = ref [] in
+  let config = { G.default_config with G.parity = true } in
+  let gw = G.create ~config ~net (Contact.make "gw" 1) (fun d -> out := d :: !out) in
+  let send tenant m frame =
+    ignore
+      (G.handle_frame gw (G.envelope ~tenant ~fingerprint:(G.fingerprint m) frame)
+       : G.outcome)
+  in
+  let push tenant m = send tenant m (Framing.Meta { format_id = 1; meta = Meta.encode m }) in
+  let deliver tenant m =
+    send tenant m (Framing.Data { format_id = 1; message });
+    ignore (Netsim.run net);
+    match !out with
+    | d :: _ when d.G.tenant = tenant -> d.G.value
+    | _ -> Alcotest.failf "tenant %d: expected a delivery" tenant
+  in
+  let onboard tenant target m =
+    push tenant (Meta.plain target);
+    push tenant m
+  in
+  onboard 1 (r 0) first;
+  onboard 2 (r 0) fixed;
+  Alcotest.check Helpers.value "tenant 1: its chain" (Value.record [ ("x", Value.Int 5) ])
+    (deliver 1 first);
+  Alcotest.check Helpers.value "tenant 2: the fixed chain"
+    (Helpers.check_ok_err (Morph.morph_to fixed ~target:(r 0) v)) (deliver 2 fixed);
+  Alcotest.(check int) "a fourth hop apart: no plan shared" 0 (G.stats gw).G.plan_shared;
+  onboard 3 (r 0) first;
+  onboard 4 (r 1) first;
+  let v3 = deliver 3 first and v4 = deliver 4 first in
+  Alcotest.check Helpers.value "tenant 3: in R0" (Value.record [ ("x", Value.Int 5) ]) v3;
+  Alcotest.check Helpers.value "tenant 4: in R1" (Value.record [ ("a1", Value.Int 5) ]) v4;
+  Alcotest.(check bool) "each conforms to its own target" true
+    (Value.conforms (Ptype.Record (r 0)) v3 && Value.conforms (Ptype.Record (r 1)) v4);
+  let s = G.stats gw in
+  Alcotest.(check (pair int int)) "compiles, shared: only tenant 3's" (4, 1)
+    (s.G.plan_compiles, s.G.plan_shared);
+  Alcotest.(check int) "parity clean" 0 s.G.parity_mismatches
+
+(* The envelope's fingerprint is checked on a decode-memo hit too. *)
+let test_gateway_memo_hit_checks_fingerprint () =
+  let pv = (P.versions (pop_of_seed 42)).(0) in
+  let gw = G.create ~net:(mk_net ()) (Contact.make "gw" 1) (fun _ -> ()) in
+  let push ~tenant ~fingerprint =
+    G.handle_frame gw
+      (G.envelope ~tenant ~fingerprint
+         (Framing.Meta { format_id = 1; meta = Meta.encode pv.P.meta }))
+  in
+  let fp = G.fingerprint pv.P.meta in
+  Alcotest.(check bool) "first push" true (push ~tenant:1 ~fingerprint:fp = G.Onboarded);
+  (match push ~tenant:2 ~fingerprint:(fp lxor 1) with
+   | G.Ignored msg when Helpers.contains msg "does not match" -> ()
+   | _ -> Alcotest.fail "a wrong fingerprint on a memo hit was not ignored");
+  let s = G.stats gw in
+  Alcotest.(check (pair int int)) "bad frame, nothing shared" (1, 0)
+    (s.G.bad_frames, s.G.meta_shared);
+  Alcotest.(check bool) "no tenant 2" true (G.breaker_state gw 2 = None);
+  Alcotest.(check bool) "the right fingerprint" true (push ~tenant:2 ~fingerprint:fp = G.Onboarded);
+  Alcotest.(check int) "shared" 1 (G.stats gw).G.meta_shared
+
+(* Both memos hold at most [max_plans] entries: ten formats through a
+   4-plan gateway evict the oldest, and every delivery still matches the
+   interpretive reference. *)
+let test_gateway_memo_eviction_keeps_parity () =
+  let net = mk_net () in
+  let delivered = ref [] in
+  let config = { G.default_config with G.max_plans = 4; parity = true } in
+  let gw = G.create ~config ~net (Contact.make "gw" 1) (fun d -> delivered := d :: !delivered) in
+  let format i =
+    Ptype_dsl.format_of_string_exn
+      (if i = 0 then "format T { int a; }" else Printf.sprintf "format T { int a; int f%d; }" i)
+  in
+  let meta_of i = Meta.plain (format i) in
+  let frame ~tenant i body =
+    G.handle_frame gw (G.envelope ~tenant ~fingerprint:(G.fingerprint (meta_of i)) body)
+  in
+  let push ~tenant i =
+    match frame ~tenant i (Framing.Meta { format_id = i; meta = Meta.encode (meta_of i) }) with
+    | G.Onboarded -> ()
+    | _ -> Alcotest.failf "tenant %d: push %d refused" tenant i
+  in
+  let data ~tenant i =
+    let v =
+      Value.record
+        (("a", Value.Int i) :: (if i = 0 then [] else [ (Printf.sprintf "f%d" i, Value.Int i) ]))
+    in
+    let message = Wire.encode ~format_id:i (format i) v in
+    ignore (frame ~tenant i (Framing.Data { format_id = i; message }) : G.outcome)
+  in
+  let formats = 10 in
+  for i = 0 to formats do
+    push ~tenant:1 i;
+    push ~tenant:2 i
+  done;
+  Alcotest.(check int) "tenant 2's pushes shared" (formats + 1) (G.stats gw).G.meta_shared;
+  push ~tenant:1 1;
+  Alcotest.(check int) "format 1's decode was evicted" (formats + 1) (G.stats gw).G.meta_shared;
+  for i = 1 to formats do
+    data ~tenant:1 i;
+    data ~tenant:2 i
+  done;
+  ignore (Netsim.run net);
+  Alcotest.(check int) "tenant 2's compiles shared" formats (G.stats gw).G.plan_shared;
+  (* both tenants' plans for format 1 left the 4-plan cache, and its memo
+     entry went with the next formats: a real recompile *)
+  data ~tenant:1 1;
+  ignore (Netsim.run net);
+  let s = G.stats gw in
+  Alcotest.(check (pair int int)) "recompiled, not shared" (1, formats)
+    (s.G.plan_recompiles, s.G.plan_shared);
+  Alcotest.(check int) "every message delivered" ((2 * formats) + 1) s.G.delivered;
+  Alcotest.(check int) "parity clean" 0 s.G.parity_mismatches;
+  List.iter
+    (fun (d : G.delivery) ->
+       Alcotest.(check bool) "in the target" true
+         (Value.conforms (Ptype.Record (format 0)) d.G.value))
+    !delivered
+
 (* A push of more transformations than a meta may carry is a bad frame,
    turned away before any planning. *)
 let test_gateway_meta_xform_cap () =
@@ -823,6 +978,23 @@ let test_gateway_meta_xform_cap () =
    | G.Onboarded -> ()
    | _ -> Alcotest.fail "a push of 64 transformations was not accepted");
   Alcotest.(check int) "64 is no bad frame" 1 (G.stats gw).G.bad_frames
+
+(* A push over [Meta.max_bytes] is a bad frame, named by the limit. *)
+let test_gateway_meta_size_cap () =
+  let gw = G.create ~net:(mk_net ()) (Contact.make "gw" 1) (fun _ -> ()) in
+  let push n =
+    let m = Helpers.meta_of_size n in
+    G.handle_frame gw
+      (G.envelope ~tenant:1 ~fingerprint:(G.fingerprint m)
+         (Framing.Meta { format_id = 1; meta = Meta.encode m }))
+  in
+  (match push (Meta.max_bytes + 1) with
+   | G.Ignored msg when Helpers.contains msg "65536" -> ()
+   | G.Ignored msg -> Alcotest.failf "ignored without naming the limit: %s" msg
+   | _ -> Alcotest.fail "a push over the size cap was not ignored");
+  Alcotest.(check int) "counted as a bad frame" 1 (G.stats gw).G.bad_frames;
+  Alcotest.(check bool) "a push at the cap onboards" true (push Meta.max_bytes = G.Onboarded);
+  Alcotest.(check int) "no further bad frame" 1 (G.stats gw).G.bad_frames
 
 (* A chain of straight-line hops collapses into one fused plan: it
    delivers on the fused rung, and the parity check against the
@@ -1064,6 +1236,14 @@ let suite =
       `Quick test_gateway_push_storm_compiles_once;
     Alcotest.test_case "gateway: re-push with a fixed fourth hop replans" `Quick
       test_gateway_repush_fixed_fourth_hop;
+    Alcotest.test_case "gateway: tenants never share a plan across what differs" `Quick
+      test_gateway_sharing_never_crosses_what_differs;
+    Alcotest.test_case "gateway: a memo hit still checks the fingerprint" `Quick
+      test_gateway_memo_hit_checks_fingerprint;
+    Alcotest.test_case "gateway: memo evictions keep parity" `Quick
+      test_gateway_memo_eviction_keeps_parity;
+    Alcotest.test_case "gateway: a push over the size cap is ignored" `Quick
+      test_gateway_meta_size_cap;
     Alcotest.test_case "gateway: a push over the transformation cap is ignored" `Quick
       test_gateway_meta_xform_cap;
     Alcotest.test_case "gateway: a tenant's formats are bounded" `Quick

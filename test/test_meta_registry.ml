@@ -76,6 +76,18 @@ let test_meta_xform_cap () =
   | _ -> Alcotest.fail "Morph.meta built 65 transformations"
   | exception Invalid_argument _ -> ()
 
+(* An encoded meta takes at most [Meta.max_bytes]: longer input is
+   refused before it is read, naming the limit. *)
+let test_meta_size_cap () =
+  Alcotest.(check int) "the cap" 65_536 Meta.max_bytes;
+  let at = Meta.encode (Helpers.meta_of_size Meta.max_bytes) in
+  Alcotest.(check int) "fixture size" Meta.max_bytes (String.length at);
+  ignore (Helpers.check_ok_err (Meta.decode at) : Meta.format_meta);
+  match Meta.decode (Meta.encode (Helpers.meta_of_size (Meta.max_bytes + 1))) with
+  | Error (`Meta msg) when Helpers.contains msg "65536" -> ()
+  | Error e -> Alcotest.failf "expected a meta error naming the limit, got %s" (Err.to_string e)
+  | Ok _ -> Alcotest.fail "a meta over the cap decoded"
+
 let test_meta_equal_and_hash () =
   let m1 = Helpers.response_v2_meta in
   let m2 =
@@ -168,6 +180,7 @@ let suite =
     Alcotest.test_case "meta: defaults and enums" `Quick test_meta_roundtrip_defaults_and_enums;
     Alcotest.test_case "meta: decode errors" `Quick test_meta_decode_errors;
     Alcotest.test_case "meta: at most 64 transformations" `Quick test_meta_xform_cap;
+    Alcotest.test_case "meta: at most 64 KiB" `Quick test_meta_size_cap;
     Alcotest.test_case "meta: equality and hash" `Quick test_meta_equal_and_hash;
     Alcotest.test_case "meta: hash covers every hop" `Quick test_meta_hash_covers_every_hop;
     Alcotest.test_case "registry: structural dedup" `Quick test_registry_dedup;

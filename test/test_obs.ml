@@ -125,6 +125,68 @@ let test_span_nesting () =
   Alcotest.(check int) "raised span still recorded" 1
     (Obs.Histogram.count t "span:boom")
 
+(* The span histograms' names and nesting: a path is its open spans'
+   names joined by "/", whichever parent a name opens under, and a second
+   call records into the same histogram.  Each span's trace record is
+   parented to the span around it. *)
+let test_span_names_pinned () =
+  let t = Obs.create () in
+  Obs.set_registry_clock t (tick_clock ());
+  for _ = 1 to 2 do
+    Obs.with_span t "a" (fun () -> Obs.with_span t "b" (fun () -> ()))
+  done;
+  Obs.with_span t "b" (fun () -> ());
+  let spans =
+    List.filter (fun n -> String.length n > 5 && String.sub n 0 5 = "span:") (Obs.names t)
+  in
+  Alcotest.(check (list string)) "span histograms" [ "span:a"; "span:a/b"; "span:b" ] spans;
+  Alcotest.(check (list int)) "counts" [ 2; 2; 1 ] (List.map (Obs.Histogram.count t) spans);
+  match Obs.Trace.spans t with
+  | b :: a :: _ ->
+    Alcotest.(check (pair string string)) "names" ("b", "a") (b.Obs.Trace.name, a.Obs.Trace.name);
+    Alcotest.(check (option int)) "b parented to a" (Some a.Obs.Trace.span_id)
+      b.Obs.Trace.parent_id
+  | _ -> Alcotest.fail "expected the nested spans"
+
+(* Once a path has been entered, entering it again builds no string: a
+   nested call allocates the same whatever its names' lengths, where
+   building its path would take over 2 KB for 1,000-character names. *)
+let test_span_warm_allocates_no_string () =
+  let per_call a b =
+    let t = Obs.create () in
+    Obs.Trace.set_capacity t 16;
+    let call () = Obs.with_span t a (fun () -> Obs.with_span t b (fun () -> ())) in
+    for _ = 1 to 100 do call () done;
+    Helpers.alloc_per_call ~reps:1000 call
+  in
+  let short = per_call "a" "b" in
+  let long = per_call (String.make 1000 'a') (String.make 1000 'b') in
+  if long > short +. 8. then
+    Alcotest.failf "1,000-character names allocate %.1f B a call, 1-character ones %.1f B"
+      long short
+
+(* An exception from the body propagates, with its backtrace, after both
+   spans are recorded and both stacks popped. *)
+exception Boom
+
+let test_span_exception_propagates () =
+  let t = Obs.create () in
+  Obs.set_registry_clock t (tick_clock ());
+  let recording = Printexc.backtrace_status () in
+  Printexc.record_backtrace true;
+  (match Obs.with_span t "a" (fun () -> Obs.with_span t "b" (fun () -> raise Boom)) with
+   | () -> Alcotest.fail "the exception was swallowed"
+   | exception Boom ->
+     Alcotest.(check bool) "the backtrace names the raise" true
+       (Helpers.contains (Printexc.get_backtrace ()) "test_obs.ml"));
+  Printexc.record_backtrace recording;
+  Alcotest.(check (list int)) "both spans recorded" [ 1; 1 ]
+    (List.map (Obs.Histogram.count t) [ "span:a"; "span:a/b" ]);
+  Alcotest.(check int) "both trace spans buffered" 2 (List.length (Obs.Trace.spans t));
+  Alcotest.(check (option reject)) "trace stack popped" None (Obs.Trace.current t);
+  Obs.with_span t "c" (fun () -> ());
+  Alcotest.(check int) "span stack popped" 1 (Obs.Histogram.count t "span:c")
+
 let test_null_registry_inert () =
   let t = Obs.null in
   Alcotest.(check bool) "disabled" false (Obs.enabled t);
@@ -558,6 +620,11 @@ let suite =
     Alcotest.test_case "histogram quantile edge cases" `Quick
       test_histogram_quantile_edge_cases;
     Alcotest.test_case "span nesting" `Quick test_span_nesting;
+    Alcotest.test_case "span names and nesting pinned" `Quick test_span_names_pinned;
+    Alcotest.test_case "a warm nested span builds no string" `Quick
+      test_span_warm_allocates_no_string;
+    Alcotest.test_case "a span's exception propagates" `Quick
+      test_span_exception_propagates;
     Alcotest.test_case "null registry is inert" `Quick test_null_registry_inert;
     Alcotest.test_case "reset" `Quick test_reset;
     Alcotest.test_case "text sink" `Quick test_text_sink;

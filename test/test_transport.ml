@@ -460,6 +460,21 @@ let test_conn_recovery_via_meta_request () =
   (* both parked messages flush, in order, after one Meta_request *)
   Alcotest.(check int) "recovered" 3 !got
 
+(* A meta push over [Meta.max_bytes] teaches the endpoint nothing; one
+   at the cap is learned. *)
+let test_conn_refuses_oversize_meta () =
+  let net, _a, b = setup () in
+  let push n =
+    Netsim.send net ~src:(Contact.make "a" 1) ~dst:(Contact.make "b" 2)
+      (Framing.encode
+         (Framing.Meta { format_id = n; meta = Meta.encode (Helpers.meta_of_size n) }));
+    ignore (Netsim.run net)
+  in
+  push (Meta.max_bytes + 1);
+  Alcotest.(check int) "over the cap: not learned" 0 (Conn.known_peer_formats b);
+  push Meta.max_bytes;
+  Alcotest.(check int) "at the cap: learned" 1 (Conn.known_peer_formats b)
+
 let test_conn_multiple_formats_and_peers () =
   let net = Netsim.create () in
   let a = Conn.create net (Contact.make "a" 1) in
@@ -720,6 +735,8 @@ let suite =
       test_conn_recovery_via_meta_request;
     Alcotest.test_case "conn: multiple formats and peers" `Quick
       test_conn_multiple_formats_and_peers;
+    Alcotest.test_case "conn: a meta over the size cap is refused" `Quick
+      test_conn_refuses_oversize_meta;
     Alcotest.test_case "conn: big-endian sender" `Quick test_conn_big_endian_sender;
     Alcotest.test_case "conn: survives corrupted frames" `Quick
       test_conn_survives_corruption;
