@@ -947,12 +947,7 @@ let gateway_cmd =
           exit 2
       in
       let gcfg =
-        { Gateway.default_config with
-          Gateway.max_plans;
-          tenant_quota = quota;
-          admit_rate;
-          admit_burst;
-          parity }
+        { Gateway.max_plans; tenant_quota = quota; admit_rate; admit_burst; parity }
       in
       let cfg =
         { Loadgen.g_tenants = tenants;

@@ -36,13 +36,12 @@ let record_status t (v : Value.t) : unit =
       Value.to_int (Value.get_field v "estimated_days") )
     :: t.statuses
 
-let create ?(thresholds = Morph.Maxmatch.default_thresholds) ?(reliable = false)
-    ?(metrics = Obs.null) ?ctx (net : Transport.Netsim.t) ~(host : string) ~(port : int)
-    ~(broker : Transport.Contact.t) (mode : Broker.mode) : t =
+let create ?(reliable = false) ?(metrics = Obs.null) ?ctx (net : Transport.Netsim.t)
+    ~(host : string) ~(port : int) ~(broker : Transport.Contact.t) (mode : Broker.mode) : t =
   let contact = Transport.Contact.make host port in
   let receiver =
     Morph.Receiver.create
-      ~config:(Morph.Receiver.Config.v ~thresholds ~metrics ?ctx ()) ()
+      ~config:(Morph.Receiver.Config.v ~metrics ?ctx ()) ()
   in
   let t =
     { mode; contact; net; broker; statuses = [];

@@ -10,7 +10,6 @@ type t
     the [b2b.order_roundtrip_s] histogram: simulated seconds from the order
     leaving to its (possibly morphed) status arriving. *)
 val create :
-  ?thresholds:Morph.Maxmatch.thresholds ->
   ?reliable:bool ->
   ?metrics:Obs.t ->
   ?ctx:Pbio.Ctx.t ->

@@ -35,13 +35,12 @@ let handle_order t (v : Value.t) : unit =
     :: t.orders;
   reply_status t ~po (List.length t.orders)
 
-let create ?(thresholds = Morph.Maxmatch.default_thresholds) ?(reliable = false)
-    ?(metrics = Obs.null) ?ctx (net : Transport.Netsim.t) ~(host : string) ~(port : int)
-    ~(broker : Transport.Contact.t) (mode : Broker.mode) : t =
+let create ?(reliable = false) ?(metrics = Obs.null) ?ctx (net : Transport.Netsim.t)
+    ~(host : string) ~(port : int) ~(broker : Transport.Contact.t) (mode : Broker.mode) : t =
   let contact = Transport.Contact.make host port in
   let receiver =
     Morph.Receiver.create
-      ~config:(Morph.Receiver.Config.v ~thresholds ~metrics ?ctx ()) ()
+      ~config:(Morph.Receiver.Config.v ~metrics ?ctx ()) ()
   in
   let t =
     { mode; contact; net; broker; orders = []; endpoint = None; receiver }

@@ -4,7 +4,6 @@
 type t
 
 val create :
-  ?thresholds:Morph.Maxmatch.thresholds ->
   ?reliable:bool ->
   ?metrics:Obs.t ->
   ?ctx:Pbio.Ctx.t ->

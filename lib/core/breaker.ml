@@ -1,8 +1,8 @@
 (* Per-pipeline circuit breaker.
 
    Generalises the receiver quarantine of PR 2: a transformation (or, in the
-   gateway, a whole tenant) that keeps failing trips the breaker after a
-   threshold of consecutive failures.  With no cooldown the breaker stays
+   gateway, a whole tenant) that keeps failing trips the breaker after
+   [threshold] consecutive failures.  With no cooldown the breaker stays
    open for good — exactly the old quarantine.  With a cooldown the breaker
    re-admits a probe delivery after [cooldown_s] of simulated time; a probe
    success closes the circuit, a probe failure re-opens it for another
@@ -16,7 +16,6 @@ let pp_state ppf = function
   | Half_open -> Fmt.string ppf "half-open"
 
 type t = {
-  threshold : int;
   cooldown_s : float option;
   on_trip : (t -> unit) option;
   mutable state : state;
@@ -25,13 +24,14 @@ type t = {
   mutable trips : int;
 }
 
-let create ?(threshold = 3) ?cooldown_s ?on_trip () =
-  if threshold < 1 then invalid_arg "Breaker.create: threshold must be >= 1";
+(* Consecutive failures that trip a closed breaker open. *)
+let threshold = 3
+
+let create ?cooldown_s ?on_trip () =
   (match cooldown_s with
    | Some c when not (c > 0.) -> invalid_arg "Breaker.create: cooldown_s must be > 0"
    | _ -> ());
   {
-    threshold;
     cooldown_s;
     on_trip;
     state = Closed;
@@ -78,5 +78,5 @@ let record_failure t ~now =
   in
   match t.state with
   | Half_open -> trip ()
-  | Closed when t.consecutive_failures >= t.threshold -> trip ()
+  | Closed when t.consecutive_failures >= threshold -> trip ()
   | Closed | Open -> false

@@ -1,7 +1,7 @@
 (** Per-pipeline circuit breaker: closed / open / half-open.
 
-    Generalises the PR-2 receiver quarantine.  Consecutive failures up to a
-    threshold trip the breaker [Open]; with no cooldown it stays open for
+    Generalises the PR-2 receiver quarantine.  Three consecutive failures
+    trip the breaker [Open]; with no cooldown it stays open for
     good (the old quarantine semantics), with a cooldown it turns
     [Half_open] after [cooldown_s] of (simulated) time and admits probe
     deliveries — a probe success closes the circuit, a probe failure
@@ -17,13 +17,13 @@ val pp_state : Format.formatter -> state -> unit
 
 type t
 
-(** [create ~threshold ~cooldown_s ()] — trip after [threshold] consecutive
-    failures (default 3, must be >= 1).  [cooldown_s] enables half-open
-    probing; omit it for a permanently-open trip.  [on_trip] runs
-    synchronously each time the breaker trips open, after the state
-    change — the anomaly hook the {!Obs.Flight} recorder attaches to.
-    Raises [Invalid_argument] on out-of-range arguments. *)
-val create : ?threshold:int -> ?cooldown_s:float -> ?on_trip:(t -> unit) -> unit -> t
+(** [create ~cooldown_s ()] — trip after 3 consecutive failures.
+    [cooldown_s] enables half-open probing; omit it for a permanently-open
+    trip.  [on_trip] runs synchronously each time the breaker trips open,
+    after the state change — the anomaly hook the {!Obs.Flight} recorder
+    attaches to.  Raises [Invalid_argument] on a cooldown that is not
+    positive. *)
+val create : ?cooldown_s:float -> ?on_trip:(t -> unit) -> unit -> t
 
 (** Whether a delivery may proceed at time [now].  [Closed] always admits;
     [Open] admits nothing until the cooldown elapses, then flips to

@@ -78,9 +78,9 @@ type cache_entry = {
   key : Meta.format_meta;
   pipeline : pipeline;
   breaker : Breaker.t;
-  (* counts run-time transform failures since the last success; tripping
-     quarantines the pipeline.  It has no cooldown, so it stays open for
-     good and turns every later delivery away. *)
+  (* counts run-time transform failures since the last success; the third
+     trips it and quarantines the pipeline.  It has no cooldown, so it
+     stays open for good and turns every later delivery away. *)
 }
 
 (* All the knobs a receiver is created with, collapsed into one record so
@@ -88,7 +88,6 @@ type cache_entry = {
 module Config = struct
   type t = {
     thresholds : Maxmatch.thresholds;
-    quarantine_after : int;
     metrics : Obs.t;
     ctx : Ctx.t;
     (* capability context for plans: they compile their wire closures
@@ -102,16 +101,14 @@ module Config = struct
   let default =
     {
       thresholds = Maxmatch.default_thresholds;
-      quarantine_after = 3;
       metrics = Obs.null;
       ctx = Ctx.default;
       flight = None;
     }
 
-  let v ?(thresholds = default.thresholds)
-      ?(quarantine_after = default.quarantine_after) ?(metrics = Obs.null)
+  let v ?(thresholds = default.thresholds) ?(metrics = Obs.null)
       ?(ctx = default.ctx) ?flight () =
-    { thresholds; quarantine_after; metrics; ctx; flight }
+    { thresholds; metrics; ctx; flight }
 end
 
 (* Handles into the configured Obs registry; [rm_on] gates the clock reads
@@ -194,8 +191,6 @@ type t = {
 }
 
 let create ?(config = Config.default) () =
-  if config.Config.quarantine_after < 1 then
-    invalid_arg "Receiver.create: quarantine_after";
   {
     config;
     m = make_rmetrics config.Config.metrics;
@@ -376,7 +371,7 @@ let find_cached t ~hash (meta : Meta.format_meta) : cache_entry option =
   Lru.find t.cache ~hash meta
 
 let cache_pipeline t ~hash (meta : Meta.format_meta) (p : pipeline) : cache_entry =
-  let breaker = Breaker.create ~threshold:t.config.Config.quarantine_after () in
+  let breaker = Breaker.create () in
   let entry = { key = meta; pipeline = p; breaker } in
   ignore (Lru.add t.cache ~hash meta entry : int);
   entry

@@ -50,11 +50,6 @@ type t
 module Config : sig
   type t = {
     thresholds : Maxmatch.thresholds;
-    quarantine_after : int;
-        (** consecutive run-time transformation failures after which a
-            cached pipeline's {!Breaker} trips — it stays open, so the
-            breaker turns every later delivery away before any
-            transformation work (see docs/FAULTS.md); must be >= 1 *)
     metrics : Obs.t;
         (** registry receiving the [receiver.*] counters and histograms
             (see docs/OBSERVABILITY.md) *)
@@ -70,11 +65,10 @@ module Config : sig
             capture (kind ["quarantine"]) for post-mortem analysis *)
   }
 
-  (** Keyword-argument builder: default thresholds, quarantine after 3,
-      [Obs.null] metrics, {!Ctx.default}. *)
+  (** Keyword-argument builder: default thresholds, [Obs.null] metrics,
+      {!Ctx.default}. *)
   val v :
     ?thresholds:Maxmatch.thresholds ->
-    ?quarantine_after:int ->
     ?metrics:Obs.t ->
     ?ctx:Ctx.t ->
     ?flight:Obs.Flight.recorder ->
@@ -82,9 +76,11 @@ module Config : sig
     t
 end
 
-(** [create ()] makes an empty receiver with [Config.v ()].  Raises
-    [Invalid_argument] when the config is out of range
-    ([quarantine_after < 1]). *)
+(** [create ()] makes an empty receiver with [Config.v ()].  A cached
+    pipeline whose transformation fails at run time 3 times in a row is
+    quarantined: its {!Breaker} trips and stays open, so it turns every
+    later delivery away before any transformation work (see
+    docs/FAULTS.md). *)
 val create : ?config:Config.t -> unit -> t
 
 (** Register a format the application understands, with the handler invoked

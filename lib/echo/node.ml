@@ -251,14 +251,13 @@ let evict_member t (dead : Transport.Contact.t) : unit =
        end)
     t.channels
 
-let create ?(thresholds = Morph.Maxmatch.default_thresholds)
-    ?(reliable = false) ?(metrics = Obs.null) ?ctx (net : Transport.Netsim.t)
+let create ?(reliable = false) ?(metrics = Obs.null) ?ctx (net : Transport.Netsim.t)
     ~(host : string) ~(port : int) (version : version) : t =
   let contact = Transport.Contact.make host port in
   let endpoint = Transport.Conn.create ~reliable ~metrics ?ctx net contact in
   let receiver =
     Morph.Receiver.create
-      ~config:(Morph.Receiver.Config.v ~thresholds ~metrics ?ctx ())
+      ~config:(Morph.Receiver.Config.v ~metrics ?ctx ())
       ()
   in
   let t =

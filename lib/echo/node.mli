@@ -23,8 +23,8 @@ type member = {
 
 type t
 
-(** Create a process on the network.  [thresholds] configures its
-    morphing receiver.  [reliable] runs the node's endpoint under the
+(** Create a process on the network; its morphing receiver matches with
+    the default thresholds.  [reliable] runs the node's endpoint under the
     connection layer's ack + retransmit protocol; a member whose retransmit
     budget is exhausted (missed acks) is presumed dead and evicted from
     channels this node owns (see docs/FAULTS.md).  [metrics] receives the
@@ -35,7 +35,6 @@ type t
     receiver, and the registry their wire calls and compiles record
     into; omitted, it is {!Pbio.Ctx.default} (docs/CONCURRENCY.md). *)
 val create :
-  ?thresholds:Morph.Maxmatch.thresholds ->
   ?reliable:bool ->
   ?metrics:Obs.t ->
   ?ctx:Pbio.Ctx.t ->

@@ -22,16 +22,15 @@
        chain of straight-line hops collapsed into one, a staged decoder
        plus the composed Ecode chain for any other
        retro-transformation chain.  A plan compiles once and is reused
-       until evicted; the only overload answer on the plan side is the
-       Governor's eviction-storm meter, which sheds new plan work while
-       the shared cache thrashes.
+       until evicted; while the shared cache thrashes, plans are evicted
+       and recompiled, which shows as evictions, recompiles and the
+       flight recorder's eviction-storm incident.
 
    Everything runs on Netsim's virtual clock: compiles take simulated
    time proportional to their deterministic cost units, so seeded runs
    replay byte-identically. *)
 
 module Plan_cache = Plan_cache
-module Governor = Governor
 
 open Pbio
 module Netsim = Transport.Netsim
@@ -51,29 +50,31 @@ type config = {
   tenant_quota : int;
   admit_rate : float;
   admit_burst : float;
-  breaker_threshold : int;
-  breaker_cooldown_s : float option;
-  thresholds : Maxmatch.thresholds;
-  governor : Governor.config;
-  compile_s_per_unit : float;
-  pending_cap : int;
   parity : bool;
 }
 
 let default_config =
-  {
-    max_plans = 1024;
-    tenant_quota = 8;
-    admit_rate = 0.;
-    admit_burst = 16.;
-    breaker_threshold = 3;
-    breaker_cooldown_s = Some 0.05;
-    thresholds = Maxmatch.default_thresholds;
-    governor = Governor.default;
-    compile_s_per_unit = 2e-5;
-    pending_cap = 256;
-    parity = false;
-  }
+  { max_plans = 1024; tenant_quota = 8; admit_rate = 0.; admit_burst = 16.; parity = false }
+
+let check_config (c : config) : (unit, string) result =
+  let err fmt = Printf.ksprintf (fun m -> Error m) fmt in
+  if c.max_plans < 1 then err "max_plans must be >= 1 (got %d)" c.max_plans
+  else if c.tenant_quota < 1 then err "tenant_quota must be >= 1 (got %d)" c.tenant_quota
+  else if not (c.admit_rate >= 0.) then err "admit_rate must be >= 0 (got %g)" c.admit_rate
+  else if c.admit_rate > 0. && not (c.admit_burst >= 1.) then
+    err "admit_burst must be >= 1 when admit_rate is set (got %g)" c.admit_burst
+  else Ok ()
+
+(* The open -> half-open probe delay of a tenant's breaker, simulated
+   seconds. *)
+let breaker_cooldown_s = 0.05
+
+(* Simulated seconds of compile latency per cost unit. *)
+let compile_s_per_unit = 2e-5
+
+(* Messages parked behind one in-flight compile; more are shed
+   [Overload]. *)
+let pending_cap = 256
 
 (* --- outcomes ------------------------------------------------------------ *)
 
@@ -81,7 +82,7 @@ type shed_reason =
   | Deadline  (* envelope deadline already expired *)
   | Quota  (* tenant token bucket empty *)
   | Breaker  (* tenant circuit open *)
-  | Overload  (* eviction storm, or pending queue full *)
+  | Overload  (* pending queue full *)
   | Unknown_tenant
   | No_meta  (* fingerprint never pushed, or evicted from the tenant's formats *)
 
@@ -235,8 +236,9 @@ type cached =
 (* A pushed encoding, decoded: the memo's value. *)
 type pushed = { pu_meta : Meta.format_meta; pu_fp : int }
 
-(* What a plan is a function of, besides the gateway's fixed thresholds
-   and ctx: the pushed meta and the tenant's target. *)
+(* What a plan is a function of, besides the default thresholds and
+   context every gateway plans with: the pushed meta and the tenant's
+   target. *)
 type plan_key = { pk_meta : Meta.format_meta; pk_target : Ptype.record }
 
 (* Physical equality first: identical pushes share one decoded meta, and
@@ -272,9 +274,11 @@ type tformat = {
 }
 
 (* The formats one tenant holds: a sender pushing fresh formats without
-   end evicts its least recently used ones, whose data frames shed
-   [No_meta] until pushed again.  Far above any lineage the loadgen or a
-   campaign pushes (gateway-churn's tenants push 6 versions each). *)
+   end evicts its least recently used ones.  An evicted format's data
+   frames still deliver while its plan is cached, and shed [No_meta] once
+   that plan is gone too, until the format is pushed again.  Far above any
+   lineage the loadgen or a campaign pushes (gateway-churn's tenants push
+   6 versions each). *)
 let formats_per_tenant = 256
 
 type tstate = {
@@ -317,11 +321,7 @@ type t = {
          holds more plans than the cache it serves.  The gateway is
          driven from one domain (Netsim's event loop), so plain [Lru]s
          suffice. *)
-  gov : Governor.t;
   inflight : (int * int, pending Queue.t) Hashtbl.t;
-  ctx : Ctx.t;
-      (* the plans' context: its codec cache is shared with every other
-         user of the context, its registry records their compiles *)
   mutable pending_depth : int;
   on_delivery : delivery -> unit;
   flight : Obs.Flight.recorder option;
@@ -349,25 +349,16 @@ let fingerprint (meta : Meta.format_meta) : int = Meta.hash meta land max_int
 let envelope ~tenant ~fingerprint ?(deadline_ns = 0) frame =
   Framing.Described { tenant; fingerprint; deadline_ns; frame }
 
-let create ?(config = default_config) ?(metrics = Obs.null) ?(ctx = Ctx.default)
-    ?flight ~net contact (on_delivery : delivery -> unit) : t =
-  if config.breaker_threshold < 1 then
-    invalid_arg "Gateway.create: breaker_threshold must be >= 1";
-  if config.pending_cap < 1 then
-    invalid_arg "Gateway.create: pending_cap must be >= 1";
-  if not (config.compile_s_per_unit >= 0.) then
-    invalid_arg "Gateway.create: compile_s_per_unit must be >= 0";
-  if config.admit_rate > 0. && not (config.admit_burst >= 1.) then
-    invalid_arg "Gateway.create: admit_burst must be >= 1";
+let create ?(config = default_config) ?(metrics = Obs.null) ?flight ~net contact
+    (on_delivery : delivery -> unit) : t =
+  Result.iter_error (fun m -> invalid_arg ("Gateway.create: " ^ m)) (check_config config);
   let m = make_gmetrics metrics in
-  let gov = Governor.create ~now:(Netsim.now net) config.governor in
   let t_ref = ref None in
   let cache =
     Plan_cache.create ~max_entries:config.max_plans ~tenant_quota:config.tenant_quota
       ~on_evict:(fun ~tenant:_ ~key:_ ->
         match !t_ref with
         | Some t ->
-          Governor.note_eviction t.gov ~now:(now_s t);
           if t.m.gm_on then Obs.Counter.incr t.m.gm_evictions;
           (match t.flight with
            | Some fl ->
@@ -396,9 +387,7 @@ let create ?(config = default_config) ?(metrics = Obs.null) ?(ctx = Ctx.default)
       cache;
       metas = Lru.create ~equal:String.equal ~cap:config.max_plans;
       plans = Lru.create ~equal:same_plan_key ~cap:config.max_plans;
-      gov;
       inflight = Hashtbl.create 64;
-      ctx;
       pending_depth = 0;
       on_delivery;
       flight;
@@ -442,8 +431,7 @@ let new_tenant t id (target : Ptype.record) =
       ts_target_hash = Ptype.hash_record target;
       ts_formats = Lru.create ~equal:Int.equal ~cap:formats_per_tenant;
       ts_breaker =
-        Breaker.create ~threshold:t.config.breaker_threshold
-          ?cooldown_s:t.config.breaker_cooldown_s
+        Breaker.create ~cooldown_s:breaker_cooldown_s
           ?on_trip:
             (match t.flight with
              | None -> None
@@ -485,12 +473,12 @@ let set_cache_gauges t =
    picks its own engine.  Decided when a format's first message arrives;
    the plan's wire closures compile on the first message of each byte
    order. *)
-let plan_for t (meta : Meta.format_meta) (target : Ptype.record) :
+let plan_for (meta : Meta.format_meta) (target : Ptype.record) :
   (Plan.t, string) result =
   let fm = meta.Meta.body in
   let matches f =
     Ptype.equal_record f target
-    || Maxmatch.qualifies t.config.thresholds (Maxmatch.evaluate_pair f target)
+    || Maxmatch.qualifies Maxmatch.default_thresholds (Maxmatch.evaluate_pair f target)
   in
   match
     if matches fm then Some []
@@ -504,7 +492,8 @@ let plan_for t (meta : Meta.format_meta) (target : Ptype.record) :
       (Fmt.str "no acceptable match for format %S against the tenant target %S"
          fm.Ptype.rname target.Ptype.rname)
   | Some specs ->
-    Result.map_error Err.to_string (Plan.compile ~ctx:t.ctx ~source:fm ~specs ~target ())
+    Result.map_error Err.to_string
+      (Plan.compile ~ctx:Ctx.default ~source:fm ~specs ~target ())
 
 (* Deterministic compile-cost units ([Ptype.weight], not wall time): a
    fused plan compiles reader plans over both formats, a staged plan only
@@ -653,7 +642,7 @@ let planned t (ts : tstate) ~fingerprint:fp (tf : tformat) : cached * bool =
   | Some c -> (c, true)
   | None ->
     let c =
-      match plan_for t tf.tf_meta ts.ts_target with
+      match plan_for tf.tf_meta ts.ts_target with
       | Ok plan -> Ready plan
       | Error msg -> Refused msg
     in
@@ -692,7 +681,7 @@ let start_compile t (ts : tstate) ~fingerprint:fp (tf : tformat) ~deadline_ns
       if t.m.gm_on then Obs.Counter.incr t.m.gm_recompiles
     end
     else tf.tf_compiled <- true;
-    Netsim.after t.net (t.config.compile_s_per_unit *. cost) (fun () ->
+    Netsim.after t.net (compile_s_per_unit *. cost) (fun () ->
         Hashtbl.remove t.inflight key;
         Plan_cache.add t.cache ~tenant:ts.ts_id ~key:fp (Ready plan);
         set_cache_gauges t;
@@ -721,7 +710,7 @@ let handle_data t (ts : tstate) ~fingerprint:fp ~deadline_ns (message : string) 
      | Some q ->
        (* singleflight: a compile for this (tenant, format) is already in
           flight; park behind it rather than compiling again *)
-       if Queue.length q >= t.config.pending_cap then
+       if Queue.length q >= pending_cap then
          shed t ~tenant:ts.ts_id Overload
        else begin
          park t q ~deadline_ns message;
@@ -732,10 +721,7 @@ let handle_data t (ts : tstate) ~fingerprint:fp ~deadline_ns (message : string) 
      | None ->
        (match Lru.find ts.ts_formats ~hash:fp fp with
         | None -> shed t ~tenant:ts.ts_id No_meta
-        | Some tf ->
-          if Governor.overloaded t.gov ~now:(now_s t) then
-            shed t ~tenant:ts.ts_id Overload
-          else start_compile t ts ~fingerprint:fp tf ~deadline_ns message))
+        | Some tf -> start_compile t ts ~fingerprint:fp tf ~deadline_ns message))
 
 (* A push's meta and fingerprint, decoded once per distinct encoding;
    [true] when these bytes were decoded before.  Identical pushes hand

@@ -7,15 +7,19 @@
     sheds expired/over-quota/circuit-open work {e before} decoding, and
     plans morphs into the tenant's target format through one shared
     bounded {!Plan_cache} (singleflight-coalesced compiles).  Each plan
-    is a {!Morph.Plan.t}, compiled once at the engine its shape needs;
-    while the cache thrashes, the {!Governor} sheds messages that need a
-    new plan.  Pushed meta-data is decoded once per distinct encoding,
-    and a plan built once per distinct (meta, target), shared by every
-    tenant that pushes it; each tenant still waits its own virtual
-    compile time. *)
+    is a {!Morph.Plan.t}, compiled once at the engine its shape needs
+    and matched with {!Morph.Maxmatch.default_thresholds}; a thrashing
+    cache shows as evictions and recompiles.  Pushed meta-data is
+    decoded once per distinct encoding, and a plan built once per
+    distinct (meta, target), shared by every tenant that pushes it;
+    each tenant still waits its own virtual compile time.
+
+    Constants, not options: a tenant's breaker opens after 3 consecutive
+    delivery failures and probes again after 0.05 simulated seconds; a
+    plan compiles in 20 simulated microseconds per cost unit; at most
+    256 messages park behind one compile (docs/GATEWAY.md). *)
 
 module Plan_cache = Plan_cache
-module Governor = Governor
 
 (** The engine a plan runs: its {!Morph.Plan.kind}. *)
 type rung = Morph.Plan.kind =
@@ -27,24 +31,12 @@ type rung = Morph.Plan.kind =
           composed Ecode hops and the conversion into the target *)
 
 type config = {
-  max_plans : int;  (** shared plan-cache entry bound *)
-  tenant_quota : int;  (** per-tenant plan-cache entry quota *)
+  max_plans : int;  (** shared plan-cache entry bound (>= 1) *)
+  tenant_quota : int;  (** per-tenant plan-cache entry quota (>= 1) *)
   admit_rate : float;
-      (** per-tenant token-bucket refill, messages per simulated second;
-          [0.] disables rate admission *)
+      (** per-tenant token-bucket refill, messages per simulated second
+          (>= 0); [0.] disables rate admission *)
   admit_burst : float;  (** token-bucket capacity (>= 1 when rate > 0) *)
-  breaker_threshold : int;
-      (** consecutive delivery failures that open a tenant's circuit *)
-  breaker_cooldown_s : float option;
-      (** open -> half-open probe delay; [None] = open circuits stay
-          open (the PR-2 permanent-quarantine behaviour) *)
-  thresholds : Morph.Maxmatch.thresholds;  (** match acceptance *)
-  governor : Governor.config;  (** eviction-storm shedding *)
-  compile_s_per_unit : float;
-      (** simulated seconds of compile latency per cost unit *)
-  pending_cap : int;
-      (** max messages parked behind one in-flight compile; overflow is
-          shed as {!Overload} *)
   parity : bool;
       (** cross-check every delivery against the interpretive reference
           decoder and count [gateway.parity_mismatches] *)
@@ -52,13 +44,16 @@ type config = {
 
 val default_config : config
 
+(** [Error] naming the first field out of the range its comment states:
+    the one statement of a valid config, which {!create} enforces. *)
+val check_config : config -> (unit, string) result
+
 (** Why a message was shed (before decode, never after). *)
 type shed_reason =
   | Deadline  (** envelope deadline already expired *)
   | Quota  (** tenant token bucket empty *)
   | Breaker  (** tenant circuit open *)
-  | Overload
-      (** new plan work during an eviction storm, or pending queue full *)
+  | Overload  (** 256 messages already parked behind the format's compile *)
   | Unknown_tenant  (** data before any meta push for this tenant *)
   | No_meta
       (** fingerprint never pushed by this tenant, or evicted: a tenant
@@ -120,22 +115,17 @@ type t
 (** [create ~net contact handler] builds a gateway that will deliver
     morphed values to [handler]; call {!attach} to register it on the
     network.  [metrics] feeds the [gateway.*] counter/gauge catalogue
-    and delivery trace spans.  [ctx] supplies the codec plan cache the
-    gateway's fused/staged wire plans are compiled into (shared across
-    tenants and with any other user of the context) and the registry
-    their Ecode and conversion compiles record into; omitted, it is
-    {!Pbio.Ctx.default}, as for [Morph.Receiver.create]
-    (docs/CONCURRENCY.md).
+    and delivery trace spans.  Plans compile their wire closures from
+    {!Pbio.Ctx.default}'s codec cache, shared across tenants and with
+    every other user of that context (docs/CONCURRENCY.md).
     [flight] arms an {!Obs.Flight} recorder: breaker trips, shed bursts
     and plan-cache eviction storms each freeze a bounded incident
     capture (spans + metrics snapshot) for post-mortem analysis
-    (docs/OBSERVABILITY.md).  Raises [Invalid_argument] on non-positive
-    [breaker_threshold]/[pending_cap], negative [compile_s_per_unit], or
-    [admit_burst < 1] with a rate set. *)
+    (docs/OBSERVABILITY.md).  Raises [Invalid_argument] with
+    {!check_config}'s text when the config is invalid. *)
 val create :
   ?config:config ->
   ?metrics:Obs.t ->
-  ?ctx:Pbio.Ctx.t ->
   ?flight:Obs.Flight.recorder ->
   net:Transport.Netsim.t ->
   Transport.Contact.t ->

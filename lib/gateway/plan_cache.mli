@@ -25,9 +25,8 @@ type stats = {
 
 (** [create ()] — defaults: 1024 entries, unlimited per-tenant quota, no
     eviction hook.  [on_evict] fires on every capacity eviction (not when
-    {!add} replaces a key), e.g. to feed the gateway's
-    eviction-storm governor.  Raises [Invalid_argument] on non-positive
-    limits. *)
+    {!add} replaces a key), e.g. to count evictions.  Raises
+    [Invalid_argument] on non-positive limits. *)
 val create :
   ?max_entries:int ->
   ?tenant_quota:int ->

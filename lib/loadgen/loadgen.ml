@@ -561,11 +561,10 @@ type gateway_report = {
 }
 
 (* Same contract as [check]: a config that passes cannot raise later from
-   inside [run_gateway] — including [Gateway.create], whose
-   [Invalid_argument] conditions are re-stated here as data. *)
+   inside [run_gateway] — including [Gateway.create], whose own check
+   this runs. *)
 let check_gateway (cfg : gateway_config) : (unit, Err.t) result =
   let err fmt = Printf.ksprintf (fun m -> Error (`Config m)) fmt in
-  let g = cfg.g_gateway in
   if cfg.g_tenants < 1 then err "tenants must be >= 1 (got %d)" cfg.g_tenants
   else if cfg.g_lineages < 1 then
     err "lineages must be >= 1 (got %d)" cfg.g_lineages
@@ -582,35 +581,11 @@ let check_gateway (cfg : gateway_config) : (unit, Err.t) result =
     err "deadline must be >= 0 (got %g)" cfg.g_deadline_s
   else if List.exists (fun at -> not (at >= 0.)) cfg.g_push_at then
     err "push times must be >= 0"
-  else if g.Gateway.max_plans < 1 then
-    err "max-plans must be >= 1 (got %d)" g.Gateway.max_plans
-  else if g.Gateway.tenant_quota < 1 then
-    err "tenant-quota must be >= 1 (got %d)" g.Gateway.tenant_quota
-  else if not (g.Gateway.admit_rate >= 0.) then
-    err "admit-rate must be >= 0 (got %g)" g.Gateway.admit_rate
-  else if g.Gateway.admit_rate > 0. && not (g.Gateway.admit_burst >= 1.) then
-    err "admit-burst must be >= 1 when a rate is set (got %g)"
-      g.Gateway.admit_burst
-  else if g.Gateway.breaker_threshold < 1 then
-    err "breaker-threshold must be >= 1 (got %d)" g.Gateway.breaker_threshold
-  else if
-    match g.Gateway.breaker_cooldown_s with
-    | Some c -> not (c > 0.)
-    | None -> false
-  then err "breaker-cooldown must be > 0"
-  else if g.Gateway.pending_cap < 1 then
-    err "pending-cap must be >= 1 (got %d)" g.Gateway.pending_cap
-  else if not (g.Gateway.compile_s_per_unit >= 0.) then
-    err "compile cost must be >= 0 (got %g)" g.Gateway.compile_s_per_unit
-  else if not (g.Gateway.governor.Gateway.Governor.window_s > 0.) then
-    err "governor window must be > 0 (got %g)"
-      g.Gateway.governor.Gateway.Governor.window_s
-  else if g.Gateway.governor.Gateway.Governor.shed_evictions < 0 then
-    err "governor shed-evictions must be >= 0 (got %d)"
-      g.Gateway.governor.Gateway.Governor.shed_evictions
-  else Dist.validate cfg.g_dist |> function
-    | Error m -> err "arrival distribution: %s" m
-    | Ok () -> Ok ()
+  else
+    match Gateway.check_config cfg.g_gateway, Dist.validate cfg.g_dist with
+    | Error m, _ -> Error (`Config m)
+    | Ok (), Error m -> err "arrival distribution: %s" m
+    | Ok (), Ok () -> Ok ()
 
 let run_gateway (cfg : gateway_config) : gateway_report =
   (match check_gateway cfg with
@@ -850,16 +825,9 @@ let gateway_summary (r : gateway_report) : string =
     cfg.g_tenants cfg.g_lineages cfg.g_seed (Dist.to_string cfg.g_dist)
     cfg.g_duration_s cfg.g_churn_per_s cfg.g_versions;
   p "storms=%d deadline=%gs" (List.length cfg.g_push_at) cfg.g_deadline_s;
-  p "gateway max_plans=%d quota=%d admit=%g/s burst=%g breaker=%d cooldown=%s \
-     shed_evictions=%d/%gs parity=%b"
+  p "gateway max_plans=%d quota=%d admit=%g/s burst=%g parity=%b"
     g.Gateway.max_plans g.Gateway.tenant_quota g.Gateway.admit_rate
-    g.Gateway.admit_burst g.Gateway.breaker_threshold
-    (match g.Gateway.breaker_cooldown_s with
-     | Some c -> Printf.sprintf "%gs" c
-     | None -> "none")
-    g.Gateway.governor.Gateway.Governor.shed_evictions
-    g.Gateway.governor.Gateway.Governor.window_s
-    g.Gateway.parity;
+    g.Gateway.admit_burst g.Gateway.parity;
   p "faults loss=%.3f dup=%.3f reorder=%.3f jitter=%.4fs" f.Netsim.loss
     f.Netsim.duplication f.Netsim.reorder f.Netsim.jitter_s;
   p "sent=%d pushes=%d onboarded=%d churn joins=%d leaves=%d active_end=%d"

@@ -16,7 +16,8 @@ type t = {
   cum : float array; (* cumulative weights, last entry 1.0 *)
 }
 
-let default_base =
+(* Every population's v0. *)
+let base_format =
   Ptype_dsl.format_of_string_exn
     "format LoadEvent { int kind; string tag; int count; float gauge; }"
 
@@ -55,8 +56,9 @@ let default_weights n =
   end;
   w
 
-let make ?(base = default_base) ?mix ~versions:n ~seed () : t =
+let make ?mix ~versions:n ~seed () : t =
   if n < 1 then invalid_arg "Population.make: versions must be >= 1";
+  let base = base_format in
   let rng = Random.State.make [| 0x10adc3; seed |] in
   let steps = lineage_steps base ~hops:(n - 1) rng in
   let weights =

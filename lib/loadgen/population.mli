@@ -22,7 +22,8 @@ type version = {
 type t
 
 (** Build a population of [versions] formats (v0 .. v[versions-1])
-    by evolving [base] (the load-event base format when omitted) with
+    by evolving the load-event base format
+    [LoadEvent { int kind; string tag; int count; float gauge; }] with
     [Morphcheck.Evolve]; deterministic in [seed].
 
     [mix] lists weights {e newest-first} (the paper's "70% v2 / 25% v1 /
@@ -31,7 +32,7 @@ type t
     Omitted, the default mix gives the head 70%, its predecessor 25%
     and splits 5% across the remaining stragglers.  Raises
     [Invalid_argument] when [versions < 1] or no weight is positive. *)
-val make : ?base:Ptype.record -> ?mix:float list -> versions:int -> seed:int -> unit -> t
+val make : ?mix:float list -> versions:int -> seed:int -> unit -> t
 
 val versions : t -> version array
 val base : t -> Ptype.record

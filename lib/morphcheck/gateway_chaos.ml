@@ -1,14 +1,16 @@
 (* Chaos soak for the multi-tenant morphing gateway (docs/GATEWAY.md).
 
    Each case drives one gateway hard on purpose: a deliberately tiny plan
-   cache, tight tenant quotas and admission rates, a mass schema-push
-   storm and a 3x overload burst mid-run — first fault-free, then under
-   the {!Chaos.profile} fault model (loss, duplication, reordering,
-   jitter, a timed partition).  The gateway may shed as much as it needs
-   to; what it may never do is
-   crash, leak (pending work or cache entries past their bounds), deliver
-   bytes that differ from the interpretive reference (parity stays on for
-   every delivery), or diverge between two runs of the same seed. *)
+   cache, a tight admission rate, a mass schema-push storm and a 3x
+   overload burst mid-run — first fault-free, then under the
+   {!Chaos.profile} fault model (loss, duplication, reordering, jitter, a
+   timed partition).  The gateway may shed as much as it needs to; what
+   it may never do is crash, leak (pending work or cache entries past
+   their bounds), deliver bytes that differ from the interpretive
+   reference (parity stays on for every delivery), or diverge between
+   two runs of the same seed.  A campaign in which no run shed a message
+   or evicted a plan never reached the gateway's overload paths, and
+   fails. *)
 
 open Pbio
 module Netsim = Transport.Netsim
@@ -20,24 +22,46 @@ type failure = { case : int; seed : int; reason : string }
 let pp_failure ppf (f : failure) =
   Fmt.pf ppf "case %d (seed %d): %s" f.case f.seed f.reason
 
+type totals = {
+  runs : int;
+  delivered : int;
+  shed_deadline : int;
+  shed_quota : int;
+  shed_breaker : int;
+  shed_overload : int;
+  shed_unknown : int;
+  shed_no_meta : int;
+  evictions : int;
+  recompiles : int;
+  trips : int;
+}
+
 type report = {
   cases : int;
   tenants_per_case : int;
   messages_per_case : int;
+  totals : totals;
   failures : failure list;
 }
 
 let passed r = r.failures = []
 
+let pp_totals ppf (t : totals) =
+  Fmt.pf ppf
+    "%d runs: delivered=%d shed deadline=%d quota=%d breaker=%d overload=%d \
+     unknown=%d no_meta=%d evictions=%d recompiles=%d trips=%d"
+    t.runs t.delivered t.shed_deadline t.shed_quota t.shed_breaker t.shed_overload
+    t.shed_unknown t.shed_no_meta t.evictions t.recompiles t.trips
+
 let pp_report ppf (r : report) =
   if passed r then
-    Fmt.pf ppf "gateway chaos: %d cases x %d tenants x %d messages: all passed"
-      r.cases r.tenants_per_case r.messages_per_case
+    Fmt.pf ppf "gateway chaos: %d cases x %d tenants x %d messages: all passed@\n%a"
+      r.cases r.tenants_per_case r.messages_per_case pp_totals r.totals
   else
-    Fmt.pf ppf "gateway chaos: %d of %d cases failed:@,%a"
+    Fmt.pf ppf "gateway chaos: %d of %d cases failed:@\n%a@\n%a"
       (List.length r.failures) r.cases
       (Fmt.list ~sep:Fmt.cut pp_failure)
-      r.failures
+      r.failures pp_totals r.totals
 
 (* --- one case --------------------------------------------------------------- *)
 
@@ -77,51 +101,64 @@ let build_lineage ~seed =
       let value = Gen.value_for format (Random.State.make [| 0x9a7e; seed; i |]) in
       (meta, Wire.encode ~format_id:i format value))
 
-(* A stressed-by-design gateway: the bounds are small enough that a storm
-   plus a burst must evict and shed. *)
+(* A stressed-by-design gateway: 24 tenants sending in turn over 16 plan
+   slots evict globally on almost every message, so the tenant quota of 2
+   never binds; the 3x burst outruns the 200/s admission rate, so it
+   sheds by quota. *)
 let case_config : Gateway.config =
   {
-    Gateway.default_config with
     Gateway.max_plans = 16;
     tenant_quota = 2;
-    admit_rate = 3_000.;
+    admit_rate = 200.;
     admit_burst = 8.;
-    breaker_cooldown_s = Some 0.01;
-    governor =
-      { Gateway.Governor.window_s = 0.01; shed_evictions = 24 };
-    compile_s_per_unit = 5e-5;
-    pending_cap = 64;
     parity = true;
   }
 
 (* Everything a case's behaviour compresses to: two runs of the same seed
    must produce equal digests (the determinism gate), and several fields
-   carry invariants of their own. *)
+   carry invariants of their own.  The gateway's counters are final once
+   the network has quiesced. *)
 type digest = {
   d_sent : int;
-  d_admitted : int;
-  d_delivered : int;
-  d_shed : int;
-  d_rejected : int;
-  d_compiles : int;
-  d_recompiles : int;
-  d_coalesced : int;
-  d_trips : int;
-  d_high_water : int;
-  d_cache_end : int;
-  d_parity_mismatches : int;
+  d_stats : Gateway.stats;
+  d_cache : Gateway.Plan_cache.stats;
   d_pending_end : int;
   d_quiesced : bool;
 }
 
 let digest_to_string (d : digest) =
+  let s = d.d_stats and c = d.d_cache in
   Printf.sprintf
     "sent=%d admitted=%d delivered=%d shed=%d rejected=%d \
-     compiles=%d recompiles=%d coalesced=%d trips=%d high_water=%d \
+     compiles=%d recompiles=%d coalesced=%d trips=%d evictions=%d high_water=%d \
      cache_end=%d parity_mismatches=%d pending_end=%d quiesced=%b"
-    d.d_sent d.d_admitted d.d_delivered d.d_shed d.d_rejected
-    d.d_compiles d.d_recompiles d.d_coalesced d.d_trips d.d_high_water
-    d.d_cache_end d.d_parity_mismatches d.d_pending_end d.d_quiesced
+    d.d_sent s.Gateway.admitted s.Gateway.delivered (Gateway.shed_total s)
+    s.Gateway.rejected s.Gateway.plan_compiles s.Gateway.plan_recompiles
+    s.Gateway.singleflight_coalesced s.Gateway.breaker_trips
+    c.Gateway.Plan_cache.evictions c.Gateway.Plan_cache.high_water
+    c.Gateway.Plan_cache.entries s.Gateway.parity_mismatches d.d_pending_end
+    d.d_quiesced
+
+let no_totals =
+  { runs = 0; delivered = 0; shed_deadline = 0; shed_quota = 0; shed_breaker = 0;
+    shed_overload = 0; shed_unknown = 0; shed_no_meta = 0; evictions = 0;
+    recompiles = 0; trips = 0 }
+
+let add_run (t : totals) (d : digest) : totals =
+  let s = d.d_stats in
+  {
+    runs = t.runs + 1;
+    delivered = t.delivered + s.Gateway.delivered;
+    shed_deadline = t.shed_deadline + s.Gateway.shed_deadline;
+    shed_quota = t.shed_quota + s.Gateway.shed_quota;
+    shed_breaker = t.shed_breaker + s.Gateway.shed_breaker;
+    shed_overload = t.shed_overload + s.Gateway.shed_overload;
+    shed_unknown = t.shed_unknown + s.Gateway.shed_unknown;
+    shed_no_meta = t.shed_no_meta + s.Gateway.shed_no_meta;
+    evictions = t.evictions + d.d_cache.Gateway.Plan_cache.evictions;
+    recompiles = t.recompiles + s.Gateway.plan_recompiles;
+    trips = t.trips + s.Gateway.breaker_trips;
+  }
 
 let duration_s = 0.2
 let max_steps = 10_000_000
@@ -183,66 +220,61 @@ let run_once ~(seed : int) ~(faulty : bool) ~(profile : Chaos.profile)
                   (int_of_float ((Netsim.now net +. 0.005) *. 1e9))
                 (Framing.Data { format_id = version_of.(i); message = bytes }))))
   done;
-  (* the schema-push storm lands mid-burst: every tenant advances one
-     version and re-pushes at once *)
+  (* the schema-push storm: every tenant advances one version and
+     re-pushes at once.  The arrival schedule runs out at 4/9 of
+     [duration_s], so the storm lands after the last data message *)
   Netsim.after net (duration_s /. 2.) (fun () ->
       for i = 0 to tenants - 1 do
         version_of.(i) <- (version_of.(i) + 1) mod versions_per_lineage;
         push_meta i
       done);
   let res = Netsim.run ~max_steps net in
-  let s = Gateway.stats gw in
-  let c = Gateway.cache_stats gw in
   {
     d_sent = !sent;
-    d_admitted = s.Gateway.admitted;
-    d_delivered = s.Gateway.delivered;
-    d_shed = Gateway.shed_total s;
-    d_rejected = s.Gateway.rejected;
-    d_compiles = s.Gateway.plan_compiles;
-    d_recompiles = s.Gateway.plan_recompiles;
-    d_coalesced = s.Gateway.singleflight_coalesced;
-    d_trips = s.Gateway.breaker_trips;
-    d_high_water = c.Gateway.Plan_cache.high_water;
-    d_cache_end = c.Gateway.Plan_cache.entries;
-    d_parity_mismatches = s.Gateway.parity_mismatches;
+    d_stats = Gateway.stats gw;
+    d_cache = Gateway.cache_stats gw;
     d_pending_end = Gateway.pending_depth gw;
     d_quiesced = res.Netsim.quiesced;
   }
 
-let check_invariants ~case ~seed ~shed_budget ~(faulty : bool) (d : digest) :
-  failure list =
+(* The share of sent messages a run may shed: the cases are built to
+   overload. *)
+let shed_budget = 0.6
+
+let check_invariants ~case ~seed ~(faulty : bool) (d : digest) : failure list =
   let fail fmt = Fmt.kstr (fun reason -> [ { case; seed; reason } ]) fmt in
+  let s = d.d_stats and c = d.d_cache in
+  let shed = Gateway.shed_total s and max_plans = case_config.Gateway.max_plans in
   List.concat
     [
       (if d.d_quiesced then [] else fail "network did not quiesce");
       (if d.d_pending_end = 0 then []
        else fail "%d messages still parked after quiesce" d.d_pending_end);
-      (if d.d_high_water <= case_config.Gateway.max_plans then []
+      (if c.Gateway.Plan_cache.high_water <= max_plans then []
        else
-         fail "plan cache high water %d exceeds the %d bound" d.d_high_water
-           case_config.Gateway.max_plans);
-      (if d.d_cache_end <= case_config.Gateway.max_plans then []
-       else fail "plan cache ended over bound (%d)" d.d_cache_end);
-      (if d.d_parity_mismatches = 0 then []
+         fail "plan cache high water %d exceeds the %d bound"
+           c.Gateway.Plan_cache.high_water max_plans);
+      (if c.Gateway.Plan_cache.entries <= max_plans then []
+       else fail "plan cache ended over bound (%d)" c.Gateway.Plan_cache.entries);
+      (if s.Gateway.parity_mismatches = 0 then []
        else
          fail "%d deliveries diverged from the interpretive reference"
-           d.d_parity_mismatches);
-      (if d.d_delivered + d.d_rejected + d.d_shed <= d.d_admitted + d.d_shed
-       then []
+           s.Gateway.parity_mismatches);
+      (if s.Gateway.delivered + s.Gateway.rejected <= s.Gateway.admitted then []
        else fail "delivery accounting leak");
       (let budget =
          int_of_float (shed_budget *. float_of_int (Int.max 1 d.d_sent))
        in
-       if d.d_shed <= budget then []
-       else fail "shed %d of %d sent exceeds the %.0f%% budget" d.d_shed d.d_sent
+       if shed <= budget then []
+       else fail "shed %d of %d sent exceeds the %.0f%% budget" shed d.d_sent
            (100. *. shed_budget));
-      (if faulty || d.d_delivered > 0 then []
+      (if faulty || s.Gateway.delivered > 0 then []
        else fail "fault-free case delivered nothing");
     ]
 
-let run_case ~(profile : Chaos.profile) ~shed_budget ~case ~seed ~tenants
-    ~messages : failure list =
+(* A case's three runs, and what failed in them. *)
+let run_case ~(profile : Chaos.profile) ~case ~seed ~tenants ~messages :
+  digest list * failure list =
   match
     let base = run_once ~seed ~faulty:false ~profile ~tenants ~messages in
     let faulted = run_once ~seed ~faulty:true ~profile ~tenants ~messages in
@@ -250,36 +282,52 @@ let run_case ~(profile : Chaos.profile) ~shed_budget ~case ~seed ~tenants
     (base, faulted, replay)
   with
   | base, faulted, replay ->
-    List.concat
-      [
-        check_invariants ~case ~seed ~shed_budget ~faulty:false base;
-        check_invariants ~case ~seed ~shed_budget ~faulty:true faulted;
-        (if faulted = replay then []
-         else
-           [ { case; seed;
-               reason =
-                 Fmt.str
-                   "same seed, different outcome: %s vs replay %s"
-                   (digest_to_string faulted) (digest_to_string replay) } ]);
-      ]
+    ( [ base; faulted; replay ],
+      List.concat
+        [
+          check_invariants ~case ~seed ~faulty:false base;
+          check_invariants ~case ~seed ~faulty:true faulted;
+          (if faulted = replay then []
+           else
+             [ { case; seed;
+                 reason =
+                   Fmt.str
+                     "same seed, different outcome: %s vs replay %s"
+                     (digest_to_string faulted) (digest_to_string replay) } ]);
+        ] )
   | exception e ->
-    [ { case; seed;
-        reason = Fmt.str "escaped exception: %s" (Printexc.to_string e) } ]
+    ( [],
+      [ { case; seed;
+          reason = Fmt.str "escaped exception: %s" (Printexc.to_string e) } ] )
 
-let run ?(profile = Chaos.default_profile) ?(shed_budget = 0.6) ~seed ~cases
-    ?(tenants = 24) ?(messages = 600) () : report =
-  let failures = ref [] in
+let run ?(profile = Chaos.default_profile) ~seed ~cases ?(tenants = 24)
+    ?(messages = 600) () : report =
+  let totals = ref no_totals and failures = ref [] in
   for case = 1 to cases do
     let sub_seed = seed + (case * 7919) in
-    failures :=
-      !failures
-      @ run_case ~profile ~shed_budget ~case ~seed:sub_seed ~tenants ~messages
+    let runs, f = run_case ~profile ~case ~seed:sub_seed ~tenants ~messages in
+    totals := List.fold_left add_run !totals runs;
+    failures := !failures @ f
   done;
+  let t = !totals in
+  (* a campaign that never shed or evicted never reached the overload
+     paths it exists to check *)
+  let unexercised what = { case = 0; seed; reason = "no run " ^ what } in
+  let coverage =
+    if cases = 0 then []
+    else
+      (if t.shed_deadline + t.shed_quota + t.shed_breaker + t.shed_overload
+          + t.shed_unknown + t.shed_no_meta = 0
+       then [ unexercised "shed a message" ]
+       else [])
+      @ if t.evictions = 0 then [ unexercised "evicted a plan" ] else []
+  in
   {
     cases;
     tenants_per_case = tenants;
     messages_per_case = messages;
-    failures = !failures;
+    totals = t;
+    failures = !failures @ coverage;
   }
 
 (* --- the observed case ------------------------------------------------------

@@ -723,23 +723,30 @@ let same_outcome target a b =
   | `Decode, `Decode | `Transform, `Transform | `No_path, `No_path -> true
   | _ -> false
 
-(* A receiver of [target] that never quarantines, and its wire delivery
-   of [meta]'s messages as an outcome. *)
+(* A receiver of [target], and its wire delivery of [meta]'s messages as
+   an outcome.  A receiver quarantines a pipeline whose transformation
+   fails three times in a row, so a delivery that fails one starts a
+   fresh receiver: no message is compared on a receiver that earlier
+   messages quarantined. *)
 let wire_receiver meta target =
   let got = ref None in
-  let recv =
-    Morph.Receiver.create ~config:(Morph.Receiver.Config.v ~quarantine_after:max_int ()) ()
+  let fresh () =
+    let r = Morph.Receiver.create () in
+    Morph.Receiver.register r target (fun x -> got := Some x);
+    r
   in
-  Morph.Receiver.register recv target (fun x -> got := Some x);
+  let recv = ref (fresh ()) in
   let deliver m =
     got := None;
-    match Morph.Receiver.deliver_wire recv meta m, !got with
+    match Morph.Receiver.deliver_wire !recv meta m, !got with
     | Morph.Receiver.Delivered _, Some x -> `Delivered x
     | Rejected r, _ when starts_with "wire decode failed" r -> `Decode
-    | Rejected r, _ when starts_with "transformation failed" r -> `Transform
+    | Rejected r, _ when starts_with "transformation failed" r ->
+      recv := fresh ();
+      `Transform
     | _ -> `No_path
   in
-  (recv, deliver)
+  (!recv, deliver)
 
 (* [meta]'s hops run by the interpreter, then converted into [target]. *)
 let interpreted meta target dv =

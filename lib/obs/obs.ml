@@ -1427,7 +1427,6 @@ module Flight = struct
 
   type recorder = {
     fl_reg : t;
-    fl_max : int;
     mutable fl_seq : int;
     mutable fl_rev : incident list; (* newest first *)
     mutable fl_suppressed : int;
@@ -1435,12 +1434,12 @@ module Flight = struct
     fl_c_suppressed : Counter.h;
   }
 
-  let create ?(max_incidents = 8) reg =
-    if max_incidents < 1 then
-      invalid_arg "Obs.Flight.create: max_incidents must be >= 1";
+  (* Incidents a recorder holds. *)
+  let max_incidents = 8
+
+  let create reg =
     {
       fl_reg = reg;
-      fl_max = max_incidents;
       fl_seq = 0;
       fl_rev = [];
       fl_suppressed = 0;
@@ -1454,7 +1453,7 @@ module Flight = struct
      memory without bound or turn the trigger path into a hot loop. *)
   let trigger r ~kind ~reason =
     if r.fl_reg.on then begin
-      if List.length r.fl_rev >= r.fl_max then begin
+      if List.length r.fl_rev >= max_incidents then begin
         r.fl_suppressed <- r.fl_suppressed + 1;
         Counter.incr r.fl_c_suppressed
       end

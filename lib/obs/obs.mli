@@ -364,14 +364,14 @@ module Flight : sig
 
   type recorder
 
-  val create : ?max_incidents:int -> t -> recorder
-  (** Recorder over a registry (default capacity 8 incidents; raises on
-      [< 1]).  Registers the counters [obs.flight.incidents] and
-      [obs.flight.suppressed].  A recorder over {!null} is inert. *)
+  val create : t -> recorder
+  (** Recorder over a registry, holding up to 8 incidents.  Registers the
+      counters [obs.flight.incidents] and [obs.flight.suppressed].  A
+      recorder over {!null} is inert. *)
 
   val trigger : recorder -> kind:string -> reason:string -> unit
   (** Capture an incident now, or count it as suppressed when the
-      buffer already holds [max_incidents].  No-op on {!null}. *)
+      buffer already holds 8.  No-op on {!null}. *)
 
   val incidents : recorder -> incident list
   (** Captured incidents, oldest first. *)

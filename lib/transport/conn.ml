@@ -45,11 +45,16 @@ type backoff = {
   max_attempts : int;
 }
 
-let default_retransmit =
+(* An unacknowledged reliable frame's schedule. *)
+let retransmit =
   { initial_s = 0.005; multiplier = 2.0; max_s = 0.25; max_attempts = 12 }
 
-let default_meta_retry =
+(* An unanswered Meta_request's schedule. *)
+let meta_retry =
   { initial_s = 0.01; multiplier = 2.0; max_s = 0.5; max_attempts = 8 }
+
+(* Messages one (peer, format) parked queue holds. *)
+let parked_cap = 64
 
 type stats = {
   mutable records_sent : int;
@@ -134,10 +139,7 @@ type endpoint = {
   peer_formats : (peer_key, Meta.format_meta) Hashtbl.t;
   announced : (peer_key, unit) Hashtbl.t;
   parked : (peer_key, park) Hashtbl.t;
-  parked_cap : int;
   reliable : bool;
-  retransmit : backoff;
-  meta_retry : backoff;
   send_seq : (Contact.t, int ref) Hashtbl.t;
   unacked : (Contact.t * int, pending) Hashtbl.t;
   recv_seen : (Contact.t, seen) Hashtbl.t;
@@ -207,7 +209,7 @@ let peer_failed ep (dst : Contact.t) : unit =
     List.iter (Hashtbl.remove ep.unacked) stale;
     Logs.warn (fun m ->
         m "%a: peer %a declared failed after %d unacknowledged attempts"
-          Contact.pp ep.contact Contact.pp dst ep.retransmit.max_attempts);
+          Contact.pp ep.contact Contact.pp dst retransmit.max_attempts);
     match ep.on_peer_failure with Some f -> f dst | None -> ()
   end
 
@@ -216,7 +218,7 @@ let rec schedule_retransmit ep ~dst ~seq ~delay : unit =
       match Hashtbl.find_opt ep.unacked (dst, seq) with
       | None -> () (* acknowledged in the meantime *)
       | Some p ->
-        if p.p_attempts >= ep.retransmit.max_attempts then begin
+        if p.p_attempts >= retransmit.max_attempts then begin
           Hashtbl.remove ep.unacked (dst, seq);
           peer_failed ep dst
         end
@@ -228,7 +230,7 @@ let rec schedule_retransmit ep ~dst ~seq ~delay : unit =
             ~attrs:[ ("retransmit", string_of_int (p.p_attempts - 1)) ]
             ep ~dst p.p_bytes;
           schedule_retransmit ep ~dst ~seq
-            ~delay:(Float.min (delay *. ep.retransmit.multiplier) ep.retransmit.max_s)
+            ~delay:(Float.min (delay *. retransmit.multiplier) retransmit.max_s)
         end)
 
 (* Transmit a protocol frame, wrapped in the ambient trace context (when
@@ -262,7 +264,7 @@ let send_frame ep ~dst (f : Framing.frame) : unit =
     Hashtbl.replace ep.unacked (dst, seq)
       { p_bytes = bytes; p_ctx = ctx; p_attempts = 1 };
     hop_send ?ctx ep ~dst bytes;
-    schedule_retransmit ep ~dst ~seq ~delay:ep.retransmit.initial_s
+    schedule_retransmit ep ~dst ~seq ~delay:retransmit.initial_s
   end
 
 (* --- duplicate suppression -------------------------------------------------- *)
@@ -328,7 +330,7 @@ let rec schedule_meta_retry ep (key : peer_key) ~attempt ~delay : unit =
       match Hashtbl.find_opt ep.parked key with
       | None -> () (* the meta-data arrived and the queue flushed *)
       | Some p ->
-        if attempt >= ep.meta_retry.max_attempts then begin
+        if attempt >= meta_retry.max_attempts then begin
           ep.stats.parked_dropped <- ep.stats.parked_dropped + Queue.length p.q;
           Obs.Counter.add ep.m.m_parked_dropped (Queue.length p.q);
           parked_delta ep (-(Queue.length p.q));
@@ -344,7 +346,7 @@ let rec schedule_meta_retry ep (key : peer_key) ~attempt ~delay : unit =
           Obs.Counter.incr ep.m.m_meta_retries;
           send_meta_request ?ctx:p.pk_ctx ep key;
           schedule_meta_retry ep key ~attempt:(attempt + 1)
-            ~delay:(Float.min (delay *. ep.meta_retry.multiplier) ep.meta_retry.max_s)
+            ~delay:(Float.min (delay *. meta_retry.multiplier) meta_retry.max_s)
         end)
 
 let park_message ep (key : peer_key) ~src (message : string) : unit =
@@ -365,9 +367,9 @@ let park_message ep (key : peer_key) ~src (message : string) : unit =
   if not p.requested then begin
     p.requested <- true;
     send_meta_request ?ctx:p.pk_ctx ep key;
-    schedule_meta_retry ep key ~attempt:1 ~delay:ep.meta_retry.initial_s
+    schedule_meta_retry ep key ~attempt:1 ~delay:meta_retry.initial_s
   end;
-  if Queue.length p.q >= ep.parked_cap then begin
+  if Queue.length p.q >= parked_cap then begin
     ignore (Queue.pop p.q); (* oldest-first eviction *)
     ep.stats.parked_evicted <- ep.stats.parked_evicted + 1;
     Obs.Counter.incr ep.m.m_parked_evicted;
@@ -482,11 +484,8 @@ let handle_frame ep ~src (payload : string) : unit =
 
 (* --- construction ----------------------------------------------------------- *)
 
-let create ?(endian = Wire.Little) ?(reliable = false)
-    ?(retransmit = default_retransmit) ?(meta_retry = default_meta_retry)
-    ?(parked_cap = 64) ?(metrics = Obs.null) ?(ctx = Ctx.default) (net : Netsim.t)
-    (contact : Contact.t) : endpoint =
-  if parked_cap < 1 then invalid_arg "Conn.create: parked_cap must be positive";
+let create ?(endian = Wire.Little) ?(reliable = false) ?(metrics = Obs.null)
+    ?(ctx = Ctx.default) (net : Netsim.t) (contact : Contact.t) : endpoint =
   let ep =
     {
       net;
@@ -498,10 +497,7 @@ let create ?(endian = Wire.Little) ?(reliable = false)
       peer_formats = Hashtbl.create 16;
       announced = Hashtbl.create 16;
       parked = Hashtbl.create 4;
-      parked_cap;
       reliable;
-      retransmit;
-      meta_retry;
       send_seq = Hashtbl.create 8;
       unacked = Hashtbl.create 16;
       recv_seen = Hashtbl.create 8;

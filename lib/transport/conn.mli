@@ -30,16 +30,6 @@ type peer_key = {
   id : int;
 }
 
-(** Retry schedule: the first retry waits [initial_s], each later one
-    multiplies the wait by [multiplier] up to [max_s]; [max_attempts]
-    counts transmissions in total (first send included). *)
-type backoff = {
-  initial_s : float;
-  multiplier : float;
-  max_s : float;
-  max_attempts : int;
-}
-
 type stats = {
   mutable records_sent : int;
   mutable records_delivered : int;  (** handed to the message handler *)
@@ -59,9 +49,12 @@ type endpoint
     sender's native byte order (receivers handle either).  [reliable]
     turns on the sequence-number + ack + retransmit envelope for outgoing
     frames — any endpoint understands the envelope on receipt, so
-    reliable and fire-and-forget endpoints interoperate.  [retransmit]
-    and [meta_retry] tune the backoff schedules; [parked_cap] bounds each
-    (peer, format) parked queue.  [metrics] mirrors {!stats} into an Obs
+    reliable and fire-and-forget endpoints interoperate.  An
+    unacknowledged frame is retransmitted after 5 ms, doubling up to
+    250 ms, 12 transmissions in all; an unanswered [Meta_request] is
+    retried after 10 ms, doubling up to 500 ms, 8 requests in all; each
+    (peer, format) parked queue holds 64 messages, evicting the oldest
+    (docs/FAULTS.md).  [metrics] mirrors {!stats} into an Obs
     registry ([conn.*] counters plus the [conn.parked_depth] gauge);
     defaults to [Obs.null].  [ctx] supplies the codec plan cache used by
     this endpoint's [Wire.encode]/[Wire.decode] calls and records their
@@ -70,9 +63,6 @@ type endpoint
 val create :
   ?endian:Wire.endian ->
   ?reliable:bool ->
-  ?retransmit:backoff ->
-  ?meta_retry:backoff ->
-  ?parked_cap:int ->
   ?metrics:Obs.t ->
   ?ctx:Ctx.t ->
   Netsim.t ->

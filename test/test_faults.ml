@@ -286,10 +286,10 @@ let test_netsim_partition_decided_at_send () =
 
 (* --- conn: Meta_request retry with backoff ---------------------------------- *)
 
-let setup ?retransmit ?meta_retry ?parked_cap ?(reliable_a = false) () =
+let setup () =
   let net = Netsim.create ~seed:11 () in
-  let a = Conn.create ~reliable:reliable_a net (Contact.make "a" 1) in
-  let b = Conn.create ?retransmit ?meta_retry ?parked_cap net (Contact.make "b" 2) in
+  let a = Conn.create net (Contact.make "a" 1) in
+  let b = Conn.create net (Contact.make "b" 2) in
   (net, a, b)
 
 (* Corrupt the next [n] frames whose kind byte is [kind] so they are
@@ -328,30 +328,28 @@ let test_conn_meta_reply_lost_then_retried () =
   Alcotest.(check int) "nothing left parked" 0 (Conn.parked_messages b)
 
 let test_conn_meta_retry_gives_up () =
-  let meta_retry =
-    { Conn.initial_s = 0.001; multiplier = 2.0; max_s = 0.01; max_attempts = 3 }
-  in
-  let net, a, b = setup ~meta_retry () in
+  let net, a, b = setup () in
   let got = ref 0 in
   Conn.set_handler b (fun ~src:_ _ _ -> incr got);
   let dst = Contact.make "b" 2 in
   Conn.send a ~dst (Meta.plain fmt) (ping 0);
   ignore (Netsim.run net);
   Conn.forget_peer_formats b;
-  (* every meta reply dies: the retry budget runs out and the parked
-     messages are dropped, not leaked *)
+  (* every meta reply dies: the retry budget (8 requests, 0.01 s doubling
+     to 0.5 s, in virtual time) runs out and the parked messages are
+     dropped, not leaked *)
   kill_frames net ~kind:'\x01' max_int;
   Conn.send a ~dst (Meta.plain fmt) (ping 1);
   Conn.send a ~dst (Meta.plain fmt) (ping 2);
   ignore (Netsim.run net);
   Alcotest.(check int) "only the pre-fault record arrived" 1 !got;
   let s = Conn.stats b in
-  Alcotest.(check int) "gave up after the budget" 3 s.Conn.meta_requests;
+  Alcotest.(check int) "gave up after the budget" 8 s.Conn.meta_requests;
   Alcotest.(check int) "parked messages dropped" 2 s.Conn.parked_dropped;
   Alcotest.(check int) "queue emptied" 0 (Conn.parked_messages b)
 
 let test_conn_parked_queue_bounded () =
-  let net, a, b = setup ~parked_cap:2 () in
+  let net, a, b = setup () in
   let got = ref [] in
   Conn.set_handler b (fun ~src:_ _ v -> got := seq_of v :: !got);
   let dst = Contact.make "b" 2 in
@@ -359,19 +357,21 @@ let test_conn_parked_queue_bounded () =
   ignore (Netsim.run net);
   Conn.forget_peer_formats b;
   got := [];
-  (* meta replies die while five records arrive: the 2-slot queue keeps
-     only the newest two, evicting oldest-first *)
+  (* meta replies die while 69 records arrive: the 64-slot queue keeps
+     only the newest 64, evicting oldest-first *)
   kill_frames net ~kind:'\x01' 2;
-  for i = 1 to 5 do Conn.send a ~dst (Meta.plain fmt) (ping i) done;
+  for i = 1 to 69 do Conn.send a ~dst (Meta.plain fmt) (ping i) done;
   ignore (Netsim.run net);
-  Alcotest.(check (list int)) "newest two survive, in order" [ 5; 4 ] !got;
-  Alcotest.(check int) "evictions counted" 3 (Conn.stats b).Conn.parked_evicted
+  Alcotest.(check (list int)) "newest 64 survive, in order"
+    (List.init 64 (fun i -> 69 - i))
+    !got;
+  Alcotest.(check int) "evictions counted" 5 (Conn.stats b).Conn.parked_evicted
 
 (* --- conn: the reliable envelope -------------------------------------------- *)
 
-let reliable_pair ?(seed = 21) ?retransmit () =
+let reliable_pair ?(seed = 21) () =
   let net = Netsim.create ~seed () in
-  let a = Conn.create ~reliable:true ?retransmit net (Contact.make "a" 1) in
+  let a = Conn.create ~reliable:true net (Contact.make "a" 1) in
   let b = Conn.create net (Contact.make "b" 2) in
   (net, a, b)
 
@@ -419,15 +419,14 @@ let test_conn_reliable_survives_reordering () =
     (List.sort compare !got)
 
 let test_conn_reliable_peer_failure () =
-  let retransmit =
-    { Conn.initial_s = 0.001; multiplier = 2.0; max_s = 0.004; max_attempts = 3 }
-  in
-  let net, a, b = reliable_pair ~retransmit () in
+  let net, a, b = reliable_pair () in
   ignore b;
   let failed = ref [] in
   Conn.set_on_peer_failure a (fun c -> failed := c :: !failed);
   let src = Contact.make "a" 1 and dst = Contact.make "b" 2 in
-  Netsim.add_partition net ~group_a:[ src ] ~group_b:[ dst ] ~start:0.0 ~stop:1.0;
+  (* the retransmit budget (12 transmissions, 5 ms doubling to 250 ms)
+     runs out about 1.6 s into the partition, in virtual time *)
+  Netsim.add_partition net ~group_a:[ src ] ~group_b:[ dst ] ~start:0.0 ~stop:2.0;
   Conn.send a ~dst (Meta.plain fmt) (ping 1);
   ignore (Netsim.run net);
   Alcotest.(check int) "failure reported once" 1 (List.length !failed);

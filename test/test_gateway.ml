@@ -1,5 +1,5 @@
 (* The multi-tenant morphing gateway: circuit breaker, shared plan cache,
-   eviction-storm governor, Described-envelope admission, singleflight
+   config validation, Described-envelope admission, singleflight
    compile coalescing and its drain, one plan per shape at its engine,
    targets pinned by a tenant's first meta push, and the 1k-tenant
    overload acceptance run (docs/GATEWAY.md). *)
@@ -7,7 +7,6 @@
 open Pbio
 module G = Gateway
 module PC = Gateway.Plan_cache
-module Gov = Gateway.Governor
 module Breaker = Morph.Breaker
 module Netsim = Transport.Netsim
 module Contact = Transport.Contact
@@ -27,7 +26,7 @@ let rung_t : G.rung Alcotest.testable =
 (* --- circuit breaker --------------------------------------------------------- *)
 
 let test_breaker_trip_and_recover () =
-  let b = Breaker.create ~threshold:3 ~cooldown_s:0.1 () in
+  let b = Breaker.create ~cooldown_s:0.1 () in
   Alcotest.check state_t "starts closed" Breaker.Closed (Breaker.state b);
   Alcotest.(check bool) "admits when closed" true (Breaker.admit b ~now:0.);
   Alcotest.(check bool) "1st failure" false (Breaker.record_failure b ~now:0.);
@@ -46,9 +45,10 @@ let test_breaker_trip_and_recover () =
   Alcotest.(check int) "one trip recorded" 1 (Breaker.trips b)
 
 let test_breaker_half_open_failure_retrips () =
-  let b = Breaker.create ~threshold:2 ~cooldown_s:0.1 () in
-  ignore (Breaker.record_failure b ~now:0. : bool);
-  ignore (Breaker.record_failure b ~now:0. : bool);
+  let b = Breaker.create ~cooldown_s:0.1 () in
+  for _ = 1 to 3 do
+    ignore (Breaker.record_failure b ~now:0. : bool)
+  done;
   Alcotest.(check bool) "probe at 0.15" true (Breaker.admit b ~now:0.15);
   Alcotest.(check bool) "probe failure re-trips" true
     (Breaker.record_failure b ~now:0.15);
@@ -59,7 +59,9 @@ let test_breaker_half_open_failure_retrips () =
   Alcotest.(check int) "two trips" 2 (Breaker.trips b)
 
 let test_breaker_no_cooldown_stays_open () =
-  let b = Breaker.create ~threshold:1 () in
+  let b = Breaker.create () in
+  ignore (Breaker.record_failure b ~now:0. : bool);
+  ignore (Breaker.record_failure b ~now:0. : bool);
   Alcotest.(check bool) "trips" true (Breaker.record_failure b ~now:0.);
   Alcotest.(check bool) "never half-opens" false (Breaker.admit b ~now:1e9);
   Alcotest.check state_t "still open" Breaker.Open (Breaker.state b)
@@ -159,53 +161,6 @@ let test_plan_cache_replace () =
   Alcotest.(check int) "replace is not an eviction" 0 !evictions;
   Alcotest.(check (option string)) "replaced" (Some "a2") (PC.find c ~tenant:1 ~key:1);
   Alcotest.(check int) "one entry" 1 (PC.size c)
-
-(* --- eviction-storm governor --------------------------------------------------- *)
-
-let gov_cfg = { Gov.window_s = 0.1; shed_evictions = 4 }
-
-let test_governor_eviction_storm () =
-  let g = Gov.create gov_cfg in
-  Alcotest.(check bool) "idle -> not overloaded" false (Gov.overloaded g ~now:0.);
-  for _ = 1 to 4 do
-    Gov.note_eviction g ~now:0.
-  done;
-  Alcotest.(check bool) "at the threshold -> not overloaded" false
-    (Gov.overloaded g ~now:0.);
-  Gov.note_eviction g ~now:0.;
-  Alcotest.(check bool) "cache thrash -> overloaded" true (Gov.overloaded g ~now:0.);
-  (* shed_evictions = 0 disables shedding altogether *)
-  let off = Gov.create { gov_cfg with Gov.shed_evictions = 0 } in
-  for _ = 1 to 100 do
-    Gov.note_eviction off ~now:0.
-  done;
-  Alcotest.(check bool) "disabled never overloads" false (Gov.overloaded off ~now:0.)
-
-let test_governor_decay_clears () =
-  let g = Gov.create gov_cfg in
-  for _ = 1 to 20 do
-    Gov.note_eviction g ~now:0.
-  done;
-  Alcotest.(check bool) "storm" true (Gov.overloaded g ~now:0.);
-  (* one window halves the count: 10 > 4, still overloaded *)
-  Alcotest.(check bool) "one window later" true (Gov.overloaded g ~now:0.1);
-  (* two more halvings: 2 (0.35, not 0.3: window edges land on inexact
-     floats) *)
-  Alcotest.(check bool) "three windows later" false (Gov.overloaded g ~now:0.35);
-  for _ = 1 to 1000 do
-    Gov.note_eviction g ~now:0.3
-  done;
-  (* a long idle gap clears the state entirely *)
-  Alcotest.(check bool) "after a long gap" false (Gov.overloaded g ~now:100.)
-
-let test_governor_validation () =
-  let bad f = Alcotest.check_raises "rejected" (Invalid_argument (f ())) in
-  bad
-    (fun () -> "Governor.create: window_s must be > 0")
-    (fun () -> ignore (Gov.create { gov_cfg with Gov.window_s = 0. }));
-  bad
-    (fun () -> "Governor.create: shed_evictions must be >= 0")
-    (fun () -> ignore (Gov.create { gov_cfg with Gov.shed_evictions = -1 }))
 
 (* --- the Described envelope ------------------------------------------------------ *)
 
@@ -377,14 +332,33 @@ let test_gateway_quota_shed () =
   ignore (Netsim.run net);
   Alcotest.(check int) "the admitted one still delivers" 1 (G.stats gw).G.delivered
 
+(* [create] refuses what [check_config] refuses, with its text: a rate
+   below 0 or NaN is refused, not run as unlimited admission. *)
+let test_gateway_create_refuses_bad_config () =
+  let net = mk_net () in
+  let refused what config want =
+    Alcotest.(check (result unit string)) (what ^ ": check") (Error want)
+      (G.check_config config);
+    match G.create ~config ~net (Contact.make "gw" 1) (fun _ -> ()) with
+    | _ -> Alcotest.failf "%s: created" what
+    | exception Invalid_argument m ->
+      Alcotest.(check string) (what ^ ": create") ("Gateway.create: " ^ want) m
+  in
+  let c = G.default_config in
+  refused "negative rate" { c with G.admit_rate = -2. } "admit_rate must be >= 0 (got -2)";
+  refused "NaN rate" { c with G.admit_rate = Float.nan } "admit_rate must be >= 0 (got nan)";
+  refused "no plans" { c with G.max_plans = 0 } "max_plans must be >= 1 (got 0)";
+  refused "no quota" { c with G.tenant_quota = 0 } "tenant_quota must be >= 1 (got 0)";
+  refused "burst below 1"
+    { c with G.admit_rate = 10.; admit_burst = 0.5 }
+    "admit_burst must be >= 1 when admit_rate is set (got 0.5)";
+  Alcotest.(check (result unit string)) "the default is valid" (Ok ()) (G.check_config c)
+
 let test_gateway_breaker_trip_and_probe () =
   let net = mk_net () in
   let pop = pop_of_seed 42 in
   let pvs = P.versions pop in
-  let config =
-    { G.default_config with G.breaker_threshold = 3; breaker_cooldown_s = Some 0.05 }
-  in
-  let gw = G.create ~config ~net (Contact.make "gw" 1) (fun _ -> ()) in
+  let gw = G.create ~net (Contact.make "gw" 1) (fun _ -> ()) in
   ignore (G.handle_frame gw (meta_frame ~tenant:1 pvs.(0)) : G.outcome);
   let good = data_frame ~tenant:1 pvs.(0) in
   let corrupt =
@@ -424,9 +398,9 @@ let test_gateway_singleflight () =
   let net = mk_net () in
   let pop = pop_of_seed 42 in
   let pvs = P.versions pop in
-  (* compiles take simulated time, so a burst lands while one is in flight *)
-  let config = { G.default_config with G.compile_s_per_unit = 1e-3 } in
-  let gw = G.create ~config ~net (Contact.make "gw" 1) (fun _ -> ()) in
+  (* compiles take simulated time, and the virtual clock holds still
+     between direct calls, so the whole burst lands while one is in flight *)
+  let gw = G.create ~net (Contact.make "gw" 1) (fun _ -> ()) in
   ignore (G.handle_frame gw (meta_frame ~tenant:1 pvs.(2)) : G.outcome);
   for _ = 1 to 10 do
     ignore (G.handle_frame gw (data_frame ~tenant:1 pvs.(2)) : G.outcome)
@@ -443,18 +417,18 @@ let test_gateway_pending_cap_sheds () =
   let net = mk_net () in
   let pop = pop_of_seed 42 in
   let pvs = P.versions pop in
-  let config =
-    { G.default_config with G.compile_s_per_unit = 1e-3; pending_cap = 4 }
-  in
-  let gw = G.create ~config ~net (Contact.make "gw" 1) (fun _ -> ()) in
+  let gw = G.create ~net (Contact.make "gw" 1) (fun _ -> ()) in
   ignore (G.handle_frame gw (meta_frame ~tenant:1 pvs.(2)) : G.outcome);
-  for _ = 1 to 10 do
+  (* the clock holds still between direct calls: all 257 arrive while the
+     first one's compile is in flight, and one queue holds 256 *)
+  for _ = 1 to 257 do
     ignore (G.handle_frame gw (data_frame ~tenant:1 pvs.(2)) : G.outcome)
   done;
   let s = G.stats gw in
-  Alcotest.(check int) "overflow shed" 6 s.G.shed_overload;
+  Alcotest.(check int) "parked up to the cap" 256 (G.pending_depth gw);
+  Alcotest.(check int) "overflow shed" 1 s.G.shed_overload;
   ignore (Netsim.run net);
-  Alcotest.(check int) "capped queue delivered" 4 (G.stats gw).G.delivered
+  Alcotest.(check int) "capped queue delivered" 256 (G.stats gw).G.delivered
 
 (* The first meta push onboards a tenant and pins its target for good:
    formats pushed later are senders' versions to morph from, never a new
@@ -497,8 +471,7 @@ let test_gateway_deadline_rechecked_at_drain () =
   let pvs = P.versions pop in
   let net = mk_net () in
   let reg = Obs.create ~label:"drain" () in
-  let config = { G.default_config with G.compile_s_per_unit = 1e-3 } in
-  let gw = G.create ~config ~metrics:reg ~net (Contact.make "gw" 1) (fun _ -> ()) in
+  let gw = G.create ~metrics:reg ~net (Contact.make "gw" 1) (fun _ -> ()) in
   ignore (G.handle_frame gw (meta_frame ~tenant:5 pvs.(2)) : G.outcome);
   let expect_parked what frame =
     match G.handle_frame gw frame with
@@ -545,6 +518,38 @@ let test_gateway_recompile_after_eviction () =
   Alcotest.(check bool) "cache stayed within its bound" true
     (c.PC.high_water <= 1);
   Alcotest.(check int) "all delivered regardless" 3 s.G.delivered
+
+(* Plan-cache thrash sheds nothing: three tenants in turn over two plan
+   slots miss on every message after the first two, and each miss evicts,
+   recompiles and delivers.  What the thrash leaves is in the counters and
+   in the flight recorder's eviction_storm incident. *)
+let test_gateway_thrash_evicts_without_shedding () =
+  let net = mk_net () in
+  let pv = (P.versions (pop_of_seed 42)).(0) in
+  let reg = Obs.create ~label:"thrash" () in
+  let flight = Obs.Flight.create reg in
+  let config = { G.default_config with G.max_plans = 2; tenant_quota = 2 } in
+  let gw = G.create ~config ~metrics:reg ~flight ~net (Contact.make "gw" 1) (fun _ -> ()) in
+  let tenants = 3 and rounds = 20 in
+  for tenant = 1 to tenants do
+    ignore (G.handle_frame gw (meta_frame ~tenant pv) : G.outcome)
+  done;
+  for _ = 1 to rounds do
+    for tenant = 1 to tenants do
+      ignore (G.handle_frame gw (data_frame ~tenant pv) : G.outcome);
+      ignore (Netsim.run net)
+    done
+  done;
+  let sent = tenants * rounds in
+  let s = G.stats gw and c = G.cache_stats gw in
+  Alcotest.(check int) "all delivered" sent s.G.delivered;
+  Alcotest.(check int) "nothing shed" 0 (G.shed_total s);
+  Alcotest.(check int) "every miss but the first two evicts" (sent - 2) c.PC.evictions;
+  Alcotest.(check int) "every miss after a tenant's first recompiles" (sent - tenants)
+    s.G.plan_recompiles;
+  Alcotest.(check bool) "cache stayed within its bound" true (c.PC.high_water <= 2);
+  Alcotest.(check (list string)) "one eviction storm captured" [ "eviction_storm" ]
+    (List.map (fun i -> i.Obs.Flight.kind) (Obs.Flight.incidents flight))
 
 (* Fig. 5's formats under a rollback with an [else] branch, which keeps
    the chain staged.  (The gateway matches ECho 2.0's EventMsg to 1.0
@@ -665,62 +670,63 @@ let test_gateway_refused_map_stays_staged () =
 
 (* A sender's hop that stores past the largest array fails its message at
    the gateway: the frame is rejected and the breaker records the
-   failure (one trips it here), and the event loop runs on. *)
+   failure (the third in a row trips it), and the event loop runs on. *)
 let test_gateway_hostile_store_rejected () =
   let src = Ptype_dsl.format_of_string_exn "format S { int a; }" in
   let t = Ptype_dsl.format_of_string_exn "format T { int n; int l[n]; }" in
   let meta = Morph.meta src ~xforms:[ Morph.xform ~target:t "old.l[1152921504606846975] = 1;" ] in
   let net = mk_net () in
-  let config = { G.default_config with G.breaker_threshold = 1 } in
-  let gw = G.create ~config ~net (Contact.make "gw" 1) (fun _ -> ()) in
+  let gw = G.create ~net (Contact.make "gw" 1) (fun _ -> ()) in
   let frame m body =
     G.handle_frame gw (G.envelope ~tenant:1 ~fingerprint:(G.fingerprint m) body)
   in
   ignore (frame (Meta.plain t) (Framing.Meta { format_id = 1; meta = Meta.encode (Meta.plain t) }));
   ignore (frame meta (Framing.Meta { format_id = 2; meta = Meta.encode meta }));
   let message = Wire.encode ~format_id:2 src (Value.record [ ("a", Value.Int 1) ]) in
-  ignore (frame meta (Framing.Data { format_id = 2; message }) : G.outcome);
-  ignore (Netsim.run net);
+  for _ = 1 to 3 do
+    ignore (frame meta (Framing.Data { format_id = 2; message }) : G.outcome);
+    ignore (Netsim.run net)
+  done;
   let s = G.stats gw in
-  Alcotest.(check (pair int int)) "delivered, rejected" (0, 1) (s.G.delivered, s.G.rejected);
+  Alcotest.(check (pair int int)) "delivered, rejected" (0, 3) (s.G.delivered, s.G.rejected);
   Alcotest.(check int) "breaker failure recorded" 1 s.G.breaker_trips;
   Alcotest.check (Alcotest.option state_t) "open" (Some Breaker.Open) (G.breaker_state gw 1)
 
 (* A sender's hop with a numeric literal the lexer cannot read is a
-   planning refusal at the gateway: the frame is rejected with the lexical
-   error, the breaker records the failure (one trips it here), and the
-   event loop runs on. *)
+   planning refusal at the gateway: each frame is rejected with the
+   lexical error, the breaker records the failure (the third in a row
+   trips it), and the event loop runs on. *)
 let test_gateway_bad_literal_rejected () =
   let src = Ptype_dsl.format_of_string_exn "format S { int a; }" in
   let t = Ptype_dsl.format_of_string_exn "format T { float a; int b; }" in
   let meta = Morph.meta src ~xforms:[ Morph.xform ~target:t "old.b = new.a;\nold.a = 1e+;" ] in
   let net = mk_net () in
-  let config = { G.default_config with G.breaker_threshold = 1 } in
-  let gw = G.create ~config ~net (Contact.make "gw" 1) (fun _ -> ()) in
+  let gw = G.create ~net (Contact.make "gw" 1) (fun _ -> ()) in
   let frame m body =
     G.handle_frame gw (G.envelope ~tenant:1 ~fingerprint:(G.fingerprint m) body)
   in
   ignore (frame (Meta.plain t) (Framing.Meta { format_id = 1; meta = Meta.encode (Meta.plain t) }));
   ignore (frame meta (Framing.Meta { format_id = 2; meta = Meta.encode meta }));
   let message = Wire.encode ~format_id:2 src (Value.record [ ("a", Value.Int 1) ]) in
-  (match frame meta (Framing.Data { format_id = 2; message }) with
-   | G.Rejected msg when Helpers.contains msg "lexical error at 2:9: malformed float literal 1e+" -> ()
-   | G.Rejected msg -> Alcotest.failf "rejected for another reason: %s" msg
-   | _ -> Alcotest.fail "the frame was not rejected");
-  ignore (Netsim.run net);
+  for _ = 1 to 3 do
+    (match frame meta (Framing.Data { format_id = 2; message }) with
+     | G.Rejected msg when Helpers.contains msg "lexical error at 2:9: malformed float literal 1e+" -> ()
+     | G.Rejected msg -> Alcotest.failf "rejected for another reason: %s" msg
+     | _ -> Alcotest.fail "the frame was not rejected");
+    ignore (Netsim.run net)
+  done;
   let s = G.stats gw in
-  Alcotest.(check (pair int int)) "delivered, rejected" (0, 1) (s.G.delivered, s.G.rejected);
+  Alcotest.(check (pair int int)) "delivered, rejected" (0, 3) (s.G.delivered, s.G.rejected);
   Alcotest.(check int) "breaker failure recorded" 1 s.G.breaker_trips;
   Alcotest.check (Alcotest.option state_t) "open" (Some Breaker.Open) (G.breaker_state gw 1)
 
 let test_gateway_push_storm_compiles_once () =
   let net = mk_net () in
   let pops = [| pop_of_seed 42; pop_of_seed 7 |] in
-  (* compiles take simulated time, so the whole storm lands while they
-     are in flight *)
-  let config =
-    { G.default_config with G.compile_s_per_unit = 1e-3; parity = true }
-  in
+  (* compiles take simulated time, and the virtual clock holds still
+     between direct calls, so the whole storm lands while they are in
+     flight *)
+  let config = { G.default_config with G.parity = true } in
   let out = ref [] in
   let gw = G.create ~config ~net (Contact.make "gw" 1) (fun d -> out := d :: !out) in
   let tenants = 6 in
@@ -1082,11 +1088,7 @@ let acceptance_cfg =
     g_samples = 6;
     g_seed = 7;
     g_gateway =
-      { G.default_config with
-        G.max_plans = 512;
-        tenant_quota = 4;
-        admit_rate = 200.;
-        admit_burst = 30.;
+      { G.max_plans = 512; tenant_quota = 4; admit_rate = 200.; admit_burst = 30.;
         parity = true } }
 
 let test_gateway_acceptance () =
@@ -1125,10 +1127,31 @@ let test_gateway_acceptance_replays () =
 
 (* --- the chaos campaign ----------------------------------------------------------- *)
 
+(* At the campaign's own shape: 24 tenants over 16 plan slots evict, and
+   the burst sheds by quota; with fewer tenants than slots nothing would,
+   and the campaign would fail for it. *)
 let test_gateway_chaos_smoke () =
-  let r = Morphcheck.Gateway_chaos.run ~seed:1 ~cases:2 ~tenants:16 ~messages:300 () in
+  let r = Morphcheck.Gateway_chaos.run ~seed:1 ~cases:2 () in
   if not (Morphcheck.Gateway_chaos.passed r) then
     Alcotest.failf "%a" Morphcheck.Gateway_chaos.pp_report r
+
+(* A campaign shaped so that nothing evicts or sheds (fewer tenants than
+   plan slots, too few messages to outrun admission) never reached the
+   overload paths: it fails, once for each, as a failure of the whole
+   campaign, and its report prints the totals that show it. *)
+let test_gateway_chaos_unexercised_fails () =
+  let module C = Morphcheck.Gateway_chaos in
+  let r = C.run ~seed:1 ~cases:1 ~tenants:4 ~messages:40 () in
+  Alcotest.(check bool) "not passed" false (C.passed r);
+  Alcotest.(check (list (pair int string))) "campaign-wide failures"
+    [ (0, "no run shed a message"); (0, "no run evicted a plan") ]
+    (List.map (fun f -> (f.C.case, f.C.reason)) r.C.failures);
+  Alcotest.(check (pair int int)) "nothing evicted or shed"
+    (0, 0) (r.C.totals.C.evictions, r.C.totals.C.shed_quota + r.C.totals.C.shed_overload);
+  Alcotest.(check int) "three runs" 3 r.C.totals.C.runs;
+  let text = Fmt.str "%a" C.pp_report r in
+  Alcotest.(check bool) "report prints the totals" true
+    (Helpers.contains text "3 runs: delivered=")
 
 let test_gateway_observed_case () =
   (* the telemetry-armed soak case: the poison tenant's garbage frames
@@ -1205,11 +1228,6 @@ let suite =
       test_plan_cache_tenant_quota;
     Alcotest.test_case "plan cache: replace is not an eviction" `Quick
       test_plan_cache_replace;
-    Alcotest.test_case "governor: eviction storm overloads" `Quick
-      test_governor_eviction_storm;
-    Alcotest.test_case "governor: decay clears overload" `Quick
-      test_governor_decay_clears;
-    Alcotest.test_case "governor: config validation" `Quick test_governor_validation;
     Alcotest.test_case "framing: described roundtrip" `Quick test_described_roundtrip;
     Alcotest.test_case "framing: described hostile inputs" `Quick
       test_described_hostile;
@@ -1218,6 +1236,8 @@ let suite =
     Alcotest.test_case "gateway: expired work shed before decode" `Quick
       test_gateway_sheds_expired_before_decode;
     Alcotest.test_case "gateway: per-tenant quota shed" `Quick test_gateway_quota_shed;
+    Alcotest.test_case "gateway: create refuses an invalid config" `Quick
+      test_gateway_create_refuses_bad_config;
     Alcotest.test_case "gateway: breaker trip and half-open probe" `Quick
       test_gateway_breaker_trip_and_probe;
     Alcotest.test_case "gateway: singleflight coalesces a compile storm" `Quick
@@ -1230,6 +1250,8 @@ let suite =
       test_gateway_first_push_pins_target;
     Alcotest.test_case "gateway: eviction then recompile, bounded cache" `Quick
       test_gateway_recompile_after_eviction;
+    Alcotest.test_case "gateway: plan thrash evicts and recompiles, sheds nothing" `Quick
+      test_gateway_thrash_evicts_without_shedding;
     Alcotest.test_case "gateway: each shape delivers at its engine" `Quick
       test_gateway_shape_engines;
     Alcotest.test_case "gateway: a push storm compiles each (tenant, format) once"
@@ -1255,6 +1277,8 @@ let suite =
     Alcotest.test_case "gateway: acceptance run replays identically" `Slow
       test_gateway_acceptance_replays;
     Alcotest.test_case "gateway: chaos campaign smoke" `Slow test_gateway_chaos_smoke;
+    Alcotest.test_case "gateway: a chaos campaign that never sheds or evicts fails"
+      `Quick test_gateway_chaos_unexercised_fails;
     Alcotest.test_case "gateway: observed case trips flight recorder" `Quick
       test_gateway_observed_case;
     Alcotest.test_case "gateway: a traced delivery promotes nothing" `Quick

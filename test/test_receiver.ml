@@ -573,7 +573,7 @@ let test_collapsed_failures_classified () =
       ~xforms:[ Morph.xform ~target:s1 "old.n = new.n;";
                 Morph.xform ~source:s1 ~target:s0 "old.e = new.n;" ]
   in
-  let r = Receiver.create ~config:(Receiver.Config.v ~quarantine_after:3 ()) () in
+  let r = Receiver.create () in
   let got = ref [] in
   Receiver.register r s0 (fun v -> got := v :: !got);
   let message n = Wire.encode ~format_id:1 s2 (Value.record [ ("n", Value.Int n); ("pad", Value.Int 0) ]) in
@@ -705,18 +705,16 @@ let test_quarantine_success_resets_streak () =
   Alcotest.(check int) "both good values arrived" 2 (List.length !got);
   Alcotest.(check int) "quotient" 2 (Value.to_int (Value.get_field (List.hd !got) "q"))
 
-let test_quarantine_threshold_configurable () =
+let test_quarantine_third_failure_trips () =
   let registered = fmt "format Telemetry { int q; }" in
   let meta = quarantine_meta registered in
-  let r = Receiver.create ~config:(Receiver.Config.v ~quarantine_after:1 ()) () in
-  Receiver.register r registered (fun _ -> ());
+  let r, _ = make_receiver registered in
   ignore (Receiver.deliver r meta (sample ~num:1 ~den:0));
-  Alcotest.(check int) "one strike is enough" 1
+  ignore (Receiver.deliver r meta (sample ~num:2 ~den:0));
+  Alcotest.(check int) "two strikes are not enough" 0
     (Receiver.stats r).Receiver.quarantined;
-  (try
-     ignore (Receiver.create ~config:(Receiver.Config.v ~quarantine_after:0 ()) ());
-     Alcotest.fail "expected Invalid_argument"
-   with Invalid_argument _ -> ())
+  ignore (Receiver.deliver r meta (sample ~num:3 ~den:0));
+  Alcotest.(check int) "the third trips" 1 (Receiver.stats r).Receiver.quarantined
 
 (* Each pipeline has its own breaker: quarantining one sender's format
    leaves another format for the same registered target delivering. *)
@@ -748,27 +746,24 @@ let test_quarantine_counted_and_captured () =
   let meta = quarantine_meta registered in
   let metrics = Obs.create () in
   let flight = Obs.Flight.create metrics in
-  let r =
-    Receiver.create
-      ~config:(Receiver.Config.v ~quarantine_after:2 ~metrics ~flight ())
-      ()
-  in
+  let r = Receiver.create ~config:(Receiver.Config.v ~metrics ~flight ()) () in
   Receiver.register r registered (fun _ -> ());
   ignore (Receiver.deliver r meta (sample ~num:1 ~den:0));
   ignore (Receiver.deliver r meta (sample ~num:2 ~den:0));
+  ignore (Receiver.deliver r meta (sample ~num:3 ~den:0));
   ignore (Receiver.deliver r meta (sample ~num:6 ~den:3));
   ignore (Receiver.deliver r meta (sample ~num:8 ~den:4));
   let counter = Obs.Counter.value metrics in
-  Alcotest.(check int) "two transformation failures" 2 (counter "receiver.transform_failures");
+  Alcotest.(check int) "three transformation failures" 3 (counter "receiver.transform_failures");
   Alcotest.(check int) "one trip" 1 (counter "receiver.quarantined");
-  Alcotest.(check int) "four rejections" 4 (counter "receiver.rejected");
+  Alcotest.(check int) "five rejections" 5 (counter "receiver.rejected");
   Alcotest.(check int) "nothing delivered" 0 (counter "receiver.delivered");
   match Obs.Flight.incidents flight with
   | [ inc ] ->
     Alcotest.(check string) "incident kind" "quarantine" inc.Obs.Flight.kind;
     Alcotest.(check bool) "the reason names the streak" true
       (Helpers.contains inc.Obs.Flight.reason
-         "quarantined after 2 consecutive transformation failures")
+         "quarantined after 3 consecutive transformation failures")
   | incs -> Alcotest.failf "expected one incident, got %d" (List.length incs)
 
 (* Deliveries an open breaker turns away take Algorithm 2's fallback like
@@ -802,7 +797,7 @@ let test_quarantine_gates_fused_wire () =
   let target = fmt "format Q { int q; int a; int b; int c; int d; int e; }" in
   let body = fmt "format Q { uint q; int a; int b; int c; int d; int e; int extra; }" in
   let meta = Meta.plain body in
-  let r = Receiver.create ~config:(Receiver.Config.v ~quarantine_after:2 ()) () in
+  let r = Receiver.create () in
   let got = ref 0 in
   Receiver.register r target (fun _ -> incr got);
   let value q =
@@ -817,9 +812,10 @@ let test_quarantine_gates_fused_wire () =
    | Receiver.Delivered { via = Receiver.Converted; _ } -> ()
    | o -> Alcotest.failf "expected delivery via converted, got %a" Receiver.pp_outcome o);
   Alcotest.(check int) "delivered once" 1 !got;
-  (* a string where the uint belongs fails the coercion: two trip it *)
-  ignore (Receiver.deliver r meta (value (Value.String "x")));
-  ignore (Receiver.deliver r meta (value (Value.String "x")));
+  (* a string where the uint belongs fails the coercion: three trip it *)
+  for _ = 1 to 3 do
+    ignore (Receiver.deliver r meta (value (Value.String "x")))
+  done;
   Alcotest.(check int) "tripped" 1 (Receiver.stats r).Receiver.quarantined;
   let expect_quarantined o =
     match o with
@@ -1719,8 +1715,8 @@ let suite =
       test_quarantine_after_repeated_failures;
     Alcotest.test_case "quarantine: success resets the streak" `Quick
       test_quarantine_success_resets_streak;
-    Alcotest.test_case "quarantine: threshold configurable" `Quick
-      test_quarantine_threshold_configurable;
+    Alcotest.test_case "quarantine: the third failure in a row trips" `Quick
+      test_quarantine_third_failure_trips;
     Alcotest.test_case "quarantine: one pipeline's trip spares other formats" `Quick
       test_quarantine_is_per_pipeline;
     Alcotest.test_case "quarantine: a trip is counted and captured" `Quick

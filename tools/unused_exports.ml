@@ -1,8 +1,11 @@
 (* Lists every [val] of lib/*/*.mli that no other source file uses, one
    per line as "file: Module.path.name", and exits 1 when it lists any.
    Then, under its own heading, it lists the vals whose only callers are
-   under test/: the scan without test/ minus the scan with it.  That
-   second list is for review and does not set the exit code.
+   under test/: the scan without test/ minus the scan with it.  Under a
+   third heading it lists each optional parameter [?p:] of a val of
+   lib/*/*.mli whose label, as [~p] or [?p], appears in no file outside
+   test/ other than the module's own .ml and .mli.  Those two lists are
+   for review and do not set the exit code.
 
    Usage, from the repository root: dune exec tools/unused_exports.exe
 
@@ -21,12 +24,19 @@
    the whole file and record fields look like values, so the scan may
    miss an unused export.  It may also list a used one whose use goes
    through a path it does not expand: an alias defined in another file,
-   a functor parameter or a first-class module. *)
+   a functor parameter or a first-class module.
+
+   Labels are matched by name alone, wherever they are passed: a
+   parameter the scan lists has no caller outside test/ that names it,
+   but one whose name some other function's label shares is never
+   listed. *)
 
 type token =
   | Path of string list  (** dotted identifiers: [A.B.c], [A.B], [c] *)
   | Local_open of string list  (** [A.B.(] *)
   | Sym of char
+  | Label of char * string
+      (** [~p] or [?p]; the name also follows as a [Path], for punning *)
 
 let is_upper c = c >= 'A' && c <= 'Z'
 let is_ident_start c = is_upper c || (c >= 'a' && c <= 'z') || c = '_'
@@ -108,6 +118,11 @@ let tokenize s =
         go !j
       end
       else if is_ident_start c then go (path i [])
+      else if (c = '~' || c = '?') && i + 1 < n && is_ident_start s.[i + 1]
+              && not (is_upper s.[i + 1]) then begin
+        emit (Label (c, fst (ident (i + 1))));
+        go (i + 1)
+      end
       else begin
         if c = '(' || c = ')' || c = '=' || c = ':' then emit (Sym c);
         go (i + 1)
@@ -121,8 +136,18 @@ let tokenize s =
 let module_name file =
   String.capitalize_ascii (Filename.remove_extension (Filename.basename file))
 
-(* The vals of one .mli, each with its module path.  Vals inside module
-   types, functor parameters or objects are not exports of the file. *)
+(* The optional parameters of a val whose type starts [toks]: every [?p]
+   before the next signature item. *)
+let rec optional_labels = function
+  | Path [ ("val" | "external" | "type" | "module" | "end" | "exception"
+           | "include" | "open" | "class") ] :: _
+  | [] -> []
+  | Label ('?', p) :: rest -> p :: optional_labels rest
+  | _ :: rest -> optional_labels rest
+
+(* The vals of one .mli, each with its module path and its optional
+   parameters.  Vals inside module types, functor parameters or objects
+   are not exports of the file. *)
 let exports file =
   let top = module_name file in
   let rec go stack toks acc =
@@ -136,7 +161,7 @@ let exports file =
     | Path [ ("val" | "external") ] :: Path [ v ] :: rest
       when not (is_upper v.[0]) && List.for_all Option.is_some stack ->
       let inner = List.rev_map Option.get stack in
-      go stack rest (((top :: inner) @ [ v ]) :: acc)
+      go stack rest (((top :: inner) @ [ v ], optional_labels rest) :: acc)
     | _ :: rest -> go stack rest acc
   in
   List.rev (go [] (tokenize (read_file file)) [])
@@ -147,6 +172,7 @@ type uses = {
   paths : string list list;  (** every dotted or bare path, aliases expanded *)
   opens : string list list;  (** opened or included modules, expanded *)
   functor_args : string list list;  (** modules passed to functors, expanded *)
+  labels : string list;  (** every [~p] and [?p] name *)
 }
 
 let is_module_path p = p <> [] && List.for_all (fun c -> is_upper c.[0]) p
@@ -172,9 +198,12 @@ let uses_of file =
     | [] -> ()
   in
   scan toks;
-  let paths = ref [] and opens = ref [] and functor_args = ref [] in
+  let paths = ref [] and opens = ref [] and functor_args = ref [] and labels = ref [] in
   let rec collect toks =
     match toks with
+    | Label (_, p) :: rest ->
+      labels := p :: !labels;
+      collect rest
     | Path [ ("open" | "include") ] :: Path p :: rest when is_module_path p ->
       opens := expand 0 p :: !opens;
       collect rest
@@ -192,7 +221,7 @@ let uses_of file =
     | [] -> ()
   in
   collect toks;
-  { paths = !paths; opens = !opens; functor_args = !functor_args }
+  { paths = !paths; opens = !opens; functor_args = !functor_args; labels = !labels }
 
 let rec ends_with ~suffix l =
   let ls = List.length l and lx = List.length suffix in
@@ -232,9 +261,12 @@ let () =
          Filename.check_suffix f ".mli" && Filename.dirname (Filename.dirname f) = "lib")
       files
   in
-  let exported =
+  let vals =
     List.concat_map (fun mli -> List.map (fun v -> (mli, v)) (exports mli)) interfaces
   in
+  let exported = List.map (fun (mli, (v, _)) -> (mli, v)) vals in
+  (* the labels each file passes or binds, by file without extension *)
+  let labels = Hashtbl.create 256 in
   (* every exported path, with the files (without extension) that use it *)
   let users = Hashtbl.create 1024 in
   List.iter (fun (_, v) -> Hashtbl.replace users v []) exported;
@@ -250,6 +282,8 @@ let () =
   List.iter
     (fun f ->
        let u = uses_of f and file = Filename.remove_extension f in
+       Hashtbl.replace labels file
+         (u.labels @ Option.value (Hashtbl.find_opt labels file) ~default:[]);
        let opens = List.sort_uniq compare u.opens in
        List.iter
          (fun p ->
@@ -269,13 +303,32 @@ let () =
   let print =
     List.iter (fun (mli, v) -> Printf.printf "%s: %s\n" mli (String.concat "." v))
   in
+  let outside_test f = not (String.starts_with ~prefix:"test/" f) in
   let unused = unused_by (fun _ -> true) in
   let test_only =
     List.filter
       (fun e -> not (List.mem e unused))
-      (unused_by (fun f -> not (String.starts_with ~prefix:"test/" f)))
+      (unused_by outside_test)
+  in
+  let test_only_optionals =
+    List.concat_map
+      (fun (mli, (v, ps)) ->
+         let own = Filename.remove_extension mli in
+         List.filter_map
+           (fun p ->
+              if
+                Hashtbl.fold
+                  (fun f ls seen -> seen || (f <> own && outside_test f && List.mem p ls))
+                  labels false
+              then None
+              else Some (Printf.sprintf "%s: %s ?%s" mli (String.concat "." v) p))
+           (List.sort_uniq compare ps))
+      vals
   in
   print unused;
   Printf.printf "exports only test/ uses (%d):\n" (List.length test_only);
   print test_only;
+  Printf.printf "optional parameters only test/ passes (%d):\n"
+    (List.length test_only_optionals);
+  List.iter print_endline test_only_optionals;
   exit (if unused = [] then 0 else 1)
